@@ -93,12 +93,19 @@ def _dev_points(sys, obs, phibar, pts, n):
 
 
 def _dev_points_mt(sys, obs, phibar, pts, n, threads):
-    """Same values as _dev_points, chunked so threads never change results."""
-    if threads <= 1 or pts.shape[0] <= _POINT_CHUNK:
+    """Same values as _dev_points, in chunks that bound the working set.
+
+    Values are elementwise, so neither the chunking nor the thread count
+    changes results.
+    """
+    if pts.shape[0] <= _POINT_CHUNK:
         return _dev_points(sys, obs, phibar, pts, n)
     chunks = [pts[i:i + _POINT_CHUNK] for i in range(0, pts.shape[0], _POINT_CHUNK)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(lambda c: _dev_points(sys, obs, phibar, c, n), chunks))
+    if threads <= 1:
+        parts = [_dev_points(sys, obs, phibar, c, n) for c in chunks]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(lambda c: _dev_points(sys, obs, phibar, c, n), chunks))
     return np.concatenate(parts)
 
 
@@ -216,9 +223,22 @@ def _grid_points(sys, idx, s):
     return np.clip(pts, sys.lo, sys.hi)
 
 
+def _sorted_unique(a):
+    """np.unique of an integer array, by sort and adjacent difference (no hashing).
+
+    Cell candidates arrive as overlapping sorted runs, which the stable sort
+    (a merge of runs) orders faster than the default one.
+    """
+    a = np.sort(a, kind="stable")
+    keep = np.empty(a.shape, dtype=bool)
+    keep[:1] = True
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
+
+
 def _cover_level_1d(sys, obs, phibar, alpha, tau, s, m, n, cand, threads):
     """Detect cells at one 1-d level.  Returns (card, relaxed-detected cells)."""
-    corner_idx = np.unique(np.concatenate([cand, cand + 1]))
+    corner_idx = _sorted_unique(np.concatenate([cand, cand + 1]))
     cpts = _grid_points(sys, corner_idx, s)
     mid = _grid_points(sys, cand.astype(np.float64) + 0.5, s)
     dev_c = _dev_points_mt(sys, obs, phibar, cpts, n, threads)
@@ -240,7 +260,7 @@ def _children_1d(sys, relaxed, ratio, m_next):
         kids = kids % m_next
     else:
         kids = np.clip(kids, 0, m_next - 1)
-    return np.unique(kids)
+    return _sorted_unique(kids)
 
 
 def _cover_level_2d(sys, obs, phibar, alpha, s, m, n, threads):

@@ -23,11 +23,13 @@ import math
 import time
 from dataclasses import dataclass, field, fields
 
+import numpy as np
+
 from .deviation import build_deviation_ladders, fit_rate_function, ladder_rows
 from .dimension import (build_cover_ladder, dimension_upper_bound,
                         dprime_volume_series, try_box_dimension, verify_ball_lemma)
 from .errors import RateNotEstablishedError, StageError, ValidationError
-from .flows import (SuspensionFlow, constant_roof, cosine_roof,
+from .flows import (FlowState, SuspensionFlow, constant_roof, cosine_roof,
                     estimate_time1_lipschitz, fiber_constant,
                     flow_nontypical_inclusion_check,
                     integer_part_reduction_check, sample_flow_states)
@@ -477,32 +479,27 @@ def run_pipeline(cfg: ExperimentConfig, threads: int = 1, stages=None) -> Report
         qstep = cfg.quadrature_step or None
         alpha = cfg.alphas[0]
         phibar = ctx["phibar"]
-        states, extra = sample_flow_states(flow, cfg.seed, 0, cfg.flow_samples)
-        int_ok = 0
-        worst_excess = -math.inf
-        inc_ok = 0
-        vacuous = 0
+        sampled, extra = sample_flow_states(flow, cfg.seed, 0, cfg.flow_samples)
+        states = FlowState(np.stack([st.x for st in sampled]),
+                           np.array([st.s for st in sampled]))
+        # per-state fractional horizons in [2, flow_T] for the integer check
+        Ti = 2.0 + (cfg.flow_T - 2.0) * extra if cfg.flow_T > 2.0 else 2.0
+        chk = integer_part_reduction_check(flow, fobs, states, Ti, qstep)
         t_min_incl = 4.0 * fobs.sup_abs / alpha
-        for i, st in enumerate(states):
-            # per-state fractional horizon in [2, flow_T] for the integer check
-            Ti = 2.0 + (cfg.flow_T - 2.0) * float(extra[i]) if cfg.flow_T > 2.0 else 2.0
-            chk = integer_part_reduction_check(flow, fobs, st, Ti, qstep)
-            int_ok += chk.ok
-            worst_excess = max(worst_excess, chk.lhs - chk.bound)
-            if cfg.flow_T >= t_min_incl:
-                inc = flow_nontypical_inclusion_check(flow, fobs, phibar, alpha,
-                                                      st, cfg.flow_T, qstep)
-                inc_ok += inc.ok
-                vacuous += inc.vacuous
+        inclusion = None
+        if cfg.flow_T >= t_min_incl:
+            inc = flow_nontypical_inclusion_check(flow, fobs, phibar, alpha,
+                                                  states, cfg.flow_T, qstep)
+            inclusion = {"ok": int(inc.ok.sum()), "count": cfg.flow_samples,
+                         "vacuous": int(inc.vacuous.sum())}
         lip1 = estimate_time1_lipschitz(flow, min(2000, 2 * cfg.flow_samples), cfg.seed)
         report.data["flow"] = {
             "roof": {"kind": roof.kind, "params": dict(roof.params),
                      "rho_min": roof.rho_min, "rho_max": roof.rho_max},
             "T": cfg.flow_T, "samples": cfg.flow_samples,
-            "integer_part": {"ok": int_ok, "count": len(states),
-                             "worst_excess": worst_excess},
-            "inclusion": None if cfg.flow_T < t_min_incl else
-                         {"ok": inc_ok, "count": len(states), "vacuous": vacuous},
+            "integer_part": {"ok": int(chk.ok.sum()), "count": cfg.flow_samples,
+                             "worst_excess": float((chk.lhs - chk.bound).max())},
+            "inclusion": inclusion,
             "time1_lipschitz": lip1}
 
     run_stage("resolve", st_resolve)

@@ -9,6 +9,8 @@ import pytest
 
 import ergolab as E
 from ergolab.deviation import DIGIT
+from ergolab.dimension import (_POINT_CHUNK, _children_1d, _dev_points,
+                                 _dev_points_mt, _sorted_unique)
 from ergolab.errors import GridBudgetError, RateNotEstablishedError
 
 
@@ -133,6 +135,31 @@ def test_cover_pruning_matches_dense_sweep():
                     for n in (6, 7, 8))
     assert pruned.examined_cells < dense_all
 
+
+
+def test_cover_dedup_equals_np_unique():
+    # overlapping sorted runs, as candidate windows are, wrapped on the torus
+    # and clipped on the interval
+    rng = np.random.default_rng(8)
+    m = 1000
+    starts = np.sort(rng.choice(np.arange(-12, m + 4), 300, replace=False))
+    runs = (starts[:, None] + np.arange(8)[None, :]).ravel()
+    for a in (runs % m, np.clip(runs, 0, m - 1), np.concatenate([runs, runs + 1])):
+        assert np.array_equal(_sorted_unique(a), np.unique(a))
+    relaxed = np.unique(np.concatenate([[0, 1, 2], rng.integers(0, 400, 80), [398, 399]]))
+    for sid in ("doubling", "tent"):
+        kids = _children_1d(E.get_system(sid), relaxed, 2.0, 800)
+        assert np.array_equal(kids, np.unique(kids))
+        assert kids[0] == 0 and kids[-1] == 799
+
+
+def test_dev_points_chunking_is_invisible():
+    sysd = E.get_system("doubling")
+    cos1 = E.get_observable("cos1", sysd)
+    pts = np.random.default_rng(2).random((2 * _POINT_CHUNK + 5, 1))
+    whole = _dev_points(sysd, cos1, 0.1, pts, 3)
+    for threads in (1, 2):
+        assert np.array_equal(_dev_points_mt(sysd, cos1, 0.1, pts, 3, threads), whole)
 
 def test_cover_refines_under_smaller_delta():
     # halving delta halves the cell size at every level: counts cannot drop

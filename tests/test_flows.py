@@ -1,13 +1,19 @@
 """Suspension flows: event-driven stepping, flow averages, and the two
 bridge checks back to the base map."""
 
+import hashlib
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import ergolab as E
+from ergolab import flows as flows_mod
 from ergolab.errors import DomainError
+
+_TWO_PI = 2.0 * math.pi
 
 
 def unit_flow():
@@ -206,3 +212,179 @@ def test_suspension_over_cat_map():
     a_flow = E.flow_time_average(flow, fobs, E.FlowState(x, 0.0), 9.0)
     a_map = E.time_average(flow.base, cos1, x, 9)
     assert a_flow == pytest.approx(float(a_map), abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# batched kernels against the one-state segment loop
+
+def ref_time_average(flow, fobs, x, s, T, quadrature_step=None):
+    """The one-state segment loop; batched averages must equal it bit for bit."""
+    step = flow.roof.rho_min / 8.0 if quadrature_step is None else float(quadrature_step)
+    pts = np.asarray(x, dtype=np.float64).reshape(1, flow.base.d)
+    remaining = float(T)
+    total = 0.0
+    for _ in range(int(remaining / flow.roof.rho_min) + 2):
+        room = float(flow.roof.fn(pts)[0]) - s
+        crossing = room <= remaining
+        seg = room if crossing else remaining
+        k = max(1, math.ceil(seg / step))
+        h = seg / k
+        offs = s + (np.arange(k, dtype=np.float64) + 0.5) * h
+        vals = fobs.fn(np.broadcast_to(pts, (k, pts.shape[1])), offs)
+        total += h * float(np.sum(vals))
+        remaining -= seg
+        if not crossing:
+            break
+        pts = flow.base._step(pts)
+        s = 0.0
+    return total / T
+
+
+def ref_flow_step(flow, x, s, t):
+    """The one-state event loop; batched steps must equal it bit for bit."""
+    pts = np.asarray(x, dtype=np.float64).reshape(1, flow.base.d)
+    remaining = float(t)
+    for _ in range(int(remaining / flow.roof.rho_min) + 2):
+        room = float(flow.roof.fn(pts)[0]) - s
+        if remaining < room:
+            s += remaining
+            break
+        remaining -= room
+        pts = flow.base._step(pts)
+        s = 0.0
+    return pts[0], s
+
+
+def edge_batch(flow, seed, count):
+    """Sampled states plus rows at s = 0 and just under the roof."""
+    states, extra = E.sample_flow_states(flow, seed, 0, count)
+    sx = np.stack([st.x for st in states])
+    ss = np.array([st.s for st in states])
+    x = np.concatenate([sx, sx[:4], sx[4:8]])
+    top = flow.roof.fn(sx[4:8])
+    s = np.concatenate([ss, np.zeros(4), np.nextafter(top, -np.inf)])
+    return E.FlowState(x, s), np.concatenate([extra, extra[:8]])
+
+
+BASES = [
+    (E.get_system("doubling"), E.constant_roof(1.0)),
+    (E.get_system("doubling"), E.cosine_roof(0.4)),
+    (E.get_system("tent"), E.cosine_roof(-0.6)),
+    (E.get_system("tent"), E.constant_roof(0.37)),
+    (E.get_system("cat"), E.cosine_roof(0.3)),
+    (E.get_system("logistic", c=-1.4), E.cosine_roof(0.5)),
+]
+
+
+@pytest.mark.parametrize("base,roof", BASES, ids=lambda v: getattr(v, "sid", None)
+                         or getattr(v, "kind", None))
+def test_batched_kernels_equal_the_one_state_loop(base, roof):
+    flow = E.SuspensionFlow(base, roof)
+    batch, extra = edge_batch(flow, seed=11, count=16)
+    fobs_list = [E.fiber_constant(E.get_observable("cos1", base)),
+                 E.fiber_constant(E.get_observable("coord", base)),
+                 E.FlowObservable("mixed", lambda x, s: np.cos(_TWO_PI * x[:, 0])
+                                  * np.sin(3.0 * s) + s, 2.5)]
+    horizons = [6.0, 3.5, 2.0 + 7.0 * extra]          # integer, fractional, per state
+    for fobs in fobs_list:
+        for qstep in (None, 0.07):
+            for T in horizons:
+                got = E.flow_time_average(flow, fobs, batch, T, qstep)
+                Ts = np.broadcast_to(T, batch.s.shape)
+                want = [ref_time_average(flow, fobs, batch.x[i], float(batch.s[i]),
+                                         float(Ts[i]), qstep)
+                        for i in range(len(batch.s))]
+                assert got.tolist() == want
+                one = E.flow_time_average(flow, fobs, E.FlowState(batch.x[3], batch.s[3]),
+                                          float(Ts[3]), qstep)
+                assert one == want[3]
+    for t in (0.0, 1.0, 2.75, 3.0 * extra):
+        out = E.flow_step(flow, batch, t)
+        ts = np.broadcast_to(t, batch.s.shape)
+        for i in range(len(batch.s)):
+            x_ref, s_ref = ref_flow_step(flow, batch.x[i], float(batch.s[i]), float(ts[i]))
+            assert out.x[i].tolist() == x_ref.tolist() and out.s[i] == s_ref
+
+
+def test_fine_quadrature_is_chunked_and_exact(monkeypatch):
+    # a constant roof puts every full crossing in one node-count group
+    flow = E.SuspensionFlow(E.get_system("doubling"), E.constant_roof(1.0))
+    fobs = E.FlowObservable("mixed", lambda x, s: np.cos(_TWO_PI * x[:, 0])
+                            * np.sin(3.0 * s) + s, 2.5)
+    batch, _ = edge_batch(flow, seed=5, count=12)
+    want = [ref_time_average(flow, fobs, batch.x[i], float(batch.s[i]), 3.5, 1e-3)
+            for i in range(len(batch.s))]
+    for chunk in (1 << 16, 2500, 700):            # several rows, two rows, under one row
+        monkeypatch.setattr(flows_mod, "_POINT_CHUNK", chunk)
+        assert E.flow_time_average(flow, fobs, batch, 3.5, 1e-3).tolist() == want
+    monkeypatch.undo()
+    # 200 rows x 10^4 nodes in one group stay within a few chunks of memory
+    states, _ = E.sample_flow_states(flow, 8, 0, 200)
+    big = E.FlowState(np.stack([st.x for st in states]), np.array([st.s for st in states]))
+    tracemalloc.start()
+    try:
+        E.flow_time_average(flow, fobs, big, 2.0, 1e-4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6                             # an unchunked group needs ~60 MB
+
+
+def test_batched_checks_equal_one_state_checks():
+    flow = E.SuspensionFlow(E.get_system("doubling"), E.cosine_roof(0.5))
+    fobs = E.fiber_constant(E.get_observable("cos1", flow.base))
+    batch, extra = edge_batch(flow, seed=3, count=40)
+    Ti = 2.0 + 12.0 * extra
+    chk = E.integer_part_reduction_check(flow, fobs, batch, Ti)
+    inc = E.flow_nontypical_inclusion_check(flow, fobs, 0.0, 0.3, batch, 14.5)
+    assert 0 < np.count_nonzero(inc.vacuous) < len(batch.s)
+    for i in range(len(batch.s)):
+        st = E.FlowState(batch.x[i], float(batch.s[i]))
+        one = E.integer_part_reduction_check(flow, fobs, st, float(Ti[i]))
+        assert (chk.T[i], chk.lhs[i], chk.bound[i], chk.ok[i], chk.headline_constant[i],
+                chk.headline_ok[i]) == (one.T, one.lhs, one.bound, one.ok,
+                                        one.headline_constant, one.headline_ok)
+        one = E.flow_nontypical_inclusion_check(flow, fobs, 0.0, 0.3, st, 14.5)
+        assert (inc.T[i], inc.dev_flow[i], inc.vacuous[i], inc.ok[i]) == \
+            (one.T, one.dev_flow, one.vacuous, one.ok)
+        if one.vacuous:
+            assert one.dev_map is None and math.isnan(inc.dev_map[i])
+        else:
+            assert inc.dev_map[i] == one.dev_map
+
+
+def test_batched_validation_checks_every_row():
+    flow = E.SuspensionFlow(E.get_system("doubling"), E.cosine_roof(0.5))
+    fobs = E.fiber_constant(E.get_observable("cos1", flow.base))
+    x = np.array([[0.0], [0.2], [0.5], [0.7], [0.9]])    # roofs 1.5 ... 0.5 ...
+    s = np.array([1.2, 0.3, 0.4, 0.1, 0.0])
+
+    def calls(state):
+        return [lambda: E.flow_step(flow, state, 1.0),
+                lambda: E.flow_time_average(flow, fobs, state, 5.0),
+                lambda: E.integer_part_reduction_check(flow, fobs, state, 5.0),
+                lambda: E.flow_nontypical_inclusion_check(flow, fobs, 0.0, 0.6, state, 8.0)]
+
+    for call in calls(E.FlowState(x, s)):
+        call()                                           # every row is admissible
+    bad_rows = [E.FlowState(x, np.where(np.arange(5) == 2, 0.9, s)),   # s above its own roof
+                E.FlowState(x, np.where(np.arange(5) == 2, -1e-9, s)),
+                E.FlowState(np.where(np.arange(5)[:, None] == 2, 1.0, x), s)]
+    for state in bad_rows:
+        for call in calls(state):
+            with pytest.raises(DomainError):
+                call()
+    with pytest.raises(ValueError):
+        E.flow_step(flow, E.FlowState(x, s[:4]), 1.0)
+
+
+def test_flow_block_golden_under_cosine_roof():
+    # sha256 of the report's flow block, recorded before the kernels were batched
+    cfg = E.ExperimentConfig(alphas=(0.3,), seed=42, space_samples=20000,
+                             flow_enabled=True, roof_kind="cosine", roof_param=0.5,
+                             flow_T=14.5, flow_samples=60)
+    rep = E.run_pipeline(cfg, stages=("resolve", "space_average", "flow"))
+    block = json.dumps(rep.data["flow"], sort_keys=True)
+    assert rep.data["flow"]["inclusion"]["vacuous"] == 42
+    assert hashlib.sha256(block.encode()).hexdigest() == \
+        "8dbdb9aa3294f27d1060aa355920a3a60ac6cfc2793d60e02d777c0373e3bbfa"
