@@ -28,13 +28,12 @@ from fractions import Fraction
 import numpy as np
 
 from .observables import DeviationParams, Observable
-from .systems import System, sample_orbit_ensemble
+from .systems import System, birkhoff_sums, sample_orbit_ensemble
 
 LN2 = math.log(2.0)
 
 METHOD_MC = "monte-carlo"
 METHOD_BINOMIAL = "exact-binomial"
-METHOD_CYLINDER = "exact-cylinder"
 
 # The digit observable (leading binary digit / half-interval indicator) is
 # discontinuous, so it lives here — next to the exact oracle that justifies
@@ -92,15 +91,9 @@ def _hit_grid(sys, obs, phibar, alphas, n_values, sample_count, seed, threads):
     def work(start):
         m = min(_CHUNK, sample_count - start)
         ens = sample_orbit_ensemble(sys, seed, start, m)
-        sums = np.zeros(m)
         hits = np.zeros((len(alphas), len(n_values)), dtype=np.int64)
-        k = 0
-        for j, n in enumerate(n_values):
-            while k < n:
-                sums += obs.fn(ens.points())
-                ens.advance()
-                k += 1
-            dev = np.abs(sums / n - phibar)
+        for j, sums in enumerate(birkhoff_sums(ens, obs.fn, n_values)):
+            dev = np.abs(sums / n_values[j] - phibar)
             for i, a in enumerate(alphas):
                 hits[i, j] = np.count_nonzero(dev >= a)
         return hits
@@ -122,21 +115,12 @@ def estimate_deviation_measure(sys: System, params: DeviationParams, n: int,
                                threads: int = 1) -> LadderEntry:
     """Monte-Carlo estimate of the deviation-set measure at one horizon.
 
-    Degenerate thresholds short-circuit: alpha <= 0 covers the whole space
-    (measure 1), alpha beyond 2*sup|phi| (centered deviations cannot reach
-    it) gives measure 0; neither consumes randomness.
+    The one-rung ladder of build_deviation_ladders, with its short-circuits:
+    alpha <= 0 covers the whole space (measure 1), alpha beyond 2*sup|phi|
+    (centered deviations cannot reach it) gives measure 0; neither consumes
+    randomness.
     """
-    if sample_count < _MIN_SAMPLES:
-        raise ValueError(f"sample_count must be >= {_MIN_SAMPLES}")
-    obs, phibar, alpha = params.observable, params.phibar, params.alpha
-    if alpha <= 0.0:
-        return LadderEntry(n, 1.0, 0.0, sample_count, METHOD_MC)
-    if alpha > 2.0 * obs.sup_abs:
-        return LadderEntry(n, 0.0, 0.0, sample_count, METHOD_MC)
-    hits = _hit_grid(sys, obs, phibar, [alpha], [n], sample_count, seed, threads)
-    p = hits[0, 0] / sample_count
-    se = math.sqrt(p * (1.0 - p) / sample_count)
-    return LadderEntry(n, float(p), se, sample_count, METHOD_MC)
+    return build_deviation_ladder(sys, params, [n], sample_count, seed, threads).entries[0]
 
 
 def build_deviation_ladder(sys: System, params: DeviationParams, n_values,
@@ -197,13 +181,18 @@ def exact_deviation_measure_digit(alpha: float, n: int) -> float:
     """
     if n < 1:
         raise ValueError("need n >= 1")
+    return float(Fraction(digit_deviation_count(alpha, n), 2**n))
+
+
+def digit_deviation_count(alpha: float, n: int) -> int:
+    """Number of length-n binary words whose digit frequency k/n has |k/n - 1/2| >= alpha.
+
+    The sum of C(n, k) over the admissible k, compared against
+    Fraction(alpha), the exact value of the float.
+    """
     a = Fraction(float(alpha))
     half = Fraction(1, 2)
-    num = 0
-    for k in range(n + 1):
-        if abs(Fraction(k, n) - half) >= a:
-            num += math.comb(n, k)
-    return float(Fraction(num, 2**n))
+    return sum(math.comb(n, k) for k in range(n + 1) if abs(Fraction(k, n) - half) >= a)
 
 
 def exact_digit_ladder(alpha: float, n_values) -> DeviationLadder:
@@ -310,17 +299,28 @@ def fit_rate_function(ladder: DeviationLadder, window=None) -> RateFunctionFit:
 LADDER_CSV_COLUMNS = ("n", "measure", "std_error", "samples", "method")
 
 
-def ladder_to_csv(ladder: DeviationLadder, path):
+def write_csv(path, columns, rows):
+    """Write a header and the rows of one table; floats are written by repr."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(LADDER_CSV_COLUMNS)
-        for e in ladder.entries:
-            w.writerow([e.n, repr(e.measure), repr(e.std_error), e.sample_count, e.method])
+        w.writerow(columns)
+        for row in rows:
+            w.writerow([repr(v) if isinstance(v, float) else v for v in row])
 
 
 def ladder_rows(ladder: DeviationLadder):
+    """A ladder's entries as the report stores them, one dict per horizon."""
     return [
         {"n": e.n, "measure": e.measure, "std_error": e.std_error,
          "samples": e.sample_count, "method": e.method}
         for e in ladder.entries
     ]
+
+
+def ladder_table(rows):
+    """CSV columns and rows of a ladder in its report form (see ladder_rows)."""
+    return LADDER_CSV_COLUMNS, [[r[c] for c in LADDER_CSV_COLUMNS] for r in rows]
+
+
+def ladder_to_csv(ladder: DeviationLadder, path):
+    write_csv(path, *ladder_table(ladder_rows(ladder)))

@@ -30,18 +30,17 @@ cell-evaluation budget.
 
 from __future__ import annotations
 
-import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .deviation import LN2
+from .deviation import LN2, digit_deviation_count, write_csv
 from .errors import GridBudgetError, RateNotEstablishedError
 from .observables import Observable
 from .rng import STREAM_LEMMA_BALLS, STREAM_LEMMA_POINTS, raw_blocks, uniform01
-from .systems import System, wrap_unit
+from .systems import System, _FloatOrbits, birkhoff_sums, domain_points, wrap_unit
 
 # beyond this many doublings of scale, float64 probe points have no
 # significant bits left for the orbit to act on
@@ -84,12 +83,7 @@ class BallLemmaReport:
 
 def _dev_points(sys, obs, phibar, pts, n):
     """Deviation of an (N, d) float64 batch at horizon n (no domain check)."""
-    x = pts.copy()
-    acc = obs.fn(x).astype(np.float64, copy=True)
-    for _ in range(n - 1):
-        x = sys._step(x)
-        acc += obs.fn(x)
-    return np.abs(acc / n - phibar)
+    return np.abs(next(birkhoff_sums(_FloatOrbits(sys, pts), obs.fn, [n])) / n - phibar)
 
 
 def _dev_points_mt(sys, obs, phibar, pts, n, threads):
@@ -137,9 +131,7 @@ def verify_ball_lemma(sys: System, obs: Observable, phibar: float, alpha: float,
     accepted = []
     while drawn < max_draws and sum(len(a) for a in accepted) < pair_count:
         m = min(batch, max_draws - drawn)
-        blocks = raw_blocks(seed, STREAM_LEMMA_POINTS, drawn, m)
-        u = uniform01(blocks[:, :sys.d])
-        pts = sys.lo + (sys.hi - sys.lo) * u
+        pts = domain_points(sys, raw_blocks(seed, STREAM_LEMMA_POINTS, drawn, m))
         dev = _dev_points(sys, obs, phibar, pts, n)
         accepted.append(pts[dev >= alpha])
         drawn += m
@@ -387,13 +379,28 @@ def build_cover_ladder(sys: System, obs: Observable, phibar: float, alpha: float
 COVER_CSV_BASE_COLUMNS = ("n", "r_n", "card")
 
 
+def cover_section(ladder: CoverLadder) -> dict:
+    """A cover ladder as the report stores it, volumes keyed by repr(dprime)."""
+    return {
+        "alpha": ladder.alpha, "delta": ladder.delta, "L": ladder.L,
+        "examined_cells": ladder.examined_cells,
+        "dprimes": list(ladder.dprimes),
+        "entries": [{"n": e.n, "r_n": e.r_n, "card": e.card,
+                     "volumes": {repr(dp): v for dp, v in e.volumes}}
+                    for e in ladder.entries]}
+
+
+def cover_table(section: dict):
+    """CSV columns and rows of a cover ladder in its report form (see cover_section)."""
+    dprimes = section["dprimes"]
+    columns = list(COVER_CSV_BASE_COLUMNS) + [f"volume_dprime_{dp:g}" for dp in dprimes]
+    rows = [[e["n"], e["r_n"], e["card"]] + [e["volumes"][repr(dp)] for dp in dprimes]
+            for e in section["entries"]]
+    return columns, rows
+
+
 def cover_to_csv(ladder: CoverLadder, path):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(list(COVER_CSV_BASE_COLUMNS) +
-                   [f"volume_dprime_{dp:g}" for dp in ladder.dprimes])
-        for e in ladder.entries:
-            w.writerow([e.n, repr(e.r_n), e.card] + [repr(v) for _, v in e.volumes])
+    write_csv(path, *cover_table(cover_section(ladder)))
 
 
 # ---------------------------------------------------------------------------
@@ -511,13 +518,9 @@ def besicovitch_eggleston_dimension(alpha: float,
     q = 0.5 - alpha
     value = -(p * math.log(p) + q * math.log(q)) / LN2
 
-    from fractions import Fraction
-    a = Fraction(float(alpha))
-    half = Fraction(1, 2)
     estimates = []
     for n in depths:
-        count = sum(math.comb(n, k) for k in range(n + 1)
-                    if abs(Fraction(k, n) - half) >= a)
+        count = digit_deviation_count(alpha, n)
         estimates.append((int(n), math.log2(count) / n if count else 0.0))
     vals = [v for _, v in estimates]
     monotone = all(b >= a2 for a2, b in zip(vals[:-1], vals[1:]))

@@ -32,11 +32,10 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
-from .observables import Observable
+from .observables import _TWO_PI, Observable
 from .rng import STREAM_FLOW, raw_blocks, uniform01
-from .systems import System, _as_batch, _check_domain, distance, wrap_unit
+from .systems import System, _as_batch, _check_domain, distance, domain_points, wrap_unit
 
-_TWO_PI = 2.0 * math.pi
 _POINT_CHUNK = 1 << 16            # quadrature nodes evaluated per observable call
 
 
@@ -304,8 +303,7 @@ def _sample_flow_arrays(flow: SuspensionFlow, seed: int, start: int, count: int)
     """(count, d) base points, (count,) fiber heights and (count,) extra uniforms."""
     sys = flow.base
     blocks = raw_blocks(seed, STREAM_FLOW, start, count)
-    u = uniform01(blocks[:, :sys.d])
-    pts = sys.lo + (sys.hi - sys.lo) * u
+    pts = domain_points(sys, blocks)
     u_s = uniform01(blocks[:, sys.d])
     heights = flow.roof.fn(pts) * u_s * (1.0 - 1e-12)
     return pts, heights, uniform01(blocks[:, 3])

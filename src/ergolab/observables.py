@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .systems import System, _as_batch, _check_domain, _restore, domain_diameter
+from .systems import System, domain_diameter, orbit_average
 
 _TWO_PI = 2.0 * math.pi
 
@@ -90,16 +90,7 @@ def time_average(sys: System, obs: Observable, x, n: int):
     """Mean of the observable over orbit points f^j(x), j = 0..n-1."""
     if n < 1:
         raise ValueError("time average needs n >= 1")
-    pts, tag = _as_batch(sys, x)
-    _check_domain(sys, pts)
-    acc = obs.fn(pts).astype(np.float64, copy=True)
-    for _ in range(n - 1):
-        pts = sys._step(pts)
-        acc += obs.fn(pts)
-    acc /= n
-    if tag in ("scalar", "point"):
-        return float(acc[0])
-    return acc
+    return orbit_average(sys, obs.fn, x, n)
 
 
 def deviation(sys: System, obs: Observable, phibar: float, x, n: int):

@@ -21,13 +21,15 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .deviation import build_deviation_ladders, fit_rate_function, ladder_rows
-from .dimension import (build_cover_ladder, dimension_upper_bound,
-                        dprime_volume_series, try_box_dimension, verify_ball_lemma)
+from .deviation import (build_deviation_ladders, fit_rate_function, ladder_rows,
+                        ladder_table, write_csv)
+from .dimension import (build_cover_ladder, cover_section, cover_table,
+                        dimension_upper_bound, dprime_volume_series,
+                        try_box_dimension, verify_ball_lemma)
 from .errors import RateNotEstablishedError, StageError, ValidationError
 from .flows import (FlowState, SuspensionFlow, constant_roof, cosine_roof,
                     estimate_time1_lipschitz, fiber_constant,
@@ -90,6 +92,11 @@ def validate_config(cfg: ExperimentConfig):
     def fail(name, msg):
         raise ValidationError(f"{name}: {msg}")
 
+    for f in fields(ExperimentConfig):
+        v = getattr(cfg, f.name)
+        for x in (v if isinstance(v, (tuple, list)) else (v,)):
+            if isinstance(x, float) and not math.isfinite(x):
+                fail(f.name, f"{x} is not finite")
     if cfg.system_id not in ("doubling", "tent", "cat", "logistic"):
         fail("system_id", f"unknown system {cfg.system_id!r}")
     if cfg.system_id == "logistic":
@@ -106,9 +113,6 @@ def validate_config(cfg: ExperimentConfig):
             fail("bump_w", "bump needs plateau width w >= 0")
     if not cfg.alphas:
         fail("alphas", "need at least one threshold")
-    for a in cfg.alphas:
-        if not math.isfinite(a):
-            fail("alphas", f"threshold {a} is not finite")
     if cfg.n_min < 1:
         fail("n_min", "must be >= 1")
     if cfg.n_max < cfg.n_min:
@@ -177,36 +181,42 @@ def _format_value(v):
     return str(v)
 
 
+_BOOLEANS = {"true": True, "1": True, "yes": True, "on": True,
+             "false": False, "0": False, "no": False, "off": False}
+
+
+def _float_list(raw):
+    return tuple(float(tok) for tok in raw.split(",")) if raw else ()
+
+
+def _optional_float(raw):
+    return None if raw.lower() in ("", "none") else float(raw)
+
+
+def _boolean(raw):
+    return _BOOLEANS[raw.lower()]
+
+
 def _parse_value(name, raw):
+    """Convert one INI value to its field's type; ValidationError names the field."""
     raw = raw.strip()
-    if name in ("alphas", "dprime_offsets"):
-        if not raw:
-            return ()
-        return tuple(float(tok) for tok in raw.split(","))
-    if name in ("system_c", "bump_a", "bump_w"):
-        if raw.lower() in ("", "none"):
-            return None
-        return float(raw)
-    if name == "flow_enabled":
-        if raw.lower() in ("true", "1", "yes", "on"):
-            return True
-        if raw.lower() in ("false", "0", "no", "off"):
-            return False
-        raise ValidationError(f"flow_enabled: cannot parse {raw!r} as a boolean")
     default = getattr(ExperimentConfig(), name)
-    if isinstance(default, bool):
-        return raw.lower() == "true"
-    if isinstance(default, int):
-        try:
-            return int(raw)
-        except ValueError:
-            raise ValidationError(f"{name}: cannot parse {raw!r} as an integer") from None
-    if isinstance(default, float):
-        try:
-            return float(raw)
-        except ValueError:
-            raise ValidationError(f"{name}: cannot parse {raw!r} as a number") from None
-    return raw
+    if name in ("alphas", "dprime_offsets"):
+        kind, convert = "a comma-separated list of numbers", _float_list
+    elif name in ("system_c", "bump_a", "bump_w"):
+        kind, convert = "a number or none", _optional_float
+    elif name == "flow_enabled":
+        kind, convert = "a boolean", _boolean
+    elif isinstance(default, int):
+        kind, convert = "an integer", int
+    elif isinstance(default, float):
+        kind, convert = "a number", float
+    else:
+        return raw
+    try:
+        return convert(raw)
+    except (KeyError, ValueError):
+        raise ValidationError(f"{name}: cannot parse {raw!r} as {kind}") from None
 
 
 def config_to_ini(cfg: ExperimentConfig) -> str:
@@ -272,12 +282,6 @@ def report_json(report: Report, include_timings: bool = True) -> str:
     return json.dumps(obj, sort_keys=True, indent=2)
 
 
-def _fit_dict(fit):
-    return {"C": fit.C, "h": fit.h, "fit_window": list(fit.fit_window),
-            "r_squared": fit.r_squared, "residual_max": fit.residual_max,
-            "dropped_zero_entries": fit.dropped_zero_entries}
-
-
 def _resolve(cfg: ExperimentConfig):
     if cfg.system_id == "logistic":
         sys = get_system("logistic", c=cfg.system_c)
@@ -306,6 +310,7 @@ def run_pipeline(cfg: ExperimentConfig, threads: int = 1, stages=None) -> Report
     report = Report()
     report.data["failed_stage"] = None
     ctx = {}
+    alpha = cfg.alphas[0]                    # the threshold of covers, lemma, flow, verdict
 
     def run_stage(name, fn):
         if name not in wanted:
@@ -323,6 +328,7 @@ def run_pipeline(cfg: ExperimentConfig, threads: int = 1, stages=None) -> Report
     def st_resolve():
         sys, obs = _resolve(cfg)
         ctx["sys"], ctx["obs"] = sys, obs
+        ctx["delta"] = cfg.delta_override or modulus_delta_for(sys, obs, max(alpha, 1e-12))
         cfg_dict = {}
         for f in fields(ExperimentConfig):
             v = getattr(cfg, f.name)
@@ -366,47 +372,18 @@ def run_pipeline(cfg: ExperimentConfig, threads: int = 1, stages=None) -> Report
                 fits[a] = None
                 report.data["ladders"][repr(a)]["fit"] = {"error": str(e)}
             if fits[a] is not None:
-                report.data["ladders"][repr(a)]["fit"] = _fit_dict(fits[a])
-        ctx["fits"] = fits
-
-    def st_cover():
-        sys, obs = ctx["sys"], ctx["obs"]
-        if not (cfg.cover_n_min >= 1 and cfg.cover_n_max >= cfg.cover_n_min):
-            ctx["cover"] = None
-            report.data["cover"] = None
-            return
-        alpha = cfg.alphas[0]
-        delta = cfg.delta_override or modulus_delta_for(sys, obs, max(alpha, 1e-12))
-        d0 = ctx.get("d0")
-        dprimes = tuple(d0 + off for off in cfg.dprime_offsets) if d0 is not None else ()
-        ladder = build_cover_ladder(sys, obs, ctx["phibar"], alpha, delta,
-                                    cfg.cover_n_min, cfg.cover_n_max,
-                                    budget=cfg.grid_budget, dprimes=dprimes,
-                                    threads=threads)
-        ctx["cover"] = ladder
-        report.data["cover"] = {
-            "alpha": ladder.alpha, "delta": ladder.delta, "L": ladder.L,
-            "examined_cells": ladder.examined_cells,
-            "dprimes": list(ladder.dprimes),
-            "entries": [{"n": e.n, "r_n": e.r_n, "card": e.card,
-                         "volumes": {repr(dp): v for dp, v in e.volumes}}
-                        for e in ladder.entries]}
-
-    def st_dimension_pre():
+                report.data["ladders"][repr(a)]["fit"] = asdict(fits[a])
         # d0 from the fitted rate at alpha/2; needed before the cover stage
         # so the d'-volume columns can be pinned to d0 + offsets
-        sys, obs = ctx["sys"], ctx["obs"]
-        alpha = cfg.alphas[0]
-        half = alpha / 2.0
-        fit_half = ctx["fits"].get(half)
-        fit_full = ctx["fits"].get(alpha)
+        fit_half = fits.get(alpha / 2.0)
+        fit_full = fits.get(alpha)
         d0 = None
         reason = None
         if fit_half is None:
             reason = "no usable rate fit at alpha/2"
         else:
             try:
-                d0 = dimension_upper_bound(sys.d, sys.L, fit_half.h)
+                d0 = dimension_upper_bound(ctx["sys"].d, ctx["sys"].L, fit_half.h)
             except RateNotEstablishedError as e:
                 reason = str(e)
         ctx["d0"] = d0
@@ -414,9 +391,23 @@ def run_pipeline(cfg: ExperimentConfig, threads: int = 1, stages=None) -> Report
         ctx["h_half"] = fit_half.h if fit_half is not None else None
         ctx["h_alpha"] = fit_full.h if fit_full is not None else None
 
+    def st_cover():
+        sys, obs = ctx["sys"], ctx["obs"]
+        if not (cfg.cover_n_min >= 1 and cfg.cover_n_max >= cfg.cover_n_min):
+            ctx["cover"] = None
+            report.data["cover"] = None
+            return
+        d0 = ctx.get("d0")
+        dprimes = tuple(d0 + off for off in cfg.dprime_offsets) if d0 is not None else ()
+        ladder = build_cover_ladder(sys, obs, ctx["phibar"], alpha, ctx["delta"],
+                                    cfg.cover_n_min, cfg.cover_n_max,
+                                    budget=cfg.grid_budget, dprimes=dprimes,
+                                    threads=threads)
+        ctx["cover"] = ladder
+        report.data["cover"] = cover_section(ladder)
+
     def st_dimension():
         sys, obs = ctx["sys"], ctx["obs"]
-        alpha = cfg.alphas[0]
         d0 = ctx.get("d0")
         cover = ctx.get("cover")
         box = try_box_dimension(cover) if cover is not None else None
@@ -456,16 +447,11 @@ def run_pipeline(cfg: ExperimentConfig, threads: int = 1, stages=None) -> Report
         if cfg.lemma_pairs < 1:
             report.data["lemma"] = None
             return
-        alpha = cfg.alphas[0]
-        delta = cfg.delta_override or modulus_delta_for(sys, obs, max(alpha, 1e-12))
-        rep = verify_ball_lemma(sys, obs, ctx["phibar"], alpha, delta,
+        rep = verify_ball_lemma(sys, obs, ctx["phibar"], alpha, ctx["delta"],
                                 cfg.lemma_n, cfg.lemma_pairs, cfg.seed)
-        report.data["lemma"] = {
-            "alpha": rep.alpha, "n": rep.n, "delta": rep.delta, "radius": rep.radius,
-            "pairs_requested": rep.pairs_requested, "pairs_checked": rep.pairs_checked,
-            "candidates_drawn": rep.candidates_drawn, "violations": rep.violations,
-            "worst_margin": rep.worst_margin if math.isfinite(rep.worst_margin) else None,
-            "inconclusive": rep.inconclusive}
+        report.data["lemma"] = asdict(rep)
+        if not math.isfinite(rep.worst_margin):
+            report.data["lemma"]["worst_margin"] = None
 
     def st_flow():
         sys, obs = ctx["sys"], ctx["obs"]
@@ -477,7 +463,6 @@ def run_pipeline(cfg: ExperimentConfig, threads: int = 1, stages=None) -> Report
         flow = SuspensionFlow(sys, roof)
         fobs = fiber_constant(obs)
         qstep = cfg.quadrature_step or None
-        alpha = cfg.alphas[0]
         phibar = ctx["phibar"]
         sampled, extra = sample_flow_states(flow, cfg.seed, 0, cfg.flow_samples)
         states = FlowState(np.stack([st.x for st in sampled]),
@@ -506,8 +491,6 @@ def run_pipeline(cfg: ExperimentConfig, threads: int = 1, stages=None) -> Report
     run_stage("space_average", st_space_average)
     run_stage("ladders", st_ladders)
     run_stage("fits", st_fits)
-    if "fits" in wanted:
-        st_dimension_pre()
     run_stage("cover", st_cover)
     run_stage("dimension", st_dimension)
     run_stage("lemma", st_lemma)
@@ -517,7 +500,6 @@ def run_pipeline(cfg: ExperimentConfig, threads: int = 1, stages=None) -> Report
 
 def write_artifacts(report: Report, out_dir, fmt: str = "json"):
     """Write report.json (always) and, for fmt='csv', the tabular artifacts."""
-    import csv as _csv
     import os
     os.makedirs(out_dir, exist_ok=True)
     paths = []
@@ -529,23 +511,10 @@ def write_artifacts(report: Report, out_dir, fmt: str = "json"):
     if fmt != "csv":
         return paths
     for key, lad in (report.data.get("ladders") or {}).items():
-        path = os.path.join(out_dir, f"ladder_alpha_{key}.csv")
-        with open(path, "w", newline="") as fh:
-            w = _csv.writer(fh)
-            w.writerow(("n", "measure", "std_error", "samples", "method"))
-            for e in lad["entries"]:
-                w.writerow([e["n"], repr(e["measure"]), repr(e["std_error"]),
-                            e["samples"], e["method"]])
-        paths.append(path)
+        paths.append(os.path.join(out_dir, f"ladder_alpha_{key}.csv"))
+        write_csv(paths[-1], *ladder_table(lad["entries"]))
     cov = report.data.get("cover")
     if cov:
-        path = os.path.join(out_dir, "cover.csv")
-        with open(path, "w", newline="") as fh:
-            w = _csv.writer(fh)
-            w.writerow(["n", "r_n", "card"] +
-                       [f"volume_dprime_{dp:g}" for dp in cov["dprimes"]])
-            for e in cov["entries"]:
-                w.writerow([e["n"], repr(e["r_n"]), e["card"]] +
-                           [repr(e["volumes"][repr(dp)]) for dp in cov["dprimes"]])
-        paths.append(path)
+        paths.append(os.path.join(out_dir, "cover.csv"))
+        write_csv(paths[-1], *cover_table(cov))
     return paths

@@ -238,25 +238,15 @@ def nonuniform_expansion_exponent(sys: System, x, n: int):
     """
     if n < 1:
         raise ValueError("expansion exponent needs n >= 1")
-    pts, tag = _as_batch(sys, x)
-    _check_domain(sys, pts)
-    acc = np.zeros(pts.shape[0])
-    for _ in range(n):
-        acc += sys._log_inv_dnorm(pts)
-        pts = sys._step(pts)
-    acc /= n
-    if tag in ("scalar",):
-        return float(acc[0])
-    if tag == "point":
-        return float(acc[0])
-    return acc
+    return orbit_average(sys, sys._log_inv_dnorm, x, n)
 
 
 # ---------------------------------------------------------------------------
 # sampled orbit ensembles
 
 class _FloatOrbits:
-    """Generic float64 ensemble (used by the logistic family)."""
+    """Float64 orbits of an (N, d) batch: the logistic ensemble, and every
+    float batch whose Birkhoff sums are taken."""
 
     def __init__(self, sys, pts):
         self.sys = sys
@@ -267,6 +257,40 @@ class _FloatOrbits:
 
     def advance(self):
         self.x = self.sys._step(self.x)
+
+
+def birkhoff_sums(orbits, fn, n_values):
+    """Yield the Birkhoff sum S_n = sum_{j<n} fn(f^j x) at each horizon of n_values.
+
+    `orbits` is any orbit representation (a float batch in `_FloatOrbits`, or
+    a dyadic ensemble), driven only through points() and advance(); n_values
+    must be increasing and >= 1, and the orbits advance n_max - 1 times.  The
+    sum starts from a copy of the first term (fn may return a view of the
+    points) and is updated in place, so read each yielded array before
+    asking for the next.
+    """
+    acc = None
+    k = 1
+    for n in n_values:
+        if acc is None:
+            acc = fn(orbits.points()).astype(np.float64, copy=True)
+        while k < n:
+            orbits.advance()
+            acc += fn(orbits.points())
+            k += 1
+        yield acc
+
+
+def orbit_average(sys: System, fn, x, n: int):
+    """Mean of fn over the orbit points f^j(x), j = 0..n-1, shaped like x.
+
+    One point (a scalar, or a length-d vector) gives a float, a batch an (N,)
+    array.  The domain is checked before stepping.
+    """
+    pts, tag = _as_batch(sys, x)
+    _check_domain(sys, pts)
+    avg = next(birkhoff_sums(_FloatOrbits(sys, pts), fn, [n])) / n
+    return float(avg[0]) if tag in ("scalar", "point") else avg
 
 
 class _DyadicOrbits1D:
@@ -342,17 +366,22 @@ def sample_orbit_ensemble(sys: System, seed: int, start: int, count: int,
     if sys.sid == "cat":
         return _DyadicOrbitsCat(blocks[:, 0].copy(), blocks[:, 1].copy(),
                                 blocks[:, 2].copy(), blocks[:, 3].copy())
-    u = uniform01(blocks[:, :sys.d])
-    pts = sys.lo + (sys.hi - sys.lo) * u
-    return _FloatOrbits(sys, pts)
+    return _FloatOrbits(sys, domain_points(sys, blocks))
+
+
+def domain_points(sys: System, blocks: np.ndarray) -> np.ndarray:
+    """Uniform float64 points on the domain, point i from counter block i.
+
+    The first d words of each block are the point's coordinates; callers
+    that need more uniforms per sample take them from the remaining words.
+    """
+    return sys.lo + (sys.hi - sys.lo) * uniform01(blocks[:, :sys.d])
 
 
 def sample_points(sys: System, seed: int, start: int, count: int,
                   stream: int = STREAM_SPACE_AVG) -> np.ndarray:
     """Uniform float64 points on the domain, one counter block per point."""
-    blocks = raw_blocks(seed, stream, start, count)
-    u = uniform01(blocks[:, :sys.d])
-    return sys.lo + (sys.hi - sys.lo) * u
+    return domain_points(sys, raw_blocks(seed, stream, start, count))
 
 
 # ---------------------------------------------------------------------------
@@ -407,29 +436,25 @@ def srb_space_average(sys: System, observable, seed: int,
     # empirical-orbit: one long float64 orbit, batch-mean error bars
     if orbit_length < 100:
         raise ValueError("orbit_length must be at least 100")
-    u = float(uniform01(raw_blocks(seed, STREAM_ORBIT_SEED, 0, 1)[0, 0:1])[0])
-    x0 = sys.lo + (sys.hi - sys.lo) * u
+    x0 = float(domain_points(sys, raw_blocks(seed, STREAM_ORBIT_SEED, 0, 1))[0, 0])
     x = float(iterate(sys, x0, transient))
     n_batches = 100
     batch = orbit_length // n_batches
     used = batch * n_batches
     buf = np.empty(batch)
     sums = np.empty(n_batches)
-    c = dict(sys.params).get("c")
+    # logistic is the one empirical-orbit system: step x^2 + c inline, clamped
+    # to [-b, b] exactly as its step map does
+    c = dict(sys.params)["c"]
+    lo, hi = sys.lo, sys.hi
     for b in range(n_batches):
-        if c is not None:
-            lo, hi = sys.lo, sys.hi
-            for i in range(batch):
-                buf[i] = x
-                x = x * x + c
-                if x < lo:
-                    x = lo
-                elif x > hi:
-                    x = hi
-        else:  # pragma: no cover - no other empirical-orbit system in catalog
-            for i in range(batch):
-                buf[i] = x
-                x = float(iterate(sys, x, 1))
+        for i in range(batch):
+            buf[i] = x
+            x = x * x + c
+            if x < lo:
+                x = lo
+            elif x > hi:
+                x = hi
         sums[b] = float(np.sum(phi(buf[:, None])))
     means = sums / batch
     value = float(np.sum(sums)) / used

@@ -1,6 +1,7 @@
 """Experiment configs, the staged pipeline, artifacts, and the CLI."""
 
 import dataclasses
+import hashlib
 import json
 import os
 
@@ -8,6 +9,7 @@ import pytest
 
 import ergolab as E
 from ergolab.cli import _STAGES_FOR, main
+from ergolab import runner
 from ergolab.errors import StageError, ValidationError
 from ergolab.runner import STAGES
 
@@ -63,6 +65,13 @@ def test_shipped_configs_parse():
     ("lemma_pairs", dict(lemma_pairs=-5)),
     ("roof_param", dict(flow_enabled=True, roof_kind="cosine", roof_param=1.5)),
     ("flow_T", dict(flow_enabled=True, flow_T=0.0)),
+    # every float field, tuple element and optional float must be finite
+    ("alphas", dict(alphas=(0.6, float("nan")))),
+    ("bump_a", dict(observable_id="bump", bump_a=float("nan"), bump_w=0.1)),
+    ("dprime_offsets", dict(dprime_offsets=(0.05, float("nan")))),
+    ("verdict_slack", dict(verdict_slack=float("nan"))),
+    ("roof_param", dict(flow_enabled=True, roof_param=float("nan"))),
+    ("flow_T", dict(flow_enabled=True, flow_T=float("inf"))),
 ])
 def test_validation_names_the_offending_field(field, over):
     with pytest.raises(ValidationError) as err:
@@ -79,6 +88,11 @@ def test_ini_rejects_unknown_and_misplaced_fields():
         E.config_from_ini("[deviation]\nsample_count = many\n")
     with pytest.raises(ValidationError, match="boolean"):
         E.config_from_ini("[flow]\nflow_enabled = perhaps\n")
+    for text in ("[deviation]\nalphas = 0.6, abc\n", "[system]\nsystem_c = abc\n",
+                 "[dimension]\ndprime_offsets = x\n"):
+        name = text.split("\n")[1].split(" =")[0]
+        with pytest.raises(ValidationError, match=f"^{name}: cannot parse"):
+            E.config_from_ini(text)
     with pytest.raises(ValidationError, match="INI parse error"):
         E.config_from_ini("no section header")
 
@@ -153,6 +167,38 @@ def test_write_artifacts(tmp_path):
     assert [os.path.basename(p) for p in json_only] == ["report.json"]
 
 
+# sha256 of the CSV artifacts of mini_cfg(cover_n_min=4, cover_n_max=7),
+# recorded before write_artifacts, ladder_to_csv and cover_to_csv shared a writer
+CSV_SHA256 = {
+    "cover.csv": "375128796a75755a1a63068250524fcfb23d07e242c6cde628d64153817a7227",
+    "ladder_alpha_0.3.csv": "baa4a722d953957d67aee133c9ae0f6d13732f713dd54cf65678af2d2eed1ed9",
+    "ladder_alpha_0.6.csv": "8b639f80983e7202bcf6a1b56ef9354fcf69d58d3cd02eb534c5a3fa03f4eb69",
+}
+
+
+def test_csv_artifacts_are_pinned_and_match_the_ladder_writers(tmp_path, monkeypatch):
+    built = {}
+
+    def keep(name):
+        fn = getattr(runner, name)
+
+        def wrapped(*args, **kwargs):
+            built[name] = fn(*args, **kwargs)
+            return built[name]
+        monkeypatch.setattr(runner, name, wrapped)
+
+    keep("build_deviation_ladders")
+    keep("build_cover_ladder")
+    rep = E.run_pipeline(mini_cfg(cover_n_min=4, cover_n_max=7))
+    E.write_artifacts(rep, tmp_path / "report", fmt="csv")
+    for alpha, lad in built["build_deviation_ladders"].items():
+        E.ladder_to_csv(lad, tmp_path / f"ladder_alpha_{alpha!r}.csv")
+    E.cover_to_csv(built["build_cover_ladder"], tmp_path / "cover.csv")
+    for name, digest in CSV_SHA256.items():
+        for where in (tmp_path / "report", tmp_path):
+            assert hashlib.sha256((where / name).read_bytes()).hexdigest() == digest, where / name
+
+
 def test_cli_stage_sets():
     assert _STAGES_FOR["report"] == STAGES
     assert _STAGES_FOR["simulate"] == ("resolve", "space_average", "ladders")
@@ -182,6 +228,9 @@ def test_cli_usage_and_config_errors(tmp_path, capsys):
     bad.write_text("[deviation]\nsample_count = 10\n")
     assert main(["simulate", "--config", str(bad)]) == 2
     capsys.readouterr()
+    bad.write_text("[deviation]\nalphas = 0.6, abc\n")
+    assert main(["simulate", "--config", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("ergolab: alphas: cannot parse")
 
 
 def test_cli_stage_failure_exits_1_with_partial_artifacts(tmp_path, capsys):

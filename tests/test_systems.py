@@ -8,6 +8,7 @@ from scipy import special, stats
 
 import ergolab as E
 from ergolab.errors import DomainError, SingularDerivativeError
+from ergolab.systems import _FloatOrbits, birkhoff_sums, sample_points
 
 
 def test_doubling_iterate_worked_values():
@@ -245,6 +246,52 @@ def test_tent_ensemble_points_stay_in_domain():
         ens.advance()
         pts = ens.points()
         assert np.all((pts >= 0.0) & (pts <= 1.0))
+
+
+class _CountingOrbits:
+    """An orbit representation that counts its advance() calls."""
+
+    def __init__(self, orbits):
+        self.orbits = orbits
+        self.advances = 0
+
+    def points(self):
+        return self.orbits.points()
+
+    def advance(self):
+        self.advances += 1
+        self.orbits.advance()
+
+
+def _reference_sums(orbits, fn, n_values):
+    """Birkhoff sums by the naive loop: add fn at each of n_max orbit points."""
+    total, sums = None, []
+    for j in range(1, max(n_values) + 1):
+        vals = fn(orbits.points())
+        total = vals.copy() if total is None else total + vals
+        if j in n_values:
+            sums.append(total)
+        orbits.advance()
+    return sums
+
+
+@pytest.mark.parametrize("sid,kw", [("doubling", {}), ("tent", {}),
+                                    ("cat", {}), ("logistic", {"c": -1.7})])
+def test_birkhoff_sums_equal_a_reference_loop(sid, kw):
+    # one kernel for float batches and for the (dyadic, on doubling, tent and
+    # cat) sampled ensembles: same sums as the naive loop, n_max - 1 advances
+    sysm = E.get_system(sid, **kw)
+    fn = E.get_observable("cos1", sysm).fn
+    pts = sample_points(sysm, seed=5, start=0, count=64)
+    for make in (lambda: _FloatOrbits(sysm, pts),
+                 lambda: E.sample_orbit_ensemble(sysm, seed=5, start=0, count=64)):
+        want = _reference_sums(make(), fn, [1, 3, 7])
+        orbits = _CountingOrbits(make())
+        got = [s.copy() for s in birkhoff_sums(orbits, fn, [1, 3, 7])]
+        assert len(got) == 3
+        for g, w in zip(got, want):
+            assert np.all(g == w)
+        assert orbits.advances == 6
 
 
 def test_space_average_lebesgue_mc():
