@@ -15,6 +15,18 @@ Thresholds are closed (>=).  The exact oracle compares |k/n - 1/2| against
 Fraction(alpha) — the exact binary value of the float argument — which is
 the same test the float estimator applies to exact dyadic frequencies, so
 the two routes agree even when k/n lands exactly on the threshold.
+
+Monte Carlo counts are exact float64 counts, found cheaply.  Each chunk's
+orbits are first summed with the observable on float32 points (numpy's
+float32 cos is vectorised, its float64 cos is not).  A float32 evaluation
+is within band = observables.float32_band(sys, obs) of the float64 one at
+every point, so a float32 average is within band of the float64 average.
+A sample whose filter deviation exceeds alpha + band therefore has
+deviation >= alpha, one below alpha - band has not; only the few samples
+within the band are redrawn from their own counter blocks and recounted
+on the float64 walk with the closed threshold.  The counts, and so every
+report byte, are those of the float64 walk alone.  Observables without a
+Lipschitz bound (the digit) have no band and take the float64 walk only.
 """
 
 from __future__ import annotations
@@ -27,7 +39,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .observables import DeviationParams, Observable
+from .observables import DeviationParams, Observable, float32_band
 from .systems import System, birkhoff_sums, sample_orbit_ensemble
 
 LN2 = math.log(2.0)
@@ -80,6 +92,11 @@ def _hit_grid(sys, obs, phibar, alphas, n_values, sample_count, seed, threads):
     Samples are chunked at a fixed size and each chunk draws its own counter
     blocks, so the counts are independent of the thread count; reductions
     are integer sums, so they are independent of completion order too.
+
+    With a float32 band (observables.float32_band) each chunk is first
+    walked with the observable on float32 points.  A sample whose filter
+    deviation lies more than the band above alpha is a hit, more than the
+    band below a miss; the rest are recounted from the float64 walk.
     """
     n_values = list(n_values)
     if any(n < 1 for n in n_values):
@@ -87,16 +104,55 @@ def _hit_grid(sys, obs, phibar, alphas, n_values, sample_count, seed, threads):
     if sorted(n_values) != n_values or len(set(n_values)) != len(n_values):
         raise ValueError("n_values must be strictly increasing")
     alphas = [float(a) for a in alphas]
+    band = float32_band(sys, obs)
 
-    def work(start):
-        m = min(_CHUNK, sample_count - start)
-        ens = sample_orbit_ensemble(sys, seed, start, m)
+    def deviations(ens, fn, horizons):
+        for n, sums in zip(horizons, birkhoff_sums(ens, fn, horizons)):
+            yield np.abs(sums / n - phibar)
+
+    def exact(start, m):
         hits = np.zeros((len(alphas), len(n_values)), dtype=np.int64)
-        for j, sums in enumerate(birkhoff_sums(ens, obs.fn, n_values)):
-            dev = np.abs(sums / n_values[j] - phibar)
+        ens = sample_orbit_ensemble(sys, seed, start, m)
+        for j, dev in enumerate(deviations(ens, obs.fn, n_values)):
             for i, a in enumerate(alphas):
                 hits[i, j] = np.count_nonzero(dev >= a)
         return hits
+
+    def fn32(p):
+        return obs.fn(p.astype(np.float32))
+
+    def filtered(start, m):
+        hits = np.zeros((len(alphas), len(n_values)), dtype=np.int64)
+        near = {}  # (i, j) -> chunk rows within the band of alpha_i at n_j
+        ens = sample_orbit_ensemble(sys, seed, start, m)
+        for j, dev in enumerate(deviations(ens, fn32, n_values)):
+            for i, a in enumerate(alphas):
+                above = dev > a + band
+                hits[i, j] = np.count_nonzero(above)
+                rows = np.flatnonzero((dev >= a - band) & ~above)
+                if rows.size:
+                    near[i, j] = rows
+        if not near:
+            return hits
+        # recount: redraw the near rows from their own counter blocks and
+        # walk them in float64 down to the deepest near cell.  Their union
+        # is a mask, not np.unique, which imports numpy.ma on first use.
+        flag = np.zeros(m, dtype=bool)
+        for cell_rows in near.values():
+            flag[cell_rows] = True
+        rows = np.flatnonzero(flag)
+        depth = max(j for _, j in near) + 1
+        ens = sample_orbit_ensemble(sys, seed, start + rows, rows.size)
+        for j, dev in enumerate(deviations(ens, obs.fn, n_values[:depth])):
+            for i, a in enumerate(alphas):
+                if (i, j) in near:
+                    cell = dev[np.searchsorted(rows, near[i, j])]
+                    hits[i, j] += np.count_nonzero(cell >= a)
+        return hits
+
+    def work(start):
+        m = min(_CHUNK, sample_count - start)
+        return exact(start, m) if band is None else filtered(start, m)
 
     starts = list(range(0, sample_count, _CHUNK))
     total = np.zeros((len(alphas), len(n_values)), dtype=np.int64)

@@ -285,8 +285,9 @@ def _cover_level_2d(sys, obs, phibar, alpha, s, m, n, threads):
         mpts = np.stack(np.broadcast_arrays(crows[:, None], ccols[None, :]),
                         axis=-1).reshape(-1, 2)
         dev_m = _dev_points_mt(sys, obs, phibar, mpts, n, threads).reshape(r1 - r0, m)
-        cellmax = np.maximum.reduce([dgrid[:-1, :-1], dgrid[1:, :-1],
-                                     dgrid[:-1, 1:], dgrid[1:, 1:], dev_m])
+        cellmax = np.maximum(dgrid[:-1, :-1], dgrid[1:, :-1])
+        for part in (dgrid[:-1, 1:], dgrid[1:, 1:], dev_m):
+            np.maximum(cellmax, part, out=cellmax)
         card += int(np.count_nonzero(cellmax >= alpha))
         prev = dgrid[-1:, :]
     return card

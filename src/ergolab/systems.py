@@ -41,9 +41,6 @@ _U63 = np.uint64(63)
 _TOP_BIT = np.uint64(1) << _U63
 _INV_2_53 = float(2.0**-53)
 
-# width of the float-rounding guard band at the mod-1 seam
-_SEAM = 1.0 + 2.0**-40
-
 _LN2 = math.log(2.0)
 _CAT_EXPANSION = (3.0 + math.sqrt(5.0)) / 2.0  # largest singular value of [[2,1],[1,1]]
 
@@ -51,13 +48,14 @@ _CAT_EXPANSION = (3.0 + math.sqrt(5.0)) / 2.0  # largest singular value of [[2,1
 def wrap_unit(x):
     """Reduce coordinates mod 1 into [0, 1).
 
-    Values that round onto the seam [1, 1 + 2^-40) are snapped to 0.0, so a
-    coordinate like -1e-18 wraps to 0.0 rather than to a spurious 1.0.
-    Accepts scalars or arrays; returns the same kind.
+    For finite x, x - floor(x) is at most 1.0, and equals 1.0 only when a
+    tiny negative value rounds up onto it (-1e-18 gives 1 - 1e-18 = 1.0);
+    that value snaps to 0.0.  Infinities and NaN give NaN.  Accepts scalars
+    or arrays; returns the same kind.
     """
     a = np.asarray(x, dtype=np.float64)
     y = a - np.floor(a)
-    y = np.where((y >= 1.0) & (y < _SEAM), 0.0, y)
+    y = np.where(y >= 1.0, 0.0, y)
     if a.ndim == 0:
         return float(y)
     return y
@@ -350,17 +348,33 @@ class _DyadicOrbitsCat:
         self.xhi, self.xlo, self.yhi, self.ylo = nxh, nxl, nyh, nyl
 
 
-def sample_orbit_ensemble(sys: System, seed: int, start: int, count: int,
+# one raw_blocks call costs about as much as reading a thousand more blocks
+_READ_GAP = 1024
+
+
+def sample_orbit_ensemble(sys: System, seed: int, start, count: int,
                           stream: int = STREAM_ORBITS):
     """Draw samples [start, start+count) of a system's orbit ensemble.
 
-    Sample i always consumes counter block i of the given stream, so any
-    chunking of [0, N) yields bit-identical orbits.  Initial conditions are
-    uniform over the domain (the natural measure for every catalog system
-    except logistic, whose ensembles are only used where a uniform seed is
-    the documented behavior).
+    `start` may instead be a non-empty increasing array of `count` sample
+    indices, which draws just those samples; indices at most _READ_GAP
+    apart share one read of the blocks spanning them.  Sample i always
+    consumes counter block i of the given stream, so any chunking or
+    selection of [0, N) yields bit-identical orbits.  Initial conditions
+    are uniform over the domain (the natural measure for every catalog
+    system except logistic, whose ensembles are only used where a uniform
+    seed is the documented behavior).
     """
-    blocks = raw_blocks(seed, stream, start, count)
+    if np.ndim(start):
+        idx = np.asarray(start, dtype=np.int64)
+        if count < 1 or idx.shape != (count,) or np.any(np.diff(idx) <= 0):
+            raise ValueError("sample indices must be a non-empty increasing array of length count")
+        runs = np.split(idx, np.flatnonzero(np.diff(idx) > _READ_GAP) + 1)
+        blocks = np.concatenate([
+            raw_blocks(seed, stream, int(r[0]), int(r[-1] - r[0]) + 1)[r - r[0]]
+            for r in runs])
+    else:
+        blocks = raw_blocks(seed, stream, start, count)
     if sys.sid in ("doubling", "tent"):
         return _DyadicOrbits1D(sys.sid, blocks[:, 0].copy(), blocks[:, 1].copy())
     if sys.sid == "cat":

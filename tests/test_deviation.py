@@ -1,6 +1,7 @@
 """Deviation-set measures: binomial oracle, Monte-Carlo ladders, rate fits."""
 
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -8,8 +9,16 @@ import pytest
 from scipy import stats
 
 import ergolab as E
+from ergolab import deviation
 from ergolab.deviation import (DIGIT, DIGIT_MEAN, METHOD_BINOMIAL, METHOD_MC,
                                default_fit_window)
+from ergolab.observables import float32_band
+from ergolab.systems import sample_points
+
+CATALOG_SYSTEMS = [("doubling", {}), ("tent", {}), ("cat", {}),
+                   ("logistic", {"c": -2.0}), ("logistic", {"c": -1.0}),
+                   ("logistic", {"c": 0.2})]
+CATALOG_OBSERVABLES = [("cos1", {}), ("coord", {}), ("bump", {"a": 0.05, "w": 0.1})]
 
 
 def test_exact_digit_worked_values():
@@ -144,6 +153,103 @@ def test_ladder_seed_matters_and_alpha_is_monotone():
     other = E.build_deviation_ladders(sysc, cos1, 0.0, [0.4], [4, 8],
                                       50000, seed=2)
     assert other[0.4].entries[0].measure != lads[0.4].entries[0].measure
+
+
+def _reference_deviations(sysm, obs, phibar, n_values, count, seed):
+    """|S_n / n - phibar| of samples [0, count) at each horizon, by a plain float64 loop."""
+    ens = E.sample_orbit_ensemble(sysm, seed, 0, count)
+    acc = np.zeros(count)
+    devs = {}
+    for k in range(1, max(n_values) + 1):
+        acc += obs.fn(ens.points())
+        if k in n_values:
+            devs[k] = np.abs(acc / k - phibar)
+        ens.advance()
+    return devs
+
+
+def _recording_draws(monkeypatch):
+    """Route the ladder's ensemble draws through a recorder of their `start`."""
+    starts = []
+    draw = deviation.sample_orbit_ensemble
+
+    def recorded(sysm, seed, start, count, *args, **kwargs):
+        starts.append(start)
+        return draw(sysm, seed, start, count, *args, **kwargs)
+
+    monkeypatch.setattr(deviation, "sample_orbit_ensemble", recorded)
+    return starts
+
+
+@pytest.mark.parametrize("sid,skw", CATALOG_SYSTEMS)
+@pytest.mark.parametrize("oid,okw", CATALOG_OBSERVABLES)
+def test_hit_grid_counts_equal_float64_reference(monkeypatch, sid, skw, oid, okw):
+    # The float32 filter decides only samples further than the band from a
+    # threshold; the rest are recounted in float64, so every count equals the
+    # plain float64 loop.  Thresholds set exactly to some sample's deviation
+    # put that sample on the threshold, where only the recount classifies it.
+    sysm = E.get_system(sid, **skw)
+    obs = E.get_observable(oid, sysm, **okw)
+    count, seed, n_values = 10_000, 17, [1, 3, 8, 15]
+    phibar = float(np.mean(obs.fn(sample_points(sysm, seed, 0, 4096))))
+    devs = _reference_deviations(sysm, obs, phibar, n_values, count, seed)
+    ties = [float(devs[n][i]) for n, i in ((1, 11), (3, 222), (8, 3333), (15, 4444),
+                                           (15, 9999))]
+    alphas = [0.05, 0.2] + ties
+    want = np.array([[np.count_nonzero(devs[n] >= a) for n in n_values] for a in alphas])
+    monkeypatch.setattr(deviation, "_CHUNK", 4096)   # three chunks
+    starts = _recording_draws(monkeypatch)
+    for threads in (1, 2):
+        got = deviation._hit_grid(sysm, obs, phibar, alphas, n_values, count, seed, threads)
+        assert np.array_equal(got, want)
+    assert any(np.ndim(s) for s in starts)            # the recount ran
+
+
+def test_digit_observable_takes_the_exact_path(monkeypatch):
+    # no Lipschitz bound, no band: every sample is counted on float64 points
+    sysd = E.get_system("doubling")
+    assert float32_band(sysd, DIGIT) is None
+    dtypes = set()
+
+    def fn(p):
+        dtypes.add(p.dtype)
+        return DIGIT.fn(p)
+
+    obs = dataclasses.replace(DIGIT, fn=fn)
+    starts = _recording_draws(monkeypatch)
+    n_values = [2, 5, 9]
+    got = deviation._hit_grid(sysd, obs, DIGIT_MEAN, [0.25, 0.5], n_values, 5000, 3, 1)
+    devs = _reference_deviations(sysd, DIGIT, DIGIT_MEAN, n_values, 5000, 3)
+    want = [[np.count_nonzero(devs[n] >= a) for n in n_values] for a in (0.25, 0.5)]
+    assert got.tolist() == want
+    assert dtypes == {np.dtype(np.float64)}
+    assert starts == [0]                              # one draw, no recount
+
+
+def _edge_coordinates(sysm, oid, okw):
+    """0, 1/2, the domain ends and, for bump, the ends of its ramps."""
+    hi = np.nextafter(1.0, 0.0) if sysm.domain == "torus" else sysm.hi
+    xs = [0.0, 0.5, sysm.lo, hi]
+    if oid == "bump":
+        c = 0.5 if sysm.domain == "torus" else (sysm.lo + sysm.hi) / 2.0
+        for r in (okw["w"] / 2.0, okw["w"] / 2.0 + okw["a"]):
+            xs += [c - r, c + r]
+    return [x for x in xs if sysm.lo <= x <= hi]
+
+
+@pytest.mark.parametrize("sid,skw", CATALOG_SYSTEMS)
+def test_float32_band_bounds_float32_evaluation(sid, skw):
+    # the band is a proven bound; on samples the error stays under a quarter of it
+    sysm = E.get_system(sid, **skw)
+    rng = np.random.default_rng(8)
+    rand = sysm.lo + (sysm.hi - sysm.lo) * rng.random((1_000_000, sysm.d))
+    for oid, okw in CATALOG_OBSERVABLES:
+        obs = E.get_observable(oid, sysm, **okw)
+        xs = _edge_coordinates(sysm, oid, okw)
+        edges = np.array(np.meshgrid(*[xs] * sysm.d)).reshape(sysm.d, -1).T
+        pts = np.vstack([rand, edges])
+        err = np.max(np.abs(obs.fn(pts.astype(np.float32)) - obs.fn(pts)))
+        assert err <= float32_band(sysm, obs) / 4.0, (oid, err)
 
 
 def test_fit_recovers_synthetic_exponential_exactly():

@@ -103,6 +103,10 @@ def test_wrap_unit_seam_snap():
     assert E.wrap_unit(1.0) == 0.0
     # -2^-54 wraps to 1 - 2^-54 which rounds onto 1.0: must snap to 0
     assert E.wrap_unit(-(2.0 ** -54)) == 0.0
+    assert E.wrap_unit(-5e-324) == 0.0            # smallest subnormal, negated
+    below_one = np.nextafter(1.0, 0.0)
+    assert E.wrap_unit(below_one) == below_one    # already in [0, 1): unchanged
+    assert math.isnan(E.wrap_unit(float("nan")))  # NaN in, NaN out
     assert isinstance(E.wrap_unit(2.5), float)
     arr = E.wrap_unit(np.array([1.25, -0.5]))
     assert arr.tolist() == [0.25, 0.5]
@@ -237,6 +241,28 @@ def test_orbit_ensemble_chunking_is_invisible():
             right.advance()
         glued = np.vstack([left.points(), right.points()])
         assert np.array_equal(whole.points(), glued)
+
+
+def test_orbit_ensemble_selected_samples_match_their_chunk():
+    # an index array draws just those samples, each from its own counter
+    # block, whether neighbours share a block read or not
+    rows = np.array([3, 4, 40, 99, 1500, 1501, 4000])
+    for sysm in (E.get_system("doubling"), E.get_system("tent"),
+                 E.get_system("cat"), E.get_system("logistic", c=-2.0)):
+        whole = E.sample_orbit_ensemble(sysm, seed=9, start=0, count=4011)
+        picked = E.sample_orbit_ensemble(sysm, seed=9, start=10 + rows, count=rows.size)
+        tail = E.sample_orbit_ensemble(sysm, seed=9, start=10, count=4001)
+        for _ in range(25):
+            whole.advance()
+            picked.advance()
+            tail.advance()
+        assert np.array_equal(picked.points(), whole.points()[10 + rows])
+        assert np.array_equal(picked.points(), tail.points()[rows])
+    sysd = E.get_system("doubling")
+    for bad, count in (([5, 5], 2), ([7, 3], 2), ([1, 2], 3), ([], 0)):
+        with pytest.raises(ValueError):
+            E.sample_orbit_ensemble(sysd, seed=9, start=np.array(bad, dtype=np.int64),
+                                    count=count)
 
 
 def test_tent_ensemble_points_stay_in_domain():
