@@ -25,8 +25,11 @@ A sample whose filter deviation exceeds alpha + band therefore has
 deviation >= alpha, one below alpha - band has not; only the few samples
 within the band are redrawn from their own counter blocks and recounted
 on the float64 walk with the closed threshold.  The counts, and so every
-report byte, are those of the float64 walk alone.  Observables without a
-Lipschitz bound (the digit) have no band and take the float64 walk only.
+report byte, are those of the float64 walk alone.  The filter runs where
+observables.screen_band gives a band, the one rule shared with the cover
+and ball-lemma screens of `dimension`: for observables whose float64
+evaluation calls a transcendental (cos1).  The others (coord, bump, and
+the digit, which has no band at all) take the float64 walk only.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .observables import DeviationParams, Observable, float32_band
+from .observables import DeviationParams, Observable, screen_band
 from .systems import System, birkhoff_sums, sample_orbit_ensemble
 
 LN2 = math.log(2.0)
@@ -93,7 +96,7 @@ def _hit_grid(sys, obs, phibar, alphas, n_values, sample_count, seed, threads):
     blocks, so the counts are independent of the thread count; reductions
     are integer sums, so they are independent of completion order too.
 
-    With a float32 band (observables.float32_band) each chunk is first
+    With a float32 screen (observables.screen_band) each chunk is first
     walked with the observable on float32 points.  A sample whose filter
     deviation lies more than the band above alpha is a hit, more than the
     band below a miss; the rest are recounted from the float64 walk.
@@ -104,7 +107,7 @@ def _hit_grid(sys, obs, phibar, alphas, n_values, sample_count, seed, threads):
     if sorted(n_values) != n_values or len(set(n_values)) != len(n_values):
         raise ValueError("n_values must be strictly increasing")
     alphas = [float(a) for a in alphas]
-    band = float32_band(sys, obs)
+    band = screen_band(sys, obs)
 
     def deviations(ens, fn, horizons):
         for n, sums in zip(horizons, birkhoff_sums(ens, fn, horizons)):
@@ -297,16 +300,20 @@ class RateFunctionFit:
 def default_fit_window(ladder: DeviationLadder):
     """Deepest usable stretch of the ladder for an exponential fit.
 
-    An entry is usable when its measure exceeds 10*eps and, for sampled
-    entries, 5/sample_count (fewer than ~5 hits say nothing about a rate).
+    A sampled entry is usable when its measure exceeds 10*eps and
+    5/sample_count (fewer than ~5 hits say nothing about a rate).  An exact
+    entry is usable when its measure is positive: it is exact however small,
+    so a deep exact ladder (1e-30 and below) fits over its whole length.
     The window is the longest run of consecutive usable entries ending at
     the last usable one — the asymptotic end of the ladder.
     """
     eps_floor = 10.0 * np.finfo(float).eps
 
     def usable(e):
+        if e.method != METHOD_MC:
+            return e.measure > 0.0
         floor = eps_floor
-        if e.method == METHOD_MC and e.sample_count > 0:
+        if e.sample_count > 0:
             floor = max(floor, 5.0 / e.sample_count)
         return e.measure > floor
 

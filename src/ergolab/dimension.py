@@ -26,6 +26,17 @@ chosen (one-step telescope of averages plus the Lipschitz bound of the
 n-step average over a cell) so that no cell detectable at the report
 threshold is ever lost.  Pruning is what keeps deep ladders inside the
 cell-evaluation budget.
+
+Every cell and candidate test is a comparison of a stencil point's
+deviation with a threshold (alpha and tau_n in 1-d, alpha in 2-d and in
+the ball lemma's candidate screen), and cellmax >= t holds iff some
+stencil point reaches t.  So where observables.screen_band gives a band
+(cos1), orbits stay float64 but the observable runs on float32 points; a
+float32 deviation more than the band from every threshold compares with
+each threshold as its float64 value does, and only the points within the
+band are recomputed in float64.  Cards, relaxed sets and lemma reports are
+those of the float64 walk; the lemma's ball points, whose deviations are
+reported, are evaluated in float64 only.
 """
 
 from __future__ import annotations
@@ -38,7 +49,7 @@ import numpy as np
 
 from .deviation import LN2, digit_deviation_count, write_csv
 from .errors import GridBudgetError, RateNotEstablishedError
-from .observables import Observable
+from .observables import Observable, screen_band
 from .rng import STREAM_LEMMA_BALLS, STREAM_LEMMA_POINTS, raw_blocks, uniform01
 from .systems import System, _FloatOrbits, birkhoff_sums, domain_points, wrap_unit
 
@@ -81,26 +92,56 @@ class BallLemmaReport:
     inconclusive: bool
 
 
-def _dev_points(sys, obs, phibar, pts, n):
-    """Deviation of an (N, d) float64 batch at horizon n (no domain check)."""
-    return np.abs(next(birkhoff_sums(_FloatOrbits(sys, pts), obs.fn, [n])) / n - phibar)
+def _dev_points(sys, obs, phibar, pts, n, thresholds=(), band=None):
+    """Deviation of an (N, d) float64 batch at horizon n (no domain check).
 
-
-def _dev_points_mt(sys, obs, phibar, pts, n, threads):
-    """Same values as _dev_points, in chunks that bound the working set.
-
-    Values are elementwise, so neither the chunking nor the thread count
-    changes results.
+    With a float32 band, fn runs on float32 points of the float64 orbits and
+    the rows within the band of a threshold are recomputed in float64: each
+    returned value compares with each threshold as its float64 value does.
     """
+    fn = obs.fn if band is None else (lambda p: obs.fn(p.astype(np.float32)))
+    dev = np.abs(next(birkhoff_sums(_FloatOrbits(sys, pts), fn, [n])) / n - phibar)
+    if band is None:
+        return dev
+    near = np.zeros(dev.shape, dtype=bool)
+    for t in thresholds:
+        near |= np.abs(dev - t) <= band
+    rows = np.flatnonzero(near)
+    if rows.size:
+        dev[rows] = _dev_points(sys, obs, phibar, pts[rows], n)
+    return dev
+
+
+def _dev_points_mt(sys, obs, phibar, pts, n, threads, thresholds=()):
+    """Deviations for threshold tests, in chunks that bound the working set.
+
+    With no thresholds these are the float64 values of _dev_points.  With
+    thresholds, and a float32 screen for the observable (screen_band), the
+    returned deviations are screened: their comparisons (>=, >, <) with each
+    threshold, not their values, equal those of the float64 values.  Values
+    are elementwise, so neither the chunking nor the thread count changes
+    any comparison.
+    """
+    band = screen_band(sys, obs) if thresholds else None
+
+    def dev(c):
+        return _dev_points(sys, obs, phibar, c, n, thresholds, band)
+
     if pts.shape[0] <= _POINT_CHUNK:
-        return _dev_points(sys, obs, phibar, pts, n)
-    chunks = [pts[i:i + _POINT_CHUNK] for i in range(0, pts.shape[0], _POINT_CHUNK)]
+        return dev(pts)
+    out = np.empty(pts.shape[0])
+
+    def fill(i):
+        out[i:i + _POINT_CHUNK] = dev(pts[i:i + _POINT_CHUNK])
+
+    starts = range(0, pts.shape[0], _POINT_CHUNK)
     if threads <= 1:
-        parts = [_dev_points(sys, obs, phibar, c, n) for c in chunks]
+        for i in starts:
+            fill(i)
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda c: _dev_points(sys, obs, phibar, c, n), chunks))
-    return np.concatenate(parts)
+            list(pool.map(fill, starts))
+    return out
 
 
 def verify_ball_lemma(sys: System, obs: Observable, phibar: float, alpha: float,
@@ -113,7 +154,9 @@ def verify_ball_lemma(sys: System, obs: Observable, phibar: float, alpha: float,
     radius delta * L^-n.  A pair violates when y's deviation falls below
     alpha/2.  If the rejection budget (candidate_factor * pair_count draws)
     is exhausted with no acceptance, the check is inconclusive rather than
-    failed — the deviation set was simply too thin to hit.
+    failed — the deviation set was simply too thin to hit.  Candidates are
+    screened in float32 where the observable has a screen (see the module
+    docstring); y's deviations, reported through worst_margin, are float64.
     """
     if n < 1:
         raise ValueError("need horizon n >= 1")
@@ -125,6 +168,7 @@ def verify_ball_lemma(sys: System, obs: Observable, phibar: float, alpha: float,
         return BallLemmaReport(alpha, n, delta, radius, pair_count, 0, 0, 0,
                                math.inf, True)
 
+    band = screen_band(sys, obs)
     max_draws = candidate_factor * pair_count
     batch = 8192
     drawn = 0
@@ -132,7 +176,7 @@ def verify_ball_lemma(sys: System, obs: Observable, phibar: float, alpha: float,
     while drawn < max_draws and sum(len(a) for a in accepted) < pair_count:
         m = min(batch, max_draws - drawn)
         pts = domain_points(sys, raw_blocks(seed, STREAM_LEMMA_POINTS, drawn, m))
-        dev = _dev_points(sys, obs, phibar, pts, n)
+        dev = _dev_points(sys, obs, phibar, pts, n, (alpha,), band)
         accepted.append(pts[dev >= alpha])
         drawn += m
     xs = np.concatenate(accepted) if accepted else np.empty((0, sys.d))
@@ -209,50 +253,78 @@ def _grid_cells(sys, s):
 
 
 def _grid_points(sys, idx, s):
-    pts = sys.lo + idx[:, None].astype(np.float64) * s
+    pts = idx.astype(np.float64)[:, None]
+    pts *= s
+    pts += sys.lo
     if sys.domain == "torus":
-        return pts % 1.0
-    return np.clip(pts, sys.lo, sys.hi)
-
-
-def _sorted_unique(a):
-    """np.unique of an integer array, by sort and adjacent difference (no hashing).
-
-    Cell candidates arrive as overlapping sorted runs, which the stable sort
-    (a merge of runs) orders faster than the default one.
-    """
-    a = np.sort(a, kind="stable")
-    keep = np.empty(a.shape, dtype=bool)
-    keep[:1] = True
-    np.not_equal(a[1:], a[:-1], out=keep[1:])
-    return a[keep]
+        # pts >= 0, where pts - floor(pts) is exactly pts % 1.0, and faster
+        pts -= np.floor(pts)
+        return pts
+    return np.clip(pts, sys.lo, sys.hi, out=pts)
 
 
 def _cover_level_1d(sys, obs, phibar, alpha, tau, s, m, n, cand, threads):
-    """Detect cells at one 1-d level.  Returns (card, relaxed-detected cells)."""
-    corner_idx = _sorted_unique(np.concatenate([cand, cand + 1]))
+    """Detect cells at one 1-d level.  Returns (card, relaxed-detected cells).
+
+    cand is sorted and unique, so its corners (cand and cand + 1, merged) are
+    laid out without a sort: cell i's left corner sits at i plus the number
+    of gaps in cand before it, and its right corner just after.
+    """
+    left = np.arange(cand.size, dtype=np.int64)
+    left[1:] += np.cumsum(np.diff(cand) > 1)
+    corner_idx = np.empty(left[-1] + 2 if cand.size else 0, dtype=np.int64)
+    corner_idx[left] = cand
+    corner_idx[left + 1] = cand + 1
     cpts = _grid_points(sys, corner_idx, s)
     mid = _grid_points(sys, cand.astype(np.float64) + 0.5, s)
-    dev_c = _dev_points_mt(sys, obs, phibar, cpts, n, threads)
-    dev_m = _dev_points_mt(sys, obs, phibar, mid, n, threads)
-    pos = np.searchsorted(corner_idx, cand)
-    pos2 = np.searchsorted(corner_idx, cand + 1)
-    cellmax = np.maximum(np.maximum(dev_c[pos], dev_c[pos2]), dev_m)
+    dev_c = _dev_points_mt(sys, obs, phibar, cpts, n, threads, (alpha, tau))
+    dev_m = _dev_points_mt(sys, obs, phibar, mid, n, threads, (alpha, tau))
+    cellmax = np.maximum(np.maximum(dev_c[left], dev_c[left + 1]), dev_m)
     card = int(np.count_nonzero(cellmax >= alpha))
     relaxed = cand[cellmax >= tau]
     return card, relaxed
 
 
+def _union_runs(lo, hi):
+    """Disjoint, sorted, non-touching runs covering the union of [lo, hi), lo sorted."""
+    reach = np.maximum.accumulate(hi)
+    first = np.ones(lo.shape, dtype=bool)
+    np.greater(lo[1:], reach[:-1], out=first[1:])
+    last = np.flatnonzero(np.append(first[1:], lo.size > 0))
+    return lo[first], reach[last]
+
+
 def _children_1d(sys, relaxed, ratio, m_next):
-    """Child candidates one level down, padded a full parent cell each side."""
+    """Child candidates one level down, padded a full parent cell each side.
+
+    Each sorted parent gives the window [base, base + width) of child
+    indices.  The windows are clipped to [0, m_next) (interval) or wrapped
+    onto it (torus: a window crossing the end becomes two), merged into runs
+    and the runs expanded: the sorted unique children, without sorting them.
+    """
     width = int(math.ceil(3.0 * ratio)) + 2
-    base = np.floor((relaxed.astype(np.float64) - 1.0) * ratio).astype(np.int64)
-    kids = (base[:, None] + np.arange(width, dtype=np.int64)[None, :]).ravel()
+    lo = np.floor((relaxed.astype(np.float64) - 1.0) * ratio).astype(np.int64)
     if sys.domain == "torus":
-        kids = kids % m_next
+        lo %= m_next
+        hi = lo + min(width, m_next)          # a window the size of the circle covers it
+        over = hi > m_next
+        lo = np.concatenate([lo, np.zeros(np.count_nonzero(over), dtype=np.int64)])
+        hi = np.concatenate([np.minimum(hi, m_next), hi[over] - m_next])
+        order = np.argsort(lo, kind="stable")   # nearly sorted: the wrap moves a few
+        lo, hi = lo[order], hi[order]
     else:
-        kids = np.clip(kids, 0, m_next - 1)
-    return _sorted_unique(kids)
+        lo, hi = np.clip(lo, 0, m_next - 1), np.clip(lo + width, 1, m_next)
+    lo, hi = _union_runs(lo, hi)
+    lens = hi - lo
+    return np.arange(lens.sum(), dtype=np.int64) + np.repeat(lo - (np.cumsum(lens) - lens), lens)
+
+
+def _grid_2d(rows, cols):
+    """The (len(rows) * len(cols), 2) points (row, col), row-major."""
+    pts = np.empty((rows.size, cols.size, 2))
+    pts[:, :, 0] = rows[:, None]
+    pts[:, :, 1] = cols[None, :]
+    return pts.reshape(-1, 2)
 
 
 def _cover_level_2d(sys, obs, phibar, alpha, s, m, n, threads):
@@ -276,15 +348,13 @@ def _cover_level_2d(sys, obs, phibar, alpha, s, m, n, threads):
             row_lo = 0
         else:
             row_lo = 1  # first corner row equals the previous band's last
-        cpts = np.stack(np.broadcast_arrays(rows[row_lo:, None], cols[None, :]),
-                        axis=-1).reshape(-1, 2)
-        dev_c = _dev_points_mt(sys, obs, phibar, cpts, n, threads)
+        dev_c = _dev_points_mt(sys, obs, phibar, _grid_2d(rows[row_lo:], cols), n,
+                               threads, (alpha,))
         dgrid = dev_c.reshape(r1 - r0 + 1 - row_lo, m + 1)
         if prev is not None:
             dgrid = np.vstack([prev, dgrid])
-        mpts = np.stack(np.broadcast_arrays(crows[:, None], ccols[None, :]),
-                        axis=-1).reshape(-1, 2)
-        dev_m = _dev_points_mt(sys, obs, phibar, mpts, n, threads).reshape(r1 - r0, m)
+        dev_m = _dev_points_mt(sys, obs, phibar, _grid_2d(crows, ccols), n,
+                               threads, (alpha,)).reshape(r1 - r0, m)
         cellmax = np.maximum(dgrid[:-1, :-1], dgrid[1:, :-1])
         for part in (dgrid[:-1, 1:], dgrid[1:, 1:], dev_m):
             np.maximum(cellmax, part, out=cellmax)

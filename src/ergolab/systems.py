@@ -51,14 +51,19 @@ def wrap_unit(x):
     For finite x, x - floor(x) is at most 1.0, and equals 1.0 only when a
     tiny negative value rounds up onto it (-1e-18 gives 1 - 1e-18 = 1.0);
     that value snaps to 0.0.  Infinities and NaN give NaN.  Accepts scalars
-    or arrays; returns the same kind.
+    or arrays; returns the same kind, and never changes its argument.
     """
-    a = np.asarray(x, dtype=np.float64)
-    y = a - np.floor(a)
-    y = np.where(y >= 1.0, 0.0, y)
+    a = _wrap_in_place(np.array(x, dtype=np.float64))
     if a.ndim == 0:
-        return float(y)
-    return y
+        return float(a)
+    return a
+
+
+def _wrap_in_place(a):
+    """wrap_unit on a float64 array the caller owns, overwriting it; returns it."""
+    a -= np.floor(a)
+    a[a >= 1.0] = 0.0
+    return a
 
 
 @dataclass(frozen=True)
@@ -90,7 +95,7 @@ class System:
 
 
 def _step_doubling(pts):
-    return wrap_unit(2.0 * pts)
+    return _wrap_in_place(2.0 * pts)
 
 
 def _step_tent(pts):
@@ -98,11 +103,14 @@ def _step_tent(pts):
 
 
 def _step_cat(pts):
+    # the operations of wrap_unit([2x + y, x + y]) in the same order, done in
+    # place in one new array (floor and the >= 1 mask are the only temporaries)
     x, y = pts[:, 0], pts[:, 1]
     out = np.empty_like(pts)
-    out[:, 0] = 2.0 * x + y
-    out[:, 1] = x + y
-    return wrap_unit(out)
+    np.multiply(x, 2.0, out=out[:, 0])
+    out[:, 0] += y
+    np.add(x, y, out=out[:, 1])
+    return _wrap_in_place(out)
 
 
 def _logdi_doubling(pts):

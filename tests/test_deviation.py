@@ -12,7 +12,7 @@ import ergolab as E
 from ergolab import deviation
 from ergolab.deviation import (DIGIT, DIGIT_MEAN, METHOD_BINOMIAL, METHOD_MC,
                                default_fit_window)
-from ergolab.observables import float32_band
+from ergolab.observables import float32_band, screen_band
 from ergolab.systems import sample_points
 
 CATALOG_SYSTEMS = [("doubling", {}), ("tent", {}), ("cat", {}),
@@ -188,8 +188,10 @@ def test_hit_grid_counts_equal_float64_reference(monkeypatch, sid, skw, oid, okw
     # threshold; the rest are recounted in float64, so every count equals the
     # plain float64 loop.  Thresholds set exactly to some sample's deviation
     # put that sample on the threshold, where only the recount classifies it.
+    # The catalog filters cos1 only (screen_band); coord and bump are marked
+    # transcendental here so that the filter is checked on kinks and plateaus.
     sysm = E.get_system(sid, **skw)
-    obs = E.get_observable(oid, sysm, **okw)
+    obs = dataclasses.replace(E.get_observable(oid, sysm, **okw), transcendental=True)
     count, seed, n_values = 10_000, 17, [1, 3, 8, 15]
     phibar = float(np.mean(obs.fn(sample_points(sysm, seed, 0, 4096))))
     devs = _reference_deviations(sysm, obs, phibar, n_values, count, seed)
@@ -224,6 +226,33 @@ def test_digit_observable_takes_the_exact_path(monkeypatch):
     assert got.tolist() == want
     assert dtypes == {np.dtype(np.float64)}
     assert starts == [0]                              # one draw, no recount
+
+
+@pytest.mark.parametrize("sid,skw", CATALOG_SYSTEMS)
+def test_only_transcendental_observables_are_screened(monkeypatch, sid, skw):
+    # one rule for the ladders, covers and lemma: cos1 is screened in float32,
+    # coord and bump run on float64 points only, with no recount
+    sysm = E.get_system(sid, **skw)
+    starts = _recording_draws(monkeypatch)
+    for oid, okw in CATALOG_OBSERVABLES:
+        plain = E.get_observable(oid, sysm, **okw)
+        assert (screen_band(sysm, plain) is not None) == (oid == "cos1")
+        if oid == "cos1":
+            continue
+        dtypes = set()
+
+        def fn(p, _fn=plain.fn):
+            dtypes.add(p.dtype)
+            return _fn(p)
+
+        obs = dataclasses.replace(plain, fn=fn)
+        starts.clear()
+        deviation._hit_grid(sysm, obs, 0.1, [0.05, 0.2], [1, 4], 5000, 3, 1)
+        assert starts == [0]                          # one draw, no recount
+        delta = E.modulus_delta_for(sysm, obs, 0.2)
+        E.build_cover_ladder(sysm, obs, 0.1, 0.2, delta, 1, 1)
+        E.verify_ball_lemma(sysm, obs, 0.1, 0.2, delta, 3, 20, 1)
+        assert dtypes == {np.dtype(np.float64)}, oid
 
 
 def _edge_coordinates(sysm, oid, okw):
@@ -273,13 +302,29 @@ def test_fit_window_floors_and_runs():
     assert default_fit_window(lad) == (10, 30)
     # window = longest run of usable entries ending at the last usable one
     ex = tuple(E.LadderEntry(n, m, 0.0, 0, METHOD_BINOMIAL)
-               for n, m in ((1, 1e-3), (2, 1e-16), (3, 1e-4), (4, 1e-5),
+               for n, m in ((1, 1e-3), (2, 0.0), (3, 1e-4), (4, 1e-5),
                             (5, 1e-6), (6, 1e-7)))
     lad2 = E.DeviationLadder("doubling", "digit", 0.5, 0.4, ex)
     assert default_fit_window(lad2) == (3, 6)
+    # exact entries are usable however small; the 10*eps floor is for samples
+    tiny = tuple(E.LadderEntry(n, 1e-16 * 10.0 ** -n, 0.0, 0, METHOD_BINOMIAL)
+                 for n in range(1, 5))
+    assert default_fit_window(E.DeviationLadder("doubling", "digit", 0.5, 0.4, tiny)) == (1, 4)
+    mc_tiny = tuple(dataclasses.replace(e, method=METHOD_MC) for e in tiny)
+    with pytest.raises(ValueError):
+        default_fit_window(E.DeviationLadder("doubling", "cos1", 0.0, 0.4, mc_tiny))
     dead = tuple(E.LadderEntry(n, 0.0, 0.0, 0, METHOD_BINOMIAL) for n in (1, 2, 3, 4))
     with pytest.raises(ValueError):
         default_fit_window(E.DeviationLadder("doubling", "digit", 0.5, 0.4, dead))
+
+
+def test_fit_deep_exact_ladder_needs_no_window():
+    # measures fall to ~1e-30 over 400..800; the default window keeps them all
+    lad = E.exact_digit_ladder(0.2, range(400, 801, 4))
+    fit = E.fit_rate_function(lad)
+    assert fit.fit_window == (400, 800)
+    assert fit.r_squared > 0.999
+    assert fit.h == pytest.approx(E.cramer_bernoulli(0.2), rel=0.02)
 
 
 def test_fit_drops_zero_entries_inside_window():

@@ -1,6 +1,7 @@
 """Dimension machinery: the d0 bound, ball lemma, cover ladders, box counting,
 and the exact digit-frequency benchmark."""
 
+import dataclasses
 import math
 
 import mpmath
@@ -8,9 +9,13 @@ import numpy as np
 import pytest
 
 import ergolab as E
+from ergolab import dimension
 from ergolab.deviation import DIGIT
-from ergolab.dimension import (_POINT_CHUNK, _children_1d, _dev_points,
-                                 _dev_points_mt, _sorted_unique)
+from ergolab.dimension import (_POINT_CHUNK, _children_1d, _cover_level_1d,
+                               _cover_level_2d, _dev_points, _dev_points_mt,
+                               _grid_cells, _grid_points)
+from ergolab.rng import STREAM_LEMMA_POINTS, raw_blocks
+from ergolab.systems import domain_points
 from ergolab.errors import GridBudgetError, RateNotEstablishedError
 
 
@@ -138,14 +143,22 @@ def test_cover_pruning_matches_dense_sweep():
 
 
 def test_cover_dedup_equals_np_unique():
-    # overlapping sorted runs, as candidate windows are, wrapped on the torus
-    # and clipped on the interval
+    # children are the union of overlapping windows, wrapped on the torus and
+    # clipped on the interval: np.unique of every window's cells, on random
+    # parents, expansion ratios and grid sizes, the coarsest smaller than a window
     rng = np.random.default_rng(8)
-    m = 1000
-    starts = np.sort(rng.choice(np.arange(-12, m + 4), 300, replace=False))
-    runs = (starts[:, None] + np.arange(8)[None, :]).ravel()
-    for a in (runs % m, np.clip(runs, 0, m - 1), np.concatenate([runs, runs + 1])):
-        assert np.array_equal(_sorted_unique(a), np.unique(a))
+    sysd, syst = E.get_system("doubling"), E.get_system("tent")
+    for _ in range(400):
+        m = int(rng.integers(1, 300))
+        ratio = float(rng.choice([2.0, 2.5, 3.7]))
+        m_next = max(1, math.ceil(m * ratio) + int(rng.integers(-2, 3)))
+        relaxed = np.flatnonzero(rng.random(m) < rng.random())
+        width = math.ceil(3.0 * ratio) + 2
+        base = np.floor((relaxed - 1.0) * ratio).astype(np.int64)
+        windows = (base[:, None] + np.arange(width)).ravel()
+        for sysm, cells in ((sysd, windows % m_next), (syst, np.clip(windows, 0, m_next - 1))):
+            kids = _children_1d(sysm, relaxed, ratio, m_next)
+            assert kids.dtype == np.int64 and np.array_equal(kids, np.unique(cells))
     relaxed = np.unique(np.concatenate([[0, 1, 2], rng.integers(0, 400, 80), [398, 399]]))
     for sid in ("doubling", "tent"):
         kids = _children_1d(E.get_system(sid), relaxed, 2.0, 800)
@@ -160,6 +173,140 @@ def test_dev_points_chunking_is_invisible():
     whole = _dev_points(sysd, cos1, 0.1, pts, 3)
     for threads in (1, 2):
         assert np.array_equal(_dev_points_mt(sysd, cos1, 0.1, pts, 3, threads), whole)
+
+def _recording(obs):
+    """obs with an fn that records the dtype of every batch it evaluates."""
+    dtypes = set()
+
+    def fn(p, _fn=obs.fn):
+        dtypes.add(p.dtype)
+        return _fn(p)
+
+    return dataclasses.replace(obs, fn=fn), dtypes
+
+
+def _ref_dev(sysm, obs, phibar, pts, n):
+    """Float64 deviations by the public time average."""
+    return np.abs(E.time_average(sysm, obs, pts, n) - phibar)
+
+
+@pytest.mark.parametrize("sid,skw", [("doubling", {}), ("tent", {}),
+                                     ("logistic", {"c": -1.7})])
+def test_cover_level_1d_screen_equals_float64(monkeypatch, sid, skw):
+    # Cards and relaxed sets decided from float32 deviations equal those of
+    # float64 ones.  Thresholds set to the cell maxima of chosen cells put a
+    # stencil point exactly on alpha or tau, where only the recount decides.
+    sysm = E.get_system(sid, **skw)
+    cos1 = E.get_observable("cos1", sysm)
+    phibar, n = 0.05, 7
+    s = (sysm.hi - sysm.lo) / 2500.0
+    m = _grid_cells(sysm, s)
+    cand = np.flatnonzero(np.random.default_rng(4).random(m) < 0.7)
+    cellmax = np.maximum.reduce([
+        _ref_dev(sysm, cos1, phibar, _grid_points(sysm, c, s), n)
+        for c in (cand, cand + 1, cand.astype(np.float64) + 0.5)])
+    ties = cellmax[np.argsort(cellmax)[[200, 500, 900, 1300, 1500, 1700]]]
+    monkeypatch.setattr(dimension, "_POINT_CHUNK", 500)   # several chunks
+    recounted = False
+    for alpha, tau in [(0.3, 0.1), (ties[0], ties[1]), (ties[2], ties[3]),
+                       (ties[4], ties[5]), (ties[5], -0.1)]:
+        for threads in (1, 2):
+            obs, dtypes = _recording(cos1)
+            card, relaxed = _cover_level_1d(sysm, obs, phibar, alpha, tau, s, m, n,
+                                            cand, threads)
+            assert card == np.count_nonzero(cellmax >= alpha)
+            assert np.array_equal(relaxed, cand[cellmax >= tau])
+            assert np.dtype(np.float32) in dtypes
+            recounted |= np.dtype(np.float64) in dtypes
+    assert recounted
+
+
+def test_cover_level_2d_screen_equals_float64(monkeypatch):
+    sysc = E.get_system("cat")
+    cos1 = E.get_observable("cos1", sysc)
+    phibar, n, m = 0.02, 3, 90
+    s = 1.0 / m
+    idx = np.arange(m + 1, dtype=np.float64) * s % 1.0
+    corners = np.stack(np.broadcast_arrays(idx[:, None], idx[None, :]), axis=-1)
+    dev_c = _ref_dev(sysc, cos1, phibar, corners.reshape(-1, 2), n).reshape(m + 1, m + 1)
+    cidx = (np.arange(m, dtype=np.float64) + 0.5) * s % 1.0
+    centers = np.stack(np.broadcast_arrays(cidx[:, None], cidx[None, :]), axis=-1)
+    dev_m = _ref_dev(sysc, cos1, phibar, centers.reshape(-1, 2), n).reshape(m, m)
+    cellmax = np.maximum.reduce([dev_c[:-1, :-1], dev_c[1:, :-1],
+                                 dev_c[:-1, 1:], dev_c[1:, 1:], dev_m]).ravel()
+    ties = cellmax[np.argsort(cellmax)[[1000, 3000, 5000, 7000, 8000]]]
+    monkeypatch.setattr(dimension, "_POINT_CHUNK", 700)   # several chunks
+    recounted = False
+    for alpha in [0.4, *ties]:
+        for threads in (1, 2):
+            obs, dtypes = _recording(cos1)
+            card = _cover_level_2d(sysc, obs, phibar, alpha, s, m, n, threads)
+            assert card == np.count_nonzero(cellmax >= alpha)
+            assert np.dtype(np.float32) in dtypes
+            recounted |= np.dtype(np.float64) in dtypes
+    assert recounted
+
+
+# (system, params, observable, phibar, alpha, delta factor, n, pairs, seed)
+# and the report fields, recorded before the candidate screen existed
+LEMMA_PINS = [
+    (("doubling", {}, "cos1", 0.0, 0.4, 1, 10, 300, 7),
+     (0.4, 10, 0.031830956787390445, 3.108491873768598e-05, 300, 300, 8192, 0,
+      0.1968517185304715, False)),
+    (("tent", {}, "cos1", 0.0, 0.5, 1, 9, 300, 3),
+     (0.5, 9, 0.039788695984238065, 7.771229684421497e-05, 300, 300, 8192, 0,
+      0.23680152163351154, False)),
+    (("cat", {}, "cos1", 0.0, 0.4, 1, 8, 300, 5),
+     (0.4, 8, 0.031830956787390445, 1.4422729190024746e-05, 300, 300, 8192, 0,
+      0.1960215988824368, False)),
+    (("logistic", {"c": -1.7}, "cos1", 0.1, 0.6, 1, 6, 300, 2),
+     (0.6, 6, 0.04774643518108567, 1.6037930050323853e-05, 300, 300, 8192, 0,
+      0.3017221715068695, False)),
+    (("doubling", {}, "coord", 0.5, 0.2, 1, 8, 300, 4),
+     (0.2, 8, 0.0999999, 0.000390624609375, 300, 300, 8192, 0,
+      0.09394470109194378, False)),
+    (("doubling", {}, "cos1", 0.0, 0.4, 30, 10, 300, 9),
+     (0.4, 10, 0.9549287036217133, 0.0009325475621305794, 300, 300, 8192, 15,
+      -0.08204540613914203, False)),
+    (("cat", {}, "cos1", 0.0, 0.4, 39, 8, 300, 9),
+     (0.4, 8, 1.2414073147082274, 0.0005624864384109651, 300, 300, 8192, 8,
+      -0.10765871437552406, False)),
+    (("doubling", {}, "cos1", 0.0, 0.8, 1, 8, 50, 1),
+     (0.8, 8, 0.06366191357478089, 0.00024867934990148785, 50, 44, 10000, 0,
+      0.37962494661049107, False)),
+]
+
+
+@pytest.mark.parametrize("case,want", LEMMA_PINS)
+def test_ball_lemma_reports_are_pinned(case, want):
+    sid, skw, oid, phibar, alpha, factor, n, pairs, seed = case
+    sysm = E.get_system(sid, **skw)
+    obs = E.get_observable(oid, sysm)
+    delta = factor * E.modulus_delta_for(sysm, obs, alpha)
+    rep = E.verify_ball_lemma(sysm, obs, phibar, alpha, delta, n, pairs, seed)
+    assert dataclasses.astuple(rep) == want
+
+
+@pytest.mark.parametrize("sid", ["doubling", "cat"])
+def test_ball_lemma_candidate_screen_on_ties(sid):
+    # alpha set to a candidate's own float64 deviation: it is accepted only
+    # through the recount.  One batch of 8192 draws, more pairs asked for
+    # than candidates reach alpha, so every accepted candidate is checked.
+    sysm = E.get_system(sid)
+    cos1 = E.get_observable("cos1", sysm)
+    seed, n = 6, 8
+    pts = domain_points(sysm, raw_blocks(seed, STREAM_LEMMA_POINTS, 0, 8192))
+    dev = np.sort(_ref_dev(sysm, cos1, 0.0, pts, n))[::-1]
+    recounted = False
+    for k in (19, 199, 799, 999):
+        obs, dtypes = _recording(cos1)
+        rep = E.verify_ball_lemma(sysm, obs, 0.0, float(dev[k]), 1e-3, n,
+                                  pair_count=1024, seed=seed, candidate_factor=8)
+        assert rep.candidates_drawn == 8192
+        assert rep.pairs_checked == np.count_nonzero(dev >= dev[k])
+        recounted |= np.dtype(np.float64) in dtypes
+    assert recounted
+
 
 def test_cover_refines_under_smaller_delta():
     # halving delta halves the cell size at every level: counts cannot drop

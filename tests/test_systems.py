@@ -112,6 +112,48 @@ def test_wrap_unit_seam_snap():
     assert arr.tolist() == [0.25, 0.5]
 
 
+def _old_wrap_unit(x):
+    """wrap_unit as an out-of-place expression: x - floor(x), 1.0 snapped to 0."""
+    a = np.asarray(x, dtype=np.float64)
+    y = a - np.floor(a)
+    return np.where(y >= 1.0, 0.0, y)
+
+
+def test_in_place_step_maps_equal_their_out_of_place_forms():
+    # doubling and cat step in place inside one new array; over 60 steps
+    # they and wrap_unit stay bit-equal to wrap_unit(2x) and
+    # wrap_unit([2x + y, x + y]) on random points and on edge points
+    edges = [0.0, 0.5, np.nextafter(1.0, 0.0), -5e-324, -(2.0 ** -54), 1.0, 2.5,
+             np.nan, np.inf, -np.inf]
+    rng = np.random.default_rng(12)
+    x1 = np.concatenate([rng.random(100_000), edges])[:, None]
+    grid = np.array(np.meshgrid(edges, edges)).reshape(2, -1).T
+    x2 = np.vstack([rng.random((100_000, 2)), grid])
+    step_doubling = E.get_system("doubling")._step
+    step_cat = E.get_system("cat")._step
+    with np.errstate(invalid="ignore"):
+        spread = x2 * 3.0 - 1.5
+        assert E.wrap_unit(spread).tobytes() == _old_wrap_unit(spread).tobytes()
+        a, b = x1.copy(), x1.copy()
+        p, q = x2.copy(), x2.copy()
+        for _ in range(60):
+            a_in, p_in = a.copy(), p.copy()
+            a_next, p_next = step_doubling(a), step_cat(p)
+            assert a.tobytes() == a_in.tobytes() and p.tobytes() == p_in.tobytes()
+            a, p = a_next, p_next
+            b = _old_wrap_unit(2.0 * b)
+            q = _old_wrap_unit(np.stack([2.0 * q[:, 0] + q[:, 1], q[:, 0] + q[:, 1]], axis=1))
+            assert a.tobytes() == b.tobytes()
+            assert p.tobytes() == q.tobytes()
+        for e in edges:
+            w = E.wrap_unit(e)
+            assert isinstance(w, float)
+            assert np.float64(w).view(np.uint64) == _old_wrap_unit(e).view(np.uint64)
+            zero_d = np.array(e)
+            assert isinstance(E.wrap_unit(zero_d), float)
+            assert zero_d.tobytes() == np.array(e).tobytes()     # argument unchanged
+
+
 def test_distance_torus_and_interval():
     sysd = E.get_system("doubling")
     assert E.distance(sysd, 0.1, 0.9) == pytest.approx(0.2)
