@@ -43,7 +43,8 @@ from fractions import Fraction
 import numpy as np
 
 from .observables import DeviationParams, Observable, screen_band
-from .systems import System, birkhoff_sums, sample_orbit_ensemble
+from .systems import (DYADIC_MAX_HORIZON, DYADIC_SYSTEMS, System, birkhoff_sums,
+                      sample_orbit_ensemble)
 
 LN2 = math.log(2.0)
 
@@ -201,11 +202,18 @@ def build_deviation_ladder(sys: System, params: DeviationParams, n_values,
 def build_deviation_ladders(sys: System, obs: Observable, phibar: float,
                             alphas, n_values, sample_count: int, seed: int,
                             threads: int = 1) -> dict:
-    """Ladders for several thresholds from one shared orbit pass."""
+    """Ladders for several thresholds from one shared orbit pass.
+
+    Doubling and tent ensembles are exact up to DYADIC_MAX_HORIZON; a deeper
+    horizon raises ValueError rather than returning a wrong measure.
+    """
     if sample_count < _MIN_SAMPLES:
         raise ValueError(f"sample_count must be >= {_MIN_SAMPLES}")
     alphas = [float(a) for a in alphas]
     n_values = list(n_values)
+    if sys.sid in DYADIC_SYSTEMS and max(n_values, default=0) > DYADIC_MAX_HORIZON:
+        raise ValueError(f"horizon {max(n_values)} is past n={DYADIC_MAX_HORIZON}, "
+                         f"the deepest a 128-bit {sys.sid} ensemble is exact for")
     live = [a for a in alphas if 0.0 < a <= 2.0 * obs.sup_abs]
     hits = None
     if live and n_values:

@@ -20,23 +20,31 @@ The chain this module implements:
 Cover sweeps detect a cell when the deviation at any stencil point (the
 cell's corners and center) reaches the threshold; this is an empirical,
 slightly conservative cardinality (a cell can meet the set while every
-stencil point misses it).  Levels are pruned hierarchically: level n+1 is
-only examined underneath cells that pass a *relaxed* threshold at level n,
-chosen (one-step telescope of averages plus the Lipschitz bound of the
-n-step average over a cell) so that no cell detectable at the report
+stencil point misses it).  In 1-d, levels are pruned hierarchically: level
+n+1 is only examined underneath cells that pass a *relaxed* threshold at
+level n, chosen (one-step telescope of averages plus the Lipschitz bound of
+the n-step average over a cell) so that no cell detectable at the report
 threshold is ever lost.  Pruning is what keeps deep ladders inside the
-cell-evaluation budget.
+cell-evaluation budget.  In 2-d every level is swept densely, in row bands.
 
 Every cell and candidate test is a comparison of a stencil point's
 deviation with a threshold (alpha and tau_n in 1-d, alpha in 2-d and in
 the ball lemma's candidate screen), and cellmax >= t holds iff some
-stencil point reaches t.  So where observables.screen_band gives a band
-(cos1), orbits stay float64 but the observable runs on float32 points; a
-float32 deviation more than the band from every threshold compares with
-each threshold as its float64 value does, and only the points within the
-band are recomputed in float64.  Cards, relaxed sets and lemma reports are
-those of the float64 walk; the lemma's ball points, whose deviations are
-reported, are evaluated in float64 only.
+stencil point reaches t.  So a cheaper deviation within a proven band of
+the float64 walk's decides every point more than the band from every
+threshold, and only the points within the band are walked in float64:
+
+* 1-d covers and lemma candidates, where observables.screen_band gives a
+  band (cos1): orbits stay float64 but the observable runs on float32
+  points;
+* 2-d covers of a linear torus map with a character observable (cos1 on
+  the cat map): the Birkhoff sums of a row band have the closed form of one
+  small matrix product (_cover_level_2d), within closed_form_band.
+
+Cards, relaxed sets and lemma reports are those of the float64 walk; the
+lemma's ball points, whose deviations are reported, are evaluated in
+float64 only.  2-d covers of other observables (coord, bump) walk every
+point in float64.
 """
 
 from __future__ import annotations
@@ -58,6 +66,7 @@ from .systems import System, _FloatOrbits, birkhoff_sums, domain_points, wrap_un
 _MAX_DEPTH_BITS = 45.0
 
 _POINT_CHUNK = 1 << 16
+_BAND_POINTS = 1 << 22  # points per row band of a walked 2-d level
 
 
 def dimension_upper_bound(d: int, L: float, h: float) -> float:
@@ -327,39 +336,183 @@ def _grid_2d(rows, cols):
     return pts.reshape(-1, 2)
 
 
+_U = 2.0**-53  # unit roundoff of float64
+_TWO_PI = 2.0 * math.pi
+
+
+def _character_coefficients(sys, obs, n):
+    """c_j = (A^T)^j k for j < n, an (n, d) int64 array.
+
+    For a linear torus map (sys.matrix = A) and a character observable
+    (obs.character = k), <k, A^j x> = <c_j, x>, so the j-th orbit term is
+    cos(2 pi <c_j, x>) exactly, whatever integers the wraps mod 1 removed.
+    Covers stop at n log2 L <= _MAX_DEPTH_BITS, so |c_j| < 2^47 stays exact
+    in int64 and in float64.
+    """
+    a_t = np.array(sys.matrix, dtype=np.int64).T
+    c = np.empty((n, sys.d), dtype=np.int64)
+    c[0] = obs.character
+    for j in range(1, n):
+        c[j] = a_t @ c[j - 1]
+    return c
+
+
+def closed_form_band(sys: System, obs: Observable, n: int) -> float:
+    """Bound on |closed-form deviation - float64-walk deviation| at horizon n.
+
+    band = 4 * ( (1/n) sum_{j<n} [2 pi rho P_j + 2 pi u w_j + 16 pi u + 20 u]
+                 + 5 n u + 7 u ),
+    u = 2^-53, w_j = |c_j|_1 (see _character_coefficients), P_j = sum_{m<j} w_m,
+    rho = d u |A|_inf (|A|_inf the largest absolute row sum).
+
+    Both deviations are of the same float64 grid point x; each is compared
+    with the exact |(1/n) sum_j cos(2 pi <c_j, x>) - phibar|.  Per term j:
+
+    1. The float walk.  A step is wrap_unit(A x) (the catalog test checks
+       it bit for bit): each coordinate of A x is a sum of d products of
+       size at most |A|_inf, rounded once or more, so it is off by at most
+       rho; the wrap subtracts an integer exactly.  An error r at step i
+       reaches the phase <k, x_j> as <c_{j-1-i}, r>, at most w_{j-1-i} rho,
+       so the walk's phase at step j is off by at most rho P_j, and its
+       term by 2 pi rho P_j.  P_j grows like L^j: this is the rounding that
+       ends float orbits after about 53 / log2 L steps.  Evaluating cos1 at
+       the walked point rounds 2 pi and 2 pi x1 (2 pi u each, the phase
+       below 1) and the cosine (at most 4 ulp, 4 u on values below 1):
+       2 pi rho P_j + 4 pi u + 4 u.
+    2. The closed form.  Per axis i, c_ji x_i is rounded once (u |c_ji|, as
+       x_i < 1), the reduction mod 1 is exact for c_ji x_i >= 0 and within
+       u of exact otherwise, and 2 pi times it rounds 2 pi and the product
+       (4 pi u): a phase error of 2 pi u |c_ji| + 6 pi u, so
+       2 pi u w_j + 12 pi u for cos(a + b).  Its four cos/sin entries are
+       within 4 u each, so each of its two products is within 8 u:
+       2 pi u w_j + 12 pi u + 16 u.
+    3. Sums and the average.  The closed form's 2n-term dot product, in any
+       order a BLAS picks and with or without fused multiply-adds, is within
+       gamma_2n ~ 2 n u times the sum of the magnitudes of its terms, which
+       with the 1/n folded into the column factors is at most 2: 4 n u, and
+       2 u for rounding the factors by 1/n.  The walk's running sum of n
+       terms of size <= 1 is within n^2 u, n u once divided by n, and the
+       division adds u.  Subtracting phibar adds u dev to each side, at most
+       2 u near a threshold alpha <= 2 sup|phi| = 2; far from it a relative
+       error cannot move a deviation across alpha.  Together 5 n u + 7 u.
+
+    Adding 1 and 2 averaged over j, and 3, gives the bracket.  It is taken
+    four times: the factor covers the dropped second-order terms, the
+    relative u of testing |dev - alpha| <= band in float64, and a libm or
+    BLAS a few ulps looser than assumed here.  The band depends on the
+    system, the character and n only.  Measured on 90,000 points of the
+    level-5 grid of configs/cat.ini (alpha 0.4), three samples, the largest
+    gap is 1.0-1.3e-14 at n = 5, 3.6-3.9e-12 at n = 12 and 4.7-5.0e-9 at
+    n = 20: 1/20 to 1/26 of the band.
+    """
+    c = _character_coefficients(sys, obs, n)
+    w = np.abs(c).sum(axis=1).astype(np.float64)
+    p = np.cumsum(w) - w
+    rho = sys.d * _U * max(sum(abs(a) for a in row) for row in sys.matrix)
+    per_term = _TWO_PI * rho * p + _TWO_PI * _U * w + 16.0 * math.pi * _U + 20.0 * _U
+    return 4.0 * (float(np.sum(per_term)) / n + 5.0 * n * _U + 7.0 * _U)
+
+
+# OpenBLAS runs a product of up to 2^18 multiply-adds on the calling thread
+# and spreads larger ones over threads of its own; with another process
+# keeping one of two cores busy those made a level's products 2.3x slower.
+_BLAS_MACS = 1 << 17
+
+
+def _product(a, b):
+    """a @ b in column blocks of at most _BLAS_MACS multiply-adds each."""
+    out = np.empty((a.shape[0], b.shape[1]))
+    step = max(1, _BLAS_MACS // a.size)
+    for j in range(0, b.shape[1], step):
+        np.matmul(a, b[:, j:j + step], out=out[:, j:j + step])
+    return out
+
+
+def _character_table(x, coef):
+    """[cos t | sin t] with t = 2 pi (x coef_j mod 1): a (len(x), 2 len(coef)) array."""
+    t = np.multiply.outer(x, coef.astype(np.float64))
+    t -= np.floor(t)
+    t *= _TWO_PI
+    return np.concatenate([np.cos(t), np.sin(t)], axis=1)
+
+
+def _character_factors(coef, rows, cols):
+    """(R, C) with (R @ C)[i, j] = (1/n) sum_j cos(2 pi (c_j0 rows[i] + c_j1 cols[j])).
+
+    cos(a + b) = cos a cos b - sin a sin b, so R holds [cos a | sin a] per
+    row and C holds [cos b ; -sin b] / n per column (2n x len(cols)).
+    """
+    n = coef.shape[0]
+    col = np.ascontiguousarray(_character_table(cols, coef[:, 1]).T) / n
+    col[n:] *= -1.0
+    return _character_table(rows, coef[:, 0]), col
+
+
 def _cover_level_2d(sys, obs, phibar, alpha, s, m, n, threads):
-    """Dense sweep of one 2-d level in row bands; returns the cell count."""
-    card = 0
-    band = max(1, (1 << 22) // (m + 1))
-    cols = np.arange(m + 1, dtype=np.float64) * s
-    ccols = (np.arange(m, dtype=np.float64) + 0.5) * s
+    """One 2-d level, swept densely in row bands; returns the cell count.
+
+    A cell is counted when one of its stencil points (four corners, centre)
+    has deviation >= alpha, so each band marks the hits of its corner and
+    centre points and ORs them per cell; a band recomputes the corner row it
+    shares with the next.  Hits are elementwise, so neither bands nor
+    threads change them.
+
+    A linear torus map with a character observable (sys.matrix and
+    obs.character) has the closed form S_n(row, col) = sum_j cos(a_j + b_j),
+    a_j = 2 pi c_j0 row, b_j = 2 pi c_j1 col (see _character_coefficients):
+    a chunk's sums are one (rows x 2n) @ (2n x cols) product of cos/sin
+    tables built once per level, O(m n) cosines for the level instead of
+    O(m^2 n).  A point whose closed-form deviation lies within
+    closed_form_band of alpha is recomputed by the float64 walk, so every
+    hit is that of the float64 walk.  The closed form runs on the calling
+    thread, one _POINT_CHUNK of points a band: OpenBLAS products issued
+    from two threads at once ran 6-17x slower than from one, and a level of
+    cat.ini took 0.39-0.47 s on two threads against 0.28-0.35 s on one.
+    Other pairs walk every point, in _BAND_POINTS bands whose chunks run on
+    the thread pool.
+    """
+    corners = np.arange(m + 1, dtype=np.float64) * s
+    centres = (np.arange(m, dtype=np.float64) + 0.5) * s
     if sys.domain == "torus":
-        cols = cols % 1.0
-        ccols = ccols % 1.0
-    prev = None  # corner-row devs shared between consecutive bands
-    for r0 in range(0, m, band):
-        r1 = min(r0 + band, m)
-        rows = np.arange(r0, r1 + 1, dtype=np.float64) * s
-        crows = (np.arange(r0, r1, dtype=np.float64) + 0.5) * s
-        if sys.domain == "torus":
-            rows = rows % 1.0
-            crows = crows % 1.0
-        if prev is None:
-            row_lo = 0
-        else:
-            row_lo = 1  # first corner row equals the previous band's last
-        dev_c = _dev_points_mt(sys, obs, phibar, _grid_2d(rows[row_lo:], cols), n,
-                               threads, (alpha,))
-        dgrid = dev_c.reshape(r1 - r0 + 1 - row_lo, m + 1)
-        if prev is not None:
-            dgrid = np.vstack([prev, dgrid])
-        dev_m = _dev_points_mt(sys, obs, phibar, _grid_2d(crows, ccols), n,
-                               threads, (alpha,)).reshape(r1 - r0, m)
-        cellmax = np.maximum(dgrid[:-1, :-1], dgrid[1:, :-1])
-        for part in (dgrid[:-1, 1:], dgrid[1:, 1:], dev_m):
-            np.maximum(cellmax, part, out=cellmax)
-        card += int(np.count_nonzero(cellmax >= alpha))
-        prev = dgrid[-1:, :]
+        corners %= 1.0
+        centres %= 1.0
+
+    if sys.matrix is None or obs.character is None:
+        band_points = _BAND_POINTS
+
+        def hits(axis, r0, r1):
+            pts = _grid_2d(axis[r0:r1], axis)
+            dev = _dev_points_mt(sys, obs, phibar, pts, n, threads)
+            return (dev >= alpha).reshape(r1 - r0, axis.size)
+    else:
+        band_points = _POINT_CHUNK
+        coef = _character_coefficients(sys, obs, n)
+        band = closed_form_band(sys, obs, n)
+        factors = [_character_factors(coef, axis, axis) for axis in (corners, centres)]
+
+        def hits(axis, r0, r1):
+            row_f, col_f = factors[axis is centres]
+            dev = _product(row_f[r0:r1], col_f)
+            dev -= phibar
+            np.abs(dev, out=dev)
+            hit = dev > alpha + band
+            maybe = dev >= alpha - band
+            if np.count_nonzero(maybe) > np.count_nonzero(hit):
+                near = np.flatnonzero(maybe & ~hit)
+                i, j = np.divmod(near, axis.size)
+                pts = np.stack([axis[r0 + i], axis[j]], axis=1)
+                hit.flat[near] = _dev_points(sys, obs, phibar, pts, n) >= alpha
+            return hit
+
+    card = 0
+    rows_per_band = max(1, band_points // (m + 1))
+    for r0 in range(0, m, rows_per_band):
+        r1 = min(r0 + rows_per_band, m)
+        corner = hits(corners, r0, r1 + 1)
+        edge = corner[:-1] | corner[1:]
+        cell = edge[:, :-1] | edge[:, 1:]
+        cell |= hits(centres, r0, r1)
+        card += int(np.count_nonzero(cell))
     return card
 
 
@@ -372,7 +525,10 @@ def build_cover_ladder(sys: System, obs: Observable, phibar: float, alpha: float
     its stencil points (corners + center) reaches alpha.  Levels run from
     n_lo to n_hi; in 1-d, levels after the first examine only children of
     cells passing the relaxed thresholds (see _prune_thresholds), in 2-d
-    every level is swept densely.  The budget caps the total number of
+    every level is swept densely, in closed form where the system declares
+    a matrix and the observable a character (see _cover_level_2d), else by
+    the float64 walk.  Either way cards are those of the float64 walk, at
+    any thread count.  The budget caps the total number of
     cells examined; a level that would exceed it raises GridBudgetError
     before any of its cells are evaluated.
 

@@ -44,7 +44,9 @@ class Observable:
     discontinuous observables; such observables are rejected by operations
     that need a modulus of continuity.  `transcendental` marks an `fn` whose
     float64 evaluation calls a transcendental function (scalar libm, where
-    numpy's float32 version is vectorised); see `screen_band`.
+    numpy's float32 version is vectorised); see `screen_band`.  `character`
+    is the integer frequency vector k of an observable cos(2 pi <k, x>)
+    (cos1: k = e_1), and None for the others.
     """
 
     oid: str
@@ -53,6 +55,7 @@ class Observable:
     sup_abs: float = 1.0
     params: tuple = ()
     transcendental: bool = False
+    character: tuple | None = None
 
 
 def _circle_dist0(x):
@@ -63,7 +66,8 @@ def get_observable(oid: str, sys: System, **params) -> Observable:
     """Build a catalog observable adapted to a system's domain."""
     if oid == "cos1":
         return Observable("cos1", lambda p: np.cos(_TWO_PI * p[:, 0]),
-                          lip=_TWO_PI, sup_abs=1.0, transcendental=True)
+                          lip=_TWO_PI, sup_abs=1.0, transcendental=True,
+                          character=(1,) + (0,) * (sys.d - 1))
     if oid == "coord":
         if sys.domain == "torus":
             # distance to 0 on the circle: the 1-Lipschitz sawtooth

@@ -36,7 +36,7 @@ from .flows import (FlowState, SuspensionFlow, constant_roof, cosine_roof,
                     flow_nontypical_inclusion_check,
                     integer_part_reduction_check, sample_flow_states)
 from .observables import get_observable, modulus_delta_for
-from .systems import get_system, srb_space_average
+from .systems import DYADIC_MAX_HORIZON, DYADIC_SYSTEMS, get_system, srb_space_average
 
 VERDICT_HOLDS = "bound-holds"
 VERDICT_VIOLATED = "bound-violated"
@@ -117,6 +117,8 @@ def validate_config(cfg: ExperimentConfig):
         fail("n_min", "must be >= 1")
     if cfg.n_max < cfg.n_min:
         fail("n_max", f"must be >= n_min={cfg.n_min}")
+    if cfg.system_id in DYADIC_SYSTEMS and cfg.n_max > DYADIC_MAX_HORIZON:
+        fail("n_max", f"{cfg.system_id} ladders are exact up to n={DYADIC_MAX_HORIZON}")
     if cfg.n_stride < 1:
         fail("n_stride", "must be >= 1")
     if cfg.sample_count < 1000:

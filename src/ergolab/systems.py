@@ -20,8 +20,9 @@ fixed-point arithmetic: every float64 is a dyadic rational, so float64
 orbits of these maps are exact binary shifts and collapse onto the fixed
 point 0 within ~53 steps — a uniform sample would be silently destroyed
 long before the horizons the deviation ladders need.  The fixed-point
-ensembles are exact for ~128 steps and project to float64 only when an
-observable is evaluated.
+ensembles are exact and project to float64 only when an observable is
+evaluated; for doubling and tent the projections stay faithful up to
+horizon DYADIC_MAX_HORIZON = 76, and deeper ladders are refused.
 """
 
 from __future__ import annotations
@@ -71,7 +72,9 @@ class System:
     """A catalog system: identity, domain, regularity data, and its step map.
 
     `lip` is the (best known global) Lipschitz constant of one step; the
-    expansion base used by dimension bounds is `L = max(lip, 2)`.
+    expansion base used by dimension bounds is `L = max(lip, 2)`.  `matrix`
+    is the integer matrix A of a linear torus map, whose step is
+    wrap_unit(A x) (rows of A, as nested tuples), and None for the others.
     """
 
     sid: str
@@ -82,6 +85,7 @@ class System:
     lip: float
     srb_kind: str                   # "lebesgue" | "empirical-orbit"
     params: tuple = ()
+    matrix: tuple | None = None
     _step: Callable = field(repr=False, compare=False, default=None)
     _log_inv_dnorm: Callable = field(repr=False, compare=False, default=None)
 
@@ -132,13 +136,13 @@ def get_system(sid: str, **params) -> System:
     """Build a catalog system by id.  `logistic` requires the parameter c."""
     if sid == "doubling":
         return System("doubling", 1, "torus", 0.0, 1.0, 2.0, "lebesgue",
-                      _step=_step_doubling, _log_inv_dnorm=_logdi_doubling)
+                      matrix=((2,),), _step=_step_doubling, _log_inv_dnorm=_logdi_doubling)
     if sid == "tent":
         return System("tent", 1, "interval", 0.0, 1.0, 2.0, "lebesgue",
                       _step=_step_tent, _log_inv_dnorm=_logdi_tent)
     if sid == "cat":
         return System("cat", 2, "torus", 0.0, 1.0, _CAT_EXPANSION, "lebesgue",
-                      _step=_step_cat, _log_inv_dnorm=_logdi_cat)
+                      matrix=((2, 1), (1, 1)), _step=_step_cat, _log_inv_dnorm=_logdi_cat)
     if sid == "logistic":
         if "c" not in params:
             raise ValueError("logistic requires parameter c")
@@ -299,14 +303,27 @@ def orbit_average(sys: System, fn, x, n: int):
     return float(avg[0]) if tag in ("scalar", "point") else avg
 
 
+# The systems whose ensembles are _DyadicOrbits1D, and the deepest horizon
+# those are faithful for (see its docstring).
+DYADIC_SYSTEMS = ("doubling", "tent")
+DYADIC_MAX_HORIZON = 76
+
+
 class _DyadicOrbits1D:
     """Exact 128-bit fixed-point orbits for doubling and tent.
 
     State per sample is (hi, lo) uint64 with value (hi*2^64 + lo) / 2^128.
     Doubling is a 128-bit left shift; tent is a conditional two's-complement
     negation (1 - x is exact mod 2^128) followed by the shift.  Exact binary
-    arithmetic keeps the ensemble uniform for ~128 steps, immune to the
-    float64 orbit collapse of these dyadic maps.
+    arithmetic keeps the ensemble immune to the float64 orbit collapse of
+    these dyadic maps, for a budget of DYADIC_MAX_HORIZON horizons: points()
+    reads the top 53 bits, and after j shifts those are bits j..j+52 of the
+    128 drawn (counting from the top; tent's negation maps them one to one),
+    all uniform while j + 52 <= 127, i.e. j <= 75.  A horizon n reads the
+    points after 0..n-1 shifts, so n <= 76.  Past that, zeros shifted in at
+    the bottom reach the projected points, and from 128 shifts on every point
+    is 0: a doubling cos1 ladder at alpha 0.3 read 0.939 at n = 200, where the
+    true measure is about 0.
     """
 
     def __init__(self, kind, hi, lo):
@@ -383,7 +400,7 @@ def sample_orbit_ensemble(sys: System, seed: int, start, count: int,
             for r in runs])
     else:
         blocks = raw_blocks(seed, stream, start, count)
-    if sys.sid in ("doubling", "tent"):
+    if sys.sid in DYADIC_SYSTEMS:
         return _DyadicOrbits1D(sys.sid, blocks[:, 0].copy(), blocks[:, 1].copy())
     if sys.sid == "cat":
         return _DyadicOrbitsCat(blocks[:, 0].copy(), blocks[:, 1].copy(),

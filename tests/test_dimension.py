@@ -11,9 +11,10 @@ import pytest
 import ergolab as E
 from ergolab import dimension
 from ergolab.deviation import DIGIT
-from ergolab.dimension import (_POINT_CHUNK, _children_1d, _cover_level_1d,
+from ergolab.dimension import (_POINT_CHUNK, _character_coefficients,
+                               _character_factors, _children_1d, _cover_level_1d,
                                _cover_level_2d, _dev_points, _dev_points_mt,
-                               _grid_cells, _grid_points)
+                               _grid_cells, _grid_points, closed_form_band)
 from ergolab.rng import STREAM_LEMMA_POINTS, raw_blocks
 from ergolab.systems import domain_points
 from ergolab.errors import GridBudgetError, RateNotEstablishedError
@@ -222,29 +223,76 @@ def test_cover_level_1d_screen_equals_float64(monkeypatch, sid, skw):
 
 
 def test_cover_level_2d_screen_equals_float64(monkeypatch):
+    # Cards from the closed form of cos1 on the cat map equal those of the
+    # float64 walk.  Thresholds set to the cell maxima of chosen cells put a
+    # stencil point exactly on alpha, where only the walk's recount decides;
+    # fn runs on the recounted points only.  n = 5 is the depth of cat.ini.
     sysc = E.get_system("cat")
     cos1 = E.get_observable("cos1", sysc)
-    phibar, n, m = 0.02, 3, 90
+    phibar, m = 0.02, 90
     s = 1.0 / m
-    idx = np.arange(m + 1, dtype=np.float64) * s % 1.0
-    corners = np.stack(np.broadcast_arrays(idx[:, None], idx[None, :]), axis=-1)
-    dev_c = _ref_dev(sysc, cos1, phibar, corners.reshape(-1, 2), n).reshape(m + 1, m + 1)
-    cidx = (np.arange(m, dtype=np.float64) + 0.5) * s % 1.0
-    centers = np.stack(np.broadcast_arrays(cidx[:, None], cidx[None, :]), axis=-1)
-    dev_m = _ref_dev(sysc, cos1, phibar, centers.reshape(-1, 2), n).reshape(m, m)
-    cellmax = np.maximum.reduce([dev_c[:-1, :-1], dev_c[1:, :-1],
-                                 dev_c[:-1, 1:], dev_c[1:, 1:], dev_m]).ravel()
-    ties = cellmax[np.argsort(cellmax)[[1000, 3000, 5000, 7000, 8000]]]
-    monkeypatch.setattr(dimension, "_POINT_CHUNK", 700)   # several chunks
-    recounted = False
-    for alpha in [0.4, *ties]:
-        for threads in (1, 2):
-            obs, dtypes = _recording(cos1)
-            card = _cover_level_2d(sysc, obs, phibar, alpha, s, m, n, threads)
-            assert card == np.count_nonzero(cellmax >= alpha)
-            assert np.dtype(np.float32) in dtypes
-            recounted |= np.dtype(np.float64) in dtypes
-    assert recounted
+    recounts = []
+    walk = dimension._dev_points
+
+    def recording_walk(sys, obs, phibar, pts, n, *rest):
+        recounts.append(pts.copy())
+        return walk(sys, obs, phibar, pts, n, *rest)
+
+    monkeypatch.setattr(dimension, "_dev_points", recording_walk)
+    monkeypatch.setattr(dimension, "_BAND_POINTS", 3000)  # several row bands
+    monkeypatch.setattr(dimension, "_POINT_CHUNK", 700)   # several chunks a band
+    for n in (3, 5):
+        idx = np.arange(m + 1, dtype=np.float64) * s % 1.0
+        corners = np.stack(np.broadcast_arrays(idx[:, None], idx[None, :]), axis=-1)
+        dev_c = _ref_dev(sysc, cos1, phibar, corners.reshape(-1, 2), n).reshape(m + 1, m + 1)
+        cidx = (np.arange(m, dtype=np.float64) + 0.5) * s % 1.0
+        centers = np.stack(np.broadcast_arrays(cidx[:, None], cidx[None, :]), axis=-1)
+        dev_m = _ref_dev(sysc, cos1, phibar, centers.reshape(-1, 2), n).reshape(m, m)
+        cellmax = np.maximum.reduce([dev_c[:-1, :-1], dev_c[1:, :-1],
+                                     dev_c[:-1, 1:], dev_c[1:, 1:], dev_m]).ravel()
+        ties = cellmax[np.argsort(cellmax)[[1000, 3000, 5000, 7000, 8000]]]
+        for alpha in [0.4, *ties]:
+            for threads in (1, 2):
+                evaluated = []
+
+                def fn(p, _fn=cos1.fn):
+                    evaluated.append(p.shape[0])
+                    return _fn(p)
+
+                obs = dataclasses.replace(cos1, fn=fn)
+                recounts.clear()
+                card = _cover_level_2d(sysc, obs, phibar, alpha, s, m, n, threads)
+                assert card == np.count_nonzero(cellmax >= alpha)
+                # fn walks the recounted points, n steps each, and nothing
+                # else; each recounted point lies within two bands of alpha
+                assert sorted(evaluated) == sorted([r.shape[0] for r in recounts] * n)
+                for pts in recounts:
+                    near = np.abs(_ref_dev(sysc, cos1, phibar, pts, n) - alpha)
+                    assert np.all(near <= 2.0 * closed_form_band(sysc, cos1, n))
+                if alpha != 0.4:
+                    assert recounts                # a tie is decided by the walk
+
+
+def test_closed_form_band_bounds_the_float_walk():
+    # on a sample of the level-5 grid of configs/cat.ini (alpha 0.4), the
+    # closed-form and walked deviations stay within 1/8 of closed_form_band
+    sysc = E.get_system("cat")
+    cos1 = E.get_observable("cos1", sysc)
+    delta = E.modulus_delta_for(sysc, cos1, 0.4)
+    s = delta * sysc.L ** -5 / 2.0
+    m = _grid_cells(sysc, s)
+    rng = np.random.default_rng(5)
+    rows = np.sort(rng.choice(m + 1, 300, replace=False)) * s % 1.0
+    cols = np.sort(rng.choice(m + 1, 300, replace=False)) * s % 1.0
+    pts = np.stack(np.broadcast_arrays(rows[:, None], cols[None, :]), axis=-1).reshape(-1, 2)
+    for n in (5, 12):
+        coef = _character_coefficients(sysc, cos1, n)
+        assert coef[:4].tolist() == [[1, 0], [2, 1], [5, 3], [13, 8]]
+        row_f, col_f = _character_factors(coef, rows, cols)
+        closed = np.abs(row_f @ col_f - 0.01).ravel()
+        walked = _dev_points(sysc, cos1, 0.01, pts, n)
+        gap = float(np.max(np.abs(closed - walked)))
+        assert 0.0 < gap <= closed_form_band(sysc, cos1, n) / 8.0
 
 
 # (system, params, observable, phibar, alpha, delta factor, n, pairs, seed)
@@ -319,29 +367,32 @@ def test_cover_refines_under_smaller_delta():
 
 
 def test_cover_2d_matches_brute_force():
+    # cos1 takes the closed form, coord and bump the float walk
     sysc = E.get_system("cat")
-    cos1 = E.get_observable("cos1", sysc)
-    alpha, delta, n = 0.4, 0.3, 1
-    lad = E.build_cover_ladder(sysc, cos1, 0.0, alpha, delta, n, n)
-    s = delta * sysc.L ** (-n) / 2.0
-    m = math.ceil(1.0 / s)
-    assert lad.examined_cells == m * m
-    # brute force: evaluate the full corner grid and the centers directly
-    idx = np.arange(m + 1, dtype=float) * s % 1.0
-    cx, cy = np.meshgrid(idx, idx, indexing="ij")
-    corners = np.stack([cx.ravel(), cy.ravel()], axis=1)
-    dev_c = np.abs(E.time_average(sysc, cos1, corners, n)).reshape(m + 1, m + 1)
-    cidx = (np.arange(m, dtype=float) + 0.5) * s % 1.0
-    mx, my = np.meshgrid(cidx, cidx, indexing="ij")
-    centers = np.stack([mx.ravel(), my.ravel()], axis=1)
-    dev_m = np.abs(E.time_average(sysc, cos1, centers, n)).reshape(m, m)
-    cellmax = np.maximum.reduce([dev_c[:-1, :-1], dev_c[1:, :-1],
-                                 dev_c[:-1, 1:], dev_c[1:, 1:], dev_m])
-    assert lad.entries[0].card == int(np.count_nonzero(cellmax >= alpha))
-    assert lad.entries[0].card > 0
-    # analytic full-space count in 2-d
-    full = E.build_cover_ladder(sysc, cos1, 0.0, 0.0, delta, n, n)
-    assert full.entries[0].card == m * m
+    alpha, delta = 0.4, 0.3
+    for oid, kw in [("cos1", {}), ("coord", {}), ("bump", {"a": 0.1, "w": 0.1})]:
+        obs = E.get_observable(oid, sysc, **kw)
+        for n in (1, 2):
+            lad = E.build_cover_ladder(sysc, obs, 0.0, alpha, delta, n, n, threads=2)
+            s = delta * sysc.L ** (-n) / 2.0
+            m = math.ceil(1.0 / s)
+            assert lad.examined_cells == m * m
+            # brute force: evaluate the full corner grid and the centers directly
+            idx = np.arange(m + 1, dtype=float) * s % 1.0
+            cx, cy = np.meshgrid(idx, idx, indexing="ij")
+            corners = np.stack([cx.ravel(), cy.ravel()], axis=1)
+            dev_c = np.abs(E.time_average(sysc, obs, corners, n)).reshape(m + 1, m + 1)
+            cidx = (np.arange(m, dtype=float) + 0.5) * s % 1.0
+            mx, my = np.meshgrid(cidx, cidx, indexing="ij")
+            centers = np.stack([mx.ravel(), my.ravel()], axis=1)
+            dev_m = np.abs(E.time_average(sysc, obs, centers, n)).reshape(m, m)
+            cellmax = np.maximum.reduce([dev_c[:-1, :-1], dev_c[1:, :-1],
+                                         dev_c[:-1, 1:], dev_c[1:, 1:], dev_m])
+            assert lad.entries[0].card == int(np.count_nonzero(cellmax >= alpha))
+            assert 0 < lad.entries[0].card < m * m
+            # analytic full-space count in 2-d
+            full = E.build_cover_ladder(sysc, obs, 0.0, 0.0, delta, n, n)
+            assert full.entries[0].card == m * m
 
 
 def test_cover_csv(tmp_path):

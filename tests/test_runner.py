@@ -72,6 +72,9 @@ def test_shipped_configs_parse():
     ("verdict_slack", dict(verdict_slack=float("nan"))),
     ("roof_param", dict(flow_enabled=True, roof_param=float("nan"))),
     ("flow_T", dict(flow_enabled=True, flow_T=float("inf"))),
+    # 128-bit dyadic ensembles are exact up to horizon 76
+    ("n_max", dict(n_max=77)),
+    ("n_max", dict(system_id="tent", n_max=200)),
 ])
 def test_validation_names_the_offending_field(field, over):
     with pytest.raises(ValidationError) as err:
@@ -231,6 +234,9 @@ def test_cli_usage_and_config_errors(tmp_path, capsys):
     bad.write_text("[deviation]\nalphas = 0.6, abc\n")
     assert main(["simulate", "--config", str(bad)]) == 2
     assert capsys.readouterr().err.startswith("ergolab: alphas: cannot parse")
+    bad.write_text("[deviation]\nn_max = 200\n")
+    assert main(["simulate", "--config", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("ergolab: n_max:")
 
 
 def test_cli_stage_failure_exits_1_with_partial_artifacts(tmp_path, capsys):

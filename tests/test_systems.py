@@ -154,6 +154,30 @@ def test_in_place_step_maps_equal_their_out_of_place_forms():
             assert zero_d.tobytes() == np.array(e).tobytes()     # argument unchanged
 
 
+def test_declared_matrices_and_characters_match_the_maps():
+    # the 2-d cover's closed form reads only sys.matrix and obs.character:
+    # each declared matrix A must step exactly as wrap_unit(x A^T), and
+    # each declared character k must evaluate as cos(2 pi x . k) to 1 ulp
+    rng = np.random.default_rng(21)
+    declared = {"doubling": ((2,),), "cat": ((2, 1), (1, 1))}
+    for sid, kw in [("doubling", {}), ("tent", {}), ("cat", {}), ("logistic", {"c": -1.7})]:
+        sysm = E.get_system(sid, **kw)
+        assert sysm.matrix == declared.get(sid)
+        pts = sysm.lo + (sysm.hi - sysm.lo) * rng.random((10_000, sysm.d))
+        if sysm.matrix is not None:
+            a = np.array(sysm.matrix, dtype=np.float64)
+            assert np.array_equal(sysm._step(pts), E.wrap_unit(pts @ a.T))
+        for oid, okw in [("cos1", {}), ("coord", {}), ("bump", {"a": 0.1, "w": 0.1})]:
+            obs = E.get_observable(oid, sysm, **okw)
+            if oid != "cos1":
+                assert obs.character is None
+                continue
+            assert obs.character == (1,) + (0,) * (sysm.d - 1)
+            got = obs.fn(pts)
+            want = np.cos(2.0 * math.pi * (pts @ np.array(obs.character, dtype=np.float64)))
+            assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
+
+
 def test_distance_torus_and_interval():
     sysd = E.get_system("doubling")
     assert E.distance(sysd, 0.1, 0.9) == pytest.approx(0.2)
