@@ -57,7 +57,7 @@ import numpy as np
 
 from .deviation import LN2, digit_deviation_count, write_csv
 from .errors import GridBudgetError, RateNotEstablishedError
-from .observables import Observable, screen_band
+from .observables import _TWO_PI, Observable, screen_band
 from .rng import STREAM_LEMMA_BALLS, STREAM_LEMMA_POINTS, raw_blocks, uniform01
 from .systems import System, _FloatOrbits, birkhoff_sums, domain_points, wrap_unit
 
@@ -337,7 +337,6 @@ def _grid_2d(rows, cols):
 
 
 _U = 2.0**-53  # unit roundoff of float64
-_TWO_PI = 2.0 * math.pi
 
 
 def _character_coefficients(sys, obs, n):

@@ -318,12 +318,13 @@ class _DyadicOrbits1D:
     arithmetic keeps the ensemble immune to the float64 orbit collapse of
     these dyadic maps, for a budget of DYADIC_MAX_HORIZON horizons: points()
     reads the top 53 bits, and after j shifts those are bits j..j+52 of the
-    128 drawn (counting from the top; tent's negation maps them one to one),
-    all uniform while j + 52 <= 127, i.e. j <= 75.  A horizon n reads the
-    points after 0..n-1 shifts, so n <= 76.  Past that, zeros shifted in at
-    the bottom reach the projected points, and from 128 shifts on every point
-    is 0: a doubling cos1 ladder at alpha 0.3 read 0.939 at n = 200, where the
-    true measure is about 0.
+    128 drawn (counting from the top; tent's exact negation is a bijection
+    of the states, so it keeps them uniform), all drawn while j + 52 <= 127,
+    i.e. j <= 75.  A horizon n reads the points after 0..n-1 shifts, so
+    n <= 76.  Past that, zeros shifted in at the bottom reach the projected
+    points, and from 128 shifts on every point is 0: a doubling cos1 ladder
+    at alpha 0.3 would read 0.939 at n = 200, where the true measure is
+    about 0.
     """
 
     def __init__(self, kind, hi, lo):

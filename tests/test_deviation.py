@@ -133,8 +133,8 @@ def test_ladder_single_pass_equals_per_horizon():
 
 
 def test_dyadic_ladders_stop_at_their_precision_budget():
-    # past DYADIC_MAX_HORIZON the projected points read zero bits: at n=200
-    # this doubling ladder used to read 0.939 where the true measure is about 0
+    # past DYADIC_MAX_HORIZON the projected points read zero bits: unchecked,
+    # this doubling ladder reads 0.939 at n=200, where the true measure is about 0
     for sid in DYADIC_SYSTEMS:
         sysm = E.get_system(sid)
         params = E.DeviationParams(E.get_observable("cos1", sysm), 0.0, 0.3)

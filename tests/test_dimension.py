@@ -239,8 +239,7 @@ def test_cover_level_2d_screen_equals_float64(monkeypatch):
         return walk(sys, obs, phibar, pts, n, *rest)
 
     monkeypatch.setattr(dimension, "_dev_points", recording_walk)
-    monkeypatch.setattr(dimension, "_BAND_POINTS", 3000)  # several row bands
-    monkeypatch.setattr(dimension, "_POINT_CHUNK", 700)   # several chunks a band
+    monkeypatch.setattr(dimension, "_POINT_CHUNK", 700)   # closed-form bands of 7 rows
     for n in (3, 5):
         idx = np.arange(m + 1, dtype=np.float64) * s % 1.0
         corners = np.stack(np.broadcast_arrays(idx[:, None], idx[None, :]), axis=-1)
@@ -366,8 +365,11 @@ def test_cover_refines_under_smaller_delta():
     assert fine.entries[0].card >= coarse.entries[0].card
 
 
-def test_cover_2d_matches_brute_force():
-    # cos1 takes the closed form, coord and bump the float walk
+def test_cover_2d_matches_brute_force(monkeypatch):
+    # cos1 takes the closed form, coord and bump the float walk; small bands
+    # and chunks put seams inside every level
+    monkeypatch.setattr(dimension, "_BAND_POINTS", 500)
+    monkeypatch.setattr(dimension, "_POINT_CHUNK", 200)
     sysc = E.get_system("cat")
     alpha, delta = 0.4, 0.3
     for oid, kw in [("cos1", {}), ("coord", {}), ("bump", {"a": 0.1, "w": 0.1})]:
