@@ -1,7 +1,7 @@
 """ergolab: deviation sets, large-deviation rate fits, and dimension bounds
 for a catalog of chaotic maps and suspension flows."""
 
-from .errors import (DomainError, ErgolabError, GridBudgetError,
+from .errors import (DomainError, ErgolabError, GridBudgetError, ParameterError,
                      RateNotEstablishedError, SingularDerivativeError,
                      StageError, ValidationError)
 from .systems import (SpaceAverage, System, distance, domain_diameter,

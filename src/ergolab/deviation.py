@@ -42,22 +42,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .observables import DeviationParams, Observable, screen_band
-from .systems import (DYADIC_MAX_HORIZON, DYADIC_SYSTEMS, System, birkhoff_sums,
-                      sample_orbit_ensemble)
+from .observables import (DIGIT, DIGIT_MEAN, DIGIT_SYSTEM, DeviationParams, Observable,
+                          screen_band)
+from .systems import System, birkhoff_sums, check_ensemble_horizon, sample_orbit_ensemble
 
 LN2 = math.log(2.0)
 
 METHOD_MC = "monte-carlo"
 METHOD_BINOMIAL = "exact-binomial"
-
-# The digit observable (leading binary digit / half-interval indicator) is
-# discontinuous, so it lives here — next to the exact oracle that justifies
-# it — rather than in the continuous catalog.  lip=None marks it as
-# ineligible for modulus-based machinery.
-DIGIT = Observable("digit", lambda p: (p[:, 0] >= 0.5).astype(np.float64),
-                   lip=None, sup_abs=1.0)
-DIGIT_MEAN = 0.5
 
 _CHUNK = 1 << 15
 _MIN_SAMPLES = 1_000
@@ -204,16 +196,15 @@ def build_deviation_ladders(sys: System, obs: Observable, phibar: float,
                             threads: int = 1) -> dict:
     """Ladders for several thresholds from one shared orbit pass.
 
-    Doubling and tent ensembles are exact up to DYADIC_MAX_HORIZON; a deeper
-    horizon raises ValueError rather than returning a wrong measure.
+    A horizon past the budget of the system's ensemble representation (76
+    for the 128-bit dyadic doubling and tent ensembles) raises ValueError
+    rather than returning a wrong measure.
     """
     if sample_count < _MIN_SAMPLES:
         raise ValueError(f"sample_count must be >= {_MIN_SAMPLES}")
     alphas = [float(a) for a in alphas]
     n_values = list(n_values)
-    if sys.sid in DYADIC_SYSTEMS and max(n_values, default=0) > DYADIC_MAX_HORIZON:
-        raise ValueError(f"horizon {max(n_values)} is past n={DYADIC_MAX_HORIZON}, "
-                         f"the deepest a 128-bit {sys.sid} ensemble is exact for")
+    check_ensemble_horizon(sys, max(n_values, default=0))
     live = [a for a in alphas if 0.0 < a <= 2.0 * obs.sup_abs]
     hits = None
     if live and n_values:
@@ -268,7 +259,7 @@ def exact_digit_ladder(alpha: float, n_values) -> DeviationLadder:
         LadderEntry(int(n), exact_deviation_measure_digit(alpha, int(n)), 0.0, 0, METHOD_BINOMIAL)
         for n in n_values
     )
-    return DeviationLadder("doubling", DIGIT.oid, DIGIT_MEAN, float(alpha), entries)
+    return DeviationLadder(DIGIT_SYSTEM, DIGIT.oid, DIGIT_MEAN, float(alpha), entries)
 
 
 def cramer_bernoulli(alpha: float, with_flag: bool = False):

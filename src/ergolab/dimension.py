@@ -59,11 +59,8 @@ from .deviation import LN2, digit_deviation_count, write_csv
 from .errors import GridBudgetError, RateNotEstablishedError
 from .observables import _TWO_PI, Observable, screen_band
 from .rng import STREAM_LEMMA_BALLS, STREAM_LEMMA_POINTS, raw_blocks, uniform01
-from .systems import System, _FloatOrbits, birkhoff_sums, domain_points, wrap_unit
-
-# beyond this many doublings of scale, float64 probe points have no
-# significant bits left for the orbit to act on
-_MAX_DEPTH_BITS = 45.0
+from .systems import (System, _FloatOrbits, birkhoff_sums, check_float64_horizon,
+                      domain_points, wrap_unit)
 
 _POINT_CHUNK = 1 << 16
 _BAND_POINTS = 1 << 22  # points per row band of a walked 2-d level
@@ -166,11 +163,14 @@ def verify_ball_lemma(sys: System, obs: Observable, phibar: float, alpha: float,
     failed — the deviation set was simply too thin to hit.  Candidates are
     screened in float32 where the observable has a screen (see the module
     docstring); y's deviations, reported through worst_margin, are float64.
+    A horizon past the float64 orbit budget (systems.check_float64_horizon)
+    raises ValueError: past it, doubling orbits have collapsed onto 0.
     """
     if n < 1:
         raise ValueError("need horizon n >= 1")
     if pair_count < 1:
         raise ValueError("need pair_count >= 1")
+    check_float64_horizon(sys, n)
     radius = delta * sys.L ** (-n)
     if alpha > 2.0 * obs.sup_abs:
         # deviations cannot reach alpha: nothing to sample
@@ -345,7 +345,7 @@ def _character_coefficients(sys, obs, n):
     For a linear torus map (sys.matrix = A) and a character observable
     (obs.character = k), <k, A^j x> = <c_j, x>, so the j-th orbit term is
     cos(2 pi <c_j, x>) exactly, whatever integers the wraps mod 1 removed.
-    Covers stop at n log2 L <= _MAX_DEPTH_BITS, so |c_j| < 2^47 stays exact
+    Covers stop at n log2 L <= systems.FLOAT64_BITS, so |c_j| < 2^47 stays exact
     in int64 and in float64.
     """
     a_t = np.array(sys.matrix, dtype=np.int64).T
@@ -529,7 +529,8 @@ def build_cover_ladder(sys: System, obs: Observable, phibar: float, alpha: float
     the float64 walk.  Either way cards are those of the float64 walk, at
     any thread count.  The budget caps the total number of
     cells examined; a level that would exceed it raises GridBudgetError
-    before any of its cells are evaluated.
+    before any of its cells are evaluated.  A level past the float64 orbit
+    budget (systems.check_float64_horizon) raises ValueError, whatever alpha.
 
     alpha <= 0 short-circuits analytically: every cell meets the set, cards
     are full grid sizes, and nothing is evaluated or charged against the
@@ -537,6 +538,7 @@ def build_cover_ladder(sys: System, obs: Observable, phibar: float, alpha: float
     """
     if n_hi < n_lo:
         raise ValueError("need n_hi >= n_lo")
+    check_float64_horizon(sys, n_hi)
     L = sys.L
     dprimes = tuple(float(dp) for dp in dprimes)
 
@@ -544,13 +546,10 @@ def build_cover_ladder(sys: System, obs: Observable, phibar: float, alpha: float
         r = delta * L ** (-n)
         return CoverEntry(n, r, card, tuple((dp, card * r**dp) for dp in dprimes))
 
-    if alpha <= 0.0:
-        entries = [entry(n, _grid_cells(sys, delta * L ** (-n) / 2.0) ** sys.d)
+    if alpha <= 0.0 or alpha > 2.0 * obs.sup_abs:
+        full = alpha <= 0.0
+        entries = [entry(n, _grid_cells(sys, delta * L ** (-n) / 2.0) ** sys.d if full else 0)
                    for n in range(n_lo, n_hi + 1)]
-        return CoverLadder(sys.sid, obs.oid, phibar, alpha, delta, L, dprimes,
-                           tuple(entries), 0)
-    if alpha > 2.0 * obs.sup_abs:
-        entries = [entry(n, 0) for n in range(n_lo, n_hi + 1)]
         return CoverLadder(sys.sid, obs.oid, phibar, alpha, delta, L, dprimes,
                            tuple(entries), 0)
 
@@ -558,8 +557,6 @@ def build_cover_ladder(sys: System, obs: Observable, phibar: float, alpha: float
         raise ValueError(f"observable {obs.oid!r} has no Lipschitz bound; covers need one")
     if n_lo < 1:
         raise ValueError("cover levels need n >= 1 when alpha > 0")
-    if n_hi * math.log2(L) > _MAX_DEPTH_BITS:
-        raise ValueError(f"cover level {n_hi} exceeds float64 orbit resolution for L={L}")
     if sys.d > 2:
         raise ValueError("covers support d <= 2")
     if delta <= 0.0:
@@ -573,22 +570,16 @@ def build_cover_ladder(sys: System, obs: Observable, phibar: float, alpha: float
     for n in range(n_lo, n_hi + 1):
         s = delta * L ** (-n) / 2.0
         m = _grid_cells(sys, s)
-        if sys.d == 2:
-            cells = m * m
-            if examined + cells > budget:
-                raise GridBudgetError(
-                    f"level n={n} needs {cells} cells; {budget - examined} left of budget {budget}")
-            examined += cells
-            card = _cover_level_2d(sys, obs, phibar, alpha, s, m, n, threads)
-            entries.append(entry(n, card))
-            continue
-        if cand is None:
+        if sys.d == 1 and cand is None:
             cand = np.arange(m, dtype=np.int64)
-        cells = len(cand)
+        cells = m * m if sys.d == 2 else len(cand)
         if examined + cells > budget:
             raise GridBudgetError(
                 f"level n={n} needs {cells} cells; {budget - examined} left of budget {budget}")
         examined += cells
+        if sys.d == 2:
+            entries.append(entry(n, _cover_level_2d(sys, obs, phibar, alpha, s, m, n, threads)))
+            continue
         card, relaxed = _cover_level_1d(sys, obs, phibar, alpha, taus[n], s, m, n,
                                         cand, threads)
         entries.append(entry(n, card))

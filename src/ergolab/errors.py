@@ -19,6 +19,15 @@ class RateNotEstablishedError(ErgolabError):
     exponential-decay hypothesis is not established, so no bound follows."""
 
 
+class ParameterError(ErgolabError, ValueError):
+    """A catalog id is unknown, or one of its parameters is missing or breaks
+    its rule.  `param` names the parameter, and is None for the id itself."""
+
+    def __init__(self, msg, param=None):
+        super().__init__(msg)
+        self.param = param
+
+
 class GridBudgetError(ErgolabError):
     """A cover sweep would exceed its cell-evaluation budget."""
 

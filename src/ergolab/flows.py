@@ -63,6 +63,10 @@ def cosine_roof(a: float) -> Roof:
                 1.0 - abs(a), 1.0 + abs(a), (("a", float(a)),))
 
 
+# roof kinds by id, each built from its one parameter (ValueError out of range)
+ROOFS = {"constant": constant_roof, "cosine": cosine_roof}
+
+
 @dataclass(frozen=True)
 class SuspensionFlow:
     base: System

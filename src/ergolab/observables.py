@@ -7,9 +7,12 @@ system's metric) and a sup-norm bound.  The catalog:
     cos1          cos(2*pi*x1)                       Lip 2*pi, sup 1
     coord         x1 on intervals; circle distance   Lip 1
                   to 0 on the torus (sup 1/2)
-    bump(a, w)    plateau of width w around the      Lip 1/a,  sup 1
-                  domain midpoint, linear ramps of
-                  length a down to 0
+    bump(a, w)    plateau of width w >= 0 around     Lip 1/a,  sup 1
+                  the domain midpoint, linear ramps
+                  of length a > 0 down to 0
+
+OBSERVABLES is the one place an observable id is decided on: each entry
+declares its constructor and its parameter rules.
 
 Time averages are arithmetic means of the observable along the first n
 orbit points (j = 0..n-1).  `deviation` measures |time average - phibar|,
@@ -31,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .systems import System, domain_diameter, orbit_average
+from .systems import Param, System, catalog_entry, domain_diameter, orbit_average
 
 _TWO_PI = 2.0 * math.pi
 
@@ -58,46 +61,63 @@ class Observable:
     character: tuple | None = None
 
 
-def _circle_dist0(x):
-    return np.minimum(x, 1.0 - x)
+def _cos1(oid, sys):
+    return Observable(oid, lambda p: np.cos(_TWO_PI * p[:, 0]),
+                      lip=_TWO_PI, sup_abs=1.0, transcendental=True,
+                      character=(1,) + (0,) * (sys.d - 1))
+
+
+def _coord(oid, sys):
+    if sys.domain == "torus":
+        # distance to 0 on the circle: the 1-Lipschitz sawtooth
+        return Observable(oid, lambda p: np.minimum(p[:, 0], 1.0 - p[:, 0]), lip=1.0, sup_abs=0.5)
+    return Observable(oid, lambda p: p[:, 0], lip=1.0, sup_abs=max(abs(sys.lo), abs(sys.hi)))
+
+
+def _bump(oid, sys, a, w):
+    center = (sys.lo + sys.hi) / 2.0
+    torus = sys.domain == "torus"
+
+    def fn(p):
+        d = np.abs(p[:, 0] - center)
+        if torus:
+            d = np.minimum(d, 1.0 - d)
+        return np.clip(1.0 - (d - w / 2.0) / a, 0.0, 1.0)
+
+    return Observable(oid, fn, lip=1.0 / a, sup_abs=1.0, params=(("a", a), ("w", w)))
+
+
+@dataclass(frozen=True)
+class ObservableEntry:
+    """A catalog observable: `build(oid, sys, **params)` constructs it for a
+    system's domain, and `params` are its parameter rules."""
+
+    build: Callable
+    params: tuple = ()
+
+
+OBSERVABLES = {
+    "cos1": ObservableEntry(_cos1),
+    "coord": ObservableEntry(_coord),
+    "bump": ObservableEntry(_bump, (Param("a", 0.0, math.inf, "()"),
+                                    Param("w", 0.0, math.inf, "[)"))),
+}
 
 
 def get_observable(oid: str, sys: System, **params) -> Observable:
-    """Build a catalog observable adapted to a system's domain."""
-    if oid == "cos1":
-        return Observable("cos1", lambda p: np.cos(_TWO_PI * p[:, 0]),
-                          lip=_TWO_PI, sup_abs=1.0, transcendental=True,
-                          character=(1,) + (0,) * (sys.d - 1))
-    if oid == "coord":
-        if sys.domain == "torus":
-            # distance to 0 on the circle: the 1-Lipschitz sawtooth
-            return Observable("coord", lambda p: _circle_dist0(p[:, 0]),
-                              lip=1.0, sup_abs=0.5)
-        sup = max(abs(sys.lo), abs(sys.hi))
-        return Observable("coord", lambda p: p[:, 0], lip=1.0, sup_abs=sup)
-    if oid == "bump":
-        a = float(params.get("a", 0.0))
-        w = float(params.get("w", 0.0))
-        if a <= 0.0:
-            raise ValueError("bump needs ramp width a > 0")
-        if w < 0.0:
-            raise ValueError("bump needs plateau width w >= 0")
-        if sys.domain == "torus":
-            center = 0.5
+    """Build a catalog observable adapted to a system's domain (see OBSERVABLES)."""
+    entry, kw = catalog_entry(OBSERVABLES, "observable", oid, params)
+    return entry.build(oid, sys, **kw)
 
-            def fn(p, _a=a, _w=w, _c=center):
-                d = np.abs(p[:, 0] - _c)
-                d = np.minimum(d, 1.0 - d)
-                return np.clip(1.0 - (d - _w / 2.0) / _a, 0.0, 1.0)
-        else:
-            center = (sys.lo + sys.hi) / 2.0
 
-            def fn(p, _a=a, _w=w, _c=center):
-                d = np.abs(p[:, 0] - _c)
-                return np.clip(1.0 - (d - _w / 2.0) / _a, 0.0, 1.0)
-        return Observable("bump", fn, lip=1.0 / a, sup_abs=1.0,
-                          params=(("a", a), ("w", w)))
-    raise ValueError(f"unknown observable id {oid!r}")
+# The digit observable, the leading binary digit (half-interval indicator).
+# Its frequencies along doubling orbits are Bernoulli(1/2), so its deviation
+# measure has the exact binomial oracle of `deviation`.  It is discontinuous
+# (lip None), so it is no catalog entry: moduli and covers refuse it.
+DIGIT = Observable("digit", lambda p: (p[:, 0] >= 0.5).astype(np.float64),
+                   lip=None, sup_abs=1.0)
+DIGIT_MEAN = 0.5
+DIGIT_SYSTEM = "doubling"
 
 
 _F32_UNIT = 2.0**-24  # unit roundoff of float32

@@ -30,13 +30,13 @@ from .deviation import (build_deviation_ladders, fit_rate_function, ladder_rows,
 from .dimension import (build_cover_ladder, cover_section, cover_table,
                         dimension_upper_bound, dprime_volume_series,
                         try_box_dimension, verify_ball_lemma)
-from .errors import RateNotEstablishedError, StageError, ValidationError
-from .flows import (FlowState, SuspensionFlow, constant_roof, cosine_roof,
-                    estimate_time1_lipschitz, fiber_constant,
+from .errors import ParameterError, RateNotEstablishedError, StageError, ValidationError
+from .flows import (ROOFS, FlowState, SuspensionFlow, estimate_time1_lipschitz, fiber_constant,
                     flow_nontypical_inclusion_check,
                     integer_part_reduction_check, sample_flow_states)
-from .observables import get_observable, modulus_delta_for
-from .systems import DYADIC_MAX_HORIZON, DYADIC_SYSTEMS, get_system, srb_space_average
+from .observables import OBSERVABLES, get_observable, modulus_delta_for
+from .systems import (SYSTEMS, check_ensemble_horizon, check_float64_horizon, get_system,
+                      srb_space_average)
 
 VERDICT_HOLDS = "bound-holds"
 VERDICT_VIOLATED = "bound-violated"
@@ -48,11 +48,15 @@ STAGES = ("resolve", "space_average", "ladders", "fits", "cover", "dimension",
 
 @dataclass
 class ExperimentConfig:
-    """Flat experiment description; see configs/ for the INI shape."""
+    """Flat experiment description; see configs/ for the INI shape.
 
-    system_id: str = "doubling"
-    system_c: float | None = None            # logistic parameter
-    observable_id: str = "cos1"
+    A catalog parameter p is read from the field system_p of a system and
+    bump_p of an observable; the ids default to the first catalog entries.
+    """
+
+    system_id: str = next(iter(SYSTEMS))
+    system_c: float | None = None
+    observable_id: str = next(iter(OBSERVABLES))
     bump_a: float | None = None
     bump_w: float | None = None
 
@@ -92,69 +96,45 @@ def validate_config(cfg: ExperimentConfig):
     def fail(name, msg):
         raise ValidationError(f"{name}: {msg}")
 
+    def at_least(*bounds):
+        for name, least in bounds:
+            if getattr(cfg, name) < least:
+                fail(name, f"must be >= {least:g}")
+
+    def within(name, check, *args):
+        try:
+            check(*args)
+        except ValueError as e:
+            fail(name, e)
+
     for f in fields(ExperimentConfig):
         v = getattr(cfg, f.name)
         for x in (v if isinstance(v, (tuple, list)) else (v,)):
             if isinstance(x, float) and not math.isfinite(x):
                 fail(f.name, f"{x} is not finite")
-    if cfg.system_id not in ("doubling", "tent", "cat", "logistic"):
-        fail("system_id", f"unknown system {cfg.system_id!r}")
-    if cfg.system_id == "logistic":
-        if cfg.system_c is None:
-            fail("system_c", "logistic requires the parameter c")
-        if not (-2.0 <= cfg.system_c < 0.25):
-            fail("system_c", f"c={cfg.system_c} outside [-2, 0.25)")
-    if cfg.observable_id not in ("cos1", "coord", "bump"):
-        fail("observable_id", f"unknown observable {cfg.observable_id!r}")
-    if cfg.observable_id == "bump":
-        if cfg.bump_a is None or cfg.bump_a <= 0.0:
-            fail("bump_a", "bump needs ramp width a > 0")
-        if cfg.bump_w is None or cfg.bump_w < 0.0:
-            fail("bump_w", "bump needs plateau width w >= 0")
+    sys, _ = _resolve(cfg)
     if not cfg.alphas:
         fail("alphas", "need at least one threshold")
-    if cfg.n_min < 1:
-        fail("n_min", "must be >= 1")
+    at_least(("n_min", 1))
     if cfg.n_max < cfg.n_min:
         fail("n_max", f"must be >= n_min={cfg.n_min}")
-    if cfg.system_id in DYADIC_SYSTEMS and cfg.n_max > DYADIC_MAX_HORIZON:
-        fail("n_max", f"{cfg.system_id} ladders are exact up to n={DYADIC_MAX_HORIZON}")
-    if cfg.n_stride < 1:
-        fail("n_stride", "must be >= 1")
-    if cfg.sample_count < 1000:
-        fail("sample_count", "must be >= 1000")
-    if cfg.seed < 0:
-        fail("seed", "must be >= 0")
-    if cfg.space_samples < 2:
-        fail("space_samples", "must be >= 2")
-    if cfg.orbit_length < 100:
-        fail("orbit_length", "must be >= 100")
-    if cfg.transient < 0:
-        fail("transient", "must be >= 0")
+    within("n_max", check_ensemble_horizon, sys, cfg.n_max)
+    at_least(("n_stride", 1), ("sample_count", 1000), ("seed", 0), ("space_samples", 2),
+             ("orbit_length", 100), ("transient", 0))
     if cfg.cover_n_max >= cfg.cover_n_min and cfg.cover_n_min >= 1:
-        if cfg.grid_budget < 1:
-            fail("grid_budget", "must be >= 1")
-    if cfg.verdict_slack < 0.0:
-        fail("verdict_slack", "must be >= 0")
-    if cfg.delta_override < 0.0:
-        fail("delta_override", "must be >= 0 (0 means: use the modulus)")
-    if cfg.lemma_pairs < 0:
-        fail("lemma_pairs", "must be >= 0")
-    if cfg.lemma_pairs > 0 and cfg.lemma_n < 1:
-        fail("lemma_n", "must be >= 1")
+        at_least(("grid_budget", 1))
+        within("cover_n_max", check_float64_horizon, sys, cfg.cover_n_max)
+    at_least(("verdict_slack", 0.0), ("delta_override", 0.0), ("lemma_pairs", 0))
+    if cfg.lemma_pairs > 0:
+        at_least(("lemma_n", 1))
+        within("lemma_n", check_float64_horizon, sys, cfg.lemma_n)
     if cfg.flow_enabled:
-        if cfg.roof_kind not in ("constant", "cosine"):
+        if cfg.roof_kind not in ROOFS:
             fail("roof_kind", f"unknown roof {cfg.roof_kind!r}")
-        if cfg.roof_kind == "constant" and cfg.roof_param <= 0.0:
-            fail("roof_param", "constant roof must be positive")
-        if cfg.roof_kind == "cosine" and not abs(cfg.roof_param) < 1.0:
-            fail("roof_param", "cosine roof needs |a| < 1")
+        within("roof_param", ROOFS[cfg.roof_kind], cfg.roof_param)
         if cfg.flow_T <= 0.0:
             fail("flow_T", "must be > 0")
-        if cfg.flow_samples < 1:
-            fail("flow_samples", "must be >= 1")
-        if cfg.quadrature_step < 0.0:
-            fail("quadrature_step", "must be >= 0 (0 means: rho_min / 8)")
+        at_least(("flow_samples", 1), ("quadrature_step", 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +185,7 @@ def _parse_value(name, raw):
     default = getattr(ExperimentConfig(), name)
     if name in ("alphas", "dprime_offsets"):
         kind, convert = "a comma-separated list of numbers", _float_list
-    elif name in ("system_c", "bump_a", "bump_w"):
+    elif default is None:
         kind, convert = "a number or none", _optional_float
     elif name == "flow_enabled":
         kind, convert = "a boolean", _boolean
@@ -285,15 +265,22 @@ def report_json(report: Report, include_timings: bool = True) -> str:
 
 
 def _resolve(cfg: ExperimentConfig):
-    if cfg.system_id == "logistic":
-        sys = get_system("logistic", c=cfg.system_c)
-    else:
-        sys = get_system(cfg.system_id)
-    if cfg.observable_id == "bump":
-        obs = get_observable("bump", sys, a=cfg.bump_a, w=cfg.bump_w)
-    else:
-        obs = get_observable(cfg.observable_id, sys)
-    return sys, obs
+    """The configured system and observable, built from the catalog.
+
+    A ParameterError becomes a ValidationError naming the id field, or the
+    field of the offending parameter.
+    """
+    def build(get, id_field, prefix, *args):
+        params = {f.name[len(prefix):]: getattr(cfg, f.name) for f in fields(cfg)
+                  if f.name.startswith(prefix) and f.name != id_field}
+        try:
+            return get(getattr(cfg, id_field), *args, **params)
+        except ParameterError as e:
+            field = id_field if e.param is None else prefix + e.param
+            raise ValidationError(f"{field}: {e}") from None
+
+    sys = build(get_system, "system_id", "system_")
+    return sys, build(get_observable, "observable_id", "bump_", sys)
 
 
 def _n_values(cfg: ExperimentConfig):
@@ -331,11 +318,8 @@ def run_pipeline(cfg: ExperimentConfig, threads: int = 1, stages=None) -> Report
         sys, obs = _resolve(cfg)
         ctx["sys"], ctx["obs"] = sys, obs
         ctx["delta"] = cfg.delta_override or modulus_delta_for(sys, obs, max(alpha, 1e-12))
-        cfg_dict = {}
-        for f in fields(ExperimentConfig):
-            v = getattr(cfg, f.name)
-            cfg_dict[f.name] = list(v) if isinstance(v, tuple) else v
-        report.data["config"] = cfg_dict
+        report.data["config"] = {k: list(v) if isinstance(v, tuple) else v
+                                 for k, v in asdict(cfg).items()}
         report.data["system"] = {"id": sys.sid, "d": sys.d, "domain": sys.domain,
                                  "lip": sys.lip, "L": sys.L,
                                  "params": dict(sys.params)}
@@ -370,11 +354,10 @@ def run_pipeline(cfg: ExperimentConfig, threads: int = 1, stages=None) -> Report
         for a, lad in ctx["ladders"].items():
             try:
                 fits[a] = fit_rate_function(lad)
+                report.data["ladders"][repr(a)]["fit"] = asdict(fits[a])
             except ValueError as e:
                 fits[a] = None
                 report.data["ladders"][repr(a)]["fit"] = {"error": str(e)}
-            if fits[a] is not None:
-                report.data["ladders"][repr(a)]["fit"] = asdict(fits[a])
         # d0 from the fitted rate at alpha/2; needed before the cover stage
         # so the d'-volume columns can be pinned to d0 + offsets
         fit_half = fits.get(alpha / 2.0)
@@ -460,8 +443,7 @@ def run_pipeline(cfg: ExperimentConfig, threads: int = 1, stages=None) -> Report
         if not cfg.flow_enabled:
             report.data["flow"] = None
             return
-        roof = constant_roof(cfg.roof_param) if cfg.roof_kind == "constant" \
-            else cosine_roof(cfg.roof_param)
+        roof = ROOFS[cfg.roof_kind](cfg.roof_param)
         flow = SuspensionFlow(sys, roof)
         fobs = fiber_constant(obs)
         qstep = cfg.quadrature_step or None

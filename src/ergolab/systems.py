@@ -21,8 +21,14 @@ orbits of these maps are exact binary shifts and collapse onto the fixed
 point 0 within ~53 steps — a uniform sample would be silently destroyed
 long before the horizons the deviation ladders need.  The fixed-point
 ensembles are exact and project to float64 only when an observable is
-evaluated; for doubling and tent the projections stay faithful up to
-horizon DYADIC_MAX_HORIZON = 76, and deeper ladders are refused.
+evaluated.
+
+The catalog, SYSTEMS, is the one place a system id is decided on: each
+entry declares the system's constructor, its parameter rules, and the
+orbit representation of its sampled ensembles, which carries its horizon
+budget (76 for the dyadic doubling and tent ensembles; deeper ladders are
+refused).  Float64 orbits have one budget for every system, n log2 L <= 45
+(FLOAT64_BITS), which covers and the ball lemma enforce.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, SingularDerivativeError
+from .errors import DomainError, ParameterError, SingularDerivativeError
 from .rng import STREAM_ORBIT_SEED, STREAM_ORBITS, STREAM_SPACE_AVG, raw_blocks, uniform01
 
 _U1 = np.uint64(1)
@@ -132,40 +138,37 @@ def _logdi_cat(pts):
     return np.full(pts.shape[0], math.log(_CAT_EXPANSION))
 
 
-def get_system(sid: str, **params) -> System:
-    """Build a catalog system by id.  `logistic` requires the parameter c."""
-    if sid == "doubling":
-        return System("doubling", 1, "torus", 0.0, 1.0, 2.0, "lebesgue",
-                      matrix=((2,),), _step=_step_doubling, _log_inv_dnorm=_logdi_doubling)
-    if sid == "tent":
-        return System("tent", 1, "interval", 0.0, 1.0, 2.0, "lebesgue",
-                      _step=_step_tent, _log_inv_dnorm=_logdi_tent)
-    if sid == "cat":
-        return System("cat", 2, "torus", 0.0, 1.0, _CAT_EXPANSION, "lebesgue",
-                      matrix=((2, 1), (1, 1)), _step=_step_cat, _log_inv_dnorm=_logdi_cat)
-    if sid == "logistic":
-        if "c" not in params:
-            raise ValueError("logistic requires parameter c")
-        c = float(params["c"])
-        if not (-2.0 <= c < 0.25):
-            raise ValueError(f"logistic parameter c={c} outside [-2, 0.25)")
-        beta = (1.0 + math.sqrt(1.0 - 4.0 * c)) / 2.0
+def _doubling(sid):
+    return System(sid, 1, "torus", 0.0, 1.0, 2.0, "lebesgue",
+                  matrix=((2,),), _step=_step_doubling, _log_inv_dnorm=_logdi_doubling)
 
-        def step(pts, _c=c, _b=beta):
-            out = pts * pts + _c
-            # one step can exit [-b, b] only by float rounding; clamp the dust
-            return np.clip(out, -_b, _b)
 
-        def logdi(pts):
-            ax = np.abs(pts[:, 0])
-            if np.any(ax == 0.0):
-                raise SingularDerivativeError("logistic derivative vanishes at the critical point x = 0")
-            return -np.log(2.0 * ax)
+def _tent(sid):
+    return System(sid, 1, "interval", 0.0, 1.0, 2.0, "lebesgue",
+                  _step=_step_tent, _log_inv_dnorm=_logdi_tent)
 
-        return System("logistic", 1, "interval", -beta, beta, 2.0 * beta,
-                      "empirical-orbit", params=(("c", c),),
-                      _step=step, _log_inv_dnorm=logdi)
-    raise ValueError(f"unknown system id {sid!r}")
+
+def _cat(sid):
+    return System(sid, 2, "torus", 0.0, 1.0, _CAT_EXPANSION, "lebesgue",
+                  matrix=((2, 1), (1, 1)), _step=_step_cat, _log_inv_dnorm=_logdi_cat)
+
+
+def _logistic(sid, c):
+    beta = (1.0 + math.sqrt(1.0 - 4.0 * c)) / 2.0
+
+    def step(pts, _c=c, _b=beta):
+        # one step can exit [-b, b] only by float rounding; clamp the dust
+        return np.clip(pts * pts + _c, -_b, _b)
+
+    def logdi(pts):
+        ax = np.abs(pts[:, 0])
+        if np.any(ax == 0.0):
+            raise SingularDerivativeError("logistic derivative vanishes at the critical point x = 0")
+        return -np.log(2.0 * ax)
+
+    return System(sid, 1, "interval", -beta, beta, 2.0 * beta,
+                  "empirical-orbit", params=(("c", c),),
+                  _step=step, _log_inv_dnorm=logdi)
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +258,8 @@ def nonuniform_expansion_exponent(sys: System, x, n: int):
 # sampled orbit ensembles
 
 class _FloatOrbits:
-    """Float64 orbits of an (N, d) batch: the logistic ensemble, and every
-    float batch whose Birkhoff sums are taken."""
+    """Float64 orbits of an (N, d) batch: every float batch whose Birkhoff
+    sums are taken, the logistic ensemble (_FloatEnsemble) included."""
 
     def __init__(self, sys, pts):
         self.sys = sys
@@ -303,48 +306,58 @@ def orbit_average(sys: System, fn, x, n: int):
     return float(avg[0]) if tag in ("scalar", "point") else avg
 
 
-# The systems whose ensembles are _DyadicOrbits1D, and the deepest horizon
-# those are faithful for (see its docstring).
-DYADIC_SYSTEMS = ("doubling", "tent")
-DYADIC_MAX_HORIZON = 76
+class _FloatEnsemble(_FloatOrbits):
+    """Float64 orbits of uniform points drawn from counter blocks: the
+    logistic ensemble.  No horizon budget is derived for it."""
+
+    horizon = None
+
+    def __init__(self, sys, blocks):
+        super().__init__(sys, domain_points(sys, blocks))
 
 
-class _DyadicOrbits1D:
-    """Exact 128-bit fixed-point orbits for doubling and tent.
+class _DyadicDoubling:
+    """Exact 128-bit fixed-point orbits of the doubling map.
 
-    State per sample is (hi, lo) uint64 with value (hi*2^64 + lo) / 2^128.
-    Doubling is a 128-bit left shift; tent is a conditional two's-complement
-    negation (1 - x is exact mod 2^128) followed by the shift.  Exact binary
-    arithmetic keeps the ensemble immune to the float64 orbit collapse of
-    these dyadic maps, for a budget of DYADIC_MAX_HORIZON horizons: points()
-    reads the top 53 bits, and after j shifts those are bits j..j+52 of the
-    128 drawn (counting from the top; tent's exact negation is a bijection
-    of the states, so it keeps them uniform), all drawn while j + 52 <= 127,
-    i.e. j <= 75.  A horizon n reads the points after 0..n-1 shifts, so
-    n <= 76.  Past that, zeros shifted in at the bottom reach the projected
-    points, and from 128 shifts on every point is 0: a doubling cos1 ladder
-    at alpha 0.3 would read 0.939 at n = 200, where the true measure is
-    about 0.
+    State per sample is (hi, lo) uint64 with value (hi*2^64 + lo) / 2^128,
+    and a step is a 128-bit left shift.  Exact binary arithmetic keeps the
+    ensemble immune to the float64 orbit collapse of dyadic maps, for a
+    budget of `horizon` = 76: points() reads the top 53 bits, and after j
+    shifts those are bits j..j+52 of the 128 drawn (counting from the top),
+    all drawn while j + 52 <= 127, i.e. j <= 75.  A horizon n reads the
+    points after 0..n-1 shifts, so n <= 76.  Past that, zeros shifted in at
+    the bottom reach the projected points, and from 128 shifts on every
+    point is 0: a doubling cos1 ladder at alpha 0.3 would read 0.939 at
+    n = 200, where the true measure is about 0.
     """
 
-    def __init__(self, kind, hi, lo):
-        self.kind = kind
-        self.hi = hi
-        self.lo = lo
+    horizon = 76
+
+    def __init__(self, sys, blocks):
+        self.hi = blocks[:, 0].copy()
+        self.lo = blocks[:, 1].copy()
 
     def points(self) -> np.ndarray:
         return ((self.hi >> _U11) * _INV_2_53)[:, None]
 
     def advance(self):
         hi, lo = self.hi, self.lo
-        if self.kind == "tent":
-            neg = hi >= _TOP_BIT
-            nlo = (~lo) + _U1
-            nhi = (~hi) + (lo == 0).astype(np.uint64)
-            hi = np.where(neg, nhi, hi)
-            lo = np.where(neg, nlo, lo)
         self.hi = (hi << _U1) | (lo >> _U63)
         self.lo = lo << _U1
+
+
+class _DyadicTent(_DyadicDoubling):
+    """Exact 128-bit fixed-point orbits of the tent map: on the upper half a
+    two's-complement negation (1 - x is exact mod 2^128), then the doubling
+    shift.  The negation is a bijection of the states, so it keeps them
+    uniform and the doubling budget holds."""
+
+    def advance(self):
+        hi, lo = self.hi, self.lo
+        neg = hi >= _TOP_BIT
+        self.hi = np.where(neg, (~hi) + (lo == 0).astype(np.uint64), hi)
+        self.lo = np.where(neg, (~lo) + _U1, lo)
+        super().advance()
 
 
 def _add128(ahi, alo, bhi, blo):
@@ -353,12 +366,15 @@ def _add128(ahi, alo, bhi, blo):
     return ahi + bhi + carry, lo
 
 
-class _DyadicOrbitsCat:
-    """Exact 128-bit fixed-point orbits of the 2-torus map (2x+y, x+y)."""
+class _DyadicCat:
+    """Exact 128-bit fixed-point orbits of the 2-torus map (2x+y, x+y).
+    No horizon budget is derived for them yet."""
 
-    def __init__(self, xhi, xlo, yhi, ylo):
-        self.xhi, self.xlo = xhi, xlo
-        self.yhi, self.ylo = yhi, ylo
+    horizon = None
+
+    def __init__(self, sys, blocks):
+        self.xhi, self.xlo = blocks[:, 0].copy(), blocks[:, 1].copy()
+        self.yhi, self.ylo = blocks[:, 2].copy(), blocks[:, 3].copy()
 
     def points(self) -> np.ndarray:
         out = np.empty((self.xhi.shape[0], 2))
@@ -372,6 +388,92 @@ class _DyadicOrbitsCat:
         nxh, nxl = _add128(dxh, dxl, self.yhi, self.ylo)
         nyh, nyl = _add128(self.xhi, self.xlo, self.yhi, self.ylo)
         self.xhi, self.xlo, self.yhi, self.ylo = nxh, nxl, nyh, nyl
+
+
+# ---------------------------------------------------------------------------
+# the catalog
+
+@dataclass(frozen=True)
+class Param:
+    """A required real parameter of a catalog entry and its interval rule.
+
+    `ends` gives the interval's brackets: "[" or "(" for lo, "]" or ")" for
+    hi.  check() returns the value as a float, or raises ParameterError.
+    """
+
+    name: str
+    lo: float
+    hi: float
+    ends: str = "[]"
+
+    def check(self, owner: str, value) -> float:
+        if value is None:
+            raise ParameterError(f"{owner} requires parameter {self.name}", self.name)
+        v = float(value)
+        above = v > self.lo if self.ends[0] == "(" else v >= self.lo
+        below = v < self.hi if self.ends[1] == ")" else v <= self.hi
+        if not (above and below):
+            raise ParameterError(f"{owner} parameter {self.name}={v} outside "
+                                 f"{self.ends[0]}{self.lo:g}, {self.hi:g}{self.ends[1]}",
+                                 self.name)
+        return v
+
+
+@dataclass(frozen=True)
+class SystemEntry:
+    """A catalog system: `build(sid, **params)` constructs it, `params` are
+    its parameter rules, and `ensemble(sys, blocks)` is the orbit
+    representation of its sampled ensembles, whose `horizon` is the deepest
+    horizon it is faithful for (None where no budget is derived)."""
+
+    build: Callable
+    ensemble: type
+    params: tuple = ()
+
+
+SYSTEMS = {
+    "doubling": SystemEntry(_doubling, _DyadicDoubling),
+    "tent": SystemEntry(_tent, _DyadicTent),
+    "cat": SystemEntry(_cat, _DyadicCat),
+    "logistic": SystemEntry(_logistic, _FloatEnsemble, (Param("c", -2.0, 0.25, "[)"),)),
+}
+
+# Float64 orbits of every system: each step multiplies a point's rounding
+# error by up to L, spending log2 L of its 53 bits; a horizon n is faithful
+# while n log2 L <= FLOAT64_BITS (doubling orbits reach 0 within 53 steps).
+FLOAT64_BITS = 45.0
+
+
+def catalog_entry(table: dict, kind: str, key: str, params: dict):
+    """A catalog entry and its checked parameters; ParameterError when the
+    key is unknown or a parameter is missing or out of its interval.
+    Parameters the entry does not declare are ignored."""
+    entry = table.get(key)
+    if entry is None:
+        raise ParameterError(f"unknown {kind} id {key!r}")
+    return entry, {p.name: p.check(key, params.get(p.name)) for p in entry.params}
+
+
+def get_system(sid: str, **params) -> System:
+    """Build a catalog system by id (see SYSTEMS for its parameters)."""
+    entry, kw = catalog_entry(SYSTEMS, "system", sid, params)
+    return entry.build(sid, **kw)
+
+
+def check_ensemble_horizon(sys: System, n: int):
+    """ValueError when horizon n is past the budget of the system's ensembles."""
+    budget = SYSTEMS[sys.sid].ensemble.horizon
+    if budget is not None and n > budget:
+        raise ValueError(f"horizon {n} is past n={budget}, the deepest "
+                         f"a {sys.sid} ensemble is exact for")
+
+
+def check_float64_horizon(sys: System, n: int):
+    """ValueError when horizon n is past the float64 orbit budget, n log2 L <= 45."""
+    bits = math.log2(sys.L)
+    if n * bits > FLOAT64_BITS:
+        raise ValueError(f"horizon {n} is past n={int(FLOAT64_BITS / bits)}, the deepest "
+                         f"float64 orbits of {sys.sid} (L={sys.L:.4g}) are faithful for")
 
 
 # one raw_blocks call costs about as much as reading a thousand more blocks
@@ -401,12 +503,7 @@ def sample_orbit_ensemble(sys: System, seed: int, start, count: int,
             for r in runs])
     else:
         blocks = raw_blocks(seed, stream, start, count)
-    if sys.sid in DYADIC_SYSTEMS:
-        return _DyadicOrbits1D(sys.sid, blocks[:, 0].copy(), blocks[:, 1].copy())
-    if sys.sid == "cat":
-        return _DyadicOrbitsCat(blocks[:, 0].copy(), blocks[:, 1].copy(),
-                                blocks[:, 2].copy(), blocks[:, 3].copy())
-    return _FloatOrbits(sys, domain_points(sys, blocks))
+    return SYSTEMS[sys.sid].ensemble(sys, blocks)
 
 
 def domain_points(sys: System, blocks: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ from ergolab import deviation
 from ergolab.deviation import (DIGIT, DIGIT_MEAN, METHOD_BINOMIAL, METHOD_MC,
                                default_fit_window)
 from ergolab.observables import float32_band, screen_band
-from ergolab.systems import DYADIC_MAX_HORIZON, DYADIC_SYSTEMS, sample_points
+from ergolab.systems import SYSTEMS, sample_points
 
 CATALOG_SYSTEMS = [("doubling", {}), ("tent", {}), ("cat", {}),
                    ("logistic", {"c": -2.0}), ("logistic", {"c": -1.0}),
@@ -133,17 +133,19 @@ def test_ladder_single_pass_equals_per_horizon():
 
 
 def test_dyadic_ladders_stop_at_their_precision_budget():
-    # past DYADIC_MAX_HORIZON the projected points read zero bits: unchecked,
-    # this doubling ladder reads 0.939 at n=200, where the true measure is about 0
-    for sid in DYADIC_SYSTEMS:
+    # past the budget the projected points read zero bits: unchecked, this
+    # doubling ladder reads 0.939 at n=200, where the true measure is about 0
+    for sid in ("doubling", "tent"):
+        budget = SYSTEMS[sid].ensemble.horizon
+        assert budget == 76
         sysm = E.get_system(sid)
         params = E.DeviationParams(E.get_observable("cos1", sysm), 0.0, 0.3)
         with pytest.raises(ValueError, match="n=76"):
             E.build_deviation_ladder(sysm, params, [8, 200], 20000, seed=1)
         with pytest.raises(ValueError):
             E.build_deviation_ladders(sysm, params.observable, 0.0, [0.0],
-                                      [DYADIC_MAX_HORIZON + 1], 20000, seed=1)
-        lad = E.build_deviation_ladder(sysm, params, [DYADIC_MAX_HORIZON], 20000, seed=1)
+                                      [budget + 1], 20000, seed=1)
+        lad = E.build_deviation_ladder(sysm, params, [budget], 20000, seed=1)
         assert lad.entries[0].measure < 0.01
 
 

@@ -82,6 +82,21 @@ def test_ball_lemma_inconclusive_paths():
         E.verify_ball_lemma(sysd, cos1, 0.0, 0.4, 0.01, n=5, pair_count=0, seed=0)
 
 
+def test_ball_lemma_stops_at_the_float64_budget():
+    # float64 doubling orbits collapse onto 0 within 53 steps; unchecked, 200
+    # of the first 8192 candidates "deviate" by 0.4 at n=200 (alpha 0.4, seed 1)
+    sysd = E.get_system("doubling")
+    cos1 = E.get_observable("cos1", sysd)
+    for n in (46, 200):
+        with pytest.raises(ValueError, match="n=45"):
+            E.verify_ball_lemma(sysd, cos1, 0.0, 0.4, 0.01, n, pair_count=200, seed=1)
+    # the budget holds whatever the threshold, as it does for covers
+    with pytest.raises(ValueError, match="n=45"):
+        E.verify_ball_lemma(sysd, cos1, 0.0, 2.5, 0.01, 46, pair_count=5, seed=0)
+    rep = E.verify_ball_lemma(sysd, cos1, 0.0, 0.4, 0.01, 45, pair_count=5, seed=1)
+    assert rep.n == 45
+
+
 def test_cover_full_space_at_alpha_zero():
     sysd = E.get_system("doubling")
     cos1 = E.get_observable("cos1", sysd)

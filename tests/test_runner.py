@@ -75,6 +75,11 @@ def test_shipped_configs_parse():
     # 128-bit dyadic ensembles are exact up to horizon 76
     ("n_max", dict(n_max=77)),
     ("n_max", dict(system_id="tent", n_max=200)),
+    # float64 orbits are faithful while n log2 L <= 45, for covers and lemma
+    ("cover_n_max", dict(cover_n_min=10, cover_n_max=46)),
+    ("cover_n_max", dict(system_id="cat", cover_n_min=1, cover_n_max=33)),
+    ("lemma_n", dict(lemma_pairs=10, lemma_n=46)),
+    ("lemma_n", dict(system_id="logistic", system_c=-2.0, lemma_pairs=10, lemma_n=23)),
 ])
 def test_validation_names_the_offending_field(field, over):
     with pytest.raises(ValidationError) as err:
@@ -237,6 +242,21 @@ def test_cli_usage_and_config_errors(tmp_path, capsys):
     bad.write_text("[deviation]\nn_max = 200\n")
     assert main(["simulate", "--config", str(bad)]) == 2
     assert capsys.readouterr().err.startswith("ergolab: n_max:")
+    # the shipped doubling config with a cover level past the float64 budget
+    # is refused before any compute, not failed in the cover stage
+    shipped = E.load_config("configs/doubling.ini")
+    for field, value in (("cover_n_max", 50), ("lemma_n", 200)):
+        ini = write_cfg(tmp_path, dataclasses.replace(shipped, **{field: value}))
+        assert main(["report", "--config", ini, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"ergolab: {field}:")
+
+
+def test_horizons_inside_the_budgets_pass_validation():
+    E.validate_config(mini_cfg(n_max=76, cover_n_min=10, cover_n_max=45,
+                               lemma_pairs=10, lemma_n=45))
+    # budgets bind only the stages that run
+    E.validate_config(mini_cfg(system_id="cat", n_max=200, cover_n_max=100,
+                               lemma_n=100))
 
 
 def test_cli_stage_failure_exits_1_with_partial_artifacts(tmp_path, capsys):
