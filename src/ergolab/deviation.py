@@ -16,35 +16,34 @@ Fraction(alpha) — the exact binary value of the float argument — which is
 the same test the float estimator applies to exact dyadic frequencies, so
 the two routes agree even when k/n lands exactly on the threshold.
 
-Monte Carlo counts are exact float64 counts, found cheaply.  Each chunk's
-orbits are first summed with the observable on float32 points (numpy's
-float32 cos is vectorised, its float64 cos is not).  A float32 evaluation
-is within band = observables.float32_band(sys, obs) of the float64 one at
-every point, so a float32 average is within band of the float64 average.
-A sample whose filter deviation exceeds alpha + band therefore has
+Monte Carlo counts are exact float64 counts, found cheaply, by the screen
+rule of observables (`screen`, `undecided`).  For cos1 each chunk's orbits
+are first summed with the observable on float32 points (numpy's float32
+cos is vectorised, its float64 cos is not).  A float32 evaluation is within
+band = observables.float32_band(sys, obs) of the float64 one at every
+point, so a float32 average is within band of the float64 average.  A
+sample whose filter deviation is at least alpha + band therefore has
 deviation >= alpha, one below alpha - band has not; only the few samples
-within the band are redrawn from their own counter blocks and recounted
-on the float64 walk with the closed threshold.  The counts, and so every
-report byte, are those of the float64 walk alone.  The filter runs where
-observables.screen_band gives a band, the one rule shared with the cover
-and ball-lemma screens of `dimension`: for observables whose float64
-evaluation calls a transcendental (cos1).  The others (coord, bump, and
-the digit, which has no band at all) take the float64 walk only.
+between are redrawn from their own counter blocks and recounted on the
+float64 walk with the closed threshold.  The counts, and so every report
+byte, are those of the float64 walk alone.  The others (coord, bump, and
+the digit, which has no band at all) are walked in float64 with band 0,
+which leaves no sample to recount.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .observables import (DIGIT, DIGIT_MEAN, DIGIT_SYSTEM, DeviationParams, Observable,
-                          screen_band)
-from .systems import System, birkhoff_sums, check_ensemble_horizon, sample_orbit_ensemble
+                          screen, undecided)
+from .systems import (System, birkhoff_sums, check_ensemble_horizon, map_chunks,
+                      sample_orbit_ensemble)
 
 LN2 = math.log(2.0)
 
@@ -89,10 +88,10 @@ def _hit_grid(sys, obs, phibar, alphas, n_values, sample_count, seed, threads):
     blocks, so the counts are independent of the thread count; reductions
     are integer sums, so they are independent of completion order too.
 
-    With a float32 screen (observables.screen_band) each chunk is first
-    walked with the observable on float32 points.  A sample whose filter
-    deviation lies more than the band above alpha is a hit, more than the
-    band below a miss; the rest are recounted from the float64 walk.
+    Each chunk is walked with the screen of observables.screen, whose
+    deviations decide every sample outside the band of every alpha; at each
+    horizon the samples observables.undecided marks are recounted from the
+    float64 walk.
     """
     n_values = list(n_values)
     if any(n < 1 for n in n_values):
@@ -100,66 +99,42 @@ def _hit_grid(sys, obs, phibar, alphas, n_values, sample_count, seed, threads):
     if sorted(n_values) != n_values or len(set(n_values)) != len(n_values):
         raise ValueError("n_values must be strictly increasing")
     alphas = [float(a) for a in alphas]
-    band = screen_band(sys, obs)
+    screen_fn, band = screen(sys, obs)
 
     def deviations(ens, fn, horizons):
         for n, sums in zip(horizons, birkhoff_sums(ens, fn, horizons)):
             yield np.abs(sums / n - phibar)
 
-    def exact(start, m):
-        hits = np.zeros((len(alphas), len(n_values)), dtype=np.int64)
-        ens = sample_orbit_ensemble(sys, seed, start, m)
-        for j, dev in enumerate(deviations(ens, obs.fn, n_values)):
-            for i, a in enumerate(alphas):
-                hits[i, j] = np.count_nonzero(dev >= a)
-        return hits
+    def counts(dev):
+        return np.array([np.count_nonzero(dev >= a) for a in alphas])
 
-    def fn32(p):
-        return obs.fn(p.astype(np.float32))
-
-    def filtered(start, m):
+    def work(start, stop):
         hits = np.zeros((len(alphas), len(n_values)), dtype=np.int64)
-        near = {}  # (i, j) -> chunk rows within the band of alpha_i at n_j
-        ens = sample_orbit_ensemble(sys, seed, start, m)
-        for j, dev in enumerate(deviations(ens, fn32, n_values)):
-            for i, a in enumerate(alphas):
-                above = dev > a + band
-                hits[i, j] = np.count_nonzero(above)
-                rows = np.flatnonzero((dev >= a - band) & ~above)
-                if rows.size:
-                    near[i, j] = rows
+        near = {}  # j -> (chunk rows undecided at n_j, their screened deviations)
+        ens = sample_orbit_ensemble(sys, seed, start, stop - start)
+        for j, dev in enumerate(deviations(ens, screen_fn, n_values)):
+            hits[:, j] = counts(dev)
+            rows = np.flatnonzero(undecided(dev, band, alphas))
+            if rows.size:
+                near[j] = rows, dev[rows]
         if not near:
             return hits
-        # recount: redraw the near rows from their own counter blocks and
-        # walk them in float64 down to the deepest near cell.  Their union
-        # is a mask, not np.unique, which imports numpy.ma on first use.
-        flag = np.zeros(m, dtype=bool)
-        for cell_rows in near.values():
+        # recount: redraw the near rows from their own counter blocks, walk
+        # them in float64 down to the deepest near horizon, and replace their
+        # screened counts.  Their union is a mask, not np.unique, which
+        # imports numpy.ma on first use.
+        flag = np.zeros(stop - start, dtype=bool)
+        for cell_rows, _ in near.values():
             flag[cell_rows] = True
         rows = np.flatnonzero(flag)
-        depth = max(j for _, j in near) + 1
         ens = sample_orbit_ensemble(sys, seed, start + rows, rows.size)
-        for j, dev in enumerate(deviations(ens, obs.fn, n_values[:depth])):
-            for i, a in enumerate(alphas):
-                if (i, j) in near:
-                    cell = dev[np.searchsorted(rows, near[i, j])]
-                    hits[i, j] += np.count_nonzero(cell >= a)
+        for j, dev in enumerate(deviations(ens, obs.fn, n_values[:max(near) + 1])):
+            if j in near:
+                cell_rows, screened = near[j]
+                hits[:, j] += counts(dev[np.searchsorted(rows, cell_rows)]) - counts(screened)
         return hits
 
-    def work(start):
-        m = min(_CHUNK, sample_count - start)
-        return exact(start, m) if band is None else filtered(start, m)
-
-    starts = list(range(0, sample_count, _CHUNK))
-    total = np.zeros((len(alphas), len(n_values)), dtype=np.int64)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for hits in pool.map(work, starts):
-                total += hits
-    else:
-        for start in starts:
-            total += work(start)
-    return total
+    return sum(map_chunks(work, sample_count, _CHUNK, threads))
 
 
 def estimate_deviation_measure(sys: System, params: DeviationParams, n: int,
@@ -197,8 +172,8 @@ def build_deviation_ladders(sys: System, obs: Observable, phibar: float,
     """Ladders for several thresholds from one shared orbit pass.
 
     A horizon past the budget of the system's ensemble representation (76
-    for the 128-bit dyadic doubling and tent ensembles) raises ValueError
-    rather than returning a wrong measure.
+    for the 128-bit dyadic doubling and tent ensembles, 54 for cat) raises
+    ValueError rather than returning a wrong measure.
     """
     if sample_count < _MIN_SAMPLES:
         raise ValueError(f"sample_count must be >= {_MIN_SAMPLES}")

@@ -31,36 +31,35 @@ Every cell and candidate test is a comparison of a stencil point's
 deviation with a threshold (alpha and tau_n in 1-d, alpha in 2-d and in
 the ball lemma's candidate screen), and cellmax >= t holds iff some
 stencil point reaches t.  So a cheaper deviation within a proven band of
-the float64 walk's decides every point more than the band from every
-threshold, and only the points within the band are walked in float64:
+the float64 walk's decides every point outside [t - band, t + band) for
+every threshold t, and only the points observables.undecided marks are
+walked in float64:
 
-* 1-d covers and lemma candidates, where observables.screen_band gives a
-  band (cos1): orbits stay float64 but the observable runs on float32
-  points;
+* covers and lemma candidates walk float64 orbits with the screen of
+  observables.screen: for cos1 the observable runs on float32 points;
+  for the others it is the float64 walk itself, band 0;
 * 2-d covers of a linear torus map with a character observable (cos1 on
   the cat map): the Birkhoff sums of a row band have the closed form of one
   small matrix product (_cover_level_2d), within closed_form_band.
 
 Cards, relaxed sets and lemma reports are those of the float64 walk; the
 lemma's ball points, whose deviations are reported, are evaluated in
-float64 only.  2-d covers of other observables (coord, bump) walk every
-point in float64.
+float64 only.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .deviation import LN2, digit_deviation_count, write_csv
 from .errors import GridBudgetError, RateNotEstablishedError
-from .observables import _TWO_PI, Observable, screen_band
+from .observables import _TWO_PI, Observable, screen, undecided
 from .rng import STREAM_LEMMA_BALLS, STREAM_LEMMA_POINTS, raw_blocks, uniform01
 from .systems import (System, _FloatOrbits, birkhoff_sums, check_float64_horizon,
-                      domain_points, wrap_unit)
+                      domain_points, map_chunks, wrap_unit)
 
 _POINT_CHUNK = 1 << 16
 _BAND_POINTS = 1 << 22  # points per row band of a walked 2-d level
@@ -98,55 +97,36 @@ class BallLemmaReport:
     inconclusive: bool
 
 
-def _dev_points(sys, obs, phibar, pts, n, thresholds=(), band=None):
+def _dev_points(sys, obs, phibar, pts, n, thresholds=()):
     """Deviation of an (N, d) float64 batch at horizon n (no domain check).
 
-    With a float32 band, fn runs on float32 points of the float64 orbits and
-    the rows within the band of a threshold are recomputed in float64: each
-    returned value compares with each threshold as its float64 value does.
+    With no thresholds these are the float64 values.  With thresholds the
+    walk runs on the screen of observables.screen and the rows it leaves
+    undecided are recomputed in float64: each returned value compares with
+    each threshold (>=) as its float64 value does.
     """
-    fn = obs.fn if band is None else (lambda p: obs.fn(p.astype(np.float32)))
+    fn, band = screen(sys, obs) if thresholds else (obs.fn, 0.0)
     dev = np.abs(next(birkhoff_sums(_FloatOrbits(sys, pts), fn, [n])) / n - phibar)
-    if band is None:
-        return dev
-    near = np.zeros(dev.shape, dtype=bool)
-    for t in thresholds:
-        near |= np.abs(dev - t) <= band
-    rows = np.flatnonzero(near)
+    rows = np.flatnonzero(undecided(dev, band, thresholds))
     if rows.size:
         dev[rows] = _dev_points(sys, obs, phibar, pts[rows], n)
     return dev
 
 
 def _dev_points_mt(sys, obs, phibar, pts, n, threads, thresholds=()):
-    """Deviations for threshold tests, in chunks that bound the working set.
+    """_dev_points in chunks that bound the working set, on `threads` threads.
 
-    With no thresholds these are the float64 values of _dev_points.  With
-    thresholds, and a float32 screen for the observable (screen_band), the
-    returned deviations are screened: their comparisons (>=, >, <) with each
-    threshold, not their values, equal those of the float64 values.  Values
-    are elementwise, so neither the chunking nor the thread count changes
-    any comparison.
+    Values are elementwise, so neither the chunking nor the thread count
+    changes any value or comparison.
     """
-    band = screen_band(sys, obs) if thresholds else None
-
-    def dev(c):
-        return _dev_points(sys, obs, phibar, c, n, thresholds, band)
-
     if pts.shape[0] <= _POINT_CHUNK:
-        return dev(pts)
+        return _dev_points(sys, obs, phibar, pts, n, thresholds)
     out = np.empty(pts.shape[0])
 
-    def fill(i):
-        out[i:i + _POINT_CHUNK] = dev(pts[i:i + _POINT_CHUNK])
+    def fill(i, j):
+        out[i:j] = _dev_points(sys, obs, phibar, pts[i:j], n, thresholds)
 
-    starts = range(0, pts.shape[0], _POINT_CHUNK)
-    if threads <= 1:
-        for i in starts:
-            fill(i)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, starts))
+    map_chunks(fill, pts.shape[0], _POINT_CHUNK, threads)
     return out
 
 
@@ -177,7 +157,6 @@ def verify_ball_lemma(sys: System, obs: Observable, phibar: float, alpha: float,
         return BallLemmaReport(alpha, n, delta, radius, pair_count, 0, 0, 0,
                                math.inf, True)
 
-    band = screen_band(sys, obs)
     max_draws = candidate_factor * pair_count
     batch = 8192
     drawn = 0
@@ -185,7 +164,7 @@ def verify_ball_lemma(sys: System, obs: Observable, phibar: float, alpha: float,
     while drawn < max_draws and sum(len(a) for a in accepted) < pair_count:
         m = min(batch, max_draws - drawn)
         pts = domain_points(sys, raw_blocks(seed, STREAM_LEMMA_POINTS, drawn, m))
-        dev = _dev_points(sys, obs, phibar, pts, n, (alpha,), band)
+        dev = _dev_points(sys, obs, phibar, pts, n, (alpha,))
         accepted.append(pts[dev >= alpha])
         drawn += m
     xs = np.concatenate(accepted) if accepted else np.empty((0, sys.d))
@@ -397,9 +376,9 @@ def closed_form_band(sys: System, obs: Observable, n: int) -> float:
 
     Adding 1 and 2 averaged over j, and 3, gives the bracket.  It is taken
     four times: the factor covers the dropped second-order terms, the
-    relative u of testing |dev - alpha| <= band in float64, and a libm or
-    BLAS a few ulps looser than assumed here.  The band depends on the
-    system, the character and n only.  Measured on 90,000 points of the
+    relative u of forming alpha - band and alpha + band in float64, and a
+    libm or BLAS a few ulps looser than assumed here.  The band depends on
+    the system, the character and n only.  Measured on 90,000 points of the
     level-5 grid of configs/cat.ini (alpha 0.4), three samples, the largest
     gap is 1.0-1.3e-14 at n = 5, 3.6-3.9e-12 at n = 12 and 4.7-5.0e-9 at
     n = 20: 1/20 to 1/26 of the band.
@@ -461,14 +440,14 @@ def _cover_level_2d(sys, obs, phibar, alpha, s, m, n, threads):
     a_j = 2 pi c_j0 row, b_j = 2 pi c_j1 col (see _character_coefficients):
     a chunk's sums are one (rows x 2n) @ (2n x cols) product of cos/sin
     tables built once per level, O(m n) cosines for the level instead of
-    O(m^2 n).  A point whose closed-form deviation lies within
-    closed_form_band of alpha is recomputed by the float64 walk, so every
-    hit is that of the float64 walk.  The closed form runs on the calling
-    thread, one _POINT_CHUNK of points a band: OpenBLAS products issued
-    from two threads at once ran 6-17x slower than from one, and a level of
-    cat.ini took 0.39-0.47 s on two threads against 0.28-0.35 s on one.
-    Other pairs walk every point, in _BAND_POINTS bands whose chunks run on
-    the thread pool.
+    O(m^2 n).  The points observables.undecided marks at closed_form_band
+    are recomputed by the float64 walk, so every hit is that of the float64
+    walk.  The closed form runs on the calling thread, one _POINT_CHUNK of
+    points a band: OpenBLAS products issued from two threads at once ran
+    6-17x slower than from one, and a level of cat.ini took 0.39-0.47 s on
+    two threads against 0.28-0.35 s on one.
+    Other pairs walk every point under the screen of observables.screen,
+    in _BAND_POINTS bands whose chunks run on the thread pool.
     """
     corners = np.arange(m + 1, dtype=np.float64) * s
     centres = (np.arange(m, dtype=np.float64) + 0.5) * s
@@ -481,7 +460,7 @@ def _cover_level_2d(sys, obs, phibar, alpha, s, m, n, threads):
 
         def hits(axis, r0, r1):
             pts = _grid_2d(axis[r0:r1], axis)
-            dev = _dev_points_mt(sys, obs, phibar, pts, n, threads)
+            dev = _dev_points_mt(sys, obs, phibar, pts, n, threads, (alpha,))
             return (dev >= alpha).reshape(r1 - r0, axis.size)
     else:
         band_points = _POINT_CHUNK
@@ -494,10 +473,9 @@ def _cover_level_2d(sys, obs, phibar, alpha, s, m, n, threads):
             dev = _product(row_f[r0:r1], col_f)
             dev -= phibar
             np.abs(dev, out=dev)
-            hit = dev > alpha + band
-            maybe = dev >= alpha - band
-            if np.count_nonzero(maybe) > np.count_nonzero(hit):
-                near = np.flatnonzero(maybe & ~hit)
+            hit = dev >= alpha
+            near = np.flatnonzero(undecided(dev, band, (alpha,)))
+            if near.size:
                 i, j = np.divmod(near, axis.size)
                 pts = np.stack([axis[r0 + i], axis[j]], axis=1)
                 hit.flat[near] = _dev_points(sys, obs, phibar, pts, n) >= alpha

@@ -17,13 +17,16 @@ declares its constructor and its parameter rules.
 Time averages are arithmetic means of the observable along the first n
 orbit points (j = 0..n-1).  `deviation` measures |time average - phibar|,
 the quantity whose level sets the deviation ladders and covers estimate.
-`float32_band` bounds how far an observable moves when it is evaluated on
-float32 points.  `screen_band` is the one rule for when that is used: for
-an observable whose float64 evaluation calls a transcendental (cos1), the
-ladders, covers and ball lemma decide most threshold tests in float32 and
-recompute only the points within the band in float64 (see `deviation` and
-`dimension`).  The others (coord, bump) are a few float64 array passes,
-which a float32 pass plus its recount does not beat, so they stay float64.
+
+Every threshold test of the lab, dev >= t, is screened by one rule: a
+cheaper deviation within a proven band of the float64 walk's decides every
+row outside [t - band, t + band), and `undecided` marks the rows inside,
+which are recomputed by the float64 walk.  `screen` picks the cheaper
+evaluation: for an observable whose float64 evaluation calls a
+transcendental (cos1), fn on float32 points with band `float32_band`.
+The others (coord, bump) are a few float64 array passes, which a float32
+pass plus its recount does not beat: they get fn itself with band 0, the
+plain float64 walk, which leaves no row undecided.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ class Observable:
     discontinuous observables; such observables are rejected by operations
     that need a modulus of continuity.  `transcendental` marks an `fn` whose
     float64 evaluation calls a transcendental function (scalar libm, where
-    numpy's float32 version is vectorised); see `screen_band`.  `character`
+    numpy's float32 version is vectorised); see `screen`.  `character`
     is the integer frequency vector k of an observable cos(2 pi <k, x>)
     (cos1: k = e_1), and None for the others.
     """
@@ -157,16 +160,36 @@ def float32_band(sys: System, obs: Observable) -> float | None:
     return 16.0 * (obs.lip * math.sqrt(sys.d) * r + obs.sup_abs) * _F32_UNIT
 
 
-def screen_band(sys: System, obs: Observable) -> float | None:
-    """The float32 band when threshold tests are screened in float32, else None.
+def screen(sys: System, obs: Observable):
+    """(fn, band): the evaluation that screens threshold tests, and its band.
 
-    A screen evaluates fn on float32 points and recomputes in float64 only
-    the points within the band of a threshold.  It pays only when the float64
-    fn calls a transcendental: float32 cos1 is 3.8x (doubling) and 2.2x (cat)
-    faster per Monte Carlo ladder, while coord and bump, a few array passes
-    either way, ran 5-64% slower screened than plain.
+    For a transcendental observable with a float32 band, fn evaluates on
+    float32 points: float32 cos1 is 3.8x (doubling) and 2.2x (cat) faster
+    per Monte Carlo ladder.  Coord and bump, a few array passes either way,
+    ran 5-64% slower screened than plain, and the digit has no band: they
+    get (obs.fn, 0.0), the float64 walk itself.
     """
-    return float32_band(sys, obs) if obs.transcendental else None
+    band = float32_band(sys, obs) if obs.transcendental else None
+    if band is None:
+        return obs.fn, 0.0
+    return (lambda p: obs.fn(p.astype(np.float32))), band
+
+
+def undecided(dev, band: float, thresholds):
+    """Mask of the rows of dev in [t - band, t + band) for some threshold t.
+
+    dev is within band of the float64 deviation d at every row.  A row at or
+    above t + band has d >= t, one below t - band has d < t: outside the
+    mask, dev >= t holds exactly when d >= t does.  Band 0 marks no row:
+    the plain float64 walk leaves nothing to recompute, and its mask is
+    returned without a comparison.
+    """
+    mask = np.zeros(np.shape(dev), dtype=bool)
+    if band == 0.0:
+        return mask
+    for t in thresholds:
+        mask |= (dev >= t - band) & (dev < t + band)
+    return mask
 
 
 def time_average(sys: System, obs: Observable, x, n: int):

@@ -62,7 +62,7 @@ class ExperimentConfig:
 
     alphas: tuple = (0.6,)
     n_min: int = 20
-    n_max: int = 60
+    n_max: int = 60                          # past cat's ensemble budget (54): cat configs set it
     n_stride: int = 4
     sample_count: int = 200_000
     seed: int = 42

@@ -26,14 +26,15 @@ evaluated.
 The catalog, SYSTEMS, is the one place a system id is decided on: each
 entry declares the system's constructor, its parameter rules, and the
 orbit representation of its sampled ensembles, which carries its horizon
-budget (76 for the dyadic doubling and tent ensembles; deeper ladders are
-refused).  Float64 orbits have one budget for every system, n log2 L <= 45
-(FLOAT64_BITS), which covers and the ball lemma enforce.
+budget (76 for the dyadic doubling and tent ensembles, 54 for cat; deeper
+ladders are refused).  Float64 orbits have one budget for every system,
+n log2 L <= 45 (FLOAT64_BITS), which covers and the ball lemma enforce.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -43,10 +44,8 @@ from .errors import DomainError, ParameterError, SingularDerivativeError
 from .rng import STREAM_ORBIT_SEED, STREAM_ORBITS, STREAM_SPACE_AVG, raw_blocks, uniform01
 
 _U1 = np.uint64(1)
-_U11 = np.uint64(11)
 _U63 = np.uint64(63)
 _TOP_BIT = np.uint64(1) << _U63
-_INV_2_53 = float(2.0**-53)
 
 _LN2 = math.log(2.0)
 _CAT_EXPANSION = (3.0 + math.sqrt(5.0)) / 2.0  # largest singular value of [[2,1],[1,1]]
@@ -138,9 +137,13 @@ def _logdi_cat(pts):
     return np.full(pts.shape[0], math.log(_CAT_EXPANSION))
 
 
+_DOUBLING = ((2,),)
+_CAT = ((2, 1), (1, 1))
+
+
 def _doubling(sid):
     return System(sid, 1, "torus", 0.0, 1.0, 2.0, "lebesgue",
-                  matrix=((2,),), _step=_step_doubling, _log_inv_dnorm=_logdi_doubling)
+                  matrix=_DOUBLING, _step=_step_doubling, _log_inv_dnorm=_logdi_doubling)
 
 
 def _tent(sid):
@@ -150,7 +153,7 @@ def _tent(sid):
 
 def _cat(sid):
     return System(sid, 2, "torus", 0.0, 1.0, _CAT_EXPANSION, "lebesgue",
-                  matrix=((2, 1), (1, 1)), _step=_step_cat, _log_inv_dnorm=_logdi_cat)
+                  matrix=_CAT, _step=_step_cat, _log_inv_dnorm=_logdi_cat)
 
 
 def _logistic(sid, c):
@@ -306,6 +309,20 @@ def orbit_average(sys: System, fn, x, n: int):
     return float(avg[0]) if tag in ("scalar", "point") else avg
 
 
+def map_chunks(work, total: int, chunk: int, threads: int) -> list:
+    """[work(start, stop) for each chunk [start, stop) of range(total)], in chunk order.
+
+    With threads > 1 and more than one chunk, the chunks run on a pool of
+    that many threads, so work must write only what its own chunk owns.
+    """
+    starts = range(0, total, chunk)
+    stops = [min(i + chunk, total) for i in starts]
+    if threads <= 1 or len(starts) <= 1:
+        return list(map(work, starts, stops))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(work, starts, stops))
+
+
 class _FloatEnsemble(_FloatOrbits):
     """Float64 orbits of uniform points drawn from counter blocks: the
     logistic ensemble.  No horizon budget is derived for it."""
@@ -316,29 +333,49 @@ class _FloatEnsemble(_FloatOrbits):
         super().__init__(sys, domain_points(sys, blocks))
 
 
+def _fixed_point_horizon(matrix) -> int:
+    """The deepest horizon a 128-bit fixed-point ensemble of x -> A x (mod 1) is exact for.
+
+    The largest n with |A^(n-1)|_inf <= 2^(128-53), |.|_inf the largest
+    absolute row sum.  A sample stands for a uniform real point x whose top
+    128 bits per coordinate are drawn: the state is x - e, 0 <= e_i < 2^-128.
+    Integer arithmetic mod 2^128 steps the state exactly, so after j steps
+    it is A^j x - A^j e (mod 1), and |A^j e|_inf < |A^j|_inf 2^-128.  While
+    that gap stays at most 2^-53, the projected points (the top 53 bits,
+    rng.uniform01) are within one unit 2^-53 of those of the true orbit, as
+    torus distances.  A horizon n reads the points after 0..n-1 steps.
+    Doubling (A = 2) gives 76; cat ((2, 1), (1, 1)), whose row sums of A^53
+    and A^54 are 1.66e22 and 4.36e22 against 2^75 = 3.78e22, gives 54.
+    """
+    a = np.array(matrix, dtype=object)          # Python ints: no overflow
+    power, n = np.identity(len(matrix), dtype=object), 0
+    while np.abs(power).sum(axis=1).max() <= 2 ** (128 - 53):
+        power, n = power.dot(a), n + 1
+    return n
+
+
 class _DyadicDoubling:
     """Exact 128-bit fixed-point orbits of the doubling map.
 
     State per sample is (hi, lo) uint64 with value (hi*2^64 + lo) / 2^128,
     and a step is a 128-bit left shift.  Exact binary arithmetic keeps the
     ensemble immune to the float64 orbit collapse of dyadic maps, for a
-    budget of `horizon` = 76: points() reads the top 53 bits, and after j
-    shifts those are bits j..j+52 of the 128 drawn (counting from the top),
-    all drawn while j + 52 <= 127, i.e. j <= 75.  A horizon n reads the
-    points after 0..n-1 shifts, so n <= 76.  Past that, zeros shifted in at
-    the bottom reach the projected points, and from 128 shifts on every
-    point is 0: a doubling cos1 ladder at alpha 0.3 would read 0.939 at
-    n = 200, where the true measure is about 0.
+    budget of `horizon` = 76 (_fixed_point_horizon): points() reads the top
+    53 bits, and after j shifts those are bits j..j+52 of the 128 drawn
+    (counting from the top), all drawn while j + 52 <= 127, i.e. j <= 75.
+    Past that, zeros shifted in at the bottom reach the projected points,
+    and from 128 shifts on every point is 0: a doubling cos1 ladder at
+    alpha 0.3 would read 0.939 at n = 200, where the true measure is about 0.
     """
 
-    horizon = 76
+    horizon = _fixed_point_horizon(_DOUBLING)
 
     def __init__(self, sys, blocks):
         self.hi = blocks[:, 0].copy()
         self.lo = blocks[:, 1].copy()
 
     def points(self) -> np.ndarray:
-        return ((self.hi >> _U11) * _INV_2_53)[:, None]
+        return uniform01(self.hi)[:, None]
 
     def advance(self):
         hi, lo = self.hi, self.lo
@@ -367,10 +404,11 @@ def _add128(ahi, alo, bhi, blo):
 
 
 class _DyadicCat:
-    """Exact 128-bit fixed-point orbits of the 2-torus map (2x+y, x+y).
-    No horizon budget is derived for them yet."""
+    """Exact 128-bit fixed-point orbits of the 2-torus map (2x+y, x+y), for a
+    budget of `horizon` = 54 (_fixed_point_horizon): past it the projected
+    points drift from those of the drawn real orbit by more than 2^-53."""
 
-    horizon = None
+    horizon = _fixed_point_horizon(_CAT)
 
     def __init__(self, sys, blocks):
         self.xhi, self.xlo = blocks[:, 0].copy(), blocks[:, 1].copy()
@@ -378,8 +416,8 @@ class _DyadicCat:
 
     def points(self) -> np.ndarray:
         out = np.empty((self.xhi.shape[0], 2))
-        out[:, 0] = (self.xhi >> _U11) * _INV_2_53
-        out[:, 1] = (self.yhi >> _U11) * _INV_2_53
+        out[:, 0] = uniform01(self.xhi)
+        out[:, 1] = uniform01(self.yhi)
         return out
 
     def advance(self):

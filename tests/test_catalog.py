@@ -44,7 +44,8 @@ def valid_params(entry):
 def config_for(sid, skw, oid, okw):
     fields = {PREFIX["system"] + k: v for k, v in skw.items()}
     fields.update({PREFIX["observable"] + k: v for k, v in okw.items()})
-    return E.ExperimentConfig(system_id=sid, observable_id=oid, **fields)
+    # n_max 40 is inside every ensemble budget (cat's is 54)
+    return E.ExperimentConfig(system_id=sid, observable_id=oid, n_max=40, **fields)
 
 
 PAIRS = [(sid, oid) for sid in SYSTEMS for oid in OBSERVABLES]

@@ -12,7 +12,7 @@ import ergolab as E
 from ergolab import deviation
 from ergolab.deviation import (DIGIT, DIGIT_MEAN, METHOD_BINOMIAL, METHOD_MC,
                                default_fit_window)
-from ergolab.observables import float32_band, screen_band
+from ergolab.observables import float32_band, screen
 from ergolab.systems import SYSTEMS, sample_points
 
 CATALOG_SYSTEMS = [("doubling", {}), ("tent", {}), ("cat", {}),
@@ -149,6 +149,17 @@ def test_dyadic_ladders_stop_at_their_precision_budget():
         assert lad.entries[0].measure < 0.01
 
 
+def test_cat_ladders_stop_at_their_precision_budget():
+    # 128-bit cat orbits are faithful for 54 steps (systems._fixed_point_horizon)
+    sysc = E.get_system("cat")
+    cos1 = E.get_observable("cos1", sysc)
+    assert SYSTEMS["cat"].ensemble.horizon == 54
+    lads = E.build_deviation_ladders(sysc, cos1, 0.0, [0.4], [53, 54], 1000, seed=1)
+    assert [e.n for e in lads[0.4].entries] == [53, 54]
+    with pytest.raises(ValueError, match="horizon 55 is past n=54"):
+        E.build_deviation_ladders(sysc, cos1, 0.0, [0.4], [54, 55], 1000, seed=1)
+
+
 def test_ladder_thread_count_is_invisible():
     sysd = E.get_system("doubling")
     cos1 = E.get_observable("cos1", sysd)
@@ -205,7 +216,7 @@ def test_hit_grid_counts_equal_float64_reference(monkeypatch, sid, skw, oid, okw
     # threshold; the rest are recounted in float64, so every count equals the
     # plain float64 loop.  Thresholds set exactly to some sample's deviation
     # put that sample on the threshold, where only the recount classifies it.
-    # The catalog filters cos1 only (screen_band); coord and bump are marked
+    # The catalog filters cos1 only (screen); coord and bump are marked
     # transcendental here so that the filter is checked on kinks and plateaus.
     sysm = E.get_system(sid, **skw)
     obs = dataclasses.replace(E.get_observable(oid, sysm, **okw), transcendental=True)
@@ -253,7 +264,9 @@ def test_only_transcendental_observables_are_screened(monkeypatch, sid, skw):
     starts = _recording_draws(monkeypatch)
     for oid, okw in CATALOG_OBSERVABLES:
         plain = E.get_observable(oid, sysm, **okw)
-        assert (screen_band(sysm, plain) is not None) == (oid == "cos1")
+        fn, band = screen(sysm, plain)
+        assert (band > 0.0) == (oid == "cos1")
+        assert (fn is plain.fn) == (oid != "cos1")
         if oid == "cos1":
             continue
         dtypes = set()

@@ -80,6 +80,8 @@ def test_shipped_configs_parse():
     ("cover_n_max", dict(system_id="cat", cover_n_min=1, cover_n_max=33)),
     ("lemma_n", dict(lemma_pairs=10, lemma_n=46)),
     ("lemma_n", dict(system_id="logistic", system_c=-2.0, lemma_pairs=10, lemma_n=23)),
+    # 128-bit cat ensembles are faithful up to horizon 54
+    ("n_max", dict(system_id="cat", n_min=12, n_max=55)),
 ])
 def test_validation_names_the_offending_field(field, over):
     with pytest.raises(ValidationError) as err:
@@ -242,6 +244,9 @@ def test_cli_usage_and_config_errors(tmp_path, capsys):
     bad.write_text("[deviation]\nn_max = 200\n")
     assert main(["simulate", "--config", str(bad)]) == 2
     assert capsys.readouterr().err.startswith("ergolab: n_max:")
+    bad.write_text("[system]\nsystem_id = cat\n[deviation]\nn_max = 55\n")
+    assert main(["simulate", "--config", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("ergolab: n_max: horizon 55 is past n=54")
     # the shipped doubling config with a cover level past the float64 budget
     # is refused before any compute, not failed in the cover stage
     shipped = E.load_config("configs/doubling.ini")
@@ -255,8 +260,16 @@ def test_horizons_inside_the_budgets_pass_validation():
     E.validate_config(mini_cfg(n_max=76, cover_n_min=10, cover_n_max=45,
                                lemma_pairs=10, lemma_n=45))
     # budgets bind only the stages that run
-    E.validate_config(mini_cfg(system_id="cat", n_max=200, cover_n_max=100,
+    E.validate_config(mini_cfg(system_id="cat", n_max=54, cover_n_max=100,
                                lemma_n=100))
+
+
+def test_default_n_max_is_past_the_cat_budget():
+    # the default horizon 60 suits doubling and tent; a cat config sets n_max
+    E.validate_config(E.ExperimentConfig(system_id="doubling"))
+    with pytest.raises(ValidationError) as err:
+        E.validate_config(E.ExperimentConfig(system_id="cat"))
+    assert str(err.value).split(":")[0] == "n_max"
 
 
 def test_cli_stage_failure_exits_1_with_partial_artifacts(tmp_path, capsys):

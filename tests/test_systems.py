@@ -8,7 +8,8 @@ from scipy import special, stats
 
 import ergolab as E
 from ergolab.errors import DomainError, SingularDerivativeError
-from ergolab.systems import _FloatOrbits, birkhoff_sums, sample_points
+from ergolab.rng import STREAM_ORBITS, raw_blocks
+from ergolab.systems import SYSTEMS, _FloatOrbits, birkhoff_sums, map_chunks, sample_points
 
 
 def test_doubling_iterate_worked_values():
@@ -329,6 +330,40 @@ def test_orbit_ensemble_selected_samples_match_their_chunk():
         with pytest.raises(ValueError):
             E.sample_orbit_ensemble(sysd, seed=9, start=np.array(bad, dtype=np.int64),
                                     count=count)
+
+
+def test_cat_ensemble_follows_256_bit_orbits_through_its_budget():
+    # Each 128-bit sample stands for the real point whose top 128 bits it
+    # drew.  Against 256-bit orbits whose low 128 bits are random (Python
+    # ints), its projected points stay within one unit 2^-53 for every
+    # horizon up to the budget of 54, and drift further right after.
+    sysc = E.get_system("cat")
+    budget = SYSTEMS["cat"].ensemble.horizon
+    assert budget == 54
+    count = 2000
+    ens = E.sample_orbit_ensemble(sysc, seed=3, start=0, count=count)
+    blocks = raw_blocks(3, STREAM_ORBITS, 0, count).tolist()
+    low = np.random.default_rng(3).integers(0, 2**64, (count, 4), dtype=np.uint64).tolist()
+    x = [(b[0] << 192) | (b[1] << 128) | (r[0] << 64) | r[1] for b, r in zip(blocks, low)]
+    y = [(b[2] << 192) | (b[3] << 128) | (r[2] << 64) | r[3] for b, r in zip(blocks, low)]
+    mask = 2**256 - 1
+    gaps = []
+    for _ in range(budget + 2):                 # horizons 1 .. budget + 2
+        exact = np.array([[a >> 203, b >> 203] for a, b in zip(x, y)], dtype=np.float64)
+        d = np.abs(ens.points() - exact * 2.0**-53)
+        gaps.append(np.max(np.minimum(d, 1.0 - d)))          # torus distance
+        ens.advance()
+        x, y = [(2 * a + b) & mask for a, b in zip(x, y)], [(a + b) & mask for a, b in zip(x, y)]
+    assert max(gaps[:budget]) <= 2.0**-53
+    assert gaps[budget] > 2.0**-53
+
+
+def test_map_chunks_covers_the_range_in_order():
+    for threads in (1, 2):
+        spans = map_chunks(lambda i, j: (i, j), 10, 4, threads)
+        assert spans == [(0, 4), (4, 8), (8, 10)]
+        assert map_chunks(lambda i, j: (i, j), 3, 4, threads) == [(0, 3)]
+        assert map_chunks(lambda i, j: (i, j), 0, 4, threads) == []
 
 
 def test_tent_ensemble_points_stay_in_domain():
