@@ -59,7 +59,7 @@ from .errors import GridBudgetError, RateNotEstablishedError
 from .observables import _TWO_PI, Observable, screen, undecided
 from .rng import STREAM_LEMMA_BALLS, STREAM_LEMMA_POINTS, raw_blocks, uniform01
 from .systems import (System, _FloatOrbits, birkhoff_sums, check_float64_horizon,
-                      domain_points, map_chunks, wrap_unit)
+                      domain_points, into_domain, map_chunks)
 
 _POINT_CHUNK = 1 << 16
 _BAND_POINTS = 1 << 22  # points per row band of a walked 2-d level
@@ -97,37 +97,34 @@ class BallLemmaReport:
     inconclusive: bool
 
 
-def _dev_points(sys, obs, phibar, pts, n, thresholds=()):
+def _dev_points(sys, obs, phibar, pts, n, thresholds=(), threads=1):
     """Deviation of an (N, d) float64 batch at horizon n (no domain check).
 
     With no thresholds these are the float64 values.  With thresholds the
     walk runs on the screen of observables.screen and the rows it leaves
     undecided are recomputed in float64: each returned value compares with
-    each threshold (>=) as its float64 value does.
+    each threshold (>=) as its float64 value does.  A batch larger than
+    _POINT_CHUNK is walked in equal chunks of at most _POINT_CHUNK points,
+    which bound the working set, on `threads` threads; values are
+    elementwise, so neither the chunking nor the thread count changes any
+    value or comparison.
     """
+    total = pts.shape[0]
+    if total > _POINT_CHUNK:
+        out = np.empty(total)
+
+        def fill(i, j):
+            out[i:j] = _dev_points(sys, obs, phibar, pts[i:j], n, thresholds)
+
+        chunks = -(-total // _POINT_CHUNK)
+        map_chunks(fill, total, -(-total // chunks), threads)
+        return out
     fn, band = screen(sys, obs) if thresholds else (obs.fn, 0.0)
     dev = np.abs(next(birkhoff_sums(_FloatOrbits(sys, pts), fn, [n])) / n - phibar)
     rows = np.flatnonzero(undecided(dev, band, thresholds))
     if rows.size:
         dev[rows] = _dev_points(sys, obs, phibar, pts[rows], n)
     return dev
-
-
-def _dev_points_mt(sys, obs, phibar, pts, n, threads, thresholds=()):
-    """_dev_points in chunks that bound the working set, on `threads` threads.
-
-    Values are elementwise, so neither the chunking nor the thread count
-    changes any value or comparison.
-    """
-    if pts.shape[0] <= _POINT_CHUNK:
-        return _dev_points(sys, obs, phibar, pts, n, thresholds)
-    out = np.empty(pts.shape[0])
-
-    def fill(i, j):
-        out[i:j] = _dev_points(sys, obs, phibar, pts[i:j], n, thresholds)
-
-    map_chunks(fill, pts.shape[0], _POINT_CHUNK, threads)
-    return out
 
 
 def verify_ball_lemma(sys: System, obs: Observable, phibar: float, alpha: float,
@@ -150,6 +147,8 @@ def verify_ball_lemma(sys: System, obs: Observable, phibar: float, alpha: float,
         raise ValueError("need horizon n >= 1")
     if pair_count < 1:
         raise ValueError("need pair_count >= 1")
+    if delta <= 0.0:
+        raise ValueError("need delta > 0")
     check_float64_horizon(sys, n)
     radius = delta * sys.L ** (-n)
     if alpha > 2.0 * obs.sup_abs:
@@ -182,12 +181,7 @@ def verify_ball_lemma(sys: System, obs: Observable, phibar: float, alpha: float,
         rho = radius * np.sqrt(u1)
         off = np.stack([rho * np.cos(2.0 * math.pi * u2),
                         rho * np.sin(2.0 * math.pi * u2)], axis=1)
-    ys = xs + off
-    if sys.domain == "torus":
-        ys = wrap_unit(ys)
-    else:
-        ys = np.clip(ys, sys.lo, sys.hi)
-    dev_y = _dev_points(sys, obs, phibar, ys, n)
+    dev_y = _dev_points(sys, obs, phibar, into_domain(sys, xs + off), n)
     margins = dev_y - alpha / 2.0
     return BallLemmaReport(alpha, n, delta, radius, pair_count,
                            int(xs.shape[0]), drawn,
@@ -236,38 +230,39 @@ def _prune_thresholds(alpha, n_lo, n_hi, lip_phi, W, L, delta, d):
 
 
 def _grid_cells(sys, s):
-    length = 1.0 if sys.domain == "torus" else sys.hi - sys.lo
-    return math.ceil(length / s)
+    return math.ceil((sys.hi - sys.lo) / s)
 
 
 def _grid_points(sys, idx, s):
-    pts = idx.astype(np.float64)[:, None]
+    """(len(idx), 1) points lo + idx * s of a grid of side s, on the domain.
+
+    A float64 idx is overwritten with the points (callers pass one they own).
+    """
+    pts = idx.astype(np.float64, copy=False)[:, None]
     pts *= s
     pts += sys.lo
-    if sys.domain == "torus":
-        # pts >= 0, where pts - floor(pts) is exactly pts % 1.0, and faster
-        pts -= np.floor(pts)
-        return pts
-    return np.clip(pts, sys.lo, sys.hi, out=pts)
+    return into_domain(sys, pts)
 
 
 def _cover_level_1d(sys, obs, phibar, alpha, tau, s, m, n, cand, threads):
     """Detect cells at one 1-d level.  Returns (card, relaxed-detected cells).
 
-    cand is sorted and unique, so its corners (cand and cand + 1, merged) are
-    laid out without a sort: cell i's left corner sits at i plus the number
-    of gaps in cand before it, and its right corner just after.
+    The level's stencil is one grid index array: the corners (cand and
+    cand + 1, merged), then the centres.  cand is sorted and unique, so the
+    corners are laid out without a sort: cell i's left corner sits at i
+    plus the number of gaps in cand before it, and its right corner just
+    after.
     """
     left = np.arange(cand.size, dtype=np.int64)
     left[1:] += np.cumsum(np.diff(cand) > 1)
-    corner_idx = np.empty(left[-1] + 2 if cand.size else 0, dtype=np.int64)
-    corner_idx[left] = cand
-    corner_idx[left + 1] = cand + 1
-    cpts = _grid_points(sys, corner_idx, s)
-    mid = _grid_points(sys, cand.astype(np.float64) + 0.5, s)
-    dev_c = _dev_points_mt(sys, obs, phibar, cpts, n, threads, (alpha, tau))
-    dev_m = _dev_points_mt(sys, obs, phibar, mid, n, threads, (alpha, tau))
-    cellmax = np.maximum(np.maximum(dev_c[left], dev_c[left + 1]), dev_m)
+    nc = left[-1] + 2 if cand.size else 0
+    idx = np.empty(nc + cand.size)
+    idx[left] = cand
+    idx[left + 1] = cand + 1
+    idx[nc:] = cand
+    idx[nc:] += 0.5
+    dev = _dev_points(sys, obs, phibar, _grid_points(sys, idx, s), n, (alpha, tau), threads)
+    cellmax = np.maximum(np.maximum(dev[left], dev[left + 1]), dev[nc:])
     card = int(np.count_nonzero(cellmax >= alpha))
     relaxed = cand[cellmax >= tau]
     return card, relaxed
@@ -449,18 +444,15 @@ def _cover_level_2d(sys, obs, phibar, alpha, s, m, n, threads):
     Other pairs walk every point under the screen of observables.screen,
     in _BAND_POINTS bands whose chunks run on the thread pool.
     """
-    corners = np.arange(m + 1, dtype=np.float64) * s
-    centres = (np.arange(m, dtype=np.float64) + 0.5) * s
-    if sys.domain == "torus":
-        corners %= 1.0
-        centres %= 1.0
+    corners = _grid_points(sys, np.arange(m + 1, dtype=np.float64), s).ravel()
+    centres = _grid_points(sys, np.arange(m) + 0.5, s).ravel()
 
     if sys.matrix is None or obs.character is None:
         band_points = _BAND_POINTS
 
         def hits(axis, r0, r1):
             pts = _grid_2d(axis[r0:r1], axis)
-            dev = _dev_points_mt(sys, obs, phibar, pts, n, threads, (alpha,))
+            dev = _dev_points(sys, obs, phibar, pts, n, (alpha,), threads)
             return (dev >= alpha).reshape(r1 - r0, axis.size)
     else:
         band_points = _POINT_CHUNK

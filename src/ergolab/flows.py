@@ -34,9 +34,10 @@ import numpy as np
 from .errors import DomainError
 from .observables import _TWO_PI, Observable
 from .rng import STREAM_FLOW, raw_blocks, uniform01
-from .systems import System, _as_batch, _check_domain, distance, domain_points, wrap_unit
+from .systems import System, _as_batch, _check_domain, distance, domain_points, into_domain
 
 _POINT_CHUNK = 1 << 16            # quadrature nodes evaluated per observable call
+_OFFSET_SCALE = 1e-6              # largest base offset of a Lipschitz pair
 
 
 @dataclass(frozen=True)
@@ -331,23 +332,18 @@ def _suspension_distances(sys: System, xa, sa, xb, sb) -> np.ndarray:
     return np.array([math.hypot(b, g) for b, g in zip(base, (sa - sb).tolist())])
 
 
-def estimate_time1_lipschitz(flow: SuspensionFlow, pair_count: int, seed: int,
-                             offset_scale: float = 1e-6) -> float:
+def estimate_time1_lipschitz(flow: SuspensionFlow, pair_count: int, seed: int) -> float:
     """Empirical Lipschitz constant of the time-1 map on the suspension space.
 
     Distance is sqrt(base distance^2 + fiber gap^2).  Pairs are a sampled
-    state and a small random perturbation of it.
+    state and a perturbation of its base point by at most _OFFSET_SCALE.
     """
     if pair_count < 1:
         raise ValueError("need pair_count >= 1")
     sys = flow.base
     x1, s1, extra = _sample_flow_arrays(flow, seed, 0, pair_count)
     # perturb the base point; fold the extra uniform into the direction
-    x2 = x1 + (offset_scale * (2.0 * extra - 1.0))[:, None]
-    if sys.domain == "torus":
-        x2 = wrap_unit(x2)
-    else:
-        x2 = np.clip(x2, sys.lo, sys.hi)
+    x2 = into_domain(sys, x1 + (_OFFSET_SCALE * (2.0 * extra - 1.0))[:, None])
     s2 = np.minimum(s1, flow.roof.fn(x2) * (1.0 - 1e-12))
     d0 = _suspension_distances(sys, x1, s1, x2, s2)
     moved = d0 != 0.0

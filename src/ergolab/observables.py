@@ -194,8 +194,6 @@ def undecided(dev, band: float, thresholds):
 
 def time_average(sys: System, obs: Observable, x, n: int):
     """Mean of the observable over orbit points f^j(x), j = 0..n-1."""
-    if n < 1:
-        raise ValueError("time average needs n >= 1")
     return orbit_average(sys, obs.fn, x, n)
 
 

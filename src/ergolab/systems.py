@@ -215,6 +215,17 @@ def _check_domain(sys: System, pts: np.ndarray):
         raise DomainError(f"point {pts[i]} outside domain of {sys.describe()}")
 
 
+def into_domain(sys: System, pts: np.ndarray) -> np.ndarray:
+    """Move a float64 array the caller owns onto the domain, overwriting it.
+
+    Torus coordinates wrap into [0, 1) as wrap_unit does; interval points
+    clip to [lo, hi].  Returns pts.
+    """
+    if sys.domain == "torus":
+        return _wrap_in_place(pts)
+    return np.clip(pts, sys.lo, sys.hi, out=pts)
+
+
 def iterate(sys: System, x, k: int):
     """Apply the step map k >= 0 times.  Domain is checked before stepping."""
     if k < 0:
@@ -252,8 +263,6 @@ def nonuniform_expansion_exponent(sys: System, x, n: int):
     Negative values certify expansion along the orbit segment; the tent
     crease and the logistic critical point raise SingularDerivativeError.
     """
-    if n < 1:
-        raise ValueError("expansion exponent needs n >= 1")
     return orbit_average(sys, sys._log_inv_dnorm, x, n)
 
 
@@ -301,8 +310,10 @@ def orbit_average(sys: System, fn, x, n: int):
     """Mean of fn over the orbit points f^j(x), j = 0..n-1, shaped like x.
 
     One point (a scalar, or a length-d vector) gives a float, a batch an (N,)
-    array.  The domain is checked before stepping.
+    array.  The domain is checked before stepping; n < 1 raises ValueError.
     """
+    if n < 1:
+        raise ValueError(f"orbit average needs n >= 1, got {n}")
     pts, tag = _as_batch(sys, x)
     _check_domain(sys, pts)
     avg = next(birkhoff_sums(_FloatOrbits(sys, pts), fn, [n])) / n
@@ -518,14 +529,13 @@ def check_float64_horizon(sys: System, n: int):
 _READ_GAP = 1024
 
 
-def sample_orbit_ensemble(sys: System, seed: int, start, count: int,
-                          stream: int = STREAM_ORBITS):
+def sample_orbit_ensemble(sys: System, seed: int, start, count: int):
     """Draw samples [start, start+count) of a system's orbit ensemble.
 
     `start` may instead be a non-empty increasing array of `count` sample
     indices, which draws just those samples; indices at most _READ_GAP
     apart share one read of the blocks spanning them.  Sample i always
-    consumes counter block i of the given stream, so any chunking or
+    consumes counter block i of the orbit stream, so any chunking or
     selection of [0, N) yields bit-identical orbits.  Initial conditions
     are uniform over the domain (the natural measure for every catalog
     system except logistic, whose ensembles are only used where a uniform
@@ -537,10 +547,10 @@ def sample_orbit_ensemble(sys: System, seed: int, start, count: int,
             raise ValueError("sample indices must be a non-empty increasing array of length count")
         runs = np.split(idx, np.flatnonzero(np.diff(idx) > _READ_GAP) + 1)
         blocks = np.concatenate([
-            raw_blocks(seed, stream, int(r[0]), int(r[-1] - r[0]) + 1)[r - r[0]]
+            raw_blocks(seed, STREAM_ORBITS, int(r[0]), int(r[-1] - r[0]) + 1)[r - r[0]]
             for r in runs])
     else:
-        blocks = raw_blocks(seed, stream, start, count)
+        blocks = raw_blocks(seed, STREAM_ORBITS, start, count)
     return SYSTEMS[sys.sid].ensemble(sys, blocks)
 
 
@@ -553,10 +563,9 @@ def domain_points(sys: System, blocks: np.ndarray) -> np.ndarray:
     return sys.lo + (sys.hi - sys.lo) * uniform01(blocks[:, :sys.d])
 
 
-def sample_points(sys: System, seed: int, start: int, count: int,
-                  stream: int = STREAM_SPACE_AVG) -> np.ndarray:
-    """Uniform float64 points on the domain, one counter block per point."""
-    return domain_points(sys, raw_blocks(seed, stream, start, count))
+def sample_points(sys: System, seed: int, start: int, count: int) -> np.ndarray:
+    """Uniform float64 points on the domain, one block of the space-average stream each."""
+    return domain_points(sys, raw_blocks(seed, STREAM_SPACE_AVG, start, count))
 
 
 # ---------------------------------------------------------------------------

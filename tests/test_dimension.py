@@ -13,8 +13,8 @@ from ergolab import dimension
 from ergolab.deviation import DIGIT
 from ergolab.dimension import (_POINT_CHUNK, _character_coefficients,
                                _character_factors, _children_1d, _cover_level_1d,
-                               _cover_level_2d, _dev_points, _dev_points_mt,
-                               _grid_cells, _grid_points, closed_form_band)
+                               _cover_level_2d, _dev_points, _grid_cells,
+                               _grid_points, closed_form_band)
 from ergolab.rng import STREAM_LEMMA_POINTS, raw_blocks
 from ergolab.systems import domain_points
 from ergolab.errors import GridBudgetError, RateNotEstablishedError
@@ -80,6 +80,10 @@ def test_ball_lemma_inconclusive_paths():
         E.verify_ball_lemma(sysd, cos1, 0.0, 0.4, 0.01, n=0, pair_count=5, seed=0)
     with pytest.raises(ValueError):
         E.verify_ball_lemma(sysd, cos1, 0.0, 0.4, 0.01, n=5, pair_count=0, seed=0)
+    # a zero or negative radius checks nothing: refused, as covers refuse it
+    for delta in (0.0, -0.01):
+        with pytest.raises(ValueError, match="delta"):
+            E.verify_ball_lemma(sysd, cos1, 0.0, 0.4, delta, n=8, pair_count=50, seed=0)
 
 
 def test_ball_lemma_stops_at_the_float64_budget():
@@ -183,12 +187,28 @@ def test_cover_dedup_equals_np_unique():
 
 
 def test_dev_points_chunking_is_invisible():
+    # a batch of three chunks, walked whole at 1 and 2 threads, gives the
+    # values of reference batches smaller than a chunk whose edges fall off
+    # the chunk seams; thresholds at points' own float64 deviations, spread
+    # over the batch, are decided by the recount
     sysd = E.get_system("doubling")
     cos1 = E.get_observable("cos1", sysd)
     pts = np.random.default_rng(2).random((2 * _POINT_CHUNK + 5, 1))
-    whole = _dev_points(sysd, cos1, 0.1, pts, 3)
-    for threads in (1, 2):
-        assert np.array_equal(_dev_points_mt(sysd, cos1, 0.1, pts, 3, threads), whole)
+    step = _POINT_CHUNK // 5 + 7
+
+    def reference(thresholds):
+        return np.concatenate([_dev_points(sysd, cos1, 0.1, pts[i:i + step], 3, thresholds)
+                               for i in range(0, pts.shape[0], step)])
+
+    exact = reference(())
+    ties = tuple(float(exact[i]) for i in (0, pts.shape[0] // 3, _POINT_CHUNK, pts.shape[0] - 1))
+    for thresholds in [(), (0.3,), ties]:
+        want = reference(thresholds)
+        for threads in (1, 2):
+            got = _dev_points(sysd, cos1, 0.1, pts, 3, thresholds, threads)
+            assert np.array_equal(got, want)
+            for t in thresholds:
+                assert np.array_equal(got >= t, exact >= t)
 
 def _recording(obs):
     """obs with an fn that records the dtype of every batch it evaluates."""

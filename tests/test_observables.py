@@ -7,6 +7,7 @@ import pytest
 
 import ergolab as E
 from ergolab.observables import DIGIT, DIGIT_MEAN, deviation, undecided
+from ergolab.systems import orbit_average
 
 
 def batch(*xs):
@@ -83,6 +84,11 @@ def test_time_average_worked_values():
     assert E.time_average(syst, obs_x, 2.0 / 3.0, 10) == pytest.approx(2.0 / 3.0, abs=1e-13)
     with pytest.raises(ValueError):
         E.time_average(sysd, obs_x, 0.3, 0)
+    # the kernel itself refuses an empty orbit, which averaged to -inf
+    cos1 = E.get_observable("cos1", sysd)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n >= 1"):
+            orbit_average(sysd, cos1.fn, 0.3, n)
 
 
 def test_time_average_stays_in_observable_range():

@@ -9,7 +9,8 @@ from scipy import special, stats
 import ergolab as E
 from ergolab.errors import DomainError, SingularDerivativeError
 from ergolab.rng import STREAM_ORBITS, raw_blocks
-from ergolab.systems import SYSTEMS, _FloatOrbits, birkhoff_sums, map_chunks, sample_points
+from ergolab.systems import (SYSTEMS, _FloatOrbits, birkhoff_sums, into_domain, map_chunks,
+                             sample_points)
 
 
 def test_doubling_iterate_worked_values():
@@ -111,6 +112,21 @@ def test_wrap_unit_seam_snap():
     assert isinstance(E.wrap_unit(2.5), float)
     arr = E.wrap_unit(np.array([1.25, -0.5]))
     assert arr.tolist() == [0.25, 0.5]
+
+
+def test_into_domain_wraps_or_clips_in_place():
+    edges = [-5e-324, np.nextafter(1.0, 0.0), 1.0, 2.5]
+    sysc = E.get_system("cat")
+    pts = np.array([edges, edges[::-1]]).T.copy()
+    out = into_domain(sysc, pts)
+    assert out is pts
+    assert out.tolist() == E.wrap_unit(np.array([edges, edges[::-1]]).T).tolist()
+    assert out[:, 0].tolist() == [0.0, np.nextafter(1.0, 0.0), 0.0, 0.5]
+    sysl = E.get_system("logistic", c=-1.7)
+    pts = np.array([[sysl.lo - 1e-9], [-5e-324], [0.5], [sysl.hi], [sysl.hi + 2.0]])
+    out = into_domain(sysl, pts)
+    assert out is pts
+    assert out[:, 0].tolist() == [sysl.lo, -5e-324, 0.5, sysl.hi, sysl.hi]
 
 
 def _old_wrap_unit(x):
