@@ -18,9 +18,12 @@ base-map averages:
 
 Every entry point takes one state or a batch of N states (x of shape
 (N, d), s of shape (N,)), with horizons scalar or one per state.  A batch
-walks all its states at once, segment index by segment index, doing for
-each state exactly the arithmetic of the one-state walk, so batched
-results equal the one-state results bit for bit.
+is walked as (segment, state) arrays, one block of segment indices of the
+states still live at a time, each block holding at most _POINT_CHUNK
+pairs: the roof is evaluated once per block, and remaining times and
+liveness are accumulations down the segment axis.  Each state still gets
+exactly the arithmetic of the one-state walk, so batched results equal
+the one-state results bit for bit.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .observables import _TWO_PI, Observable
 from .rng import STREAM_FLOW, raw_blocks, uniform01
 from .systems import System, _as_batch, _check_domain, distance, domain_points, into_domain
 
-_POINT_CHUNK = 1 << 16            # quadrature nodes evaluated per observable call
+_POINT_CHUNK = 1 << 16            # quadrature nodes per observable call, (segment, state) pairs per block
 _OFFSET_SCALE = 1e-6              # largest base offset of a Lipschitz pair
 
 
@@ -123,55 +126,124 @@ def _times(t) -> np.ndarray:
     return a
 
 
-def _segments(flow: SuspensionFlow, pts: np.ndarray, s: np.ndarray, horizon):
-    """Walk states through their fiber segments, for per-state horizons.
+def _walk(flow: SuspensionFlow, pts: np.ndarray, s: np.ndarray, horizon, visit=None):
+    """Walk states through their fiber segments, a block of segment indices at a time.
 
     pts (N, d) and s (N,) are advanced in place.  State i stops once its
     horizon ends strictly inside a fiber, or after its guard of
-    int(horizon_i / rho_min) + 2 segments.  Yields, per segment index, the
-    live rows with their base points, starting heights and the length of
-    fiber each travels.
+    int(horizon_i / rho_min) + 2 segments.  A block covers segment indices
+    [j0, j0 + B) of the n states still live, with B * n <= _POINT_CHUNK
+    unless B = 1, so the working set is bounded whatever horizon / rho_min
+    is.  Only states that cross the roof at a block's last segment carry
+    forward to the next.  A state at height s with time r left crosses the
+    roof at least m = floor((r + s) / rho_max) times (the first crossing
+    takes at most rho_max - s, each later one at most rho_max), so it walks
+    at least m + 1 segments, and under a constant roof exactly that many up
+    to rounding.  B is at most m + 1 for the largest r + s, so a roof far
+    above rho_min costs a few more blocks instead of stepping states far
+    past their horizons.  visit, if given, gets each block's live pairs (see
+    _walk_block); it is a callback, not a generator's consumer, so that no
+    block's arrays are alive while the next block is built.
     """
     remaining = np.broadcast_to(horizon, s.shape).astype(np.float64)
     guard = (remaining / flow.roof.rho_min).astype(np.int64) + 2
-    live = np.arange(s.shape[0])
-    for j in range(int(guard.max(initial=0))):
-        live = live[guard[live] > j]
-        if live.size == 0:
-            return
-        x, s0, rem = pts[live], s[live], remaining[live]
-        room = flow.roof.fn(x) - s0
-        crossing = room <= rem
-        seg = np.where(crossing, room, rem)
-        yield live, x, s0, seg
-        remaining[live] = rem - seg
-        s[live] = np.where(crossing, 0.0, s0 + rem)
-        live = live[crossing]
-        pts[live] = flow.base._step(x[crossing])
+    rows = np.argsort(-guard, kind="stable")    # guards non-increasing along rows
+    j0 = 0
+    while rows.size:
+        g = guard[rows]
+        B = min(max(1, _POINT_CHUNK // rows.size), int(g[0]) - j0,
+                int((remaining[rows] + s[rows]).max() / flow.roof.rho_max) + 1)
+        cont = _walk_block(flow, pts, s, remaining, rows,
+                           np.arange(j0, j0 + B)[:, None] < g, visit)
+        j0 += B
+        rows = rows[cont & (g > j0)]
+
+
+def _walk_block(flow, pts, s, remaining, rows, cap, visit):
+    """One block of the walk as (segment, state) arrays of shape (B, n).
+
+    cap[b, i] says segment b is within state rows[i]'s guard.  Base points
+    are stepped B times and the roof is evaluated once; rem_b = rem_{b-1} -
+    room_{b-1} is one subtract.accumulate down the segment axis.  A pair is
+    live while every earlier segment of its state crossed (room <= rem) and
+    cap holds.  Calls visit(rows, live, x, s0, seg) with the (B, n) live
+    mask and, for the live pairs in row-major order, base points, starting
+    heights and the length of fiber each travels.  Moves each state to the
+    end of its last live segment and returns whether it crossed the roof there.
+    """
+    B, n = cap.shape
+    d = pts.shape[1]
+    # rows are sorted by guard, so those past it at segment b are a suffix:
+    # they are not stepped and keep x = 0, which no live pair reads
+    xs = np.zeros((B, n, d))
+    xs[0] = pts[rows]
+    for b, m in enumerate(cap[1:].sum(axis=1).tolist(), 1):
+        xs[b, :m] = flow.base._step(xs[b - 1, :m])
+    room = flow.roof.fn(xs.reshape(-1, d)).reshape(B, n)
+    room[0] -= s[rows]
+    rem = np.empty((B, n))
+    rem[0] = remaining[rows]
+    rem[1:] = room[:-1]
+    rem = np.subtract.accumulate(rem, axis=0)
+    crossing = room <= rem
+    # a state's crossings run True..True False..False: after a miss rem < 0,
+    # and rem only falls, below every (positive) room; so each crossing is
+    # already the AND of those before it, and a pair is live iff its state's
+    # previous segment crossed and cap holds (cap is monotone too)
+    live = cap
+    live[1:] &= crossing[:-1]
+    # each state's last live pair, as a flat index into the (B, n) arrays
+    end = (live.sum(axis=0) - 1) * n + np.arange(n)
+    cont = crossing.ravel()[end]
+    x = xs.reshape(-1, d)[end]
+    x[cont] = flow.base._step(x[cont])
+    s_first, rem_end = s[rows], rem.ravel()[end]
+    pts[rows] = x
+    s[rows] = np.where(cont, 0.0, np.where(end < n, s_first, 0.0) + rem_end)
+    remaining[rows] = rem_end - room.ravel()[end]
+    if visit is not None:
+        seg = np.where(crossing, room, rem)[live]
+        del room, rem, crossing       # only the live pairs stay through the quadrature
+        xs = xs[live]
+        # the first n live pairs are segment 0, the only one starting above s = 0
+        s0 = np.zeros(seg.shape[0])
+        s0[:n] = s_first
+        visit(rows, live, xs, s0, seg)
+    return cont
 
 
 def _time_averages(flow, fobs, pts, s, T, step):
     """Flow averages of N states: per-segment midpoint sums, grouped by node count.
 
-    A segment of length seg gets k = max(1, ceil(seg / step)) nodes; rows
-    sharing k are summed as (rows, k) blocks of about _POINT_CHUNK nodes,
-    whose row sums equal the one-row sums bit for bit.
+    A segment of length seg gets k = max(1, ceil(seg / step)) nodes; the
+    live pairs of a block sharing k are summed as (pairs, k) blocks of about
+    _POINT_CHUNK nodes, whose row sums equal the one-pair sums bit for bit.
+    Each state then adds its segment areas in segment order.
     """
     total = np.zeros(s.shape[0])
-    for rows, x, s0, seg in _segments(flow, pts, s, T):
+
+    def add_block(rows, live, x, s0, seg):
         k = np.maximum(np.ceil(seg / step), 1.0).astype(np.int64)
         h = seg / k
-        area = np.empty(rows.shape[0])
+        area = np.empty(seg.shape[0])
         for kk in set(k.tolist()):
             nodes = np.arange(kk, dtype=np.float64) + 0.5
             group = np.flatnonzero(k == kk)
             per_chunk = max(1, _POINT_CHUNK // kk)
             for c in range(0, group.size, per_chunk):
                 g = group[c:c + per_chunk]
-                offs = s0[g, None] + nodes * h[g, None]
-                vals = fobs.fn(np.repeat(x[g], kk, axis=0), offs.ravel())
+                # offsets built node-major, so numpy's inner loops run over pairs, not nodes
+                offs = nodes[:, None] * h[g]
+                offs += s0[g]
+                vals = fobs.fn(np.repeat(x[g], kk, axis=0), offs.T.ravel())
                 area[g] = h[g] * np.sum(np.reshape(vals, (-1, kk)), axis=1)
-        total[rows] += area
+        # accumulate adds down the segment axis in order; dead pairs add +0.0
+        areas = np.zeros((live.shape[0] + 1, rows.size))
+        areas[0] = total[rows]
+        areas[1:][live] = area
+        total[rows] = np.add.accumulate(areas, axis=0)[-1]
+
+    _walk(flow, pts, s, T, add_block)
     return total / T
 
 
@@ -181,8 +253,7 @@ def flow_step(flow: SuspensionFlow, state: FlowState, t) -> FlowState:
     if np.any(t < 0.0):
         raise ValueError("flow time must be >= 0")
     pts, s = _checked_states(flow, state)
-    for _ in _segments(flow, pts, s, t):
-        pass
+    _walk(flow, pts, s, t)
     if _is_batch(state):
         return FlowState(pts, s)
     return FlowState(pts[0].copy(), float(s[0]))
@@ -347,7 +418,9 @@ def estimate_time1_lipschitz(flow: SuspensionFlow, pair_count: int, seed: int) -
     s2 = np.minimum(s1, flow.roof.fn(x2) * (1.0 - 1e-12))
     d0 = _suspension_distances(sys, x1, s1, x2, s2)
     moved = d0 != 0.0
-    f1 = flow_step(flow, FlowState(x1[moved], s1[moved]), 1.0)
-    f2 = flow_step(flow, FlowState(x2[moved], s2[moved]), 1.0)
-    d1 = _suspension_distances(sys, f1.x, f1.s, f2.x, f2.s)
+    # both members of every pair in one walk: rows [0, n) the states, [n, 2n) the partners
+    n = int(np.count_nonzero(moved))
+    f = flow_step(flow, FlowState(np.concatenate([x1[moved], x2[moved]]),
+                                  np.concatenate([s1[moved], s2[moved]])), 1.0)
+    d1 = _suspension_distances(sys, f.x[:n], f.s[:n], f.x[n:], f.s[n:])
     return float(np.max(d1 / d0[moved], initial=0.0))

@@ -190,9 +190,13 @@ def test_sample_flow_states():
     assert np.array_equal(extra, np.concatenate([el, er]))
 
 
-def test_time1_lipschitz_estimate():
+def test_time1_lipschitz_estimate(monkeypatch):
     flow = unit_flow()
+    calls = []
+    step = flows_mod.flow_step
+    monkeypatch.setattr(flows_mod, "flow_step", lambda *a: calls.append(a) or step(*a))
     lip = E.estimate_time1_lipschitz(flow, 500, seed=9)
+    assert len(calls) == 1                        # both members of every pair in one walk
     # the time-1 map of the unit-roof suspension applies one doubling step
     assert 1.5 <= lip <= 2.0 * (1.0 + 1e-6)
     bent = E.SuspensionFlow(E.get_system("doubling"), E.cosine_roof(0.3))
@@ -285,7 +289,11 @@ def test_batched_kernels_equal_the_one_state_loop(base, roof):
                  E.fiber_constant(E.get_observable("coord", base)),
                  E.FlowObservable("mixed", lambda x, s: np.cos(_TWO_PI * x[:, 0])
                                   * np.sin(3.0 * s) + s, 2.5)]
-    horizons = [6.0, 3.5, 2.0 + 7.0 * extra]          # integer, fractional, per state
+    # per-state horizons ending exactly on a roof crossing, where room <= rem ties
+    ties = [roof.fn(batch.x) - batch.s]
+    if roof.kind == "constant":
+        ties.append(ties[0] + roof.rho_max)
+    horizons = [6.0, 3.5, 2.0 + 7.0 * extra] + ties   # integer, fractional, per state
     for fobs in fobs_list:
         for qstep in (None, 0.07):
             for T in horizons:
@@ -298,7 +306,7 @@ def test_batched_kernels_equal_the_one_state_loop(base, roof):
                 one = E.flow_time_average(flow, fobs, E.FlowState(batch.x[3], batch.s[3]),
                                           float(Ts[3]), qstep)
                 assert one == want[3]
-    for t in (0.0, 1.0, 2.75, 3.0 * extra):
+    for t in [0.0, 1.0, 2.75, 3.0 * extra] + ties:
         out = E.flow_step(flow, batch, t)
         ts = np.broadcast_to(t, batch.s.shape)
         for i in range(len(batch.s)):
@@ -328,6 +336,50 @@ def test_fine_quadrature_is_chunked_and_exact(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 8e6                             # an unchunked group needs ~60 MB
+
+
+def test_walk_evaluates_the_roof_once_per_block():
+    calls = []
+    unit = E.constant_roof(1.0)
+    roof = E.Roof("constant", lambda p: calls.append(p.shape[0]) or unit.fn(p), 1.0, 1.0)
+    flow = E.SuspensionFlow(E.get_system("doubling"), roof)
+    fobs = E.fiber_constant(E.get_observable("cos1", flow.base))
+    states, _ = E.sample_flow_states(flow, 6, 0, 2000)
+    x, s = np.stack([st.x for st in states]), np.array([st.s for st in states])
+    calls.clear()
+    E.flow_time_average(flow, fobs, E.FlowState(x[:128], s[:128]), 50.0)
+    # one call checks the states, one walks the 51 segments a state can take under roof 1
+    assert calls == [128, 51 * 128]
+    calls.clear()
+    E.flow_time_average(flow, fobs, E.FlowState(x, s), 400.0, quadrature_step=1.0)
+    # 401 segments of 2000 states, in blocks of at most _POINT_CHUNK pairs
+    assert flows_mod._POINT_CHUNK // 2000 == 32
+    assert calls == [2000] + [32 * 2000] * 12 + [17 * 2000]
+    # far above its floor, a roof sets blocks by r / rho_max, not by the 1002-segment guard
+    cos = E.cosine_roof(0.95)
+    flow = E.SuspensionFlow(flow.base, E.Roof("cosine", lambda p: calls.append(p.shape[0])
+                                              or cos.fn(p), cos.rho_min, cos.rho_max))
+    for st in E.sample_flow_states(flow, 6, 0, 4)[0]:
+        calls.clear()
+        E.flow_time_average(flow, fobs, st, 50.0)
+        assert sum(calls[1:]) < 80
+
+
+def test_long_walk_working_set_is_blocked():
+    # a low roof floor makes 1002-segment guards: walked as one block, 2000 states need ~100 MB
+    flow = E.SuspensionFlow(E.get_system("doubling"), E.cosine_roof(0.95))
+    fobs = E.fiber_constant(E.get_observable("cos1", flow.base))
+    states, _ = E.sample_flow_states(flow, 2, 0, 2000)
+    big = E.FlowState(np.stack([st.x for st in states]), np.array([st.s for st in states]))
+    tracemalloc.start()
+    try:
+        got = E.flow_time_average(flow, fobs, big, 50.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+    for i in range(0, 2000, 197):
+        assert got[i] == ref_time_average(flow, fobs, big.x[i], float(big.s[i]), 50.0)
 
 
 def test_batched_checks_equal_one_state_checks():
