@@ -23,7 +23,7 @@ from .flows import (FlowObservable, FlowState, Roof, SuspensionFlow,
                     constant_roof, cosine_roof, estimate_time1_lipschitz,
                     fiber_constant, flow_nontypical_inclusion_check, flow_step,
                     flow_time_average, integer_part_reduction_check,
-                    sample_flow_states)
+                    sample_flow_batch, sample_flow_states)
 from .runner import (ExperimentConfig, Report, config_from_ini, config_to_ini,
                      load_config, report_json, run_pipeline, validate_config,
                      write_artifacts)

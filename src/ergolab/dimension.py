@@ -35,12 +35,13 @@ the float64 walk's decides every point outside [t - band, t + band) for
 every threshold t, and only the points observables.undecided marks are
 walked in float64:
 
-* covers and lemma candidates walk float64 orbits with the screen of
-  observables.screen: for cos1 the observable runs on float32 points;
-  for the others it is the float64 walk itself, band 0;
-* 2-d covers of a linear torus map with a character observable (cos1 on
-  the cat map): the Birkhoff sums of a row band have the closed form of one
-  small matrix product (_cover_level_2d), within closed_form_band.
+* covers of a linear torus map with a character observable, in 1-d and
+  2-d (cos1 on doubling and on the cat map): the Birkhoff sums of a band
+  of stencil points have the closed form of one small product of cos/sin
+  tables (_closed_form_dev), within closed_form_band;
+* other covers and lemma candidates walk float64 orbits with the screen
+  of observables.screen: for cos1 the observable runs on float32 points;
+  for the others it is the float64 walk itself, band 0.
 
 Cards, relaxed sets and lemma reports are those of the float64 walk; the
 lemma's ball points, whose deviations are reported, are evaluated in
@@ -247,22 +248,28 @@ def _grid_points(sys, idx, s):
 def _cover_level_1d(sys, obs, phibar, alpha, tau, s, m, n, cand, threads):
     """Detect cells at one 1-d level.  Returns (card, relaxed-detected cells).
 
-    The level's stencil is one grid index array: the corners (cand and
-    cand + 1, merged), then the centres.  cand is sorted and unique, so the
-    corners are laid out without a sort: cell i's left corner sits at i
-    plus the number of gaps in cand before it, and its right corner just
-    after.
+    A cell's stencil is its two corners and its centre; its maximum reaches
+    alpha (tau) where one of them does.  In closed form (see _closed_form)
+    the maxima come from _cellmax_closed_form.  Otherwise the level's
+    stencil is one grid index array, walked by _dev_points: the corners
+    (cand and cand + 1, merged), then the centres.  cand is sorted and
+    unique, so the corners are laid out without a sort: cell i's left
+    corner sits at i plus the number of gaps in cand before it, and its
+    right corner just after.
     """
-    left = np.arange(cand.size, dtype=np.int64)
-    left[1:] += np.cumsum(np.diff(cand) > 1)
-    nc = left[-1] + 2 if cand.size else 0
-    idx = np.empty(nc + cand.size)
-    idx[left] = cand
-    idx[left + 1] = cand + 1
-    idx[nc:] = cand
-    idx[nc:] += 0.5
-    dev = _dev_points(sys, obs, phibar, _grid_points(sys, idx, s), n, (alpha, tau), threads)
-    cellmax = np.maximum(np.maximum(dev[left], dev[left + 1]), dev[nc:])
+    if _closed_form(sys, obs):
+        cellmax = _cellmax_closed_form(sys, obs, phibar, (alpha, tau), s, n, cand)
+    else:
+        left = np.arange(cand.size, dtype=np.int64)
+        left[1:] += np.cumsum(np.diff(cand) > 1)
+        nc = left[-1] + 2 if cand.size else 0
+        idx = np.empty(nc + cand.size)
+        idx[left] = cand
+        idx[left + 1] = cand + 1
+        idx[nc:] = cand
+        idx[nc:] += 0.5
+        dev = _dev_points(sys, obs, phibar, _grid_points(sys, idx, s), n, (alpha, tau), threads)
+        cellmax = np.maximum(np.maximum(dev[left], dev[left + 1]), dev[nc:])
     card = int(np.count_nonzero(cellmax >= alpha))
     relaxed = cand[cellmax >= tau]
     return card, relaxed
@@ -333,10 +340,11 @@ def _character_coefficients(sys, obs, n):
 def closed_form_band(sys: System, obs: Observable, n: int) -> float:
     """Bound on |closed-form deviation - float64-walk deviation| at horizon n.
 
-    band = 4 * ( (1/n) sum_{j<n} [2 pi rho P_j + 2 pi u w_j + 16 pi u + 20 u]
+    band = 4 * ( (1/n) sum_{j<n} [2 pi rho P_j + 2 pi (1 + sigma) u w_j + 16 pi u + 20 u]
                  + 5 n u + 7 u ),
     u = 2^-53, w_j = |c_j|_1 (see _character_coefficients), P_j = sum_{m<j} w_m,
-    rho = d u |A|_inf (|A|_inf the largest absolute row sum).
+    rho = d u |A|_inf (|A|_inf the largest absolute row sum), sigma = 4 in
+    1-d and 0 in 2-d.
 
     Both deviations are of the same float64 grid point x; each is compared
     with the exact |(1/n) sum_j cos(2 pi <c_j, x>) - phibar|.  Per term j:
@@ -352,13 +360,23 @@ def closed_form_band(sys: System, obs: Observable, n: int) -> float:
        the walked point rounds 2 pi and 2 pi x1 (2 pi u each, the phase
        below 1) and the cosine (at most 4 ulp, 4 u on values below 1):
        2 pi rho P_j + 4 pi u + 4 u.
-    2. The closed form.  Per axis i, c_ji x_i is rounded once (u |c_ji|, as
-       x_i < 1), the reduction mod 1 is exact for c_ji x_i >= 0 and within
-       u of exact otherwise, and 2 pi times it rounds 2 pi and the product
-       (4 pi u): a phase error of 2 pi u |c_ji| + 6 pi u, so
-       2 pi u w_j + 12 pi u for cos(a + b).  Its four cos/sin entries are
-       within 4 u each, so each of its two products is within 8 u:
-       2 pi u w_j + 12 pi u + 16 u.
+    2. The closed form.  Its term is cos(a + b) of a row phase a and a
+       column phase b, each 2 pi (c y mod 1) for an integer c and a float
+       y.  The product c y is rounded once, the reduction mod 1 is exact for
+       c y >= 0 and within u of exact otherwise, and 2 pi times it rounds
+       2 pi and the product: a phase error of 2 pi u |c y| + 6 pi u.
+       In 2-d, y is a coordinate x_i < 1 and c = c_ji, so the two phases
+       are off by 2 pi u w_j + 12 pi u.  In 1-d, grid index i (a corner, or
+       a centre i + 1/2) of a block starting at cell p is split as
+       x_p + x_q, x_p = fl(p s) and x_q = fl((i - p) s), both with c = c_j0.
+       Both parts and the walk's fl(i s) are within u i s of i s, and
+       i s < 1 + s <= 3/2 on cells of side s <= 1/2, so the split moves the
+       phase by at most 3 u |c_j0| and the two products round by at most
+       (3/2) u |c_j0|: under 2 pi (1 + sigma) u w_j + 12 pi u with
+       sigma = 4.  (The walk wraps a corner past 1 to x - 1 exactly, which
+       moves no phase of an integer c_j.)  The four cos/sin entries are
+       within 4 u each, so each of the two products is within 8 u:
+       2 pi (1 + sigma) u w_j + 12 pi u + 16 u.
     3. Sums and the average.  The closed form's 2n-term dot product, in any
        order a BLAS picks and with or without fused multiply-adds, is within
        gamma_2n ~ 2 n u times the sum of the magnitudes of its terms, which
@@ -376,13 +394,18 @@ def closed_form_band(sys: System, obs: Observable, n: int) -> float:
     the system, the character and n only.  Measured on 90,000 points of the
     level-5 grid of configs/cat.ini (alpha 0.4), three samples, the largest
     gap is 1.0-1.3e-14 at n = 5, 3.6-3.9e-12 at n = 12 and 4.7-5.0e-9 at
-    n = 20: 1/20 to 1/26 of the band.
+    n = 20: 1/20 to 1/26 of the band.  On the split blocks of about 24,000
+    cells of doubling.ini's levels (alpha 0.6), the first and last 2,000
+    and random ones, three samples, it is 5.5-6.4e-14 at n = 10, 5.3e-12
+    at n = 17 and 3.7e-10 at n = 24: 1/28 to 1/37 of the band.
     """
     c = _character_coefficients(sys, obs, n)
     w = np.abs(c).sum(axis=1).astype(np.float64)
     p = np.cumsum(w) - w
     rho = sys.d * _U * max(sum(abs(a) for a in row) for row in sys.matrix)
-    per_term = _TWO_PI * rho * p + _TWO_PI * _U * w + 16.0 * math.pi * _U + 20.0 * _U
+    sigma = 4.0 if sys.d == 1 else 0.0
+    per_term = (_TWO_PI * rho * p + _TWO_PI * (1.0 + sigma) * _U * w
+                + 16.0 * math.pi * _U + 20.0 * _U)
     return 4.0 * (float(np.sum(per_term)) / n + 5.0 * n * _U + 7.0 * _U)
 
 
@@ -393,32 +416,128 @@ _BLAS_MACS = 1 << 17
 
 
 def _product(a, b):
-    """a @ b in column blocks of at most _BLAS_MACS multiply-adds each."""
+    """a @ b in blocks of at most _BLAS_MACS multiply-adds each, cut across
+    the longer side: bands of a's rows where a is the taller, else column
+    blocks of b (never below one row or column).  A band of cat.ini's
+    level 5, (8 x 10) @ (10 x 7730), took 2.8x as long in single rows as in
+    column blocks, and a band of doubling.ini's level 17, (508 x 34) @
+    (34 x 129), 1.5x as long in column blocks as in bands of rows."""
     out = np.empty((a.shape[0], b.shape[1]))
-    step = max(1, _BLAS_MACS // a.size)
-    for j in range(0, b.shape[1], step):
-        np.matmul(a, b[:, j:j + step], out=out[:, j:j + step])
+    if a.shape[0] > b.shape[1]:
+        step = max(1, _BLAS_MACS // b.size)
+        for i in range(0, a.shape[0], step):
+            np.matmul(a[i:i + step], b, out=out[i:i + step])
+    else:
+        step = max(1, _BLAS_MACS // a.size)
+        for j in range(0, b.shape[1], step):
+            np.matmul(a, b[:, j:j + step], out=out[:, j:j + step])
     return out
 
 
-def _character_table(x, coef):
-    """[cos t | sin t] with t = 2 pi (x coef_j mod 1): a (len(x), 2 len(coef)) array."""
-    t = np.multiply.outer(x, coef.astype(np.float64))
-    t -= np.floor(t)
-    t *= _TWO_PI
-    return np.concatenate([np.cos(t), np.sin(t)], axis=1)
+def _row_factor(obs, y, coef):
+    """[cos t | sin t] with t = 2 pi (y c_j mod 1): a (len(y), 2 len(coef)) array.
 
-
-def _character_factors(coef, rows, cols):
-    """(R, C) with (R @ C)[i, j] = (1/n) sum_j cos(2 pi (c_j0 rows[i] + c_j1 cols[j])).
-
-    cos(a + b) = cos a cos b - sin a sin b, so R holds [cos a | sin a] per
-    row and C holds [cos b ; -sin b] / n per column (2n x len(cols)).
+    The cosines are obs.fn at the points (y c_j mod 1) e_1: cos t for a
+    character with k_1 = 1 (see _closed_form), by the multiply by 2 pi the
+    sines take, so the tables' evaluations count as the observable's.
     """
-    n = coef.shape[0]
-    col = np.ascontiguousarray(_character_table(cols, coef[:, 1]).T) / n
+    t = np.multiply.outer(y, coef.astype(np.float64))
+    t -= np.floor(t)
+    pts = np.zeros((t.size, len(obs.character)))
+    pts[:, 0] = t.ravel()
+    table = np.empty((y.size, 2 * coef.size))
+    table[:, :coef.size] = obs.fn(pts).reshape(t.shape)
+    t *= _TWO_PI
+    np.sin(t, out=table[:, coef.size:])
+    return table
+
+
+def _col_factor(obs, y, coef):
+    """[cos t ; -sin t] / n, t as in _row_factor: a (2n, len(y)) array, so that
+    (_row_factor(obs, ya, ca) @ _col_factor(obs, yb, cb))[i, k] =
+    (1/n) sum_j cos(2 pi (ca_j ya[i] + cb_j yb[k]))."""
+    n = coef.size
+    col = np.ascontiguousarray(_row_factor(obs, y, coef).T) / n
     col[n:] *= -1.0
-    return _character_table(rows, coef[:, 0]), col
+    return col
+
+
+def _closed_form_dev(sys, obs, phibar, n, band, thresholds, row_f, col_f, points):
+    """|row_f @ col_f - phibar|, every entry comparing with each threshold as
+    the float64 walk's deviation does.
+
+    The entries observables.undecided marks at band (closed_form_band) are
+    replaced by _dev_points at points(flat), the float64 grid points of
+    those flat indices of the product.
+    """
+    dev = _product(row_f, col_f)
+    dev -= phibar
+    np.abs(dev, out=dev)
+    near = np.flatnonzero(undecided(dev, band, thresholds))
+    if near.size:
+        dev.flat[near] = _dev_points(sys, obs, phibar, points(near), n)
+    return dev
+
+
+def _closed_form(sys, obs):
+    """Whether covers take Birkhoff sums in closed form: a linear torus map
+    (sys.matrix) with a character observable (obs.character) whose k_1 is 1,
+    so that its fn gives the cosines of the tables (see _row_factor)."""
+    return sys.matrix is not None and obs.character is not None and obs.character[0] == 1
+
+
+# Cells per block of a 1-d closed-form level.  Medians of 45 covers of
+# perfbench's doubling-report (3 alternating rounds, 2 vCPU Xeon): 16.2,
+# 13.0, 11.7, 12.3 and 15.2 ms at 16, 32, 64, 128 and 256 cells; of 6 of
+# shipped doubling.ini: 0.33, 0.24, 0.21, 0.21 and 0.28 s.  Short blocks
+# pay more row tables per cell, long ones more unused columns on short
+# runs; 64 ties 128.
+_BLOCK = 64
+
+
+def _cellmax_closed_form(sys, obs, phibar, thresholds, s, n, cand):
+    """Stencil maxima of the 1-d cells cand (sorted, unique) in closed form.
+
+    cand is cut into runs of consecutive cells and each run into blocks of
+    _BLOCK cells.  A block starting at cell p has the row phases of
+    fl(p s); all blocks share the column phases of fl(q s) for corners
+    q = 0.._BLOCK and of fl((q + 1/2) s) for centres, so one product
+    (blocks x 2n) @ (2n x (2 _BLOCK + 1)) gives every corner and centre
+    sum of the level (closed_form_band bounds the split).  Blocks go in
+    bands of at most _POINT_CHUNK sums, the size of one walked chunk, on
+    the calling thread (see _cover_level_2d).  Each maximum compares with
+    each threshold as the float64 walk's does.
+    """
+    width = 2 * _BLOCK + 1
+    runs = np.flatnonzero(np.diff(cand, prepend=-2) != 1)    # first cell of each run
+    blocks = -(-np.diff(runs, append=cand.size) // _BLOCK)   # blocks per run
+    head = (np.repeat(runs - _BLOCK * (np.cumsum(blocks) - blocks), blocks)
+            + _BLOCK * np.arange(blocks.sum()))               # first cell of each block
+    p = cand[head]
+    # cell i sits at slot (block, offset) of a (blocks, _BLOCK) table
+    slot = np.arange(cand.size) + np.repeat(_BLOCK * np.arange(head.size) - head,
+                                            np.diff(head, append=cand.size))
+    coef = _character_coefficients(sys, obs, n)[:, 0]
+    band = closed_form_band(sys, obs, n)
+    q = np.arange(_BLOCK + 1, dtype=np.float64)
+    col_f = _col_factor(obs, np.concatenate([q * s, (q[:-1] + 0.5) * s]), coef)
+    rows = _grid_points(sys, p.astype(np.float64), s).ravel()
+    cellmax = np.empty(cand.size)
+    per_band = max(1, _POINT_CHUNK // width)
+    for k0 in range(0, p.size, per_band):
+        k1 = min(k0 + per_band, p.size)
+
+        def points(near):
+            k, c = np.divmod(near, width)
+            return _grid_points(sys, p[k0 + k] + np.where(c <= _BLOCK, c, c - _BLOCK - 0.5), s)
+
+        dev = _closed_form_dev(sys, obs, phibar, n, band, thresholds,
+                               _row_factor(obs, rows[k0:k1], coef), col_f, points)
+        slots = np.maximum(dev[:, :_BLOCK], dev[:, 1:_BLOCK + 1])   # left, right corner
+        np.maximum(slots, dev[:, _BLOCK + 1:], out=slots)           # centre
+        i0, i1 = head[k0], (head[k1] if k1 < p.size else cand.size)
+        cellmax[i0:i1] = slots.ravel()[slot[i0:i1] - k0 * _BLOCK]
+    return cellmax
 
 
 def _cover_level_2d(sys, obs, phibar, alpha, s, m, n, threads):
@@ -430,24 +549,21 @@ def _cover_level_2d(sys, obs, phibar, alpha, s, m, n, threads):
     shares with the next.  Hits are elementwise, so neither bands nor
     threads change them.
 
-    A linear torus map with a character observable (sys.matrix and
-    obs.character) has the closed form S_n(row, col) = sum_j cos(a_j + b_j),
+    In closed form (see _closed_form), S_n(row, col) = sum_j cos(a_j + b_j),
     a_j = 2 pi c_j0 row, b_j = 2 pi c_j1 col (see _character_coefficients):
-    a chunk's sums are one (rows x 2n) @ (2n x cols) product of cos/sin
-    tables built once per level, O(m n) cosines for the level instead of
-    O(m^2 n).  The points observables.undecided marks at closed_form_band
-    are recomputed by the float64 walk, so every hit is that of the float64
-    walk.  The closed form runs on the calling thread, one _POINT_CHUNK of
-    points a band: OpenBLAS products issued from two threads at once ran
-    6-17x slower than from one, and a level of cat.ini took 0.39-0.47 s on
-    two threads against 0.28-0.35 s on one.
+    a band's deviations are those of _closed_form_dev from cos/sin tables
+    built once per level, O(m n) cosines for the level instead of O(m^2 n).
+    The closed form runs on the calling thread, one _POINT_CHUNK of points
+    a band: OpenBLAS products issued from two threads at once ran 6-17x
+    slower than from one, and a level of cat.ini took 0.39-0.47 s on two
+    threads against 0.28-0.35 s on one.
     Other pairs walk every point under the screen of observables.screen,
     in _BAND_POINTS bands whose chunks run on the thread pool.
     """
     corners = _grid_points(sys, np.arange(m + 1, dtype=np.float64), s).ravel()
     centres = _grid_points(sys, np.arange(m) + 0.5, s).ravel()
 
-    if sys.matrix is None or obs.character is None:
+    if not _closed_form(sys, obs):
         band_points = _BAND_POINTS
 
         def hits(axis, r0, r1):
@@ -458,20 +574,18 @@ def _cover_level_2d(sys, obs, phibar, alpha, s, m, n, threads):
         band_points = _POINT_CHUNK
         coef = _character_coefficients(sys, obs, n)
         band = closed_form_band(sys, obs, n)
-        factors = [_character_factors(coef, axis, axis) for axis in (corners, centres)]
+        factors = [(_row_factor(obs, axis, coef[:, 0]), _col_factor(obs, axis, coef[:, 1]))
+                   for axis in (corners, centres)]
 
         def hits(axis, r0, r1):
             row_f, col_f = factors[axis is centres]
-            dev = _product(row_f[r0:r1], col_f)
-            dev -= phibar
-            np.abs(dev, out=dev)
-            hit = dev >= alpha
-            near = np.flatnonzero(undecided(dev, band, (alpha,)))
-            if near.size:
+
+            def points(near):
                 i, j = np.divmod(near, axis.size)
-                pts = np.stack([axis[r0 + i], axis[j]], axis=1)
-                hit.flat[near] = _dev_points(sys, obs, phibar, pts, n) >= alpha
-            return hit
+                return np.stack([axis[r0 + i], axis[j]], axis=1)
+
+            return _closed_form_dev(sys, obs, phibar, n, band, (alpha,),
+                                    row_f[r0:r1], col_f, points) >= alpha
 
     card = 0
     rows_per_band = max(1, band_points // (m + 1))
@@ -494,10 +608,11 @@ def build_cover_ladder(sys: System, obs: Observable, phibar: float, alpha: float
     its stencil points (corners + center) reaches alpha.  Levels run from
     n_lo to n_hi; in 1-d, levels after the first examine only children of
     cells passing the relaxed thresholds (see _prune_thresholds), in 2-d
-    every level is swept densely, in closed form where the system declares
-    a matrix and the observable a character (see _cover_level_2d), else by
-    the float64 walk.  Either way cards are those of the float64 walk, at
-    any thread count.  The budget caps the total number of
+    every level is swept densely.  In 1-d and 2-d, a linear map (the system
+    declares a matrix) with a character observable takes its Birkhoff sums
+    in closed form (see _cellmax_closed_form and _cover_level_2d), other
+    pairs by the float64 walk.  Either way cards are those of the float64
+    walk, at any thread count.  The budget caps the total number of
     cells examined; a level that would exceed it raises GridBudgetError
     before any of its cells are evaluated.  A level past the float64 orbit
     budget (systems.check_float64_horizon) raises ValueError, whatever alpha.

@@ -348,7 +348,9 @@ def flow_nontypical_inclusion_check(flow: SuspensionFlow, fobs: FlowObservable,
     over floor(T) steps equals the flow average at horizon floor(T), which
     is how the map-side deviation is evaluated.  States whose flow average
     does not deviate make the implication vacuous (ok by default); their
-    dev_map is None for one state and NaN in a batch.
+    dev_map is None for one state and NaN in a batch.  At an integer T the
+    two horizons are one: dev_map is dev_flow, without a second walk (a
+    state's average does not depend on the batch it is walked in).
     """
     if alpha <= 0.0:
         raise ValueError("need alpha > 0")
@@ -361,10 +363,13 @@ def flow_nontypical_inclusion_check(flow: SuspensionFlow, fobs: FlowObservable,
                                         quadrature_step) - phibar)
     vacuous = dev_flow < alpha
     dev_map = np.full(s.shape, np.nan)
-    hit = ~vacuous
-    if np.any(hit):
-        dev_map[hit] = np.abs(flow_time_average(flow, fobs, FlowState(pts[hit], s[hit]),
-                                                np.floor(T[hit]), quadrature_step) - phibar)
+    nT = np.floor(T)
+    whole = ~vacuous & (nT == T)
+    dev_map[whole] = dev_flow[whole]
+    walk = ~vacuous & (nT != T)
+    if np.any(walk):
+        dev_map[walk] = np.abs(flow_time_average(flow, fobs, FlowState(pts[walk], s[walk]),
+                                                 nT[walk], quadrature_step) - phibar)
     ok = vacuous | (dev_map >= alpha / 2.0 - 1e-9)
     if not _is_batch(state) and vacuous[0]:
         return InclusionCheck(float(T[0]), alpha, float(dev_flow[0]), None, True, True)
@@ -375,25 +380,25 @@ def flow_nontypical_inclusion_check(flow: SuspensionFlow, fobs: FlowObservable,
 # ---------------------------------------------------------------------------
 # sampling helpers
 
-def _sample_flow_arrays(flow: SuspensionFlow, seed: int, start: int, count: int):
-    """(count, d) base points, (count,) fiber heights and (count,) extra uniforms."""
-    sys = flow.base
-    blocks = raw_blocks(seed, STREAM_FLOW, start, count)
-    pts = domain_points(sys, blocks)
-    u_s = uniform01(blocks[:, sys.d])
-    heights = flow.roof.fn(pts) * u_s * (1.0 - 1e-12)
-    return pts, heights, uniform01(blocks[:, 3])
+def sample_flow_batch(flow: SuspensionFlow, seed: int, start: int, count: int):
+    """Draw a batch of flow states (uniform base point, uniform admissible fiber height).
 
-
-def sample_flow_states(flow: SuspensionFlow, seed: int, start: int, count: int):
-    """Draw flow states (uniform base point, uniform admissible fiber height).
-
-    Returns (states, extra) where extra is one more uniform per state (the
+    Returns (states, extra): states one FlowState holding (count, d) base
+    points and (count,) heights, and extra one more uniform per state (the
     last word of its counter block) for callers that need a per-state
     parameter, e.g. a randomized horizon.
     """
-    pts, heights, extra = _sample_flow_arrays(flow, seed, start, count)
-    states = [FlowState(pts[i].copy(), float(heights[i])) for i in range(count)]
+    sys = flow.base
+    blocks = raw_blocks(seed, STREAM_FLOW, start, count)
+    pts = domain_points(sys, blocks)
+    heights = flow.roof.fn(pts) * uniform01(blocks[:, sys.d]) * (1.0 - 1e-12)
+    return FlowState(pts, heights), uniform01(blocks[:, 3])
+
+
+def sample_flow_states(flow: SuspensionFlow, seed: int, start: int, count: int):
+    """sample_flow_batch as a list of single FlowStates: returns (states, extra)."""
+    batch, extra = sample_flow_batch(flow, seed, start, count)
+    states = [FlowState(batch.x[i].copy(), float(batch.s[i])) for i in range(count)]
     return states, extra
 
 
@@ -412,7 +417,8 @@ def estimate_time1_lipschitz(flow: SuspensionFlow, pair_count: int, seed: int) -
     if pair_count < 1:
         raise ValueError("need pair_count >= 1")
     sys = flow.base
-    x1, s1, extra = _sample_flow_arrays(flow, seed, 0, pair_count)
+    batch, extra = sample_flow_batch(flow, seed, 0, pair_count)
+    x1, s1 = batch.x, batch.s
     # perturb the base point; fold the extra uniform into the direction
     x2 = into_domain(sys, x1 + (_OFFSET_SCALE * (2.0 * extra - 1.0))[:, None])
     s2 = np.minimum(s1, flow.roof.fn(x2) * (1.0 - 1e-12))

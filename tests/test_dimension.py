@@ -11,10 +11,10 @@ import pytest
 import ergolab as E
 from ergolab import dimension
 from ergolab.deviation import DIGIT
-from ergolab.dimension import (_POINT_CHUNK, _character_coefficients,
-                               _character_factors, _children_1d, _cover_level_1d,
-                               _cover_level_2d, _dev_points, _grid_cells,
-                               _grid_points, closed_form_band)
+from ergolab.dimension import (_POINT_CHUNK, _character_coefficients, _children_1d,
+                               _col_factor, _cover_level_1d, _cover_level_2d,
+                               _dev_points, _grid_cells, _grid_points, _row_factor,
+                               closed_form_band)
 from ergolab.rng import STREAM_LEMMA_POINTS, raw_blocks
 from ergolab.systems import domain_points
 from ergolab.errors import GridBudgetError, RateNotEstablishedError
@@ -226,42 +226,152 @@ def _ref_dev(sysm, obs, phibar, pts, n):
     return np.abs(E.time_average(sysm, obs, pts, n) - phibar)
 
 
+def _recording_walk(monkeypatch):
+    """Patch dimension._dev_points to record the batches it is called on."""
+    batches = []
+    walk = dimension._dev_points
+
+    def recording(sys, obs, phibar, pts, n, *rest):
+        batches.append(pts.copy())
+        return walk(sys, obs, phibar, pts, n, *rest)
+
+    monkeypatch.setattr(dimension, "_dev_points", recording)
+    return batches
+
+
+def _cellmax_1d(sysm, obs, phibar, cand, s, n):
+    """Float64 stencil maxima of 1-d cells by the public time average."""
+    return np.maximum.reduce([
+        _ref_dev(sysm, obs, phibar, _grid_points(sysm, c, s), n)
+        for c in (cand, cand + 1, cand.astype(np.float64) + 0.5)])
+
+
 @pytest.mark.parametrize("sid,skw", [("doubling", {}), ("tent", {}),
                                      ("logistic", {"c": -1.7})])
 def test_cover_level_1d_screen_equals_float64(monkeypatch, sid, skw):
-    # Cards and relaxed sets decided from float32 deviations equal those of
-    # float64 ones.  Thresholds set to the cell maxima of chosen cells put a
-    # stencil point exactly on alpha or tau, where only the recount decides.
+    # Cards and relaxed sets decided from cheaper deviations equal those of
+    # float64 ones: the closed form on doubling (a linear map with a
+    # character), float32 on tent and logistic.  Thresholds set to the cell
+    # maxima of chosen cells put a stencil point exactly on alpha or tau,
+    # where only the float64 recount decides.
     sysm = E.get_system(sid, **skw)
     cos1 = E.get_observable("cos1", sysm)
     phibar, n = 0.05, 7
     s = (sysm.hi - sysm.lo) / 2500.0
     m = _grid_cells(sysm, s)
     cand = np.flatnonzero(np.random.default_rng(4).random(m) < 0.7)
-    cellmax = np.maximum.reduce([
-        _ref_dev(sysm, cos1, phibar, _grid_points(sysm, c, s), n)
-        for c in (cand, cand + 1, cand.astype(np.float64) + 0.5)])
+    cellmax = _cellmax_1d(sysm, cos1, phibar, cand, s, n)
     ties = cellmax[np.argsort(cellmax)[[200, 500, 900, 1300, 1500, 1700]]]
     monkeypatch.setattr(dimension, "_POINT_CHUNK", 500)   # several chunks
+    batches = _recording_walk(monkeypatch)
+    closed = sid == "doubling"
     recounted = False
     for alpha, tau in [(0.3, 0.1), (ties[0], ties[1]), (ties[2], ties[3]),
                        (ties[4], ties[5]), (ties[5], -0.1)]:
         for threads in (1, 2):
             obs, dtypes = _recording(cos1)
+            batches.clear()
             card, relaxed = _cover_level_1d(sysm, obs, phibar, alpha, tau, s, m, n,
                                             cand, threads)
             assert card == np.count_nonzero(cellmax >= alpha)
             assert np.array_equal(relaxed, cand[cellmax >= tau])
-            assert np.dtype(np.float32) in dtypes
-            recounted |= np.dtype(np.float64) in dtypes
+            if not closed:
+                assert np.dtype(np.float32) in dtypes
+                recounted |= np.dtype(np.float64) in dtypes
+                continue
+            # the closed form walks no float32 point, and the tie points
+            # are recounted by the float64 walk
+            assert np.dtype(np.float32) not in dtypes
+            walked = np.concatenate([_ref_dev(sysm, cos1, phibar, b, n) for b in batches]
+                                    or [np.empty(0)])
+            ties_at = [t for t in (alpha, tau) if t in ties]
+            assert all(np.any(walked == t) for t in ties_at)
+            recounted |= bool(ties_at)
     assert recounted
+
+
+def test_cover_level_1d_closed_form_layout(monkeypatch):
+    # Runs shorter and longer than a block, single cells, a run ending at
+    # cell m - 1 (whose right corner wraps past 1) and the dense level give
+    # the float64 walk's cards and relaxed sets at 1 and 2 threads, with
+    # thresholds on cell maxima at both alpha and tau; small chunks put
+    # several bands of blocks in a level.
+    sysd = E.get_system("doubling")
+    cos1 = E.get_observable("cos1", sysd)
+    phibar, n, B = 0.02, 9, dimension._BLOCK
+    s = 1.0 / 3001.5
+    m = _grid_cells(sysd, s)
+    assert _grid_points(sysd, np.array([float(m)]), s)[0, 0] < s
+    runs = [np.arange(3, 3 + B // 3), [B], [B + 2], np.arange(2 * B, 5 * B + 7),
+            np.arange(6 * B, 7 * B), [8 * B + 1], np.arange(m - B - 5, m)]
+    rng = np.random.default_rng(8)
+    sparse = np.unique(np.concatenate(runs + [rng.choice(np.arange(9 * B, m - 2 * B), 300)]))
+    monkeypatch.setattr(dimension, "_POINT_CHUNK", 4 * (2 * B + 1))   # four blocks a band
+    for cand in (sparse, np.arange(m)):
+        cellmax = _cellmax_1d(sysd, cos1, phibar, cand, s, n)
+        picks = cellmax[np.argsort(cellmax)[np.linspace(0, cand.size - 1, 6).astype(int)]]
+        for alpha, tau in [(0.4, 0.1), (picks[5], picks[2]), (picks[4], picks[1]),
+                           (picks[3], picks[0])]:
+            for threads in (1, 2):
+                card, relaxed = _cover_level_1d(sysd, cos1, phibar, alpha, tau, s, m, n,
+                                                cand, threads)
+                assert card == np.count_nonzero(cellmax >= alpha)
+                assert np.array_equal(relaxed, cand[cellmax >= tau])
+
+
+def test_closed_form_band_bounds_the_1d_split(monkeypatch):
+    # at every level of perfbench's doubling-report cover (alpha 0.6, n 10
+    # to 17), the closed-form deviations of blocks starting at the first
+    # cells, at random cells and at the last cells (their corner m wraps
+    # past 1) stay within 1/8 of closed_form_band of the float64 walk's
+    sysd = E.get_system("doubling")
+    cos1 = E.get_observable("cos1", sysd)
+    delta = E.modulus_delta_for(sysd, cos1, 0.6)
+    seen = []
+    closed = dimension._closed_form_dev
+
+    def recording(sys, obs, phibar, n, band, thresholds, row_f, col_f, points):
+        dev = closed(sys, obs, phibar, n, band, thresholds, row_f, col_f, points)
+        walked = _dev_points(sys, obs, phibar, points(np.arange(dev.size)), n)
+        seen.append(float(np.max(np.abs(dev.ravel() - walked))))
+        return dev
+
+    monkeypatch.setattr(dimension, "_closed_form_dev", recording)
+    rng = np.random.default_rng(6)
+    for n in range(10, 18):
+        s = delta * sysd.L ** -n / 2.0
+        m = _grid_cells(sysd, s)
+        assert _grid_points(sysd, np.array([float(m)]), s)[0, 0] < 1.0 - s
+        cand = np.unique(np.concatenate([np.arange(200), rng.choice(m, 2000),
+                                         np.arange(m - 200, m)]))
+        seen.clear()
+        dimension._cellmax_closed_form(sysd, cos1, 0.01, (), s, n, cand)
+        assert 0.0 < max(seen) <= closed_form_band(sysd, cos1, n) / 8.0
+
+
+def test_product_bands_equal_one_matmul(monkeypatch):
+    # a tall factor is multiplied in bands of rows, a wide one in column
+    # blocks.  Both equal one plain matmul to within the rounding of a
+    # k-term dot product in any order, gamma_k sum |a||b| (the bound
+    # closed_form_band takes for the product), though not always to its bits
+    rng = np.random.default_rng(3)
+    u = 2.0**-53
+    for macs in (5000, dimension._BLAS_MACS):
+        monkeypatch.setattr(dimension, "_BLAS_MACS", macs)
+        for shape_a, shape_b in [((1000, 34), (34, 129)), ((509, 20), (20, 129)),
+                                 ((7, 10), (10, 3000))]:
+            a, b = rng.standard_normal(shape_a), rng.standard_normal(shape_b)
+            got, want = dimension._product(a, b), np.matmul(a, b)
+            k = a.shape[1]
+            assert np.all(np.abs(got - want) <= 2.0 * k * u * (np.abs(a) @ np.abs(b)))
 
 
 def test_cover_level_2d_screen_equals_float64(monkeypatch):
     # Cards from the closed form of cos1 on the cat map equal those of the
     # float64 walk.  Thresholds set to the cell maxima of chosen cells put a
     # stencil point exactly on alpha, where only the walk's recount decides;
-    # fn runs on the recounted points only.  n = 5 is the depth of cat.ini.
+    # fn runs on the phases of the level's four cos/sin tables and on the
+    # recounted points only.  n = 5 is the depth of cat.ini.
     sysc = E.get_system("cat")
     cos1 = E.get_observable("cos1", sysc)
     phibar, m = 0.02, 90
@@ -297,9 +407,11 @@ def test_cover_level_2d_screen_equals_float64(monkeypatch):
                 recounts.clear()
                 card = _cover_level_2d(sysc, obs, phibar, alpha, s, m, n, threads)
                 assert card == np.count_nonzero(cellmax >= alpha)
-                # fn walks the recounted points, n steps each, and nothing
-                # else; each recounted point lies within two bands of alpha
-                assert sorted(evaluated) == sorted([r.shape[0] for r in recounts] * n)
+                # fn takes the tables' phases (corner and centre rows and
+                # columns, n per point) and walks the recounted points, n
+                # steps each; each recounted point lies within two bands of alpha
+                tables = [(m + 1) * n, (m + 1) * n, m * n, m * n]
+                assert sorted(evaluated) == sorted([r.shape[0] for r in recounts] * n + tables)
                 for pts in recounts:
                     near = np.abs(_ref_dev(sysc, cos1, phibar, pts, n) - alpha)
                     assert np.all(near <= 2.0 * closed_form_band(sysc, cos1, n))
@@ -322,7 +434,8 @@ def test_closed_form_band_bounds_the_float_walk():
     for n in (5, 12):
         coef = _character_coefficients(sysc, cos1, n)
         assert coef[:4].tolist() == [[1, 0], [2, 1], [5, 3], [13, 8]]
-        row_f, col_f = _character_factors(coef, rows, cols)
+        row_f = _row_factor(cos1, rows, coef[:, 0])
+        col_f = _col_factor(cos1, cols, coef[:, 1])
         closed = np.abs(row_f @ col_f - 0.01).ravel()
         walked = _dev_points(sysc, cos1, 0.01, pts, n)
         gap = float(np.max(np.abs(closed - walked)))

@@ -188,6 +188,11 @@ def test_sample_flow_states():
     assert all(np.array_equal(a.x, b.x) and a.s == b.s
                for a, b in zip(states, glued))
     assert np.array_equal(extra, np.concatenate([el, er]))
+    # the batch draw holds the same states and uniforms
+    batch, eb = E.sample_flow_batch(flow, seed=4, start=0, count=300)
+    assert np.array_equal(batch.x, np.stack([st.x for st in states]))
+    assert np.array_equal(batch.s, np.array([st.s for st in states]))
+    assert np.array_equal(eb, extra)
 
 
 def test_time1_lipschitz_estimate(monkeypatch):
@@ -403,6 +408,54 @@ def test_batched_checks_equal_one_state_checks():
             assert one.dev_map is None and math.isnan(inc.dev_map[i])
         else:
             assert inc.dev_map[i] == one.dev_map
+
+
+def test_flow_average_of_a_subset_keeps_the_batch_bits():
+    # a state's flow average does not depend on the batch it is walked in:
+    # walking a subset of rows gives the full batch's bits on those rows
+    flow = E.SuspensionFlow(E.get_system("doubling"), E.cosine_roof(-0.95))
+    fobs = E.fiber_constant(E.get_observable("cos1", flow.base))
+    batch, extra = edge_batch(flow, seed=5, count=80)
+    T = 4.0 + 16.0 * extra
+    full = E.flow_time_average(flow, fobs, batch, T)
+    for keep in (np.arange(T.size) % 3 == 1, np.random.default_rng(2).random(T.size) < 0.4):
+        sub = E.flow_time_average(flow, fobs, E.FlowState(batch.x[keep], batch.s[keep]),
+                                  T[keep])
+        assert np.array_equal(sub, full[keep])
+
+
+def test_inclusion_check_walks_once_at_an_integer_horizon(monkeypatch):
+    # at an integer T the map horizon floor(T) is T, so dev_map is dev_flow
+    # and one walk serves both; at fractional horizons the values are those
+    # of a walk to T of every state and one to floor(T) of the deviating ones
+    flow = E.SuspensionFlow(E.get_system("doubling"), E.cosine_roof(0.5))
+    fobs = E.fiber_constant(E.get_observable("cos1", flow.base))
+    batch, extra = edge_batch(flow, seed=6, count=80)
+    walk = flows_mod.flow_time_average
+    calls = []
+
+    def counting(*args, **kw):
+        calls.append(args[3])
+        return walk(*args, **kw)
+
+    monkeypatch.setattr(flows_mod, "flow_time_average", counting)
+    inc = E.flow_nontypical_inclusion_check(flow, fobs, 0.0, 0.3, batch, 20.0)
+    assert len(calls) == 1
+    hit = ~inc.vacuous
+    assert 0 < np.count_nonzero(hit) < hit.size
+    assert np.array_equal(inc.dev_map[hit], inc.dev_flow[hit])
+    assert np.all(np.isnan(inc.dev_map[~hit]))
+    for T in (14.5, 14.0 + np.where(np.arange(extra.size) % 2 == 0, 0.0, extra)):
+        inc = E.flow_nontypical_inclusion_check(flow, fobs, 0.0, 0.3, batch, T)
+        T = np.broadcast_to(T, extra.shape)
+        dev_flow = np.abs(walk(flow, fobs, batch, T))
+        hit = dev_flow >= 0.3
+        dev_map = np.full(T.shape, np.nan)
+        dev_map[hit] = np.abs(walk(flow, fobs, E.FlowState(batch.x[hit], batch.s[hit]),
+                                   np.floor(T[hit])))
+        assert np.array_equal(inc.dev_flow, dev_flow)
+        assert np.array_equal(inc.dev_map, dev_map, equal_nan=True)
+        assert np.array_equal(inc.ok, ~hit | (dev_map >= 0.15 - 1e-9))
 
 
 def test_batched_validation_checks_every_row():
