@@ -50,7 +50,7 @@ LN2 = math.log(2.0)
 METHOD_MC = "monte-carlo"
 METHOD_BINOMIAL = "exact-binomial"
 
-_CHUNK = 1 << 15
+_CHUNK = 1 << 15  # samples per ladder pool task (1 << 16: ladders-deep in-process peak RSS 45 -> 49 MB)
 _MIN_SAMPLES = 1_000
 
 
@@ -94,10 +94,6 @@ def _hit_grid(sys, obs, phibar, alphas, n_values, sample_count, seed, threads):
     float64 walk.
     """
     n_values = list(n_values)
-    if any(n < 1 for n in n_values):
-        raise ValueError("deviation horizons must be >= 1")
-    if sorted(n_values) != n_values or len(set(n_values)) != len(n_values):
-        raise ValueError("n_values must be strictly increasing")
     alphas = [float(a) for a in alphas]
     screen_fn, band = screen(sys, obs)
 
@@ -171,14 +167,20 @@ def build_deviation_ladders(sys: System, obs: Observable, phibar: float,
                             threads: int = 1) -> dict:
     """Ladders for several thresholds from one shared orbit pass.
 
-    A horizon past the budget of the system's ensemble representation (76
-    for the 128-bit dyadic doubling and tent ensembles, 54 for cat) raises
-    ValueError rather than returning a wrong measure.
+    Horizons must be >= 1 and strictly increasing, whether or not some
+    threshold needs an orbit walk.  A horizon past the budget of the
+    system's ensemble representation (76 for the 128-bit dyadic doubling
+    and tent ensembles, 54 for cat) raises ValueError rather than
+    returning a wrong measure.
     """
     if sample_count < _MIN_SAMPLES:
         raise ValueError(f"sample_count must be >= {_MIN_SAMPLES}")
     alphas = [float(a) for a in alphas]
     n_values = list(n_values)
+    if any(n < 1 for n in n_values):
+        raise ValueError("deviation horizons must be >= 1")
+    if any(a >= b for a, b in zip(n_values, n_values[1:])):
+        raise ValueError("n_values must be strictly increasing")
     check_ensemble_horizon(sys, max(n_values, default=0))
     live = [a for a in alphas if 0.0 < a <= 2.0 * obs.sup_abs]
     hits = None

@@ -37,9 +37,9 @@ import numpy as np
 from .errors import DomainError
 from .observables import _TWO_PI, Observable
 from .rng import STREAM_FLOW, raw_blocks, uniform01
-from .systems import System, _as_batch, _check_domain, distance, domain_points, into_domain
+from .systems import (_POINT_CHUNK, System, _as_batch, _check_domain, distance, domain_points,
+                      into_domain)
 
-_POINT_CHUNK = 1 << 16            # quadrature nodes per observable call, (segment, state) pairs per block
 _OFFSET_SCALE = 1e-6              # largest base offset of a Lipschitz pair
 
 
@@ -272,7 +272,7 @@ def flow_time_average(flow: SuspensionFlow, fobs: FlowObservable,
     if np.any(T <= 0.0):
         raise ValueError("need T > 0")
     step = flow.roof.rho_min / 8.0 if quadrature_step is None else float(quadrature_step)
-    if step <= 0.0:
+    if not step > 0.0:
         raise ValueError("need quadrature_step > 0")
     pts, s = _checked_states(flow, state)
     avg = _time_averages(flow, fobs, pts, s, T, step)

@@ -49,6 +49,7 @@ _TOP_BIT = np.uint64(1) << _U63
 
 _LN2 = math.log(2.0)
 _CAT_EXPANSION = (3.0 + math.sqrt(5.0)) / 2.0  # largest singular value of [[2,1],[1,1]]
+_POINT_CHUNK = 1 << 16  # points per cover, ball-lemma or flow walk batch: bounds its working set
 
 
 def wrap_unit(x):
@@ -585,7 +586,7 @@ class SpaceAverage:
     seed_point: float | None = None
 
 
-_CHUNK = 1 << 16
+_CHUNK = 1 << 16  # samples per space-average sum: fixes its summation order, so the report bytes
 
 
 def srb_space_average(sys: System, observable, seed: int,

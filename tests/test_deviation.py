@@ -132,6 +132,22 @@ def test_ladder_single_pass_equals_per_horizon():
         E.build_deviation_ladder(sysd, params, [5, 5, 10], 50000, seed=6)
 
 
+def test_dead_thresholds_check_their_horizons():
+    # thresholds that short-circuit (alpha <= 0 and alpha > 2 sup|phi|) walk
+    # no orbit, yet their horizons are checked as a live threshold's are
+    sysd = E.get_system("doubling")
+    cos1 = E.get_observable("cos1", sysd)
+    lads = E.build_deviation_ladders(sysd, cos1, 0.0, [3.0, 0.0], [3, 5], 1000, 1)
+    assert [e.measure for e in lads[0.0].entries] == [1.0, 1.0]
+    assert [e.measure for e in lads[3.0].entries] == [0.0, 0.0]
+    with pytest.raises(ValueError, match="horizons must be >= 1"):
+        E.build_deviation_ladders(sysd, cos1, 0.0, [3.0, 0.0], [0, 3, 5], 1000, 1)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        E.build_deviation_ladders(sysd, cos1, 0.0, [3.0, 0.0], [5, 3], 1000, 1)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        E.build_deviation_ladders(sysd, cos1, 0.0, [0.0], [3, 3], 1000, 1)
+
+
 def test_dyadic_ladders_stop_at_their_precision_budget():
     # past the budget the projected points read zero bits: unchecked, this
     # doubling ladder reads 0.939 at n=200, where the true measure is about 0

@@ -110,9 +110,10 @@ def test_flow_average_at_fixed_point():
         assert got == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
         E.flow_time_average(flow, fobs, E.FlowState(np.array([0.0]), 0.0), 0.0)
-    with pytest.raises(ValueError):
-        E.flow_time_average(flow, fobs, E.FlowState(np.array([0.0]), 0.0), 1.0,
-                            quadrature_step=0.0)
+    for step in (0.0, math.nan):
+        with pytest.raises(ValueError, match="need quadrature_step > 0"):
+            E.flow_time_average(flow, fobs, E.FlowState(np.array([0.0]), 0.0), 1.0,
+                                quadrature_step=step)
 
 
 def test_quadrature_is_second_order_in_the_fiber():
