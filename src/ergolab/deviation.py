@@ -50,7 +50,7 @@ LN2 = math.log(2.0)
 METHOD_MC = "monte-carlo"
 METHOD_BINOMIAL = "exact-binomial"
 
-_CHUNK = 1 << 15  # samples per ladder pool task (1 << 16: ladders-deep in-process peak RSS 45 -> 49 MB)
+_CHUNK = 1 << 15  # samples per ladder pool task (at 1 << 16 ladders-deep's RSS: 45 -> 49 MB)
 _MIN_SAMPLES = 1_000
 
 
@@ -167,11 +167,10 @@ def build_deviation_ladders(sys: System, obs: Observable, phibar: float,
                             threads: int = 1) -> dict:
     """Ladders for several thresholds from one shared orbit pass.
 
-    Horizons must be >= 1 and strictly increasing, whether or not some
-    threshold needs an orbit walk.  A horizon past the budget of the
-    system's ensemble representation (76 for the 128-bit dyadic doubling
-    and tent ensembles, 54 for cat) raises ValueError rather than
-    returning a wrong measure.
+    Horizons must be >= 1 and strictly increasing, live thresholds or not;
+    one past the budget of the system's ensemble representation (76 for
+    the 128-bit dyadic doubling and tent ensembles, 54 for cat) raises
+    ValueError rather than returning a wrong measure.
     """
     if sample_count < _MIN_SAMPLES:
         raise ValueError(f"sample_count must be >= {_MIN_SAMPLES}")

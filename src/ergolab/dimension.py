@@ -60,7 +60,9 @@ from .errors import GridBudgetError, RateNotEstablishedError
 from .observables import _TWO_PI, Observable, screen, undecided
 from .rng import STREAM_LEMMA_BALLS, STREAM_LEMMA_POINTS, raw_blocks, uniform01
 from .systems import (_POINT_CHUNK, System, _FloatOrbits, birkhoff_sums,
-                      check_float64_horizon, domain_points, into_domain)
+                      check_float64_horizon, domain_points, into_domain, map_chunks)
+
+_BAND_POINTS = 1 << 22  # points per row band of a walked 2-d level
 
 
 def dimension_upper_bound(d: int, L: float, h: float) -> float:
@@ -95,23 +97,27 @@ class BallLemmaReport:
     inconclusive: bool
 
 
-def _dev_points(sys, obs, phibar, pts, n, thresholds=()):
+def _dev_points(sys, obs, phibar, pts, n, thresholds=(), threads=1):
     """Deviation of an (N, d) float64 batch at horizon n (no domain check).
 
     With no thresholds these are the float64 values.  With thresholds the
     walk runs on the screen of observables.screen and the rows it leaves
     undecided are recomputed in float64: each returned value compares with
     each threshold (>=) as its float64 value does.  A batch larger than
-    _POINT_CHUNK is walked in turn in equal chunks of at most _POINT_CHUNK
-    points, which bound the working set; values are elementwise, so the
-    chunking changes no value or comparison.
+    _POINT_CHUNK is walked in equal chunks of at most _POINT_CHUNK points,
+    which bound the working set, on `threads` threads; values are
+    elementwise, so neither the chunking nor the thread count changes any
+    value or comparison.
     """
     total = pts.shape[0]
     if total > _POINT_CHUNK:
         out = np.empty(total)
-        step = -(-total // -(-total // _POINT_CHUNK))
-        for i in range(0, total, step):
-            out[i:i + step] = _dev_points(sys, obs, phibar, pts[i:i + step], n, thresholds)
+
+        def fill(i, j):
+            out[i:j] = _dev_points(sys, obs, phibar, pts[i:j], n, thresholds)
+
+        chunks = -(-total // _POINT_CHUNK)
+        map_chunks(fill, total, -(-total // chunks), threads)
         return out
     fn, band = screen(sys, obs) if thresholds else (obs.fn, 0.0)
     dev = np.abs(next(birkhoff_sums(_FloatOrbits(sys, pts), fn, [n])) / n - phibar)
@@ -238,7 +244,7 @@ def _grid_points(sys, idx, s):
     return into_domain(sys, pts)
 
 
-def _cover_level_1d(sys, obs, phibar, alpha, tau, s, m, n, cand):
+def _cover_level_1d(sys, obs, phibar, alpha, tau, s, m, n, cand, threads):
     """Detect cells at one 1-d level.  Returns (card, relaxed-detected cells).
 
     A cell's stencil is its two corners and its centre; its maximum reaches
@@ -261,7 +267,7 @@ def _cover_level_1d(sys, obs, phibar, alpha, tau, s, m, n, cand):
         idx[left + 1] = cand + 1
         idx[nc:] = cand
         idx[nc:] += 0.5
-        dev = _dev_points(sys, obs, phibar, _grid_points(sys, idx, s), n, (alpha, tau))
+        dev = _dev_points(sys, obs, phibar, _grid_points(sys, idx, s), n, (alpha, tau), threads)
         cellmax = np.maximum(np.maximum(dev[left], dev[left + 1]), dev[nc:])
     card = int(np.count_nonzero(cellmax >= alpha))
     relaxed = cand[cellmax >= tau]
@@ -497,8 +503,9 @@ def _cellmax_closed_form(sys, obs, phibar, thresholds, s, n, cand):
     q = 0.._BLOCK and of fl((q + 1/2) s) for centres, so one product
     (blocks x 2n) @ (2n x (2 _BLOCK + 1)) gives every corner and centre
     sum of the level (closed_form_band bounds the split).  Blocks go in
-    bands of at most _POINT_CHUNK sums, the size of one walked chunk.  Each
-    maximum compares with each threshold as the float64 walk's does.
+    bands of at most _POINT_CHUNK sums, the size of one walked chunk, on
+    the calling thread (see _cover_level_2d).  Each maximum compares with
+    each threshold as the float64 walk's does.
     """
     width = 2 * _BLOCK + 1
     runs = np.flatnonzero(np.diff(cand, prepend=-2) != 1)    # first cell of each run
@@ -532,32 +539,41 @@ def _cellmax_closed_form(sys, obs, phibar, thresholds, s, n, cand):
     return cellmax
 
 
-def _cover_level_2d(sys, obs, phibar, alpha, s, m, n):
+def _cover_level_2d(sys, obs, phibar, alpha, s, m, n, threads):
     """One 2-d level, swept densely in row bands; returns the cell count.
 
     A cell is counted when one of its stencil points (four corners, centre)
     has deviation >= alpha, so each band marks the hits of its corner and
     centre points and ORs them per cell; a band recomputes the corner row it
-    shares with the next.  A band has max(1, _POINT_CHUNK // (m + 1) - 1)
-    rows of cells, so its corner rows, one more, fit in one _POINT_CHUNK
-    whenever two rows do.  Hits are elementwise, so bands do not change
-    them.
+    shares with the next.  A band of P points has max(1, P // (m + 1) - 1)
+    rows of cells, so its corner rows fit in P points whenever two rows do.
+    Hits are elementwise, so neither bands nor threads change them.
 
     In closed form (see _closed_form), S_n(row, col) = sum_j cos(a_j + b_j),
     a_j = 2 pi c_j0 row, b_j = 2 pi c_j1 col (see _character_coefficients):
     a band's deviations are those of _closed_form_dev from cos/sin tables
     built once per level, O(m n) cosines for the level instead of O(m^2 n).
-    Other pairs walk every point under the screen of observables.screen.
+    The closed form runs on the calling thread in bands of P = _POINT_CHUNK
+    points: OpenBLAS products issued from two threads at once ran 6-17x
+    slower than from one, and a level of cat.ini took 0.39-0.47 s on two
+    threads against 0.28-0.35 s on one.
+    Other pairs walk every point under the screen of observables.screen,
+    in bands of P = _BAND_POINTS whose chunks run on the thread pool; bands
+    of one _POINT_CHUNK took a cat x bump cover (levels 1..4, 2-vCPU Xeon)
+    from 0.37 to 0.51 s on one thread, faulting its temporaries in anew.
     """
     corners = _grid_points(sys, np.arange(m + 1, dtype=np.float64), s).ravel()
     centres = _grid_points(sys, np.arange(m) + 0.5, s).ravel()
 
     if not _closed_form(sys, obs):
+        band_points = _BAND_POINTS
+
         def hits(axis, r0, r1):
             pts = _grid_2d(axis[r0:r1], axis)
-            dev = _dev_points(sys, obs, phibar, pts, n, (alpha,))
+            dev = _dev_points(sys, obs, phibar, pts, n, (alpha,), threads)
             return (dev >= alpha).reshape(r1 - r0, axis.size)
     else:
+        band_points = _POINT_CHUNK
         coef = _character_coefficients(sys, obs, n)
         band = closed_form_band(sys, obs, n)
         factors = [(_row_factor(obs, axis, coef[:, 0]), _col_factor(obs, axis, coef[:, 1]))
@@ -574,7 +590,7 @@ def _cover_level_2d(sys, obs, phibar, alpha, s, m, n):
                                     row_f[r0:r1], col_f, points) >= alpha
 
     card = 0
-    rows_per_band = max(1, _POINT_CHUNK // (m + 1) - 1)
+    rows_per_band = max(1, band_points // (m + 1) - 1)
     for r0 in range(0, m, rows_per_band):
         r1 = min(r0 + rows_per_band, m)
         corner = hits(corners, r0, r1 + 1)
@@ -598,8 +614,7 @@ def build_cover_ladder(sys: System, obs: Observable, phibar: float, alpha: float
     declares a matrix) with a character observable takes its Birkhoff sums
     in closed form (see _cellmax_closed_form and _cover_level_2d), other
     pairs by the float64 walk.  Either way cards are those of the float64
-    walk.  Levels run on the calling thread; `threads` is accepted, for
-    callers that pass it, and ignored.  The budget caps the total number of
+    walk, at any thread count.  The budget caps the total number of
     cells examined; a level that would exceed it raises GridBudgetError
     before any of its cells are evaluated.  A level past the float64 orbit
     budget (systems.check_float64_horizon) raises ValueError, whatever alpha.
@@ -650,9 +665,10 @@ def build_cover_ladder(sys: System, obs: Observable, phibar: float, alpha: float
                 f"level n={n} needs {cells} cells; {budget - examined} left of budget {budget}")
         examined += cells
         if sys.d == 2:
-            entries.append(entry(n, _cover_level_2d(sys, obs, phibar, alpha, s, m, n)))
+            entries.append(entry(n, _cover_level_2d(sys, obs, phibar, alpha, s, m, n, threads)))
             continue
-        card, relaxed = _cover_level_1d(sys, obs, phibar, alpha, taus[n], s, m, n, cand)
+        card, relaxed = _cover_level_1d(sys, obs, phibar, alpha, taus[n], s, m, n,
+                                        cand, threads)
         entries.append(entry(n, card))
         if n < n_hi:
             if taus[n] <= 0.0:

@@ -291,8 +291,8 @@ def _n_values(cfg: ExperimentConfig):
 def run_pipeline(cfg: ExperimentConfig, threads: int = 1, stages=None) -> Report:
     """Run the requested stages and assemble a report.
 
-    `threads` parallelises the Monte Carlo ladders and never changes the
-    report; every other stage runs on the calling thread.
+    `threads` parallelises the Monte Carlo ladders and the walked cover
+    levels; it never changes the report.
 
     A stage failure raises StageError with the partial report attached as
     `.partial_report` (its data records the failed stage), so callers can
@@ -390,7 +390,8 @@ def run_pipeline(cfg: ExperimentConfig, threads: int = 1, stages=None) -> Report
         dprimes = tuple(d0 + off for off in cfg.dprime_offsets) if d0 is not None else ()
         ladder = build_cover_ladder(sys, obs, ctx["phibar"], alpha, ctx["delta"],
                                     cfg.cover_n_min, cfg.cover_n_max,
-                                    budget=cfg.grid_budget, dprimes=dprimes)
+                                    budget=cfg.grid_budget, dprimes=dprimes,
+                                    threads=threads)
         ctx["cover"] = ladder
         report.data["cover"] = cover_section(ladder)
 

@@ -187,10 +187,10 @@ def test_cover_dedup_equals_np_unique():
 
 
 def test_dev_points_chunking_is_invisible():
-    # a batch of three chunks, walked whole, gives the values of reference
-    # batches smaller than a chunk whose edges fall off the chunk seams;
-    # thresholds at points' own float64 deviations, spread over the batch,
-    # are decided by the recount
+    # a batch of three chunks, walked whole at 1 and 2 threads, gives the
+    # values of reference batches smaller than a chunk whose edges fall off
+    # the chunk seams; thresholds at points' own float64 deviations, spread
+    # over the batch, are decided by the recount
     sysd = E.get_system("doubling")
     cos1 = E.get_observable("cos1", sysd)
     pts = np.random.default_rng(2).random((2 * _POINT_CHUNK + 5, 1))
@@ -203,10 +203,12 @@ def test_dev_points_chunking_is_invisible():
     exact = reference(())
     ties = tuple(float(exact[i]) for i in (0, pts.shape[0] // 3, _POINT_CHUNK, pts.shape[0] - 1))
     for thresholds in [(), (0.3,), ties]:
-        got = _dev_points(sysd, cos1, 0.1, pts, 3, thresholds)
-        assert np.array_equal(got, reference(thresholds))
-        for t in thresholds:
-            assert np.array_equal(got >= t, exact >= t)
+        want = reference(thresholds)
+        for threads in (1, 2):
+            got = _dev_points(sysd, cos1, 0.1, pts, 3, thresholds, threads)
+            assert np.array_equal(got, want)
+            for t in thresholds:
+                assert np.array_equal(got >= t, exact >= t)
 
 def _recording(obs):
     """obs with an fn that records the dtype of every batch it evaluates."""
@@ -266,32 +268,34 @@ def test_cover_level_1d_screen_equals_float64(monkeypatch, sid, skw):
     recounted = False
     for alpha, tau in [(0.3, 0.1), (ties[0], ties[1]), (ties[2], ties[3]),
                        (ties[4], ties[5]), (ties[5], -0.1)]:
-        obs, dtypes = _recording(cos1)
-        batches.clear()
-        card, relaxed = _cover_level_1d(sysm, obs, phibar, alpha, tau, s, m, n, cand)
-        assert card == np.count_nonzero(cellmax >= alpha)
-        assert np.array_equal(relaxed, cand[cellmax >= tau])
-        if not closed:
-            assert np.dtype(np.float32) in dtypes
-            recounted |= np.dtype(np.float64) in dtypes
-            continue
-        # the closed form walks no float32 point, and the tie points
-        # are recounted by the float64 walk
-        assert np.dtype(np.float32) not in dtypes
-        walked = np.concatenate([_ref_dev(sysm, cos1, phibar, b, n) for b in batches]
-                                or [np.empty(0)])
-        ties_at = [t for t in (alpha, tau) if t in ties]
-        assert all(np.any(walked == t) for t in ties_at)
-        recounted |= bool(ties_at)
+        for threads in (1, 2):
+            obs, dtypes = _recording(cos1)
+            batches.clear()
+            card, relaxed = _cover_level_1d(sysm, obs, phibar, alpha, tau, s, m, n,
+                                            cand, threads)
+            assert card == np.count_nonzero(cellmax >= alpha)
+            assert np.array_equal(relaxed, cand[cellmax >= tau])
+            if not closed:
+                assert np.dtype(np.float32) in dtypes
+                recounted |= np.dtype(np.float64) in dtypes
+                continue
+            # the closed form walks no float32 point, and the tie points
+            # are recounted by the float64 walk
+            assert np.dtype(np.float32) not in dtypes
+            walked = np.concatenate([_ref_dev(sysm, cos1, phibar, b, n) for b in batches]
+                                    or [np.empty(0)])
+            ties_at = [t for t in (alpha, tau) if t in ties]
+            assert all(np.any(walked == t) for t in ties_at)
+            recounted |= bool(ties_at)
     assert recounted
 
 
 def test_cover_level_1d_closed_form_layout(monkeypatch):
     # Runs shorter and longer than a block, single cells, a run ending at
     # cell m - 1 (whose right corner wraps past 1) and the dense level give
-    # the float64 walk's cards and relaxed sets, with thresholds on cell
-    # maxima at both alpha and tau; small chunks put several bands of
-    # blocks in a level.
+    # the float64 walk's cards and relaxed sets at 1 and 2 threads, with
+    # thresholds on cell maxima at both alpha and tau; small chunks put
+    # several bands of blocks in a level.
     sysd = E.get_system("doubling")
     cos1 = E.get_observable("cos1", sysd)
     phibar, n, B = 0.02, 9, dimension._BLOCK
@@ -308,9 +312,11 @@ def test_cover_level_1d_closed_form_layout(monkeypatch):
         picks = cellmax[np.argsort(cellmax)[np.linspace(0, cand.size - 1, 6).astype(int)]]
         for alpha, tau in [(0.4, 0.1), (picks[5], picks[2]), (picks[4], picks[1]),
                            (picks[3], picks[0])]:
-            card, relaxed = _cover_level_1d(sysd, cos1, phibar, alpha, tau, s, m, n, cand)
-            assert card == np.count_nonzero(cellmax >= alpha)
-            assert np.array_equal(relaxed, cand[cellmax >= tau])
+            for threads in (1, 2):
+                card, relaxed = _cover_level_1d(sysd, cos1, phibar, alpha, tau, s, m, n,
+                                                cand, threads)
+                assert card == np.count_nonzero(cellmax >= alpha)
+                assert np.array_equal(relaxed, cand[cellmax >= tau])
 
 
 def test_closed_form_band_bounds_the_1d_split(monkeypatch):
@@ -390,26 +396,27 @@ def test_cover_level_2d_screen_equals_float64(monkeypatch):
                                      dev_c[:-1, 1:], dev_c[1:, 1:], dev_m]).ravel()
         ties = cellmax[np.argsort(cellmax)[[1000, 3000, 5000, 7000, 8000]]]
         for alpha in [0.4, *ties]:
-            evaluated = []
+            for threads in (1, 2):
+                evaluated = []
 
-            def fn(p, _fn=cos1.fn):
-                evaluated.append(p.shape[0])
-                return _fn(p)
+                def fn(p, _fn=cos1.fn):
+                    evaluated.append(p.shape[0])
+                    return _fn(p)
 
-            obs = dataclasses.replace(cos1, fn=fn)
-            recounts.clear()
-            card = _cover_level_2d(sysc, obs, phibar, alpha, s, m, n)
-            assert card == np.count_nonzero(cellmax >= alpha)
-            # fn takes the tables' phases (corner and centre rows and
-            # columns, n per point) and walks the recounted points, n
-            # steps each; each recounted point lies within two bands of alpha
-            tables = [(m + 1) * n, (m + 1) * n, m * n, m * n]
-            assert sorted(evaluated) == sorted([r.shape[0] for r in recounts] * n + tables)
-            for pts in recounts:
-                near = np.abs(_ref_dev(sysc, cos1, phibar, pts, n) - alpha)
-                assert np.all(near <= 2.0 * closed_form_band(sysc, cos1, n))
-            if alpha != 0.4:
-                assert recounts                # a tie is decided by the walk
+                obs = dataclasses.replace(cos1, fn=fn)
+                recounts.clear()
+                card = _cover_level_2d(sysc, obs, phibar, alpha, s, m, n, threads)
+                assert card == np.count_nonzero(cellmax >= alpha)
+                # fn takes the tables' phases (corner and centre rows and
+                # columns, n per point) and walks the recounted points, n
+                # steps each; each recounted point lies within two bands of alpha
+                tables = [(m + 1) * n, (m + 1) * n, m * n, m * n]
+                assert sorted(evaluated) == sorted([r.shape[0] for r in recounts] * n + tables)
+                for pts in recounts:
+                    near = np.abs(_ref_dev(sysc, cos1, phibar, pts, n) - alpha)
+                    assert np.all(near <= 2.0 * closed_form_band(sysc, cos1, n))
+                if alpha != 0.4:
+                    assert recounts                # a tie is decided by the walk
 
 
 def test_closed_form_band_bounds_the_float_walk():
@@ -507,25 +514,26 @@ def test_cover_refines_under_smaller_delta():
 
 
 def test_cover_2d_matches_brute_force(monkeypatch):
-    # cos1 takes the closed form, coord and bump the float walk; small chunks
-    # put band seams inside every level.  A walked band's corner rows fit in
-    # one chunk, or are two rows where one row holds more than half a chunk
-    # (m = 46 at the chunk of 60)
+    # cos1 takes the closed form, coord and bump the float walk; small bands
+    # and chunks put seams inside every level.  A walked band's corner rows
+    # fit in _BAND_POINTS, or are two rows where one row holds more than
+    # half a band (m = 46 in bands of 60)
+    monkeypatch.setattr(dimension, "_POINT_CHUNK", 200)
     batches = _recording_walk(monkeypatch)
     sysc = E.get_system("cat")
     alpha, delta = 0.4, 0.3
     for oid, kw in [("cos1", {}), ("coord", {}), ("bump", {"a": 0.1, "w": 0.1})]:
         obs = E.get_observable(oid, sysc, **kw)
-        for n, chunk in [(1, 200), (2, 200), (2, 60)]:
-            monkeypatch.setattr(dimension, "_POINT_CHUNK", chunk)
+        for n, band in [(1, 500), (2, 500), (2, 60)]:
+            monkeypatch.setattr(dimension, "_BAND_POINTS", band)
             batches.clear()
-            lad = E.build_cover_ladder(sysc, obs, 0.0, alpha, delta, n, n)
+            lad = E.build_cover_ladder(sysc, obs, 0.0, alpha, delta, n, n, threads=2)
             s = delta * sysc.L ** (-n) / 2.0
             m = math.ceil(1.0 / s)
             assert lad.examined_cells == m * m
             if oid != "cos1":
                 assert batches
-                assert max(b.shape[0] for b in batches) <= max(chunk, 2 * (m + 1))
+                assert max(b.shape[0] for b in batches) <= max(band, 2 * (m + 1))
             # brute force: evaluate the full corner grid and the centers directly
             idx = np.arange(m + 1, dtype=float) * s % 1.0
             cx, cy = np.meshgrid(idx, idx, indexing="ij")
