@@ -18,8 +18,11 @@ the two routes agree even when k/n lands exactly on the threshold.
 
 Monte Carlo counts are exact float64 counts, found cheaply, by the screen
 rule of observables (`screen`, `undecided`).  For cos1 each chunk's orbits
-are first summed with the observable on float32 points (numpy's float32
-cos is vectorised, its float64 cos is not).  A float32 evaluation is within
+are first summed with the observable on float32 points, which the
+fixed-point ensembles take straight from the top 24 bits of their state
+(numpy's float32 cos is vectorised, its float64 cos is not).  At every
+horizon the deviations are computed in place, and all thresholds are
+counted from one broadcast comparison.  A float32 evaluation is within
 band = observables.float32_band(sys, obs) of the float64 one at every
 point, so a float32 average is within band of the float64 average.  A
 sample whose filter deviation is at least alpha + band therefore has
@@ -50,7 +53,13 @@ LN2 = math.log(2.0)
 METHOD_MC = "monte-carlo"
 METHOD_BINOMIAL = "exact-binomial"
 
-_CHUNK = 1 << 15  # samples per ladder pool task (at 1 << 16 ladders-deep's RSS: 45 -> 49 MB)
+# Samples per ladder pool task.  Larger chunks raise the peak RSS: the
+# ladders-deep pipeline in a fresh process peaks at 46.0 MB, 49.8 MB at
+# 1 << 16 and 56.5 MB at 1 << 17.  Smaller ones multiply the numpy calls,
+# and at threads=2 each call pays a GIL hand-off between the pool's
+# threads: at 1 << 13 the same run took 413 ms against 141 ms (at
+# threads=1, 236 against 154 ms; median of 8 runs, 2-vCPU Xeon).
+_CHUNK = 1 << 15
 _MIN_SAMPLES = 1_000
 
 
@@ -95,20 +104,26 @@ def _hit_grid(sys, obs, phibar, alphas, n_values, sample_count, seed, threads):
     """
     n_values = list(n_values)
     alphas = [float(a) for a in alphas]
-    screen_fn, band = screen(sys, obs)
+    column = np.array(alphas)[:, None]
+    dtype, band = screen(sys, obs)
 
-    def deviations(ens, fn, horizons):
-        for n, sums in zip(horizons, birkhoff_sums(ens, fn, horizons)):
-            yield np.abs(sums / n - phibar)
+    def deviations(ens, dtype, horizons):
+        dev = None
+        for n, sums in zip(horizons, birkhoff_sums(ens, obs.fn, horizons, dtype)):
+            dev = np.divide(sums, n, out=dev)
+            dev -= phibar
+            yield np.abs(dev, out=dev)
 
     def counts(dev):
-        return np.array([np.count_nonzero(dev >= a) for a in alphas])
+        # a count per row of one broadcast comparison: count_nonzero(axis=1)
+        # sums the mask as integers and is slower
+        return np.array([np.count_nonzero(hit) for hit in dev >= column])
 
     def work(start, stop):
         hits = np.zeros((len(alphas), len(n_values)), dtype=np.int64)
         near = {}  # j -> (chunk rows undecided at n_j, their screened deviations)
         ens = sample_orbit_ensemble(sys, seed, start, stop - start)
-        for j, dev in enumerate(deviations(ens, screen_fn, n_values)):
+        for j, dev in enumerate(deviations(ens, dtype, n_values)):
             hits[:, j] = counts(dev)
             rows = np.flatnonzero(undecided(dev, band, alphas))
             if rows.size:
@@ -124,7 +139,7 @@ def _hit_grid(sys, obs, phibar, alphas, n_values, sample_count, seed, threads):
             flag[cell_rows] = True
         rows = np.flatnonzero(flag)
         ens = sample_orbit_ensemble(sys, seed, start + rows, rows.size)
-        for j, dev in enumerate(deviations(ens, obs.fn, n_values[:max(near) + 1])):
+        for j, dev in enumerate(deviations(ens, np.float64, n_values[:max(near) + 1])):
             if j in near:
                 cell_rows, screened = near[j]
                 hits[:, j] += counts(dev[np.searchsorted(rows, cell_rows)]) - counts(screened)

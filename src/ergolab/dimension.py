@@ -119,8 +119,8 @@ def _dev_points(sys, obs, phibar, pts, n, thresholds=(), threads=1):
         chunks = -(-total // _POINT_CHUNK)
         map_chunks(fill, total, -(-total // chunks), threads)
         return out
-    fn, band = screen(sys, obs) if thresholds else (obs.fn, 0.0)
-    dev = np.abs(next(birkhoff_sums(_FloatOrbits(sys, pts), fn, [n])) / n - phibar)
+    dtype, band = screen(sys, obs) if thresholds else (np.float64, 0.0)
+    dev = np.abs(next(birkhoff_sums(_FloatOrbits(sys, pts), obs.fn, [n], dtype)) / n - phibar)
     rows = np.flatnonzero(undecided(dev, band, thresholds))
     if rows.size:
         dev[rows] = _dev_points(sys, obs, phibar, pts[rows], n)

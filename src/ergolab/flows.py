@@ -164,7 +164,8 @@ def _walk_block(flow, pts, s, remaining, rows, cap, visit):
 
     cap[b, i] says segment b is within state rows[i]'s guard.  Base points
     are stepped B times and the roof is evaluated once; rem_b = rem_{b-1} -
-    room_{b-1} is one subtract.accumulate down the segment axis.  A pair is
+    room_{b-1} is one subtract.accumulate down the segment axis, or on a
+    wide block one subtract per segment.  A pair is
     live while every earlier segment of its state crossed (room <= rem) and
     cap holds.  Calls visit(rows, live, x, s0, seg) with the (B, n) live
     mask and, for the live pairs in row-major order, base points, starting
@@ -183,8 +184,16 @@ def _walk_block(flow, pts, s, remaining, rows, cap, visit):
     room[0] -= s[rows]
     rem = np.empty((B, n))
     rem[0] = remaining[rows]
-    rem[1:] = room[:-1]
-    rem = np.subtract.accumulate(rem, axis=0)
+    if n * n >= _POINT_CHUNK:
+        # a wide block (n >= 256, so B <= n): a subtract per segment costs
+        # about 1.5 us plus 1.4 ns a pair, accumulate down the segment axis
+        # 4.5-9 ns a pair, so rows win from a few hundred states on; both
+        # subtract in the same order, so they give the same bits
+        for b in range(1, B):
+            np.subtract(rem[b - 1], room[b - 1], out=rem[b])
+    else:
+        rem[1:] = room[:-1]
+        rem = np.subtract.accumulate(rem, axis=0)
     crossing = room <= rem
     # a state's crossings run True..True False..False: after a miss rem < 0,
     # and rem only falls, below every (positive) room; so each crossing is

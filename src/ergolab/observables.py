@@ -22,11 +22,12 @@ Every threshold test of the lab, dev >= t, is screened by one rule: a
 cheaper deviation within a proven band of the float64 walk's decides every
 row outside [t - band, t + band), and `undecided` marks the rows inside,
 which are recomputed by the float64 walk.  `screen` picks the cheaper
-evaluation: for an observable whose float64 evaluation calls a
-transcendental (cos1), fn on float32 points with band `float32_band`.
+evaluation as a point dtype: for an observable whose float64 evaluation
+calls a transcendental (cos1), fn on float32 points with band
+`float32_band`.
 The others (coord, bump) are a few float64 array passes, which a float32
-pass plus its recount does not beat: they get fn itself with band 0, the
-plain float64 walk, which leaves no row undecided.
+pass plus its recount does not beat: they get float64 points with band 0,
+the plain float64 walk, which leaves no row undecided.
 """
 
 from __future__ import annotations
@@ -135,6 +136,8 @@ def float32_band(sys: System, obs: Observable) -> float | None:
 
     1. Rounding the point to float32 moves each coordinate by at most u*R,
        the point by at most sqrt(d)*u*R, and fn by at most lip*sqrt(d)*u*R.
+       Truncating a coordinate in [0, 1) to 24 fractional bits, as the
+       fixed-point ensembles do, moves it by less than 2^-24 = u*R too.
     2. Float32 arithmetic inside fn.  Each rounding is a relative error u,
        either on the argument side (2*pi and 2*pi*x, the centre, x - c,
        1 - d, the plateau half-width), moving fn by at most lip*R*u where
@@ -161,18 +164,22 @@ def float32_band(sys: System, obs: Observable) -> float | None:
 
 
 def screen(sys: System, obs: Observable):
-    """(fn, band): the evaluation that screens threshold tests, and its band.
+    """(dtype, band): the point dtype that screens threshold tests, and its band.
 
     For a transcendental observable with a float32 band, fn evaluates on
     float32 points: float32 cos1 is 3.8x (doubling) and 2.2x (cat) faster
-    per Monte Carlo ladder.  Coord and bump, a few array passes either way,
-    ran 5-64% slower screened than plain, and the digit has no band: they
-    get (obs.fn, 0.0), the float64 walk itself.
+    per Monte Carlo ladder.  Orbits hand out points of the dtype asked for
+    (systems.birkhoff_sums): a fixed-point ensemble takes float32 points
+    straight from the top 24 bits of its state, a float batch rounds its
+    float64 points, and either moves a coordinate by at most u*R, term 1 of
+    the band.  Coord and bump, a few array passes either way, ran 5-64%
+    slower screened than plain, and the digit has no band: they get
+    (float64, 0.0), the float64 walk itself.
     """
     band = float32_band(sys, obs) if obs.transcendental else None
     if band is None:
-        return obs.fn, 0.0
-    return (lambda p: obs.fn(p.astype(np.float32))), band
+        return np.float64, 0.0
+    return np.float32, band
 
 
 def undecided(dev, band: float, thresholds):
@@ -183,13 +190,23 @@ def undecided(dev, band: float, thresholds):
     mask, dev >= t holds exactly when d >= t does.  Band 0 marks no row:
     the plain float64 walk leaves nothing to recompute, and its mask is
     returned without a comparison.
+
+    The first threshold's band is the mask, written in place, and each
+    later one is or-ed into it.  One broadcast comparison of every
+    threshold at once measured slower on the closed-form covers: about 2%
+    on doubling levels 10..17 (alpha and tau_n) and 7% on cat levels 1..3
+    (alpha alone), and no faster on three-threshold ladders.
     """
-    mask = np.zeros(np.shape(dev), dtype=bool)
-    if band == 0.0:
-        return mask
-    for t in thresholds:
-        mask |= (dev >= t - band) & (dev < t + band)
-    return mask
+    mask = None
+    if band != 0.0:
+        for t in thresholds:
+            near = dev >= t - band
+            near &= dev < t + band
+            if mask is None:
+                mask = near
+            else:
+                mask |= near
+    return np.zeros(np.shape(dev), dtype=bool) if mask is None else mask
 
 
 def time_average(sys: System, obs: Observable, x, n: int):

@@ -20,8 +20,13 @@ fixed-point arithmetic: every float64 is a dyadic rational, so float64
 orbits of these maps are exact binary shifts and collapse onto the fixed
 point 0 within ~53 steps — a uniform sample would be silently destroyed
 long before the horizons the deviation ladders need.  The fixed-point
-ensembles are exact and project to float64 only when an observable is
-evaluated.
+ensembles are exact and project to points only when an observable is
+evaluated, in the dtype asked for (`points(dtype)`): the top 53 bits of a
+coordinate as a float64, or its top 24 bits as a float32 for the screen
+of observables.screen, both truncated.  The doubling ensemble never steps
+its state: it reads the point after j steps at bit offset j of the draw.
+The tent and cat ensembles step their 128-bit state in place.  Once made,
+none of them allocates per step.
 
 The catalog, SYSTEMS, is the one place a system id is decided on: each
 entry declares the system's constructor, its parameter rules, and the
@@ -42,10 +47,6 @@ import numpy as np
 
 from .errors import DomainError, ParameterError, SingularDerivativeError
 from .rng import STREAM_ORBIT_SEED, STREAM_ORBITS, STREAM_SPACE_AVG, raw_blocks, uniform01
-
-_U1 = np.uint64(1)
-_U63 = np.uint64(63)
-_TOP_BIT = np.uint64(1) << _U63
 
 _LN2 = math.log(2.0)
 _CAT_EXPANSION = (3.0 + math.sqrt(5.0)) / 2.0  # largest singular value of [[2,1],[1,1]]
@@ -278,31 +279,35 @@ class _FloatOrbits:
         self.sys = sys
         self.x = pts
 
-    def points(self) -> np.ndarray:
-        return self.x
+    def points(self, dtype=np.float64) -> np.ndarray:
+        """The current points, rounded to dtype (a float32 coordinate moves
+        by at most u*R, u = 2^-24 and R = max(|lo|, |hi|))."""
+        return self.x.astype(dtype, copy=False)
 
     def advance(self):
         self.x = self.sys._step(self.x)
 
 
-def birkhoff_sums(orbits, fn, n_values):
-    """Yield the Birkhoff sum S_n = sum_{j<n} fn(f^j x) at each horizon of n_values.
+def birkhoff_sums(orbits, fn, n_values, dtype=np.float64):
+    """Yield the float64 Birkhoff sum S_n = sum_{j<n} fn(f^j x) at each horizon of n_values.
 
     `orbits` is any orbit representation (a float batch in `_FloatOrbits`, or
-    a dyadic ensemble), driven only through points() and advance(); n_values
-    must be increasing and >= 1, and the orbits advance n_max - 1 times.  The
-    sum starts from a copy of the first term (fn may return a view of the
-    points) and is updated in place, so read each yielded array before
-    asking for the next.
+    a fixed-point ensemble), driven only through points(dtype) and
+    advance(); fn is evaluated on points of `dtype` (float32 points are the
+    screen of observables.screen).  n_values must be increasing and >= 1,
+    and the orbits advance n_max - 1 times.  An ensemble may hand out the
+    same points array at every step and fn may return a view of it, so the
+    sum starts from a copy of the first term; it is then updated in place,
+    so read each yielded array before asking for the next.
     """
     acc = None
     k = 1
     for n in n_values:
         if acc is None:
-            acc = fn(orbits.points()).astype(np.float64, copy=True)
+            acc = fn(orbits.points(dtype)).astype(np.float64, copy=True)
         while k < n:
             orbits.advance()
-            acc += fn(orbits.points())
+            acc += fn(orbits.points(dtype))
             k += 1
         yield acc
 
@@ -366,78 +371,192 @@ def _fixed_point_horizon(matrix) -> int:
     return n
 
 
-class _DyadicDoubling:
+def _fraction(word, into, out):
+    """out = the top bits of the unsigned array `word` that out's float dtype
+    holds (24 for float32, 53 for float64), truncated, times 2^-24 or 2^-53:
+    a fixed-point coordinate as a point in [0, 1).  `into`, an unsigned
+    array as wide as that dtype (word itself if word is), receives the
+    shifted word.  Returns out.
+
+    A float64 point from a 64-bit word is rng.uniform01 of it.  A float32
+    point x32 lies in [x64 - 2^-24, x64] of the float64 one x64: truncating
+    a coordinate in [0, 1) to 24 fractional bits moves it by less than
+    u = 2^-24, term 1 of observables.float32_band.
+    """
+    keep = np.finfo(out.dtype).nmant + 1
+    np.right_shift(word, 8 * word.itemsize - keep, out=into)
+    # the shifted word has its top bit clear, and a signed integer converts
+    # to float faster than an unsigned one
+    signed = into.view(f"i{into.itemsize}")
+    return np.multiply(signed, 2.0 ** -keep, out=out, dtype=out.dtype)
+
+
+def _window(words, j, keep, word, part):
+    """word = the bits j, j + 1, ... of a draw held as rows of unsigned words
+    (the top word first, zeros past the last), as many as a word holds.
+    Only the words holding some of bits j .. j + keep - 1 are read; part is
+    scratch like word.  Returns word."""
+    width = 8 * words.itemsize
+    q, r = divmod(j, width)
+    if q >= len(words):
+        word[:] = 0
+        return word
+    np.left_shift(words[q], r, out=word)
+    if r + keep > width and q + 1 < len(words):
+        np.right_shift(words[q + 1], width - r, out=part)
+        word |= part
+    return word
+
+
+class _FixedPointOrbits:
+    """Base of the fixed-point ensembles: scratch arrays kept across steps.
+
+    Neither advance() nor points() allocates once its scratch exists:
+    points(dtype) writes into the same array at every call, so read it
+    before the next call.  Scratch is made on first use, after the counter
+    blocks the ensemble was built from are freed.
+    """
+
+    def __init__(self, count):
+        self.count = count
+        self._kept = {}
+
+    def _scratch(self, name, dtype, rows=0):
+        """The kept array of this name and dtype: (count,), or (rows, count) with rows."""
+        key = (name, np.dtype(dtype))
+        a = self._kept.get(key)
+        if a is None:
+            a = self._kept[key] = np.empty((rows, self.count) if rows else self.count, dtype)
+        return a
+
+    def _project(self, words, dtype):
+        """(count, len(words)) points, one column per top word (see _fraction)."""
+        out = self._scratch("points", dtype, len(words))
+        into = self._scratch("word", f"u{out.itemsize}")
+        for row, word in zip(out, words):
+            _fraction(word, into, row)
+        return out.T
+
+
+class _DyadicDoubling(_FixedPointOrbits):
     """Exact 128-bit fixed-point orbits of the doubling map.
 
-    State per sample is (hi, lo) uint64 with value (hi*2^64 + lo) / 2^128,
-    and a step is a 128-bit left shift.  Exact binary arithmetic keeps the
+    A sample stands for the real point x whose top 128 bits are drawn.  The
+    doubling step is a left shift, so the point after j steps, 2^j x (mod 1),
+    is the drawn bits from offset j on: advance() only counts j, and
+    points(dtype) reads the bits from offset j that dtype's significand
+    holds (see _fraction), j .. j + 23 for float32 from the draw kept as four
+    32-bit limbs, j .. j + 52 for float64 from two 64-bit words made from the
+    limbs on the first float64 read.  Exact binary arithmetic keeps the
     ensemble immune to the float64 orbit collapse of dyadic maps, for a
-    budget of `horizon` = 76 (_fixed_point_horizon): points() reads the top
-    53 bits, and after j shifts those are bits j..j+52 of the 128 drawn
-    (counting from the top), all drawn while j + 52 <= 127, i.e. j <= 75.
-    Past that, zeros shifted in at the bottom reach the projected points,
-    and from 128 shifts on every point is 0: a doubling cos1 ladder at
-    alpha 0.3 would read 0.939 at n = 200, where the true measure is about 0.
+    budget of `horizon` = 76 (_fixed_point_horizon): float64 points read
+    drawn bits while j + 52 <= 127, i.e. j <= 75.  Past that, bits past 127
+    read as zeros, as if shifted in at the bottom, and from j = 128 on every
+    point is 0: a doubling cos1 ladder at alpha 0.3 would read 0.939 at
+    n = 200, where the true measure is about 0.
     """
 
     horizon = _fixed_point_horizon(_DOUBLING)
 
     def __init__(self, sys, blocks):
-        self.hi = blocks[:, 0].copy()
-        self.lo = blocks[:, 1].copy()
+        super().__init__(blocks.shape[0])
+        # the "<u4" view holds each 64-bit word's low half first
+        self.limbs = blocks[:, :2].astype("<u8", copy=False).view("<u4").T[[1, 0, 3, 2]]
+        self.j = 0
 
-    def points(self) -> np.ndarray:
-        return uniform01(self.hi)[:, None]
+    def points(self, dtype=np.float64) -> np.ndarray:
+        """(count, 1) points after j steps, truncated to dtype (see _fraction)."""
+        out = self._scratch("points", dtype, 1)
+        words = self.limbs if out.itemsize == 4 else self._wide()
+        word = self._scratch("word", words.dtype)
+        # the points double as scratch for the window's second word
+        _window(words, self.j, np.finfo(dtype).nmant + 1, word, out[0].view(words.dtype))
+        _fraction(word, word, out[0])
+        return out.T
+
+    def _wide(self):
+        """The draw as (hi, lo) uint64 words, made from the limbs on first use."""
+        wide = self._kept.get("wide")
+        if wide is None:
+            wide = np.left_shift(self.limbs[0::2], 32, dtype=np.uint64)
+            wide |= self.limbs[1::2]
+            self._kept["wide"] = wide
+        return wide
+
+    def advance(self):
+        self.j += 1
+
+
+class _DyadicTent(_FixedPointOrbits):
+    """Exact 128-bit fixed-point orbits of the tent map.
+
+    State per sample is (hi, lo) uint64 with value (hi*2^64 + lo) / 2^128,
+    stepped in place: on the upper half a two's-complement negation (1 - x
+    is exact mod 2^128), then the doubling shift.  The negation is a
+    bijection of the states, so it keeps them uniform and the doubling
+    budget of 76 holds.
+    """
+
+    horizon = _fixed_point_horizon(_DOUBLING)
+
+    def __init__(self, sys, blocks):
+        super().__init__(blocks.shape[0])
+        self.hi, self.lo = blocks[:, 0].copy(), blocks[:, 1].copy()
+
+    def points(self, dtype=np.float64) -> np.ndarray:
+        return self._project((self.hi,), dtype)
 
     def advance(self):
         hi, lo = self.hi, self.lo
-        self.hi = (hi << _U1) | (lo >> _U63)
-        self.lo = lo << _U1
+        up, mask = self._scratch("up", np.uint64), self._scratch("mask", np.uint64)
+        np.right_shift(hi, 63, out=up)               # 1 on the upper half
+        np.negative(up, out=mask)                    # all ones there
+        lo ^= mask                                   # -x = ~x + 1 where up
+        hi ^= mask
+        lo += up
+        carry = np.less(lo, up, out=mask)            # the + 1 carried out of lo
+        hi += carry
+        hi <<= 1                                     # the doubling shift
+        np.right_shift(lo, 63, out=up)
+        hi |= up
+        lo <<= 1
 
 
-class _DyadicTent(_DyadicDoubling):
-    """Exact 128-bit fixed-point orbits of the tent map: on the upper half a
-    two's-complement negation (1 - x is exact mod 2^128), then the doubling
-    shift.  The negation is a bijection of the states, so it keeps them
-    uniform and the doubling budget holds."""
+def _add128(a, b, carry):
+    """a += b (mod 2^128) in place, for (hi, lo) pairs of uint64 arrays.
 
-    def advance(self):
-        hi, lo = self.hi, self.lo
-        neg = hi >= _TOP_BIT
-        self.hi = np.where(neg, (~hi) + (lo == 0).astype(np.uint64), hi)
-        self.lo = np.where(neg, (~lo) + _U1, lo)
-        super().advance()
+    carry is uint64 scratch: adding a bool carry would cast it on every step.
+    """
+    (ahi, alo), (bhi, blo) = a, b
+    alo += blo
+    np.less(alo, blo, out=carry)
+    ahi += bhi
+    ahi += carry
 
 
-def _add128(ahi, alo, bhi, blo):
-    lo = alo + blo
-    carry = (lo < alo).astype(np.uint64)
-    return ahi + bhi + carry, lo
+class _DyadicCat(_FixedPointOrbits):
+    """Exact 128-bit fixed-point orbits of the 2-torus map (2x+y, x+y).
 
-
-class _DyadicCat:
-    """Exact 128-bit fixed-point orbits of the 2-torus map (2x+y, x+y), for a
-    budget of `horizon` = 54 (_fixed_point_horizon): past it the projected
-    points drift from those of the drawn real orbit by more than 2^-53."""
+    Each coordinate is a (hi, lo) uint64 pair, stepped in place as y += x,
+    then x += y (2x + y), mod 2^128, for a budget of `horizon` = 54
+    (_fixed_point_horizon): past it the projected points drift from those
+    of the drawn real orbit by more than 2^-53.
+    """
 
     horizon = _fixed_point_horizon(_CAT)
 
     def __init__(self, sys, blocks):
-        self.xhi, self.xlo = blocks[:, 0].copy(), blocks[:, 1].copy()
-        self.yhi, self.ylo = blocks[:, 2].copy(), blocks[:, 3].copy()
+        super().__init__(blocks.shape[0])
+        self.x = blocks[:, 0].copy(), blocks[:, 1].copy()
+        self.y = blocks[:, 2].copy(), blocks[:, 3].copy()
 
-    def points(self) -> np.ndarray:
-        out = np.empty((self.xhi.shape[0], 2))
-        out[:, 0] = uniform01(self.xhi)
-        out[:, 1] = uniform01(self.yhi)
-        return out
+    def points(self, dtype=np.float64) -> np.ndarray:
+        return self._project((self.x[0], self.y[0]), dtype)
 
     def advance(self):
-        dxh = (self.xhi << _U1) | (self.xlo >> _U63)
-        dxl = self.xlo << _U1
-        nxh, nxl = _add128(dxh, dxl, self.yhi, self.ylo)
-        nyh, nyl = _add128(self.xhi, self.xlo, self.yhi, self.ylo)
-        self.xhi, self.xlo, self.yhi, self.ylo = nxh, nxl, nyh, nyl
+        carry = self._scratch("carry", np.uint64)
+        _add128(self.y, self.x, carry)
+        _add128(self.x, self.y, carry)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -251,6 +252,25 @@ def test_hit_grid_counts_equal_float64_reference(monkeypatch, sid, skw, oid, okw
     assert any(np.ndim(s) for s in starts)            # the recount ran
 
 
+def test_hit_grid_chunk_peak_memory():
+    # one 32768-sample chunk of a screened doubling ladder (the thresholds
+    # and horizons of perfbench's ladders-deep) stays within the 1.63 MiB
+    # tracemalloc peak that the (hi, lo) shift representation reached: the
+    # counter blocks (1 MiB) are freed once the limbs are copied out, and
+    # the step scratch is made after that
+    sysd = E.get_system("doubling")
+    cos1 = E.get_observable("cos1", sysd)
+    args = (sysd, cos1, 0.0, [0.6, 0.3, 0.15], range(8, 73, 4), deviation._CHUNK, 42, 1)
+    deviation._hit_grid(*args)                        # first-use imports and caches
+    tracemalloc.start()
+    try:
+        deviation._hit_grid(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_713_500, peak
+
+
 def test_digit_observable_takes_the_exact_path(monkeypatch):
     # no Lipschitz bound, no band: every sample is counted on float64 points
     sysd = E.get_system("doubling")
@@ -280,9 +300,9 @@ def test_only_transcendental_observables_are_screened(monkeypatch, sid, skw):
     starts = _recording_draws(monkeypatch)
     for oid, okw in CATALOG_OBSERVABLES:
         plain = E.get_observable(oid, sysm, **okw)
-        fn, band = screen(sysm, plain)
+        dtype, band = screen(sysm, plain)
         assert (band > 0.0) == (oid == "cos1")
-        assert (fn is plain.fn) == (oid != "cos1")
+        assert (dtype == np.float32) == (oid == "cos1")
         if oid == "cos1":
             continue
         dtypes = set()

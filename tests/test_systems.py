@@ -391,6 +391,63 @@ def test_tent_ensemble_points_stay_in_domain():
         assert np.all((pts >= 0.0) & (pts <= 1.0))
 
 
+def test_doubling_ensemble_reads_a_128_bit_shift_at_every_offset():
+    # the point after j steps is read at bit offset j of the draw; against
+    # 128-bit left shifts (Python ints), float64 points are the top 53 bits
+    # and float32 points the top 24, at every j through the budget of 76 and
+    # past it, where zeros come in at the bottom until every point is 0
+    sysd = E.get_system("doubling")
+    ones = 2**64 - 1
+    edges = np.array([[ones, ones, 0, 0], [0, 1, 0, 0], [1 << 63, 0, 0, 0],
+                      [0, 1 << 63, 0, 0]], dtype=np.uint64)
+    blocks = np.vstack([edges, raw_blocks(6, STREAM_ORBITS, 0, 500)])
+    ens = SYSTEMS["doubling"].ensemble(sysd, blocks)
+    assert ens.horizon == 76
+    x = [(int(hi) << 64) | int(lo) for hi, lo in blocks[:, :2].tolist()]
+    for _ in range(131):                            # j = 0 .. 130
+        want64 = np.array([v >> 75 for v in x], dtype=np.float64) * 2.0**-53
+        want32 = np.array([v >> 104 for v in x], dtype=np.float64) * 2.0**-24
+        got64, got32 = ens.points()[:, 0], ens.points(np.float32)[:, 0]
+        assert got32.dtype == np.float32
+        assert np.array_equal(got64, want64)
+        assert np.array_equal(got32, want32)
+        ens.advance()
+        x = [(v << 1) & (2**128 - 1) for v in x]
+    assert not got64.any()
+
+
+def test_tent_ensemble_steps_the_128_bit_tent_map():
+    # the in-place step against the tent map on 128-bit Python ints, x -> 2x
+    # below 1/2 and 2 - 2x (mod 1) from it, with edge draws: 1/2 itself, and
+    # points of the upper half whose low word is 0, where negation carries
+    syst = E.get_system("tent")
+    ones = 2**64 - 1
+    edges = np.array([[1 << 63, 0, 0, 0], [ones, 0, 0, 0], [ones, ones, 0, 0],
+                      [(1 << 63) | 5, 0, 0, 0], [0, 1, 0, 0]], dtype=np.uint64)
+    blocks = np.vstack([edges, raw_blocks(7, STREAM_ORBITS, 0, 500)])
+    ens = SYSTEMS["tent"].ensemble(syst, blocks)
+    x = [(int(hi) << 64) | int(lo) for hi, lo in blocks[:, :2].tolist()]
+    for _ in range(80):
+        want = np.array([v >> 75 for v in x], dtype=np.float64) * 2.0**-53
+        assert np.array_equal(ens.points()[:, 0], want)
+        ens.advance()
+        x = [(2 * v if v < 2**127 else 2 * (2**128 - v)) % 2**128 for v in x]
+
+
+@pytest.mark.parametrize("sid", ["doubling", "tent", "cat"])
+def test_float32_ensemble_points_truncate_the_float64_ones(sid):
+    # float32 points are the float64 points truncated to 24 fractional bits:
+    # within [x - 2^-24, x] at every step through the budget
+    sysm = E.get_system(sid)
+    ens = E.sample_orbit_ensemble(sysm, seed=8, start=0, count=4000)
+    for _ in range(ens.horizon):
+        x = ens.points().copy()
+        x32 = ens.points(np.float32).astype(np.float64)
+        assert np.all((x - 2.0**-24 <= x32) & (x32 <= x))
+        assert np.array_equal(x32, np.floor(x * 2.0**24) * 2.0**-24)
+        ens.advance()
+
+
 class _CountingOrbits:
     """An orbit representation that counts its advance() calls."""
 
@@ -398,20 +455,20 @@ class _CountingOrbits:
         self.orbits = orbits
         self.advances = 0
 
-    def points(self):
-        return self.orbits.points()
+    def points(self, dtype=np.float64):
+        return self.orbits.points(dtype)
 
     def advance(self):
         self.advances += 1
         self.orbits.advance()
 
 
-def _reference_sums(orbits, fn, n_values):
-    """Birkhoff sums by the naive loop: add fn at each of n_max orbit points."""
+def _reference_sums(orbits, fn, n_values, dtype):
+    """Float64 Birkhoff sums by the naive loop: add fn at each of n_max orbit points."""
     total, sums = None, []
     for j in range(1, max(n_values) + 1):
-        vals = fn(orbits.points())
-        total = vals.copy() if total is None else total + vals
+        vals = fn(orbits.points(dtype)).astype(np.float64)
+        total = vals if total is None else total + vals
         if j in n_values:
             sums.append(total)
         orbits.advance()
@@ -421,20 +478,23 @@ def _reference_sums(orbits, fn, n_values):
 @pytest.mark.parametrize("sid,kw", [("doubling", {}), ("tent", {}),
                                     ("cat", {}), ("logistic", {"c": -1.7})])
 def test_birkhoff_sums_equal_a_reference_loop(sid, kw):
-    # one kernel for float batches and for the (dyadic, on doubling, tent and
-    # cat) sampled ensembles: same sums as the naive loop, n_max - 1 advances
+    # one kernel for float batches and for the (fixed-point, on doubling, tent
+    # and cat) sampled ensembles, on float64 points and on the float32 points
+    # of the screen: same sums as the naive loop, n_max - 1 advances
     sysm = E.get_system(sid, **kw)
     fn = E.get_observable("cos1", sysm).fn
     pts = sample_points(sysm, seed=5, start=0, count=64)
-    for make in (lambda: _FloatOrbits(sysm, pts),
-                 lambda: E.sample_orbit_ensemble(sysm, seed=5, start=0, count=64)):
-        want = _reference_sums(make(), fn, [1, 3, 7])
-        orbits = _CountingOrbits(make())
-        got = [s.copy() for s in birkhoff_sums(orbits, fn, [1, 3, 7])]
-        assert len(got) == 3
-        for g, w in zip(got, want):
-            assert np.all(g == w)
-        assert orbits.advances == 6
+    for dtype in (np.float64, np.float32):
+        for make in (lambda: _FloatOrbits(sysm, pts),
+                     lambda: E.sample_orbit_ensemble(sysm, seed=5, start=0, count=64)):
+            want = _reference_sums(make(), fn, [1, 3, 7], dtype)
+            orbits = _CountingOrbits(make())
+            got = [s.copy() for s in birkhoff_sums(orbits, fn, [1, 3, 7], dtype)]
+            assert len(got) == 3
+            for g, w in zip(got, want):
+                assert g.dtype == np.float64
+                assert np.all(g == w)
+            assert orbits.advances == 6
 
 
 def test_space_average_lebesgue_mc():
