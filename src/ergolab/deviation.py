@@ -45,7 +45,7 @@ import numpy as np
 
 from .observables import (DIGIT, DIGIT_MEAN, DIGIT_SYSTEM, DeviationParams, Observable,
                           screen, undecided)
-from .systems import (System, birkhoff_sums, check_ensemble_horizon, map_chunks,
+from .systems import (_POINT_CHUNK, System, birkhoff_sums, check_ensemble_horizon,
                       sample_orbit_ensemble)
 
 LN2 = math.log(2.0)
@@ -53,13 +53,6 @@ LN2 = math.log(2.0)
 METHOD_MC = "monte-carlo"
 METHOD_BINOMIAL = "exact-binomial"
 
-# Samples per ladder pool task.  Larger chunks raise the peak RSS: the
-# ladders-deep pipeline in a fresh process peaks at 46.0 MB, 49.8 MB at
-# 1 << 16 and 56.5 MB at 1 << 17.  Smaller ones multiply the numpy calls,
-# and at threads=2 each call pays a GIL hand-off between the pool's
-# threads: at 1 << 13 the same run took 413 ms against 141 ms (at
-# threads=1, 236 against 154 ms; median of 8 runs, 2-vCPU Xeon).
-_CHUNK = 1 << 15
 _MIN_SAMPLES = 1_000
 
 
@@ -90,12 +83,12 @@ class DeviationLadder:
 # ---------------------------------------------------------------------------
 # Monte-Carlo estimation
 
-def _hit_grid(sys, obs, phibar, alphas, n_values, sample_count, seed, threads):
+def _hit_grid(sys, obs, phibar, alphas, n_values, sample_count, seed):
     """Hit counts for every (alpha, n) cell, one orbit pass per sample.
 
-    Samples are chunked at a fixed size and each chunk draws its own counter
-    blocks, so the counts are independent of the thread count; reductions
-    are integer sums, so they are independent of completion order too.
+    Samples are walked on the calling thread in chunks of _POINT_CHUNK,
+    which bound the working set.  Each chunk draws its own counter blocks
+    and the counts are integer sums, so the chunk size changes no count.
 
     Each chunk is walked with the screen of observables.screen, whose
     deviations decide every sample outside the band of every alpha; at each
@@ -119,17 +112,18 @@ def _hit_grid(sys, obs, phibar, alphas, n_values, sample_count, seed, threads):
         # sums the mask as integers and is slower
         return np.array([np.count_nonzero(hit) for hit in dev >= column])
 
-    def work(start, stop):
-        hits = np.zeros((len(alphas), len(n_values)), dtype=np.int64)
+    hits = np.zeros((len(alphas), len(n_values)), dtype=np.int64)
+    for start in range(0, sample_count, _POINT_CHUNK):
+        stop = min(start + _POINT_CHUNK, sample_count)
         near = {}  # j -> (chunk rows undecided at n_j, their screened deviations)
         ens = sample_orbit_ensemble(sys, seed, start, stop - start)
         for j, dev in enumerate(deviations(ens, dtype, n_values)):
-            hits[:, j] = counts(dev)
+            hits[:, j] += counts(dev)
             rows = np.flatnonzero(undecided(dev, band, alphas))
             if rows.size:
                 near[j] = rows, dev[rows]
         if not near:
-            return hits
+            continue
         # recount: redraw the near rows from their own counter blocks, walk
         # them in float64 down to the deepest near horizon, and replace their
         # screened counts.  Their union is a mask, not np.unique, which
@@ -143,14 +137,11 @@ def _hit_grid(sys, obs, phibar, alphas, n_values, sample_count, seed, threads):
             if j in near:
                 cell_rows, screened = near[j]
                 hits[:, j] += counts(dev[np.searchsorted(rows, cell_rows)]) - counts(screened)
-        return hits
-
-    return sum(map_chunks(work, sample_count, _CHUNK, threads))
+    return hits
 
 
 def estimate_deviation_measure(sys: System, params: DeviationParams, n: int,
-                               sample_count: int, seed: int,
-                               threads: int = 1) -> LadderEntry:
+                               sample_count: int, seed: int) -> LadderEntry:
     """Monte-Carlo estimate of the deviation-set measure at one horizon.
 
     The one-rung ladder of build_deviation_ladders, with its short-circuits:
@@ -158,12 +149,11 @@ def estimate_deviation_measure(sys: System, params: DeviationParams, n: int,
     (centered deviations cannot reach it) gives measure 0; neither consumes
     randomness.
     """
-    return build_deviation_ladder(sys, params, [n], sample_count, seed, threads).entries[0]
+    return build_deviation_ladder(sys, params, [n], sample_count, seed).entries[0]
 
 
 def build_deviation_ladder(sys: System, params: DeviationParams, n_values,
-                           sample_count: int, seed: int,
-                           threads: int = 1) -> DeviationLadder:
+                           sample_count: int, seed: int) -> DeviationLadder:
     """Estimate the deviation measure at every horizon of a ladder.
 
     All horizons are filled in a single orbit pass (a snapshot of the
@@ -172,14 +162,12 @@ def build_deviation_ladder(sys: System, params: DeviationParams, n_values,
     pure function of its counter block.
     """
     ladders = build_deviation_ladders(sys, params.observable, params.phibar,
-                                      [params.alpha], n_values, sample_count,
-                                      seed, threads)
+                                      [params.alpha], n_values, sample_count, seed)
     return ladders[params.alpha]
 
 
 def build_deviation_ladders(sys: System, obs: Observable, phibar: float,
-                            alphas, n_values, sample_count: int, seed: int,
-                            threads: int = 1) -> dict:
+                            alphas, n_values, sample_count: int, seed: int) -> dict:
     """Ladders for several thresholds from one shared orbit pass.
 
     Horizons must be >= 1 and strictly increasing, live thresholds or not;
@@ -199,7 +187,7 @@ def build_deviation_ladders(sys: System, obs: Observable, phibar: float,
     live = [a for a in alphas if 0.0 < a <= 2.0 * obs.sup_abs]
     hits = None
     if live and n_values:
-        hits = _hit_grid(sys, obs, phibar, live, n_values, sample_count, seed, threads)
+        hits = _hit_grid(sys, obs, phibar, live, n_values, sample_count, seed)
     out = {}
     for a in alphas:
         entries = []

@@ -51,6 +51,7 @@ float64 only.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,7 +61,7 @@ from .errors import GridBudgetError, RateNotEstablishedError
 from .observables import _TWO_PI, Observable, screen, undecided
 from .rng import STREAM_LEMMA_BALLS, STREAM_LEMMA_POINTS, raw_blocks, uniform01
 from .systems import (_POINT_CHUNK, System, _FloatOrbits, birkhoff_sums,
-                      check_float64_horizon, domain_points, into_domain, map_chunks)
+                      check_float64_horizon, domain_points, into_domain)
 
 _BAND_POINTS = 1 << 22  # points per row band of a walked 2-d level
 
@@ -105,19 +106,26 @@ def _dev_points(sys, obs, phibar, pts, n, thresholds=(), threads=1):
     undecided are recomputed in float64: each returned value compares with
     each threshold (>=) as its float64 value does.  A batch larger than
     _POINT_CHUNK is walked in equal chunks of at most _POINT_CHUNK points,
-    which bound the working set, on `threads` threads; values are
-    elementwise, so neither the chunking nor the thread count changes any
-    value or comparison.
+    which bound the working set, on a pool of `threads` threads (the one
+    place the thread count acts); values are elementwise, so neither the
+    chunking nor the thread count changes any value or comparison.
     """
     total = pts.shape[0]
     if total > _POINT_CHUNK:
         out = np.empty(total)
-
-        def fill(i, j):
-            out[i:j] = _dev_points(sys, obs, phibar, pts[i:j], n, thresholds)
-
         chunks = -(-total // _POINT_CHUNK)
-        map_chunks(fill, total, -(-total // chunks), threads)
+        chunk = -(-total // chunks)
+
+        def fill(i):
+            out[i:i + chunk] = _dev_points(sys, obs, phibar, pts[i:i + chunk], n, thresholds)
+
+        starts = range(0, total, chunk)
+        if threads > 1:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                list(pool.map(fill, starts))
+        else:
+            for i in starts:
+                fill(i)
         return out
     dtype, band = screen(sys, obs) if thresholds else (np.float64, 0.0)
     dev = np.abs(next(birkhoff_sums(_FloatOrbits(sys, pts), obs.fn, [n], dtype)) / n - phibar)

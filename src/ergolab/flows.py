@@ -53,8 +53,8 @@ class Roof:
 
 
 def constant_roof(value: float = 1.0) -> Roof:
-    if value <= 0.0:
-        raise ValueError("roof must be positive")
+    if not 0.0 < value < math.inf:
+        raise ValueError("roof must be positive and finite")
     return Roof("constant", lambda p, _v=value: np.full(p.shape[0], _v),
                 value, value, (("value", float(value)),))
 

@@ -291,8 +291,9 @@ def _n_values(cfg: ExperimentConfig):
 def run_pipeline(cfg: ExperimentConfig, threads: int = 1, stages=None) -> Report:
     """Run the requested stages and assemble a report.
 
-    `threads` parallelises the Monte Carlo ladders and the walked cover
-    levels; it never changes the report.
+    `threads` runs the walked cover levels' point chunks on a pool of that
+    many threads (the ladders, closed-form covers, lemma and flows run on
+    the calling thread); it never changes the report.
 
     A stage failure raises StageError with the partial report attached as
     `.partial_report` (its data records the failed stage), so callers can
@@ -347,8 +348,7 @@ def run_pipeline(cfg: ExperimentConfig, threads: int = 1, stages=None) -> Report
             if a not in alpha_set:
                 alpha_set.append(a)
         ladders = build_deviation_ladders(sys, obs, ctx["phibar"], alpha_set,
-                                          _n_values(cfg), cfg.sample_count,
-                                          cfg.seed, threads)
+                                          _n_values(cfg), cfg.sample_count, cfg.seed)
         ctx["ladders"] = ladders
         report.data["ladders"] = {repr(a): {"entries": ladder_rows(lad)}
                                   for a, lad in ladders.items()}

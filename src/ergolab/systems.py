@@ -39,7 +39,6 @@ n log2 L <= 45 (FLOAT64_BITS), which covers and the ball lemma enforce.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -50,7 +49,7 @@ from .rng import STREAM_ORBIT_SEED, STREAM_ORBITS, STREAM_SPACE_AVG, raw_blocks,
 
 _LN2 = math.log(2.0)
 _CAT_EXPANSION = (3.0 + math.sqrt(5.0)) / 2.0  # largest singular value of [[2,1],[1,1]]
-_POINT_CHUNK = 1 << 16  # points per cover, ball-lemma or flow walk batch: bounds its working set
+_POINT_CHUNK = 1 << 16  # points per ladder, cover, ball-lemma or flow walk batch: bounds its working set
 
 
 def wrap_unit(x):
@@ -208,10 +207,11 @@ def _restore(pts: np.ndarray, tag: str):
 
 
 def _check_domain(sys: System, pts: np.ndarray):
+    # written as "not inside" so that NaN, which compares False, is refused
     if sys.domain == "torus":
-        bad = (pts < 0.0) | (pts >= 1.0)
+        bad = ~((pts >= 0.0) & (pts < 1.0))
     else:
-        bad = (pts < sys.lo) | (pts > sys.hi)
+        bad = ~((pts >= sys.lo) & (pts <= sys.hi))
     if np.any(bad):
         i = int(np.argwhere(np.any(np.atleast_2d(bad), axis=-1))[0][0])
         raise DomainError(f"point {pts[i]} outside domain of {sys.describe()}")
@@ -324,20 +324,6 @@ def orbit_average(sys: System, fn, x, n: int):
     _check_domain(sys, pts)
     avg = next(birkhoff_sums(_FloatOrbits(sys, pts), fn, [n])) / n
     return float(avg[0]) if tag in ("scalar", "point") else avg
-
-
-def map_chunks(work, total: int, chunk: int, threads: int) -> list:
-    """[work(start, stop) for each chunk [start, stop) of range(total)], in chunk order.
-
-    With threads > 1 and more than one chunk, the chunks run on a pool of
-    that many threads, so work must write only what its own chunk owns.
-    """
-    starts = range(0, total, chunk)
-    stops = [min(i + chunk, total) for i in starts]
-    if threads <= 1 or len(starts) <= 1:
-        return list(map(work, starts, stops))
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(work, starts, stops))
 
 
 class _FloatEnsemble(_FloatOrbits):

@@ -50,7 +50,7 @@ def test_acceptance_1_estimator_matches_exact_oracle():
     zs = []
     for alpha in (0.1, 0.3, 0.5):
         lad = E.build_deviation_ladder(sysd, E.DeviationParams(DIGIT, 0.5, alpha),
-                                       ns, MC_SAMPLES, seed=MC_SEED, threads=8)
+                                       ns, MC_SAMPLES, seed=MC_SEED)
         for e in lad.entries:
             p = E.exact_deviation_measure_digit(alpha, e.n)
             sig = math.sqrt(p * (1.0 - p) / MC_SAMPLES)
@@ -166,8 +166,7 @@ def test_acceptance_5_cover_cardinality_scaling():
     sysd = E.get_system("doubling")
     obs = E.get_observable("cos1", sysd)
     lad = E.build_deviation_ladder(sysd, E.DeviationParams(obs, 0.0, 0.3),
-                                   list(range(20, 61, 4)), MC_SAMPLES,
-                                   MC_SEED, threads=8)
+                                   list(range(20, 61, 4)), MC_SAMPLES, MC_SEED)
     d0 = E.dimension_upper_bound(1, sysd.L, E.fit_rate_function(lad).h)
     delta = E.modulus_delta_for(sysd, obs, 0.6)
     cov = E.build_cover_ladder(sysd, obs, 0.0, 0.6, delta, 10, 24,

@@ -177,16 +177,6 @@ def test_cat_ladders_stop_at_their_precision_budget():
         E.build_deviation_ladders(sysc, cos1, 0.0, [0.4], [54, 55], 1000, seed=1)
 
 
-def test_ladder_thread_count_is_invisible():
-    sysd = E.get_system("doubling")
-    cos1 = E.get_observable("cos1", sysd)
-    lads1 = E.build_deviation_ladders(sysd, cos1, 0.0, [0.3, 0.6], [10, 20, 30],
-                                      200000, seed=42, threads=1)
-    lads4 = E.build_deviation_ladders(sysd, cos1, 0.0, [0.3, 0.6], [10, 20, 30],
-                                      200000, seed=42, threads=4)
-    assert lads1 == lads4
-
-
 def test_ladder_seed_matters_and_alpha_is_monotone():
     sysc = E.get_system("cat")
     cos1 = E.get_observable("cos1", sysc)
@@ -244,11 +234,10 @@ def test_hit_grid_counts_equal_float64_reference(monkeypatch, sid, skw, oid, okw
                                            (15, 9999))]
     alphas = [0.05, 0.2] + ties
     want = np.array([[np.count_nonzero(devs[n] >= a) for n in n_values] for a in alphas])
-    monkeypatch.setattr(deviation, "_CHUNK", 4096)   # three chunks
+    monkeypatch.setattr(deviation, "_POINT_CHUNK", 4096)   # three chunks
     starts = _recording_draws(monkeypatch)
-    for threads in (1, 2):
-        got = deviation._hit_grid(sysm, obs, phibar, alphas, n_values, count, seed, threads)
-        assert np.array_equal(got, want)
+    got = deviation._hit_grid(sysm, obs, phibar, alphas, n_values, count, seed)
+    assert np.array_equal(got, want)
     assert any(np.ndim(s) for s in starts)            # the recount ran
 
 
@@ -260,7 +249,7 @@ def test_hit_grid_chunk_peak_memory():
     # the step scratch is made after that
     sysd = E.get_system("doubling")
     cos1 = E.get_observable("cos1", sysd)
-    args = (sysd, cos1, 0.0, [0.6, 0.3, 0.15], range(8, 73, 4), deviation._CHUNK, 42, 1)
+    args = (sysd, cos1, 0.0, [0.6, 0.3, 0.15], range(8, 73, 4), 32768, 42)
     deviation._hit_grid(*args)                        # first-use imports and caches
     tracemalloc.start()
     try:
@@ -284,7 +273,7 @@ def test_digit_observable_takes_the_exact_path(monkeypatch):
     obs = dataclasses.replace(DIGIT, fn=fn)
     starts = _recording_draws(monkeypatch)
     n_values = [2, 5, 9]
-    got = deviation._hit_grid(sysd, obs, DIGIT_MEAN, [0.25, 0.5], n_values, 5000, 3, 1)
+    got = deviation._hit_grid(sysd, obs, DIGIT_MEAN, [0.25, 0.5], n_values, 5000, 3)
     devs = _reference_deviations(sysd, DIGIT, DIGIT_MEAN, n_values, 5000, 3)
     want = [[np.count_nonzero(devs[n] >= a) for n in n_values] for a in (0.25, 0.5)]
     assert got.tolist() == want
@@ -313,7 +302,7 @@ def test_only_transcendental_observables_are_screened(monkeypatch, sid, skw):
 
         obs = dataclasses.replace(plain, fn=fn)
         starts.clear()
-        deviation._hit_grid(sysm, obs, 0.1, [0.05, 0.2], [1, 4], 5000, 3, 1)
+        deviation._hit_grid(sysm, obs, 0.1, [0.05, 0.2], [1, 4], 5000, 3)
         assert starts == [0]                          # one draw, no recount
         delta = E.modulus_delta_for(sysm, obs, 0.2)
         E.build_cover_ladder(sysm, obs, 0.1, 0.2, delta, 1, 1)

@@ -31,6 +31,9 @@ def test_roof_validation():
         E.constant_roof(0.0)
     with pytest.raises(ValueError):
         E.constant_roof(-1.0)
+    for value in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            E.constant_roof(value)
     with pytest.raises(ValueError):
         E.cosine_roof(1.0)
     with pytest.raises(ValueError):
@@ -64,6 +67,8 @@ def test_flow_step_validation():
         E.flow_step(flow, E.FlowState(np.array([0.3]), -0.1), 0.1)
     with pytest.raises(DomainError):
         E.flow_step(flow, E.FlowState(np.array([1.3]), 0.0), 0.1)
+    with pytest.raises(DomainError, match="point"):              # not as a fiber height
+        E.flow_step(flow, E.FlowState(np.array([math.nan]), 0.0), 0.1)
 
 
 def test_flow_step_semigroup_under_cosine_roof():

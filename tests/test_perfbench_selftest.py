@@ -35,7 +35,7 @@ def test_ladder_recount_runs_through_the_traced_ensemble_seam():
     obs = E.get_observable("cos1", sysd)
     ens = E.sample_orbit_ensemble(sysd, 5, 0, 1)
     tie = abs(float(obs.fn(ens.points())[0]))      # sample 0's deviation at n = 1
-    args = (sysd, obs, 0.0, [tie, 0.5], [1, 4], 3000, 5, 2)
+    args = (sysd, obs, 0.0, [tie, 0.5], [1, 4], 3000, 5)
     plain = deviation._hit_grid(*args)
     tracer = Tracer()
     with instrument(tracer):

@@ -9,7 +9,7 @@ import pytest
 
 import ergolab as E
 from ergolab.cli import _STAGES_FOR, main
-from ergolab import runner
+from ergolab import dimension, runner
 from ergolab.errors import StageError, ValidationError
 from ergolab.runner import STAGES
 
@@ -132,7 +132,7 @@ def test_pipeline_full_verdict_on_mini_experiment():
     assert set(rep.timings) <= set(STAGES)
 
 
-def test_pipeline_is_thread_invariant():
+def test_pipeline_is_thread_invariant(monkeypatch):
     cfg = mini_cfg(cover_n_min=4, cover_n_max=9, lemma_pairs=500,
                    flow_enabled=True, flow_T=8.0, flow_samples=20)
     a = E.run_pipeline(cfg, threads=1)
@@ -140,6 +140,15 @@ def test_pipeline_is_thread_invariant():
     assert E.report_json(a, include_timings=False) == \
         E.report_json(b, include_timings=False)
     assert json.loads(E.report_json(a))["timings"]
+    # coord has no closed form, so its cover levels are walked; in chunks
+    # of 64 points every level's batch spans several chunks on the pool
+    monkeypatch.setattr(dimension, "_POINT_CHUNK", 64)
+    cfg = mini_cfg(observable_id="coord", alphas=(0.15,), cover_n_min=4, cover_n_max=9)
+    a = E.run_pipeline(cfg, threads=1)
+    b = E.run_pipeline(cfg, threads=4)
+    assert all(e["card"] > 0 for e in a.data["cover"]["entries"])
+    assert E.report_json(a, include_timings=False) == \
+        E.report_json(b, include_timings=False)
 
 
 def test_pipeline_alpha_beyond_observable_range():

@@ -9,8 +9,7 @@ from scipy import special, stats
 import ergolab as E
 from ergolab.errors import DomainError, SingularDerivativeError
 from ergolab.rng import STREAM_ORBITS, raw_blocks
-from ergolab.systems import (SYSTEMS, _FloatOrbits, birkhoff_sums, into_domain, map_chunks,
-                             sample_points)
+from ergolab.systems import SYSTEMS, _FloatOrbits, birkhoff_sums, into_domain, sample_points
 
 
 def test_doubling_iterate_worked_values():
@@ -83,6 +82,16 @@ def test_domain_violations_rejected_before_stepping():
         E.iterate(sysl, 2.1, 1)
     with pytest.raises(ValueError):
         E.iterate(sysd, 0.5, -1)
+    # NaN compares False with every bound, and is refused all the same
+    cos1 = E.get_observable("cos1", sysd)
+    for sysm, x in ((sysd, math.nan), (syst, math.nan), (sysl, math.nan),
+                    (E.get_system("cat"), np.array([0.5, math.nan]))):
+        with pytest.raises(DomainError, match="nan"):
+            E.iterate(sysm, x, 3)
+    with pytest.raises(DomainError, match="nan"):
+        E.time_average(sysd, cos1, math.nan, 5)
+    with pytest.raises(DomainError, match="nan"):
+        E.time_average(sysd, cos1, np.array([0.25, math.nan]), 5)
 
 
 def test_point_shapes_round_trip():
@@ -372,14 +381,6 @@ def test_cat_ensemble_follows_256_bit_orbits_through_its_budget():
         x, y = [(2 * a + b) & mask for a, b in zip(x, y)], [(a + b) & mask for a, b in zip(x, y)]
     assert max(gaps[:budget]) <= 2.0**-53
     assert gaps[budget] > 2.0**-53
-
-
-def test_map_chunks_covers_the_range_in_order():
-    for threads in (1, 2):
-        spans = map_chunks(lambda i, j: (i, j), 10, 4, threads)
-        assert spans == [(0, 4), (4, 8), (8, 10)]
-        assert map_chunks(lambda i, j: (i, j), 3, 4, threads) == [(0, 3)]
-        assert map_chunks(lambda i, j: (i, j), 0, 4, threads) == []
 
 
 def test_tent_ensemble_points_stay_in_domain():
