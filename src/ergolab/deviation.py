@@ -17,21 +17,23 @@ the same test the float estimator applies to exact dyadic frequencies, so
 the two routes agree even when k/n lands exactly on the threshold.
 
 Monte Carlo counts are exact float64 counts, found cheaply, by the screen
-rule of observables (`screen`, `undecided`).  For cos1 each chunk's orbits
-are first summed with the observable on float32 points, which the
-fixed-point ensembles take straight from the top 24 bits of their state
-(numpy's float32 cos is vectorised, its float64 cos is not).  At every
-horizon the deviations are computed in place, and all thresholds are
-counted from one broadcast comparison.  A float32 evaluation is within
-band = observables.float32_band(sys, obs) of the float64 one at every
-point, so a float32 average is within band of the float64 average.  A
+rule of observables (`screen`, `terms`, `undecided`).  For cos1 each
+chunk's orbits are first summed with one fused step per orbit step: the
+fixed-point ensembles write the float32 phases 2 pi x_1 straight from the
+top 24 bits of their state into a kept array, the cosine is taken there in
+place (numpy's float32 cos is vectorised, its float64 cos is not), and the
+terms are summed in float32 runs of at most 8 steps that end at every
+horizon, each run then added into the float64 sum.  At every horizon the
+deviations are computed in place, and all thresholds are counted from one
+broadcast comparison.  A screened average is within
+band = observables.float32_band(sys, obs) of the float64 average.  A
 sample whose filter deviation is at least alpha + band therefore has
 deviation >= alpha, one below alpha - band has not; only the few samples
 between are redrawn from their own counter blocks and recounted on the
-float64 walk with the closed threshold.  The counts, and so every report
-byte, are those of the float64 walk alone.  The others (coord, bump, and
-the digit, which has no band at all) are walked in float64 with band 0,
-which leaves no sample to recount.
+float64 walk (obs.fn on float64 points) with the closed threshold.  The
+counts, and so every report byte, are those of the float64 walk alone.
+The others (coord, bump, and the digit, which has no band at all) are
+walked in float64 with band 0, which leaves no sample to recount.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from fractions import Fraction
 import numpy as np
 
 from .observables import (DIGIT, DIGIT_MEAN, DIGIT_SYSTEM, DeviationParams, Observable,
-                          screen, undecided)
+                          screen, terms, undecided)
 from .systems import (_POINT_CHUNK, System, birkhoff_sums, check_ensemble_horizon,
                       sample_orbit_ensemble)
 
@@ -102,7 +104,7 @@ def _hit_grid(sys, obs, phibar, alphas, n_values, sample_count, seed):
 
     def deviations(ens, dtype, horizons):
         dev = None
-        for n, sums in zip(horizons, birkhoff_sums(ens, obs.fn, horizons, dtype)):
+        for n, sums in zip(horizons, birkhoff_sums(ens, terms(obs, dtype), horizons)):
             dev = np.divide(sums, n, out=dev)
             dev -= phibar
             yield np.abs(dev, out=dev)

@@ -40,8 +40,9 @@ walked in float64:
   of stencil points have the closed form of one small product of cos/sin
   tables (_closed_form_dev), within closed_form_band;
 * other covers and lemma candidates walk float64 orbits with the screen
-  of observables.screen: for cos1 the observable runs on float32 points;
-  for the others it is the float64 walk itself, band 0.
+  of observables.screen: for cos1 the cosines of float32 phases, summed in
+  float32 runs (observables.terms); for the others it is the float64 walk
+  itself, band 0.
 
 Cards, relaxed sets and lemma reports are those of the float64 walk; the
 lemma's ball points, whose deviations are reported, are evaluated in
@@ -58,7 +59,7 @@ import numpy as np
 
 from .deviation import LN2, digit_deviation_count, write_csv
 from .errors import GridBudgetError, RateNotEstablishedError
-from .observables import _TWO_PI, Observable, screen, undecided
+from .observables import _TWO_PI, Observable, screen, terms, undecided
 from .rng import STREAM_LEMMA_BALLS, STREAM_LEMMA_POINTS, raw_blocks, uniform01
 from .systems import (_POINT_CHUNK, System, _FloatOrbits, birkhoff_sums,
                       check_float64_horizon, domain_points, into_domain)
@@ -128,7 +129,7 @@ def _dev_points(sys, obs, phibar, pts, n, thresholds=(), threads=1):
                 fill(i)
         return out
     dtype, band = screen(sys, obs) if thresholds else (np.float64, 0.0)
-    dev = np.abs(next(birkhoff_sums(_FloatOrbits(sys, pts), obs.fn, [n], dtype)) / n - phibar)
+    dev = np.abs(next(birkhoff_sums(_FloatOrbits(sys, pts), terms(obs, dtype), [n])) / n - phibar)
     rows = np.flatnonzero(undecided(dev, band, thresholds))
     if rows.size:
         dev[rows] = _dev_points(sys, obs, phibar, pts[rows], n)

@@ -22,12 +22,13 @@ Every threshold test of the lab, dev >= t, is screened by one rule: a
 cheaper deviation within a proven band of the float64 walk's decides every
 row outside [t - band, t + band), and `undecided` marks the rows inside,
 which are recomputed by the float64 walk.  `screen` picks the cheaper
-evaluation as a point dtype: for an observable whose float64 evaluation
-calls a transcendental (cos1), fn on float32 points with band
-`float32_band`.
-The others (coord, bump) are a few float64 array passes, which a float32
-pass plus its recount does not beat: they get float64 points with band 0,
-the plain float64 walk, which leaves no row undecided.
+walk as a point dtype.  cos1, the character k = e_1, whose float64
+evaluation calls scalar libm cos, gets float32 with band `float32_band`:
+its terms (`terms`) are the cosines of the float32 phases 2 pi x_1 that
+the orbits hand out, taken in place and summed in float32 runs.  The
+others (coord, bump) are a few float64 array passes, which a float32 pass
+plus its recount does not beat: they get float64 points with band 0, the
+plain float64 walk, which leaves no row undecided.
 """
 
 from __future__ import annotations
@@ -38,9 +39,7 @@ from typing import Callable
 
 import numpy as np
 
-from .systems import Param, System, catalog_entry, domain_diameter, orbit_average
-
-_TWO_PI = 2.0 * math.pi
+from .systems import _TWO_PI, Param, System, catalog_entry, domain_diameter, orbit_average
 
 
 @dataclass(frozen=True)
@@ -49,11 +48,9 @@ class Observable:
 
     `fn` maps an (N, d) batch to an (N,) array.  `lip` may be None for
     discontinuous observables; such observables are rejected by operations
-    that need a modulus of continuity.  `transcendental` marks an `fn` whose
-    float64 evaluation calls a transcendental function (scalar libm, where
-    numpy's float32 version is vectorised); see `screen`.  `character`
-    is the integer frequency vector k of an observable cos(2 pi <k, x>)
-    (cos1: k = e_1), and None for the others.
+    that need a modulus of continuity.  `character` is the integer
+    frequency vector k of an observable cos(2 pi <k, x>) (cos1: k = e_1),
+    and None for the others; k = e_1 has the float32 screen (see `screen`).
     """
 
     oid: str
@@ -61,14 +58,12 @@ class Observable:
     lip: float | None = None
     sup_abs: float = 1.0
     params: tuple = ()
-    transcendental: bool = False
     character: tuple | None = None
 
 
 def _cos1(oid, sys):
     return Observable(oid, lambda p: np.cos(_TWO_PI * p[:, 0]),
-                      lip=_TWO_PI, sup_abs=1.0, transcendental=True,
-                      character=(1,) + (0,) * (sys.d - 1))
+                      lip=_TWO_PI, sup_abs=1.0, character=(1,) + (0,) * (sys.d - 1))
 
 
 def _coord(oid, sys):
@@ -128,11 +123,13 @@ _F32_UNIT = 2.0**-24  # unit roundoff of float32
 
 
 def float32_band(sys: System, obs: Observable) -> float | None:
-    """Bound on |fn(p as float32) - fn(p)| over the domain, or None without a Lipschitz bound.
+    """Bound on |screened average - float64 average| over the domain, or None without a Lipschitz bound.
 
-    band = 16 * (lip * sqrt(d) * R + sup_abs) * u,  u = 2^-24, R = max(|lo|, |hi|).
+    band = 16 * (lip * sqrt(d) * R + 2 * sup_abs) * u,  u = 2^-24, R = max(|lo|, |hi|).
 
-    The float32 evaluation differs from the float64 one by three errors:
+    A screened average takes fn on float32 points and sums the terms in
+    float32 runs (systems.birkhoff_sums); it differs from the float64 one
+    by four errors:
 
     1. Rounding the point to float32 moves each coordinate by at most u*R,
        the point by at most sqrt(d)*u*R, and fn by at most lip*sqrt(d)*u*R.
@@ -144,42 +141,80 @@ def float32_band(sys: System, obs: Observable) -> float | None:
        fn is not flat, or on a quantity of fn's own size (the ramp width,
        the ramp quotient q, 1 - q), moving it by at most sup_abs*u.  cos1
        rounds twice, coord at most once, bump at most four times of each
-       kind: at most 4*(lip*R + sup_abs)*u.
+       kind: at most 4*(lip*R + sup_abs)*u.  The screen's phases
+       (systems._fraction) round exactly as 2*pi*x does.
     3. numpy's float32 cos is held to 2 ulp by numpy's own accuracy tests
        (1.42 ulp is the largest seen on 2*10^7 points in [0, 14]), and an
        ulp of a value of size sup_abs is at most 2*u*sup_abs: at most
        4*sup_abs*u.
+    4. The float32 runs.  A run of k <= 8 terms, each of size at most
+       sup_abs (float32 cos stays in [-1, 1]), added one by one in float32,
+       is within gamma_7 * k * sup_abs of their exact sum, gamma_7 =
+       7u / (1 - 7u) < 8u (Higham, Accuracy and Stability of Numerical
+       Algorithms, 2nd ed., eq. 4.4).  The runs of a horizon n split its n
+       terms, so the sum is within gamma_7 * n * sup_abs and the average
+       within 8*sup_abs*u.
 
-    Together that is at most 8 * (lip*sqrt(d)*R + sup_abs) * u, half the
-    band.  An average of n terms inherits the per-term bound, and the
-    float64 accumulation of the sums adds under 1e-13, negligible beside a
-    band of at least 16u ~ 1e-6.  Measured on 10^6 random points plus
-    edge points, every catalog pair stays under a ninth of its band (the
-    closest, cos1 on logistic c = 0.2, at 1/9.7).
+    Terms 1-3 bound each term, and so the average of n of them, by
+    8 * (lip*sqrt(d)*R + sup_abs) * u; with term 4 that is at most
+    8 * (lip*sqrt(d)*R + 2*sup_abs) * u, half the band.  The float64
+    accumulation of the runs adds under 1e-13, negligible beside a band of
+    at least 32u ~ 2e-6.  Measured on 10^6 random points, every catalog
+    pair's per-term error stays under an eleventh of its band (the closest,
+    cos1 on logistic c = 0.2, at 1/11.4); on 65,536-sample cos1 ensembles
+    (n <= 52, logistic n <= 40) the screened average stays within a
+    sixteenth of the band of the float64 one (the closest, logistic
+    c = 0.2, at 1/16.8).
     """
     if obs.lip is None:
         return None
     r = max(abs(sys.lo), abs(sys.hi))
-    return 16.0 * (obs.lip * math.sqrt(sys.d) * r + obs.sup_abs) * _F32_UNIT
+    return 16.0 * (obs.lip * math.sqrt(sys.d) * r + 2.0 * obs.sup_abs) * _F32_UNIT
+
+
+def _is_e1(obs: Observable) -> bool:
+    """Whether obs is the character k = e_1, cos(2 pi x_1): cos1."""
+    k = obs.character
+    return k is not None and k[0] == 1 and not any(k[1:])
 
 
 def screen(sys: System, obs: Observable):
     """(dtype, band): the point dtype that screens threshold tests, and its band.
 
-    For a transcendental observable with a float32 band, fn evaluates on
-    float32 points: float32 cos1 is 3.8x (doubling) and 2.2x (cat) faster
-    per Monte Carlo ladder.  Orbits hand out points of the dtype asked for
-    (systems.birkhoff_sums): a fixed-point ensemble takes float32 points
-    straight from the top 24 bits of its state, a float batch rounds its
-    float64 points, and either moves a coordinate by at most u*R, term 1 of
-    the band.  Coord and bump, a few array passes either way, ran 5-64%
-    slower screened than plain, and the digit has no band: they get
-    (float64, 0.0), the float64 walk itself.
+    cos1 (the character e_1) with a float32 band walks on float32 points,
+    its terms taken by `terms`: a Monte Carlo ladder of 65,536 samples
+    (thresholds 0.6, 0.3, 0.15) took 5.5-6.1x less time screened than on
+    the float64 walk on doubling (n 8..72) and 3.2-3.4x on cat (n 8..52),
+    medians of 7 on a 2-vCPU Xeon.  Coord and bump, a few array passes
+    either way, ran 5-64% slower screened than plain, and the digit has no
+    band: they get (float64, 0.0), the float64 walk itself.
     """
-    band = float32_band(sys, obs) if obs.transcendental else None
+    band = float32_band(sys, obs) if _is_e1(obs) else None
     if band is None:
         return np.float64, 0.0
     return np.float32, band
+
+
+def terms(obs: Observable, dtype):
+    """The term of systems.birkhoff_sums for a walk of obs on points of dtype.
+
+    Float64: obs.fn on the float64 points.  Float32, the screen of cos1
+    (see `screen`): the orbits hand out the float32 phases 2 pi x_1
+    (points(float32, phase=True)), which equal fl(2 pi x_1) of the float32
+    points bit for bit, and their cosines are taken in place: each term is
+    cos1's on the float32 point, with no array made per step on a
+    fixed-point ensemble.  No other observable has a float32 walk.
+    """
+    if np.dtype(dtype) == np.float64:
+        return lambda orbits: obs.fn(orbits.points())
+    if not _is_e1(obs):
+        raise ValueError(f"observable {obs.oid!r} has no {np.dtype(dtype)} walk")
+
+    def cosines(orbits):
+        t = orbits.points(dtype, phase=True)
+        return np.cos(t, out=t)
+
+    return cosines
 
 
 def undecided(dev, band: float, thresholds):

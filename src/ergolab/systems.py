@@ -22,11 +22,14 @@ point 0 within ~53 steps — a uniform sample would be silently destroyed
 long before the horizons the deviation ladders need.  The fixed-point
 ensembles are exact and project to points only when an observable is
 evaluated, in the dtype asked for (`points(dtype)`): the top 53 bits of a
-coordinate as a float64, or its top 24 bits as a float32 for the screen
-of observables.screen, both truncated.  The doubling ensemble never steps
-its state: it reads the point after j steps at bit offset j of the draw.
-The tent and cat ensembles step their 128-bit state in place.  Once made,
-none of them allocates per step.
+coordinate as a float64, or its top 24 bits as a float32, both truncated;
+the screen of observables.screen asks for the phases 2 pi x_1 instead
+(`points(float32, phase=True)`), written from the same bits in one
+multiply.  The doubling ensemble never steps its state: it reads the point
+after j steps at bit offset j of the draw.  The tent and cat ensembles
+step their 128-bit state in place.  Once made, none of them allocates per
+step; the logistic ensemble, a float64 batch, allocates its new points at
+every step.
 
 The catalog, SYSTEMS, is the one place a system id is decided on: each
 entry declares the system's constructor, its parameter rules, and the
@@ -48,6 +51,7 @@ from .errors import DomainError, ParameterError, SingularDerivativeError
 from .rng import STREAM_ORBIT_SEED, STREAM_ORBITS, STREAM_SPACE_AVG, raw_blocks, uniform01
 
 _LN2 = math.log(2.0)
+_TWO_PI = 2.0 * math.pi
 _CAT_EXPANSION = (3.0 + math.sqrt(5.0)) / 2.0  # largest singular value of [[2,1],[1,1]]
 _POINT_CHUNK = 1 << 16  # points per ladder, cover, ball-lemma or flow walk batch: bounds its working set
 
@@ -273,42 +277,67 @@ def nonuniform_expansion_exponent(sys: System, x, n: int):
 
 class _FloatOrbits:
     """Float64 orbits of an (N, d) batch: every float batch whose Birkhoff
-    sums are taken, the logistic ensemble (_FloatEnsemble) included."""
+    sums are taken, the logistic ensemble (_FloatEnsemble) included.  Each
+    step allocates its new points."""
 
     def __init__(self, sys, pts):
         self.sys = sys
         self.x = pts
 
-    def points(self, dtype=np.float64) -> np.ndarray:
+    def points(self, dtype=np.float64, phase=False) -> np.ndarray:
         """The current points, rounded to dtype (a float32 coordinate moves
-        by at most u*R, u = 2^-24 and R = max(|lo|, |hi|))."""
+        by at most u*R, u = 2^-24 and R = max(|lo|, |hi|)); with phase, the
+        (count,) phases 2 pi x_1 of those points, fl(2 pi x_1) in dtype, in
+        a new array."""
+        if phase:
+            return np.multiply(self.x[:, 0], _TWO_PI, dtype=dtype)
         return self.x.astype(dtype, copy=False)
 
     def advance(self):
         self.x = self.sys._step(self.x)
 
 
-def birkhoff_sums(orbits, fn, n_values, dtype=np.float64):
-    """Yield the float64 Birkhoff sum S_n = sum_{j<n} fn(f^j x) at each horizon of n_values.
+_RUN = 8  # float32 terms per run of a screened sum (term 4 of observables.float32_band)
+
+
+def birkhoff_sums(orbits, term, n_values):
+    """Yield the float64 Birkhoff sum S_n = sum_{j<n} of the terms at f^j x, at each horizon of n_values.
 
     `orbits` is any orbit representation (a float batch in `_FloatOrbits`, or
-    a fixed-point ensemble), driven only through points(dtype) and
-    advance(); fn is evaluated on points of `dtype` (float32 points are the
-    screen of observables.screen).  n_values must be increasing and >= 1,
-    and the orbits advance n_max - 1 times.  An ensemble may hand out the
-    same points array at every step and fn may return a view of it, so the
-    sum starts from a copy of the first term; it is then updated in place,
-    so read each yielded array before asking for the next.
+    a fixed-point ensemble), driven only through points() and advance().
+    term(orbits) gives the (count,) terms at its current points: float64
+    ones (an observable's fn on points(), as in orbit_average) are added
+    into the sum one by one; float32 ones (the screen, observables.terms)
+    are added in float32, in runs of at most _RUN terms that end at every
+    horizon, and each run is then added into the float64 sum, which costs
+    one mixed-dtype add per run instead of one per term.
+    observables.float32_band bounds the runs' rounding.  n_values must be
+    increasing and >= 1, and the orbits advance n_max - 1 times.  A term may
+    be an array the orbits write again at the next step, so the sum and
+    each run start from copies; the sum is then updated in place, so read
+    each yielded array before asking for the next.
     """
-    acc = None
-    k = 1
+    acc = run = None
+    k = held = 0                                  # steps walked, terms in the run
     for n in n_values:
-        if acc is None:
-            acc = fn(orbits.points(dtype)).astype(np.float64, copy=True)
         while k < n:
-            orbits.advance()
-            acc += fn(orbits.points(dtype))
+            if k:
+                orbits.advance()
+            t = term(orbits)
             k += 1
+            if t.dtype != np.float32:
+                acc = t.astype(np.float64) if acc is None else np.add(acc, t, out=acc)
+                continue
+            if held:
+                run += t
+            elif run is None:
+                run = t.copy()
+            else:
+                np.copyto(run, t)
+            held += 1
+            if held == _RUN or k == n:
+                acc = run.astype(np.float64) if acc is None else np.add(acc, run, out=acc)
+                held = 0
         yield acc
 
 
@@ -322,7 +351,7 @@ def orbit_average(sys: System, fn, x, n: int):
         raise ValueError(f"orbit average needs n >= 1, got {n}")
     pts, tag = _as_batch(sys, x)
     _check_domain(sys, pts)
-    avg = next(birkhoff_sums(_FloatOrbits(sys, pts), fn, [n])) / n
+    avg = next(birkhoff_sums(_FloatOrbits(sys, pts), lambda o: fn(o.points()), [n])) / n
     return float(avg[0]) if tag in ("scalar", "point") else avg
 
 
@@ -357,24 +386,32 @@ def _fixed_point_horizon(matrix) -> int:
     return n
 
 
-def _fraction(word, into, out):
+def _fraction(word, into, out, phase=False):
     """out = the top bits of the unsigned array `word` that out's float dtype
-    holds (24 for float32, 53 for float64), truncated, times 2^-24 or 2^-53:
-    a fixed-point coordinate as a point in [0, 1).  `into`, an unsigned
-    array as wide as that dtype (word itself if word is), receives the
-    shifted word.  Returns out.
+    holds (keep = 24 for float32, 53 for float64), truncated, times 2^-keep:
+    a fixed-point coordinate as a point x in [0, 1); with phase, its phase
+    fl(2 pi x) in out's dtype instead.  `into`, an unsigned array as wide as
+    that dtype (word itself if word is), receives the shifted word.
+    Returns out.
 
     A float64 point from a 64-bit word is rng.uniform01 of it.  A float32
     point x32 lies in [x64 - 2^-24, x64] of the float64 one x64: truncating
     a coordinate in [0, 1) to 24 fractional bits moves it by less than
     u = 2^-24, term 1 of observables.float32_band.
+
+    The phase is the shifted word s times 2 pi 2^-keep, one multiply for
+    two, and equals fl(fl(2 pi) x) bit for bit, as 2 pi times the point
+    would round: x = s 2^-keep is exact in the dtype (s < 2^keep), and
+    scaling by a power of two commutes with rounding, so the factor rounds
+    to fl(2 pi) 2^-keep and the product to fl(fl(2 pi) s) 2^-keep.
     """
     keep = np.finfo(out.dtype).nmant + 1
     np.right_shift(word, 8 * word.itemsize - keep, out=into)
     # the shifted word has its top bit clear, and a signed integer converts
     # to float faster than an unsigned one
     signed = into.view(f"i{into.itemsize}")
-    return np.multiply(signed, 2.0 ** -keep, out=out, dtype=out.dtype)
+    scale = (_TWO_PI if phase else 1.0) * 2.0 ** -keep
+    return np.multiply(signed, scale, out=out, dtype=out.dtype)
 
 
 def _window(words, j, keep, word, part):
@@ -399,8 +436,10 @@ class _FixedPointOrbits:
 
     Neither advance() nor points() allocates once its scratch exists:
     points(dtype) writes into the same array at every call, so read it
-    before the next call.  Scratch is made on first use, after the counter
-    blocks the ensemble was built from are freed.
+    before the next call, and points(dtype, phase=True) writes the (count,)
+    phases 2 pi x_1 (see _fraction) into its first row, which the caller
+    may overwrite.  Scratch is made on first use, after the counter blocks
+    the ensemble was built from are freed.
     """
 
     def __init__(self, count):
@@ -415,10 +454,13 @@ class _FixedPointOrbits:
             a = self._kept[key] = np.empty((rows, self.count) if rows else self.count, dtype)
         return a
 
-    def _project(self, words, dtype):
-        """(count, len(words)) points, one column per top word (see _fraction)."""
+    def _project(self, words, dtype, phase):
+        """(count, len(words)) points, one column per top word, or with phase
+        the (count,) phases of the first word's coordinate (see _fraction)."""
         out = self._scratch("points", dtype, len(words))
         into = self._scratch("word", f"u{out.itemsize}")
+        if phase:
+            return _fraction(words[0], into, out[0], phase)
         for row, word in zip(out, words):
             _fraction(word, into, row)
         return out.T
@@ -450,15 +492,16 @@ class _DyadicDoubling(_FixedPointOrbits):
         self.limbs = blocks[:, :2].astype("<u8", copy=False).view("<u4").T[[1, 0, 3, 2]]
         self.j = 0
 
-    def points(self, dtype=np.float64) -> np.ndarray:
-        """(count, 1) points after j steps, truncated to dtype (see _fraction)."""
+    def points(self, dtype=np.float64, phase=False) -> np.ndarray:
+        """(count, 1) points after j steps, truncated to dtype, or with phase
+        their (count,) phases (see _fraction)."""
         out = self._scratch("points", dtype, 1)
         words = self.limbs if out.itemsize == 4 else self._wide()
         word = self._scratch("word", words.dtype)
         # the points double as scratch for the window's second word
         _window(words, self.j, np.finfo(dtype).nmant + 1, word, out[0].view(words.dtype))
-        _fraction(word, word, out[0])
-        return out.T
+        _fraction(word, word, out[0], phase)
+        return out[0] if phase else out.T
 
     def _wide(self):
         """The draw as (hi, lo) uint64 words, made from the limbs on first use."""
@@ -489,8 +532,8 @@ class _DyadicTent(_FixedPointOrbits):
         super().__init__(blocks.shape[0])
         self.hi, self.lo = blocks[:, 0].copy(), blocks[:, 1].copy()
 
-    def points(self, dtype=np.float64) -> np.ndarray:
-        return self._project((self.hi,), dtype)
+    def points(self, dtype=np.float64, phase=False) -> np.ndarray:
+        return self._project((self.hi,), dtype, phase)
 
     def advance(self):
         hi, lo = self.hi, self.lo
@@ -536,8 +579,8 @@ class _DyadicCat(_FixedPointOrbits):
         self.x = blocks[:, 0].copy(), blocks[:, 1].copy()
         self.y = blocks[:, 2].copy(), blocks[:, 3].copy()
 
-    def points(self, dtype=np.float64) -> np.ndarray:
-        return self._project((self.x[0], self.y[0]), dtype)
+    def points(self, dtype=np.float64, phase=False) -> np.ndarray:
+        return self._project((self.x[0], self.y[0]), dtype, phase)
 
     def advance(self):
         carry = self._scratch("carry", np.uint64)

@@ -223,10 +223,10 @@ def test_hit_grid_counts_equal_float64_reference(monkeypatch, sid, skw, oid, okw
     # threshold; the rest are recounted in float64, so every count equals the
     # plain float64 loop.  Thresholds set exactly to some sample's deviation
     # put that sample on the threshold, where only the recount classifies it.
-    # The catalog filters cos1 only (screen); coord and bump are marked
-    # transcendental here so that the filter is checked on kinks and plateaus.
+    # Only cos1 has the filter (screen); coord and bump walk in float64 and
+    # are never recounted.
     sysm = E.get_system(sid, **skw)
-    obs = dataclasses.replace(E.get_observable(oid, sysm, **okw), transcendental=True)
+    obs = E.get_observable(oid, sysm, **okw)
     count, seed, n_values = 10_000, 17, [1, 3, 8, 15]
     phibar = float(np.mean(obs.fn(sample_points(sysm, seed, 0, 4096))))
     devs = _reference_deviations(sysm, obs, phibar, n_values, count, seed)
@@ -238,7 +238,7 @@ def test_hit_grid_counts_equal_float64_reference(monkeypatch, sid, skw, oid, okw
     starts = _recording_draws(monkeypatch)
     got = deviation._hit_grid(sysm, obs, phibar, alphas, n_values, count, seed)
     assert np.array_equal(got, want)
-    assert any(np.ndim(s) for s in starts)            # the recount ran
+    assert any(np.ndim(s) for s in starts) == (oid == "cos1")   # the recount ran
 
 
 def test_hit_grid_chunk_peak_memory():

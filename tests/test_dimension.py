@@ -16,7 +16,7 @@ from ergolab.dimension import (_POINT_CHUNK, _character_coefficients, _children_
                                _dev_points, _grid_cells, _grid_points, _row_factor,
                                closed_form_band)
 from ergolab.rng import STREAM_LEMMA_POINTS, raw_blocks
-from ergolab.systems import domain_points
+from ergolab.systems import _FloatOrbits, domain_points
 from ergolab.errors import GridBudgetError, RateNotEstablishedError
 
 
@@ -221,6 +221,21 @@ def _recording(obs):
     return dataclasses.replace(obs, fn=fn), dtypes
 
 
+def _recording_phases(monkeypatch):
+    """Patch float batches to record the dtype of every phase array they hand
+    out: the float32 screen takes its cosines from those, not from obs.fn."""
+    dtypes = set()
+    points = _FloatOrbits.points
+
+    def recording(self, dtype=np.float64, phase=False):
+        if phase:
+            dtypes.add(np.dtype(dtype))
+        return points(self, dtype, phase)
+
+    monkeypatch.setattr(_FloatOrbits, "points", recording)
+    return dtypes
+
+
 def _ref_dev(sysm, obs, phibar, pts, n):
     """Float64 deviations by the public time average."""
     return np.abs(E.time_average(sysm, obs, pts, n) - phibar)
@@ -264,6 +279,7 @@ def test_cover_level_1d_screen_equals_float64(monkeypatch, sid, skw):
     ties = cellmax[np.argsort(cellmax)[[200, 500, 900, 1300, 1500, 1700]]]
     monkeypatch.setattr(dimension, "_POINT_CHUNK", 500)   # several chunks
     batches = _recording_walk(monkeypatch)
+    phases = _recording_phases(monkeypatch)
     closed = sid == "doubling"
     recounted = False
     for alpha, tau in [(0.3, 0.1), (ties[0], ties[1]), (ties[2], ties[3]),
@@ -271,17 +287,21 @@ def test_cover_level_1d_screen_equals_float64(monkeypatch, sid, skw):
         for threads in (1, 2):
             obs, dtypes = _recording(cos1)
             batches.clear()
+            phases.clear()
             card, relaxed = _cover_level_1d(sysm, obs, phibar, alpha, tau, s, m, n,
                                             cand, threads)
             assert card == np.count_nonzero(cellmax >= alpha)
             assert np.array_equal(relaxed, cand[cellmax >= tau])
+            # obs.fn sees float64 points only: the float32 screen takes
+            # its cosines from the phases
+            assert dtypes <= {np.dtype(np.float64)}
             if not closed:
-                assert np.dtype(np.float32) in dtypes
+                assert phases == {np.dtype(np.float32)}
                 recounted |= np.dtype(np.float64) in dtypes
                 continue
             # the closed form walks no float32 point, and the tie points
             # are recounted by the float64 walk
-            assert np.dtype(np.float32) not in dtypes
+            assert not phases
             walked = np.concatenate([_ref_dev(sysm, cos1, phibar, b, n) for b in batches]
                                     or [np.empty(0)])
             ties_at = [t for t in (alpha, tau) if t in ties]

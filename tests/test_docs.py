@@ -1,9 +1,13 @@
-"""The README's code runs against the current API."""
+"""The README's code runs against the current API, and its install line holds."""
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def test_readme_library_sketch_runs():
@@ -13,3 +17,16 @@ def test_readme_library_sketch_runs():
     scope = {}
     exec(compile(code, "README.md (Library sketch)", "exec"), scope)
     assert scope["box"] is not None
+
+
+def test_import_needs_no_scipy():
+    # the runtime dependencies are numpy alone; scipy serves the tests' oracles
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    code = ("import sys, ergolab, ergolab.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

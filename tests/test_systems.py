@@ -1,6 +1,7 @@
 """Catalog systems: orbits, metrics, expansion data, and space averages."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy import special, stats
 
 import ergolab as E
 from ergolab.errors import DomainError, SingularDerivativeError
+from ergolab.observables import terms
 from ergolab.rng import STREAM_ORBITS, raw_blocks
 from ergolab.systems import SYSTEMS, _FloatOrbits, birkhoff_sums, into_domain, sample_points
 
@@ -456,8 +458,8 @@ class _CountingOrbits:
         self.orbits = orbits
         self.advances = 0
 
-    def points(self, dtype=np.float64):
-        return self.orbits.points(dtype)
+    def points(self, dtype=np.float64, phase=False):
+        return self.orbits.points(dtype, phase)
 
     def advance(self):
         self.advances += 1
@@ -465,11 +467,17 @@ class _CountingOrbits:
 
 
 def _reference_sums(orbits, fn, n_values, dtype):
-    """Float64 Birkhoff sums by the naive loop: add fn at each of n_max orbit points."""
-    total, sums = None, []
+    """Float64 Birkhoff sums by the naive loop: fn at each of n_max orbit
+    points, added in float64, or for float32 points added in float32 runs
+    of at most 8 terms that end at every horizon, each run then added in
+    float64."""
+    total, run, held, sums = None, None, 0, []
     for j in range(1, max(n_values) + 1):
-        vals = fn(orbits.points(dtype)).astype(np.float64)
-        total = vals if total is None else total + vals
+        vals = fn(orbits.points(dtype))
+        run, held = (run + vals if held else vals), held + 1
+        if vals.dtype == np.float64 or held == 8 or j in n_values:
+            total = run.astype(np.float64) if total is None else total + run
+            held = 0
         if j in n_values:
             sums.append(total)
         orbits.advance()
@@ -480,22 +488,104 @@ def _reference_sums(orbits, fn, n_values, dtype):
                                     ("cat", {}), ("logistic", {"c": -1.7})])
 def test_birkhoff_sums_equal_a_reference_loop(sid, kw):
     # one kernel for float batches and for the (fixed-point, on doubling, tent
-    # and cat) sampled ensembles, on float64 points and on the float32 points
-    # of the screen: same sums as the naive loop, n_max - 1 advances
+    # and cat) sampled ensembles, on float64 points and on the float32 phases
+    # of the screen: same sums as the naive loop on cos1's fn, n_max - 1
+    # advances; horizons 20 and 29 take runs of 8, 5 and 8, 1
     sysm = E.get_system(sid, **kw)
-    fn = E.get_observable("cos1", sysm).fn
+    cos1 = E.get_observable("cos1", sysm)
     pts = sample_points(sysm, seed=5, start=0, count=64)
+    n_values = [1, 3, 7, 20, 29]
     for dtype in (np.float64, np.float32):
         for make in (lambda: _FloatOrbits(sysm, pts),
                      lambda: E.sample_orbit_ensemble(sysm, seed=5, start=0, count=64)):
-            want = _reference_sums(make(), fn, [1, 3, 7], dtype)
+            want = _reference_sums(make(), cos1.fn, n_values, dtype)
             orbits = _CountingOrbits(make())
-            got = [s.copy() for s in birkhoff_sums(orbits, fn, [1, 3, 7], dtype)]
-            assert len(got) == 3
+            got = [s.copy() for s in birkhoff_sums(orbits, terms(cos1, dtype), n_values)]
+            assert len(got) == len(n_values)
             for g, w in zip(got, want):
                 assert g.dtype == np.float64
                 assert np.all(g == w)
-            assert orbits.advances == 6
+            assert orbits.advances == n_values[-1] - 1
+
+
+class _TermRows:
+    """Orbits whose term at step j is row j of a table (advance() counts j)."""
+
+    def __init__(self, rows):
+        self.rows, self.j = rows, 0
+
+    def term(self, _orbits):
+        return self.rows[self.j]
+
+    def advance(self):
+        self.j += 1
+
+
+def test_float32_runs_stay_within_their_band_term():
+    # worst-case terms for float32 runs: of size sup_abs = 1 (just under, so
+    # that partial sums round) with random signs, cancelling or not; at
+    # every horizon the average stays within term 4 of
+    # observables.float32_band, 8 * sup_abs * u, of the exact one
+    rng = np.random.default_rng(12)
+    shape = (64, 20000)
+    size = (1.0 - rng.integers(1, 2**23, shape) * 2.0**-24).astype(np.float32)
+    rows = np.where(rng.random(shape) < 0.5, size, -size)
+    walk = _TermRows(rows)
+    for k, got in zip([5, 37, 64], birkhoff_sums(walk, walk.term, [5, 37, 64])):
+        exact = rows[:k].astype(np.float64).sum(axis=0)   # 64 float32s add exactly
+        err = np.abs(got - exact).max() / k
+        assert 0.0 < err <= 8.0 * 2.0**-24, (k, err)
+    assert walk.j == 63
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_phases_equal_2pi_times_the_points(dtype):
+    # points(dtype, phase=True) and its in-place cosine equal 2 pi times the
+    # points and cos1's fn on them bit for bit: the doubling ensemble at
+    # every bit offset 0..75, tent, cat (whose phase is its x coordinate)
+    # and a logistic float batch
+    cases = [(E.get_system("doubling"), 76), (E.get_system("tent"), 30),
+             (E.get_system("cat"), 30), (E.get_system("logistic", c=-1.7), 30)]
+    for sysm, steps in cases:
+        cos1 = E.get_observable("cos1", sysm)
+        ens = E.sample_orbit_ensemble(sysm, seed=9, start=0, count=20000)
+        assert isinstance(ens, _FloatOrbits) == (sysm.sid == "logistic")
+        for _ in range(steps):
+            pts = ens.points(dtype).copy()
+            phase = ens.points(dtype, phase=True)
+            assert phase.dtype == dtype and phase.shape == (20000,)
+            assert np.array_equal(phase, np.multiply(2.0 * math.pi, pts[:, 0], dtype=dtype))
+            want = cos1.fn(pts)
+            assert want.dtype == dtype
+            np.cos(phase, out=phase)
+            assert np.array_equal(phase.view(f"u{phase.itemsize}"),
+                                  want.view(f"u{want.itemsize}"))
+            if dtype == np.float32:
+                got = terms(cos1, dtype)(ens)
+                assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+            ens.advance()
+
+
+def test_screened_walk_makes_no_per_step_temporaries():
+    # after its first steps, a doubling ensemble's advance() and screened
+    # term (float32 phases, cosine in place) allocate nothing per step: the
+    # tracemalloc peak over 16 steps stays under one (count,) float32 array
+    sysd = E.get_system("doubling")
+    term = terms(E.get_observable("cos1", sysd), np.float32)
+    count = 32768
+    ens = E.sample_orbit_ensemble(sysd, seed=3, start=0, count=count)
+    for _ in range(2):
+        term(ens)
+        ens.advance()
+    tracemalloc.start()
+    try:
+        for _ in range(16):
+            ens.advance()
+            term(ens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * count, peak
 
 
 def test_space_average_lebesgue_mc():
