@@ -29,11 +29,12 @@ broadcast comparison.  A screened average is within
 band = observables.float32_band(sys, obs) of the float64 average.  A
 sample whose filter deviation is at least alpha + band therefore has
 deviation >= alpha, one below alpha - band has not; only the few samples
-between are redrawn from their own counter blocks and recounted on the
-float64 walk (obs.fn on float64 points) with the closed threshold.  The
-counts, and so every report byte, are those of the float64 walk alone.
-The others (coord, bump, and the digit, which has no band at all) are
-walked in float64 with band 0, which leaves no sample to recount.
+between, from every chunk, are redrawn from their own counter blocks in
+one draw after the last chunk and recounted on one float64 walk (obs.fn
+on float64 points) with the closed threshold.  The counts, and so every
+report byte, are those of the float64 walk alone.  The others (coord,
+bump, and the digit, which has no band at all) are walked in float64 with
+band 0, which leaves no sample to recount.
 """
 
 from __future__ import annotations
@@ -93,9 +94,14 @@ def _hit_grid(sys, obs, phibar, alphas, n_values, sample_count, seed):
     and the counts are integer sums, so the chunk size changes no count.
 
     Each chunk is walked with the screen of observables.screen, whose
-    deviations decide every sample outside the band of every alpha; at each
-    horizon the samples observables.undecided marks are recounted from the
-    float64 walk.
+    deviations decide every sample outside the band of every alpha; the
+    samples observables.undecided marks at some horizon have their screened
+    counts taken back there.  After the last chunk those samples, from every
+    chunk, are redrawn from their own counter blocks in one draw and walked
+    once in float64, down to the deepest horizon any of them is undecided
+    at, and each is counted from that walk at the horizons it was undecided
+    at.  A sample's orbit is a pure function of its block, so the counts
+    are those of the float64 walk alone.
     """
     n_values = list(n_values)
     alphas = [float(a) for a in alphas]
@@ -115,30 +121,38 @@ def _hit_grid(sys, obs, phibar, alphas, n_values, sample_count, seed):
         return np.array([np.count_nonzero(hit) for hit in dev >= column])
 
     hits = np.zeros((len(alphas), len(n_values)), dtype=np.int64)
-    for start in range(0, sample_count, _POINT_CHUNK):
-        stop = min(start + _POINT_CHUNK, sample_count)
-        near = {}  # j -> (chunk rows undecided at n_j, their screened deviations)
-        ens = sample_orbit_ensemble(sys, seed, start, stop - start)
-        for j, dev in enumerate(deviations(ens, dtype, n_values)):
+    near = [[] for _ in n_values]   # j -> indices of the samples undecided at n_j, an array a chunk
+    drawn = []                      # each chunk's samples undecided at some horizon, sorted
+
+    def screened_chunk(start, stop):
+        # the chunk's ensemble and deviations die on return, before the
+        # next chunk's draw
+        undecided_rows = []
+        for j, dev in enumerate(deviations(sample_orbit_ensemble(sys, seed, start, stop - start),
+                                           dtype, n_values)):
             hits[:, j] += counts(dev)
             rows = np.flatnonzero(undecided(dev, band, alphas))
             if rows.size:
-                near[j] = rows, dev[rows]
-        if not near:
-            continue
-        # recount: redraw the near rows from their own counter blocks, walk
-        # them in float64 down to the deepest near horizon, and replace their
-        # screened counts.  Their union is a mask, not np.unique, which
-        # imports numpy.ma on first use.
-        flag = np.zeros(stop - start, dtype=bool)
-        for cell_rows, _ in near.values():
-            flag[cell_rows] = True
-        rows = np.flatnonzero(flag)
-        ens = sample_orbit_ensemble(sys, seed, start + rows, rows.size)
-        for j, dev in enumerate(deviations(ens, np.float64, n_values[:max(near) + 1])):
-            if j in near:
-                cell_rows, screened = near[j]
-                hits[:, j] += counts(dev[np.searchsorted(rows, cell_rows)]) - counts(screened)
+                hits[:, j] -= counts(dev[rows])
+                near[j].append(start + rows)
+                undecided_rows.append(rows)
+        if undecided_rows:
+            # the union is a mask, not np.unique, which imports numpy.ma on first use
+            flag = np.zeros(stop - start, dtype=bool)
+            for rows in undecided_rows:
+                flag[rows] = True
+            drawn.append(start + np.flatnonzero(flag))
+
+    for start in range(0, sample_count, _POINT_CHUNK):
+        screened_chunk(start, min(start + _POINT_CHUNK, sample_count))
+    if drawn:
+        # chunks are disjoint and in order, so the concatenation is sorted
+        idx = np.concatenate(drawn)
+        deepest = max(j for j, cell in enumerate(near) if cell)
+        ens = sample_orbit_ensemble(sys, seed, idx, idx.size)
+        for j, dev in enumerate(deviations(ens, np.float64, n_values[:deepest + 1])):
+            if near[j]:
+                hits[:, j] += counts(dev[np.searchsorted(idx, np.concatenate(near[j]))])
     return hits
 
 

@@ -52,7 +52,6 @@ float64 only.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,6 +121,9 @@ def _dev_points(sys, obs, phibar, pts, n, thresholds=(), threads=1):
 
         starts = range(0, total, chunk)
         if threads > 1:
+            # imported here: concurrent.futures loads logging, which a
+            # single-threaded run never needs
+            from concurrent.futures import ThreadPoolExecutor
             with ThreadPoolExecutor(max_workers=threads) as pool:
                 list(pool.map(fill, starts))
         else:

@@ -32,20 +32,36 @@ _INV_2_53 = float(2.0**-53)
 _U11 = np.uint64(11)
 
 
-def raw_blocks(seed: int, stream: int, start: int, count: int) -> np.ndarray:
+def raw_blocks(seed: int, stream: int, start, count: int) -> np.ndarray:
     """Return raw 64-bit words for blocks [start, start+count) of a stream.
 
     Shape ``(count, 4)`` of uint64.  Block ``k`` is independent of how any
-    other block was (or was not) read.
+    other block was (or was not) read.  `start` may instead be a non-empty
+    increasing array of `count` block indices: exactly those blocks are
+    read, in order, from one generator that advances its counter past the
+    blocks between them (Philox is counter-addressed, so skipping costs the
+    same however far), and row i is block start[i].
     """
-    if count < 0 or start < 0:
+    indexed = np.ndim(start) > 0
+    if indexed:
+        idx = np.asarray(start, dtype=np.int64)
+        if count < 1 or idx.shape != (count,) or idx[0] < 0 or np.any(np.diff(idx) <= 0):
+            raise ValueError("block indices must be a non-empty increasing array of length count")
+        start = int(idx[0])
+    elif count < 0 or start < 0:
         raise ValueError("block range must be non-negative")
     bg = np.random.Philox(key=np.array([seed & (2**64 - 1), stream], dtype=np.uint64))
     state = bg.state
     state["state"]["counter"][0] = start
     bg.state = state
-    words = bg.random_raw(WORDS_PER_BLOCK * count)
-    return words.reshape(count, WORDS_PER_BLOCK)
+    if not indexed:
+        return bg.random_raw(WORDS_PER_BLOCK * count).reshape(count, WORDS_PER_BLOCK)
+    blocks = np.empty((count, WORDS_PER_BLOCK), dtype=np.uint64)
+    blocks[0] = bg.random_raw(WORDS_PER_BLOCK)
+    for row, step in zip(blocks[1:], np.diff(idx).tolist()):
+        bg.advance(step - 1)
+        row[:] = bg.random_raw(WORDS_PER_BLOCK)
+    return blocks
 
 
 def uniform01(words: np.ndarray) -> np.ndarray:

@@ -414,18 +414,17 @@ def _fraction(word, into, out, phase=False):
     return np.multiply(signed, scale, out=out, dtype=out.dtype)
 
 
-def _window(words, j, keep, word, part):
+def _window(words, j, word, part):
     """word = the bits j, j + 1, ... of a draw held as rows of unsigned words
-    (the top word first, zeros past the last), as many as a word holds.
-    Only the words holding some of bits j .. j + keep - 1 are read; part is
-    scratch like word.  Returns word."""
+    (the top word first, zeros past the last), as many as a word holds; part
+    is scratch like word.  Returns word."""
     width = 8 * words.itemsize
     q, r = divmod(j, width)
     if q >= len(words):
         word[:] = 0
         return word
     np.left_shift(words[q], r, out=word)
-    if r + keep > width and q + 1 < len(words):
+    if r and q + 1 < len(words):
         np.right_shift(words[q + 1], width - r, out=part)
         word |= part
     return word
@@ -475,8 +474,11 @@ class _DyadicDoubling(_FixedPointOrbits):
     points(dtype) reads the bits from offset j that dtype's significand
     holds (see _fraction), j .. j + 23 for float32 from the draw kept as four
     32-bit limbs, j .. j + 52 for float64 from two 64-bit words made from the
-    limbs on the first float64 read.  Exact binary arithmetic keeps the
-    ensemble immune to the float64 orbit collapse of dyadic maps, for a
+    limbs on the first float64 read.  Those bits are read from a group word,
+    the word of bits 8 floor(j / 8) on, made once per 8 steps and kept: j
+    is at most 7 bits into it, and 7 + 24 <= 32, 7 + 53 <= 64, so one left
+    shift by j mod 8 brings them to the top.  Exact binary arithmetic keeps
+    the ensemble immune to the float64 orbit collapse of dyadic maps, for a
     budget of `horizon` = 76 (_fixed_point_horizon): float64 points read
     drawn bits while j + 52 <= 127, i.e. j <= 75.  Past that, bits past 127
     read as zeros, as if shifted in at the bottom, and from j = 128 on every
@@ -491,6 +493,7 @@ class _DyadicDoubling(_FixedPointOrbits):
         # the "<u4" view holds each 64-bit word's low half first
         self.limbs = blocks[:, :2].astype("<u8", copy=False).view("<u4").T[[1, 0, 3, 2]]
         self.j = 0
+        self._group_at = {}                       # word dtype -> offset its group word holds
 
     def points(self, dtype=np.float64, phase=False) -> np.ndarray:
         """(count, 1) points after j steps, truncated to dtype, or with phase
@@ -498,9 +501,14 @@ class _DyadicDoubling(_FixedPointOrbits):
         out = self._scratch("points", dtype, 1)
         words = self.limbs if out.itemsize == 4 else self._wide()
         word = self._scratch("word", words.dtype)
-        # the points double as scratch for the window's second word
-        _window(words, self.j, np.finfo(dtype).nmant + 1, word, out[0].view(words.dtype))
-        _fraction(word, word, out[0], phase)
+        group = self._scratch("group", words.dtype)
+        at = self.j - self.j % 8
+        if self._group_at.get(words.dtype) != at:
+            _window(words, at, group, word)
+            self._group_at[words.dtype] = at
+        if self.j > at:
+            group = np.left_shift(group, self.j - at, out=word)
+        _fraction(group, word, out[0], phase)
         return out[0] if phase else out.T
 
     def _wide(self):
@@ -674,33 +682,19 @@ def check_float64_horizon(sys: System, n: int):
                          f"float64 orbits of {sys.sid} (L={sys.L:.4g}) are faithful for")
 
 
-# one raw_blocks call costs about as much as reading a thousand more blocks
-_READ_GAP = 1024
-
-
 def sample_orbit_ensemble(sys: System, seed: int, start, count: int):
     """Draw samples [start, start+count) of a system's orbit ensemble.
 
     `start` may instead be a non-empty increasing array of `count` sample
-    indices, which draws just those samples; indices at most _READ_GAP
-    apart share one read of the blocks spanning them.  Sample i always
-    consumes counter block i of the orbit stream, so any chunking or
-    selection of [0, N) yields bit-identical orbits.  Initial conditions
-    are uniform over the domain (the natural measure for every catalog
-    system except logistic, whose ensembles are only used where a uniform
-    seed is the documented behavior).
+    indices, which draws just those samples, reading just their counter
+    blocks (rng.raw_blocks).  Sample i always consumes counter block i of
+    the orbit stream, so any chunking or selection of [0, N) yields
+    bit-identical orbits.  Initial conditions are uniform over the domain
+    (the natural measure for every catalog system except logistic, whose
+    ensembles are only used where a uniform seed is the documented
+    behavior).
     """
-    if np.ndim(start):
-        idx = np.asarray(start, dtype=np.int64)
-        if count < 1 or idx.shape != (count,) or np.any(np.diff(idx) <= 0):
-            raise ValueError("sample indices must be a non-empty increasing array of length count")
-        runs = np.split(idx, np.flatnonzero(np.diff(idx) > _READ_GAP) + 1)
-        blocks = np.concatenate([
-            raw_blocks(seed, STREAM_ORBITS, int(r[0]), int(r[-1] - r[0]) + 1)[r - r[0]]
-            for r in runs])
-    else:
-        blocks = raw_blocks(seed, STREAM_ORBITS, start, count)
-    return SYSTEMS[sys.sid].ensemble(sys, blocks)
+    return SYSTEMS[sys.sid].ensemble(sys, raw_blocks(seed, STREAM_ORBITS, start, count))
 
 
 def domain_points(sys: System, blocks: np.ndarray) -> np.ndarray:

@@ -238,7 +238,13 @@ def test_hit_grid_counts_equal_float64_reference(monkeypatch, sid, skw, oid, okw
     starts = _recording_draws(monkeypatch)
     got = deviation._hit_grid(sysm, obs, phibar, alphas, n_values, count, seed)
     assert np.array_equal(got, want)
-    assert any(np.ndim(s) for s in starts) == (oid == "cos1")   # the recount ran
+    # the recount is one draw of index arrays, after the chunks, of samples
+    # from more than one chunk (the ties lie in all three)
+    recounts = [s for s in starts if np.ndim(s)]
+    assert len(recounts) == (oid == "cos1")
+    if recounts:
+        assert np.ndim(starts[-1]) and np.all(np.diff(recounts[0]) > 0)
+        assert len(set((recounts[0] // 4096).tolist())) >= 2
 
 
 def test_hit_grid_chunk_peak_memory():
@@ -251,6 +257,26 @@ def test_hit_grid_chunk_peak_memory():
     cos1 = E.get_observable("cos1", sysd)
     args = (sysd, cos1, 0.0, [0.6, 0.3, 0.15], range(8, 73, 4), 32768, 42)
     deviation._hit_grid(*args)                        # first-use imports and caches
+    tracemalloc.start()
+    try:
+        deviation._hit_grid(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_713_500, peak
+
+
+def test_hit_grid_two_chunks_stay_within_the_one_chunk_peak(monkeypatch):
+    # the ladder of test_hit_grid_chunk_peak_memory over two chunks keeps its
+    # one-chunk bound: each chunk's ensemble is freed before the next chunk's
+    # draw, and the one recount draw, after the last chunk, is small
+    sysd = E.get_system("doubling")
+    cos1 = E.get_observable("cos1", sysd)
+    monkeypatch.setattr(deviation, "_POINT_CHUNK", 32768)
+    starts = _recording_draws(monkeypatch)
+    args = (sysd, cos1, 0.0, [0.6, 0.3, 0.15], range(8, 73, 4), 65536, 42)
+    deviation._hit_grid(*args)                        # first-use imports and caches
+    assert [s for s in starts if not np.ndim(s)] == [0, 32768]
     tracemalloc.start()
     try:
         deviation._hit_grid(*args)

@@ -30,3 +30,20 @@ def test_import_needs_no_scipy():
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_set_up_loads_no_thread_pool():
+    # import and config validation, the set-up every run pays, leave out
+    # concurrent.futures and the logging it loads: only a threaded cover
+    # walk imports them
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    code = ("import sys, ergolab\n"
+            f"ergolab.load_config({str(ROOT / 'configs' / 'cat.ini')!r})\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] in ('concurrent', 'logging')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -338,8 +338,7 @@ def test_orbit_ensemble_chunking_is_invisible():
 
 
 def test_orbit_ensemble_selected_samples_match_their_chunk():
-    # an index array draws just those samples, each from its own counter
-    # block, whether neighbours share a block read or not
+    # an index array draws just those samples, each from its own counter block
     rows = np.array([3, 4, 40, 99, 1500, 1501, 4000])
     for sysm in (E.get_system("doubling"), E.get_system("tent"),
                  E.get_system("cat"), E.get_system("logistic", c=-2.0)):
@@ -357,6 +356,22 @@ def test_orbit_ensemble_selected_samples_match_their_chunk():
         with pytest.raises(ValueError):
             E.sample_orbit_ensemble(sysd, seed=9, start=np.array(bad, dtype=np.int64),
                                     count=count)
+
+
+def test_raw_blocks_reads_just_the_indexed_blocks():
+    # an index array reads exactly those blocks, each equal to its one-block
+    # read: from block 0, consecutive, across gaps past 1024, alone, far out
+    for idx in ([0, 1, 2], [5, 9, 1000, 1001, 70000], [0, 3000, 6000], [4321],
+                [2**40], [7, 2**40, 2**40 + 1]):
+        got = raw_blocks(11, STREAM_ORBITS, np.array(idx), len(idx))
+        want = np.vstack([raw_blocks(11, STREAM_ORBITS, k, 1) for k in idx])
+        assert got.dtype == np.uint64 and np.array_equal(got, want)
+    assert np.array_equal(raw_blocks(11, STREAM_ORBITS, np.arange(10, 20), 10),
+                          raw_blocks(11, STREAM_ORBITS, 10, 10))
+    for bad, count in (([], 0), ([], 1), ([5, 5], 2), ([7, 3], 2), ([1, 2], 3),
+                       ([1, 2], 1), ([-1, 2], 2), ([[1, 2]], 2)):
+        with pytest.raises(ValueError):
+            raw_blocks(11, STREAM_ORBITS, np.array(bad, dtype=np.int64), count)
 
 
 def test_cat_ensemble_follows_256_bit_orbits_through_its_budget():
