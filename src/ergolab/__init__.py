@@ -2,11 +2,9 @@
 for a catalog of chaotic maps and suspension flows."""
 
 from .errors import (DomainError, ErgolabError, GridBudgetError, ParameterError,
-                     RateNotEstablishedError, SingularDerivativeError,
-                     StageError, ValidationError)
-from .systems import (SpaceAverage, System, distance, domain_diameter,
-                      get_system, iterate, nonuniform_expansion_exponent,
-                      sample_orbit_ensemble, srb_space_average, wrap_unit)
+                     RateNotEstablishedError, StageError, ValidationError)
+from .systems import (SpaceAverage, System, distance, domain_diameter, get_system,
+                      iterate, sample_orbit_ensemble, srb_space_average, wrap_unit)
 from .observables import (DeviationParams, Observable, get_observable,
                           modulus_delta, modulus_delta_for, time_average)
 from .deviation import (DIGIT, DIGIT_MEAN, DeviationLadder, LadderEntry,

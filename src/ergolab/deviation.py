@@ -17,7 +17,7 @@ the same test the float estimator applies to exact dyadic frequencies, so
 the two routes agree even when k/n lands exactly on the threshold.
 
 Monte Carlo counts are exact float64 counts, found cheaply, by the screen
-rule of observables (`screen`, `terms`, `undecided`).  For cos1 each
+rule of observables (`screen`, `deviations`, `undecided`).  For cos1 each
 chunk's orbits are first summed with one fused step per orbit step: the
 fixed-point ensembles write the float32 phases 2 pi x_1 straight from the
 top 24 bits of their state into a kept array, the cosine is taken there in
@@ -47,9 +47,8 @@ from fractions import Fraction
 import numpy as np
 
 from .observables import (DIGIT, DIGIT_MEAN, DIGIT_SYSTEM, DeviationParams, Observable,
-                          screen, terms, undecided)
-from .systems import (_POINT_CHUNK, System, birkhoff_sums, check_ensemble_horizon,
-                      sample_orbit_ensemble)
+                          deviations, screen, undecided)
+from .systems import _POINT_CHUNK, System, check_ensemble_horizon, sample_orbit_ensemble
 
 LN2 = math.log(2.0)
 
@@ -108,13 +107,6 @@ def _hit_grid(sys, obs, phibar, alphas, n_values, sample_count, seed):
     column = np.array(alphas)[:, None]
     dtype, band = screen(sys, obs)
 
-    def deviations(ens, dtype, horizons):
-        dev = None
-        for n, sums in zip(horizons, birkhoff_sums(ens, terms(obs, dtype), horizons)):
-            dev = np.divide(sums, n, out=dev)
-            dev -= phibar
-            yield np.abs(dev, out=dev)
-
     def counts(dev):
         # a count per row of one broadcast comparison: count_nonzero(axis=1)
         # sums the mask as integers and is slower
@@ -128,8 +120,8 @@ def _hit_grid(sys, obs, phibar, alphas, n_values, sample_count, seed):
         # the chunk's ensemble and deviations die on return, before the
         # next chunk's draw
         undecided_rows = []
-        for j, dev in enumerate(deviations(sample_orbit_ensemble(sys, seed, start, stop - start),
-                                           dtype, n_values)):
+        ens = sample_orbit_ensemble(sys, seed, start, stop - start)
+        for j, dev in enumerate(deviations(ens, obs, phibar, dtype, n_values)):
             hits[:, j] += counts(dev)
             rows = np.flatnonzero(undecided(dev, band, alphas))
             if rows.size:
@@ -150,7 +142,7 @@ def _hit_grid(sys, obs, phibar, alphas, n_values, sample_count, seed):
         idx = np.concatenate(drawn)
         deepest = max(j for j, cell in enumerate(near) if cell)
         ens = sample_orbit_ensemble(sys, seed, idx, idx.size)
-        for j, dev in enumerate(deviations(ens, np.float64, n_values[:deepest + 1])):
+        for j, dev in enumerate(deviations(ens, obs, phibar, np.float64, n_values[:deepest + 1])):
             if near[j]:
                 hits[:, j] += counts(dev[np.searchsorted(idx, np.concatenate(near[j]))])
     return hits
@@ -194,6 +186,10 @@ def build_deviation_ladders(sys: System, obs: Observable, phibar: float,
     if sample_count < _MIN_SAMPLES:
         raise ValueError(f"sample_count must be >= {_MIN_SAMPLES}")
     alphas = [float(a) for a in alphas]
+    if any(math.isnan(a) for a in alphas):
+        raise ValueError(f"alphas must be numbers, got {alphas}")
+    if not math.isfinite(phibar):
+        raise ValueError(f"phibar must be finite, got {phibar}")
     n_values = list(n_values)
     if any(n < 1 for n in n_values):
         raise ValueError("deviation horizons must be >= 1")
@@ -257,25 +253,20 @@ def exact_digit_ladder(alpha: float, n_values) -> DeviationLadder:
     return DeviationLadder(DIGIT_SYSTEM, DIGIT.oid, DIGIT_MEAN, float(alpha), entries)
 
 
-def cramer_bernoulli(alpha: float, with_flag: bool = False):
+def cramer_bernoulli(alpha: float) -> float:
     """Closed-form large-deviation rate for Bernoulli(1/2) digit frequencies.
 
     rate(alpha) = ln 2 - H(1/2 + alpha), with H the natural-log entropy.
     Beyond alpha = 1/2 the deviation is impossible and the rate saturates at
-    ln 2; with_flag=True returns (rate, capped) to expose that saturation.
+    ln 2.
     """
     if alpha < 0.0:
         raise ValueError("alpha must be >= 0")
-    capped = alpha >= 0.5
-    if capped:
-        rate = LN2
-    else:
-        p = 0.5 + alpha
-        q = 0.5 - alpha
-        rate = LN2 + p * math.log(p) + (q * math.log(q) if q > 0.0 else 0.0)
-    if with_flag:
-        return rate, capped
-    return rate
+    if alpha >= 0.5:
+        return LN2
+    p = 0.5 + alpha
+    q = 0.5 - alpha
+    return LN2 + p * math.log(p) + (q * math.log(q) if q > 0.0 else 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -40,9 +40,9 @@ walked in float64:
   of stencil points have the closed form of one small product of cos/sin
   tables (_closed_form_dev), within closed_form_band;
 * other covers and lemma candidates walk float64 orbits with the screen
-  of observables.screen: for cos1 the cosines of float32 phases, summed in
-  float32 runs (observables.terms); for the others it is the float64 walk
-  itself, band 0.
+  of observables.screen, by observables.deviations: for cos1 the cosines of
+  float32 phases, summed in float32 runs (observables.terms); for the
+  others it is the float64 walk itself, band 0.
 
 Cards, relaxed sets and lemma reports are those of the float64 walk; the
 lemma's ball points, whose deviations are reported, are evaluated in
@@ -58,10 +58,10 @@ import numpy as np
 
 from .deviation import LN2, digit_deviation_count, write_csv
 from .errors import GridBudgetError, RateNotEstablishedError
-from .observables import _TWO_PI, Observable, screen, terms, undecided
+from .observables import _TWO_PI, Observable, deviations, screen, undecided
 from .rng import STREAM_LEMMA_BALLS, STREAM_LEMMA_POINTS, raw_blocks, uniform01
-from .systems import (_POINT_CHUNK, System, _FloatOrbits, birkhoff_sums,
-                      check_float64_horizon, domain_points, into_domain)
+from .systems import (_POINT_CHUNK, System, _FloatOrbits, check_float64_horizon,
+                      domain_points, into_domain)
 
 _BAND_POINTS = 1 << 22  # points per row band of a walked 2-d level
 
@@ -74,9 +74,9 @@ def dimension_upper_bound(d: int, L: float, h: float) -> float:
     """
     if d < 1:
         raise ValueError("need dimension d >= 1")
-    if L <= 1.0:
+    if not L > 1.0:
         raise ValueError("need expansion base L > 1")
-    if h <= 0.0:
+    if not h > 0.0:
         raise RateNotEstablishedError(f"decay rate h={h} is not positive")
     return d - h / math.log(L)
 
@@ -131,7 +131,7 @@ def _dev_points(sys, obs, phibar, pts, n, thresholds=(), threads=1):
                 fill(i)
         return out
     dtype, band = screen(sys, obs) if thresholds else (np.float64, 0.0)
-    dev = np.abs(next(birkhoff_sums(_FloatOrbits(sys, pts), terms(obs, dtype), [n])) / n - phibar)
+    dev = next(deviations(_FloatOrbits(sys, pts), obs, phibar, dtype, [n]))
     rows = np.flatnonzero(undecided(dev, band, thresholds))
     if rows.size:
         dev[rows] = _dev_points(sys, obs, phibar, pts[rows], n)
@@ -158,7 +158,7 @@ def verify_ball_lemma(sys: System, obs: Observable, phibar: float, alpha: float,
         raise ValueError("need horizon n >= 1")
     if pair_count < 1:
         raise ValueError("need pair_count >= 1")
-    if delta <= 0.0:
+    if not delta > 0.0:
         raise ValueError("need delta > 0")
     check_float64_horizon(sys, n)
     radius = delta * sys.L ** (-n)
@@ -636,6 +636,10 @@ def build_cover_ladder(sys: System, obs: Observable, phibar: float, alpha: float
     """
     if n_hi < n_lo:
         raise ValueError("need n_hi >= n_lo")
+    if math.isnan(alpha):
+        raise ValueError("alpha must be a number, got nan")
+    if not math.isfinite(phibar):
+        raise ValueError(f"phibar must be finite, got {phibar}")
     check_float64_horizon(sys, n_hi)
     L = sys.L
     dprimes = tuple(float(dp) for dp in dprimes)
@@ -657,7 +661,7 @@ def build_cover_ladder(sys: System, obs: Observable, phibar: float, alpha: float
         raise ValueError("cover levels need n >= 1 when alpha > 0")
     if sys.d > 2:
         raise ValueError("covers support d <= 2")
-    if delta <= 0.0:
+    if not delta > 0.0:
         raise ValueError("need delta > 0")
 
     W = obs.sup_abs + abs(phibar)
@@ -728,11 +732,10 @@ class VolumeSeries:
     converges: bool
 
 
-def dprime_volume_series(ladder: CoverLadder, dprime: float,
-                         start_n: int | None = None) -> VolumeSeries:
+def dprime_volume_series(ladder: CoverLadder, dprime: float) -> VolumeSeries:
     """Partial sum of card_n * r_n^d' with a geometric tail estimate.
 
-    The sum runs over entries with n >= start_n.  When the last ratio of
+    The sum runs over every entry of the ladder.  When the last ratio of
     consecutive positive terms is below 1, a geometric tail bound
     (last term * rho / (1 - rho)) is folded into the partial sum.
     `converges` requires the last few (up to 3) ratios to stabilize below
@@ -740,8 +743,7 @@ def dprime_volume_series(ladder: CoverLadder, dprime: float,
     tail.
     """
     dprime = float(dprime)
-    entries = [e for e in ladder.entries if start_n is None or e.n >= start_n]
-    terms = [e.card * e.r_n**dprime for e in entries]
+    terms = [e.card * e.r_n**dprime for e in ladder.entries]
     positive = [t for t in terms if t > 0.0]
     total = float(sum(terms))
     if len(positive) < 2:
@@ -774,9 +776,9 @@ def box_counting_dimension(scales, counts) -> BoxDimension:
         raise ValueError("scales and counts must be 1-d arrays of equal length")
     if s.shape[0] < 4:
         raise ValueError("need at least 4 scales")
-    if np.any(s <= 0.0):
+    if not np.all(s > 0.0):
         raise ValueError("scales must be positive")
-    if np.any(c <= 0.0):
+    if not np.all(c > 0.0):
         raise ValueError("counts must be positive")
     if math.log10(float(np.max(s)) / float(np.min(s))) < 2.0:
         raise ValueError("scales must span at least two decades")

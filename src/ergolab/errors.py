@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.  A plain argument out of its
+range, NaN included, raises ValueError naming it instead (ParameterError,
+for catalog parameters, is both a ValueError and an ErgolabError)."""
 
 
 class ErgolabError(Exception):
@@ -7,11 +9,6 @@ class ErgolabError(Exception):
 
 class DomainError(ErgolabError):
     """A point lies outside the domain of the system it was handed to."""
-
-
-class SingularDerivativeError(ErgolabError):
-    """The derivative needed for an expansion exponent does not exist or
-    vanishes somewhere on the requested orbit (tent crease, critical point)."""
 
 
 class RateNotEstablishedError(ErgolabError):

@@ -16,7 +16,9 @@ declares its constructor and its parameter rules.
 
 Time averages are arithmetic means of the observable along the first n
 orbit points (j = 0..n-1).  `deviation` measures |time average - phibar|,
-the quantity whose level sets the deviation ladders and covers estimate.
+the quantity whose level sets the deviation ladders and covers estimate;
+`deviations` is the one walk that yields it, at every horizon, along any
+orbit representation.
 
 Every threshold test of the lab, dev >= t, is screened by one rule: a
 cheaper deviation within a proven band of the float64 walk's decides every
@@ -39,7 +41,8 @@ from typing import Callable
 
 import numpy as np
 
-from .systems import _TWO_PI, Param, System, catalog_entry, domain_diameter, orbit_average
+from .systems import (_TWO_PI, Param, System, _as_batch, _check_domain, _FloatOrbits,
+                      birkhoff_sums, catalog_entry, domain_diameter)
 
 
 @dataclass(frozen=True)
@@ -245,8 +248,30 @@ def undecided(dev, band: float, thresholds):
 
 
 def time_average(sys: System, obs: Observable, x, n: int):
-    """Mean of the observable over orbit points f^j(x), j = 0..n-1."""
-    return orbit_average(sys, obs.fn, x, n)
+    """Mean of the observable over the orbit points f^j(x), j = 0..n-1, shaped like x.
+
+    One point (a scalar, or a length-d vector) gives a float, a batch an (N,)
+    array.  The domain is checked before stepping; n < 1 raises ValueError.
+    """
+    if n < 1:
+        raise ValueError(f"time average needs n >= 1, got {n}")
+    pts, tag = _as_batch(sys, x)
+    _check_domain(sys, pts)
+    avg = next(birkhoff_sums(_FloatOrbits(sys, pts), terms(obs, np.float64), [n])) / n
+    return float(avg[0]) if tag in ("scalar", "point") else avg
+
+
+def deviations(orbits, obs: Observable, phibar: float, dtype, horizons):
+    """Yield |S_n / n - phibar| of obs along the orbits at each horizon n.
+
+    S_n sums terms(obs, dtype) by systems.birkhoff_sums, whose rules on
+    horizons hold.  One array is updated in place: read each before the next.
+    """
+    dev = None
+    for n, sums in zip(horizons, birkhoff_sums(orbits, terms(obs, dtype), horizons)):
+        dev = np.divide(sums, n, out=dev)
+        dev -= phibar
+        yield np.abs(dev, out=dev)
 
 
 def deviation(sys: System, obs: Observable, phibar: float, x, n: int):
@@ -274,7 +299,7 @@ def modulus_delta(obs: Observable, alpha: float, diameter: float) -> float:
     """
     if obs.lip is None:
         raise ValueError(f"observable {obs.oid!r} has no Lipschitz bound; supply delta explicitly")
-    if alpha <= 0.0:
+    if not alpha > 0.0:
         raise ValueError("modulus_delta needs alpha > 0")
     lip = obs.lip if obs.lip > 0.0 else 1e-300
     return min(alpha / (2.0 * lip) * (1.0 - 1e-6), diameter)

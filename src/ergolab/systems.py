@@ -29,7 +29,8 @@ multiply.  The doubling ensemble never steps its state: it reads the point
 after j steps at bit offset j of the draw.  The tent and cat ensembles
 step their 128-bit state in place.  Once made, none of them allocates per
 step; the logistic ensemble, a float64 batch, allocates its new points at
-every step.
+every step.  Every representation is summed by one kernel,
+`birkhoff_sums`, which observables drives (`time_average`, `deviations`).
 
 The catalog, SYSTEMS, is the one place a system id is decided on: each
 entry declares the system's constructor, its parameter rules, and the
@@ -47,10 +48,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, ParameterError, SingularDerivativeError
+from .errors import DomainError, ParameterError
 from .rng import STREAM_ORBIT_SEED, STREAM_ORBITS, STREAM_SPACE_AVG, raw_blocks, uniform01
 
-_LN2 = math.log(2.0)
 _TWO_PI = 2.0 * math.pi
 _CAT_EXPANSION = (3.0 + math.sqrt(5.0)) / 2.0  # largest singular value of [[2,1],[1,1]]
 _POINT_CHUNK = 1 << 16  # points per ladder, cover, ball-lemma or flow walk batch: bounds its working set
@@ -97,7 +97,6 @@ class System:
     params: tuple = ()
     matrix: tuple | None = None
     _step: Callable = field(repr=False, compare=False, default=None)
-    _log_inv_dnorm: Callable = field(repr=False, compare=False, default=None)
 
     @property
     def L(self) -> float:
@@ -127,38 +126,22 @@ def _step_cat(pts):
     return _wrap_in_place(out)
 
 
-def _logdi_doubling(pts):
-    return np.full(pts.shape[0], -_LN2)
-
-
-def _logdi_tent(pts):
-    if np.any(pts[:, 0] == 0.5):
-        raise SingularDerivativeError("tent derivative is undefined at the crease x = 1/2")
-    return np.full(pts.shape[0], -_LN2)
-
-
-def _logdi_cat(pts):
-    # det Df = 1, so ||Df^-1|| equals the largest singular value of Df
-    return np.full(pts.shape[0], math.log(_CAT_EXPANSION))
-
-
 _DOUBLING = ((2,),)
 _CAT = ((2, 1), (1, 1))
 
 
 def _doubling(sid):
     return System(sid, 1, "torus", 0.0, 1.0, 2.0, "lebesgue",
-                  matrix=_DOUBLING, _step=_step_doubling, _log_inv_dnorm=_logdi_doubling)
+                  matrix=_DOUBLING, _step=_step_doubling)
 
 
 def _tent(sid):
-    return System(sid, 1, "interval", 0.0, 1.0, 2.0, "lebesgue",
-                  _step=_step_tent, _log_inv_dnorm=_logdi_tent)
+    return System(sid, 1, "interval", 0.0, 1.0, 2.0, "lebesgue", _step=_step_tent)
 
 
 def _cat(sid):
     return System(sid, 2, "torus", 0.0, 1.0, _CAT_EXPANSION, "lebesgue",
-                  matrix=_CAT, _step=_step_cat, _log_inv_dnorm=_logdi_cat)
+                  matrix=_CAT, _step=_step_cat)
 
 
 def _logistic(sid, c):
@@ -168,15 +151,8 @@ def _logistic(sid, c):
         # one step can exit [-b, b] only by float rounding; clamp the dust
         return np.clip(pts * pts + _c, -_b, _b)
 
-    def logdi(pts):
-        ax = np.abs(pts[:, 0])
-        if np.any(ax == 0.0):
-            raise SingularDerivativeError("logistic derivative vanishes at the critical point x = 0")
-        return -np.log(2.0 * ax)
-
     return System(sid, 1, "interval", -beta, beta, 2.0 * beta,
-                  "empirical-orbit", params=(("c", c),),
-                  _step=step, _log_inv_dnorm=logdi)
+                  "empirical-orbit", params=(("c", c),), _step=step)
 
 
 # ---------------------------------------------------------------------------
@@ -263,15 +239,6 @@ def domain_diameter(sys: System) -> float:
     return sys.hi - sys.lo
 
 
-def nonuniform_expansion_exponent(sys: System, x, n: int):
-    """Average of log ||Df(f^j x)^-1|| over the first n orbit points (j < n).
-
-    Negative values certify expansion along the orbit segment; the tent
-    crease and the logistic critical point raise SingularDerivativeError.
-    """
-    return orbit_average(sys, sys._log_inv_dnorm, x, n)
-
-
 # ---------------------------------------------------------------------------
 # sampled orbit ensembles
 
@@ -305,12 +272,13 @@ def birkhoff_sums(orbits, term, n_values):
 
     `orbits` is any orbit representation (a float batch in `_FloatOrbits`, or
     a fixed-point ensemble), driven only through points() and advance().
-    term(orbits) gives the (count,) terms at its current points: float64
-    ones (an observable's fn on points(), as in orbit_average) are added
-    into the sum one by one; float32 ones (the screen, observables.terms)
-    are added in float32, in runs of at most _RUN terms that end at every
-    horizon, and each run is then added into the float64 sum, which costs
-    one mixed-dtype add per run instead of one per term.
+    term(orbits) (observables.terms, from time_average and deviations, its
+    only callers) gives the (count,) terms at its current points: float64
+    ones (an observable's fn on points()) are added into the sum one by one;
+    float32 ones (the screen of cos1) are added in float32, in runs of at
+    most _RUN terms that end at every horizon, and each run is then added
+    into the float64 sum, which costs one mixed-dtype add per run instead of
+    one per term.
     observables.float32_band bounds the runs' rounding.  n_values must be
     increasing and >= 1, and the orbits advance n_max - 1 times.  A term may
     be an array the orbits write again at the next step, so the sum and
@@ -339,20 +307,6 @@ def birkhoff_sums(orbits, term, n_values):
                 acc = run.astype(np.float64) if acc is None else np.add(acc, run, out=acc)
                 held = 0
         yield acc
-
-
-def orbit_average(sys: System, fn, x, n: int):
-    """Mean of fn over the orbit points f^j(x), j = 0..n-1, shaped like x.
-
-    One point (a scalar, or a length-d vector) gives a float, a batch an (N,)
-    array.  The domain is checked before stepping; n < 1 raises ValueError.
-    """
-    if n < 1:
-        raise ValueError(f"orbit average needs n >= 1, got {n}")
-    pts, tag = _as_batch(sys, x)
-    _check_domain(sys, pts)
-    avg = next(birkhoff_sums(_FloatOrbits(sys, pts), lambda o: fn(o.points()), [n])) / n
-    return float(avg[0]) if tag in ("scalar", "point") else avg
 
 
 class _FloatEnsemble(_FloatOrbits):

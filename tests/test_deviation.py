@@ -73,10 +73,8 @@ def test_cramer_bernoulli_values():
     assert E.cramer_bernoulli(0.25) == pytest.approx(want, rel=1e-15)
     assert E.cramer_bernoulli(0.25) == pytest.approx(0.1308120359411369, abs=1e-12)
     assert E.cramer_bernoulli(0.2) == pytest.approx(0.0822828785050518, abs=1e-12)
-    # at and beyond 1/2 the rate saturates at ln 2 and says so
-    assert E.cramer_bernoulli(0.5, with_flag=True) == (math.log(2.0), True)
-    assert E.cramer_bernoulli(0.8, with_flag=True) == (math.log(2.0), True)
-    assert E.cramer_bernoulli(0.3, with_flag=True)[1] is False
+    # at and beyond 1/2 the rate saturates at ln 2
+    assert E.cramer_bernoulli(0.5) == E.cramer_bernoulli(0.8) == math.log(2.0)
     with pytest.raises(ValueError):
         E.cramer_bernoulli(-0.1)
 

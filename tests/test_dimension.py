@@ -20,6 +20,29 @@ from ergolab.systems import _FloatOrbits, domain_points
 from ergolab.errors import GridBudgetError, RateNotEstablishedError
 
 
+@pytest.mark.parametrize("arg,error,call", [
+    ("phibar", ValueError,
+     lambda s, o: E.build_deviation_ladders(s, o, math.nan, [0.3], [4, 8], 1000, 1)),
+    ("alphas", ValueError,
+     lambda s, o: E.build_deviation_ladders(s, o, 0.0, [0.3, math.nan], [4, 8], 1000, 1)),
+    ("alpha", ValueError, lambda s, o: E.build_cover_ladder(s, o, 0.0, math.nan, 0.01, 2, 4)),
+    ("phibar", ValueError, lambda s, o: E.build_cover_ladder(s, o, math.nan, 0.3, 0.01, 2, 4)),
+    ("delta", ValueError, lambda s, o: E.verify_ball_lemma(s, o, 0.0, 0.3, math.nan, 4, 10, 1)),
+    ("h", RateNotEstablishedError, lambda s, o: E.dimension_upper_bound(1, 2.0, math.nan)),
+    ("L", ValueError, lambda s, o: E.dimension_upper_bound(1, math.nan, 0.1)),
+    ("alpha", ValueError, lambda s, o: E.modulus_delta(o, math.nan, 0.5)),
+    ("counts", ValueError,
+     lambda s, o: E.box_counting_dimension([1.0, 0.1, 0.01, 0.001], [1, 2, math.nan, 8])),
+], ids=["ladders-phibar", "ladders-alphas", "cover-alpha", "cover-phibar", "lemma-delta",
+        "bound-h", "bound-L", "modulus-alpha", "box-counts"])
+def test_nan_inputs_are_refused_by_name(arg, error, call):
+    # each of these read a NaN as a number: measures and cards of 0, a lemma
+    # with no violation, or a NaN bound or dimension
+    sysd = E.get_system("doubling")
+    with pytest.raises(error, match=rf"\b{arg}\b"):
+        call(sysd, E.get_observable("cos1", sysd))
+
+
 def test_dimension_upper_bound_values():
     assert E.dimension_upper_bound(1, 2.0, math.log(2.0)) == 0.0
     assert E.dimension_upper_bound(2, 2.0, 0.1) == pytest.approx(2.0 - 0.1 / math.log(2.0))
@@ -594,10 +617,6 @@ def test_volume_series_geometric():
     vs0 = E.dprime_volume_series(lad, 0.0)
     assert not vs0.converges
     assert vs0.partial_sum == pytest.approx(126.0)
-    # start_n drops early terms
-    vs_tail = E.dprime_volume_series(lad, 1.0, start_n=4)
-    assert vs_tail.partial_sum == pytest.approx(2.0 ** -4 + 2.0 ** -5 + 2.0 ** -6 + 2.0 ** -6,
-                                                abs=1e-12)
 
 
 def test_volume_series_edge_rules():

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import ergolab as E
-from ergolab.observables import DIGIT, DIGIT_MEAN, deviation, undecided
-from ergolab.systems import orbit_average
+from ergolab.observables import DIGIT, DIGIT_MEAN, deviation, deviations, float32_band, undecided
+from ergolab.systems import _FloatOrbits, sample_points
 
 
 def batch(*xs):
@@ -82,13 +82,10 @@ def test_time_average_worked_values():
     syst = E.get_system("tent")
     # 2/3 is the tent fixed point
     assert E.time_average(syst, obs_x, 2.0 / 3.0, 10) == pytest.approx(2.0 / 3.0, abs=1e-13)
-    with pytest.raises(ValueError):
-        E.time_average(sysd, obs_x, 0.3, 0)
-    # the kernel itself refuses an empty orbit, which averaged to -inf
-    cos1 = E.get_observable("cos1", sysd)
+    # an empty orbit, which averaged to -inf, is refused
     for n in (0, -1):
         with pytest.raises(ValueError, match="n >= 1"):
-            orbit_average(sysd, cos1.fn, 0.3, n)
+            E.time_average(sysd, obs_x, 0.3, n)
 
 
 def test_time_average_stays_in_observable_range():
@@ -126,6 +123,26 @@ def test_deviation_worked_values():
     assert deviation(sysd, const, 1.0, 0.37, 25) == 0.0
     arr = deviation(sysd, cos1, 0.0, np.array([0.0, 0.25]), 1)
     assert arr.shape == (2,)
+
+
+@pytest.mark.parametrize("sid,oid", [("doubling", "cos1"), ("cat", "cos1"), ("tent", "coord")])
+def test_deviations_walk_equals_deviation(sid, oid):
+    # the one deviation walk of ladders, covers and the ball lemma: on float64
+    # points it equals deviation at every horizon bit for bit, and cos1's
+    # screened float32 walk stays within float32_band of those values
+    sysm = E.get_system(sid)
+    obs = E.get_observable(oid, sysm)
+    pts = sample_points(sysm, seed=4, start=0, count=4096)
+    horizons = (1, 4, 9)
+    want = [deviation(sysm, obs, 0.1, pts, n) for n in horizons]
+    walk = deviations(_FloatOrbits(sysm, pts), obs, 0.1, np.float64, horizons)
+    for w, got in zip(want, walk, strict=True):
+        assert np.array_equal(got, w)
+    if oid == "cos1":
+        band = float32_band(sysm, obs)
+        walk = deviations(_FloatOrbits(sysm, pts), obs, 0.1, np.float32, horizons)
+        for w, got in zip(want, walk, strict=True):
+            assert np.max(np.abs(got - w)) <= band
 
 
 def test_modulus_delta_values_and_guards():

@@ -5,16 +5,44 @@ a change that breaks a span seam (an ensemble driven through anything but
 points() and advance(), say) fails here rather than only in a benchmark run.
 """
 
+import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import ergolab as E
 from ergolab import deviation
 
 ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "perfbench"
+
+
+def _bench_runner():
+    """perfbench/run.py as a module: its WORKLOADS and report_hash."""
+    spec = importlib.util.spec_from_file_location("perfbench_run", BENCH / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    return run
+
+
+@pytest.mark.parametrize("workload", sorted(p.stem for p in (BENCH / "workloads").glob("*.ini")))
+def test_workload_reports_match_the_benchmark_reference(workload):
+    # the report bytes every change keeps: each benchmark workload, with its
+    # threads and stages, at seed 0 and at its config's seed, hashes as the
+    # stored reference does, with the expected verdict
+    run = _bench_runner()
+    threads, stages = run.WORKLOADS[workload]
+    ref = json.loads((BENCH / "reference.json").read_text())[workload]
+    cfg = E.load_config(BENCH / "workloads" / f"{workload}.ini")
+    for seed in (0, cfg.seed):
+        cfg.seed = seed
+        report = E.run_pipeline(cfg, threads=threads, stages=stages)
+        assert run.report_hash(report) == ref["sha256"][str(seed)], seed
+        assert report.data.get("verdict") == ref["verdict"], seed
 
 
 def test_perfbench_self_tests_pass():

@@ -1,4 +1,4 @@
-"""Catalog systems: orbits, metrics, expansion data, and space averages."""
+"""Catalog systems: orbits, metrics, ensembles, and space averages."""
 
 import math
 import tracemalloc
@@ -8,7 +8,7 @@ import pytest
 from scipy import special, stats
 
 import ergolab as E
-from ergolab.errors import DomainError, SingularDerivativeError
+from ergolab.errors import DomainError
 from ergolab.observables import terms
 from ergolab.rng import STREAM_ORBITS, raw_blocks
 from ergolab.systems import SYSTEMS, _FloatOrbits, birkhoff_sums, into_domain, sample_points
@@ -270,41 +270,6 @@ def test_lebesgue_invariance_pushforward(sid):
     for j in range(sysm.d):
         p = stats.kstest(out[:, j], "uniform").pvalue
         assert p > 1e-3
-
-
-def test_expansion_exponent_values():
-    sysd = E.get_system("doubling")
-    assert E.nonuniform_expansion_exponent(sysd, 0.3, 17) == -math.log(2.0)
-    syst = E.get_system("tent")
-    assert E.nonuniform_expansion_exponent(syst, 0.3, 6) == -math.log(2.0)
-    # cat:||Df^-1|| = 1/s_min = (3+sqrt 5)/2 > 1, so the exponent is positive
-    sysc = E.get_system("cat")
-    smin = float(np.linalg.svd(np.array([[2.0, 1.0], [1.0, 1.0]]),
-                               compute_uv=False)[-1])
-    got = E.nonuniform_expansion_exponent(sysc, np.array([0.21, 0.34]), 5)
-    assert got == pytest.approx(math.log(1.0 / smin), abs=1e-12)
-
-
-def test_expansion_exponent_logistic_two_cycle():
-    # {x*, x*^2 - 2} with x* = (sqrt 5 - 1)/2 is a 2-cycle of x^2 - 2 whose
-    # multiplier is |4 x* (x*^2 - 2)| = 4: mean log inverse-derivative -ln 2
-    sysl = E.get_system("logistic", c=-2.0)
-    x_star = (math.sqrt(5.0) - 1.0) / 2.0
-    got = E.nonuniform_expansion_exponent(sysl, x_star, 2)
-    assert got == pytest.approx(-math.log(2.0), abs=1e-12)
-
-
-def test_expansion_exponent_singularities():
-    syst = E.get_system("tent")
-    with pytest.raises(SingularDerivativeError):
-        # 0.25 -> 0.5 hits the crease on the second step
-        E.nonuniform_expansion_exponent(syst, 0.25, 3)
-    assert E.nonuniform_expansion_exponent(syst, 0.25, 1) == -math.log(2.0)
-    sysl = E.get_system("logistic", c=-2.0)
-    with pytest.raises(SingularDerivativeError):
-        E.nonuniform_expansion_exponent(sysl, 0.0, 1)
-    with pytest.raises(ValueError):
-        E.nonuniform_expansion_exponent(syst, 0.3, 0)
 
 
 def test_orbit_ensemble_defeats_dyadic_collapse():
