@@ -18,15 +18,16 @@ the two routes agree even when k/n lands exactly on the threshold.
 
 Monte Carlo counts are exact float64 counts, found cheaply, by the screen
 rule of observables (`screen`, `deviations`, `undecided`).  For cos1 each
-chunk's orbits are first summed with one fused step per orbit step: the
-fixed-point ensembles write the float32 phases 2 pi x_1 straight from the
-top 24 bits of their state into a kept array, the cosine is taken there in
-place (numpy's float32 cos is vectorised, its float64 cos is not), and the
-terms are summed in float32 runs of at most 8 steps that end at every
-horizon, each run then added into the float64 sum.  At every horizon the
-deviations are computed in place, and all thresholds are counted from one
-broadcast comparison.  A screened average is within
-band = observables.float32_band(sys, obs) of the float64 average.  A
+chunk's orbits are walked in float32 from the counter word to the
+threshold counts, one fused step per orbit step: the fixed-point ensembles
+write float32 phases straight from the top 32 bits of their state, read
+as a signed word, into a kept array, the cosine is taken there in place
+(numpy's float32 cos is vectorised, its float64 cos is not), and the
+terms are added into a float32 sum.  At every horizon the deviations are
+computed in place in float32, and all thresholds, as float32, are counted
+from one broadcast comparison.  A screened deviation at horizon n, with
+the float32 rounding of the thresholds it is compared with, is within
+band = observables.float32_band(sys, obs, n) of the float64 one.  A
 sample whose filter deviation is at least alpha + band therefore has
 deviation >= alpha, one below alpha - band has not; only the few samples
 between, from every chunk, are redrawn from their own counter blocks in
@@ -93,9 +94,10 @@ def _hit_grid(sys, obs, phibar, alphas, n_values, sample_count, seed):
     and the counts are integer sums, so the chunk size changes no count.
 
     Each chunk is walked with the screen of observables.screen, whose
-    deviations decide every sample outside the band of every alpha; the
-    samples observables.undecided marks at some horizon have their screened
-    counts taken back there.  After the last chunk those samples, from every
+    deviations, compared with the alphas in their own dtype, decide every
+    sample outside the band of every alpha at that horizon; the samples
+    observables.undecided marks at some horizon have their screened counts
+    taken back there.  After the last chunk those samples, from every
     chunk, are redrawn from their own counter blocks in one draw and walked
     once in float64, down to the deepest horizon any of them is undecided
     at, and each is counted from that walk at the horizons it was undecided
@@ -104,12 +106,14 @@ def _hit_grid(sys, obs, phibar, alphas, n_values, sample_count, seed):
     """
     n_values = list(n_values)
     alphas = [float(a) for a in alphas]
-    column = np.array(alphas)[:, None]
-    dtype, band = screen(sys, obs)
+    dtype, bands = screen(sys, obs, phibar, n_values)
 
     def counts(dev):
-        # a count per row of one broadcast comparison: count_nonzero(axis=1)
-        # sums the mask as integers and is slower
+        # a count per row of one broadcast comparison with the alphas in
+        # dev's dtype, so a float32 deviation compares in float32 (as
+        # float32_band's proof takes it) with no upcast of its array;
+        # count_nonzero(axis=1) sums the mask as integers and is slower
+        column = np.array(alphas, dev.dtype)[:, None]
         return np.array([np.count_nonzero(hit) for hit in dev >= column])
 
     hits = np.zeros((len(alphas), len(n_values)), dtype=np.int64)
@@ -123,7 +127,7 @@ def _hit_grid(sys, obs, phibar, alphas, n_values, sample_count, seed):
         ens = sample_orbit_ensemble(sys, seed, start, stop - start)
         for j, dev in enumerate(deviations(ens, obs, phibar, dtype, n_values)):
             hits[:, j] += counts(dev)
-            rows = np.flatnonzero(undecided(dev, band, alphas))
+            rows = np.flatnonzero(undecided(dev, bands[j], alphas))
             if rows.size:
                 hits[:, j] -= counts(dev[rows])
                 near[j].append(start + rows)
@@ -237,8 +241,11 @@ def digit_deviation_count(alpha: float, n: int) -> int:
     """Number of length-n binary words whose digit frequency k/n has |k/n - 1/2| >= alpha.
 
     The sum of C(n, k) over the admissible k, compared against
-    Fraction(alpha), the exact value of the float.
+    Fraction(alpha), the exact value of the float.  A NaN alpha raises
+    ValueError.
     """
+    if math.isnan(alpha):
+        raise ValueError("alpha must be a number, got nan")
     a = Fraction(float(alpha))
     half = Fraction(1, 2)
     return sum(math.comb(n, k) for k in range(n + 1) if abs(Fraction(k, n) - half) >= a)

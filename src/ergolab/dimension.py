@@ -41,8 +41,9 @@ walked in float64:
   tables (_closed_form_dev), within closed_form_band;
 * other covers and lemma candidates walk float64 orbits with the screen
   of observables.screen, by observables.deviations: for cos1 the cosines of
-  float32 phases, summed in float32 runs (observables.terms); for the
-  others it is the float64 walk itself, band 0.
+  float32 phases (observables.terms), summed and turned into deviations in
+  float32, which _dev_points hands out as float64 after its recount; for
+  the others it is the float64 walk itself, band 0.
 
 Cards, relaxed sets and lemma reports are those of the float64 walk; the
 lemma's ball points, whose deviations are reported, are evaluated in
@@ -130,9 +131,11 @@ def _dev_points(sys, obs, phibar, pts, n, thresholds=(), threads=1):
             for i in starts:
                 fill(i)
         return out
-    dtype, band = screen(sys, obs) if thresholds else (np.float64, 0.0)
+    dtype, (band,) = screen(sys, obs, phibar, [n]) if thresholds else (np.float64, (0.0,))
     dev = next(deviations(_FloatOrbits(sys, pts), obs, phibar, dtype, [n]))
     rows = np.flatnonzero(undecided(dev, band, thresholds))
+    # float64 out: a recount written into a float32 array would round
+    dev = dev.astype(np.float64, copy=False)
     if rows.size:
         dev[rows] = _dev_points(sys, obs, phibar, pts[rows], n)
     return dev
@@ -160,6 +163,10 @@ def verify_ball_lemma(sys: System, obs: Observable, phibar: float, alpha: float,
         raise ValueError("need pair_count >= 1")
     if not delta > 0.0:
         raise ValueError("need delta > 0")
+    if math.isnan(alpha):
+        raise ValueError("alpha must be a number, got nan")
+    if not math.isfinite(phibar):
+        raise ValueError(f"phibar must be finite, got {phibar}")
     check_float64_horizon(sys, n)
     radius = delta * sys.L ** (-n)
     if alpha > 2.0 * obs.sup_abs:
@@ -643,6 +650,8 @@ def build_cover_ladder(sys: System, obs: Observable, phibar: float, alpha: float
     check_float64_horizon(sys, n_hi)
     L = sys.L
     dprimes = tuple(float(dp) for dp in dprimes)
+    if any(math.isnan(dp) for dp in dprimes):
+        raise ValueError(f"dprimes must be numbers, got {dprimes}")
 
     def entry(n, card):
         r = delta * L ** (-n)

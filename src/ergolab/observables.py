@@ -25,12 +25,14 @@ cheaper deviation within a proven band of the float64 walk's decides every
 row outside [t - band, t + band), and `undecided` marks the rows inside,
 which are recomputed by the float64 walk.  `screen` picks the cheaper
 walk as a point dtype.  cos1, the character k = e_1, whose float64
-evaluation calls scalar libm cos, gets float32 with band `float32_band`:
-its terms (`terms`) are the cosines of the float32 phases 2 pi x_1 that
-the orbits hand out, taken in place and summed in float32 runs.  The
-others (coord, bump) are a few float64 array passes, which a float32 pass
-plus its recount does not beat: they get float64 points with band 0, the
-plain float64 walk, which leaves no row undecided.
+evaluation calls scalar libm cos, gets float32 with a band per horizon,
+`float32_band`: its terms (`terms`) are the cosines of the float32 phases
+that the orbits hand out, taken in place, and its walk stays in float32
+from the phases through the sums, the deviations and the threshold
+comparisons.  The others (coord, bump) are a few float64 array passes,
+which a float32 pass plus its recount does not beat: they get float64
+points with bands of 0, the plain float64 walk, which leaves no row
+undecided.
 """
 
 from __future__ import annotations
@@ -123,16 +125,24 @@ DIGIT_SYSTEM = "doubling"
 
 
 _F32_UNIT = 2.0**-24  # unit roundoff of float32
+_F32_HORIZON = 1 << 20  # the deepest horizon float32_band bounds
 
 
-def float32_band(sys: System, obs: Observable) -> float | None:
-    """Bound on |screened average - float64 average| over the domain, or None without a Lipschitz bound.
+def float32_band(sys: System, obs: Observable, n: int) -> float | None:
+    """Bound on |screened deviation - float64 deviation| at horizon n, or None without one.
 
-    band = 16 * (lip * sqrt(d) * R + 2 * sup_abs) * u,  u = 2^-24, R = max(|lo|, |hi|).
+    band(n) = 16 * (lip * sqrt(d) * R + 2 * sup_abs) * u + 2 * gamma_{n-1} * sup_abs,
 
-    A screened average takes fn on float32 points and sums the terms in
-    float32 runs (systems.birkhoff_sums); it differs from the float64 one
-    by four errors:
+    u = 2^-24, R = max(|lo|, |hi|), gamma_k = k u / (1 - k u).  None for an
+    observable without a Lipschitz bound, or past n = 2^20.  It holds for
+    deviations from a phibar with |phibar| <= sup_abs (a space average of
+    obs is one; `screen` walks any other in float64), compared with
+    thresholds as `undecided` and deviation._hit_grid compare them.
+
+    A screened deviation takes fn on float32 points (for cos1, the cosines
+    of the orbits' float32 phases), sums the terms in float32
+    (systems.birkhoff_sums), and divides, subtracts and compares in float32
+    (`deviations`).  Against the float64 deviation it errs by:
 
     1. Rounding the point to float32 moves each coordinate by at most u*R,
        the point by at most sqrt(d)*u*R, and fn by at most lip*sqrt(d)*u*R.
@@ -144,35 +154,59 @@ def float32_band(sys: System, obs: Observable) -> float | None:
        fn is not flat, or on a quantity of fn's own size (the ramp width,
        the ramp quotient q, 1 - q), moving it by at most sup_abs*u.  cos1
        rounds twice, coord at most once, bump at most four times of each
-       kind: at most 4*(lip*R + sup_abs)*u.  The screen's phases
-       (systems._fraction) round exactly as 2*pi*x does.
+       kind: at most 4*(lip*R + sup_abs)*u.  The screen's phases round no
+       worse: a float batch's, fl(fl(x) fl(2*pi)), rounds as cos1's fn on
+       the float32 point does, and a fixed-point ensemble's signed-word phase (systems._phase),
+       which has the cosine of 2*pi*x, is within 3*pi*u*(1 + 3u) +
+       2*pi*2^-32 < 1.51 * lip * u of it (cos1: lip = 2*pi, R = 1), inside
+       the 3*lip*R*u that terms 1 and 2 give cos1's argument.
     3. numpy's float32 cos is held to 2 ulp by numpy's own accuracy tests
-       (1.42 ulp is the largest seen on 2*10^7 points in [0, 14]), and an
+       (1.42 ulp is the largest seen on 2*10^7 points in [0, 14], and on
+       2*10^7 in [-pi, pi], the signed-word phases' range), and an
        ulp of a value of size sup_abs is at most 2*u*sup_abs: at most
        4*sup_abs*u.
-    4. The float32 runs.  A run of k <= 8 terms, each of size at most
-       sup_abs (float32 cos stays in [-1, 1]), added one by one in float32,
-       is within gamma_7 * k * sup_abs of their exact sum, gamma_7 =
-       7u / (1 - 7u) < 8u (Higham, Accuracy and Stability of Numerical
-       Algorithms, 2nd ed., eq. 4.4).  The runs of a horizon n split its n
-       terms, so the sum is within gamma_7 * n * sup_abs and the average
-       within 8*sup_abs*u.
+    4. The float32 sum.  n terms of size at most sup_abs (float32 cos stays
+       in [-1, 1]), added one by one in float32, are within
+       gamma_{n-1} * n * sup_abs of their exact sum (Higham, Accuracy and
+       Stability of Numerical Algorithms, 2nd ed., eq. 4.4): the average
+       within gamma_{n-1} * sup_abs.
+    5. The rest of the float32 deviation, each a relative error u:
+       dividing the sum by n (n is exact in float32), of a quotient of size at
+       most sup_abs (1 + gamma_{n-1}); rounding phibar; subtracting, of a
+       difference of size at most sup_abs (2 + gamma_{n-1}) (1 + u).  With
+       gamma_{n-1} <= 2^-4 up to n = 2^20 these are under 4.2*sup_abs*u.
+       The float64 deviation's own error (libm's cos, its argument, the
+       float64 sum) stays under 2^-31 * sup_abs = 2^-7 * sup_abs * u.
+    6. The thresholds.  Under NEP 50, t, t - band and t + band (Python
+       floats) round to float32 against a float32 deviation, each by a
+       relative u (1 + 2^-29).  Only a t below the largest deviation,
+       sup_abs (2 + gamma_{n-1}) (1 + u)^2 < 2.07 * sup_abs, can split
+       rows, so a threshold moves by under 2.07*sup_abs*u + u*band, whose
+       last part is second order in u.
 
     Terms 1-3 bound each term, and so the average of n of them, by
-    8 * (lip*sqrt(d)*R + sup_abs) * u; with term 4 that is at most
-    8 * (lip*sqrt(d)*R + 2*sup_abs) * u, half the band.  The float64
-    accumulation of the runs adds under 1e-13, negligible beside a band of
-    at least 32u ~ 2e-6.  Measured on 10^6 random points, every catalog
-    pair's per-term error stays under an eleventh of its band (the closest,
-    cos1 on logistic c = 0.2, at 1/11.4); on 65,536-sample cos1 ensembles
-    (n <= 52, logistic n <= 40) the screened average stays within a
-    sixteenth of the band of the float64 one (the closest, logistic
-    c = 0.2, at 1/16.8).
+    8 * (lip*sqrt(d)*R + sup_abs) * u.  Terms 4-6 add gamma_{n-1} * sup_abs
+    and under 6.3 * sup_abs * u, so the deviation's error plus the move of
+    a threshold stays under 8 * (lip*sqrt(d)*R + 2*sup_abs) * u +
+    gamma_{n-1} * sup_abs, half the band.  A deviation at or above
+    fl(t + band) thus has float64 deviation >= t, one below fl(t - band)
+    has float64 deviation < t, and either compares with fl(t) as it does
+    with fl(t + band) or fl(t - band) (rounding is monotone).
+
+    Measured on 10^6 random points, every catalog pair's per-term error
+    stays under an eleventh of band(1) (the closest, cos1 on logistic
+    c = 0.2, at 1/11.4).  On two
+    65,536-sample cos1 ensembles per system at phibar 0, every screened
+    deviation stays within an eleventh of band(n) of the float64 one at
+    every horizon n (doubling and tent n <= 76, at 1/29.7; cat n <= 54, at
+    1/39.0; logistic c = 0.2, -1.7 and -2, n <= 40, the closest at 1/11.6).
     """
-    if obs.lip is None:
+    if obs.lip is None or n > _F32_HORIZON:
         return None
     r = max(abs(sys.lo), abs(sys.hi))
-    return 16.0 * (obs.lip * math.sqrt(sys.d) * r + 2.0 * obs.sup_abs) * _F32_UNIT
+    gamma = (n - 1) * _F32_UNIT / (1.0 - (n - 1) * _F32_UNIT)
+    return (16.0 * (obs.lip * math.sqrt(sys.d) * r + 2.0 * obs.sup_abs) * _F32_UNIT
+            + 2.0 * gamma * obs.sup_abs)
 
 
 def _is_e1(obs: Observable) -> bool:
@@ -181,32 +215,39 @@ def _is_e1(obs: Observable) -> bool:
     return k is not None and k[0] == 1 and not any(k[1:])
 
 
-def screen(sys: System, obs: Observable):
-    """(dtype, band): the point dtype that screens threshold tests, and its band.
+def screen(sys: System, obs: Observable, phibar: float, horizons):
+    """(dtype, bands): the point dtype that screens threshold tests of the
+    deviations from phibar at the horizons, and its band at each.
 
-    cos1 (the character e_1) with a float32 band walks on float32 points,
-    its terms taken by `terms`: a Monte Carlo ladder of 65,536 samples
-    (thresholds 0.6, 0.3, 0.15) took 5.5-6.1x less time screened than on
-    the float64 walk on doubling (n 8..72) and 3.2-3.4x on cat (n 8..52),
-    medians of 7 on a 2-vCPU Xeon.  Coord and bump, a few array passes
-    either way, ran 5-64% slower screened than plain, and the digit has no
-    band: they get (float64, 0.0), the float64 walk itself.
+    cos1 (the character e_1) with a float32 band walks in float32 from its
+    points to its deviations (`terms`, `deviations`): a Monte Carlo ladder
+    of 65,536 samples (thresholds 0.6, 0.3, 0.15) took 5.5-6.1x less time
+    screened than on the float64 walk on doubling (n 8..72) and 3.2-3.4x on
+    cat (n 8..52), medians of 7 on a 2-vCPU Xeon.  Its bands are
+    float32_band's, which need |phibar| <= sup_abs.  Coord and bump, a few
+    array passes either way, ran 5-64% slower screened than plain, and the
+    digit has no band: they, and cos1 from any other phibar or past
+    float32_band's horizons, get float64 with bands of 0, the float64 walk
+    itself.
     """
-    band = float32_band(sys, obs) if _is_e1(obs) else None
-    if band is None:
-        return np.float64, 0.0
-    return np.float32, band
+    horizons = list(horizons)
+    if _is_e1(obs) and abs(phibar) <= obs.sup_abs:
+        bands = [float32_band(sys, obs, n) for n in horizons]
+        if None not in bands:
+            return np.float32, bands
+    return np.float64, [0.0] * len(horizons)
 
 
 def terms(obs: Observable, dtype):
     """The term of systems.birkhoff_sums for a walk of obs on points of dtype.
 
     Float64: obs.fn on the float64 points.  Float32, the screen of cos1
-    (see `screen`): the orbits hand out the float32 phases 2 pi x_1
-    (points(float32, phase=True)), which equal fl(2 pi x_1) of the float32
-    points bit for bit, and their cosines are taken in place: each term is
-    cos1's on the float32 point, with no array made per step on a
-    fixed-point ensemble.  No other observable has a float32 walk.
+    (see `screen`): the orbits hand out float32 phases of x_1
+    (points(float32, phase=True)), fl(2 pi x_1) of a float batch's points
+    and the signed-word phase in [-pi, pi) of a fixed-point ensemble's
+    (systems._phase), and their cosines are taken in place, with no array
+    made per step on a fixed-point ensemble.  No other observable has a
+    float32 walk.
     """
     if np.dtype(dtype) == np.float64:
         return lambda orbits: obs.fn(orbits.points())
@@ -223,11 +264,12 @@ def terms(obs: Observable, dtype):
 def undecided(dev, band: float, thresholds):
     """Mask of the rows of dev in [t - band, t + band) for some threshold t.
 
-    dev is within band of the float64 deviation d at every row.  A row at or
-    above t + band has d >= t, one below t - band has d < t: outside the
-    mask, dev >= t holds exactly when d >= t does.  Band 0 marks no row:
-    the plain float64 walk leaves nothing to recompute, and its mask is
-    returned without a comparison.
+    dev is within band of the float64 deviation d at every row, with room
+    for t - band and t + band to round to dev's dtype (float32_band, term
+    6).  A row at or above t + band has d >= t, one below t - band has
+    d < t: outside the mask, dev >= t holds exactly when d >= t does.
+    Band 0 marks no row: the plain float64 walk leaves nothing to
+    recompute, and its mask is returned without a comparison.
 
     The first threshold's band is the mask, written in place, and each
     later one is or-ed into it.  One broadcast comparison of every
@@ -262,14 +304,19 @@ def time_average(sys: System, obs: Observable, x, n: int):
 
 
 def deviations(orbits, obs: Observable, phibar: float, dtype, horizons):
-    """Yield |S_n / n - phibar| of obs along the orbits at each horizon n.
+    """Yield |S_n / n - phibar| of obs along the orbits at each horizon n, in dtype.
 
     S_n sums terms(obs, dtype) by systems.birkhoff_sums, whose rules on
-    horizons hold.  One array is updated in place: read each before the next.
+    horizons hold, and the quotient, difference and absolute value are
+    taken in dtype too, phibar and n cast to it (float32_band bounds the
+    float32 ones).  One array is updated in place: read each before the
+    next.
     """
+    cast = np.dtype(dtype).type
+    phibar = cast(phibar)
     dev = None
     for n, sums in zip(horizons, birkhoff_sums(orbits, terms(obs, dtype), horizons)):
-        dev = np.divide(sums, n, out=dev)
+        dev = np.divide(sums, cast(n), out=dev)
         dev -= phibar
         yield np.abs(dev, out=dev)
 

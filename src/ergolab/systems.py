@@ -23,14 +23,17 @@ long before the horizons the deviation ladders need.  The fixed-point
 ensembles are exact and project to points only when an observable is
 evaluated, in the dtype asked for (`points(dtype)`): the top 53 bits of a
 coordinate as a float64, or its top 24 bits as a float32, both truncated;
-the screen of observables.screen asks for the phases 2 pi x_1 instead
-(`points(float32, phase=True)`), written from the same bits in one
-multiply.  The doubling ensemble never steps its state: it reads the point
-after j steps at bit offset j of the draw.  The tent and cat ensembles
-step their 128-bit state in place.  Once made, none of them allocates per
-step; the logistic ensemble, a float64 batch, allocates its new points at
-every step.  Every representation is summed by one kernel,
-`birkhoff_sums`, which observables drives (`time_average`, `deviations`).
+the screen of observables.screen asks for float32 phases of x_1 instead
+(`points(float32, phase=True)`): the top 32 bits read as a signed word and
+multiplied by 2 pi 2^-32, a phase in [-pi, pi) with the cosine of 2 pi x_1,
+in one multiply and no shift (`_phase`).  The doubling ensemble never
+steps its state: it reads the point after j steps at bit offset j of the
+draw.  The tent and cat ensembles step their 128-bit state in place.  Once
+made, none of them allocates per step; the logistic ensemble, a float64
+batch, allocates its new points at every step.  Every representation is
+summed by one kernel, `birkhoff_sums`, in the terms' dtype (float32 for
+the screen, float64 otherwise), which observables drives (`time_average`,
+`deviations`).
 
 The catalog, SYSTEMS, is the one place a system id is decided on: each
 entry declares the system's constructor, its parameter rules, and the
@@ -264,48 +267,33 @@ class _FloatOrbits:
         self.x = self.sys._step(self.x)
 
 
-_RUN = 8  # float32 terms per run of a screened sum (term 4 of observables.float32_band)
-
-
 def birkhoff_sums(orbits, term, n_values):
-    """Yield the float64 Birkhoff sum S_n = sum_{j<n} of the terms at f^j x, at each horizon of n_values.
+    """Yield the Birkhoff sum S_n = sum_{j<n} of the terms at f^j x, at each horizon of n_values.
 
     `orbits` is any orbit representation (a float batch in `_FloatOrbits`, or
     a fixed-point ensemble), driven only through points() and advance().
     term(orbits) (observables.terms, from time_average and deviations, its
-    only callers) gives the (count,) terms at its current points: float64
-    ones (an observable's fn on points()) are added into the sum one by one;
-    float32 ones (the screen of cos1) are added in float32, in runs of at
-    most _RUN terms that end at every horizon, and each run is then added
-    into the float64 sum, which costs one mixed-dtype add per run instead of
-    one per term.
-    observables.float32_band bounds the runs' rounding.  n_values must be
-    increasing and >= 1, and the orbits advance n_max - 1 times.  A term may
-    be an array the orbits write again at the next step, so the sum and
-    each run start from copies; the sum is then updated in place, so read
-    each yielded array before asking for the next.
+    only callers) gives the (count,) terms at its current points, added one
+    by one: float32 ones (the screen of cos1) into a float32 sum, whose
+    rounding observables.float32_band bounds, any others (an observable's fn
+    on float64 points) into a float64 sum.  n_values must be increasing and
+    >= 1, and the orbits advance n_max - 1 times.  A term may be an array
+    the orbits write again at the next step, so the sum starts from a copy;
+    it is then updated in place, so read each yielded array before asking
+    for the next.
     """
-    acc = run = None
-    k = held = 0                                  # steps walked, terms in the run
+    acc = None
+    k = 0                                         # steps walked
     for n in n_values:
         while k < n:
             if k:
                 orbits.advance()
             t = term(orbits)
             k += 1
-            if t.dtype != np.float32:
-                acc = t.astype(np.float64) if acc is None else np.add(acc, t, out=acc)
-                continue
-            if held:
-                run += t
-            elif run is None:
-                run = t.copy()
+            if acc is None:
+                acc = t.astype(np.float32 if t.dtype == np.float32 else np.float64)
             else:
-                np.copyto(run, t)
-            held += 1
-            if held == _RUN or k == n:
-                acc = run.astype(np.float64) if acc is None else np.add(acc, run, out=acc)
-                held = 0
+                acc += t
         yield acc
 
 
@@ -357,7 +345,8 @@ def _fraction(word, into, out, phase=False):
     two, and equals fl(fl(2 pi) x) bit for bit, as 2 pi times the point
     would round: x = s 2^-keep is exact in the dtype (s < 2^keep), and
     scaling by a power of two commutes with rounding, so the factor rounds
-    to fl(2 pi) 2^-keep and the product to fl(fl(2 pi) s) 2^-keep.
+    to fl(2 pi) 2^-keep and the product to fl(fl(2 pi) s) 2^-keep.  The
+    screen's float32 phases are taken by `_phase` instead.
     """
     keep = np.finfo(out.dtype).nmant + 1
     np.right_shift(word, 8 * word.itemsize - keep, out=into)
@@ -366,6 +355,23 @@ def _fraction(word, into, out, phase=False):
     signed = into.view(f"i{into.itemsize}")
     scale = (_TWO_PI if phase else 1.0) * 2.0 ** -keep
     return np.multiply(signed, scale, out=out, dtype=out.dtype)
+
+
+def _phase(top, out):
+    """out = the float32 phases of the coordinates whose top 32 bits are the
+    uint32 array `top` (a strided view is fine), in one multiply: top read
+    as a signed word s in [-2^31, 2^31), times 2 pi 2^-32.  Returns out.
+
+    s 2^-32 is the truncated coordinate x, less 1 where its top bit is set,
+    so 2 pi s 2^-32 lies in [-pi, pi) and has the cosine of 2 pi x.  The
+    phase is fl(fl(s) fl(2 pi) 2^-32), at most fl(pi) in size: three
+    roundings of a value of size at most pi.  The float64 point x64 holds
+    the same bits and more, so the phase is within 3 pi u (1 + 3u) +
+    2 pi 2^-32 of 2 pi x64 (mod 2 pi), u = 2^-24, the phase term of
+    observables.float32_band.  The word needs no shift.
+    """
+    signed = top.view(top.dtype.byteorder + "i4")     # the same bytes, the same order
+    return np.multiply(signed, _TWO_PI * 2.0**-32, out=out, dtype=np.float32)
 
 
 def _window(words, j, word, part):
@@ -390,9 +396,10 @@ class _FixedPointOrbits:
     Neither advance() nor points() allocates once its scratch exists:
     points(dtype) writes into the same array at every call, so read it
     before the next call, and points(dtype, phase=True) writes the (count,)
-    phases 2 pi x_1 (see _fraction) into its first row, which the caller
-    may overwrite.  Scratch is made on first use, after the counter blocks
-    the ensemble was built from are freed.
+    phases of x_1 (float32 ones by `_phase`, float64 ones 2 pi x_1 by
+    `_fraction`) into its first row, which the caller may overwrite.
+    Scratch is made on first use, after the counter blocks the ensemble was
+    built from are freed.
     """
 
     def __init__(self, count):
@@ -408,9 +415,12 @@ class _FixedPointOrbits:
         return a
 
     def _project(self, words, dtype, phase):
-        """(count, len(words)) points, one column per top word, or with phase
-        the (count,) phases of the first word's coordinate (see _fraction)."""
+        """(count, len(words)) points, one column per top "<u8" word, or with
+        phase the (count,) phases of the first word's coordinate."""
         out = self._scratch("points", dtype, len(words))
+        if phase and out.itemsize == 4:
+            # the word's top half: every other "<u4" of it, a strided view
+            return _phase(words[0].view("<u4")[1::2], out[0])
         into = self._scratch("word", f"u{out.itemsize}")
         if phase:
             return _fraction(words[0], into, out[0], phase)
@@ -451,7 +461,7 @@ class _DyadicDoubling(_FixedPointOrbits):
 
     def points(self, dtype=np.float64, phase=False) -> np.ndarray:
         """(count, 1) points after j steps, truncated to dtype, or with phase
-        their (count,) phases (see _fraction)."""
+        their (count,) phases (float32 ones by `_phase` of the top 32 bits)."""
         out = self._scratch("points", dtype, 1)
         words = self.limbs if out.itemsize == 4 else self._wide()
         word = self._scratch("word", words.dtype)
@@ -462,6 +472,8 @@ class _DyadicDoubling(_FixedPointOrbits):
             self._group_at[words.dtype] = at
         if self.j > at:
             group = np.left_shift(group, self.j - at, out=word)
+        if phase and out.itemsize == 4:
+            return _phase(group, out[0])
         _fraction(group, word, out[0], phase)
         return out[0] if phase else out.T
 
@@ -492,7 +504,7 @@ class _DyadicTent(_FixedPointOrbits):
 
     def __init__(self, sys, blocks):
         super().__init__(blocks.shape[0])
-        self.hi, self.lo = blocks[:, 0].copy(), blocks[:, 1].copy()
+        self.hi, self.lo = blocks[:, 0].astype("<u8"), blocks[:, 1].astype("<u8")
 
     def points(self, dtype=np.float64, phase=False) -> np.ndarray:
         return self._project((self.hi,), dtype, phase)
@@ -538,8 +550,8 @@ class _DyadicCat(_FixedPointOrbits):
 
     def __init__(self, sys, blocks):
         super().__init__(blocks.shape[0])
-        self.x = blocks[:, 0].copy(), blocks[:, 1].copy()
-        self.y = blocks[:, 2].copy(), blocks[:, 3].copy()
+        self.x = blocks[:, 0].astype("<u8"), blocks[:, 1].astype("<u8")
+        self.y = blocks[:, 2].astype("<u8"), blocks[:, 3].astype("<u8")
 
     def points(self, dtype=np.float64, phase=False) -> np.ndarray:
         return self._project((self.x[0], self.y[0]), dtype, phase)

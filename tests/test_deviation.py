@@ -13,7 +13,7 @@ import ergolab as E
 from ergolab import deviation
 from ergolab.deviation import (DIGIT, DIGIT_MEAN, METHOD_BINOMIAL, METHOD_MC,
                                default_fit_window)
-from ergolab.observables import float32_band, screen
+from ergolab.observables import deviations, float32_band, screen
 from ergolab.systems import SYSTEMS, sample_points
 
 CATALOG_SYSTEMS = [("doubling", {}), ("tent", {}), ("cat", {}),
@@ -245,6 +245,30 @@ def test_hit_grid_counts_equal_float64_reference(monkeypatch, sid, skw, oid, okw
         assert len(set((recounts[0] // 4096).tolist())) >= 2
 
 
+@pytest.mark.parametrize("sid", ["doubling", "tent", "cat"])
+def test_hit_grid_equals_the_float64_grid_through_the_budget(monkeypatch, sid):
+    # the screened grid, float32 from the word to the threshold counts with
+    # each horizon's band, equals the grid of the float64 walk alone at
+    # every horizon up to the ensemble's budget, at several seeds and
+    # phibars, with thresholds on two samples' float64 deviations at the
+    # budget; the float64 grid screens nothing (bands of 0)
+    sysm = E.get_system(sid)
+    cos1 = E.get_observable("cos1", sysm)
+    budget = SYSTEMS[sid].ensemble.horizon
+    n_values = list(range(4, budget, 6)) + [budget]
+    for seed, phibar in [(1, 0.0), (2, 0.013), (3, -0.2)]:
+        tied = E.sample_orbit_ensemble(sysm, seed, np.array([5, 12345]), 2)
+        *_, ties = deviations(tied, cos1, phibar, np.float64, n_values)
+        alphas = [0.6, 0.3, 0.15, 0.05] + ties.tolist()
+        args = (sysm, cos1, phibar, alphas, n_values, 20_000, seed)
+        assert screen(sysm, cos1, phibar, n_values)[0] == np.float32
+        got = deviation._hit_grid(*args)
+        with monkeypatch.context() as m:
+            m.setattr(deviation, "screen", lambda s, o, p, h: (np.float64, [0.0] * len(h)))
+            want = deviation._hit_grid(*args)
+        assert np.array_equal(got, want), (seed, phibar)
+
+
 def test_hit_grid_chunk_peak_memory():
     # one 32768-sample chunk of a screened doubling ladder (the thresholds
     # and horizons of perfbench's ladders-deep) stays within the 1.63 MiB
@@ -287,7 +311,7 @@ def test_hit_grid_two_chunks_stay_within_the_one_chunk_peak(monkeypatch):
 def test_digit_observable_takes_the_exact_path(monkeypatch):
     # no Lipschitz bound, no band: every sample is counted on float64 points
     sysd = E.get_system("doubling")
-    assert float32_band(sysd, DIGIT) is None
+    assert float32_band(sysd, DIGIT, 1) is None
     dtypes = set()
 
     def fn(p):
@@ -313,10 +337,14 @@ def test_only_transcendental_observables_are_screened(monkeypatch, sid, skw):
     starts = _recording_draws(monkeypatch)
     for oid, okw in CATALOG_OBSERVABLES:
         plain = E.get_observable(oid, sysm, **okw)
-        dtype, band = screen(sysm, plain)
+        dtype, (band,) = screen(sysm, plain, 0.1, [4])
         assert (band > 0.0) == (oid == "cos1")
         assert (dtype == np.float32) == (oid == "cos1")
         if oid == "cos1":
+            # past the band's horizons, or from a phibar outside cos1's
+            # range, the float64 walk
+            assert float32_band(sysm, plain, 2**20 + 1) is None
+            assert screen(sysm, plain, 1.5, [4]) == (np.float64, [0.0])
             continue
         dtypes = set()
 
@@ -357,7 +385,7 @@ def test_float32_band_bounds_float32_evaluation(sid, skw):
         edges = np.array(np.meshgrid(*[xs] * sysm.d)).reshape(sysm.d, -1).T
         pts = np.vstack([rand, edges])
         err = np.max(np.abs(obs.fn(pts.astype(np.float32)) - obs.fn(pts)))
-        assert err <= float32_band(sysm, obs) / 4.0, (oid, err)
+        assert err <= float32_band(sysm, obs, 1) / 4.0, (oid, err)
 
 
 def test_fit_recovers_synthetic_exponential_exactly():

@@ -15,6 +15,7 @@ from ergolab.dimension import (_POINT_CHUNK, _character_coefficients, _children_
                                _col_factor, _cover_level_1d, _cover_level_2d,
                                _dev_points, _grid_cells, _grid_points, _row_factor,
                                closed_form_band)
+from ergolab.observables import float32_band
 from ergolab.rng import STREAM_LEMMA_POINTS, raw_blocks
 from ergolab.systems import _FloatOrbits, domain_points
 from ergolab.errors import GridBudgetError, RateNotEstablishedError
@@ -28,16 +29,24 @@ from ergolab.errors import GridBudgetError, RateNotEstablishedError
     ("alpha", ValueError, lambda s, o: E.build_cover_ladder(s, o, 0.0, math.nan, 0.01, 2, 4)),
     ("phibar", ValueError, lambda s, o: E.build_cover_ladder(s, o, math.nan, 0.3, 0.01, 2, 4)),
     ("delta", ValueError, lambda s, o: E.verify_ball_lemma(s, o, 0.0, 0.3, math.nan, 4, 10, 1)),
+    ("alpha", ValueError, lambda s, o: E.verify_ball_lemma(s, o, 0.0, math.nan, 0.01, 4, 10, 1)),
+    ("phibar", ValueError, lambda s, o: E.verify_ball_lemma(s, o, math.nan, 0.3, 0.01, 4, 10, 1)),
+    ("dprimes", ValueError,
+     lambda s, o: E.build_cover_ladder(s, o, 0.0, 0.3, 0.01, 2, 4, dprimes=(0.5, math.nan))),
+    ("alpha", ValueError, lambda s, o: E.exact_deviation_measure_digit(math.nan, 8)),
+    ("alpha", ValueError, lambda s, o: E.exact_digit_ladder(math.nan, [4, 8])),
     ("h", RateNotEstablishedError, lambda s, o: E.dimension_upper_bound(1, 2.0, math.nan)),
     ("L", ValueError, lambda s, o: E.dimension_upper_bound(1, math.nan, 0.1)),
     ("alpha", ValueError, lambda s, o: E.modulus_delta(o, math.nan, 0.5)),
     ("counts", ValueError,
      lambda s, o: E.box_counting_dimension([1.0, 0.1, 0.01, 0.001], [1, 2, math.nan, 8])),
 ], ids=["ladders-phibar", "ladders-alphas", "cover-alpha", "cover-phibar", "lemma-delta",
+        "lemma-alpha", "lemma-phibar", "cover-dprimes", "digit-alpha", "digit-ladder-alpha",
         "bound-h", "bound-L", "modulus-alpha", "box-counts"])
 def test_nan_inputs_are_refused_by_name(arg, error, call):
     # each of these read a NaN as a number: measures and cards of 0, a lemma
-    # with no violation, or a NaN bound or dimension
+    # with no violation or with no candidate accepted, NaN cover volumes, a
+    # NaN bound or dimension, or an error from Fraction that names nothing
     sysd = E.get_system("doubling")
     with pytest.raises(error, match=rf"\b{arg}\b"):
         call(sysd, E.get_observable("cos1", sysd))
@@ -232,6 +241,26 @@ def test_dev_points_chunking_is_invisible():
             assert np.array_equal(got, want)
             for t in thresholds:
                 assert np.array_equal(got >= t, exact >= t)
+
+
+def test_dev_points_returns_float64():
+    # the screened walk of cos1 is float32 from its points to its
+    # deviations, but _dev_points hands out float64: the rows it recounts
+    # hold their float64 values exactly, the others their float32 values
+    # upcast, within the band of the float64 ones, and every row compares
+    # with each threshold as its float64 value does
+    sysd = E.get_system("doubling")
+    cos1 = E.get_observable("cos1", sysd)
+    pts = np.random.default_rng(5).random((5000, 1))
+    exact = _dev_points(sysd, cos1, 0.1, pts, 9)
+    assert exact.dtype == np.float64
+    ties = (float(exact[7]), float(exact[4000]), 0.3)
+    got = _dev_points(sysd, cos1, 0.1, pts, 9, ties)
+    assert got.dtype == np.float64
+    assert got[7] == exact[7] and got[4000] == exact[4000]
+    assert 0.0 < np.max(np.abs(got - exact)) <= float32_band(sysd, cos1, 9)
+    for t in ties:
+        assert np.array_equal(got >= t, exact >= t)
 
 def _recording(obs):
     """obs with an fn that records the dtype of every batch it evaluates."""

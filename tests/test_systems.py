@@ -9,7 +9,7 @@ from scipy import special, stats
 
 import ergolab as E
 from ergolab.errors import DomainError
-from ergolab.observables import terms
+from ergolab.observables import float32_band, terms
 from ergolab.rng import STREAM_ORBITS, raw_blocks
 from ergolab.systems import SYSTEMS, _FloatOrbits, birkhoff_sums, into_domain, sample_points
 
@@ -446,20 +446,15 @@ class _CountingOrbits:
         self.orbits.advance()
 
 
-def _reference_sums(orbits, fn, n_values, dtype):
-    """Float64 Birkhoff sums by the naive loop: fn at each of n_max orbit
-    points, added in float64, or for float32 points added in float32 runs
-    of at most 8 terms that end at every horizon, each run then added in
-    float64."""
-    total, run, held, sums = None, None, 0, []
+def _reference_sums(orbits, term, n_values):
+    """Birkhoff sums by the naive loop: the term at each of n_max orbit
+    points, added one by one in its own dtype, float32 or float64."""
+    total, sums = None, []
     for j in range(1, max(n_values) + 1):
-        vals = fn(orbits.points(dtype))
-        run, held = (run + vals if held else vals), held + 1
-        if vals.dtype == np.float64 or held == 8 or j in n_values:
-            total = run.astype(np.float64) if total is None else total + run
-            held = 0
+        vals = term(orbits).copy()
+        total = vals if total is None else total + vals
         if j in n_values:
-            sums.append(total)
+            sums.append(total.copy())
         orbits.advance()
     return sums
 
@@ -469,8 +464,8 @@ def _reference_sums(orbits, fn, n_values, dtype):
 def test_birkhoff_sums_equal_a_reference_loop(sid, kw):
     # one kernel for float batches and for the (fixed-point, on doubling, tent
     # and cat) sampled ensembles, on float64 points and on the float32 phases
-    # of the screen: same sums as the naive loop on cos1's fn, n_max - 1
-    # advances; horizons 20 and 29 take runs of 8, 5 and 8, 1
+    # of the screen: same sums as the naive loop in the terms' dtype, bit for
+    # bit, n_max - 1 advances
     sysm = E.get_system(sid, **kw)
     cos1 = E.get_observable("cos1", sysm)
     pts = sample_points(sysm, seed=5, start=0, count=64)
@@ -478,13 +473,13 @@ def test_birkhoff_sums_equal_a_reference_loop(sid, kw):
     for dtype in (np.float64, np.float32):
         for make in (lambda: _FloatOrbits(sysm, pts),
                      lambda: E.sample_orbit_ensemble(sysm, seed=5, start=0, count=64)):
-            want = _reference_sums(make(), cos1.fn, n_values, dtype)
+            want = _reference_sums(make(), terms(cos1, dtype), n_values)
             orbits = _CountingOrbits(make())
             got = [s.copy() for s in birkhoff_sums(orbits, terms(cos1, dtype), n_values)]
             assert len(got) == len(n_values)
             for g, w in zip(got, want):
-                assert g.dtype == np.float64
-                assert np.all(g == w)
+                assert g.dtype == w.dtype == dtype
+                assert np.array_equal(g, w)
             assert orbits.advances == n_values[-1] - 1
 
 
@@ -501,49 +496,83 @@ class _TermRows:
         self.j += 1
 
 
-def test_float32_runs_stay_within_their_band_term():
-    # worst-case terms for float32 runs: of size sup_abs = 1 (just under, so
-    # that partial sums round) with random signs, cancelling or not; at
-    # every horizon the average stays within term 4 of
-    # observables.float32_band, 8 * sup_abs * u, of the exact one
+def test_float32_sums_stay_within_their_band_term():
+    # worst-case terms for the float32 sum: of size sup_abs = 1 (just under,
+    # so that partial sums round) with random signs, cancelling or not; at
+    # every horizon up to the doubling budget of 76 the average stays within
+    # term 4 of observables.float32_band, gamma_{n-1} * sup_abs, half of
+    # what the band grows by from n = 1 to n, of the exact one
+    sysd = E.get_system("doubling")
+    cos1 = E.get_observable("cos1", sysd)
     rng = np.random.default_rng(12)
-    shape = (64, 20000)
+    shape = (76, 20000)
     size = (1.0 - rng.integers(1, 2**23, shape) * 2.0**-24).astype(np.float32)
     rows = np.where(rng.random(shape) < 0.5, size, -size)
     walk = _TermRows(rows)
-    for k, got in zip([5, 37, 64], birkhoff_sums(walk, walk.term, [5, 37, 64])):
-        exact = rows[:k].astype(np.float64).sum(axis=0)   # 64 float32s add exactly
+    horizons = [2, 5, 37, 64, 76]
+    for k, got in zip(horizons, birkhoff_sums(walk, walk.term, horizons)):
+        assert got.dtype == np.float32
+        exact = rows[:k].astype(np.float64).sum(axis=0)   # 76 float32s add exactly
         err = np.abs(got - exact).max() / k
-        assert 0.0 < err <= 8.0 * 2.0**-24, (k, err)
-    assert walk.j == 63
+        gamma = (k - 1) * 2.0**-24 / (1.0 - (k - 1) * 2.0**-24)
+        grow = float32_band(sysd, cos1, k) - float32_band(sysd, cos1, 1)
+        assert grow == pytest.approx(2.0 * gamma, rel=1e-9)
+        assert 0.0 < err <= gamma, (k, err, gamma)
+    assert walk.j == 75
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_phases_equal_2pi_times_the_points(dtype):
-    # points(dtype, phase=True) and its in-place cosine equal 2 pi times the
-    # points and cos1's fn on them bit for bit: the doubling ensemble at
-    # every bit offset 0..75, tent, cat (whose phase is its x coordinate)
-    # and a logistic float batch
+    # points(dtype, phase=True) are the phases of the points, and the screen's
+    # term is their cosine, taken in place.  Float64 phases equal 2 pi times
+    # the points bit for bit, and their cosines cos1's fn.  Float32 ones equal
+    # 2 pi times the float32 points on a float batch (logistic); on the
+    # fixed-point ensembles (doubling at every bit offset 0..75, tent, cat,
+    # whose phase is its x coordinate) they are signed-word phases, of size
+    # at most fl(pi), within the point term of observables.float32_band,
+    # 3 pi u (1 + 3u) + 2 pi 2^-32, of 2 pi x (mod 2 pi), x the float64
+    # point, whether the word's top bit is set or not (edge draws included)
+    u = 2.0**-24
+    bound = 3.0 * math.pi * u * (1.0 + 3.0 * u) + 2.0 * math.pi * 2.0**-32
+    ones = 2**64 - 1
+    edges = np.array([[ones, ones, ones, ones], [0, 0, 0, 0], [1 << 63, 0, 1 << 63, 0],
+                      [(1 << 63) - 1, ones, (1 << 63) - 1, ones],
+                      [0xFFFFFF7F << 32, 0, 0xFFFFFF7F << 32, 0]], dtype=np.uint64)
     cases = [(E.get_system("doubling"), 76), (E.get_system("tent"), 30),
              (E.get_system("cat"), 30), (E.get_system("logistic", c=-1.7), 30)]
     for sysm, steps in cases:
         cos1 = E.get_observable("cos1", sysm)
+        fixed = sysm.sid != "logistic"
         ens = E.sample_orbit_ensemble(sysm, seed=9, start=0, count=20000)
-        assert isinstance(ens, _FloatOrbits) == (sysm.sid == "logistic")
+        if fixed:
+            blocks = np.vstack([edges, raw_blocks(9, STREAM_ORBITS, 0, 20000)])
+            ens = SYSTEMS[sysm.sid].ensemble(sysm, blocks)
+        count = ens.count if fixed else 20000
+        signs = set()
         for _ in range(steps):
             pts = ens.points(dtype).copy()
+            x = ens.points()[:, 0].copy()
             phase = ens.points(dtype, phase=True)
-            assert phase.dtype == dtype and phase.shape == (20000,)
-            assert np.array_equal(phase, np.multiply(2.0 * math.pi, pts[:, 0], dtype=dtype))
-            want = cos1.fn(pts)
+            assert phase.dtype == dtype and phase.shape == (count,)
+            if dtype == np.float64 or not fixed:
+                assert np.array_equal(phase, np.multiply(2.0 * math.pi, pts[:, 0], dtype=dtype))
+                want = cos1.fn(pts)
+            else:
+                assert np.all(np.abs(phase) <= np.float32(math.pi))
+                gap = np.remainder(phase - 2.0 * math.pi * x + math.pi, 2.0 * math.pi) - math.pi
+                assert np.max(np.abs(gap)) <= bound
+                signs.update(np.unique(np.sign(phase)).tolist())
+                want = np.cos(phase)
             assert want.dtype == dtype
-            np.cos(phase, out=phase)
-            assert np.array_equal(phase.view(f"u{phase.itemsize}"),
-                                  want.view(f"u{want.itemsize}"))
             if dtype == np.float32:
                 got = terms(cos1, dtype)(ens)
                 assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+            else:
+                np.cos(phase, out=phase)
+                assert np.array_equal(phase.view(np.uint64), want.view(np.uint64))
             ens.advance()
+        if fixed and dtype == np.float32:
+            assert {-1.0, 1.0} <= signs
 
 
 def test_screened_walk_makes_no_per_step_temporaries():
