@@ -25,7 +25,7 @@ import os
 import sys as _sys
 
 from .errors import StageError, ValidationError
-from .runner import STAGES, load_config, run_pipeline, write_artifacts
+from .runner import STAGES, load_config, run_pipeline, validate_config, write_artifacts
 
 _STAGES_FOR = {
     "simulate": ("resolve", "space_average", "ladders"),
@@ -79,9 +79,8 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
-            if args.seed < 0:
-                raise ValidationError("seed: must be >= 0")
             cfg.seed = args.seed
+            validate_config(cfg)
         if args.threads < 1:
             raise ValidationError("threads: must be >= 1")
     except ValidationError as e:

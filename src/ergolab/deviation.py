@@ -267,6 +267,8 @@ def cramer_bernoulli(alpha: float) -> float:
     Beyond alpha = 1/2 the deviation is impossible and the rate saturates at
     ln 2.
     """
+    if math.isnan(alpha):
+        raise ValueError("alpha must be a number, got nan")
     if alpha < 0.0:
         raise ValueError("alpha must be >= 0")
     if alpha >= 0.5:

@@ -752,6 +752,8 @@ def dprime_volume_series(ladder: CoverLadder, dprime: float) -> VolumeSeries:
     tail.
     """
     dprime = float(dprime)
+    if math.isnan(dprime):
+        raise ValueError("dprime must be a number, got nan")
     terms = [e.card * e.r_n**dprime for e in ladder.entries]
     positive = [t for t in terms if t > 0.0]
     total = float(sum(terms))

@@ -146,8 +146,6 @@ def float32_band(sys: System, obs: Observable, n: int) -> float | None:
 
     1. Rounding the point to float32 moves each coordinate by at most u*R,
        the point by at most sqrt(d)*u*R, and fn by at most lip*sqrt(d)*u*R.
-       Truncating a coordinate in [0, 1) to 24 fractional bits, as the
-       fixed-point ensembles do, moves it by less than 2^-24 = u*R too.
     2. Float32 arithmetic inside fn.  Each rounding is a relative error u,
        either on the argument side (2*pi and 2*pi*x, the centre, x - c,
        1 - d, the plateau half-width), moving fn by at most lip*R*u where
@@ -241,21 +239,21 @@ def screen(sys: System, obs: Observable, phibar: float, horizons):
 def terms(obs: Observable, dtype):
     """The term of systems.birkhoff_sums for a walk of obs on points of dtype.
 
-    Float64: obs.fn on the float64 points.  Float32, the screen of cos1
-    (see `screen`): the orbits hand out float32 phases of x_1
-    (points(float32, phase=True)), fl(2 pi x_1) of a float batch's points
+    Float64: obs.fn on the float64 points (points()).  Float32, the screen
+    of cos1 (see `screen`): the orbits hand out float32 phases of x_1
+    (points(phase=True)), fl(fl(x_1) fl(2 pi)) of a float batch's points
     and the signed-word phase in [-pi, pi) of a fixed-point ensemble's
     (systems._phase), and their cosines are taken in place, with no array
-    made per step on a fixed-point ensemble.  No other observable has a
-    float32 walk.
+    made per step on a fixed-point ensemble.  No other observable, and no
+    other dtype, has a walk.
     """
     if np.dtype(dtype) == np.float64:
         return lambda orbits: obs.fn(orbits.points())
-    if not _is_e1(obs):
+    if np.dtype(dtype) != np.float32 or not _is_e1(obs):
         raise ValueError(f"observable {obs.oid!r} has no {np.dtype(dtype)} walk")
 
     def cosines(orbits):
-        t = orbits.points(dtype, phase=True)
+        t = orbits.points(phase=True)
         return np.cos(t, out=t)
 
     return cosines

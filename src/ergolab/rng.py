@@ -32,6 +32,13 @@ _INV_2_53 = float(2.0**-53)
 _U11 = np.uint64(11)
 
 
+def check_seed(seed: int):
+    """ValueError unless seed lies in [0, 2^64): Philox keys on one 64-bit
+    word, so any other seed would alias one inside."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed {seed} is outside [0, 2^64), the Philox key word")
+
+
 def raw_blocks(seed: int, stream: int, start, count: int) -> np.ndarray:
     """Return raw 64-bit words for blocks [start, start+count) of a stream.
 
@@ -41,8 +48,9 @@ def raw_blocks(seed: int, stream: int, start, count: int) -> np.ndarray:
     read, in order, from one generator whose counter is set to each index
     in turn through one reused state dict (Philox is counter-addressed, so
     a block read this way equals the same block of a range read), and row
-    i is block start[i].
+    i is block start[i].  `seed` must pass check_seed.
     """
+    check_seed(seed)
     indexed = np.ndim(start) > 0
     if indexed:
         idx = np.asarray(start, dtype=np.int64)
@@ -50,7 +58,7 @@ def raw_blocks(seed: int, stream: int, start, count: int) -> np.ndarray:
             raise ValueError("block indices must be a non-empty increasing array of length count")
     elif count < 0 or start < 0:
         raise ValueError("block range must be non-negative")
-    bg = np.random.Philox(key=np.array([seed & (2**64 - 1), stream], dtype=np.uint64))
+    bg = np.random.Philox(key=np.array([seed, stream], dtype=np.uint64))
     state = bg.state
     counter = state["state"]["counter"]
     if not indexed:

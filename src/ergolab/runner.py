@@ -36,6 +36,7 @@ from .flows import (ROOFS, SuspensionFlow, estimate_time1_lipschitz, fiber_const
                     sample_flow_batch,
                     sample_flow_states)  # noqa: F401  a runner attribute perfbench/spans.py patches
 from .observables import OBSERVABLES, get_observable, modulus_delta_for
+from .rng import check_seed
 from .systems import (SYSTEMS, check_ensemble_horizon, check_float64_horizon, get_system,
                       srb_space_average)
 
@@ -120,8 +121,9 @@ def validate_config(cfg: ExperimentConfig):
     if cfg.n_max < cfg.n_min:
         fail("n_max", f"must be >= n_min={cfg.n_min}")
     within("n_max", check_ensemble_horizon, sys, cfg.n_max)
-    at_least(("n_stride", 1), ("sample_count", 1000), ("seed", 0), ("space_samples", 2),
+    at_least(("n_stride", 1), ("sample_count", 1000), ("space_samples", 2),
              ("orbit_length", 100), ("transient", 0))
+    within("seed", check_seed, cfg.seed)
     if cfg.cover_n_max >= cfg.cover_n_min and cfg.cover_n_min >= 1:
         at_least(("grid_budget", 1))
         within("cover_n_max", check_float64_horizon, sys, cfg.cover_n_max)

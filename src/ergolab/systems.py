@@ -21,19 +21,20 @@ orbits of these maps are exact binary shifts and collapse onto the fixed
 point 0 within ~53 steps — a uniform sample would be silently destroyed
 long before the horizons the deviation ladders need.  The fixed-point
 ensembles are exact and project to points only when an observable is
-evaluated, in the dtype asked for (`points(dtype)`): the top 53 bits of a
-coordinate as a float64, or its top 24 bits as a float32, both truncated;
-the screen of observables.screen asks for float32 phases of x_1 instead
-(`points(float32, phase=True)`): the top 32 bits read as a signed word and
-multiplied by 2 pi 2^-32, a phase in [-pi, pi) with the cosine of 2 pi x_1,
-in one multiply and no shift (`_phase`).  The doubling ensemble never
-steps its state: it reads the point after j steps at bit offset j of the
-draw.  The tent and cat ensembles step their 128-bit state in place.  Once
-made, none of them allocates per step; the logistic ensemble, a float64
-batch, allocates its new points at every step.  Every representation is
-summed by one kernel, `birkhoff_sums`, in the terms' dtype (float32 for
-the screen, float64 otherwise), which observables drives (`time_average`,
-`deviations`).
+evaluated.  Every representation hands out two things, by `points(phase)`:
+`points()` the float64 (count, d) points, for an observable's fn (the top
+53 bits of a fixed-point coordinate, truncated), and `points(phase=True)`,
+for the screen of observables.screen, the (count,) float32 phases of x_1
+(on a fixed-point ensemble the top 32 bits read as a signed word and
+multiplied by 2 pi 2^-32, a phase in [-pi, pi) with the cosine of
+2 pi x_1, in one multiply and no shift: `_phase`).  The doubling ensemble
+never steps its state: it reads the point after j steps at bit offset j
+of the draw.  The tent and cat ensembles step their 128-bit state in
+place.  Once made, none of them allocates per step; the logistic
+ensemble, a float64 batch, allocates its new points at every step.  Every
+representation is summed by one kernel, `birkhoff_sums`, in the terms'
+dtype (float32 for the screen, float64 otherwise), which observables
+drives (`time_average`, `deviations`).
 
 The catalog, SYSTEMS, is the one place a system id is decided on: each
 entry declares the system's constructor, its parameter rules, and the
@@ -254,14 +255,12 @@ class _FloatOrbits:
         self.sys = sys
         self.x = pts
 
-    def points(self, dtype=np.float64, phase=False) -> np.ndarray:
-        """The current points, rounded to dtype (a float32 coordinate moves
-        by at most u*R, u = 2^-24 and R = max(|lo|, |hi|)); with phase, the
-        (count,) phases 2 pi x_1 of those points, fl(2 pi x_1) in dtype, in
-        a new array."""
+    def points(self, phase=False) -> np.ndarray:
+        """The current (count, d) float64 points, or with phase the (count,)
+        float32 phases fl(fl(x_1) fl(2 pi)) of x_1, in a new array."""
         if phase:
-            return np.multiply(self.x[:, 0], _TWO_PI, dtype=dtype)
-        return self.x.astype(dtype, copy=False)
+            return np.multiply(self.x[:, 0], _TWO_PI, dtype=np.float32)
+        return self.x
 
     def advance(self):
         self.x = self.sys._step(self.x)
@@ -328,33 +327,15 @@ def _fixed_point_horizon(matrix) -> int:
     return n
 
 
-def _fraction(word, into, out, phase=False):
-    """out = the top bits of the unsigned array `word` that out's float dtype
-    holds (keep = 24 for float32, 53 for float64), truncated, times 2^-keep:
-    a fixed-point coordinate as a point x in [0, 1); with phase, its phase
-    fl(2 pi x) in out's dtype instead.  `into`, an unsigned array as wide as
-    that dtype (word itself if word is), receives the shifted word.
-    Returns out.
-
-    A float64 point from a 64-bit word is rng.uniform01 of it.  A float32
-    point x32 lies in [x64 - 2^-24, x64] of the float64 one x64: truncating
-    a coordinate in [0, 1) to 24 fractional bits moves it by less than
-    u = 2^-24, term 1 of observables.float32_band.
-
-    The phase is the shifted word s times 2 pi 2^-keep, one multiply for
-    two, and equals fl(fl(2 pi) x) bit for bit, as 2 pi times the point
-    would round: x = s 2^-keep is exact in the dtype (s < 2^keep), and
-    scaling by a power of two commutes with rounding, so the factor rounds
-    to fl(2 pi) 2^-keep and the product to fl(fl(2 pi) s) 2^-keep.  The
-    screen's float32 phases are taken by `_phase` instead.
-    """
-    keep = np.finfo(out.dtype).nmant + 1
-    np.right_shift(word, 8 * word.itemsize - keep, out=into)
+def _fraction(word, into, out):
+    """out = the top 53 bits of the uint64 array `word`, truncated, times
+    2^-53: a fixed-point coordinate as a float64 point in [0, 1), rng.uniform01
+    of the word.  `into`, uint64 scratch (word itself if word is), receives
+    the shifted word.  Returns out."""
+    np.right_shift(word, 11, out=into)
     # the shifted word has its top bit clear, and a signed integer converts
     # to float faster than an unsigned one
-    signed = into.view(f"i{into.itemsize}")
-    scale = (_TWO_PI if phase else 1.0) * 2.0 ** -keep
-    return np.multiply(signed, scale, out=out, dtype=out.dtype)
+    return np.multiply(into.view(np.int64), 2.0**-53, out=out)
 
 
 def _phase(top, out):
@@ -362,13 +343,26 @@ def _phase(top, out):
     uint32 array `top` (a strided view is fine), in one multiply: top read
     as a signed word s in [-2^31, 2^31), times 2 pi 2^-32.  Returns out.
 
-    s 2^-32 is the truncated coordinate x, less 1 where its top bit is set,
-    so 2 pi s 2^-32 lies in [-pi, pi) and has the cosine of 2 pi x.  The
-    phase is fl(fl(s) fl(2 pi) 2^-32), at most fl(pi) in size: three
-    roundings of a value of size at most pi.  The float64 point x64 holds
-    the same bits and more, so the phase is within 3 pi u (1 + 3u) +
-    2 pi 2^-32 of 2 pi x64 (mod 2 pi), u = 2^-24, the phase term of
-    observables.float32_band.  The word needs no shift.
+    Let X be the coordinate's float64 point x64 in units of 2^-32, less
+    2^32 where its top bit is set, so that 2 pi X 2^-32 lies in [-pi, pi)
+    and has the cosine of 2 pi x64.  Then s = X - e with 0 <= e < 2^r:
+    r = 0 where the word holds the coordinate's top 32 bits, and r = j mod 8
+    <= 7 for the doubling ensemble's word, which holds 32 - r of them and r
+    zeros (see _DyadicDoubling).  Rounding s to float32 and the truncation
+    e together stay within 2^7 + 1 units of X, as they are allowed to: where
+    |s| < 2^(24 + r), s (a multiple of 2^r) is exact in float32 and
+    |fl(s) - X| = e < 2^r <= 2^7; otherwise the float32 spacing at s,
+    2^(k - 23) for 2^k <= |s| < 2^(k + 1), is at least 2^(r + 1), so the
+    rounding drops the zeros anyway, and |fl(s) - X| < 2^(k - 24) + 2^r <=
+    2^(k - 23) <= 2^7 (k <= 30: s = -2^31 is exact).  The phase is
+    fl(fl(s) fl(2 pi) 2^-32), at most fl(pi) in size, and rounding 2 pi and
+    the product add under pi (2u + u^2), u = 2^-24.  As 2^7 + 1 units of
+    2^-32 are a phase of pi u + 2 pi 2^-32, the phase is within
+    3 pi u (1 + 3u) + 2 pi 2^-32 of 2 pi x64 (mod 2 pi), the phase term of
+    observables.float32_band.  Measured on 2^20 doubling draws whose low 64
+    bits are all ones, at every j <= 75, the worst gap is 0.70 of that bound
+    at j mod 8 of 6 and 7, against 0.53 at j mod 8 = 0.  The word needs no
+    shift.
     """
     signed = top.view(top.dtype.byteorder + "i4")     # the same bytes, the same order
     return np.multiply(signed, _TWO_PI * 2.0**-32, out=out, dtype=np.float32)
@@ -394,12 +388,11 @@ class _FixedPointOrbits:
     """Base of the fixed-point ensembles: scratch arrays kept across steps.
 
     Neither advance() nor points() allocates once its scratch exists:
-    points(dtype) writes into the same array at every call, so read it
-    before the next call, and points(dtype, phase=True) writes the (count,)
-    phases of x_1 (float32 ones by `_phase`, float64 ones 2 pi x_1 by
-    `_fraction`) into its first row, which the caller may overwrite.
-    Scratch is made on first use, after the counter blocks the ensemble was
-    built from are freed.
+    points() writes the float64 points (by `_fraction`) into the same array
+    at every call, so read it before the next call, and points(phase=True)
+    writes the (count,) float32 phases of x_1 (by `_phase`) into an array of
+    its own, which the caller may overwrite.  Scratch is made on first use,
+    after the counter blocks the ensemble was built from are freed.
     """
 
     def __init__(self, count):
@@ -407,23 +400,20 @@ class _FixedPointOrbits:
         self._kept = {}
 
     def _scratch(self, name, dtype, rows=0):
-        """The kept array of this name and dtype: (count,), or (rows, count) with rows."""
-        key = (name, np.dtype(dtype))
-        a = self._kept.get(key)
+        """The kept array of this name, made of dtype: (count,), or (rows, count) with rows."""
+        a = self._kept.get(name)
         if a is None:
-            a = self._kept[key] = np.empty((rows, self.count) if rows else self.count, dtype)
+            a = self._kept[name] = np.empty((rows, self.count) if rows else self.count, dtype)
         return a
 
-    def _project(self, words, dtype, phase):
+    def _project(self, words, phase):
         """(count, len(words)) points, one column per top "<u8" word, or with
         phase the (count,) phases of the first word's coordinate."""
-        out = self._scratch("points", dtype, len(words))
-        if phase and out.itemsize == 4:
-            # the word's top half: every other "<u4" of it, a strided view
-            return _phase(words[0].view("<u4")[1::2], out[0])
-        into = self._scratch("word", f"u{out.itemsize}")
         if phase:
-            return _fraction(words[0], into, out[0], phase)
+            # the word's top half: every other "<u4" of it, a strided view
+            return _phase(words[0].view("<u4")[1::2], self._scratch("phases", np.float32))
+        out = self._scratch("points", np.float64, len(words))
+        into = self._scratch("word", np.uint64)
         for row, word in zip(out, words):
             _fraction(word, into, row)
         return out.T
@@ -435,14 +425,16 @@ class _DyadicDoubling(_FixedPointOrbits):
     A sample stands for the real point x whose top 128 bits are drawn.  The
     doubling step is a left shift, so the point after j steps, 2^j x (mod 1),
     is the drawn bits from offset j on: advance() only counts j, and
-    points(dtype) reads the bits from offset j that dtype's significand
-    holds (see _fraction), j .. j + 23 for float32 from the draw kept as four
-    32-bit limbs, j .. j + 52 for float64 from two 64-bit words made from the
-    limbs on the first float64 read.  Those bits are read from a group word,
-    the word of bits 8 floor(j / 8) on, made once per 8 steps and kept: j
-    is at most 7 bits into it, and 7 + 24 <= 32, 7 + 53 <= 64, so one left
-    shift by j mod 8 brings them to the top.  Exact binary arithmetic keeps
-    the ensemble immune to the float64 orbit collapse of dyadic maps, for a
+    points() reads them from a group word, the word of bits 8 floor(j / 8)
+    on, made once per 8 steps and kept, then shifted left by r = j mod 8 to
+    bring bit j to the top.  A float64 point's group word is 64 bits wide,
+    from two 64-bit words made from the draw on the first point read: after
+    the shift it holds 64 - r >= 57 drawn bits, so the point's 53 bits
+    (see _fraction) are exact.  A phase's group word is 32 bits wide, from
+    the draw kept as four 32-bit limbs: after the shift it holds 32 - r
+    drawn bits followed by r zeros, which `_phase` shows cost the phase
+    nothing its bound does not allow.  Exact binary arithmetic keeps the
+    ensemble immune to the float64 orbit collapse of dyadic maps, for a
     budget of `horizon` = 76 (_fixed_point_horizon): float64 points read
     drawn bits while j + 52 <= 127, i.e. j <= 75.  Past that, bits past 127
     read as zeros, as if shifted in at the bottom, and from j = 128 on every
@@ -457,25 +449,26 @@ class _DyadicDoubling(_FixedPointOrbits):
         # the "<u4" view holds each 64-bit word's low half first
         self.limbs = blocks[:, :2].astype("<u8", copy=False).view("<u4").T[[1, 0, 3, 2]]
         self.j = 0
-        self._group_at = {}                       # word dtype -> offset its group word holds
+        self._group_at = {}                       # "phase" | "point" -> offset its group word holds
 
-    def points(self, dtype=np.float64, phase=False) -> np.ndarray:
-        """(count, 1) points after j steps, truncated to dtype, or with phase
-        their (count,) phases (float32 ones by `_phase` of the top 32 bits)."""
-        out = self._scratch("points", dtype, 1)
-        words = self.limbs if out.itemsize == 4 else self._wide()
-        word = self._scratch("word", words.dtype)
-        group = self._scratch("group", words.dtype)
+    def points(self, phase=False) -> np.ndarray:
+        """(count, 1) float64 points after j steps, or with phase their
+        (count,) float32 phases (by `_phase` of the top 32 bits)."""
+        kind = "phase" if phase else "point"
+        words = self.limbs if phase else self._wide()
+        word = self._scratch(kind + " word", words.dtype)
+        group = self._scratch(kind + " group", words.dtype)
         at = self.j - self.j % 8
-        if self._group_at.get(words.dtype) != at:
+        if self._group_at.get(kind) != at:
             _window(words, at, group, word)
-            self._group_at[words.dtype] = at
+            self._group_at[kind] = at
         if self.j > at:
             group = np.left_shift(group, self.j - at, out=word)
-        if phase and out.itemsize == 4:
-            return _phase(group, out[0])
-        _fraction(group, word, out[0], phase)
-        return out[0] if phase else out.T
+        if phase:
+            return _phase(group, self._scratch("phases", np.float32))
+        out = self._scratch("points", np.float64, 1)
+        _fraction(group, word, out[0])
+        return out.T
 
     def _wide(self):
         """The draw as (hi, lo) uint64 words, made from the limbs on first use."""
@@ -506,8 +499,8 @@ class _DyadicTent(_FixedPointOrbits):
         super().__init__(blocks.shape[0])
         self.hi, self.lo = blocks[:, 0].astype("<u8"), blocks[:, 1].astype("<u8")
 
-    def points(self, dtype=np.float64, phase=False) -> np.ndarray:
-        return self._project((self.hi,), dtype, phase)
+    def points(self, phase=False) -> np.ndarray:
+        return self._project((self.hi,), phase)
 
     def advance(self):
         hi, lo = self.hi, self.lo
@@ -553,8 +546,8 @@ class _DyadicCat(_FixedPointOrbits):
         self.x = blocks[:, 0].astype("<u8"), blocks[:, 1].astype("<u8")
         self.y = blocks[:, 2].astype("<u8"), blocks[:, 3].astype("<u8")
 
-    def points(self, dtype=np.float64, phase=False) -> np.ndarray:
-        return self._project((self.x[0], self.y[0]), dtype, phase)
+    def points(self, phase=False) -> np.ndarray:
+        return self._project((self.x[0], self.y[0]), phase)
 
     def advance(self):
         carry = self._scratch("carry", np.uint64)

@@ -40,13 +40,20 @@ from ergolab.errors import GridBudgetError, RateNotEstablishedError
     ("alpha", ValueError, lambda s, o: E.modulus_delta(o, math.nan, 0.5)),
     ("counts", ValueError,
      lambda s, o: E.box_counting_dimension([1.0, 0.1, 0.01, 0.001], [1, 2, math.nan, 8])),
+    ("alpha", ValueError, lambda s, o: E.cramer_bernoulli(math.nan)),
+    ("dprime", ValueError, lambda s, o: E.dprime_volume_series(
+        E.CoverLadder("doubling", "cos1", 0.0, 0.5, 0.1, 2.0, (),
+                      (E.CoverEntry(1, 0.25, 2, ()), E.CoverEntry(2, 0.0625, 4, ())), 0),
+        math.nan)),
 ], ids=["ladders-phibar", "ladders-alphas", "cover-alpha", "cover-phibar", "lemma-delta",
         "lemma-alpha", "lemma-phibar", "cover-dprimes", "digit-alpha", "digit-ladder-alpha",
-        "bound-h", "bound-L", "modulus-alpha", "box-counts"])
+        "bound-h", "bound-L", "modulus-alpha", "box-counts", "bernoulli-alpha",
+        "volume-dprime"])
 def test_nan_inputs_are_refused_by_name(arg, error, call):
     # each of these read a NaN as a number: measures and cards of 0, a lemma
     # with no violation or with no candidate accepted, NaN cover volumes, a
-    # NaN bound or dimension, or an error from Fraction that names nothing
+    # NaN bound, rate, volume series or dimension, or an error from Fraction
+    # that names nothing
     sysd = E.get_system("doubling")
     with pytest.raises(error, match=rf"\b{arg}\b"):
         call(sysd, E.get_observable("cos1", sysd))
@@ -279,10 +286,11 @@ def _recording_phases(monkeypatch):
     dtypes = set()
     points = _FloatOrbits.points
 
-    def recording(self, dtype=np.float64, phase=False):
+    def recording(self, phase=False):
+        out = points(self, phase)
         if phase:
-            dtypes.add(np.dtype(dtype))
-        return points(self, dtype, phase)
+            dtypes.add(out.dtype)
+        return out
 
     monkeypatch.setattr(_FloatOrbits, "points", recording)
     return dtypes

@@ -5,6 +5,7 @@ a change that breaks a span seam (an ensemble driven through anything but
 points() and advance(), say) fails here rather than only in a benchmark run.
 """
 
+import contextlib
 import importlib.util
 import json
 import subprocess
@@ -29,20 +30,35 @@ def _bench_runner():
     return run
 
 
+def _spans():
+    """perfbench/spans.py's Tracer and instrument."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        from spans import Tracer, instrument
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    return Tracer, instrument
+
+
 @pytest.mark.parametrize("workload", sorted(p.stem for p in (BENCH / "workloads").glob("*.ini")))
 def test_workload_reports_match_the_benchmark_reference(workload):
     # the report bytes every change keeps: each benchmark workload, with its
     # threads and stages, at seed 0 and at its config's seed, hashes as the
-    # stored reference does, with the expected verdict
+    # stored reference does, with the expected verdict; and so does a run at
+    # seed 0 under the benchmark's tracer, whose ensembles forward only
+    # points() and advance()
     run = _bench_runner()
+    Tracer, instrument = _spans()
     threads, stages = run.WORKLOADS[workload]
     ref = json.loads((BENCH / "reference.json").read_text())[workload]
     cfg = E.load_config(BENCH / "workloads" / f"{workload}.ini")
-    for seed in (0, cfg.seed):
+    for seed, tracer in ((0, None), (cfg.seed, None), (0, Tracer())):
         cfg.seed = seed
-        report = E.run_pipeline(cfg, threads=threads, stages=stages)
-        assert run.report_hash(report) == ref["sha256"][str(seed)], seed
-        assert report.data.get("verdict") == ref["verdict"], seed
+        with instrument(tracer) if tracer else contextlib.nullcontext():
+            report = E.run_pipeline(cfg, threads=threads, stages=stages)
+        assert run.report_hash(report) == ref["sha256"][str(seed)], (seed, tracer)
+        assert report.data.get("verdict") == ref["verdict"], (seed, tracer)
+    assert any(s.name == "systems.ensemble.points" for s in tracer.spans)
 
 
 def test_perfbench_self_tests_pass():
@@ -54,11 +70,7 @@ def test_perfbench_self_tests_pass():
 def test_ladder_recount_runs_through_the_traced_ensemble_seam():
     # a threshold set to one sample's exact deviation forces a recount; under
     # the benchmark's tracer the recount's draw is a traced ensemble too
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    try:
-        from spans import Tracer, instrument
-    finally:
-        sys.path.remove(str(ROOT / "perfbench"))
+    Tracer, instrument = _spans()
     sysd = E.get_system("doubling")
     obs = E.get_observable("cos1", sysd)
     ens = E.sample_orbit_ensemble(sysd, 5, 0, 1)

@@ -82,6 +82,8 @@ def test_shipped_configs_parse():
     ("lemma_n", dict(system_id="logistic", system_c=-2.0, lemma_pairs=10, lemma_n=23)),
     # 128-bit cat ensembles are faithful up to horizon 54
     ("n_max", dict(system_id="cat", n_min=12, n_max=55)),
+    # Philox keys on one 64-bit word: a seed past it would alias one inside
+    ("seed", dict(seed=2**64 + 42)),
 ])
 def test_validation_names_the_offending_field(field, over):
     with pytest.raises(ValidationError) as err:
@@ -241,6 +243,8 @@ def test_cli_usage_and_config_errors(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
     ini = write_cfg(tmp_path, mini_cfg())
     assert main(["report", "--config", ini, "--seed", "-3"]) == 2
+    assert main(["report", "--config", ini, "--seed", str(2**64)]) == 2
+    assert capsys.readouterr().err.startswith("ergolab: seed:")
     assert main(["report", "--config", ini, "--threads", "0"]) == 2
     assert main(["frobnicate", "--config", ini]) == 2
     bad = tmp_path / "bad.ini"

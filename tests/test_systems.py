@@ -337,6 +337,11 @@ def test_raw_blocks_reads_just_the_indexed_blocks():
                        ([1, 2], 1), ([-1, 2], 2), ([[1, 2]], 2)):
         with pytest.raises(ValueError):
             raw_blocks(11, STREAM_ORBITS, np.array(bad, dtype=np.int64), count)
+    # a seed outside Philox's 64-bit key word is refused, not masked onto one inside
+    for seed in (-1, 2**64, 2**64 + 11):
+        with pytest.raises(ValueError, match=r"\bseed\b"):
+            raw_blocks(seed, STREAM_ORBITS, 0, 1)
+    assert raw_blocks(2**64 - 1, STREAM_ORBITS, 0, 1).shape == (1, 4)
 
 
 def test_cat_ensemble_follows_256_bit_orbits_through_its_budget():
@@ -376,9 +381,9 @@ def test_tent_ensemble_points_stay_in_domain():
 
 def test_doubling_ensemble_reads_a_128_bit_shift_at_every_offset():
     # the point after j steps is read at bit offset j of the draw; against
-    # 128-bit left shifts (Python ints), float64 points are the top 53 bits
-    # and float32 points the top 24, at every j through the budget of 76 and
-    # past it, where zeros come in at the bottom until every point is 0
+    # 128-bit left shifts (Python ints), float64 points are the top 53 bits,
+    # at every j through the budget of 76 and past it, where zeros come in
+    # at the bottom until every point is 0
     sysd = E.get_system("doubling")
     ones = 2**64 - 1
     edges = np.array([[ones, ones, 0, 0], [0, 1, 0, 0], [1 << 63, 0, 0, 0],
@@ -389,11 +394,8 @@ def test_doubling_ensemble_reads_a_128_bit_shift_at_every_offset():
     x = [(int(hi) << 64) | int(lo) for hi, lo in blocks[:, :2].tolist()]
     for _ in range(131):                            # j = 0 .. 130
         want64 = np.array([v >> 75 for v in x], dtype=np.float64) * 2.0**-53
-        want32 = np.array([v >> 104 for v in x], dtype=np.float64) * 2.0**-24
-        got64, got32 = ens.points()[:, 0], ens.points(np.float32)[:, 0]
-        assert got32.dtype == np.float32
+        got64 = ens.points()[:, 0]
         assert np.array_equal(got64, want64)
-        assert np.array_equal(got32, want32)
         ens.advance()
         x = [(v << 1) & (2**128 - 1) for v in x]
     assert not got64.any()
@@ -417,20 +419,6 @@ def test_tent_ensemble_steps_the_128_bit_tent_map():
         x = [(2 * v if v < 2**127 else 2 * (2**128 - v)) % 2**128 for v in x]
 
 
-@pytest.mark.parametrize("sid", ["doubling", "tent", "cat"])
-def test_float32_ensemble_points_truncate_the_float64_ones(sid):
-    # float32 points are the float64 points truncated to 24 fractional bits:
-    # within [x - 2^-24, x] at every step through the budget
-    sysm = E.get_system(sid)
-    ens = E.sample_orbit_ensemble(sysm, seed=8, start=0, count=4000)
-    for _ in range(ens.horizon):
-        x = ens.points().copy()
-        x32 = ens.points(np.float32).astype(np.float64)
-        assert np.all((x - 2.0**-24 <= x32) & (x32 <= x))
-        assert np.array_equal(x32, np.floor(x * 2.0**24) * 2.0**-24)
-        ens.advance()
-
-
 class _CountingOrbits:
     """An orbit representation that counts its advance() calls."""
 
@@ -438,8 +426,8 @@ class _CountingOrbits:
         self.orbits = orbits
         self.advances = 0
 
-    def points(self, dtype=np.float64, phase=False):
-        return self.orbits.points(dtype, phase)
+    def points(self, phase=False):
+        return self.orbits.points(phase)
 
     def advance(self):
         self.advances += 1
@@ -521,17 +509,16 @@ def test_float32_sums_stay_within_their_band_term():
     assert walk.j == 75
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_phases_equal_2pi_times_the_points(dtype):
-    # points(dtype, phase=True) are the phases of the points, and the screen's
-    # term is their cosine, taken in place.  Float64 phases equal 2 pi times
-    # the points bit for bit, and their cosines cos1's fn.  Float32 ones equal
-    # 2 pi times the float32 points on a float batch (logistic); on the
-    # fixed-point ensembles (doubling at every bit offset 0..75, tent, cat,
-    # whose phase is its x coordinate) they are signed-word phases, of size
-    # at most fl(pi), within the point term of observables.float32_band,
-    # 3 pi u (1 + 3u) + 2 pi 2^-32, of 2 pi x (mod 2 pi), x the float64
-    # point, whether the word's top bit is set or not (edge draws included)
+def test_phases_equal_2pi_times_the_points():
+    # points(phase=True) are the float32 phases of the points, and the
+    # screen's term is their cosine, taken in place.  On a float batch
+    # (logistic) they equal 2 pi times the points in float32,
+    # fl(fl(2 pi) fl(x)); on the fixed-point ensembles (doubling at every bit
+    # offset 0..75, tent, cat, whose phase is its x coordinate) they are
+    # signed-word phases, of size at most fl(pi), within the point term of
+    # observables.float32_band, 3 pi u (1 + 3u) + 2 pi 2^-32, of 2 pi x
+    # (mod 2 pi), x the float64 point, whether the word's top bit is set or
+    # not (edge draws included)
     u = 2.0**-24
     bound = 3.0 * math.pi * u * (1.0 + 3.0 * u) + 2.0 * math.pi * 2.0**-32
     ones = 2**64 - 1
@@ -550,28 +537,21 @@ def test_phases_equal_2pi_times_the_points(dtype):
         count = ens.count if fixed else 20000
         signs = set()
         for _ in range(steps):
-            pts = ens.points(dtype).copy()
             x = ens.points()[:, 0].copy()
-            phase = ens.points(dtype, phase=True)
-            assert phase.dtype == dtype and phase.shape == (count,)
-            if dtype == np.float64 or not fixed:
-                assert np.array_equal(phase, np.multiply(2.0 * math.pi, pts[:, 0], dtype=dtype))
-                want = cos1.fn(pts)
-            else:
+            phase = ens.points(phase=True)
+            assert phase.dtype == np.float32 and phase.shape == (count,)
+            if fixed:
                 assert np.all(np.abs(phase) <= np.float32(math.pi))
                 gap = np.remainder(phase - 2.0 * math.pi * x + math.pi, 2.0 * math.pi) - math.pi
                 assert np.max(np.abs(gap)) <= bound
                 signs.update(np.unique(np.sign(phase)).tolist())
-                want = np.cos(phase)
-            assert want.dtype == dtype
-            if dtype == np.float32:
-                got = terms(cos1, dtype)(ens)
-                assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
             else:
-                np.cos(phase, out=phase)
-                assert np.array_equal(phase.view(np.uint64), want.view(np.uint64))
+                assert np.array_equal(phase, np.multiply(2.0 * math.pi, x, dtype=np.float32))
+            want = np.cos(phase)
+            got = terms(cos1, np.float32)(ens)
+            assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
             ens.advance()
-        if fixed and dtype == np.float32:
+        if fixed:
             assert {-1.0, 1.0} <= signs
 
 
