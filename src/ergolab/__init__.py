@@ -3,10 +3,10 @@ for a catalog of chaotic maps and suspension flows."""
 
 from .errors import (DomainError, ErgolabError, GridBudgetError, ParameterError,
                      RateNotEstablishedError, StageError, ValidationError)
-from .systems import (SpaceAverage, System, distance, domain_diameter, get_system,
-                      iterate, sample_orbit_ensemble, srb_space_average, wrap_unit)
-from .observables import (DeviationParams, Observable, get_observable,
-                          modulus_delta, modulus_delta_for, time_average)
+from .systems import (System, distance, domain_diameter, get_system, iterate,
+                      sample_orbit_ensemble, wrap_unit)
+from .observables import (DeviationParams, Observable, SpaceAverage, get_observable,
+                          modulus_delta, modulus_delta_for, srb_space_average, time_average)
 from .deviation import (DIGIT, DIGIT_MEAN, DeviationLadder, LadderEntry,
                         RateFunctionFit, build_deviation_ladder,
                         build_deviation_ladders, cramer_bernoulli,

@@ -49,7 +49,8 @@ import numpy as np
 
 from .observables import (DIGIT, DIGIT_MEAN, DIGIT_SYSTEM, DeviationParams, Observable,
                           deviations, screen, undecided)
-from .systems import _POINT_CHUNK, System, check_ensemble_horizon, sample_orbit_ensemble
+from .systems import (_POINT_CHUNK, System, check_ensemble_horizon, check_integer,
+                      sample_orbit_ensemble)
 
 LN2 = math.log(2.0)
 
@@ -182,7 +183,7 @@ def build_deviation_ladders(sys: System, obs: Observable, phibar: float,
                             alphas, n_values, sample_count: int, seed: int) -> dict:
     """Ladders for several thresholds from one shared orbit pass.
 
-    Horizons must be >= 1 and strictly increasing, live thresholds or not;
+    Horizons must be integers >= 1 and strictly increasing, live thresholds or not;
     one past the budget of the system's ensemble representation (76 for
     the 128-bit dyadic doubling and tent ensembles, 54 for cat) raises
     ValueError rather than returning a wrong measure.
@@ -195,6 +196,8 @@ def build_deviation_ladders(sys: System, obs: Observable, phibar: float,
     if not math.isfinite(phibar):
         raise ValueError(f"phibar must be finite, got {phibar}")
     n_values = list(n_values)
+    for n in n_values:
+        check_integer("n_values entry", n)
     if any(n < 1 for n in n_values):
         raise ValueError("deviation horizons must be >= 1")
     if any(a >= b for a, b in zip(n_values, n_values[1:])):

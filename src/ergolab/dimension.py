@@ -62,7 +62,7 @@ from .errors import GridBudgetError, RateNotEstablishedError
 from .observables import _TWO_PI, Observable, deviations, screen, undecided
 from .rng import STREAM_LEMMA_BALLS, STREAM_LEMMA_POINTS, raw_blocks, uniform01
 from .systems import (_POINT_CHUNK, System, _FloatOrbits, check_float64_horizon,
-                      domain_points, into_domain)
+                      check_integer, domain_points, into_domain)
 
 _BAND_POINTS = 1 << 22  # points per row band of a walked 2-d level
 
@@ -157,12 +157,13 @@ def verify_ball_lemma(sys: System, obs: Observable, phibar: float, alpha: float,
     A horizon past the float64 orbit budget (systems.check_float64_horizon)
     raises ValueError: past it, doubling orbits have collapsed onto 0.
     """
+    check_integer("n", n)
     if n < 1:
         raise ValueError("need horizon n >= 1")
     if pair_count < 1:
         raise ValueError("need pair_count >= 1")
-    if not delta > 0.0:
-        raise ValueError("need delta > 0")
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"need a finite delta > 0, got {delta}")
     if math.isnan(alpha):
         raise ValueError("alpha must be a number, got nan")
     if not math.isfinite(phibar):
@@ -640,6 +641,7 @@ def build_cover_ladder(sys: System, obs: Observable, phibar: float, alpha: float
     alpha <= 0 short-circuits analytically: every cell meets the set, cards
     are full grid sizes, and nothing is evaluated or charged against the
     budget.  alpha > 2 sup|phi| likewise yields empty levels for free.
+    Either way delta must be finite and > 0.
     """
     if n_hi < n_lo:
         raise ValueError("need n_hi >= n_lo")
@@ -647,6 +649,8 @@ def build_cover_ladder(sys: System, obs: Observable, phibar: float, alpha: float
         raise ValueError("alpha must be a number, got nan")
     if not math.isfinite(phibar):
         raise ValueError(f"phibar must be finite, got {phibar}")
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"need a finite delta > 0, got {delta}")
     check_float64_horizon(sys, n_hi)
     L = sys.L
     dprimes = tuple(float(dp) for dp in dprimes)
@@ -670,8 +674,6 @@ def build_cover_ladder(sys: System, obs: Observable, phibar: float, alpha: float
         raise ValueError("cover levels need n >= 1 when alpha > 0")
     if sys.d > 2:
         raise ValueError("covers support d <= 2")
-    if not delta > 0.0:
-        raise ValueError("need delta > 0")
 
     W = obs.sup_abs + abs(phibar)
     taus = _prune_thresholds(alpha, n_lo, n_hi, obs.lip, W, L, delta, sys.d)
@@ -777,9 +779,9 @@ class BoxDimension:
 def box_counting_dimension(scales, counts) -> BoxDimension:
     """Slope of log(count) against log(1/scale), with a 2-sigma slope band.
 
-    Needs at least 4 scales spanning at least two decades, and positive
-    counts.  All-equal counts (e.g. a single occupied cell at every scale)
-    give dimension 0 exactly.
+    Needs at least 4 finite scales spanning at least two decades, and
+    positive finite counts.  All-equal counts (e.g. a single occupied cell
+    at every scale) give dimension 0 exactly.
     """
     s = np.asarray(scales, dtype=np.float64)
     c = np.asarray(counts, dtype=np.float64)
@@ -787,10 +789,10 @@ def box_counting_dimension(scales, counts) -> BoxDimension:
         raise ValueError("scales and counts must be 1-d arrays of equal length")
     if s.shape[0] < 4:
         raise ValueError("need at least 4 scales")
-    if not np.all(s > 0.0):
-        raise ValueError("scales must be positive")
-    if not np.all(c > 0.0):
-        raise ValueError("counts must be positive")
+    if not np.all((s > 0.0) & np.isfinite(s)):
+        raise ValueError("scales must be positive and finite")
+    if not np.all((c > 0.0) & np.isfinite(c)):
+        raise ValueError("counts must be positive and finite")
     if math.log10(float(np.max(s)) / float(np.min(s))) < 2.0:
         raise ValueError("scales must span at least two decades")
     if np.all(c == c[0]):

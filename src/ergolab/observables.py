@@ -1,4 +1,4 @@
-"""Observables, time averages, and deviation from a space average.
+"""Observables, time and space averages, and deviation from a space average.
 
 An observable is a real function of a point together with the regularity
 data the dimension machinery needs: a global Lipschitz constant (w.r.t. the
@@ -18,7 +18,8 @@ Time averages are arithmetic means of the observable along the first n
 orbit points (j = 0..n-1).  `deviation` measures |time average - phibar|,
 the quantity whose level sets the deviation ladders and covers estimate;
 `deviations` is the one walk that yields it, at every horizon, along any
-orbit representation.
+orbit representation.  The space average phibar of a system whose natural
+measure is not Lebesgue is a mean of time averages (`srb_space_average`).
 
 Every threshold test of the lab, dev >= t, is screened by one rule: a
 cheaper deviation within a proven band of the float64 walk's decides every
@@ -43,8 +44,10 @@ from typing import Callable
 
 import numpy as np
 
+from .rng import STREAM_ORBIT_SEED, raw_blocks
 from .systems import (_TWO_PI, Param, System, _as_batch, _check_domain, _FloatOrbits,
-                      birkhoff_sums, catalog_entry, domain_diameter)
+                      birkhoff_sums, catalog_entry, check_integer, domain_diameter,
+                      domain_points, iterate, sample_points)
 
 
 @dataclass(frozen=True)
@@ -291,8 +294,10 @@ def time_average(sys: System, obs: Observable, x, n: int):
     """Mean of the observable over the orbit points f^j(x), j = 0..n-1, shaped like x.
 
     One point (a scalar, or a length-d vector) gives a float, a batch an (N,)
-    array.  The domain is checked before stepping; n < 1 raises ValueError.
+    array.  The domain is checked before stepping; an n that is not an
+    integer >= 1 raises ValueError.
     """
+    check_integer("n", n)
     if n < 1:
         raise ValueError(f"time average needs n >= 1, got {n}")
     pts, tag = _as_batch(sys, x)
@@ -352,3 +357,65 @@ def modulus_delta(obs: Observable, alpha: float, diameter: float) -> float:
 
 def modulus_delta_for(sys: System, obs: Observable, alpha: float) -> float:
     return modulus_delta(obs, alpha, domain_diameter(sys))
+
+
+@dataclass(frozen=True)
+class SpaceAverage:
+    """A space average of an observable with its sampling metadata."""
+
+    value: float
+    std_error: float
+    method: str              # "lebesgue-mc" | "empirical-orbit"
+    sample_count: int
+    seed: int
+    orbit_length: int = 0
+    transient: int = 0
+    seed_point: float | tuple | None = None
+
+
+_CHUNK = 1 << 16  # samples per Lebesgue space-average chunk: the chunks fix the summation order
+_ORBITS = 100     # orbits of an empirical-orbit space average, one time average each
+
+
+def _mean_and_error(chunks, count: int):
+    """Mean and standard error of `count` values, summed in float64 chunk by chunk."""
+    total = total_sq = 0.0
+    for vals in chunks:
+        total += float(np.sum(vals))
+        total_sq += float(np.sum(vals * vals))
+    mean = total / count
+    var = max(total_sq / count - mean * mean, 0.0) * count / (count - 1)
+    return mean, math.sqrt(var / count)
+
+
+def srb_space_average(sys: System, observable: Observable, seed: int,
+                      samples: int = 1_000_000,
+                      orbit_length: int = 10_000_000,
+                      transient: int = 10_000) -> SpaceAverage:
+    """Average an observable against the system's natural measure.
+
+    Lebesgue systems: Monte Carlo over `samples` uniform points of the
+    space-average stream, summed in chunks of _CHUNK.  Empirical-orbit
+    systems (logistic): the mean of the time averages over orbit_length //
+    _ORBITS steps of _ORBITS orbits, orbit i started at block i of the
+    orbit-seed stream and stepped `transient` times first (iterate), with
+    the standard error of those means.
+    """
+    for name, count in (("samples", samples), ("orbit_length", orbit_length),
+                        ("transient", transient)):
+        check_integer(name, count)
+    if sys.srb_kind == "lebesgue":
+        if samples < 2:
+            raise ValueError("need at least 2 samples")
+        chunks = (observable.fn(sample_points(sys, seed, s, min(_CHUNK, samples - s)))
+                  for s in range(0, samples, _CHUNK))
+        return SpaceAverage(*_mean_and_error(chunks, samples), "lebesgue-mc", samples, seed)
+
+    if orbit_length < _ORBITS:
+        raise ValueError(f"orbit_length must be at least {_ORBITS}")
+    starts = domain_points(sys, raw_blocks(seed, STREAM_ORBIT_SEED, 0, _ORBITS))
+    steps = orbit_length // _ORBITS
+    means = time_average(sys, observable, iterate(sys, starts, transient), steps)
+    x0 = tuple(map(float, starts[0]))
+    return SpaceAverage(*_mean_and_error([means], _ORBITS), "empirical-orbit", steps * _ORBITS,
+                        seed, steps * _ORBITS, transient, x0[0] if sys.d == 1 else x0)

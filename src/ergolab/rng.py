@@ -24,7 +24,7 @@ STREAM_SPACE_AVG = 2      # space-average sampling
 STREAM_LEMMA_POINTS = 3   # candidate centers for the ball-lemma check
 STREAM_LEMMA_BALLS = 4    # ball offsets for the ball-lemma check
 STREAM_FLOW = 5           # flow-suite initial states
-STREAM_ORBIT_SEED = 6     # seed point of a long empirical orbit
+STREAM_ORBIT_SEED = 6     # start points of an empirical-orbit space average's orbits
 
 WORDS_PER_BLOCK = 4  # one Philox round emits four 64-bit words
 

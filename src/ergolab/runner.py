@@ -35,10 +35,9 @@ from .flows import (ROOFS, SuspensionFlow, estimate_time1_lipschitz, fiber_const
                     flow_nontypical_inclusion_check, integer_part_reduction_check,
                     sample_flow_batch,
                     sample_flow_states)  # noqa: F401  a runner attribute perfbench/spans.py patches
-from .observables import OBSERVABLES, get_observable, modulus_delta_for
+from .observables import OBSERVABLES, get_observable, modulus_delta_for, srb_space_average
 from .rng import check_seed
-from .systems import (SYSTEMS, check_ensemble_horizon, check_float64_horizon, get_system,
-                      srb_space_average)
+from .systems import SYSTEMS, check_ensemble_horizon, check_float64_horizon, get_system
 
 VERDICT_HOLDS = "bound-holds"
 VERDICT_VIOLATED = "bound-violated"

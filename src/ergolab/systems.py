@@ -47,13 +47,14 @@ n log2 L <= 45 (FLOAT64_BITS), which covers and the ball lemma enforce.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .rng import STREAM_ORBIT_SEED, STREAM_ORBITS, STREAM_SPACE_AVG, raw_blocks, uniform01
+from .rng import STREAM_ORBITS, STREAM_SPACE_AVG, raw_blocks, uniform01
 
 _TWO_PI = 2.0 * math.pi
 _CAT_EXPANSION = (3.0 + math.sqrt(5.0)) / 2.0  # largest singular value of [[2,1],[1,1]]
@@ -625,6 +626,12 @@ def get_system(sid: str, **params) -> System:
     return entry.build(sid, **kw)
 
 
+def check_integer(name: str, value):
+    """ValueError naming `name` unless value is an integer (a numpy integer too)."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def check_ensemble_horizon(sys: System, n: int):
     """ValueError when horizon n is past the budget of the system's ensembles."""
     budget = SYSTEMS[sys.sid].ensemble.horizon
@@ -668,82 +675,3 @@ def domain_points(sys: System, blocks: np.ndarray) -> np.ndarray:
 def sample_points(sys: System, seed: int, start: int, count: int) -> np.ndarray:
     """Uniform float64 points on the domain, one block of the space-average stream each."""
     return domain_points(sys, raw_blocks(seed, STREAM_SPACE_AVG, start, count))
-
-
-# ---------------------------------------------------------------------------
-# space averages
-
-@dataclass(frozen=True)
-class SpaceAverage:
-    """A space average of an observable with its sampling metadata."""
-
-    value: float
-    std_error: float
-    method: str              # "lebesgue-mc" | "empirical-orbit"
-    sample_count: int
-    seed: int
-    orbit_length: int = 0
-    transient: int = 0
-    seed_point: float | None = None
-
-
-_CHUNK = 1 << 16  # samples per space-average sum: fixes its summation order, so the report bytes
-
-
-def srb_space_average(sys: System, observable, seed: int,
-                      samples: int = 1_000_000,
-                      orbit_length: int = 10_000_000,
-                      transient: int = 10_000) -> SpaceAverage:
-    """Average an observable against the system's natural measure.
-
-    Lebesgue systems use plain Monte Carlo over uniform points (counter
-    blocks of the space-average stream, accumulated in fixed chunk order).
-    The logistic family averages along one long orbit after a transient,
-    started from a seeded uniform point; its standard error comes from 100
-    batch means.
-    """
-    phi = observable.fn
-    if sys.srb_kind == "lebesgue":
-        if samples < 2:
-            raise ValueError("need at least 2 samples")
-        total = 0.0
-        total_sq = 0.0
-        done = 0
-        while done < samples:
-            m = min(_CHUNK, samples - done)
-            vals = phi(sample_points(sys, seed, done, m))
-            total += float(np.sum(vals))
-            total_sq += float(np.sum(vals * vals))
-            done += m
-        mean = total / samples
-        var = max(total_sq / samples - mean * mean, 0.0) * samples / (samples - 1)
-        return SpaceAverage(mean, math.sqrt(var / samples), "lebesgue-mc", samples, seed)
-
-    # empirical-orbit: one long float64 orbit, batch-mean error bars
-    if orbit_length < 100:
-        raise ValueError("orbit_length must be at least 100")
-    x0 = float(domain_points(sys, raw_blocks(seed, STREAM_ORBIT_SEED, 0, 1))[0, 0])
-    x = float(iterate(sys, x0, transient))
-    n_batches = 100
-    batch = orbit_length // n_batches
-    used = batch * n_batches
-    buf = np.empty(batch)
-    sums = np.empty(n_batches)
-    # logistic is the one empirical-orbit system: step x^2 + c inline, clamped
-    # to [-b, b] exactly as its step map does
-    c = dict(sys.params)["c"]
-    lo, hi = sys.lo, sys.hi
-    for b in range(n_batches):
-        for i in range(batch):
-            buf[i] = x
-            x = x * x + c
-            if x < lo:
-                x = lo
-            elif x > hi:
-                x = hi
-        sums[b] = float(np.sum(phi(buf[:, None])))
-    means = sums / batch
-    value = float(np.sum(sums)) / used
-    se = float(np.std(means, ddof=1)) / math.sqrt(n_batches)
-    return SpaceAverage(value, se, "empirical-orbit", used, seed,
-                        orbit_length=used, transient=transient, seed_point=x0)

@@ -11,6 +11,7 @@ inline).  Two criteria are sized by a worked analysis in their docstrings:
   alpha/2, so a violation can exist.
 """
 
+import hashlib
 import json
 import math
 
@@ -36,6 +37,10 @@ GRID_BUDGET = 10**8
 BOX_TOL = 0.01
 FLOW_INT_TOL = 1e-6
 CAT_R2_MIN = 0.90
+# sha256 of report_json(report, include_timings=False) for the shipped
+# configs: a change that moves a report byte on purpose updates these
+DOUBLING_REPORT_SHA256 = "7a73d1ddc1f0d7404a4500c286496722c7bcc57de3f3fabcbdb47e2f896deed4"
+CAT_REPORT_SHA256 = "47f4cb815fda2b5b107cf23033d604b90cf1404f3bfa26599e5170c827503650"
 
 
 def _line(num, ok, detail):
@@ -247,9 +252,12 @@ def test_acceptance_8_report_thread_determinism(tmp_path):
         assert data["verdict"] == "bound-holds"
         data.pop("timings")
         payloads.append(json.dumps(data, sort_keys=False))
+        # report.json less its timings, laid out as report_json lays it out
+        digest = hashlib.sha256(json.dumps(data, sort_keys=True, indent=2).encode()).hexdigest()
+        assert digest == DOUBLING_REPORT_SHA256, threads
     ok = payloads[0] == payloads[1]
     _line(8, ok, "report.json byte-identical for --threads 1 vs 8 "
-                 "(timings excluded), verdict bound-holds")
+                 "(timings excluded) and equal to the pinned hash, verdict bound-holds")
     assert payloads[0] == payloads[1]
 
 
@@ -273,3 +281,5 @@ def test_acceptance_9_cat_map_smoke_experiment():
     assert dim["d0"] < 2.0
     assert data["verdict"] != "bound-violated"
     assert data["cover"]["examined_cells"] <= GRID_BUDGET
+    digest = hashlib.sha256(E.report_json(rep, include_timings=False).encode()).hexdigest()
+    assert digest == CAT_REPORT_SHA256

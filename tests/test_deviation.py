@@ -141,6 +141,11 @@ def test_dead_thresholds_check_their_horizons():
     assert [e.measure for e in lads[3.0].entries] == [0.0, 0.0]
     with pytest.raises(ValueError, match="horizons must be >= 1"):
         E.build_deviation_ladders(sysd, cos1, 0.0, [3.0, 0.0], [0, 3, 5], 1000, 1)
+    with pytest.raises(ValueError, match="n_values"):
+        E.build_deviation_ladders(sysd, cos1, 0.0, [3.0, 0.0], [3, 5.5], 1000, 1)
+    # numpy integers are integers
+    lads = E.build_deviation_ladders(sysd, cos1, 0.0, [3.0], np.array([3, 5]), 1000, 1)
+    assert [e.n for e in lads[3.0].entries] == [3, 5]
     with pytest.raises(ValueError, match="strictly increasing"):
         E.build_deviation_ladders(sysd, cos1, 0.0, [3.0, 0.0], [5, 3], 1000, 1)
     with pytest.raises(ValueError, match="strictly increasing"):

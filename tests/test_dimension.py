@@ -45,15 +45,40 @@ from ergolab.errors import GridBudgetError, RateNotEstablishedError
         E.CoverLadder("doubling", "cos1", 0.0, 0.5, 0.1, 2.0, (),
                       (E.CoverEntry(1, 0.25, 2, ()), E.CoverEntry(2, 0.0625, 4, ())), 0),
         math.nan)),
+    ("n", ValueError, lambda s, o: E.time_average(s, o, 0.1, 2.5)),
+    ("n_values", ValueError,
+     lambda s, o: E.build_deviation_ladders(s, o, 0.0, [0.3], [5.5, 8], 1000, 1)),
+    ("n", ValueError, lambda s, o: E.verify_ball_lemma(s, o, 0.0, 0.3, 0.01, 5.5, 10, 1)),
+    ("delta", ValueError, lambda s, o: E.build_cover_ladder(s, o, 0.0, -0.1, -0.1, 1, 3)),
+    ("delta", ValueError, lambda s, o: E.build_cover_ladder(s, o, 0.0, 0.0, 0.0, 1, 3)),
+    ("delta", ValueError, lambda s, o: E.build_cover_ladder(s, o, 0.0, 0.0, math.nan, 1, 3)),
+    ("delta", ValueError, lambda s, o: E.build_cover_ladder(
+        E.get_system("cat"), o, 0.0, 0.0, -0.3, 1, 2)),
+    ("delta", ValueError, lambda s, o: E.build_cover_ladder(s, o, 0.0, 0.0, math.inf, 1, 3)),
+    ("delta", ValueError, lambda s, o: E.verify_ball_lemma(s, o, 0.0, 0.3, math.inf, 4, 10, 1)),
+    ("orbit_length", ValueError, lambda s, o: E.srb_space_average(
+        E.get_system("logistic", c=-1.7), o, 1, samples=0, orbit_length=1000.5)),
+    ("counts", ValueError,
+     lambda s, o: E.box_counting_dimension([1.0, 0.1, 0.01, 0.001], [1, 2, math.inf, 8])),
+    ("scales", ValueError,
+     lambda s, o: E.box_counting_dimension([math.inf, 0.1, 0.01, 0.001], [1, 2, 4, 8])),
 ], ids=["ladders-phibar", "ladders-alphas", "cover-alpha", "cover-phibar", "lemma-delta",
         "lemma-alpha", "lemma-phibar", "cover-dprimes", "digit-alpha", "digit-ladder-alpha",
         "bound-h", "bound-L", "modulus-alpha", "box-counts", "bernoulli-alpha",
-        "volume-dprime"])
+        "volume-dprime", "time-average-n", "ladders-n_values", "lemma-n",
+        "cover-delta-negative", "cover-delta-zero", "cover-delta-nan", "cover-delta-cat",
+        "cover-delta-inf", "lemma-delta-inf", "space-average-orbit_length", "box-counts-inf",
+        "box-scales-inf"])
 def test_nan_inputs_are_refused_by_name(arg, error, call):
     # each of these read a NaN as a number: measures and cards of 0, a lemma
     # with no violation or with no candidate accepted, NaN cover volumes, a
     # NaN bound, rate, volume series or dimension, or an error from Fraction
-    # that names nothing
+    # that names nothing.  So did a horizon that is no integer (an average
+    # over 3 steps divided by 2.5, a rung n=5.5 walked 6 steps, an orbit
+    # length misnamed as the horizon n of its orbits' steps), a delta <= 0
+    # on the alpha <= 0 path (negative cards and radii), an infinite delta
+    # (empty covers at alpha 0, a lemma with no violation and a NaN margin),
+    # and an infinite count or scale (a NaN dimension, or an error from LAPACK)
     sysd = E.get_system("doubling")
     with pytest.raises(error, match=rf"\b{arg}\b"):
         call(sysd, E.get_observable("cos1", sysd))

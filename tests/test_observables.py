@@ -86,6 +86,10 @@ def test_time_average_worked_values():
     for n in (0, -1):
         with pytest.raises(ValueError, match="n >= 1"):
             E.time_average(sysd, obs_x, 0.3, n)
+    # a horizon is a step count: 2.5 is refused, a numpy integer taken
+    with pytest.raises(ValueError, match="n must be an integer"):
+        E.time_average(sysd, obs_x, 0.3, 2.5)
+    assert E.time_average(sysd, obs_x, 0.3, np.int64(3)) == E.time_average(sysd, obs_x, 0.3, 3)
 
 
 def test_time_average_stays_in_observable_range():

@@ -10,8 +10,9 @@ from scipy import special, stats
 import ergolab as E
 from ergolab.errors import DomainError
 from ergolab.observables import float32_band, terms
-from ergolab.rng import STREAM_ORBITS, raw_blocks
-from ergolab.systems import SYSTEMS, _FloatOrbits, birkhoff_sums, into_domain, sample_points
+from ergolab.rng import STREAM_ORBIT_SEED, STREAM_ORBITS, raw_blocks
+from ergolab.systems import (SYSTEMS, _FloatOrbits, birkhoff_sums, domain_points, into_domain,
+                             sample_points, wrap_unit)
 
 
 def test_doubling_iterate_worked_values():
@@ -613,6 +614,45 @@ def test_space_average_logistic_orbit_vs_bessel():
                              orbit_length=10**6, transient=10**4)
     gap = abs(sa.value - sb.value)
     assert gap <= 5.0 * math.hypot(sa.std_error, sb.std_error)
+
+
+def test_space_average_orbits_start_at_the_orbit_seed_blocks():
+    # orbit 0 starts from block 0 of the orbit-seed stream, the one
+    # recorded as seed_point
+    sysl = E.get_system("logistic", c=-1.7)
+    sa = E.srb_space_average(sysl, E.get_observable("cos1", sysl), seed=42, samples=0,
+                             orbit_length=1000, transient=10)
+    block0 = domain_points(sysl, raw_blocks(42, STREAM_ORBIT_SEED, 0, 1))
+    assert sa.seed_point == float(block0[0, 0])
+    assert (sa.sample_count, sa.orbit_length, sa.transient) == (1000, 1000, 10)
+
+
+def test_space_average_logistic_superattracting_two_cycle():
+    # at c = -1 almost every orbit falls onto the 2-cycle {0, -1} and, being
+    # superattracting, reaches it exactly in float64: every orbit averages
+    # cos1 to 1 and, over an even number of steps, x to -1/2
+    sysl = E.get_system("logistic", c=-1.0)
+    for oid, want in (("cos1", 1.0), ("coord", -0.5)):
+        sa = E.srb_space_average(sysl, E.get_observable(oid, sysl), seed=42, samples=0,
+                                 orbit_length=10**4, transient=10**4)
+        assert (sa.value, sa.std_error) == (want, 0.0), oid
+
+
+def test_space_average_of_a_2d_empirical_orbit_system():
+    # an irrational rotation of the 2-torus, uniquely ergodic with Lebesgue
+    # measure, declared empirical-orbit: its orbits are 2-d points
+    shift = np.array([(math.sqrt(5.0) - 1.0) / 2.0, math.sqrt(3.0) - 1.0])
+    rot = E.System("rotation", 2, "torus", 0.0, 1.0, 1.0, "empirical-orbit",
+                   _step=lambda p: wrap_unit(p + shift))
+    sa = E.srb_space_average(rot, E.get_observable("cos1", rot), seed=3, samples=0,
+                             orbit_length=10**5, transient=100)
+    assert sa.method == "empirical-orbit"
+    assert abs(sa.value) < 1e-4
+    sb = E.srb_space_average(rot, E.get_observable("coord", rot), seed=3, samples=0,
+                             orbit_length=10**5, transient=100)
+    assert abs(sb.value - 0.25) < 1e-4
+    block0 = domain_points(rot, raw_blocks(3, STREAM_ORBIT_SEED, 0, 1))
+    assert sa.seed_point == tuple(block0[0])
 
 
 def test_space_average_is_seed_deterministic():
