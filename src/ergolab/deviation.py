@@ -11,10 +11,11 @@ a binomial tail).  An exponential-decay fit  measure ~ C * exp(-n h)
 extracts the empirical rate h, to be compared against the closed-form
 Bernoulli rate.
 
-Thresholds are closed (>=).  The exact oracle compares |k/n - 1/2| against
-Fraction(alpha) — the exact binary value of the float argument — which is
-the same test the float estimator applies to exact dyadic frequencies, so
-the two routes agree even when k/n lands exactly on the threshold.
+Thresholds are closed (>=).  The exact oracle compares |k/n - 1/2| with
+alpha = p/q, the integer ratio of the float argument (its exact binary
+value), in integers: |2k - n| q >= 2n p.  That is the same test the float
+estimator applies to exact dyadic frequencies, so the two routes agree even
+when k/n lands exactly on the threshold.
 
 Monte Carlo counts are exact float64 counts, found cheaply, by the screen
 rule of observables (`screen`, `deviations`, `undecided`).  For cos1 each
@@ -24,31 +25,29 @@ write float32 phases straight from the top 32 bits of their state, read
 as a signed word, into a kept array, the cosine is taken there in place
 (numpy's float32 cos is vectorised, its float64 cos is not), and the
 terms are added into a float32 sum.  At every horizon the deviations are
-computed in place in float32, and all thresholds, as float32, are counted
-from one broadcast comparison.  A screened deviation at horizon n, with
+computed in place in float32.  A screened deviation at horizon n, with
 the float32 rounding of the thresholds it is compared with, is within
 band = observables.float32_band(sys, obs, n) of the float64 one.  A
 sample whose filter deviation is at least alpha + band therefore has
-deviation >= alpha, one below alpha - band has not; only the few samples
-between, from every chunk, are redrawn from their own counter blocks in
-one draw after the last chunk and recounted on one float64 walk (obs.fn
-on float64 points) with the closed threshold.  The counts, and so every
-report byte, are those of the float64 walk alone.  The others (coord,
-bump, and the digit, which has no band at all) are walked in float64 with
-band 0, which leaves no sample to recount.
+deviation >= alpha, one below alpha - band has not: each threshold counts
+the samples at or above alpha + band, and only the few samples between,
+from every chunk, are redrawn from their own counter blocks in one draw
+after the last chunk and recounted on one float64 walk (obs.fn on float64
+points) with the closed threshold.  The counts, and so every report
+byte, are those of the float64 walk alone.  The others (coord, bump, and
+the digit, which has no band at all) are walked in float64 with band 0,
+which leaves no sample to recount.
 """
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from .observables import (DIGIT, DIGIT_MEAN, DIGIT_SYSTEM, DeviationParams, Observable,
-                          deviations, screen, undecided)
+                          deviations, screen)
 from .systems import (_POINT_CHUNK, System, check_ensemble_horizon, check_integer,
                       sample_orbit_ensemble)
 
@@ -60,8 +59,7 @@ METHOD_BINOMIAL = "exact-binomial"
 _MIN_SAMPLES = 1_000
 
 
-@dataclass(frozen=True)
-class LadderEntry:
+class LadderEntry(NamedTuple):
     n: int
     measure: float
     std_error: float
@@ -69,8 +67,7 @@ class LadderEntry:
     method: str
 
 
-@dataclass(frozen=True)
-class DeviationLadder:
+class DeviationLadder(NamedTuple):
     system_id: str
     observable_id: str
     phibar: float
@@ -95,49 +92,48 @@ def _hit_grid(sys, obs, phibar, alphas, n_values, sample_count, seed):
     and the counts are integer sums, so the chunk size changes no count.
 
     Each chunk is walked with the screen of observables.screen, whose
-    deviations, compared with the alphas in their own dtype, decide every
-    sample outside the band of every alpha at that horizon; the samples
-    observables.undecided marks at some horizon have their screened counts
-    taken back there.  After the last chunk those samples, from every
-    chunk, are redrawn from their own counter blocks in one draw and walked
-    once in float64, down to the deepest horizon any of them is undecided
-    at, and each is counted from that walk at the horizons it was undecided
-    at.  A sample's orbit is a pure function of its block, so the counts
-    are those of the float64 walk alone.
+    deviation dev, at a horizon with band b, decides every sample outside
+    [t - b, t + b) for a threshold t (the rule of observables.undecided):
+    the cell (t, n) counts the samples with dev >= t + b, and only where
+    fewer have dev >= t - b does it mark the band's samples.  After the
+    last chunk the marked samples, from every chunk, are redrawn from their
+    own counter blocks in one draw and walked once in float64, down to the
+    deepest horizon any of them is marked at, and each cell counts its
+    marked samples on that walk.  A sample's orbit is a pure function of
+    its block, so the counts are those of the float64 walk alone.  Band 0
+    (the float64 walk) marks nothing.
     """
     n_values = list(n_values)
     alphas = [float(a) for a in alphas]
     dtype, bands = screen(sys, obs, phibar, n_values)
-
-    def counts(dev):
-        # a count per row of one broadcast comparison with the alphas in
-        # dev's dtype, so a float32 deviation compares in float32 (as
-        # float32_band's proof takes it) with no upcast of its array;
-        # count_nonzero(axis=1) sums the mask as integers and is slower
-        column = np.array(alphas, dev.dtype)[:, None]
-        return np.array([np.count_nonzero(hit) for hit in dev >= column])
-
     hits = np.zeros((len(alphas), len(n_values)), dtype=np.int64)
-    near = [[] for _ in n_values]   # j -> indices of the samples undecided at n_j, an array a chunk
-    drawn = []                      # each chunk's samples undecided at some horizon, sorted
+    near = {}    # (i, j) -> indices of the samples in alpha_i's band at n_j, an array a chunk
+    drawn = []   # each chunk's samples in some band, sorted
 
     def screened_chunk(start, stop):
         # the chunk's ensemble and deviations die on return, before the
-        # next chunk's draw
-        undecided_rows = []
+        # next chunk's draw; t and t +- band (Python floats) compare in
+        # dev's dtype (NEP 50), as float32_band's proof takes them
+        flag = None
         ens = sample_orbit_ensemble(sys, seed, start, stop - start)
         for j, dev in enumerate(deviations(ens, obs, phibar, dtype, n_values)):
-            hits[:, j] += counts(dev)
-            rows = np.flatnonzero(undecided(dev, bands[j], alphas))
-            if rows.size:
-                hits[:, j] -= counts(dev[rows])
-                near[j].append(start + rows)
-                undecided_rows.append(rows)
-        if undecided_rows:
-            # the union is a mask, not np.unique, which imports numpy.ma on first use
-            flag = np.zeros(stop - start, dtype=bool)
-            for rows in undecided_rows:
+            band = bands[j]
+            for i, t in enumerate(alphas):
+                above = np.count_nonzero(dev >= t + band)
+                hits[i, j] += above
+                if not band:
+                    continue
+                within = dev >= t - band
+                if np.count_nonzero(within) == above:
+                    continue
+                within &= dev < t + band
+                rows = np.flatnonzero(within)
+                near.setdefault((i, j), []).append(start + rows)
+                if flag is None:
+                    # the union is a mask, not np.unique, which imports numpy.ma on first use
+                    flag = np.zeros(stop - start, dtype=bool)
                 flag[rows] = True
+        if flag is not None:
             drawn.append(start + np.flatnonzero(flag))
 
     for start in range(0, sample_count, _POINT_CHUNK):
@@ -145,11 +141,13 @@ def _hit_grid(sys, obs, phibar, alphas, n_values, sample_count, seed):
     if drawn:
         # chunks are disjoint and in order, so the concatenation is sorted
         idx = np.concatenate(drawn)
-        deepest = max(j for j, cell in enumerate(near) if cell)
+        deepest = max(j for _, j in near)
         ens = sample_orbit_ensemble(sys, seed, idx, idx.size)
         for j, dev in enumerate(deviations(ens, obs, phibar, np.float64, n_values[:deepest + 1])):
-            if near[j]:
-                hits[:, j] += counts(dev[np.searchsorted(idx, np.concatenate(near[j]))])
+            for i, t in enumerate(alphas):
+                if (i, j) in near:
+                    rows = np.searchsorted(idx, np.concatenate(near[i, j]))
+                    hits[i, j] += np.count_nonzero(dev[rows] >= t)
     return hits
 
 
@@ -188,6 +186,7 @@ def build_deviation_ladders(sys: System, obs: Observable, phibar: float,
     the 128-bit dyadic doubling and tent ensembles, 54 for cat) raises
     ValueError rather than returning a wrong measure.
     """
+    check_integer("sample_count", sample_count)
     if sample_count < _MIN_SAMPLES:
         raise ValueError(f"sample_count must be >= {_MIN_SAMPLES}")
     alphas = [float(a) for a in alphas]
@@ -230,28 +229,29 @@ def exact_deviation_measure_digit(alpha: float, n: int) -> float:
     """Exact measure of {|digit frequency - 1/2| >= alpha} at horizon n.
 
     Digit frequencies of the doubling map are Bernoulli(1/2), so the
-    measure is an integer binomial sum over the admissible counts k.  The
-    threshold uses Fraction(alpha) — the exact value of the float — so a
-    class with k/n exactly on the boundary is classified the same way the
-    float comparison classifies it.
+    measure is digit_deviation_count(alpha, n) / 2^n, an integer quotient
+    that Python rounds correctly.  The count compares in integers with the
+    exact value of the float alpha, so a class with k/n exactly on the
+    boundary is classified the same way the float comparison classifies it.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    return float(Fraction(digit_deviation_count(alpha, n), 2**n))
+    return digit_deviation_count(alpha, n) / 2**n
 
 
 def digit_deviation_count(alpha: float, n: int) -> int:
     """Number of length-n binary words whose digit frequency k/n has |k/n - 1/2| >= alpha.
 
-    The sum of C(n, k) over the admissible k, compared against
-    Fraction(alpha), the exact value of the float.  A NaN alpha raises
-    ValueError.
+    The sum of C(n, k) over the admissible k.  alpha is the exact binary
+    value p/q of the float, p and q = 2^e > 0 its integer ratio, and
+    |k/n - 1/2| >= p/q is |2k - n| q >= 2n p after multiplying by 2nq > 0,
+    a test in integers.  A NaN alpha raises ValueError, an infinite one
+    OverflowError (it has no integer ratio).
     """
     if math.isnan(alpha):
         raise ValueError("alpha must be a number, got nan")
-    a = Fraction(float(alpha))
-    half = Fraction(1, 2)
-    return sum(math.comb(n, k) for k in range(n + 1) if abs(Fraction(k, n) - half) >= a)
+    p, q = float(alpha).as_integer_ratio()
+    return sum(math.comb(n, k) for k in range(n + 1) if abs(2 * k - n) * q >= 2 * n * p)
 
 
 def exact_digit_ladder(alpha: float, n_values) -> DeviationLadder:
@@ -284,8 +284,7 @@ def cramer_bernoulli(alpha: float) -> float:
 # ---------------------------------------------------------------------------
 # exponential-decay fits
 
-@dataclass(frozen=True)
-class RateFunctionFit:
+class RateFunctionFit(NamedTuple):
     C: float
     h: float
     fit_window: tuple
@@ -361,6 +360,7 @@ LADDER_CSV_COLUMNS = ("n", "measure", "std_error", "samples", "method")
 
 def write_csv(path, columns, rows):
     """Write a header and the rows of one table; floats are written by repr."""
+    import csv  # here: only --format csv writes a table
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(columns)

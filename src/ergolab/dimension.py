@@ -53,7 +53,7 @@ float64 only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,8 +85,7 @@ def dimension_upper_bound(d: int, L: float, h: float) -> float:
 # ---------------------------------------------------------------------------
 # ball lemma
 
-@dataclass(frozen=True)
-class BallLemmaReport:
+class BallLemmaReport(NamedTuple):
     alpha: float
     n: int
     delta: float
@@ -158,6 +157,8 @@ def verify_ball_lemma(sys: System, obs: Observable, phibar: float, alpha: float,
     raises ValueError: past it, doubling orbits have collapsed onto 0.
     """
     check_integer("n", n)
+    check_integer("pair_count", pair_count)
+    check_integer("candidate_factor", candidate_factor)
     if n < 1:
         raise ValueError("need horizon n >= 1")
     if pair_count < 1:
@@ -211,16 +212,14 @@ def verify_ball_lemma(sys: System, obs: Observable, phibar: float, alpha: float,
 # ---------------------------------------------------------------------------
 # cover ladders
 
-@dataclass(frozen=True)
-class CoverEntry:
+class CoverEntry(NamedTuple):
     n: int
     r_n: float
     card: int
     volumes: tuple  # ((dprime, card * r_n**dprime), ...)
 
 
-@dataclass(frozen=True)
-class CoverLadder:
+class CoverLadder(NamedTuple):
     system_id: str
     observable_id: str
     phibar: float
@@ -643,6 +642,8 @@ def build_cover_ladder(sys: System, obs: Observable, phibar: float, alpha: float
     budget.  alpha > 2 sup|phi| likewise yields empty levels for free.
     Either way delta must be finite and > 0.
     """
+    check_integer("n_lo", n_lo)
+    check_integer("n_hi", n_hi)
     if n_hi < n_lo:
         raise ValueError("need n_hi >= n_lo")
     if math.isnan(alpha):
@@ -736,8 +737,7 @@ def cover_to_csv(ladder: CoverLadder, path):
 # ---------------------------------------------------------------------------
 # d'-volume series and box dimension
 
-@dataclass(frozen=True)
-class VolumeSeries:
+class VolumeSeries(NamedTuple):
     dprime: float
     partial_sum: float
     converges: bool
@@ -769,8 +769,7 @@ def dprime_volume_series(ladder: CoverLadder, dprime: float) -> VolumeSeries:
     return VolumeSeries(dprime, total, all(r <= 0.95 for r in tail))
 
 
-@dataclass(frozen=True)
-class BoxDimension:
+class BoxDimension(NamedTuple):
     value: float
     lower: float
     upper: float
@@ -823,8 +822,7 @@ def try_box_dimension(ladder: CoverLadder) -> BoxDimension | None:
 # ---------------------------------------------------------------------------
 # exact benchmark: digit-frequency deviation sets
 
-@dataclass(frozen=True)
-class BeDimension:
+class BeDimension(NamedTuple):
     alpha: float
     value: float
     cylinder_estimates: tuple  # ((depth, estimate), ...)

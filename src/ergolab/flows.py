@@ -29,8 +29,7 @@ the one-state results bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -43,8 +42,7 @@ from .systems import (_POINT_CHUNK, System, _as_batch, _check_domain, distance, 
 _OFFSET_SCALE = 1e-6              # largest base offset of a Lipschitz pair
 
 
-@dataclass(frozen=True)
-class Roof:
+class Roof(NamedTuple):
     kind: str
     fn: Callable                  # (N, d) -> (N,) positive
     rho_min: float
@@ -71,14 +69,12 @@ def cosine_roof(a: float) -> Roof:
 ROOFS = {"constant": constant_roof, "cosine": cosine_roof}
 
 
-@dataclass(frozen=True)
-class SuspensionFlow:
+class SuspensionFlow(NamedTuple):
     base: System
     roof: Roof
 
 
-@dataclass(frozen=True)
-class FlowState:
+class FlowState(NamedTuple):
     """A point of the suspension space: base point x, fiber height s.
 
     A batch of N states holds x as an (N, d) array and s as an (N,) array.
@@ -88,8 +84,7 @@ class FlowState:
     s: float | np.ndarray
 
 
-@dataclass(frozen=True)
-class FlowObservable:
+class FlowObservable(NamedTuple):
     oid: str
     fn: Callable                  # (x: (N,d), s: (N,)) -> (N,)
     sup_abs: float
@@ -298,8 +293,7 @@ def _check_result(cls, state: FlowState, **fields):
 # ---------------------------------------------------------------------------
 # bridge checks
 
-@dataclass(frozen=True)
-class IntegerPartCheck:
+class IntegerPartCheck(NamedTuple):
     T: float | np.ndarray
     lhs: float | np.ndarray
     bound: float | np.ndarray
@@ -337,8 +331,7 @@ def integer_part_reduction_check(flow: SuspensionFlow, fobs: FlowObservable,
                          headline_ok=lhs <= headline + 1e-12)
 
 
-@dataclass(frozen=True)
-class InclusionCheck:
+class InclusionCheck(NamedTuple):
     T: float | np.ndarray
     alpha: float
     dev_flow: float | np.ndarray

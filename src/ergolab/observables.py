@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -94,8 +94,7 @@ def _bump(oid, sys, a, w):
     return Observable(oid, fn, lip=1.0 / a, sup_abs=1.0, params=(("a", a), ("w", w)))
 
 
-@dataclass(frozen=True)
-class ObservableEntry:
+class ObservableEntry(NamedTuple):
     """A catalog observable: `build(oid, sys, **params)` constructs it for a
     system's domain, and `params` are its parameter rules."""
 
@@ -276,7 +275,7 @@ def undecided(dev, band: float, thresholds):
     later one is or-ed into it.  One broadcast comparison of every
     threshold at once measured slower on the closed-form covers: about 2%
     on doubling levels 10..17 (alpha and tau_n) and 7% on cat levels 1..3
-    (alpha alone), and no faster on three-threshold ladders.
+    (alpha alone).
     """
     mask = None
     if band != 0.0:
@@ -330,8 +329,7 @@ def deviation(sys: System, obs: Observable, phibar: float, x, n: int):
     return abs(avg - phibar) if np.isscalar(avg) else np.abs(avg - phibar)
 
 
-@dataclass(frozen=True)
-class DeviationParams:
+class DeviationParams(NamedTuple):
     """The (observable, phibar, alpha) triple defining a deviation set."""
 
     observable: Observable
@@ -359,8 +357,7 @@ def modulus_delta_for(sys: System, obs: Observable, alpha: float) -> float:
     return modulus_delta(obs, alpha, domain_diameter(sys))
 
 
-@dataclass(frozen=True)
-class SpaceAverage:
+class SpaceAverage(NamedTuple):
     """A space average of an observable with its sampling metadata."""
 
     value: float

@@ -359,7 +359,7 @@ def run_pipeline(cfg: ExperimentConfig, threads: int = 1, stages=None) -> Report
         for a, lad in ctx["ladders"].items():
             try:
                 fits[a] = fit_rate_function(lad)
-                report.data["ladders"][repr(a)]["fit"] = asdict(fits[a])
+                report.data["ladders"][repr(a)]["fit"] = fits[a]._asdict()
             except ValueError as e:
                 fits[a] = None
                 report.data["ladders"][repr(a)]["fit"] = {"error": str(e)}
@@ -439,7 +439,7 @@ def run_pipeline(cfg: ExperimentConfig, threads: int = 1, stages=None) -> Report
             return
         rep = verify_ball_lemma(sys, obs, ctx["phibar"], alpha, ctx["delta"],
                                 cfg.lemma_n, cfg.lemma_pairs, cfg.seed)
-        report.data["lemma"] = asdict(rep)
+        report.data["lemma"] = rep._asdict()
         if not math.isfinite(rep.worst_margin):
             report.data["lemma"]["worst_margin"] = None
 

@@ -49,7 +49,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -321,10 +321,11 @@ def _fixed_point_horizon(matrix) -> int:
     Doubling (A = 2) gives 76; cat ((2, 1), (1, 1)), whose row sums of A^53
     and A^54 are 1.66e22 and 4.36e22 against 2^75 = 3.78e22, gives 54.
     """
-    a = np.array(matrix, dtype=object)          # Python ints: no overflow
-    power, n = np.identity(len(matrix), dtype=object), 0
-    while np.abs(power).sum(axis=1).max() <= 2 ** (128 - 53):
-        power, n = power.dot(a), n + 1
+    cols = list(zip(*matrix))                   # Python ints: no overflow
+    power, n = [[int(i == j) for j in range(len(cols))] for i in range(len(cols))], 0
+    while max(sum(map(abs, row)) for row in power) <= 2 ** (128 - 53):
+        power = [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in power]
+        n += 1
     return n
 
 
@@ -559,8 +560,7 @@ class _DyadicCat(_FixedPointOrbits):
 # ---------------------------------------------------------------------------
 # the catalog
 
-@dataclass(frozen=True)
-class Param:
+class Param(NamedTuple):
     """A required real parameter of a catalog entry and its interval rule.
 
     `ends` gives the interval's brackets: "[" or "(" for lo, "]" or ")" for
@@ -585,8 +585,7 @@ class Param:
         return v
 
 
-@dataclass(frozen=True)
-class SystemEntry:
+class SystemEntry(NamedTuple):
     """A catalog system: `build(sid, **params)` constructs it, `params` are
     its parameter rules, and `ensemble(sys, blocks)` is the orbit
     representation of its sampled ensembles, whose `horizon` is the deepest

@@ -422,7 +422,7 @@ def test_fit_window_floors_and_runs():
     tiny = tuple(E.LadderEntry(n, 1e-16 * 10.0 ** -n, 0.0, 0, METHOD_BINOMIAL)
                  for n in range(1, 5))
     assert default_fit_window(E.DeviationLadder("doubling", "digit", 0.5, 0.4, tiny)) == (1, 4)
-    mc_tiny = tuple(dataclasses.replace(e, method=METHOD_MC) for e in tiny)
+    mc_tiny = tuple(e._replace(method=METHOD_MC) for e in tiny)
     with pytest.raises(ValueError):
         default_fit_window(E.DeviationLadder("doubling", "cos1", 0.0, 0.4, mc_tiny))
     dead = tuple(E.LadderEntry(n, 0.0, 0.0, 0, METHOD_BINOMIAL) for n in (1, 2, 3, 4))

@@ -62,23 +62,33 @@ from ergolab.errors import GridBudgetError, RateNotEstablishedError
      lambda s, o: E.box_counting_dimension([1.0, 0.1, 0.01, 0.001], [1, 2, math.inf, 8])),
     ("scales", ValueError,
      lambda s, o: E.box_counting_dimension([math.inf, 0.1, 0.01, 0.001], [1, 2, 4, 8])),
+    ("n_lo", ValueError, lambda s, o: E.build_cover_ladder(s, o, 0.0, 0.3, 0.01, 2.5, 4)),
+    ("n_hi", ValueError, lambda s, o: E.build_cover_ladder(s, o, 0.0, 0.3, 0.01, 2, 4.0)),
+    ("sample_count", ValueError,
+     lambda s, o: E.build_deviation_ladders(s, o, 0.0, [0.3], [4, 8], 1000.5, 1)),
+    ("pair_count", ValueError, lambda s, o: E.verify_ball_lemma(s, o, 0.0, 0.3, 0.01, 4, 10.5, 1)),
+    ("candidate_factor", ValueError, lambda s, o: E.verify_ball_lemma(
+        s, o, 0.0, 0.3, 0.01, 4, 10, 1, candidate_factor=2.5)),
 ], ids=["ladders-phibar", "ladders-alphas", "cover-alpha", "cover-phibar", "lemma-delta",
         "lemma-alpha", "lemma-phibar", "cover-dprimes", "digit-alpha", "digit-ladder-alpha",
         "bound-h", "bound-L", "modulus-alpha", "box-counts", "bernoulli-alpha",
         "volume-dprime", "time-average-n", "ladders-n_values", "lemma-n",
         "cover-delta-negative", "cover-delta-zero", "cover-delta-nan", "cover-delta-cat",
         "cover-delta-inf", "lemma-delta-inf", "space-average-orbit_length", "box-counts-inf",
-        "box-scales-inf"])
+        "box-scales-inf", "cover-n_lo", "cover-n_hi", "ladders-sample_count",
+        "lemma-pair_count", "lemma-candidate_factor"])
 def test_nan_inputs_are_refused_by_name(arg, error, call):
     # each of these read a NaN as a number: measures and cards of 0, a lemma
     # with no violation or with no candidate accepted, NaN cover volumes, a
-    # NaN bound, rate, volume series or dimension, or an error from Fraction
-    # that names nothing.  So did a horizon that is no integer (an average
-    # over 3 steps divided by 2.5, a rung n=5.5 walked 6 steps, an orbit
-    # length misnamed as the horizon n of its orbits' steps), a delta <= 0
-    # on the alpha <= 0 path (negative cards and radii), an infinite delta
-    # (empty covers at alpha 0, a lemma with no violation and a NaN margin),
-    # and an infinite count or scale (a NaN dimension, or an error from LAPACK)
+    # NaN bound, rate, volume series or dimension, or an error that names
+    # nothing.  So did a horizon that is no integer (an average over 3 steps
+    # divided by 2.5, a rung n=5.5 walked 6 steps, an orbit length misnamed
+    # as the horizon n of its orbits' steps), a level, sample, pair or
+    # candidate count that is no integer (a TypeError from range or numpy
+    # that names nothing), a delta <= 0 on the alpha <= 0 path (negative
+    # cards and radii), an infinite delta (empty covers at alpha 0, a lemma
+    # with no violation and a NaN margin), and an infinite count or scale (a
+    # NaN dimension, or an error from LAPACK)
     sysd = E.get_system("doubling")
     with pytest.raises(error, match=rf"\b{arg}\b"):
         call(sysd, E.get_observable("cos1", sysd))
@@ -584,7 +594,7 @@ def test_ball_lemma_reports_are_pinned(case, want):
     obs = E.get_observable(oid, sysm)
     delta = factor * E.modulus_delta_for(sysm, obs, alpha)
     rep = E.verify_ball_lemma(sysm, obs, phibar, alpha, delta, n, pairs, seed)
-    assert dataclasses.astuple(rep) == want
+    assert tuple(rep) == want
 
 
 @pytest.mark.parametrize("sid", ["doubling", "cat"])

@@ -1,5 +1,6 @@
 """The README's code runs against the current API, and its install line holds."""
 
+import ast
 import os
 import re
 import subprocess
@@ -35,15 +36,24 @@ def test_import_needs_no_scipy():
 def test_set_up_loads_no_thread_pool():
     # import and config validation, the set-up every run pays, leave out
     # concurrent.futures and the logging it loads: only a threaded cover
-    # walk imports them
+    # walk imports them; and csv, which only --format csv writes with, and
+    # fractions and decimal, which no part of ergolab needs
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                       env.get("PYTHONPATH")]))
     code = ("import sys, ergolab\n"
             f"ergolab.load_config({str(ROOT / 'configs' / 'cat.ini')!r})\n"
             "print(sorted(m for m in sys.modules\n"
-            "             if m.split('.')[0] in ('concurrent', 'logging')))")
+            "             if m.split('.')[0] in ('concurrent', 'logging', 'csv', 'fractions',\n"
+            "                                    'decimal')))")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_sources_parse_as_the_python_floor():
+    # pyproject.toml declares requires-python >= 3.10: no source may use
+    # syntax a 3.10 interpreter cannot parse
+    for path in sorted((ROOT / "src" / "ergolab").glob("*.py")):
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
