@@ -47,7 +47,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .observables import (DIGIT, DIGIT_MEAN, DIGIT_SYSTEM, DeviationParams, Observable,
-                          deviations, screen)
+                          deviations, screen, undecided)
 from .systems import (_POINT_CHUNK, System, check_ensemble_horizon, check_integer,
                       sample_orbit_ensemble)
 
@@ -93,15 +93,14 @@ def _hit_grid(sys, obs, phibar, alphas, n_values, sample_count, seed):
 
     Each chunk is walked with the screen of observables.screen, whose
     deviation dev, at a horizon with band b, decides every sample outside
-    [t - b, t + b) for a threshold t (the rule of observables.undecided):
-    the cell (t, n) counts the samples with dev >= t + b, and only where
-    fewer have dev >= t - b does it mark the band's samples.  After the
-    last chunk the marked samples, from every chunk, are redrawn from their
-    own counter blocks in one draw and walked once in float64, down to the
-    deepest horizon any of them is marked at, and each cell counts its
-    marked samples on that walk.  A sample's orbit is a pure function of
-    its block, so the counts are those of the float64 walk alone.  Band 0
-    (the float64 walk) marks nothing.
+    [t - b, t + b) for a threshold t: the cell (t, n) counts the samples
+    with dev >= t + b and marks the band's samples (observables.undecided).
+    After the last chunk the marked samples, from every chunk, are redrawn
+    from their own counter blocks in one draw and walked once in float64,
+    down to the deepest horizon any of them is marked at, and each cell
+    counts its marked samples on that walk.  A sample's orbit is a pure
+    function of its block, so the counts are those of the float64 walk
+    alone.  Band 0 (the float64 walk) marks nothing.
     """
     n_values = list(n_values)
     alphas = [float(a) for a in alphas]
@@ -112,22 +111,15 @@ def _hit_grid(sys, obs, phibar, alphas, n_values, sample_count, seed):
 
     def screened_chunk(start, stop):
         # the chunk's ensemble and deviations die on return, before the
-        # next chunk's draw; t and t +- band (Python floats) compare in
-        # dev's dtype (NEP 50), as float32_band's proof takes them
+        # next chunk's draw
         flag = None
         ens = sample_orbit_ensemble(sys, seed, start, stop - start)
         for j, dev in enumerate(deviations(ens, obs, phibar, dtype, n_values)):
-            band = bands[j]
             for i, t in enumerate(alphas):
-                above = np.count_nonzero(dev >= t + band)
+                above, rows = undecided(dev, bands[j], t)
                 hits[i, j] += above
-                if not band:
+                if not rows.size:
                     continue
-                within = dev >= t - band
-                if np.count_nonzero(within) == above:
-                    continue
-                within &= dev < t + band
-                rows = np.flatnonzero(within)
                 near.setdefault((i, j), []).append(start + rows)
                 if flag is None:
                     # the union is a mask, not np.unique, which imports numpy.ma on first use

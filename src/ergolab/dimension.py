@@ -32,8 +32,8 @@ deviation with a threshold (alpha and tau_n in 1-d, alpha in 2-d and in
 the ball lemma's candidate screen), and cellmax >= t holds iff some
 stencil point reaches t.  So a cheaper deviation within a proven band of
 the float64 walk's decides every point outside [t - band, t + band) for
-every threshold t, and only the points observables.undecided marks are
-walked in float64:
+every threshold t, and only the points in some band
+(observables.undecided) are walked in float64:
 
 * covers of a linear torus map with a character observable, in 1-d and
   2-d (cos1 on doubling and on the cat map): the Birkhoff sums of a band
@@ -59,7 +59,7 @@ import numpy as np
 
 from .deviation import LN2, digit_deviation_count, write_csv
 from .errors import GridBudgetError, RateNotEstablishedError
-from .observables import _TWO_PI, Observable, deviations, screen, undecided
+from .observables import _NO_ROWS, _TWO_PI, Observable, deviations, screen, undecided
 from .rng import STREAM_LEMMA_BALLS, STREAM_LEMMA_POINTS, raw_blocks, uniform01
 from .systems import (_POINT_CHUNK, System, _FloatOrbits, check_float64_horizon,
                       check_integer, domain_points, into_domain)
@@ -98,6 +98,18 @@ class BallLemmaReport(NamedTuple):
     inconclusive: bool
 
 
+def _undecided_rows(dev, band, thresholds):
+    """The flat indices of dev in the band of some threshold, sorted: the
+    union of observables.undecided's rows, none at band 0."""
+    rows = [r for t in thresholds if (r := undecided(dev, band, t)[1]).size] if band else []
+    if len(rows) < 2:
+        return rows[0] if rows else _NO_ROWS
+    flag = np.zeros(dev.size, dtype=bool)
+    for r in rows:
+        flag[r] = True
+    return np.flatnonzero(flag)
+
+
 def _dev_points(sys, obs, phibar, pts, n, thresholds=(), threads=1):
     """Deviation of an (N, d) float64 batch at horizon n (no domain check).
 
@@ -132,7 +144,7 @@ def _dev_points(sys, obs, phibar, pts, n, thresholds=(), threads=1):
         return out
     dtype, (band,) = screen(sys, obs, phibar, [n]) if thresholds else (np.float64, (0.0,))
     dev = next(deviations(_FloatOrbits(sys, pts), obs, phibar, dtype, [n]))
-    rows = np.flatnonzero(undecided(dev, band, thresholds))
+    rows = _undecided_rows(dev, band, thresholds)
     # float64 out: a recount written into a float32 array would round
     dev = dev.astype(np.float64, copy=False)
     if rows.size:
@@ -483,14 +495,14 @@ def _closed_form_dev(sys, obs, phibar, n, band, thresholds, row_f, col_f, points
     """|row_f @ col_f - phibar|, every entry comparing with each threshold as
     the float64 walk's deviation does.
 
-    The entries observables.undecided marks at band (closed_form_band) are
-    replaced by _dev_points at points(flat), the float64 grid points of
-    those flat indices of the product.
+    The entries in some threshold's band (_undecided_rows, at
+    closed_form_band) are replaced by _dev_points at points(flat), the
+    float64 grid points of those flat indices of the product.
     """
     dev = _product(row_f, col_f)
     dev -= phibar
     np.abs(dev, out=dev)
-    near = np.flatnonzero(undecided(dev, band, thresholds))
+    near = _undecided_rows(dev, band, thresholds)
     if near.size:
         dev.flat[near] = _dev_points(sys, obs, phibar, points(near), n)
     return dev

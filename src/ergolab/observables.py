@@ -21,19 +21,19 @@ the quantity whose level sets the deviation ladders and covers estimate;
 orbit representation.  The space average phibar of a system whose natural
 measure is not Lebesgue is a mean of time averages (`srb_space_average`).
 
-Every threshold test of the lab, dev >= t, is screened by one rule: a
-cheaper deviation within a proven band of the float64 walk's decides every
-row outside [t - band, t + band), and `undecided` marks the rows inside,
-which are recomputed by the float64 walk.  `screen` picks the cheaper
-walk as a point dtype.  cos1, the character k = e_1, whose float64
-evaluation calls scalar libm cos, gets float32 with a band per horizon,
-`float32_band`: its terms (`terms`) are the cosines of the float32 phases
-that the orbits hand out, taken in place, and its walk stays in float32
-from the phases through the sums, the deviations and the threshold
-comparisons.  The others (coord, bump) are a few float64 array passes,
-which a float32 pass plus its recount does not beat: they get float64
-points with bands of 0, the plain float64 walk, which leaves no row
-undecided.
+Every threshold test of the lab, dev >= t, is screened by one rule,
+`undecided`: a cheaper deviation within a proven band of the float64
+walk's decides every row outside [t - band, t + band), counted at
+t + band, and the rows inside are recomputed by the float64 walk.
+`screen` picks the cheaper walk as a point dtype.  cos1, the character
+k = e_1, whose float64 evaluation calls scalar libm cos, gets float32
+with a band per horizon, `float32_band`: its terms (`terms`) are the
+cosines of the float32 phases that the orbits hand out, taken in place,
+and its walk stays in float32 from the phases through the sums, the
+deviations and the threshold comparisons.  The others (coord, bump) are
+a few float64 array passes, which a float32 pass plus its recount does
+not beat: they get float64 points with bands of 0, the plain float64
+walk, which leaves no row undecided.
 """
 
 from __future__ import annotations
@@ -139,7 +139,7 @@ def float32_band(sys: System, obs: Observable, n: int) -> float | None:
     observable without a Lipschitz bound, or past n = 2^20.  It holds for
     deviations from a phibar with |phibar| <= sup_abs (a space average of
     obs is one; `screen` walks any other in float64), compared with
-    thresholds as `undecided` and deviation._hit_grid compare them.
+    thresholds as `undecided` compares them.
 
     A screened deviation takes fn on float32 points (for cos1, the cosines
     of the orbits' float32 phases), sums the terms in float32
@@ -198,7 +198,8 @@ def float32_band(sys: System, obs: Observable, n: int) -> float | None:
     c = 0.2, at 1/11.4).  On two
     65,536-sample cos1 ensembles per system at phibar 0, every screened
     deviation stays within an eleventh of band(n) of the float64 one at
-    every horizon n (doubling and tent n <= 76, at 1/29.7; cat n <= 54, at
+    every horizon n (doubling and tent n <= 76, each at 1/29.7 on seeds 1
+    and 2, the tent's phases read from the folded words; cat n <= 54, at
     1/39.0; logistic c = 0.2, -1.7 and -2, n <= 40, the closest at 1/11.6).
     """
     if obs.lip is None or n > _F32_HORIZON:
@@ -261,32 +262,31 @@ def terms(obs: Observable, dtype):
     return cosines
 
 
-def undecided(dev, band: float, thresholds):
-    """Mask of the rows of dev in [t - band, t + band) for some threshold t.
+_NO_ROWS = np.empty(0, dtype=np.intp)
+_NO_ROWS.flags.writeable = False
 
-    dev is within band of the float64 deviation d at every row, with room
+
+def undecided(dev, band: float, t: float):
+    """(above, rows): the count of dev >= t + band, and the flat indices of
+    the entries of dev in [t - band, t + band), sorted.
+
+    dev is within band of the float64 deviation d at every entry, with room
     for t - band and t + band to round to dev's dtype (float32_band, term
-    6).  A row at or above t + band has d >= t, one below t - band has
-    d < t: outside the mask, dev >= t holds exactly when d >= t does.
-    Band 0 marks no row: the plain float64 walk leaves nothing to
-    recompute, and its mask is returned without a comparison.
-
-    The first threshold's band is the mask, written in place, and each
-    later one is or-ed into it.  One broadcast comparison of every
-    threshold at once measured slower on the closed-form covers: about 2%
-    on doubling levels 10..17 (alpha and tau_n) and 7% on cat levels 1..3
-    (alpha alone).
+    6).  An entry at or above t + band has d >= t, one below t - band has
+    d < t: `above` counts d >= t exactly but for `rows`, which the float64
+    walk decides.  The count at t + band comes first, and the band's mask
+    is made only where the count at t - band differs from it: most bands
+    hold no entry.  Band 0 leaves no row, the plain float64 walk's count.
     """
-    mask = None
-    if band != 0.0:
-        for t in thresholds:
-            near = dev >= t - band
-            near &= dev < t + band
-            if mask is None:
-                mask = near
-            else:
-                mask |= near
-    return np.zeros(np.shape(dev), dtype=bool) if mask is None else mask
+    hit = dev >= t + band
+    above = np.count_nonzero(hit)
+    if band == 0.0:
+        return above, _NO_ROWS
+    near = dev >= t - band
+    if np.count_nonzero(near) == above:
+        return above, _NO_ROWS
+    near ^= hit               # fl(t - band) <= fl(t + band): hit lies inside near
+    return above, np.flatnonzero(near)
 
 
 def time_average(sys: System, obs: Observable, x, n: int):

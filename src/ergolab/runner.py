@@ -116,6 +116,8 @@ def validate_config(cfg: ExperimentConfig):
     sys, _ = _resolve(cfg)
     if not cfg.alphas:
         fail("alphas", "need at least one threshold")
+    if min(cfg.alphas) <= 0.0:
+        fail("alphas", f"every threshold must be > 0, got {min(cfg.alphas):g}")
     at_least(("n_min", 1))
     if cfg.n_max < cfg.n_min:
         fail("n_max", f"must be >= n_min={cfg.n_min}")

@@ -27,14 +27,14 @@ evaluated.  Every representation hands out two things, by `points(phase)`:
 for the screen of observables.screen, the (count,) float32 phases of x_1
 (on a fixed-point ensemble the top 32 bits read as a signed word and
 multiplied by 2 pi 2^-32, a phase in [-pi, pi) with the cosine of
-2 pi x_1, in one multiply and no shift: `_phase`).  The doubling ensemble
-never steps its state: it reads the point after j steps at bit offset j
-of the draw.  The tent and cat ensembles step their 128-bit state in
-place.  Once made, none of them allocates per step; the logistic
-ensemble, a float64 batch, allocates its new points at every step.  Every
-representation is summed by one kernel, `birkhoff_sums`, in the terms'
-dtype (float32 for the screen, float64 otherwise), which observables
-drives (`time_average`, `deviations`).
+2 pi x_1, in one multiply and no shift: `_phase`).  The doubling and
+tent ensembles never step their state: they read the point after j steps
+at bit offset j of the draw, the tent's folded (_DyadicDoubling).  The
+cat ensemble steps its 128-bit state in place.  Once made, none of them
+allocates per step; the logistic ensemble, a float64 batch, allocates its
+new points at every step.  Every representation is summed by one kernel,
+`birkhoff_sums`, in the terms' dtype (float32 for the screen, float64
+otherwise), which observables drives (`time_average`, `deviations`).
 
 The catalog, SYSTEMS, is the one place a system id is decided on: each
 entry declares the system's constructor, its parameter rules, and the
@@ -349,8 +349,9 @@ def _phase(top, out):
     2^32 where its top bit is set, so that 2 pi X 2^-32 lies in [-pi, pi)
     and has the cosine of 2 pi x64.  Then s = X - e with 0 <= e < 2^r:
     r = 0 where the word holds the coordinate's top 32 bits, and r = j mod 8
-    <= 7 for the doubling ensemble's word, which holds 32 - r of them and r
-    zeros (see _DyadicDoubling).  Rounding s to float32 and the truncation
+    <= 7 for the doubling and tent ensembles' word, which holds 32 - r of
+    them and r zeros (see _DyadicDoubling; the tent's fold leaves the zeros
+    zeros).  Rounding s to float32 and the truncation
     e together stay within 2^7 + 1 units of X, as they are allowed to: where
     |s| < 2^(24 + r), s (a multiple of 2^r) is exact in float32 and
     |fl(s) - X| = e < 2^r <= 2^7; otherwise the float32 spacing at s,
@@ -363,8 +364,8 @@ def _phase(top, out):
     3 pi u (1 + 3u) + 2 pi 2^-32 of 2 pi x64 (mod 2 pi), the phase term of
     observables.float32_band.  Measured on 2^20 doubling draws whose low 64
     bits are all ones, at every j <= 75, the worst gap is 0.70 of that bound
-    at j mod 8 of 6 and 7, against 0.53 at j mod 8 = 0.  The word needs no
-    shift.
+    at j mod 8 of 6 and 7, against 0.53 at j mod 8 = 0, and the same on the
+    tent ensemble of those draws.  The word needs no shift.
     """
     signed = top.view(top.dtype.byteorder + "i4")     # the same bytes, the same order
     return np.multiply(signed, _TWO_PI * 2.0**-32, out=out, dtype=np.float32)
@@ -408,43 +409,41 @@ class _FixedPointOrbits:
             a = self._kept[name] = np.empty((rows, self.count) if rows else self.count, dtype)
         return a
 
-    def _project(self, words, phase):
-        """(count, len(words)) points, one column per top "<u8" word, or with
-        phase the (count,) phases of the first word's coordinate."""
-        if phase:
-            # the word's top half: every other "<u4" of it, a strided view
-            return _phase(words[0].view("<u4")[1::2], self._scratch("phases", np.float32))
-        out = self._scratch("points", np.float64, len(words))
-        into = self._scratch("word", np.uint64)
-        for row, word in zip(out, words):
-            _fraction(word, into, row)
-        return out.T
-
 
 class _DyadicDoubling(_FixedPointOrbits):
-    """Exact 128-bit fixed-point orbits of the doubling map.
+    """Exact 128-bit fixed-point orbits of the doubling map, and with
+    `fold` of the tent map.
 
-    A sample stands for the real point x whose top 128 bits are drawn.  The
-    doubling step is a left shift, so the point after j steps, 2^j x (mod 1),
-    is the drawn bits from offset j on: advance() only counts j, and
-    points() reads them from a group word, the word of bits 8 floor(j / 8)
-    on, made once per 8 steps and kept, then shifted left by r = j mod 8 to
-    bring bit j to the top.  A float64 point's group word is 64 bits wide,
-    from two 64-bit words made from the draw on the first point read: after
-    the shift it holds 64 - r >= 57 drawn bits, so the point's 53 bits
-    (see _fraction) are exact.  A phase's group word is 32 bits wide, from
-    the draw kept as four 32-bit limbs: after the shift it holds 32 - r
-    drawn bits followed by r zeros, which `_phase` shows cost the phase
-    nothing its bound does not allow.  Exact binary arithmetic keeps the
-    ensemble immune to the float64 orbit collapse of dyadic maps, for a
-    budget of `horizon` = 76 (_fixed_point_horizon): float64 points read
-    drawn bits while j + 52 <= 127, i.e. j <= 75.  Past that, bits past 127
-    read as zeros, as if shifted in at the bottom, and from j = 128 on every
-    point is 0: a doubling cos1 ladder at alpha 0.3 would read 0.939 at
-    n = 200, where the true measure is about 0.
+    A sample stands for a real point x inside the cylinder of its drawn top
+    128 bits.  The doubling step is a left shift, so the point after j
+    steps, 2^j x (mod 1), is the drawn bits from offset j on: advance() only
+    counts j, and points() reads them from a group word, the word of bits
+    8 floor(j / 8) on, made once per 8 steps and kept, then shifted left by
+    r = j mod 8 to bring bit j to the top.  A float64 point's group word is
+    64 bits wide, from two 64-bit words made from the draw on the first
+    point read: after the shift it holds 64 - r >= 57 drawn bits, so the
+    point's 53 bits (see _fraction) are exact.  A phase's group word is 32
+    bits wide, from the draw kept as four 32-bit limbs: after the shift it
+    holds 32 - r drawn bits followed by r zeros, which `_phase` shows cost
+    the phase nothing its bound does not allow.  Exact binary arithmetic
+    keeps the ensemble immune to the float64 orbit collapse of dyadic maps,
+    for a budget of `horizon` = 76 (_fixed_point_horizon): float64 points
+    read drawn bits while j + 52 <= 127, i.e. j <= 75.  Past that, bits
+    past 127 read as zeros, as if shifted in at the bottom, and from j = 128
+    on every point is 0: a doubling cos1 ladder at alpha 0.3 would read
+    0.939 at n = 200, where the true measure is about 0.
+
+    The tent map T^j x is D^j x where bit j - 1 of x (bit 0 first) is 0,
+    and 1 - D^j x, whose bits are D^j x's flipped, where it is 1.  With
+    `fold` the group word is XOR-ed with -(bit j - 1) before the shift, so
+    the zeros shifted in stay zeros: for the same budget the float64 points
+    are the top 53 bits of T^j of every point inside the cylinder (the
+    endpoint x0 itself may differ by a unit).  Past the draw (j >= 129) bit
+    j - 1 reads 0, like the window's bits.
     """
 
     horizon = _fixed_point_horizon(_DOUBLING)
+    fold = False
 
     def __init__(self, sys, blocks):
         super().__init__(blocks.shape[0])
@@ -464,6 +463,8 @@ class _DyadicDoubling(_FixedPointOrbits):
         if self._group_at.get(kind) != at:
             _window(words, at, group, word)
             self._group_at[kind] = at
+        if self.fold:
+            group = self._folded(words, group, word)
         if self.j > at:
             group = np.left_shift(group, self.j - at, out=word)
         if phase:
@@ -471,6 +472,19 @@ class _DyadicDoubling(_FixedPointOrbits):
         out = self._scratch("points", np.float64, 1)
         _fraction(group, word, out[0])
         return out.T
+
+    def _folded(self, words, group, out):
+        """out = group XOR -(bit j - 1 of the draw), or group itself at j = 0
+        and past the draw.  Returns it."""
+        width = 8 * words.itemsize
+        q, s = divmod(self.j - 1, width)
+        if not 0 <= q < len(words):
+            return group
+        flip = self._scratch(f"fold {width}", words.dtype)
+        np.left_shift(words[q], s, out=flip)
+        signed = flip.view(flip.dtype.str.replace("u", "i"))
+        np.right_shift(signed, width - 1, out=signed)   # arithmetic: all ones where the bit is 1
+        return np.bitwise_xor(group, flip, out=out)
 
     def _wide(self):
         """The draw as (hi, lo) uint64 words, made from the limbs on first use."""
@@ -485,39 +499,10 @@ class _DyadicDoubling(_FixedPointOrbits):
         self.j += 1
 
 
-class _DyadicTent(_FixedPointOrbits):
-    """Exact 128-bit fixed-point orbits of the tent map.
+class _DyadicTent(_DyadicDoubling):
+    """Exact 128-bit fixed-point orbits of the tent map (see _DyadicDoubling)."""
 
-    State per sample is (hi, lo) uint64 with value (hi*2^64 + lo) / 2^128,
-    stepped in place: on the upper half a two's-complement negation (1 - x
-    is exact mod 2^128), then the doubling shift.  The negation is a
-    bijection of the states, so it keeps them uniform and the doubling
-    budget of 76 holds.
-    """
-
-    horizon = _fixed_point_horizon(_DOUBLING)
-
-    def __init__(self, sys, blocks):
-        super().__init__(blocks.shape[0])
-        self.hi, self.lo = blocks[:, 0].astype("<u8"), blocks[:, 1].astype("<u8")
-
-    def points(self, phase=False) -> np.ndarray:
-        return self._project((self.hi,), phase)
-
-    def advance(self):
-        hi, lo = self.hi, self.lo
-        up, mask = self._scratch("up", np.uint64), self._scratch("mask", np.uint64)
-        np.right_shift(hi, 63, out=up)               # 1 on the upper half
-        np.negative(up, out=mask)                    # all ones there
-        lo ^= mask                                   # -x = ~x + 1 where up
-        hi ^= mask
-        lo += up
-        carry = np.less(lo, up, out=mask)            # the + 1 carried out of lo
-        hi += carry
-        hi <<= 1                                     # the doubling shift
-        np.right_shift(lo, 63, out=up)
-        hi |= up
-        lo <<= 1
+    fold = True
 
 
 def _add128(a, b, carry):
@@ -549,7 +534,14 @@ class _DyadicCat(_FixedPointOrbits):
         self.y = blocks[:, 2].astype("<u8"), blocks[:, 3].astype("<u8")
 
     def points(self, phase=False) -> np.ndarray:
-        return self._project((self.x[0], self.y[0]), phase)
+        """(count, 2) float64 points from the top words, or with phase the (count,) phases of x."""
+        if phase:
+            # the word's top half: every other "<u4" of it, a strided view
+            return _phase(self.x[0].view("<u4")[1::2], self._scratch("phases", np.float32))
+        out, into = self._scratch("points", np.float64, 2), self._scratch("word", np.uint64)
+        _fraction(self.x[0], into, out[0])
+        _fraction(self.y[0], into, out[1])
+        return out.T
 
     def advance(self):
         carry = self._scratch("carry", np.uint64)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import ergolab as E
+from ergolab.dimension import _undecided_rows
 from ergolab.observables import DIGIT, DIGIT_MEAN, deviation, deviations, float32_band, undecided
 from ergolab.systems import _FloatOrbits, sample_points
 
@@ -182,27 +183,38 @@ def test_modulus_delta_does_what_it_promises():
 
 def test_undecided_marks_the_half_open_band_around_a_threshold():
     # t - band is undecided, t + band is decided (it compares >= t as every
-    # value within band of it does); the dyadic values keep t +- band exact
+    # value within band of it does) and counted; the dyadic values keep
+    # t +- band exact
     t, band = 0.375, 0.125
     below, above = np.nextafter(t - band, 0.0), np.nextafter(t + band, 0.0)
     dev = np.array([0.0, below, t - band, t, above, t + band, 1.0])
-    assert undecided(dev, band, (t,)).tolist() == [False, False, True, True, True,
-                                                   False, False]
+    count, rows = undecided(dev, band, t)
+    assert count == 2 and rows.tolist() == [2, 3, 4]
 
 
 def test_undecided_with_band_0_marks_nothing_even_on_exact_ties():
     # digit deviations |k/n - 1/2| are exact dyadic values, so thresholds set
-    # to them are met with equality by many samples
+    # to them are met with equality by many samples; band 0 counts them all
     sysd = E.get_system("doubling")
     pts = E.sample_orbit_ensemble(sysd, seed=4, start=0, count=4096).points()
     dev = deviation(sysd, DIGIT, DIGIT_MEAN, pts, 8)
     ties = tuple(np.unique(dev))
     assert len(ties) == 5 and all(np.count_nonzero(dev == t) > 1 for t in ties)
-    assert not undecided(dev, 0.0, ties).any()
-    assert not undecided(dev, 0.0, ()).any()
+    for t in ties:
+        count, rows = undecided(dev, 0.0, t)
+        assert count == np.count_nonzero(dev >= t) and rows.size == 0
+    assert _undecided_rows(dev, 0.0, ties).size == 0
 
 
-def test_undecided_is_the_union_over_thresholds():
-    # bands [0.1875, 0.3125), [0.6875, 0.8125) and [0.75, 0.875) on a dyadic grid
-    got = undecided(np.arange(65) / 64.0, 1.0 / 16.0, (0.25, 0.75, 0.8125))
-    assert np.flatnonzero(got).tolist() == list(range(12, 20)) + list(range(44, 56))
+def test_undecided_rows_per_threshold_and_their_union():
+    # bands [0.1875, 0.3125), [0.6875, 0.8125) and [0.75, 0.875) on a dyadic
+    # grid, each counted from its top; a band between grid points holds no row
+    dev = np.arange(65) / 64.0
+    got = [undecided(dev, 1.0 / 16.0, t) for t in (0.25, 0.75, 0.8125)]
+    assert [count for count, _ in got] == [45, 13, 9]
+    assert [rows.tolist() for _, rows in got] == [list(range(12, 20)), list(range(44, 52)),
+                                                 list(range(48, 56))]
+    count, rows = undecided(dev, 1.0 / 256.0, 0.5 + 1.0 / 128.0)
+    assert count == 32 and rows.size == 0
+    union = _undecided_rows(dev, 1.0 / 16.0, (0.25, 0.75, 0.8125))
+    assert union.tolist() == list(range(12, 20)) + list(range(44, 56))

@@ -84,6 +84,10 @@ def test_shipped_configs_parse():
     ("n_max", dict(system_id="cat", n_min=12, n_max=55)),
     # Philox keys on one 64-bit word: a seed past it would alias one inside
     ("seed", dict(seed=2**64 + 42)),
+    # the paper's alpha is positive: 0 would divide the flow's 4 sup / alpha
+    ("alphas", dict(alphas=(0.0,))),
+    ("alphas", dict(alphas=(0.6, -0.1))),
+    ("alphas", dict(alphas=(-0.0,))),
 ])
 def test_validation_names_the_offending_field(field, over):
     with pytest.raises(ValidationError) as err:

@@ -374,7 +374,7 @@ def test_cat_ensemble_follows_256_bit_orbits_through_its_budget():
 def test_tent_ensemble_points_stay_in_domain():
     syst = E.get_system("tent")
     ens = E.sample_orbit_ensemble(syst, seed=4, start=0, count=1000)
-    for _ in range(100):
+    for _ in range(131):                            # past the draw, j = 129 on
         ens.advance()
         pts = ens.points()
         assert np.all((pts >= 0.0) & (pts <= 1.0))
@@ -402,22 +402,26 @@ def test_doubling_ensemble_reads_a_128_bit_shift_at_every_offset():
     assert not got64.any()
 
 
-def test_tent_ensemble_steps_the_128_bit_tent_map():
-    # the in-place step against the tent map on 128-bit Python ints, x -> 2x
-    # below 1/2 and 2 - 2x (mod 1) from it, with edge draws: 1/2 itself, and
-    # points of the upper half whose low word is 0, where negation carries
+def test_tent_ensemble_follows_the_interior_point_orbit_through_its_budget():
+    # a sample stands for the points inside the cylinder of its drawn 128
+    # bits: against the exact tent orbit of the interior point x0 + 2^-129
+    # (129-bit Python ints, x -> 2x below 1/2 and 2 - 2x from it), float64
+    # points are its top 53 bits at every j through the budget of 76, with
+    # edge draws: 1/2 itself, and points of the upper half whose low word is
+    # 0, where 1 - x0 would carry into the top word
     syst = E.get_system("tent")
     ones = 2**64 - 1
     edges = np.array([[1 << 63, 0, 0, 0], [ones, 0, 0, 0], [ones, ones, 0, 0],
                       [(1 << 63) | 5, 0, 0, 0], [0, 1, 0, 0]], dtype=np.uint64)
     blocks = np.vstack([edges, raw_blocks(7, STREAM_ORBITS, 0, 500)])
     ens = SYSTEMS["tent"].ensemble(syst, blocks)
-    x = [(int(hi) << 64) | int(lo) for hi, lo in blocks[:, :2].tolist()]
-    for _ in range(80):
-        want = np.array([v >> 75 for v in x], dtype=np.float64) * 2.0**-53
+    assert ens.horizon == 76
+    x = [(int(hi) << 65) | (int(lo) << 1) | 1 for hi, lo in blocks[:, :2].tolist()]
+    for _ in range(76):                             # j = 0 .. 75
+        want = np.array([v >> 76 for v in x], dtype=np.float64) * 2.0**-53
         assert np.array_equal(ens.points()[:, 0], want)
         ens.advance()
-        x = [(2 * v if v < 2**127 else 2 * (2**128 - v)) % 2**128 for v in x]
+        x = [2 * v if v < 2**128 else 2**130 - 2 * v for v in x]
 
 
 class _CountingOrbits:
@@ -514,8 +518,8 @@ def test_phases_equal_2pi_times_the_points():
     # points(phase=True) are the float32 phases of the points, and the
     # screen's term is their cosine, taken in place.  On a float batch
     # (logistic) they equal 2 pi times the points in float32,
-    # fl(fl(2 pi) fl(x)); on the fixed-point ensembles (doubling at every bit
-    # offset 0..75, tent, cat, whose phase is its x coordinate) they are
+    # fl(fl(2 pi) fl(x)); on the fixed-point ensembles (doubling and tent at
+    # every bit offset 0..75, cat, whose phase is its x coordinate) they are
     # signed-word phases, of size at most fl(pi), within the point term of
     # observables.float32_band, 3 pi u (1 + 3u) + 2 pi 2^-32, of 2 pi x
     # (mod 2 pi), x the float64 point, whether the word's top bit is set or
@@ -526,7 +530,7 @@ def test_phases_equal_2pi_times_the_points():
     edges = np.array([[ones, ones, ones, ones], [0, 0, 0, 0], [1 << 63, 0, 1 << 63, 0],
                       [(1 << 63) - 1, ones, (1 << 63) - 1, ones],
                       [0xFFFFFF7F << 32, 0, 0xFFFFFF7F << 32, 0]], dtype=np.uint64)
-    cases = [(E.get_system("doubling"), 76), (E.get_system("tent"), 30),
+    cases = [(E.get_system("doubling"), 76), (E.get_system("tent"), 76),
              (E.get_system("cat"), 30), (E.get_system("logistic", c=-1.7), 30)]
     for sysm, steps in cases:
         cos1 = E.get_observable("cos1", sysm)
@@ -557,25 +561,27 @@ def test_phases_equal_2pi_times_the_points():
 
 
 def test_screened_walk_makes_no_per_step_temporaries():
-    # after its first steps, a doubling ensemble's advance() and screened
-    # term (float32 phases, cosine in place) allocate nothing per step: the
-    # tracemalloc peak over 16 steps stays under one (count,) float32 array
-    sysd = E.get_system("doubling")
-    term = terms(E.get_observable("cos1", sysd), np.float32)
+    # after its first steps, a doubling or tent ensemble's advance() and
+    # screened term (float32 phases, cosine in place) allocate nothing per
+    # step: the tracemalloc peak over 16 steps stays under one (count,)
+    # float32 array
     count = 32768
-    ens = E.sample_orbit_ensemble(sysd, seed=3, start=0, count=count)
-    for _ in range(2):
-        term(ens)
-        ens.advance()
-    tracemalloc.start()
-    try:
-        for _ in range(16):
-            ens.advance()
+    for sid in ("doubling", "tent"):
+        sysm = E.get_system(sid)
+        term = terms(E.get_observable("cos1", sysm), np.float32)
+        ens = E.sample_orbit_ensemble(sysm, seed=3, start=0, count=count)
+        for _ in range(2):
             term(ens)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * count, peak
+            ens.advance()
+        tracemalloc.start()
+        try:
+            for _ in range(16):
+                ens.advance()
+                term(ens)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * count, (sid, peak)
 
 
 def test_space_average_lebesgue_mc():
