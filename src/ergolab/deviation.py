@@ -20,11 +20,14 @@ when k/n lands exactly on the threshold.
 Monte Carlo counts are exact float64 counts, found cheaply, by the screen
 rule of observables (`screen`, `deviations`, `undecided`).  For cos1 each
 chunk's orbits are walked in float32 from the counter word to the
-threshold counts, one fused step per orbit step: the fixed-point ensembles
-write float32 phases straight from the top 32 bits of their state, read
-as a signed word, into a kept array, the cosine is taken there in place
-(numpy's float32 cos is vectorised, its float64 cos is not), and the
-terms are added into a float32 sum.  At every horizon the deviations are
+threshold counts: the fixed-point ensembles write float32 phases straight
+from the top 32 bits of their state, read as a signed word, into a kept
+array, the cosine is taken there in place (numpy's float32 cos is
+vectorised, its float64 cos is not), and the terms are added into a
+float32 sum.  On the doubling and tent ensembles, whose step doubles the
+phase, that is every other step: each step between reads no point and
+takes its term as 2 c^2 - 1 of the cosine c before it, in c's array
+(observables.terms).  At every horizon the deviations are
 computed in place in float32.  A screened deviation at horizon n, with
 the float32 rounding of the thresholds it is compared with, is within
 band = observables.float32_band(sys, obs, n) of the float64 one.  A
@@ -48,7 +51,7 @@ import numpy as np
 
 from .observables import (DIGIT, DIGIT_MEAN, DIGIT_SYSTEM, DeviationParams, Observable,
                           deviations, screen, undecided)
-from .systems import (_POINT_CHUNK, System, check_ensemble_horizon, check_integer,
+from .systems import (_POINT_CHUNK, SYSTEMS, System, check_ensemble_horizon, check_integer,
                       sample_orbit_ensemble)
 
 LN2 = math.log(2.0)
@@ -95,6 +98,10 @@ def _hit_grid(sys, obs, phibar, alphas, n_values, sample_count, seed):
     deviation dev, at a horizon with band b, decides every sample outside
     [t - b, t + b) for a threshold t: the cell (t, n) counts the samples
     with dev >= t + b and marks the band's samples (observables.undecided).
+    Whether the ensemble's step doubles the phase, so that the screen may
+    take every other cos1 term from the one before it, is read from the
+    catalog (systems.SYSTEMS), not from the ensemble, which may be wrapped
+    by anything that forwards points() and advance().
     After the last chunk the marked samples, from every chunk, are redrawn
     from their own counter blocks in one draw and walked once in float64,
     down to the deepest horizon any of them is marked at, and each cell
@@ -105,6 +112,7 @@ def _hit_grid(sys, obs, phibar, alphas, n_values, sample_count, seed):
     n_values = list(n_values)
     alphas = [float(a) for a in alphas]
     dtype, bands = screen(sys, obs, phibar, n_values)
+    doubles = SYSTEMS[sys.sid].ensemble.doubles_phase
     hits = np.zeros((len(alphas), len(n_values)), dtype=np.int64)
     near = {}    # (i, j) -> indices of the samples in alpha_i's band at n_j, an array a chunk
     drawn = []   # each chunk's samples in some band, sorted
@@ -114,7 +122,7 @@ def _hit_grid(sys, obs, phibar, alphas, n_values, sample_count, seed):
         # next chunk's draw
         flag = None
         ens = sample_orbit_ensemble(sys, seed, start, stop - start)
-        for j, dev in enumerate(deviations(ens, obs, phibar, dtype, n_values)):
+        for j, dev in enumerate(deviations(ens, obs, phibar, dtype, n_values, doubles)):
             for i, t in enumerate(alphas):
                 above, rows = undecided(dev, bands[j], t)
                 hits[i, j] += above

@@ -165,6 +165,20 @@ def float32_band(sys: System, obs: Observable, n: int) -> float | None:
        2*10^7 in [-pi, pi], the signed-word phases' range), and an
        ulp of a value of size sup_abs is at most 2*u*sup_abs: at most
        4*sup_abs*u.
+    3a. Doubled terms.  On the doubling and tent ensembles every odd step's
+       term is d = fl(2 fl(c^2) - 1), c the even term before it (`terms`).
+       By terms 2 and 3 c is within e = 1.51*2*pi*u + 4u < 13.5u of
+       C = cos 2 pi x, x the float64 point.  |c^2 - C^2| = |c - C||c + C|
+       <= 2e + e^2, fl(c^2) and fl(. - 1) each add at most u (both are at
+       most 1 in size) and doubling is exact, so d is within
+       4e + 2e^2 + 3u < 57u of 2 C^2 - 1 = cos 4 pi x, the cosine of the
+       phase of D x and of T x alike.  The float64 term reads the next
+       point x', the top 53 bits of the next orbit point, within 3*2^-53 of
+       D x or T x (mod 1): their cosines differ by under 2^-24 * u.  That
+       is inside the 8*(2*pi + 1)*u > 58.2u that terms 1-3 allow a cos1
+       term (below).  A float batch's cos1 term errs by up to (6*pi + 4)*u,
+       and one doubled from it by up to about 94u, past that: float
+       batches take every cosine.
     4. The float32 sum.  n terms of size at most sup_abs (float32 cos stays
        in [-1, 1]), added one by one in float32, are within
        gamma_{n-1} * n * sup_abs of their exact sum (Higham, Accuracy and
@@ -195,12 +209,15 @@ def float32_band(sys: System, obs: Observable, n: int) -> float | None:
 
     Measured on 10^6 random points, every catalog pair's per-term error
     stays under an eleventh of band(1) (the closest, cos1 on logistic
-    c = 0.2, at 1/11.4).  On two
+    c = 0.2, at 1/11.4); the doubled terms of two 65,536-sample doubling
+    and tent ensembles (seeds 1 and 2, steps 1..75) stay within 14.2u of
+    the float64 cosines, 1/4.0 of their 57u and 1/9.3 of band(1).  On two
     65,536-sample cos1 ensembles per system at phibar 0, every screened
     deviation stays within an eleventh of band(n) of the float64 one at
     every horizon n (doubling and tent n <= 76, each at 1/29.7 on seeds 1
-    and 2, the tent's phases read from the folded words; cat n <= 54, at
-    1/39.0; logistic c = 0.2, -1.7 and -2, n <= 40, the closest at 1/11.6).
+    and 2, at n = 1, and 1/32.1 from n = 2 on, with the doubled terms and
+    the tent's phases read from the folded words; cat n <= 54, at 1/39.0;
+    logistic c = 0.2, -1.7 and -2, n <= 40, the closest at 1/11.6).
     """
     if obs.lip is None or n > _F32_HORIZON:
         return None
@@ -239,7 +256,7 @@ def screen(sys: System, obs: Observable, phibar: float, horizons):
     return np.float64, [0.0] * len(horizons)
 
 
-def terms(obs: Observable, dtype):
+def terms(obs: Observable, dtype, doubles: bool = False):
     """The term of systems.birkhoff_sums for a walk of obs on points of dtype.
 
     Float64: obs.fn on the float64 points (points()).  Float32, the screen
@@ -249,6 +266,17 @@ def terms(obs: Observable, dtype):
     (systems._phase), and their cosines are taken in place, with no array
     made per step on a fixed-point ensemble.  No other observable, and no
     other dtype, has a walk.
+
+    With `doubles`, for orbits whose step doubles the phase (the doubling
+    and tent ensembles: systems.SystemEntry), the float32 walk takes a
+    cosine at even steps only, and each odd step's term is
+    fl(2 fl(c^2) - 1) of the even term c before it, cos 2 theta =
+    2 cos^2 theta - 1, written over c in its array: that step reads no
+    point, so its orbits only advance.  float32_band holds for it on a
+    fixed-point ensemble's phases, not on a float batch's.  Such a term
+    serves one walk and must see its every step, from the first, as
+    birkhoff_sums calls it.  The float64 walk, the screen's reference,
+    reads every point whatever `doubles` says.
     """
     if np.dtype(dtype) == np.float64:
         return lambda orbits: obs.fn(orbits.points())
@@ -259,7 +287,22 @@ def terms(obs: Observable, dtype):
         t = orbits.points(phase=True)
         return np.cos(t, out=t)
 
-    return cosines
+    if not doubles:
+        return cosines
+    even = None                # the even step's term, doubled by the odd step after it
+
+    def every_other_cosine(orbits):
+        nonlocal even
+        if even is None:
+            even = cosines(orbits)
+            return even
+        c, even = even, None
+        np.square(c, out=c)    # in place: a new array here costs twice the pass
+        c *= 2.0
+        c -= 1.0
+        return c
+
+    return every_other_cosine
 
 
 _NO_ROWS = np.empty(0, dtype=np.intp)
@@ -305,10 +348,10 @@ def time_average(sys: System, obs: Observable, x, n: int):
     return float(avg[0]) if tag in ("scalar", "point") else avg
 
 
-def deviations(orbits, obs: Observable, phibar: float, dtype, horizons):
+def deviations(orbits, obs: Observable, phibar: float, dtype, horizons, doubles=False):
     """Yield |S_n / n - phibar| of obs along the orbits at each horizon n, in dtype.
 
-    S_n sums terms(obs, dtype) by systems.birkhoff_sums, whose rules on
+    S_n sums terms(obs, dtype, doubles) by systems.birkhoff_sums, whose rules on
     horizons hold, and the quotient, difference and absolute value are
     taken in dtype too, phibar and n cast to it (float32_band bounds the
     float32 ones).  One array is updated in place: read each before the
@@ -317,7 +360,7 @@ def deviations(orbits, obs: Observable, phibar: float, dtype, horizons):
     cast = np.dtype(dtype).type
     phibar = cast(phibar)
     dev = None
-    for n, sums in zip(horizons, birkhoff_sums(orbits, terms(obs, dtype), horizons)):
+    for n, sums in zip(horizons, birkhoff_sums(orbits, terms(obs, dtype, doubles), horizons)):
         dev = np.divide(sums, cast(n), out=dev)
         dev -= phibar
         yield np.abs(dev, out=dev)
@@ -396,11 +439,14 @@ def srb_space_average(sys: System, observable: Observable, seed: int,
     systems (logistic): the mean of the time averages over orbit_length //
     _ORBITS steps of _ORBITS orbits, orbit i started at block i of the
     orbit-seed stream and stepped `transient` times first (iterate), with
-    the standard error of those means.
+    the standard error of those means.  Each count must be an integer >= 0
+    on every system, the ones it does not use too (ValueError naming it).
     """
     for name, count in (("samples", samples), ("orbit_length", orbit_length),
                         ("transient", transient)):
         check_integer(name, count)
+        if count < 0:
+            raise ValueError(f"{name} must be >= 0, got {count}")
     if sys.srb_kind == "lebesgue":
         if samples < 2:
             raise ValueError("need at least 2 samples")

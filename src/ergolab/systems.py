@@ -214,7 +214,9 @@ def into_domain(sys: System, pts: np.ndarray) -> np.ndarray:
 
 
 def iterate(sys: System, x, k: int):
-    """Apply the step map k >= 0 times.  Domain is checked before stepping."""
+    """Apply the step map k >= 0 times.  Domain is checked before stepping;
+    a k that is not an integer raises ValueError naming it."""
+    check_integer("k", k)
     if k < 0:
         raise ValueError("iterate needs k >= 0")
     pts, tag = _as_batch(sys, x)
@@ -302,6 +304,7 @@ class _FloatEnsemble(_FloatOrbits):
     logistic ensemble.  No horizon budget is derived for it."""
 
     horizon = None
+    doubles_phase = False
 
     def __init__(self, sys, blocks):
         super().__init__(sys, domain_points(sys, blocks))
@@ -440,9 +443,15 @@ class _DyadicDoubling(_FixedPointOrbits):
     are the top 53 bits of T^j of every point inside the cylinder (the
     endpoint x0 itself may differ by a unit).  Past the draw (j >= 129) bit
     j - 1 reads 0, like the window's bits.
+
+    Either step doubles the phase 2 pi x mod 2 pi, up to its sign
+    (`doubles_phase`): cos 2 pi D x = cos 2 pi T x = cos 4 pi x, so the
+    cosine at the next point is 2 cos^2 - 1 of this one's, which the cos1
+    screen takes at every other step (observables.terms).
     """
 
     horizon = _fixed_point_horizon(_DOUBLING)
+    doubles_phase = True
     fold = False
 
     def __init__(self, sys, blocks):
@@ -527,6 +536,7 @@ class _DyadicCat(_FixedPointOrbits):
     """
 
     horizon = _fixed_point_horizon(_CAT)
+    doubles_phase = False
 
     def __init__(self, sys, blocks):
         super().__init__(blocks.shape[0])
@@ -581,7 +591,10 @@ class SystemEntry(NamedTuple):
     """A catalog system: `build(sid, **params)` constructs it, `params` are
     its parameter rules, and `ensemble(sys, blocks)` is the orbit
     representation of its sampled ensembles, whose `horizon` is the deepest
-    horizon it is faithful for (None where no budget is derived)."""
+    horizon it is faithful for (None where no budget is derived), and whose
+    `doubles_phase` says whether one step doubles the phase of x_1 (mod
+    2 pi, up to sign), so that the cosine of the next point's phase is a
+    closed form of this one's (the doubling and tent ensembles)."""
 
     build: Callable
     ensemble: type

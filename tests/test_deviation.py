@@ -10,7 +10,7 @@ import pytest
 from scipy import stats
 
 import ergolab as E
-from ergolab import deviation
+from ergolab import deviation, observables
 from ergolab.deviation import (DIGIT, DIGIT_MEAN, METHOD_BINOMIAL, METHOD_MC,
                                default_fit_window)
 from ergolab.observables import deviations, float32_band, screen
@@ -272,6 +272,70 @@ def test_hit_grid_equals_the_float64_grid_through_the_budget(monkeypatch, sid):
             m.setattr(deviation, "screen", lambda s, o, p, h: (np.float64, [0.0] * len(h)))
             want = deviation._hit_grid(*args)
         assert np.array_equal(got, want), (seed, phibar)
+
+
+class _Forwarding:
+    """An ensemble wrapper that forwards only points() and advance(), as
+    perfbench's traced ensembles do, counting its phase reads."""
+
+    def __init__(self, ens):
+        self.phase_reads = 0
+
+        def points(phase=False):
+            self.phase_reads += bool(phase)
+            return ens.points(phase)
+
+        self.points, self.advance = points, ens.advance
+
+
+@pytest.mark.parametrize("sid,skw", [("doubling", {}), ("tent", {}), ("cat", {}),
+                                     ("logistic", {"c": -1.7})])
+def test_doubled_terms_are_read_from_the_catalog(monkeypatch, sid, skw):
+    # whether the screen takes its odd-step cos1 terms as 2 c^2 - 1 is read
+    # from the catalog, so it holds through a wrapper that forwards only
+    # points() and advance(): the screened walk reads phases at even steps
+    # only on doubling and tent, at every step on cat and logistic, and its
+    # counts equal the float64 walk's.  Float batches (time averages, covers,
+    # the ball lemma) never ask for doubled terms.
+    sysm = E.get_system(sid, **skw)
+    cos1 = E.get_observable("cos1", sysm)
+    doubles = sid in ("doubling", "tent")
+    assert SYSTEMS[sid].ensemble.doubles_phase == doubles
+    asked = []
+    plain_terms = observables.terms
+
+    def recorded_terms(obs, dtype, doubles=False):
+        asked.append((np.dtype(dtype), doubles))
+        return plain_terms(obs, dtype, doubles)
+
+    monkeypatch.setattr(observables, "terms", recorded_terms)
+    walks = []
+    draw = deviation.sample_orbit_ensemble
+
+    def forwarded(*args):
+        walks.append(_Forwarding(draw(*args)))
+        return walks[-1]
+
+    monkeypatch.setattr(deviation, "sample_orbit_ensemble", forwarded)
+    n_values = [1, 2, 5, 8]
+    tied = draw(sysm, 4, np.array([77]), 1)
+    *_, tie = deviations(tied, cos1, 0.0, np.float64, n_values)
+    args = (sysm, cos1, 0.0, [0.6, 0.3, float(tie[0])], n_values, 5000, 4)
+    asked.clear()
+    got = deviation._hit_grid(*args)
+    # a chunk of 8 steps, then the recount of the tie on float64 points
+    assert [w.phase_reads for w in walks] == [4 if doubles else 8, 0]
+    assert asked == [(np.dtype(np.float32), doubles), (np.dtype(np.float64), False)]
+    with monkeypatch.context() as m:
+        m.setattr(deviation, "screen", lambda s, o, p, h: (np.float64, [0.0] * len(h)))
+        assert np.array_equal(got, deviation._hit_grid(*args))
+    asked.clear()
+    x = sample_points(sysm, 4, 0, 100)
+    E.time_average(sysm, cos1, x, 6)
+    delta = E.modulus_delta_for(sysm, cos1, 0.3)
+    E.build_cover_ladder(sysm, cos1, 0.0, 0.3, delta, 1, 2)
+    E.verify_ball_lemma(sysm, cos1, 0.0, 0.3, delta, 3, 20, 1)
+    assert asked and not any(dbl for _, dbl in asked)
 
 
 def test_hit_grid_chunk_peak_memory():

@@ -46,6 +46,7 @@ from ergolab.errors import GridBudgetError, RateNotEstablishedError
                       (E.CoverEntry(1, 0.25, 2, ()), E.CoverEntry(2, 0.0625, 4, ())), 0),
         math.nan)),
     ("n", ValueError, lambda s, o: E.time_average(s, o, 0.1, 2.5)),
+    ("k", ValueError, lambda s, o: E.iterate(s, 0.3, 2.5)),
     ("n_values", ValueError,
      lambda s, o: E.build_deviation_ladders(s, o, 0.0, [0.3], [5.5, 8], 1000, 1)),
     ("n", ValueError, lambda s, o: E.verify_ball_lemma(s, o, 0.0, 0.3, 0.01, 5.5, 10, 1)),
@@ -72,7 +73,7 @@ from ergolab.errors import GridBudgetError, RateNotEstablishedError
 ], ids=["ladders-phibar", "ladders-alphas", "cover-alpha", "cover-phibar", "lemma-delta",
         "lemma-alpha", "lemma-phibar", "cover-dprimes", "digit-alpha", "digit-ladder-alpha",
         "bound-h", "bound-L", "modulus-alpha", "box-counts", "bernoulli-alpha",
-        "volume-dprime", "time-average-n", "ladders-n_values", "lemma-n",
+        "volume-dprime", "time-average-n", "iterate-k", "ladders-n_values", "lemma-n",
         "cover-delta-negative", "cover-delta-zero", "cover-delta-nan", "cover-delta-cat",
         "cover-delta-inf", "lemma-delta-inf", "space-average-orbit_length", "box-counts-inf",
         "box-scales-inf", "cover-n_lo", "cover-n_hi", "ladders-sample_count",

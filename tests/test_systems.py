@@ -9,7 +9,7 @@ from scipy import special, stats
 
 import ergolab as E
 from ergolab.errors import DomainError
-from ergolab.observables import float32_band, terms
+from ergolab.observables import deviations, float32_band, terms
 from ergolab.rng import STREAM_ORBIT_SEED, STREAM_ORBITS, raw_blocks
 from ergolab.systems import (SYSTEMS, _FloatOrbits, birkhoff_sums, domain_points, into_domain,
                              sample_points, wrap_unit)
@@ -458,22 +458,30 @@ def test_birkhoff_sums_equal_a_reference_loop(sid, kw):
     # one kernel for float batches and for the (fixed-point, on doubling, tent
     # and cat) sampled ensembles, on float64 points and on the float32 phases
     # of the screen: same sums as the naive loop in the terms' dtype, bit for
-    # bit, n_max - 1 advances
+    # bit, n_max - 1 advances; and so on the ensembles whose step doubles
+    # the phase (doubling and tent) with the doubled odd-step terms
     sysm = E.get_system(sid, **kw)
     cos1 = E.get_observable("cos1", sysm)
     pts = sample_points(sysm, seed=5, start=0, count=64)
     n_values = [1, 3, 7, 20, 29]
-    for dtype in (np.float64, np.float32):
-        for make in (lambda: _FloatOrbits(sysm, pts),
-                     lambda: E.sample_orbit_ensemble(sysm, seed=5, start=0, count=64)):
-            want = _reference_sums(make(), terms(cos1, dtype), n_values)
-            orbits = _CountingOrbits(make())
-            got = [s.copy() for s in birkhoff_sums(orbits, terms(cos1, dtype), n_values)]
-            assert len(got) == len(n_values)
-            for g, w in zip(got, want):
-                assert g.dtype == w.dtype == dtype
-                assert np.array_equal(g, w)
-            assert orbits.advances == n_values[-1] - 1
+
+    def ensemble():
+        return E.sample_orbit_ensemble(sysm, seed=5, start=0, count=64)
+
+    walks = [(dtype, False, make) for dtype in (np.float64, np.float32)
+             for make in (lambda: _FloatOrbits(sysm, pts), ensemble)]
+    if SYSTEMS[sid].ensemble.doubles_phase:
+        walks.append((np.float32, True, ensemble))
+    assert len(walks) == (5 if sid in ("doubling", "tent") else 4)
+    for dtype, dbl, make in walks:
+        want = _reference_sums(make(), terms(cos1, dtype, dbl), n_values)
+        orbits = _CountingOrbits(make())
+        got = [s.copy() for s in birkhoff_sums(orbits, terms(cos1, dtype, dbl), n_values)]
+        assert len(got) == len(n_values)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype == dtype
+            assert np.array_equal(g, w)
+        assert orbits.advances == n_values[-1] - 1
 
 
 class _TermRows:
@@ -514,6 +522,19 @@ def test_float32_sums_stay_within_their_band_term():
     assert walk.j == 75
 
 
+_ONES = 2**64 - 1
+# draws whose phase words sit at the edges of the signed range, followed by
+# counter blocks 0..19,999 of seed 9's orbit stream
+_EDGE_DRAWS = np.array([[_ONES, _ONES, _ONES, _ONES], [0, 0, 0, 0], [1 << 63, 0, 1 << 63, 0],
+                        [(1 << 63) - 1, _ONES, (1 << 63) - 1, _ONES],
+                        [0xFFFFFF7F << 32, 0, 0xFFFFFF7F << 32, 0]], dtype=np.uint64)
+
+
+def _edge_ensemble(sysm):
+    blocks = np.vstack([_EDGE_DRAWS, raw_blocks(9, STREAM_ORBITS, 0, 20000)])
+    return SYSTEMS[sysm.sid].ensemble(sysm, blocks)
+
+
 def test_phases_equal_2pi_times_the_points():
     # points(phase=True) are the float32 phases of the points, and the
     # screen's term is their cosine, taken in place.  On a float batch
@@ -526,10 +547,6 @@ def test_phases_equal_2pi_times_the_points():
     # not (edge draws included)
     u = 2.0**-24
     bound = 3.0 * math.pi * u * (1.0 + 3.0 * u) + 2.0 * math.pi * 2.0**-32
-    ones = 2**64 - 1
-    edges = np.array([[ones, ones, ones, ones], [0, 0, 0, 0], [1 << 63, 0, 1 << 63, 0],
-                      [(1 << 63) - 1, ones, (1 << 63) - 1, ones],
-                      [0xFFFFFF7F << 32, 0, 0xFFFFFF7F << 32, 0]], dtype=np.uint64)
     cases = [(E.get_system("doubling"), 76), (E.get_system("tent"), 76),
              (E.get_system("cat"), 30), (E.get_system("logistic", c=-1.7), 30)]
     for sysm, steps in cases:
@@ -537,8 +554,7 @@ def test_phases_equal_2pi_times_the_points():
         fixed = sysm.sid != "logistic"
         ens = E.sample_orbit_ensemble(sysm, seed=9, start=0, count=20000)
         if fixed:
-            blocks = np.vstack([edges, raw_blocks(9, STREAM_ORBITS, 0, 20000)])
-            ens = SYSTEMS[sysm.sid].ensemble(sysm, blocks)
+            ens = _edge_ensemble(sysm)
         count = ens.count if fixed else 20000
         signs = set()
         for _ in range(steps):
@@ -560,17 +576,52 @@ def test_phases_equal_2pi_times_the_points():
             assert {-1.0, 1.0} <= signs
 
 
-def test_screened_walk_makes_no_per_step_temporaries():
-    # after its first steps, a doubling or tent ensemble's advance() and
-    # screened term (float32 phases, cosine in place) allocate nothing per
-    # step: the tracemalloc peak over 16 steps stays under one (count,)
-    # float32 array
-    count = 32768
+def test_doubled_terms_stay_within_their_budget():
+    # on the doubling and tent ensembles (edge draws included), the screen
+    # with doubles takes a cosine of the phases at every even step, bit for
+    # bit the plain screen's, and at every odd step fl(2 fl(c^2) - 1) of the
+    # even term c, within the 57u of observables.float32_band's term 3a of
+    # the float64 cosine, at every step to the budget of 76; every screened
+    # deviation stays within half of band(n) of the float64 one
+    u = 2.0**-24
+    horizons = list(range(1, 77))
     for sid in ("doubling", "tent"):
         sysm = E.get_system(sid)
-        term = terms(E.get_observable("cos1", sysm), np.float32)
+        cos1 = E.get_observable("cos1", sysm)
+        walk, ref = _edge_ensemble(sysm), _edge_ensemble(sysm)
+        doubled = terms(cos1, np.float32, True)
+        for j in range(76):
+            got = doubled(walk).copy()
+            exact = terms(cos1, np.float64)(ref)
+            if j % 2 == 0:
+                want = np.cos(ref.points(phase=True))
+                assert np.array_equal(got.view(np.uint32), want.view(np.uint32)), (sid, j)
+            else:
+                assert np.array_equal(got, 2.0 * np.square(c) - 1.0), (sid, j)
+                assert np.max(np.abs(got - exact)) <= 57.0 * u, (sid, j)
+            c = got
+            walk.advance()
+            ref.advance()
+        screened = deviations(_edge_ensemble(sysm), cos1, 0.0, np.float32, horizons, True)
+        float64 = deviations(_edge_ensemble(sysm), cos1, 0.0, np.float64, horizons)
+        for n, d32, d64 in zip(horizons, screened, float64):
+            assert np.max(np.abs(d32 - d64)) <= float32_band(sysm, cos1, n) / 2.0, (sid, n)
+
+
+def test_screened_walk_makes_no_per_step_temporaries():
+    # after its first steps, a doubling or tent ensemble's advance() and
+    # screened term (float32 phases, cosine in place, and with doubles the
+    # odd steps' 2 c^2 - 1 over the cosines c) allocate nothing per step:
+    # the tracemalloc peak over 16 steps stays under one (count,) float32
+    # array
+    count = 32768
+    for sid, doubles in (("doubling", False), ("tent", False),
+                         ("doubling", True), ("tent", True)):
+        sysm = E.get_system(sid)
+        term = terms(E.get_observable("cos1", sysm), np.float32, doubles)
         ens = E.sample_orbit_ensemble(sysm, seed=3, start=0, count=count)
-        for _ in range(2):
+        # doubled, the tent's first folded phase (and fold scratch) is at j = 2
+        for _ in range(4 if doubles else 2):
             term(ens)
             ens.advance()
         tracemalloc.start()
@@ -581,7 +632,7 @@ def test_screened_walk_makes_no_per_step_temporaries():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4 * count, (sid, peak)
+        assert peak < 4 * count, (sid, doubles, peak)
 
 
 def test_space_average_lebesgue_mc():
@@ -659,6 +710,19 @@ def test_space_average_of_a_2d_empirical_orbit_system():
     assert abs(sb.value - 0.25) < 1e-4
     block0 = domain_points(rot, raw_blocks(3, STREAM_ORBIT_SEED, 0, 1))
     assert sa.seed_point == tuple(block0[0])
+
+
+@pytest.mark.parametrize("sid,kw", [("doubling", {}), ("logistic", {"c": -1.7})])
+@pytest.mark.parametrize("name", ["transient", "orbit_length", "samples"])
+def test_space_average_refuses_a_negative_count_by_name(sid, kw, name):
+    # a negative transient failed on logistic only inside iterate, naming
+    # no field, and passed on doubling, which does not use it
+    sysm = E.get_system(sid, **kw)
+    counts = {"samples": 0 if sysm.srb_kind != "lebesgue" else 1000,
+              "orbit_length": 1000, "transient": 10}
+    counts[name] = -7
+    with pytest.raises(ValueError, match=rf"^{name} must be >= 0"):
+        E.srb_space_average(sysm, E.get_observable("cos1", sysm), seed=1, **counts)
 
 
 def test_space_average_is_seed_deterministic():
