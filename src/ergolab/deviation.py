@@ -17,29 +17,14 @@ value), in integers: |2k - n| q >= 2n p.  That is the same test the float
 estimator applies to exact dyadic frequencies, so the two routes agree even
 when k/n lands exactly on the threshold.
 
-Monte Carlo counts are exact float64 counts, found cheaply, by the screen
-rule of observables (`screen`, `deviations`, `undecided`).  For cos1 each
-chunk's orbits are walked in float32 from the counter word to the
-threshold counts: the fixed-point ensembles write float32 phases straight
-from the top 32 bits of their state, read as a signed word, into a kept
-array, the cosine is taken there in place (numpy's float32 cos is
-vectorised, its float64 cos is not), and the terms are added into a
-float32 sum.  On the doubling and tent ensembles, whose step doubles the
-phase, that is every other step: each step between reads no point and
-takes its term as 2 c^2 - 1 of the cosine c before it, in c's array
-(observables.terms).  At every horizon the deviations are
-computed in place in float32.  A screened deviation at horizon n, with
-the float32 rounding of the thresholds it is compared with, is within
-band = observables.float32_band(sys, obs, n) of the float64 one.  A
-sample whose filter deviation is at least alpha + band therefore has
-deviation >= alpha, one below alpha - band has not: each threshold counts
-the samples at or above alpha + band, and only the few samples between,
-from every chunk, are redrawn from their own counter blocks in one draw
-after the last chunk and recounted on one float64 walk (obs.fn on float64
-points) with the closed threshold.  The counts, and so every report
-byte, are those of the float64 walk alone.  The others (coord, bump, and
-the digit, which has no band at all) are walked in float64 with band 0,
-which leaves no sample to recount.
+Monte Carlo counts are exact float64 counts, found cheaply by the one
+screen rule of observables (`screen`, `deviations`, `undecided`, where the
+rule, the float32 walk of cos1 and its band are described): each
+threshold counts the samples the screened deviation decides, and only the
+few samples in its band, from every chunk, are redrawn from their own
+counter blocks in one draw after the last chunk and recounted on one
+float64 walk with the closed threshold.  The counts, and so every report
+byte, are those of the float64 walk alone.
 """
 
 from __future__ import annotations
@@ -49,9 +34,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import check_integer
 from .observables import (DIGIT, DIGIT_MEAN, DIGIT_SYSTEM, DeviationParams, Observable,
                           deviations, screen, undecided)
-from .systems import (_POINT_CHUNK, SYSTEMS, System, check_ensemble_horizon, check_integer,
+from .systems import (_POINT_CHUNK, SYSTEMS, System, check_ensemble_horizon,
                       sample_orbit_ensemble)
 
 LN2 = math.log(2.0)
@@ -124,7 +110,7 @@ def _hit_grid(sys, obs, phibar, alphas, n_values, sample_count, seed):
         ens = sample_orbit_ensemble(sys, seed, start, stop - start)
         for j, dev in enumerate(deviations(ens, obs, phibar, dtype, n_values, doubles)):
             for i, t in enumerate(alphas):
-                above, rows = undecided(dev, bands[j], t)
+                _, above, rows = undecided(dev, bands[j], t)
                 hits[i, j] += above
                 if not rows.size:
                     continue
@@ -186,9 +172,7 @@ def build_deviation_ladders(sys: System, obs: Observable, phibar: float,
     the 128-bit dyadic doubling and tent ensembles, 54 for cat) raises
     ValueError rather than returning a wrong measure.
     """
-    check_integer("sample_count", sample_count)
-    if sample_count < _MIN_SAMPLES:
-        raise ValueError(f"sample_count must be >= {_MIN_SAMPLES}")
+    check_integer("sample_count", sample_count, _MIN_SAMPLES)
     alphas = [float(a) for a in alphas]
     if any(math.isnan(a) for a in alphas):
         raise ValueError(f"alphas must be numbers, got {alphas}")
@@ -234,8 +218,7 @@ def exact_deviation_measure_digit(alpha: float, n: int) -> float:
     exact value of the float alpha, so a class with k/n exactly on the
     boundary is classified the same way the float comparison classifies it.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
+    check_integer("n", n, 1)
     return digit_deviation_count(alpha, n) / 2**n
 
 
@@ -255,9 +238,13 @@ def digit_deviation_count(alpha: float, n: int) -> int:
 
 
 def exact_digit_ladder(alpha: float, n_values) -> DeviationLadder:
-    """Exact ladder for the digit observable; no sampling, zero error bars."""
+    """Exact ladder for the digit observable; no sampling, zero error bars.
+    Each horizon must be an integer >= 1 (ValueError naming n_values)."""
+    n_values = list(n_values)
+    for n in n_values:
+        check_integer("n_values entry", n, 1)
     entries = tuple(
-        LadderEntry(int(n), exact_deviation_measure_digit(alpha, int(n)), 0.0, 0, METHOD_BINOMIAL)
+        LadderEntry(int(n), exact_deviation_measure_digit(alpha, n), 0.0, 0, METHOD_BINOMIAL)
         for n in n_values
     )
     return DeviationLadder(DIGIT_SYSTEM, DIGIT.oid, DIGIT_MEAN, float(alpha), entries)

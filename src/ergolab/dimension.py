@@ -27,27 +27,18 @@ the n-step average over a cell) so that no cell detectable at the report
 threshold is ever lost.  Pruning is what keeps deep ladders inside the
 cell-evaluation budget.  In 2-d every level is swept densely, in row bands.
 
-Every cell and candidate test is a comparison of a stencil point's
-deviation with a threshold (alpha and tau_n in 1-d, alpha in 2-d and in
-the ball lemma's candidate screen), and cellmax >= t holds iff some
-stencil point reaches t.  So a cheaper deviation within a proven band of
-the float64 walk's decides every point outside [t - band, t + band) for
-every threshold t, and only the points in some band
-(observables.undecided) are walked in float64:
-
-* covers of a linear torus map with a character observable, in 1-d and
-  2-d (cos1 on doubling and on the cat map): the Birkhoff sums of a band
-  of stencil points have the closed form of one small product of cos/sin
-  tables (_closed_form_dev), within closed_form_band;
-* other covers and lemma candidates walk float64 orbits with the screen
-  of observables.screen, by observables.deviations: for cos1 the cosines of
-  float32 phases (observables.terms), summed and turned into deviations in
-  float32, which _dev_points hands out as float64 after its recount; for
-  the others it is the float64 walk itself, band 0.
-
-Cards, relaxed sets and lemma reports are those of the float64 walk; the
-lemma's ball points, whose deviations are reported, are evaluated in
-float64 only.
+Every cell and candidate test is a threshold test, deviation >= t (alpha
+and tau_n in 1-d, alpha in 2-d and in the ball lemma's candidate screen),
+and a cell's stencil meets t where one of its points does.  Each test is
+screened by the one rule of observables (`screen`, `undecided`): _hits
+hands back, for each threshold, the mask of the float64 walk's
+deviation >= t, decided by a cheaper deviation within a proven band and,
+in the band, by observables.deviation.  The cheaper deviation is the
+closed form of a linear torus map with a character observable (cos1 on
+doubling and on the cat map, within closed_form_band), or else the walk
+of observables.screen.  Cards, relaxed sets and lemma reports are those
+of the float64 walk; the lemma's ball points, whose deviations are
+reported, are evaluated in float64 only.
 """
 
 from __future__ import annotations
@@ -58,11 +49,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .deviation import LN2, digit_deviation_count, write_csv
-from .errors import GridBudgetError, RateNotEstablishedError
-from .observables import _NO_ROWS, _TWO_PI, Observable, deviations, screen, undecided
+from .errors import GridBudgetError, RateNotEstablishedError, check_integer
+from .observables import _TWO_PI, Observable, deviation, deviations, screen, undecided
 from .rng import STREAM_LEMMA_BALLS, STREAM_LEMMA_POINTS, raw_blocks, uniform01
-from .systems import (_POINT_CHUNK, System, _FloatOrbits, check_float64_horizon,
-                      check_integer, domain_points, into_domain)
+from .systems import (_POINT_CHUNK, System, _FloatOrbits, check_float64_horizon, domain_points,
+                      into_domain)
 
 _BAND_POINTS = 1 << 22  # points per row band of a walked 2-d level
 
@@ -98,38 +89,41 @@ class BallLemmaReport(NamedTuple):
     inconclusive: bool
 
 
-def _undecided_rows(dev, band, thresholds):
-    """The flat indices of dev in the band of some threshold, sorted: the
-    union of observables.undecided's rows, none at band 0."""
-    rows = [r for t in thresholds if (r := undecided(dev, band, t)[1]).size] if band else []
-    if len(rows) < 2:
-        return rows[0] if rows else _NO_ROWS
-    flag = np.zeros(dev.size, dtype=bool)
-    for r in rows:
-        flag[r] = True
-    return np.flatnonzero(flag)
+def _hits(dev, band, thresholds, exact):
+    """For each threshold t, the mask of the float64 deviation >= t.
+
+    dev is within band of the float64 deviation at every entry; the rows
+    observables.undecided leaves in t's band are decided by exact(rows),
+    the float64 deviations of those flat indices.  A repeated threshold
+    shares its mask: callers only read them.
+    """
+    masks = {}
+    for t in thresholds:
+        if t not in masks:
+            hit, _, rows = undecided(dev, band, t)
+            if rows.size:
+                hit.flat[rows] = exact(rows) >= t
+            masks[t] = hit
+    return [masks[t] for t in thresholds]
 
 
-def _dev_points(sys, obs, phibar, pts, n, thresholds=(), threads=1):
-    """Deviation of an (N, d) float64 batch at horizon n (no domain check).
+def _walk_hits(sys, obs, phibar, pts, n, thresholds, threads=1):
+    """_hits of an (N, d) float64 batch at horizon n (no domain check).
 
-    With no thresholds these are the float64 values.  With thresholds the
-    walk runs on the screen of observables.screen and the rows it leaves
-    undecided are recomputed in float64: each returned value compares with
-    each threshold (>=) as its float64 value does.  A batch larger than
-    _POINT_CHUNK is walked in equal chunks of at most _POINT_CHUNK points,
-    which bound the working set, on a pool of `threads` threads (the one
-    place the thread count acts); values are elementwise, so neither the
-    chunking nor the thread count changes any value or comparison.
+    The batch is walked on the screen of observables.screen.  A batch
+    larger than _POINT_CHUNK is walked in equal chunks of at most
+    _POINT_CHUNK points, which bound the working set, on a pool of
+    `threads` threads (the one place the thread count acts); hits are
+    elementwise, so neither the chunking nor the thread count changes any.
     """
     total = pts.shape[0]
     if total > _POINT_CHUNK:
-        out = np.empty(total)
+        out = np.empty((len(thresholds), total), dtype=bool)
         chunks = -(-total // _POINT_CHUNK)
         chunk = -(-total // chunks)
 
         def fill(i):
-            out[i:i + chunk] = _dev_points(sys, obs, phibar, pts[i:i + chunk], n, thresholds)
+            out[:, i:i + chunk] = _walk_hits(sys, obs, phibar, pts[i:i + chunk], n, thresholds)
 
         starts = range(0, total, chunk)
         if threads > 1:
@@ -142,14 +136,9 @@ def _dev_points(sys, obs, phibar, pts, n, thresholds=(), threads=1):
             for i in starts:
                 fill(i)
         return out
-    dtype, (band,) = screen(sys, obs, phibar, [n]) if thresholds else (np.float64, (0.0,))
+    dtype, (band,) = screen(sys, obs, phibar, [n])
     dev = next(deviations(_FloatOrbits(sys, pts), obs, phibar, dtype, [n]))
-    rows = _undecided_rows(dev, band, thresholds)
-    # float64 out: a recount written into a float32 array would round
-    dev = dev.astype(np.float64, copy=False)
-    if rows.size:
-        dev[rows] = _dev_points(sys, obs, phibar, pts[rows], n)
-    return dev
+    return _hits(dev, band, thresholds, lambda rows: deviation(sys, obs, phibar, pts[rows], n))
 
 
 def verify_ball_lemma(sys: System, obs: Observable, phibar: float, alpha: float,
@@ -168,13 +157,9 @@ def verify_ball_lemma(sys: System, obs: Observable, phibar: float, alpha: float,
     A horizon past the float64 orbit budget (systems.check_float64_horizon)
     raises ValueError: past it, doubling orbits have collapsed onto 0.
     """
-    check_integer("n", n)
-    check_integer("pair_count", pair_count)
-    check_integer("candidate_factor", candidate_factor)
-    if n < 1:
-        raise ValueError("need horizon n >= 1")
-    if pair_count < 1:
-        raise ValueError("need pair_count >= 1")
+    check_integer("n", n, 1)
+    check_integer("pair_count", pair_count, 1)
+    check_integer("candidate_factor", candidate_factor, 1)
     if not 0.0 < delta < math.inf:
         raise ValueError(f"need a finite delta > 0, got {delta}")
     if math.isnan(alpha):
@@ -195,8 +180,7 @@ def verify_ball_lemma(sys: System, obs: Observable, phibar: float, alpha: float,
     while drawn < max_draws and sum(len(a) for a in accepted) < pair_count:
         m = min(batch, max_draws - drawn)
         pts = domain_points(sys, raw_blocks(seed, STREAM_LEMMA_POINTS, drawn, m))
-        dev = _dev_points(sys, obs, phibar, pts, n, (alpha,))
-        accepted.append(pts[dev >= alpha])
+        accepted.append(pts[_walk_hits(sys, obs, phibar, pts, n, (alpha,))[0]])
         drawn += m
     xs = np.concatenate(accepted) if accepted else np.empty((0, sys.d))
     xs = xs[:pair_count]
@@ -213,7 +197,7 @@ def verify_ball_lemma(sys: System, obs: Observable, phibar: float, alpha: float,
         rho = radius * np.sqrt(u1)
         off = np.stack([rho * np.cos(2.0 * math.pi * u2),
                         rho * np.sin(2.0 * math.pi * u2)], axis=1)
-    dev_y = _dev_points(sys, obs, phibar, into_domain(sys, xs + off), n)
+    dev_y = deviation(sys, obs, phibar, into_domain(sys, xs + off), n)
     margins = dev_y - alpha / 2.0
     return BallLemmaReport(alpha, n, delta, radius, pair_count,
                            int(xs.shape[0]), drawn,
@@ -277,17 +261,17 @@ def _grid_points(sys, idx, s):
 def _cover_level_1d(sys, obs, phibar, alpha, tau, s, m, n, cand, threads):
     """Detect cells at one 1-d level.  Returns (card, relaxed-detected cells).
 
-    A cell's stencil is its two corners and its centre; its maximum reaches
-    alpha (tau) where one of them does.  In closed form (see _closed_form)
-    the maxima come from _cellmax_closed_form.  Otherwise the level's
-    stencil is one grid index array, walked by _dev_points: the corners
-    (cand and cand + 1, merged), then the centres.  cand is sorted and
-    unique, so the corners are laid out without a sort: cell i's left
-    corner sits at i plus the number of gaps in cand before it, and its
-    right corner just after.
+    A cell's stencil is its two corners and its centre; it hits alpha (tau)
+    where one of them does.  In closed form (see _closed_form) the cells'
+    hits come from _cellhits_closed_form.  Otherwise the level's stencil is
+    one grid index array, walked by _walk_hits: the corners (cand and
+    cand + 1, merged), then the centres.  cand is sorted and unique, so the
+    corners are laid out without a sort: cell i's left corner sits at i
+    plus the number of gaps in cand before it, and its right corner just
+    after.
     """
     if _closed_form(sys, obs):
-        cellmax = _cellmax_closed_form(sys, obs, phibar, (alpha, tau), s, n, cand)
+        hit_alpha, hit_tau = _cellhits_closed_form(sys, obs, phibar, (alpha, tau), s, n, cand)
     else:
         left = np.arange(cand.size, dtype=np.int64)
         left[1:] += np.cumsum(np.diff(cand) > 1)
@@ -297,11 +281,11 @@ def _cover_level_1d(sys, obs, phibar, alpha, tau, s, m, n, cand, threads):
         idx[left + 1] = cand + 1
         idx[nc:] = cand
         idx[nc:] += 0.5
-        dev = _dev_points(sys, obs, phibar, _grid_points(sys, idx, s), n, (alpha, tau), threads)
-        cellmax = np.maximum(np.maximum(dev[left], dev[left + 1]), dev[nc:])
-    card = int(np.count_nonzero(cellmax >= alpha))
-    relaxed = cand[cellmax >= tau]
-    return card, relaxed
+        hit_alpha, hit_tau = (
+            hit[left] | hit[left + 1] | hit[nc:]
+            for hit in _walk_hits(sys, obs, phibar, _grid_points(sys, idx, s), n,
+                                  (alpha, tau), threads))
+    return int(np.count_nonzero(hit_alpha)), cand[hit_tau]
 
 
 def _union_runs(lo, hi):
@@ -491,21 +475,13 @@ def _col_factor(obs, y, coef):
     return col
 
 
-def _closed_form_dev(sys, obs, phibar, n, band, thresholds, row_f, col_f, points):
-    """|row_f @ col_f - phibar|, every entry comparing with each threshold as
-    the float64 walk's deviation does.
-
-    The entries in some threshold's band (_undecided_rows, at
-    closed_form_band) are replaced by _dev_points at points(flat), the
-    float64 grid points of those flat indices of the product.
-    """
+def _closed_form_hits(sys, obs, phibar, n, band, thresholds, row_f, col_f, points):
+    """_hits of |row_f @ col_f - phibar| at closed_form_band: points(flat)
+    are the float64 grid points of flat indices of the product."""
     dev = _product(row_f, col_f)
     dev -= phibar
     np.abs(dev, out=dev)
-    near = _undecided_rows(dev, band, thresholds)
-    if near.size:
-        dev.flat[near] = _dev_points(sys, obs, phibar, points(near), n)
-    return dev
+    return _hits(dev, band, thresholds, lambda rows: deviation(sys, obs, phibar, points(rows), n))
 
 
 def _closed_form(sys, obs):
@@ -524,8 +500,9 @@ def _closed_form(sys, obs):
 _BLOCK = 64
 
 
-def _cellmax_closed_form(sys, obs, phibar, thresholds, s, n, cand):
-    """Stencil maxima of the 1-d cells cand (sorted, unique) in closed form.
+def _cellhits_closed_form(sys, obs, phibar, thresholds, s, n, cand):
+    """The 1-d cells cand (sorted, unique) whose stencil hits each threshold,
+    a (len(thresholds), len(cand)) mask, in closed form.
 
     cand is cut into runs of consecutive cells and each run into blocks of
     _BLOCK cells.  A block starting at cell p has the row phases of
@@ -534,8 +511,8 @@ def _cellmax_closed_form(sys, obs, phibar, thresholds, s, n, cand):
     (blocks x 2n) @ (2n x (2 _BLOCK + 1)) gives every corner and centre
     sum of the level (closed_form_band bounds the split).  Blocks go in
     bands of at most _POINT_CHUNK sums, the size of one walked chunk, on
-    the calling thread (see _cover_level_2d).  Each maximum compares with
-    each threshold as the float64 walk's does.
+    the calling thread (see _cover_level_2d).  A cell hits a threshold
+    where one of its corners or its centre does.
     """
     width = 2 * _BLOCK + 1
     runs = np.flatnonzero(np.diff(cand, prepend=-2) != 1)    # first cell of each run
@@ -551,7 +528,7 @@ def _cellmax_closed_form(sys, obs, phibar, thresholds, s, n, cand):
     q = np.arange(_BLOCK + 1, dtype=np.float64)
     col_f = _col_factor(obs, np.concatenate([q * s, (q[:-1] + 0.5) * s]), coef)
     rows = _grid_points(sys, p.astype(np.float64), s).ravel()
-    cellmax = np.empty(cand.size)
+    cellhits = np.empty((len(thresholds), cand.size), dtype=bool)
     per_band = max(1, _POINT_CHUNK // width)
     for k0 in range(0, p.size, per_band):
         k1 = min(k0 + per_band, p.size)
@@ -560,13 +537,14 @@ def _cellmax_closed_form(sys, obs, phibar, thresholds, s, n, cand):
             k, c = np.divmod(near, width)
             return _grid_points(sys, p[k0 + k] + np.where(c <= _BLOCK, c, c - _BLOCK - 0.5), s)
 
-        dev = _closed_form_dev(sys, obs, phibar, n, band, thresholds,
-                               _row_factor(obs, rows[k0:k1], coef), col_f, points)
-        slots = np.maximum(dev[:, :_BLOCK], dev[:, 1:_BLOCK + 1])   # left, right corner
-        np.maximum(slots, dev[:, _BLOCK + 1:], out=slots)           # centre
         i0, i1 = head[k0], (head[k1] if k1 < p.size else cand.size)
-        cellmax[i0:i1] = slots.ravel()[slot[i0:i1] - k0 * _BLOCK]
-    return cellmax
+        for hit, cells in zip(_closed_form_hits(sys, obs, phibar, n, band, thresholds,
+                                                _row_factor(obs, rows[k0:k1], coef), col_f,
+                                                points), cellhits):
+            slots = hit[:, :_BLOCK] | hit[:, 1:_BLOCK + 1]   # left, right corner
+            slots |= hit[:, _BLOCK + 1:]                     # centre
+            cells[i0:i1] = slots.ravel()[slot[i0:i1] - k0 * _BLOCK]
+    return cellhits
 
 
 def _cover_level_2d(sys, obs, phibar, alpha, s, m, n, threads):
@@ -581,7 +559,7 @@ def _cover_level_2d(sys, obs, phibar, alpha, s, m, n, threads):
 
     In closed form (see _closed_form), S_n(row, col) = sum_j cos(a_j + b_j),
     a_j = 2 pi c_j0 row, b_j = 2 pi c_j1 col (see _character_coefficients):
-    a band's deviations are those of _closed_form_dev from cos/sin tables
+    a band's hits are those of _closed_form_hits from cos/sin tables
     built once per level, O(m n) cosines for the level instead of O(m^2 n).
     The closed form runs on the calling thread in bands of P = _POINT_CHUNK
     points: OpenBLAS products issued from two threads at once ran 6-17x
@@ -600,8 +578,8 @@ def _cover_level_2d(sys, obs, phibar, alpha, s, m, n, threads):
 
         def hits(axis, r0, r1):
             pts = _grid_2d(axis[r0:r1], axis)
-            dev = _dev_points(sys, obs, phibar, pts, n, (alpha,), threads)
-            return (dev >= alpha).reshape(r1 - r0, axis.size)
+            hit = _walk_hits(sys, obs, phibar, pts, n, (alpha,), threads)[0]
+            return hit.reshape(r1 - r0, axis.size)
     else:
         band_points = _POINT_CHUNK
         coef = _character_coefficients(sys, obs, n)
@@ -616,8 +594,8 @@ def _cover_level_2d(sys, obs, phibar, alpha, s, m, n, threads):
                 i, j = np.divmod(near, axis.size)
                 return np.stack([axis[r0 + i], axis[j]], axis=1)
 
-            return _closed_form_dev(sys, obs, phibar, n, band, (alpha,),
-                                    row_f[r0:r1], col_f, points) >= alpha
+            return _closed_form_hits(sys, obs, phibar, n, band, (alpha,),
+                                     row_f[r0:r1], col_f, points)[0]
 
     card = 0
     rows_per_band = max(1, band_points // (m + 1) - 1)
@@ -642,7 +620,7 @@ def build_cover_ladder(sys: System, obs: Observable, phibar: float, alpha: float
     cells passing the relaxed thresholds (see _prune_thresholds), in 2-d
     every level is swept densely.  In 1-d and 2-d, a linear map (the system
     declares a matrix) with a character observable takes its Birkhoff sums
-    in closed form (see _cellmax_closed_form and _cover_level_2d), other
+    in closed form (see _cellhits_closed_form and _cover_level_2d), other
     pairs by the float64 walk.  Either way cards are those of the float64
     walk, at any thread count.  The budget caps the total number of
     cells examined; a level that would exceed it raises GridBudgetError
@@ -850,10 +828,14 @@ def besicovitch_eggleston_dimension(alpha: float,
     sum_{|k/n - 1/2| >= alpha} C(n, k) cylinders, and log2(count)/n
     approaches the dimension from below.  `confirmed` requires the
     estimates to be nondecreasing in depth with the deepest one within
-    0.01 of the closed form.
+    0.01 of the closed form.  Each depth must be an integer >= 1
+    (ValueError naming depths).
     """
     if not (0.0 < alpha < 0.5):
         raise ValueError("need 0 < alpha < 1/2")
+    depths = list(depths)
+    for n in depths:
+        check_integer("depths entry", n, 1)
     p = 0.5 + alpha
     q = 0.5 - alpha
     value = -(p * math.log(p) + q * math.log(q)) / LN2

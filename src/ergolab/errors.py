@@ -1,6 +1,18 @@
-"""Exception types shared across the package.  A plain argument out of its
-range, NaN included, raises ValueError naming it instead (ParameterError,
-for catalog parameters, is both a ValueError and an ErgolabError)."""
+"""Exception types shared across the package, and check_integer.  A plain
+argument out of its range, NaN included, raises ValueError naming it
+instead (ParameterError, for catalog parameters, is both a ValueError and
+an ErgolabError)."""
+
+import numbers
+
+
+def check_integer(name: str, value, least=None):
+    """ValueError naming `name` unless value is an integer (a numpy integer
+    too), and at least `least` where that is given."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 class ErgolabError(Exception):

@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_integer
 from .observables import _TWO_PI, Observable
 from .rng import STREAM_FLOW, raw_blocks, uniform01
 from .systems import (_POINT_CHUNK, System, _as_batch, _check_domain, distance, domain_points,
@@ -354,8 +354,10 @@ def flow_nontypical_inclusion_check(flow: SuspensionFlow, fobs: FlowObservable,
     two horizons are one: dev_map is dev_flow, without a second walk (a
     state's average does not depend on the batch it is walked in).
     """
-    if alpha <= 0.0:
-        raise ValueError("need alpha > 0")
+    if not alpha > 0.0:
+        raise ValueError(f"need alpha > 0, got {alpha}")
+    if not math.isfinite(phibar):
+        raise ValueError(f"phibar must be finite, got {phibar}")
     T = _times(T)
     if np.any(T < 4.0 * fobs.sup_abs / alpha):
         raise ValueError(f"need T >= 4 sup|Phi| / alpha = {4.0 * fobs.sup_abs / alpha}")
@@ -416,8 +418,7 @@ def estimate_time1_lipschitz(flow: SuspensionFlow, pair_count: int, seed: int) -
     Distance is sqrt(base distance^2 + fiber gap^2).  Pairs are a sampled
     state and a perturbation of its base point by at most _OFFSET_SCALE.
     """
-    if pair_count < 1:
-        raise ValueError("need pair_count >= 1")
+    check_integer("pair_count", pair_count, 1)
     sys = flow.base
     batch, extra = sample_flow_batch(flow, seed, 0, pair_count)
     x1, s1 = batch.x, batch.s

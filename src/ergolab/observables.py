@@ -44,10 +44,11 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .errors import check_integer
 from .rng import STREAM_ORBIT_SEED, raw_blocks
 from .systems import (_TWO_PI, Param, System, _as_batch, _check_domain, _FloatOrbits,
-                      birkhoff_sums, catalog_entry, check_integer, domain_diameter,
-                      domain_points, iterate, sample_points)
+                      birkhoff_sums, catalog_entry, domain_diameter, domain_points, iterate,
+                      sample_points)
 
 
 @dataclass(frozen=True)
@@ -310,26 +311,26 @@ _NO_ROWS.flags.writeable = False
 
 
 def undecided(dev, band: float, t: float):
-    """(above, rows): the count of dev >= t + band, and the flat indices of
-    the entries of dev in [t - band, t + band), sorted.
+    """(hit, above, rows): the mask dev >= t + band, its count, and the flat
+    indices of the entries of dev in [t - band, t + band), sorted.
 
     dev is within band of the float64 deviation d at every entry, with room
     for t - band and t + band to round to dev's dtype (float32_band, term
     6).  An entry at or above t + band has d >= t, one below t - band has
-    d < t: `above` counts d >= t exactly but for `rows`, which the float64
-    walk decides.  The count at t + band comes first, and the band's mask
-    is made only where the count at t - band differs from it: most bands
-    hold no entry.  Band 0 leaves no row, the plain float64 walk's count.
+    d < t: `hit` is d >= t exactly but at `rows`, which the float64 walk
+    decides.  The mask at t + band comes first, and the band's mask is made
+    only where the count at t - band differs from it: most bands hold no
+    entry.  Band 0 leaves no row: `hit` is the plain float64 walk's.
     """
     hit = dev >= t + band
     above = np.count_nonzero(hit)
     if band == 0.0:
-        return above, _NO_ROWS
+        return hit, above, _NO_ROWS
     near = dev >= t - band
     if np.count_nonzero(near) == above:
-        return above, _NO_ROWS
+        return hit, above, _NO_ROWS
     near ^= hit               # fl(t - band) <= fl(t + band): hit lies inside near
-    return above, np.flatnonzero(near)
+    return hit, above, np.flatnonzero(near)
 
 
 def time_average(sys: System, obs: Observable, x, n: int):
@@ -444,9 +445,7 @@ def srb_space_average(sys: System, observable: Observable, seed: int,
     """
     for name, count in (("samples", samples), ("orbit_length", orbit_length),
                         ("transient", transient)):
-        check_integer(name, count)
-        if count < 0:
-            raise ValueError(f"{name} must be >= 0, got {count}")
+        check_integer(name, count, 0)
     if sys.srb_kind == "lebesgue":
         if samples < 2:
             raise ValueError("need at least 2 samples")

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import check_integer
+
 # Stream ids.  Fixed forever; changing one silently changes every seeded
 # result downstream.
 STREAM_ORBITS = 1         # initial conditions for orbit ensembles
@@ -33,8 +35,9 @@ _U11 = np.uint64(11)
 
 
 def check_seed(seed: int):
-    """ValueError unless seed lies in [0, 2^64): Philox keys on one 64-bit
-    word, so any other seed would alias one inside."""
+    """ValueError unless seed is an integer in [0, 2^64): Philox keys on one
+    64-bit word, so any other seed, a float too, would alias one inside."""
+    check_integer("seed", seed)
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed {seed} is outside [0, 2^64), the Philox key word")
 
@@ -48,16 +51,18 @@ def raw_blocks(seed: int, stream: int, start, count: int) -> np.ndarray:
     read, in order, from one generator whose counter is set to each index
     in turn through one reused state dict (Philox is counter-addressed, so
     a block read this way equals the same block of a range read), and row
-    i is block start[i].  `seed` must pass check_seed.
+    i is block start[i].  `seed` must pass check_seed; `count`, and a
+    scalar `start`, must be integers >= 0 (ValueError naming them).
     """
     check_seed(seed)
+    check_integer("count", count, 0)
     indexed = np.ndim(start) > 0
     if indexed:
         idx = np.asarray(start, dtype=np.int64)
         if count < 1 or idx.shape != (count,) or idx[0] < 0 or np.any(np.diff(idx) <= 0):
             raise ValueError("block indices must be a non-empty increasing array of length count")
-    elif count < 0 or start < 0:
-        raise ValueError("block range must be non-negative")
+    else:
+        check_integer("start", start, 0)
     bg = np.random.Philox(key=np.array([seed, stream], dtype=np.uint64))
     state = bg.state
     counter = state["state"]["counter"]

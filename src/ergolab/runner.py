@@ -167,10 +167,6 @@ def _format_value(v):
     return str(v)
 
 
-_BOOLEANS = {"true": True, "1": True, "yes": True, "on": True,
-             "false": False, "0": False, "no": False, "off": False}
-
-
 def _float_list(raw):
     return tuple(float(tok) for tok in raw.split(",")) if raw else ()
 
@@ -180,7 +176,7 @@ def _optional_float(raw):
 
 
 def _boolean(raw):
-    return _BOOLEANS[raw.lower()]
+    return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
 
 
 def _parse_value(name, raw):

@@ -47,13 +47,12 @@ n log2 L <= 45 (FLOAT64_BITS), which covers and the ball lemma enforce.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, ParameterError
+from .errors import DomainError, ParameterError, check_integer
 from .rng import STREAM_ORBITS, STREAM_SPACE_AVG, raw_blocks, uniform01
 
 _TWO_PI = 2.0 * math.pi
@@ -216,9 +215,7 @@ def into_domain(sys: System, pts: np.ndarray) -> np.ndarray:
 def iterate(sys: System, x, k: int):
     """Apply the step map k >= 0 times.  Domain is checked before stepping;
     a k that is not an integer raises ValueError naming it."""
-    check_integer("k", k)
-    if k < 0:
-        raise ValueError("iterate needs k >= 0")
+    check_integer("k", k, 0)
     pts, tag = _as_batch(sys, x)
     _check_domain(sys, pts)
     for _ in range(k):
@@ -628,12 +625,6 @@ def get_system(sid: str, **params) -> System:
     """Build a catalog system by id (see SYSTEMS for its parameters)."""
     entry, kw = catalog_entry(SYSTEMS, "system", sid, params)
     return entry.build(sid, **kw)
-
-
-def check_integer(name: str, value):
-    """ValueError naming `name` unless value is an integer (a numpy integer too)."""
-    if not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def check_ensemble_horizon(sys: System, n: int):

@@ -11,11 +11,11 @@ import pytest
 import ergolab as E
 from ergolab import dimension
 from ergolab.deviation import DIGIT
-from ergolab.dimension import (_POINT_CHUNK, _character_coefficients, _children_1d,
-                               _col_factor, _cover_level_1d, _cover_level_2d,
-                               _dev_points, _grid_cells, _grid_points, _row_factor,
-                               closed_form_band)
-from ergolab.observables import float32_band
+from ergolab.dimension import (_POINT_CHUNK, _cellhits_closed_form, _character_coefficients,
+                               _children_1d, _closed_form_hits, _col_factor, _cover_level_1d,
+                               _cover_level_2d, _grid_2d, _grid_cells, _grid_points, _row_factor,
+                               _walk_hits, closed_form_band)
+from ergolab.observables import deviation, deviations, float32_band
 from ergolab.rng import STREAM_LEMMA_POINTS, raw_blocks
 from ergolab.systems import _FloatOrbits, domain_points
 from ergolab.errors import GridBudgetError, RateNotEstablishedError
@@ -70,6 +70,21 @@ from ergolab.errors import GridBudgetError, RateNotEstablishedError
     ("pair_count", ValueError, lambda s, o: E.verify_ball_lemma(s, o, 0.0, 0.3, 0.01, 4, 10.5, 1)),
     ("candidate_factor", ValueError, lambda s, o: E.verify_ball_lemma(
         s, o, 0.0, 0.3, 0.01, 4, 10, 1, candidate_factor=2.5)),
+    ("candidate_factor", ValueError, lambda s, o: E.verify_ball_lemma(
+        s, o, 0.0, 0.3, 0.01, 4, 10, 1, candidate_factor=0)),
+    ("candidate_factor", ValueError, lambda s, o: E.verify_ball_lemma(
+        s, o, 0.0, 0.3, 0.01, 4, 10, 1, candidate_factor=-3)),
+    ("n_values", ValueError, lambda s, o: E.exact_digit_ladder(0.1, [2.5, 4])),
+    ("n_values", ValueError, lambda s, o: E.exact_digit_ladder(0.1, [0, 4])),
+    ("n", ValueError, lambda s, o: E.exact_deviation_measure_digit(0.1, 2.5)),
+    ("depths", ValueError, lambda s, o: E.besicovitch_eggleston_dimension(0.1, (0, 400, 800))),
+    ("depths", ValueError,
+     lambda s, o: E.besicovitch_eggleston_dimension(0.1, (200.5, 400, 800))),
+    ("start", ValueError, lambda s, o: raw_blocks(1, 1, 1.999, 3)),
+    ("count", ValueError, lambda s, o: raw_blocks(1, 1, 1, 3.0)),
+    ("start", ValueError, lambda s, o: E.sample_orbit_ensemble(s, 1, 2.7, 3)),
+    ("count", ValueError, lambda s, o: E.sample_orbit_ensemble(s, 1, 0, 14.0)),
+    ("seed", ValueError, lambda s, o: E.verify_ball_lemma(s, o, 0.0, 0.4, 0.01, 4, 10, 1.5)),
 ], ids=["ladders-phibar", "ladders-alphas", "cover-alpha", "cover-phibar", "lemma-delta",
         "lemma-alpha", "lemma-phibar", "cover-dprimes", "digit-alpha", "digit-ladder-alpha",
         "bound-h", "bound-L", "modulus-alpha", "box-counts", "bernoulli-alpha",
@@ -77,7 +92,10 @@ from ergolab.errors import GridBudgetError, RateNotEstablishedError
         "cover-delta-negative", "cover-delta-zero", "cover-delta-nan", "cover-delta-cat",
         "cover-delta-inf", "lemma-delta-inf", "space-average-orbit_length", "box-counts-inf",
         "box-scales-inf", "cover-n_lo", "cover-n_hi", "ladders-sample_count",
-        "lemma-pair_count", "lemma-candidate_factor"])
+        "lemma-pair_count", "lemma-candidate_factor", "lemma-candidate_factor-0",
+        "lemma-candidate_factor-negative", "digit-ladder-n_values", "digit-ladder-n_values-0",
+        "digit-n", "be-depths-0", "be-depths-float", "raw_blocks-start", "raw_blocks-count",
+        "ensemble-start", "ensemble-count", "lemma-seed"])
 def test_nan_inputs_are_refused_by_name(arg, error, call):
     # each of these read a NaN as a number: measures and cards of 0, a lemma
     # with no violation or with no candidate accepted, NaN cover volumes, a
@@ -89,7 +107,10 @@ def test_nan_inputs_are_refused_by_name(arg, error, call):
     # that names nothing), a delta <= 0 on the alpha <= 0 path (negative
     # cards and radii), an infinite delta (empty covers at alpha 0, a lemma
     # with no violation and a NaN margin), and an infinite count or scale (a
-    # NaN dimension, or an error from LAPACK)
+    # NaN dimension, or an error from LAPACK).  A float block start or seed
+    # was truncated (block 1.999 read as block 1), a count of 0 or less drew no
+    # candidate and read as inconclusive, and a horizon or depth of 2.5 or 0
+    # was truncated to an entry at n = 2 or divided by zero
     sysd = E.get_system("doubling")
     with pytest.raises(error, match=rf"\b{arg}\b"):
         call(sysd, E.get_observable("cos1", sysd))
@@ -261,49 +282,85 @@ def test_cover_dedup_equals_np_unique():
         assert kids[0] == 0 and kids[-1] == 799
 
 
-def test_dev_points_chunking_is_invisible():
+def test_walk_hits_chunking_is_invisible():
     # a batch of three chunks, walked whole at 1 and 2 threads, gives the
-    # values of reference batches smaller than a chunk whose edges fall off
-    # the chunk seams; thresholds at points' own float64 deviations, spread
-    # over the batch, are decided by the recount
+    # masks of reference batches smaller than a chunk whose edges fall off
+    # the chunk seams, and those of the float64 deviations; thresholds at
+    # points' own float64 deviations, spread over the batch, are decided by
+    # the recount
     sysd = E.get_system("doubling")
     cos1 = E.get_observable("cos1", sysd)
     pts = np.random.default_rng(2).random((2 * _POINT_CHUNK + 5, 1))
     step = _POINT_CHUNK // 5 + 7
-
-    def reference(thresholds):
-        return np.concatenate([_dev_points(sysd, cos1, 0.1, pts[i:i + step], 3, thresholds)
-                               for i in range(0, pts.shape[0], step)])
-
-    exact = reference(())
+    exact = deviation(sysd, cos1, 0.1, pts, 3)
     ties = tuple(float(exact[i]) for i in (0, pts.shape[0] // 3, _POINT_CHUNK, pts.shape[0] - 1))
-    for thresholds in [(), (0.3,), ties]:
-        want = reference(thresholds)
+    for thresholds in [(0.3,), ties]:
+        want = np.concatenate([_walk_hits(sysd, cos1, 0.1, pts[i:i + step], 3, thresholds)
+                               for i in range(0, pts.shape[0], step)], axis=1)
+        assert np.array_equal(want, [exact >= t for t in thresholds])
         for threads in (1, 2):
-            got = _dev_points(sysd, cos1, 0.1, pts, 3, thresholds, threads)
+            got = _walk_hits(sysd, cos1, 0.1, pts, 3, thresholds, threads)
             assert np.array_equal(got, want)
-            for t in thresholds:
-                assert np.array_equal(got >= t, exact >= t)
 
 
-def test_dev_points_returns_float64():
+def test_walk_hits_decide_ties_and_band_rows_in_float64():
     # the screened walk of cos1 is float32 from its points to its
-    # deviations, but _dev_points hands out float64: the rows it recounts
-    # hold their float64 values exactly, the others their float32 values
-    # upcast, within the band of the float64 ones, and every row compares
-    # with each threshold as its float64 value does
+    # deviations, within the band of the float64 ones but not equal to
+    # them.  A threshold at a row's float64 deviation where the screen reads
+    # lower, or just above it where the screen reads higher, puts the row in
+    # the band with the screen on the wrong side of it: the masks still
+    # equal the float64 walk's >=, as they do at 0.3
     sysd = E.get_system("doubling")
     cos1 = E.get_observable("cos1", sysd)
     pts = np.random.default_rng(5).random((5000, 1))
-    exact = _dev_points(sysd, cos1, 0.1, pts, 9)
-    assert exact.dtype == np.float64
-    ties = (float(exact[7]), float(exact[4000]), 0.3)
-    got = _dev_points(sysd, cos1, 0.1, pts, 9, ties)
-    assert got.dtype == np.float64
-    assert got[7] == exact[7] and got[4000] == exact[4000]
-    assert 0.0 < np.max(np.abs(got - exact)) <= float32_band(sysd, cos1, 9)
-    for t in ties:
-        assert np.array_equal(got >= t, exact >= t)
+    band = float32_band(sysd, cos1, 9)
+    exact = deviation(sysd, cos1, 0.1, pts, 9)
+    screened = next(deviations(_FloatOrbits(sysd, pts), cos1, 0.1, np.float32, [9]))
+    gap = screened.astype(np.float64) - exact
+    assert 0.0 < np.max(np.abs(gap)) <= band
+    tie_rows = np.concatenate([np.flatnonzero(gap < 0.0)[:3], np.flatnonzero(gap > 0.0)[:3]])
+    thresholds = (*exact[tie_rows[:3]], *np.nextafter(exact[tie_rows[3:]], np.inf), 0.3)
+    masks = _walk_hits(sysd, cos1, 0.1, pts, 9, thresholds)
+    assert len(masks) == len(thresholds)
+    for t, hit in zip(thresholds, masks):
+        assert np.array_equal(hit, exact >= t)
+    for row, t, hit in zip(tie_rows, thresholds, masks):
+        # the screen alone decides the other way at the tie row
+        assert (screened[row] >= np.float32(t)) != hit[row]
+
+
+def test_closed_form_masks_equal_walked_masks():
+    # the closed form's masks equal those the float64-walk screen gives on
+    # the same points: 1-d cells of doubling (corners and centre ORed), and
+    # the corner grid of a 2-d cat level, with thresholds on their own
+    # float64 deviations
+    sysd = E.get_system("doubling")
+    cos1 = E.get_observable("cos1", sysd)
+    phibar, n, s = 0.02, 9, 1.0 / 3001.5
+    cand = np.unique(np.random.default_rng(9).choice(_grid_cells(sysd, s), 1500))
+    stencil = [_grid_points(sysd, c, s) for c in
+               (cand.astype(np.float64), cand + 1.0, cand + 0.5)]
+    ties = deviation(sysd, cos1, phibar, stencil[2], n)[[3, 600, 1100]]
+    thresholds = (0.4, 0.1, *ties)
+    walked = np.logical_or.reduce([_walk_hits(sysd, cos1, phibar, p, n, thresholds)
+                                   for p in stencil])
+    got = _cellhits_closed_form(sysd, cos1, phibar, thresholds, s, n, cand)
+    assert got.shape == (len(thresholds), cand.size)
+    assert np.array_equal(got, walked)
+
+    sysc = E.get_system("cat")
+    cos1 = E.get_observable("cos1", sysc)
+    axis = _grid_points(sysc, np.arange(61, dtype=np.float64), 1.0 / 60).ravel()
+    pts = _grid_2d(axis, axis)
+    coef = _character_coefficients(sysc, cos1, 5)
+    ties = deviation(sysc, cos1, phibar, pts, 5)[[10, 1000, 3000]]
+    thresholds = (0.4, *ties)
+    got = _closed_form_hits(sysc, cos1, phibar, 5, closed_form_band(sysc, cos1, 5), thresholds,
+                            _row_factor(cos1, axis, coef[:, 0]), _col_factor(cos1, axis, coef[:, 1]),
+                            lambda rows: pts[rows])
+    walked = _walk_hits(sysc, cos1, phibar, pts, 5, thresholds)
+    assert np.array_equal(np.reshape(got, (len(thresholds), -1)), walked)
+
 
 def _recording(obs):
     """obs with an fn that records the dtype of every batch it evaluates."""
@@ -337,16 +394,17 @@ def _ref_dev(sysm, obs, phibar, pts, n):
     return np.abs(E.time_average(sysm, obs, pts, n) - phibar)
 
 
-def _recording_walk(monkeypatch):
-    """Patch dimension._dev_points to record the batches it is called on."""
+def _recording_walk(monkeypatch, name="_walk_hits"):
+    """Patch dimension.<name>, the screened walk or (name="deviation") the
+    float64 recount, to record the batches it is called on."""
     batches = []
-    walk = dimension._dev_points
+    walk = getattr(dimension, name)
 
     def recording(sys, obs, phibar, pts, n, *rest):
         batches.append(pts.copy())
         return walk(sys, obs, phibar, pts, n, *rest)
 
-    monkeypatch.setattr(dimension, "_dev_points", recording)
+    monkeypatch.setattr(dimension, name, recording)
     return batches
 
 
@@ -374,7 +432,7 @@ def test_cover_level_1d_screen_equals_float64(monkeypatch, sid, skw):
     cellmax = _cellmax_1d(sysm, cos1, phibar, cand, s, n)
     ties = cellmax[np.argsort(cellmax)[[200, 500, 900, 1300, 1500, 1700]]]
     monkeypatch.setattr(dimension, "_POINT_CHUNK", 500)   # several chunks
-    batches = _recording_walk(monkeypatch)
+    batches = _recording_walk(monkeypatch, "deviation")
     phases = _recording_phases(monkeypatch)
     closed = sid == "doubling"
     recounted = False
@@ -444,15 +502,14 @@ def test_closed_form_band_bounds_the_1d_split(monkeypatch):
     cos1 = E.get_observable("cos1", sysd)
     delta = E.modulus_delta_for(sysd, cos1, 0.6)
     seen = []
-    closed = dimension._closed_form_dev
+    hits = dimension._hits
 
-    def recording(sys, obs, phibar, n, band, thresholds, row_f, col_f, points):
-        dev = closed(sys, obs, phibar, n, band, thresholds, row_f, col_f, points)
-        walked = _dev_points(sys, obs, phibar, points(np.arange(dev.size)), n)
+    def recording(dev, band, thresholds, exact):
+        walked = exact(np.arange(dev.size))
         seen.append(float(np.max(np.abs(dev.ravel() - walked))))
-        return dev
+        return hits(dev, band, thresholds, exact)
 
-    monkeypatch.setattr(dimension, "_closed_form_dev", recording)
+    monkeypatch.setattr(dimension, "_hits", recording)
     rng = np.random.default_rng(6)
     for n in range(10, 18):
         s = delta * sysd.L ** -n / 2.0
@@ -461,7 +518,7 @@ def test_closed_form_band_bounds_the_1d_split(monkeypatch):
         cand = np.unique(np.concatenate([np.arange(200), rng.choice(m, 2000),
                                          np.arange(m - 200, m)]))
         seen.clear()
-        dimension._cellmax_closed_form(sysd, cos1, 0.01, (), s, n, cand)
+        _cellhits_closed_form(sysd, cos1, 0.01, (), s, n, cand)
         assert 0.0 < max(seen) <= closed_form_band(sysd, cos1, n) / 8.0
 
 
@@ -492,14 +549,7 @@ def test_cover_level_2d_screen_equals_float64(monkeypatch):
     cos1 = E.get_observable("cos1", sysc)
     phibar, m = 0.02, 90
     s = 1.0 / m
-    recounts = []
-    walk = dimension._dev_points
-
-    def recording_walk(sys, obs, phibar, pts, n, *rest):
-        recounts.append(pts.copy())
-        return walk(sys, obs, phibar, pts, n, *rest)
-
-    monkeypatch.setattr(dimension, "_dev_points", recording_walk)
+    recounts = _recording_walk(monkeypatch, "deviation")
     monkeypatch.setattr(dimension, "_POINT_CHUNK", 700)   # closed-form bands of 7 rows
     for n in (3, 5):
         idx = np.arange(m + 1, dtype=np.float64) * s % 1.0
@@ -553,7 +603,7 @@ def test_closed_form_band_bounds_the_float_walk():
         row_f = _row_factor(cos1, rows, coef[:, 0])
         col_f = _col_factor(cos1, cols, coef[:, 1])
         closed = np.abs(row_f @ col_f - 0.01).ravel()
-        walked = _dev_points(sysc, cos1, 0.01, pts, n)
+        walked = deviation(sysc, cos1, 0.01, pts, n)
         gap = float(np.max(np.abs(closed - walked)))
         assert 0.0 < gap <= closed_form_band(sysc, cos1, n) / 8.0
 

@@ -179,6 +179,25 @@ def test_nontypical_inclusion_check():
         E.flow_nontypical_inclusion_check(flow, fobs, 0.0, 0.0, st, 50.0)
 
 
+@pytest.mark.parametrize("arg,call", [
+    ("alpha", lambda f, o, st: E.flow_nontypical_inclusion_check(f, o, 0.0, math.nan, st, 50.0)),
+    ("phibar", lambda f, o, st: E.flow_nontypical_inclusion_check(f, o, math.nan, 0.6, st, 50.0)),
+    ("phibar", lambda f, o, st: E.flow_nontypical_inclusion_check(f, o, math.inf, 0.6, st, 50.0)),
+    ("pair_count", lambda f, o, st: E.estimate_time1_lipschitz(f, 10.5, 1)),
+    ("start", lambda f, o, st: E.sample_flow_batch(f, 1, 1.5, 3)),
+    ("count", lambda f, o, st: E.sample_flow_batch(f, 1, 0, 3.0)),
+], ids=["inclusion-alpha", "inclusion-phibar-nan", "inclusion-phibar-inf",
+        "lipschitz-pair_count", "batch-start", "batch-count"])
+def test_flow_inputs_are_refused_by_name(arg, call):
+    # a NaN alpha or phibar read as a violation (vacuous=False, ok=False),
+    # a float pair count failed inside numpy, and a float start was
+    # truncated to the block below it
+    flow = unit_flow()
+    fobs = E.fiber_constant(E.get_observable("cos1", flow.base))
+    with pytest.raises(ValueError, match=rf"\b{arg}\b"):
+        call(flow, fobs, E.FlowState(np.array([0.0]), 0.0))
+
+
 def test_sample_flow_states():
     flow = E.SuspensionFlow(E.get_system("doubling"), E.cosine_roof(0.5))
     states, extra = E.sample_flow_states(flow, seed=4, start=0, count=300)

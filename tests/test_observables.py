@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import ergolab as E
-from ergolab.dimension import _undecided_rows
+from ergolab.dimension import _hits
 from ergolab.observables import DIGIT, DIGIT_MEAN, deviation, deviations, float32_band, undecided
 from ergolab.systems import _FloatOrbits, sample_points
 
@@ -188,8 +188,21 @@ def test_undecided_marks_the_half_open_band_around_a_threshold():
     t, band = 0.375, 0.125
     below, above = np.nextafter(t - band, 0.0), np.nextafter(t + band, 0.0)
     dev = np.array([0.0, below, t - band, t, above, t + band, 1.0])
-    count, rows = undecided(dev, band, t)
+    hit, count, rows = undecided(dev, band, t)
     assert count == 2 and rows.tolist() == [2, 3, 4]
+    assert hit.tolist() == [False] * 5 + [True] * 2
+
+
+def test_undecided_mask_and_count_are_the_comparison_at_t_plus_band():
+    # on float32 deviations, as the screen hands them over, at thresholds
+    # with and without rows in their band
+    dev = np.random.default_rng(1).random(4000).astype(np.float32)
+    for t, band in [(0.5, 1e-3), (0.25, 2.0**-20), (0.9, 0.0), (2.0, 0.1)]:
+        hit, count, rows = undecided(dev, band, t)
+        want = dev >= t + band
+        assert hit.dtype == bool and np.array_equal(hit, want)
+        assert count == np.count_nonzero(want)
+        assert np.array_equal(rows, np.flatnonzero((dev >= t - band) & ~want))
 
 
 def test_undecided_with_band_0_marks_nothing_even_on_exact_ties():
@@ -201,20 +214,39 @@ def test_undecided_with_band_0_marks_nothing_even_on_exact_ties():
     ties = tuple(np.unique(dev))
     assert len(ties) == 5 and all(np.count_nonzero(dev == t) > 1 for t in ties)
     for t in ties:
-        count, rows = undecided(dev, 0.0, t)
+        hit, count, rows = undecided(dev, 0.0, t)
         assert count == np.count_nonzero(dev >= t) and rows.size == 0
-    assert _undecided_rows(dev, 0.0, ties).size == 0
+        assert np.array_equal(hit, dev >= t)
+
+    def no_recount(rows):
+        raise AssertionError(f"band 0 recounted rows {rows}")
+
+    masks = _hits(dev, 0.0, ties, no_recount)
+    assert np.array_equal(masks, [dev >= t for t in ties])
 
 
-def test_undecided_rows_per_threshold_and_their_union():
+def test_undecided_rows_per_threshold_and_their_hits():
     # bands [0.1875, 0.3125), [0.6875, 0.8125) and [0.75, 0.875) on a dyadic
     # grid, each counted from its top; a band between grid points holds no row
     dev = np.arange(65) / 64.0
-    got = [undecided(dev, 1.0 / 16.0, t) for t in (0.25, 0.75, 0.8125)]
-    assert [count for count, _ in got] == [45, 13, 9]
-    assert [rows.tolist() for _, rows in got] == [list(range(12, 20)), list(range(44, 52)),
-                                                 list(range(48, 56))]
-    count, rows = undecided(dev, 1.0 / 256.0, 0.5 + 1.0 / 128.0)
+    thresholds = (0.25, 0.75, 0.8125)
+    got = [undecided(dev, 1.0 / 16.0, t) for t in thresholds]
+    assert [count for _, count, _ in got] == [45, 13, 9]
+    assert [rows.tolist() for *_, rows in got] == [list(range(12, 20)), list(range(44, 52)),
+                                                  list(range(48, 56))]
+    _, count, rows = undecided(dev, 1.0 / 256.0, 0.5 + 1.0 / 128.0)
     assert count == 32 and rows.size == 0
-    union = _undecided_rows(dev, 1.0 / 16.0, (0.25, 0.75, 0.8125))
-    assert union.tolist() == list(range(12, 20)) + list(range(44, 56))
+    # _hits decides each band's rows, and those only, by the exact
+    # deviations: here dev moved by +-1/128 (inside the band), alternately.
+    # A repeated threshold is decided once and shares its mask.
+    exact = dev + np.where(np.arange(65) % 2, 1.0, -1.0) / 128.0
+    asked = []
+
+    def recount(rows):
+        asked.append(rows.tolist())
+        return exact[rows]
+
+    masks = _hits(dev, 1.0 / 16.0, thresholds + (0.25,), recount)
+    assert asked == [rows.tolist() for *_, rows in got]
+    assert np.array_equal(masks, [exact >= t for t in thresholds + (0.25,)])
+    assert masks[3] is masks[0]

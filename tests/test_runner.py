@@ -95,6 +95,20 @@ def test_validation_names_the_offending_field(field, over):
     assert str(err.value).split(":")[0] == field
 
 
+@pytest.mark.parametrize("word,value", [
+    ("true", True), ("1", True), ("yes", True), ("on", True),
+    ("false", False), ("0", False), ("no", False), ("off", False)])
+def test_flow_enabled_spellings(word, value):
+    # the eight spellings of a boolean, in any case and padded, parse to
+    # their value; any other word is refused with the field named
+    for text in (word, word.upper(), word.title(), f"  {word}  "):
+        cfg = E.config_from_ini(f"[flow]\nflow_enabled = {text}\n")
+        assert cfg.flow_enabled is value
+    for bad in (word + "s", "t" + word, "2", "y", "none", ""):
+        with pytest.raises(ValidationError, match=r"^flow_enabled: cannot parse .* as a boolean"):
+            E.config_from_ini(f"[flow]\nflow_enabled = {bad}\n")
+
+
 def test_ini_rejects_unknown_and_misplaced_fields():
     with pytest.raises(ValidationError, match="unknown config field"):
         E.config_from_ini("[system]\nwobble = 3\n")
