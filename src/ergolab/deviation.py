@@ -239,10 +239,12 @@ def digit_deviation_count(alpha: float, n: int) -> int:
 
 def exact_digit_ladder(alpha: float, n_values) -> DeviationLadder:
     """Exact ladder for the digit observable; no sampling, zero error bars.
-    Each horizon must be an integer >= 1 (ValueError naming n_values)."""
+    Horizons must be strictly increasing integers >= 1 (ValueError naming n_values)."""
     n_values = list(n_values)
     for n in n_values:
         check_integer("n_values entry", n, 1)
+    if any(a >= b for a, b in zip(n_values, n_values[1:])):
+        raise ValueError("n_values must be strictly increasing")
     entries = tuple(
         LadderEntry(int(n), exact_deviation_measure_digit(alpha, n), 0.0, 0, METHOD_BINOMIAL)
         for n in n_values

@@ -25,7 +25,8 @@ n+1 is only examined underneath cells that pass a *relaxed* threshold at
 level n, chosen (one-step telescope of averages plus the Lipschitz bound of
 the n-step average over a cell) so that no cell detectable at the report
 threshold is ever lost.  Pruning is what keeps deep ladders inside the
-cell-evaluation budget.  In 2-d every level is swept densely, in row bands.
+cell-evaluation budget.  A 1-d level's candidates are kept as runs [lo, hi)
+of cells.  In 2-d every level is swept densely, in row bands.
 
 Every cell and candidate test is a threshold test, deviation >= t (alpha
 and tau_n in 1-d, alpha in 2-d and in the ball lemma's candidate screen),
@@ -258,34 +259,29 @@ def _grid_points(sys, idx, s):
     return into_domain(sys, pts)
 
 
-def _cover_level_1d(sys, obs, phibar, alpha, tau, s, m, n, cand, threads):
-    """Detect cells at one 1-d level.  Returns (card, relaxed-detected cells).
+def _cover_level_1d(sys, obs, phibar, alpha, tau, s, n, lo, hi, coef, threads):
+    """Detect the cells of the sorted, disjoint, non-touching runs [lo, hi)
+    at one 1-d level.  Returns (card, the sorted relaxed-detected cells).
 
     A cell's stencil is its two corners and its centre; it hits alpha (tau)
-    where one of them does.  In closed form (see _closed_form) the cells'
-    hits come from _cellhits_closed_form.  Otherwise the level's stencil is
-    one grid index array, walked by _walk_hits: the corners (cand and
-    cand + 1, merged), then the centres.  cand is sorted and unique, so the
-    corners are laid out without a sort: cell i's left corner sits at i
-    plus the number of gaps in cand before it, and its right corner just
-    after.
+    where one of them does.  Given coef, the ladder's (n_hi, 1) character
+    coefficients (see _closed_form), the hits come in blocks from
+    _cellhits_closed_form.  Otherwise _walk_hits walks every run's corners
+    lo..hi, then every run's centres lo + 1/2..hi - 1/2.
     """
-    if _closed_form(sys, obs):
-        hit_alpha, hit_tau = _cellhits_closed_form(sys, obs, phibar, (alpha, tau), s, n, cand)
-    else:
-        left = np.arange(cand.size, dtype=np.int64)
-        left[1:] += np.cumsum(np.diff(cand) > 1)
-        nc = left[-1] + 2 if cand.size else 0
-        idx = np.empty(nc + cand.size)
-        idx[left] = cand
-        idx[left + 1] = cand + 1
-        idx[nc:] = cand
-        idx[nc:] += 0.5
-        hit_alpha, hit_tau = (
-            hit[left] | hit[left + 1] | hit[nc:]
-            for hit in _walk_hits(sys, obs, phibar, _grid_points(sys, idx, s), n,
-                                  (alpha, tau), threads))
-    return int(np.count_nonzero(hit_alpha)), cand[hit_tau]
+    if coef is not None:
+        shift, (hit_alpha, hit_tau) = _cellhits_closed_form(sys, obs, phibar, (alpha, tau), s,
+                                                            n, lo, hi, coef[:n, 0])
+        slot = np.flatnonzero(hit_tau)
+        return int(np.count_nonzero(hit_alpha)), shift[slot // _BLOCK] + slot
+    lens = hi - lo + 1
+    ends = np.cumsum(lens) - 1                # each run's last corner, hi: not a left corner
+    corners = np.arange(lens.sum()) + np.repeat(hi - ends, lens)
+    cells, nc = np.delete(corners, ends), corners.size
+    pts = _grid_points(sys, np.concatenate([corners, cells + 0.5]), s)
+    hit_alpha, hit_tau = (np.delete(hit[:nc - 1] | hit[1:nc], ends[:-1]) | hit[nc:]
+                          for hit in _walk_hits(sys, obs, phibar, pts, n, (alpha, tau), threads))
+    return int(np.count_nonzero(hit_alpha)), cells[hit_tau]
 
 
 def _union_runs(lo, hi):
@@ -298,28 +294,31 @@ def _union_runs(lo, hi):
 
 
 def _children_1d(sys, relaxed, ratio, m_next):
-    """Child candidates one level down, padded a full parent cell each side.
+    """Child runs (lo, hi) one level down, padded a full parent cell each side.
 
-    Each sorted parent gives the window [base, base + width) of child
-    indices.  The windows are clipped to [0, m_next) (interval) or wrapped
-    onto it (torus: a window crossing the end becomes two), merged into runs
-    and the runs expanded: the sorted unique children, without sorting them.
+    Sorted parent i has the window [b_i, b_i + width) of child indices,
+    b_i = floor((i - 1) ratio), and b_i steps by at most ceil(ratio) < width:
+    a run of consecutive parents a..b has the window [b_a, b_b + width), the
+    union of theirs.  These are clipped to [0, m_next) (interval) or wrapped
+    onto it (torus: a window crossing the end becomes two) and merged.
     """
     width = int(math.ceil(3.0 * ratio)) + 2
-    lo = np.floor((relaxed.astype(np.float64) - 1.0) * ratio).astype(np.int64)
+    cut = np.flatnonzero(np.diff(relaxed) != 1)   # the last parent of each run but the last
+    lo, hi = (np.floor((np.concatenate(ends).astype(np.float64) - 1.0) * ratio).astype(np.int64)
+              for ends in ((relaxed[:1], relaxed[cut + 1]), (relaxed[cut], relaxed[-1:])))
+    hi += width
     if sys.domain == "torus":
+        size = np.minimum(hi - lo, m_next)    # a window the size of the circle covers it
         lo %= m_next
-        hi = lo + min(width, m_next)          # a window the size of the circle covers it
+        hi = lo + size
         over = hi > m_next
         lo = np.concatenate([lo, np.zeros(np.count_nonzero(over), dtype=np.int64)])
         hi = np.concatenate([np.minimum(hi, m_next), hi[over] - m_next])
         order = np.argsort(lo, kind="stable")   # nearly sorted: the wrap moves a few
         lo, hi = lo[order], hi[order]
     else:
-        lo, hi = np.clip(lo, 0, m_next - 1), np.clip(lo + width, 1, m_next)
-    lo, hi = _union_runs(lo, hi)
-    lens = hi - lo
-    return np.arange(lens.sum(), dtype=np.int64) + np.repeat(lo - (np.cumsum(lens) - lens), lens)
+        lo, hi = np.clip(lo, 0, m_next - 1), np.clip(hi, 1, m_next)
+    return _union_runs(lo, hi)
 
 
 def _grid_2d(rows, cols):
@@ -500,35 +499,30 @@ def _closed_form(sys, obs):
 _BLOCK = 64
 
 
-def _cellhits_closed_form(sys, obs, phibar, thresholds, s, n, cand):
-    """The 1-d cells cand (sorted, unique) whose stencil hits each threshold,
-    a (len(thresholds), len(cand)) mask, in closed form.
+def _cellhits_closed_form(sys, obs, phibar, thresholds, s, n, lo, hi, coef):
+    """(shift, hits): the 1-d cells of the runs [lo, hi) whose stencil hits
+    each threshold, in closed form with coef = c_j0, j < n (see _closed_form).
 
-    cand is cut into runs of consecutive cells and each run into blocks of
-    _BLOCK cells.  A block starting at cell p has the row phases of
-    fl(p s); all blocks share the column phases of fl(q s) for corners
+    Each run is cut into blocks of _BLOCK cells from lo on; hits[t] is a
+    (blocks, _BLOCK) mask whose flat slot f is cell shift[f // _BLOCK] + f,
+    cleared past its run.  A block starting at cell p has the row phases of
+    fl(p s); all share the column phases of fl(q s) for corners
     q = 0.._BLOCK and of fl((q + 1/2) s) for centres, so one product
-    (blocks x 2n) @ (2n x (2 _BLOCK + 1)) gives every corner and centre
-    sum of the level (closed_form_band bounds the split).  Blocks go in
-    bands of at most _POINT_CHUNK sums, the size of one walked chunk, on
-    the calling thread (see _cover_level_2d).  A cell hits a threshold
-    where one of its corners or its centre does.
+    (blocks x 2n) @ (2n x (2 _BLOCK + 1)) gives every corner and centre sum
+    of the level (closed_form_band bounds the split).  Blocks go in bands of
+    at most _POINT_CHUNK sums, the size of one walked chunk, on the calling
+    thread (see _cover_level_2d); a cell hits where a corner or its centre does.
     """
     width = 2 * _BLOCK + 1
-    runs = np.flatnonzero(np.diff(cand, prepend=-2) != 1)    # first cell of each run
-    blocks = -(-np.diff(runs, append=cand.size) // _BLOCK)   # blocks per run
-    head = (np.repeat(runs - _BLOCK * (np.cumsum(blocks) - blocks), blocks)
-            + _BLOCK * np.arange(blocks.sum()))               # first cell of each block
-    p = cand[head]
-    # cell i sits at slot (block, offset) of a (blocks, _BLOCK) table
-    slot = np.arange(cand.size) + np.repeat(_BLOCK * np.arange(head.size) - head,
-                                            np.diff(head, append=cand.size))
-    coef = _character_coefficients(sys, obs, n)[:, 0]
+    blocks = -(-(hi - lo) // _BLOCK)   # blocks per run
+    shift = np.repeat(lo - _BLOCK * (np.cumsum(blocks) - blocks), blocks)
+    p = shift + _BLOCK * np.arange(shift.size)   # the first cell of each block
+    valid = np.arange(_BLOCK) < (np.repeat(hi, blocks) - p)[:, None]
     band = closed_form_band(sys, obs, n)
     q = np.arange(_BLOCK + 1, dtype=np.float64)
     col_f = _col_factor(obs, np.concatenate([q * s, (q[:-1] + 0.5) * s]), coef)
     rows = _grid_points(sys, p.astype(np.float64), s).ravel()
-    cellhits = np.empty((len(thresholds), cand.size), dtype=bool)
+    hits = np.empty((len(thresholds), p.size, _BLOCK), dtype=bool)
     per_band = max(1, _POINT_CHUNK // width)
     for k0 in range(0, p.size, per_band):
         k1 = min(k0 + per_band, p.size)
@@ -537,14 +531,13 @@ def _cellhits_closed_form(sys, obs, phibar, thresholds, s, n, cand):
             k, c = np.divmod(near, width)
             return _grid_points(sys, p[k0 + k] + np.where(c <= _BLOCK, c, c - _BLOCK - 0.5), s)
 
-        i0, i1 = head[k0], (head[k1] if k1 < p.size else cand.size)
         for hit, cells in zip(_closed_form_hits(sys, obs, phibar, n, band, thresholds,
                                                 _row_factor(obs, rows[k0:k1], coef), col_f,
-                                                points), cellhits):
-            slots = hit[:, :_BLOCK] | hit[:, 1:_BLOCK + 1]   # left, right corner
-            slots |= hit[:, _BLOCK + 1:]                     # centre
-            cells[i0:i1] = slots.ravel()[slot[i0:i1] - k0 * _BLOCK]
-    return cellhits
+                                                points), hits[:, k0:k1]):
+            np.logical_or(hit[:, :_BLOCK], hit[:, 1:_BLOCK + 1], out=cells)   # left, right corner
+            cells |= hit[:, _BLOCK + 1:]                                     # centre
+    hits &= valid
+    return shift, hits
 
 
 def _cover_level_2d(sys, obs, phibar, alpha, s, m, n, threads):
@@ -616,14 +609,15 @@ def build_cover_ladder(sys: System, obs: Observable, phibar: float, alpha: float
 
     Cells have side r_n / 2; a cell is counted when the deviation at one of
     its stencil points (corners + center) reaches alpha.  Levels run from
-    n_lo to n_hi; in 1-d, levels after the first examine only children of
-    cells passing the relaxed thresholds (see _prune_thresholds), in 2-d
-    every level is swept densely.  In 1-d and 2-d, a linear map (the system
-    declares a matrix) with a character observable takes its Birkhoff sums
-    in closed form (see _cellhits_closed_form and _cover_level_2d), other
-    pairs by the float64 walk.  Either way cards are those of the float64
-    walk, at any thread count.  The budget caps the total number of
-    cells examined; a level that would exceed it raises GridBudgetError
+    n_lo to n_hi.  In 1-d the first level is the run [0, m) of all cells and
+    each later one the runs of the children of cells passing the relaxed
+    thresholds (see _prune_thresholds, _children_1d); in 2-d every level is
+    swept densely.  A linear map (the system declares a matrix) with a
+    character observable takes its Birkhoff sums in closed form (see
+    _cellhits_closed_form and _cover_level_2d), other pairs by the float64
+    walk.  Either way cards are those of the float64 walk, at any thread
+    count.  The budget caps the total number of cells examined (the runs'
+    lengths in 1-d); a level that would exceed it raises GridBudgetError
     before any of its cells are evaluated.  A level past the float64 orbit
     budget (systems.check_float64_horizon) raises ValueError, whatever alpha.
 
@@ -668,15 +662,17 @@ def build_cover_ladder(sys: System, obs: Observable, phibar: float, alpha: float
 
     W = obs.sup_abs + abs(phibar)
     taus = _prune_thresholds(alpha, n_lo, n_hi, obs.lip, W, L, delta, sys.d)
+    closed = sys.d == 1 and _closed_form(sys, obs)
+    coef = _character_coefficients(sys, obs, n_hi) if closed else None
     examined = 0
     entries = []
-    cand = None  # None means: sweep this level densely
+    runs = None  # None means: sweep this level densely
     for n in range(n_lo, n_hi + 1):
         s = delta * L ** (-n) / 2.0
         m = _grid_cells(sys, s)
-        if sys.d == 1 and cand is None:
-            cand = np.arange(m, dtype=np.int64)
-        cells = m * m if sys.d == 2 else len(cand)
+        if sys.d == 1 and runs is None:
+            runs = np.array([0]), np.array([m])
+        cells = m * m if sys.d == 2 else int(np.sum(runs[1] - runs[0]))
         if examined + cells > budget:
             raise GridBudgetError(
                 f"level n={n} needs {cells} cells; {budget - examined} left of budget {budget}")
@@ -684,15 +680,15 @@ def build_cover_ladder(sys: System, obs: Observable, phibar: float, alpha: float
         if sys.d == 2:
             entries.append(entry(n, _cover_level_2d(sys, obs, phibar, alpha, s, m, n, threads)))
             continue
-        card, relaxed = _cover_level_1d(sys, obs, phibar, alpha, taus[n], s, m, n,
-                                        cand, threads)
+        card, relaxed = _cover_level_1d(sys, obs, phibar, alpha, taus[n], s, n, *runs,
+                                        coef, threads)
         entries.append(entry(n, card))
         if n < n_hi:
             if taus[n] <= 0.0:
-                cand = None  # relaxed threshold is vacuous: next level is dense
+                runs = None  # relaxed threshold is vacuous: next level is dense
             else:
                 m_next = _grid_cells(sys, delta * L ** (-(n + 1)) / 2.0)
-                cand = _children_1d(sys, relaxed, L, m_next)
+                runs = _children_1d(sys, relaxed, L, m_next)
     return CoverLadder(sys.sid, obs.oid, phibar, alpha, delta, L, dprimes,
                        tuple(entries), examined)
 
@@ -828,12 +824,14 @@ def besicovitch_eggleston_dimension(alpha: float,
     sum_{|k/n - 1/2| >= alpha} C(n, k) cylinders, and log2(count)/n
     approaches the dimension from below.  `confirmed` requires the
     estimates to be nondecreasing in depth with the deepest one within
-    0.01 of the closed form.  Each depth must be an integer >= 1
-    (ValueError naming depths).
+    0.01 of the closed form.  depths must hold at least one depth, each an
+    integer >= 1 (ValueError naming depths).
     """
     if not (0.0 < alpha < 0.5):
         raise ValueError("need 0 < alpha < 1/2")
     depths = list(depths)
+    if not depths:
+        raise ValueError("depths must hold at least one depth")
     for n in depths:
         check_integer("depths entry", n, 1)
     p = 0.5 + alpha

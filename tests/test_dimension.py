@@ -76,10 +76,13 @@ from ergolab.errors import GridBudgetError, RateNotEstablishedError
         s, o, 0.0, 0.3, 0.01, 4, 10, 1, candidate_factor=-3)),
     ("n_values", ValueError, lambda s, o: E.exact_digit_ladder(0.1, [2.5, 4])),
     ("n_values", ValueError, lambda s, o: E.exact_digit_ladder(0.1, [0, 4])),
+    ("n_values", ValueError, lambda s, o: E.exact_digit_ladder(0.1, [8, 4])),
+    ("n_values", ValueError, lambda s, o: E.exact_digit_ladder(0.1, [4, 8, 8])),
     ("n", ValueError, lambda s, o: E.exact_deviation_measure_digit(0.1, 2.5)),
     ("depths", ValueError, lambda s, o: E.besicovitch_eggleston_dimension(0.1, (0, 400, 800))),
     ("depths", ValueError,
      lambda s, o: E.besicovitch_eggleston_dimension(0.1, (200.5, 400, 800))),
+    ("depths", ValueError, lambda s, o: E.besicovitch_eggleston_dimension(0.1, ())),
     ("start", ValueError, lambda s, o: raw_blocks(1, 1, 1.999, 3)),
     ("count", ValueError, lambda s, o: raw_blocks(1, 1, 1, 3.0)),
     ("start", ValueError, lambda s, o: E.sample_orbit_ensemble(s, 1, 2.7, 3)),
@@ -94,7 +97,8 @@ from ergolab.errors import GridBudgetError, RateNotEstablishedError
         "box-scales-inf", "cover-n_lo", "cover-n_hi", "ladders-sample_count",
         "lemma-pair_count", "lemma-candidate_factor", "lemma-candidate_factor-0",
         "lemma-candidate_factor-negative", "digit-ladder-n_values", "digit-ladder-n_values-0",
-        "digit-n", "be-depths-0", "be-depths-float", "raw_blocks-start", "raw_blocks-count",
+        "digit-ladder-n_values-decreasing", "digit-ladder-n_values-repeated", "digit-n",
+        "be-depths-0", "be-depths-float", "be-depths-empty", "raw_blocks-start", "raw_blocks-count",
         "ensemble-start", "ensemble-count", "lemma-seed"])
 def test_nan_inputs_are_refused_by_name(arg, error, call):
     # each of these read a NaN as a number: measures and cards of 0, a lemma
@@ -110,7 +114,9 @@ def test_nan_inputs_are_refused_by_name(arg, error, call):
     # NaN dimension, or an error from LAPACK).  A float block start or seed
     # was truncated (block 1.999 read as block 1), a count of 0 or less drew no
     # candidate and read as inconclusive, and a horizon or depth of 2.5 or 0
-    # was truncated to an entry at n = 2 or divided by zero
+    # was truncated to an entry at n = 2 or divided by zero.  An exact
+    # ladder's horizons out of order came back out of order, and no depth
+    # at all raised an IndexError
     sysd = E.get_system("doubling")
     with pytest.raises(error, match=rf"\b{arg}\b"):
         call(sysd, E.get_observable("cos1", sysd))
@@ -258,12 +264,31 @@ def test_cover_pruning_matches_dense_sweep():
 
 
 
+def _runs(cells):
+    """The runs [lo, hi) of consecutive cells of a sorted, unique int64 array."""
+    return cells[np.diff(cells, prepend=-2) != 1], cells[np.diff(cells, append=-1) != 1] + 1
+
+
+def _cells(lo, hi):
+    """The cells of runs [lo, hi), one arange a run."""
+    return np.concatenate([np.arange(a, b) for a, b in zip(lo, hi)] + [np.empty(0, np.int64)])
+
+
+def _assert_runs(lo, hi):
+    """lo, hi are int64 runs: non-empty, sorted, disjoint and non-touching."""
+    assert lo.dtype == hi.dtype == np.int64 and lo.shape == hi.shape
+    assert np.all(lo < hi) and np.all(lo[1:] > hi[:-1])
+
+
 def test_cover_dedup_equals_np_unique():
     # children are the union of overlapping windows, wrapped on the torus and
-    # clipped on the interval: np.unique of every window's cells, on random
-    # parents, expansion ratios and grid sizes, the coarsest smaller than a window
+    # clipped on the interval: their runs, expanded, are np.unique of every
+    # window's cells, on random parents, expansion ratios and grid sizes.
+    # The random cases hold windows crossing 0 and m_next, windows larger
+    # than the circle (the coarsest grids) and empty relaxed sets
     rng = np.random.default_rng(8)
     sysd, syst = E.get_system("doubling"), E.get_system("tent")
+    seen = set()
     for _ in range(400):
         m = int(rng.integers(1, 300))
         ratio = float(rng.choice([2.0, 2.5, 3.7]))
@@ -272,14 +297,22 @@ def test_cover_dedup_equals_np_unique():
         width = math.ceil(3.0 * ratio) + 2
         base = np.floor((relaxed - 1.0) * ratio).astype(np.int64)
         windows = (base[:, None] + np.arange(width)).ravel()
+        seen |= {"empty"} if relaxed.size == 0 else {
+            *(["at 0"] if base[0] < 0 else []), *(["at end"] if base[-1] + width > m_next else []),
+            *(["circle"] if width > m_next else [])}
         for sysm, cells in ((sysd, windows % m_next), (syst, np.clip(windows, 0, m_next - 1))):
-            kids = _children_1d(sysm, relaxed, ratio, m_next)
-            assert kids.dtype == np.int64 and np.array_equal(kids, np.unique(cells))
+            lo, hi = _children_1d(sysm, relaxed, ratio, m_next)
+            _assert_runs(lo, hi)
+            assert np.array_equal(_cells(lo, hi), np.unique(cells))
+    assert seen == {"empty", "at 0", "at end", "circle"}
     relaxed = np.unique(np.concatenate([[0, 1, 2], rng.integers(0, 400, 80), [398, 399]]))
     for sid in ("doubling", "tent"):
-        kids = _children_1d(E.get_system(sid), relaxed, 2.0, 800)
-        assert np.array_equal(kids, np.unique(kids))
-        assert kids[0] == 0 and kids[-1] == 799
+        lo, hi = _children_1d(E.get_system(sid), relaxed, 2.0, 800)
+        _assert_runs(lo, hi)
+        assert lo[0] == 0 and hi[-1] == 800
+        lo, hi = _children_1d(E.get_system(sid), np.empty(0, np.int64), 2.5, 800)
+        _assert_runs(lo, hi)
+        assert lo.size == 0
 
 
 def test_walk_hits_chunking_is_invisible():
@@ -344,9 +377,12 @@ def test_closed_form_masks_equal_walked_masks():
     thresholds = (0.4, 0.1, *ties)
     walked = np.logical_or.reduce([_walk_hits(sysd, cos1, phibar, p, n, thresholds)
                                    for p in stencil])
-    got = _cellhits_closed_form(sysd, cos1, phibar, thresholds, s, n, cand)
-    assert got.shape == (len(thresholds), cand.size)
-    assert np.array_equal(got, walked)
+    shift, got = _cellhits_closed_form(sysd, cos1, phibar, thresholds, s, n, *_runs(cand),
+                                       _character_coefficients(sysd, cos1, n)[:, 0])
+    assert got.shape == (len(thresholds), shift.size, dimension._BLOCK)
+    for hit, want in zip(got, walked):
+        slot = np.flatnonzero(hit)
+        assert np.array_equal(shift[slot // dimension._BLOCK] + slot, cand[want])
 
     sysc = E.get_system("cat")
     cos1 = E.get_observable("cos1", sysc)
@@ -435,6 +471,8 @@ def test_cover_level_1d_screen_equals_float64(monkeypatch, sid, skw):
     batches = _recording_walk(monkeypatch, "deviation")
     phases = _recording_phases(monkeypatch)
     closed = sid == "doubling"
+    # a ladder's coefficients run to its deepest level: the level reads its first n rows
+    coef = _character_coefficients(sysm, cos1, n + 3) if closed else None
     recounted = False
     for alpha, tau in [(0.3, 0.1), (ties[0], ties[1]), (ties[2], ties[3]),
                        (ties[4], ties[5]), (ties[5], -0.1)]:
@@ -442,8 +480,8 @@ def test_cover_level_1d_screen_equals_float64(monkeypatch, sid, skw):
             obs, dtypes = _recording(cos1)
             batches.clear()
             phases.clear()
-            card, relaxed = _cover_level_1d(sysm, obs, phibar, alpha, tau, s, m, n,
-                                            cand, threads)
+            card, relaxed = _cover_level_1d(sysm, obs, phibar, alpha, tau, s, n, *_runs(cand),
+                                            coef, threads)
             assert card == np.count_nonzero(cellmax >= alpha)
             assert np.array_equal(relaxed, cand[cellmax >= tau])
             # obs.fn sees float64 points only: the float32 screen takes
@@ -466,8 +504,9 @@ def test_cover_level_1d_screen_equals_float64(monkeypatch, sid, skw):
 
 def test_cover_level_1d_closed_form_layout(monkeypatch):
     # Runs shorter and longer than a block, single cells, a run ending at
-    # cell m - 1 (whose right corner wraps past 1) and the dense level give
-    # the float64 walk's cards and relaxed sets at 1 and 2 threads, with
+    # cell m - 1 (whose right corner wraps past 1), the dense level (one
+    # run) and a level with no candidates give the float64 walk's cards and
+    # relaxed sets, in closed form and walked, at 1 and 2 threads, with
     # thresholds on cell maxima at both alpha and tau; small chunks put
     # several bands of blocks in a level.
     sysd = E.get_system("doubling")
@@ -481,23 +520,30 @@ def test_cover_level_1d_closed_form_layout(monkeypatch):
     rng = np.random.default_rng(8)
     sparse = np.unique(np.concatenate(runs + [rng.choice(np.arange(9 * B, m - 2 * B), 300)]))
     monkeypatch.setattr(dimension, "_POINT_CHUNK", 4 * (2 * B + 1))   # four blocks a band
+    coef = _character_coefficients(sysd, cos1, n)
     for cand in (sparse, np.arange(m)):
         cellmax = _cellmax_1d(sysd, cos1, phibar, cand, s, n)
         picks = cellmax[np.argsort(cellmax)[np.linspace(0, cand.size - 1, 6).astype(int)]]
         for alpha, tau in [(0.4, 0.1), (picks[5], picks[2]), (picks[4], picks[1]),
                            (picks[3], picks[0])]:
-            for threads in (1, 2):
-                card, relaxed = _cover_level_1d(sysd, cos1, phibar, alpha, tau, s, m, n,
-                                                cand, threads)
+            for threads, table in [(1, coef), (2, coef), (1, None), (2, None)]:
+                card, relaxed = _cover_level_1d(sysd, cos1, phibar, alpha, tau, s, n,
+                                                *_runs(cand), table, threads)
                 assert card == np.count_nonzero(cellmax >= alpha)
                 assert np.array_equal(relaxed, cand[cellmax >= tau])
+    none = np.empty(0, np.int64)
+    for table in (coef, None):
+        card, relaxed = _cover_level_1d(sysd, cos1, phibar, 0.4, 0.1, s, n, none, none,
+                                        table, 1)
+        assert card == 0 and relaxed.size == 0
 
 
 def test_closed_form_band_bounds_the_1d_split(monkeypatch):
     # at every level of perfbench's doubling-report cover (alpha 0.6, n 10
-    # to 17), the closed-form deviations of blocks starting at the first
-    # cells, at random cells and at the last cells (their corner m wraps
-    # past 1) stay within 1/8 of closed_form_band of the float64 walk's
+    # to 17), the closed-form deviations of the blocks of runs starting at
+    # the first cells, at random cells and ending at the last cell (its
+    # corner m wraps past 1) stay within 1/8 of closed_form_band of the
+    # float64 walk's
     sysd = E.get_system("doubling")
     cos1 = E.get_observable("cos1", sysd)
     delta = E.modulus_delta_for(sysd, cos1, 0.6)
@@ -518,7 +564,8 @@ def test_closed_form_band_bounds_the_1d_split(monkeypatch):
         cand = np.unique(np.concatenate([np.arange(200), rng.choice(m, 2000),
                                          np.arange(m - 200, m)]))
         seen.clear()
-        _cellhits_closed_form(sysd, cos1, 0.01, (), s, n, cand)
+        _cellhits_closed_form(sysd, cos1, 0.01, (), s, n, *_runs(cand),
+                              _character_coefficients(sysd, cos1, n)[:, 0])
         assert 0.0 < max(seen) <= closed_form_band(sysd, cos1, n) / 8.0
 
 
