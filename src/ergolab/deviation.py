@@ -37,8 +37,7 @@ import numpy as np
 from .errors import check_integer
 from .observables import (DIGIT, DIGIT_MEAN, DIGIT_SYSTEM, DeviationParams, Observable,
                           deviations, screen, undecided)
-from .systems import (_POINT_CHUNK, SYSTEMS, System, check_ensemble_horizon,
-                      sample_orbit_ensemble)
+from .systems import _POINT_CHUNK, System, check_ensemble_horizon, sample_orbit_ensemble
 
 LN2 = math.log(2.0)
 
@@ -86,8 +85,8 @@ def _hit_grid(sys, obs, phibar, alphas, n_values, sample_count, seed):
     with dev >= t + b and marks the band's samples (observables.undecided).
     Whether the ensemble's step doubles the phase, so that the screen may
     take every other cos1 term from the one before it, is read from the
-    catalog (systems.SYSTEMS), not from the ensemble, which may be wrapped
-    by anything that forwards points() and advance().
+    system's representation (sys.ensemble), not from the ensemble drawn,
+    which may be wrapped by anything that forwards points() and advance().
     After the last chunk the marked samples, from every chunk, are redrawn
     from their own counter blocks in one draw and walked once in float64,
     down to the deepest horizon any of them is marked at, and each cell
@@ -98,7 +97,7 @@ def _hit_grid(sys, obs, phibar, alphas, n_values, sample_count, seed):
     n_values = list(n_values)
     alphas = [float(a) for a in alphas]
     dtype, bands = screen(sys, obs, phibar, n_values)
-    doubles = SYSTEMS[sys.sid].ensemble.doubles_phase
+    doubles = sys.ensemble.doubles_phase
     hits = np.zeros((len(alphas), len(n_values)), dtype=np.int64)
     near = {}    # (i, j) -> indices of the samples in alpha_i's band at n_j, an array a chunk
     drawn = []   # each chunk's samples in some band, sorted
@@ -141,10 +140,8 @@ def estimate_deviation_measure(sys: System, params: DeviationParams, n: int,
                                sample_count: int, seed: int) -> LadderEntry:
     """Monte-Carlo estimate of the deviation-set measure at one horizon.
 
-    The one-rung ladder of build_deviation_ladders, with its short-circuits:
-    alpha <= 0 covers the whole space (measure 1), alpha beyond 2*sup|phi|
-    (centered deviations cannot reach it) gives measure 0; neither consumes
-    randomness.
+    The one-rung ladder of build_deviation_ladders: alpha <= 0 reads 1 and
+    alpha past observables.max_deviation 0, with standard error 0.
     """
     return build_deviation_ladder(sys, params, [n], sample_count, seed).entries[0]
 
@@ -167,10 +164,10 @@ def build_deviation_ladders(sys: System, obs: Observable, phibar: float,
                             alphas, n_values, sample_count: int, seed: int) -> dict:
     """Ladders for several thresholds from one shared orbit pass.
 
-    Horizons must be integers >= 1 and strictly increasing, live thresholds or not;
-    one past the budget of the system's ensemble representation (76 for
-    the 128-bit dyadic doubling and tent ensembles, 54 for cat) raises
-    ValueError rather than returning a wrong measure.
+    Horizons must be integers >= 1 and strictly increasing; one past the
+    budget of the system's ensemble representation (76 for the 128-bit
+    dyadic doubling and tent ensembles, 54 for cat) raises ValueError
+    rather than returning a wrong measure.
     """
     check_integer("sample_count", sample_count, _MIN_SAMPLES)
     alphas = [float(a) for a in alphas]
@@ -186,21 +183,13 @@ def build_deviation_ladders(sys: System, obs: Observable, phibar: float,
     if any(a >= b for a, b in zip(n_values, n_values[1:])):
         raise ValueError("n_values must be strictly increasing")
     check_ensemble_horizon(sys, max(n_values, default=0))
-    live = [a for a in alphas if 0.0 < a <= 2.0 * obs.sup_abs]
-    hits = None
-    if live and n_values:
-        hits = _hit_grid(sys, obs, phibar, live, n_values, sample_count, seed)
+    hits = _hit_grid(sys, obs, phibar, alphas, n_values, sample_count, seed)
     out = {}
-    for a in alphas:
+    for i, a in enumerate(alphas):
         entries = []
         for j, n in enumerate(n_values):
-            if a <= 0.0:
-                p, se = 1.0, 0.0
-            elif a > 2.0 * obs.sup_abs:
-                p, se = 0.0, 0.0
-            else:
-                p = hits[live.index(a), j] / sample_count
-                se = math.sqrt(p * (1.0 - p) / sample_count)
+            p = hits[i, j] / sample_count
+            se = math.sqrt(p * (1.0 - p) / sample_count)
             entries.append(LadderEntry(n, float(p), se, sample_count, METHOD_MC))
         out[a] = DeviationLadder(sys.sid, obs.oid, phibar, a, tuple(entries))
     return out

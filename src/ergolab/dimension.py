@@ -51,7 +51,8 @@ import numpy as np
 
 from .deviation import LN2, digit_deviation_count, write_csv
 from .errors import GridBudgetError, RateNotEstablishedError, check_integer
-from .observables import _TWO_PI, Observable, deviation, deviations, screen, undecided
+from .observables import (_TWO_PI, Observable, deviation, deviations, max_deviation, screen,
+                          undecided)
 from .rng import STREAM_LEMMA_BALLS, STREAM_LEMMA_POINTS, raw_blocks, uniform01
 from .systems import (_POINT_CHUNK, System, _FloatOrbits, check_float64_horizon, domain_points,
                       into_domain)
@@ -169,7 +170,7 @@ def verify_ball_lemma(sys: System, obs: Observable, phibar: float, alpha: float,
         raise ValueError(f"phibar must be finite, got {phibar}")
     check_float64_horizon(sys, n)
     radius = delta * sys.L ** (-n)
-    if alpha > 2.0 * obs.sup_abs:
+    if alpha > max_deviation(obs, phibar):
         # deviations cannot reach alpha: nothing to sample
         return BallLemmaReport(alpha, n, delta, radius, pair_count, 0, 0, 0,
                                math.inf, True)
@@ -271,7 +272,7 @@ def _cover_level_1d(sys, obs, phibar, alpha, tau, s, n, lo, hi, coef, threads):
     """
     if coef is not None:
         shift, (hit_alpha, hit_tau) = _cellhits_closed_form(sys, obs, phibar, (alpha, tau), s,
-                                                            n, lo, hi, coef[:n, 0])
+                                                            n, lo, hi, coef[:n])
         slot = np.flatnonzero(hit_tau)
         return int(np.count_nonzero(hit_alpha)), shift[slot // _BLOCK] + slot
     lens = hi - lo + 1
@@ -349,12 +350,12 @@ def _character_coefficients(sys, obs, n):
     return c
 
 
-def closed_form_band(sys: System, obs: Observable, n: int) -> float:
-    """Bound on |closed-form deviation - float64-walk deviation| at horizon n.
+def closed_form_band(sys: System, coef) -> float:
+    """Bound on |closed-form deviation - float64-walk deviation| at horizon n = len(coef).
 
     band = 4 * ( (1/n) sum_{j<n} [2 pi rho P_j + 2 pi (1 + sigma) u w_j + 16 pi u + 20 u]
                  + 5 n u + 7 u ),
-    u = 2^-53, w_j = |c_j|_1 (see _character_coefficients), P_j = sum_{m<j} w_m,
+    u = 2^-53, w_j = |c_j|_1 (coef: see _character_coefficients), P_j = sum_{m<j} w_m,
     rho = d u |A|_inf (|A|_inf the largest absolute row sum), sigma = 4 in
     1-d and 0 in 2-d.
 
@@ -396,8 +397,9 @@ def closed_form_band(sys: System, obs: Observable, n: int) -> float:
        2 u for rounding the factors by 1/n.  The walk's running sum of n
        terms of size <= 1 is within n^2 u, n u once divided by n, and the
        division adds u.  Subtracting phibar adds u dev to each side, at most
-       2 u near a threshold alpha <= 2 sup|phi| = 2; far from it a relative
-       error cannot move a deviation across alpha.  Together 5 n u + 7 u.
+       2 u near a threshold alpha <= 2 (a space average has |phibar| <= 1);
+       far from it a relative error cannot move a deviation across alpha.
+       Together 5 n u + 7 u.
 
     Adding 1 and 2 averaged over j, and 3, gives the bracket.  It is taken
     four times: the factor covers the dropped second-order terms, the
@@ -411,8 +413,8 @@ def closed_form_band(sys: System, obs: Observable, n: int) -> float:
     and random ones, three samples, it is 5.5-6.4e-14 at n = 10, 5.3e-12
     at n = 17 and 3.7e-10 at n = 24: 1/28 to 1/37 of the band.
     """
-    c = _character_coefficients(sys, obs, n)
-    w = np.abs(c).sum(axis=1).astype(np.float64)
+    n = len(coef)
+    w = np.abs(coef).sum(axis=1).astype(np.float64)
     p = np.cumsum(w) - w
     rho = sys.d * _U * max(sum(abs(a) for a in row) for row in sys.matrix)
     sigma = 4.0 if sys.d == 1 else 0.0
@@ -501,7 +503,7 @@ _BLOCK = 64
 
 def _cellhits_closed_form(sys, obs, phibar, thresholds, s, n, lo, hi, coef):
     """(shift, hits): the 1-d cells of the runs [lo, hi) whose stencil hits
-    each threshold, in closed form with coef = c_j0, j < n (see _closed_form).
+    each threshold, in closed form with coef = c_j, j < n, an (n, 1) table (see _closed_form).
 
     Each run is cut into blocks of _BLOCK cells from lo on; hits[t] is a
     (blocks, _BLOCK) mask whose flat slot f is cell shift[f // _BLOCK] + f,
@@ -518,7 +520,8 @@ def _cellhits_closed_form(sys, obs, phibar, thresholds, s, n, lo, hi, coef):
     shift = np.repeat(lo - _BLOCK * (np.cumsum(blocks) - blocks), blocks)
     p = shift + _BLOCK * np.arange(shift.size)   # the first cell of each block
     valid = np.arange(_BLOCK) < (np.repeat(hi, blocks) - p)[:, None]
-    band = closed_form_band(sys, obs, n)
+    band = closed_form_band(sys, coef)
+    coef = coef[:, 0]
     q = np.arange(_BLOCK + 1, dtype=np.float64)
     col_f = _col_factor(obs, np.concatenate([q * s, (q[:-1] + 0.5) * s]), coef)
     rows = _grid_points(sys, p.astype(np.float64), s).ravel()
@@ -540,7 +543,7 @@ def _cellhits_closed_form(sys, obs, phibar, thresholds, s, n, lo, hi, coef):
     return shift, hits
 
 
-def _cover_level_2d(sys, obs, phibar, alpha, s, m, n, threads):
+def _cover_level_2d(sys, obs, phibar, alpha, s, m, n, coef, threads):
     """One 2-d level, swept densely in row bands; returns the cell count.
 
     A cell is counted when one of its stencil points (four corners, centre)
@@ -550,10 +553,11 @@ def _cover_level_2d(sys, obs, phibar, alpha, s, m, n, threads):
     rows of cells, so its corner rows fit in P points whenever two rows do.
     Hits are elementwise, so neither bands nor threads change them.
 
-    In closed form (see _closed_form), S_n(row, col) = sum_j cos(a_j + b_j),
-    a_j = 2 pi c_j0 row, b_j = 2 pi c_j1 col (see _character_coefficients):
-    a band's hits are those of _closed_form_hits from cos/sin tables
-    built once per level, O(m n) cosines for the level instead of O(m^2 n).
+    Given coef, the ladder's (n_hi, 2) character coefficients (see
+    _closed_form), S_n(row, col) = sum_j cos(a_j + b_j), a_j = 2 pi c_j0 row,
+    b_j = 2 pi c_j1 col, j < n (see _character_coefficients): a band's hits
+    are those of _closed_form_hits from cos/sin tables built once per
+    level, O(m n) cosines for the level instead of O(m^2 n).
     The closed form runs on the calling thread in bands of P = _POINT_CHUNK
     points: OpenBLAS products issued from two threads at once ran 6-17x
     slower than from one, and a level of cat.ini took 0.39-0.47 s on two
@@ -566,7 +570,7 @@ def _cover_level_2d(sys, obs, phibar, alpha, s, m, n, threads):
     corners = _grid_points(sys, np.arange(m + 1, dtype=np.float64), s).ravel()
     centres = _grid_points(sys, np.arange(m) + 0.5, s).ravel()
 
-    if not _closed_form(sys, obs):
+    if coef is None:
         band_points = _BAND_POINTS
 
         def hits(axis, r0, r1):
@@ -575,8 +579,8 @@ def _cover_level_2d(sys, obs, phibar, alpha, s, m, n, threads):
             return hit.reshape(r1 - r0, axis.size)
     else:
         band_points = _POINT_CHUNK
-        coef = _character_coefficients(sys, obs, n)
-        band = closed_form_band(sys, obs, n)
+        coef = coef[:n]
+        band = closed_form_band(sys, coef)
         factors = [(_row_factor(obs, axis, coef[:, 0]), _col_factor(obs, axis, coef[:, 1]))
                    for axis in (corners, centres)]
 
@@ -623,8 +627,8 @@ def build_cover_ladder(sys: System, obs: Observable, phibar: float, alpha: float
 
     alpha <= 0 short-circuits analytically: every cell meets the set, cards
     are full grid sizes, and nothing is evaluated or charged against the
-    budget.  alpha > 2 sup|phi| likewise yields empty levels for free.
-    Either way delta must be finite and > 0.
+    budget.  alpha past observables.max_deviation likewise yields empty
+    levels for free.  Either way delta must be finite and > 0.
     """
     check_integer("n_lo", n_lo)
     check_integer("n_hi", n_hi)
@@ -646,7 +650,8 @@ def build_cover_ladder(sys: System, obs: Observable, phibar: float, alpha: float
         r = delta * L ** (-n)
         return CoverEntry(n, r, card, tuple((dp, card * r**dp) for dp in dprimes))
 
-    if alpha <= 0.0 or alpha > 2.0 * obs.sup_abs:
+    W = max_deviation(obs, phibar)
+    if alpha <= 0.0 or alpha > W:
         full = alpha <= 0.0
         entries = [entry(n, _grid_cells(sys, delta * L ** (-n) / 2.0) ** sys.d if full else 0)
                    for n in range(n_lo, n_hi + 1)]
@@ -660,10 +665,8 @@ def build_cover_ladder(sys: System, obs: Observable, phibar: float, alpha: float
     if sys.d > 2:
         raise ValueError("covers support d <= 2")
 
-    W = obs.sup_abs + abs(phibar)
     taus = _prune_thresholds(alpha, n_lo, n_hi, obs.lip, W, L, delta, sys.d)
-    closed = sys.d == 1 and _closed_form(sys, obs)
-    coef = _character_coefficients(sys, obs, n_hi) if closed else None
+    coef = _character_coefficients(sys, obs, n_hi) if _closed_form(sys, obs) else None
     examined = 0
     entries = []
     runs = None  # None means: sweep this level densely
@@ -678,7 +681,8 @@ def build_cover_ladder(sys: System, obs: Observable, phibar: float, alpha: float
                 f"level n={n} needs {cells} cells; {budget - examined} left of budget {budget}")
         examined += cells
         if sys.d == 2:
-            entries.append(entry(n, _cover_level_2d(sys, obs, phibar, alpha, s, m, n, threads)))
+            entries.append(entry(n, _cover_level_2d(sys, obs, phibar, alpha, s, m, n, coef,
+                                                    threads)))
             continue
         card, relaxed = _cover_level_1d(sys, obs, phibar, alpha, taus[n], s, n, *runs,
                                         coef, threads)

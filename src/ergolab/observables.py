@@ -18,8 +18,10 @@ Time averages are arithmetic means of the observable along the first n
 orbit points (j = 0..n-1).  `deviation` measures |time average - phibar|,
 the quantity whose level sets the deviation ladders and covers estimate;
 `deviations` is the one walk that yields it, at every horizon, along any
-orbit representation.  The space average phibar of a system whose natural
-measure is not Lebesgue is a mean of time averages (`srb_space_average`).
+orbit representation, and `max_deviation` bounds it, the one rule of
+whether a deviation set can be non-empty.  The space average phibar of a
+system whose natural measure is not Lebesgue is a mean of time averages
+(`srb_space_average`).
 
 Every threshold test of the lab, dev >= t, is screened by one rule,
 `undecided`: a cheaper deviation within a proven band of the float64
@@ -46,9 +48,9 @@ import numpy as np
 
 from .errors import check_integer
 from .rng import STREAM_ORBIT_SEED, raw_blocks
-from .systems import (_TWO_PI, Param, System, _as_batch, _check_domain, _FloatOrbits,
-                      birkhoff_sums, catalog_entry, domain_diameter, domain_points, iterate,
-                      sample_points)
+from .systems import (_TWO_PI, CatalogEntry, Param, System, _as_batch, _check_domain,
+                      _FloatOrbits, birkhoff_sums, catalog_entry, domain_diameter,
+                      domain_points, iterate, sample_points)
 
 
 @dataclass(frozen=True)
@@ -95,19 +97,11 @@ def _bump(oid, sys, a, w):
     return Observable(oid, fn, lip=1.0 / a, sup_abs=1.0, params=(("a", a), ("w", w)))
 
 
-class ObservableEntry(NamedTuple):
-    """A catalog observable: `build(oid, sys, **params)` constructs it for a
-    system's domain, and `params` are its parameter rules."""
-
-    build: Callable
-    params: tuple = ()
-
-
 OBSERVABLES = {
-    "cos1": ObservableEntry(_cos1),
-    "coord": ObservableEntry(_coord),
-    "bump": ObservableEntry(_bump, (Param("a", 0.0, math.inf, "()"),
-                                    Param("w", 0.0, math.inf, "[)"))),
+    "cos1": CatalogEntry(_cos1),
+    "coord": CatalogEntry(_coord),
+    "bump": CatalogEntry(_bump, (Param("a", 0.0, math.inf, "()"),
+                                 Param("w", 0.0, math.inf, "[)"))),
 }
 
 
@@ -269,7 +263,7 @@ def terms(obs: Observable, dtype, doubles: bool = False):
     other dtype, has a walk.
 
     With `doubles`, for orbits whose step doubles the phase (the doubling
-    and tent ensembles: systems.SystemEntry), the float32 walk takes a
+    and tent ensembles: systems.System.ensemble), the float32 walk takes a
     cosine at even steps only, and each odd step's term is
     fl(2 fl(c^2) - 1) of the even term c before it, cos 2 theta =
     2 cos^2 theta - 1, written over c in its array: that step reads no
@@ -371,6 +365,13 @@ def deviation(sys: System, obs: Observable, phibar: float, x, n: int):
     """|time average - phibar|: distance of x from typical behavior at horizon n."""
     avg = time_average(sys, obs, x, n)
     return abs(avg - phibar) if np.isscalar(avg) else np.abs(avg - phibar)
+
+
+def max_deviation(obs: Observable, phibar: float) -> float:
+    """sup|phi| + |phibar|, which no deviation from phibar exceeds (rounding
+    is monotone: no float64 one either), so a threshold above it has an
+    empty deviation set."""
+    return obs.sup_abs + abs(phibar)
 
 
 class DeviationParams(NamedTuple):

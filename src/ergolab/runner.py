@@ -35,7 +35,8 @@ from .flows import (ROOFS, SuspensionFlow, estimate_time1_lipschitz, fiber_const
                     flow_nontypical_inclusion_check, integer_part_reduction_check,
                     sample_flow_batch,
                     sample_flow_states)  # noqa: F401  a runner attribute perfbench/spans.py patches
-from .observables import OBSERVABLES, get_observable, modulus_delta_for, srb_space_average
+from .observables import (OBSERVABLES, get_observable, max_deviation, modulus_delta_for,
+                          srb_space_average)
 from .rng import check_seed
 from .systems import SYSTEMS, check_ensemble_horizon, check_float64_horizon, get_system
 
@@ -402,7 +403,7 @@ def run_pipeline(cfg: ExperimentConfig, threads: int = 1, stages=None) -> Report
         series = []
         if cover is not None and cover.dprimes:
             series = [dprime_volume_series(cover, dp) for dp in cover.dprimes]
-        if alpha > 2.0 * obs.sup_abs:
+        if alpha > max_deviation(obs, ctx["phibar"]):
             verdict = VERDICT_INCONCLUSIVE
             reason = "deviation set is empty at this threshold"
         elif d0 is None:

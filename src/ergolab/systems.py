@@ -37,11 +37,12 @@ new points at every step.  Every representation is summed by one kernel,
 otherwise), which observables drives (`time_average`, `deviations`).
 
 The catalog, SYSTEMS, is the one place a system id is decided on: each
-entry declares the system's constructor, its parameter rules, and the
-orbit representation of its sampled ensembles, which carries its horizon
-budget (76 for the dyadic doubling and tent ensembles, 54 for cat; deeper
-ladders are refused).  Float64 orbits have one budget for every system,
-n log2 L <= 45 (FLOAT64_BITS), which covers and the ball lemma enforce.
+entry declares the system's constructor and its parameter rules.  Each
+System carries its ensembles' representation, `System.ensemble`, with
+its horizon budget (76 for the dyadic doubling and tent ensembles, 54 for
+cat; deeper ladders are refused; float64 orbits, the default, have none).
+Float64 orbits have one budget for every system, n log2 L <= 45
+(FLOAT64_BITS), which covers and the ball lemma enforce.
 """
 
 from __future__ import annotations
@@ -81,36 +82,6 @@ def _wrap_in_place(a):
     return a
 
 
-@dataclass(frozen=True)
-class System:
-    """A catalog system: identity, domain, regularity data, and its step map.
-
-    `lip` is the (best known global) Lipschitz constant of one step; the
-    expansion base used by dimension bounds is `L = max(lip, 2)`.  `matrix`
-    is the integer matrix A of a linear torus map, whose step is
-    wrap_unit(A x) (rows of A, as nested tuples), and None for the others.
-    """
-
-    sid: str
-    d: int
-    domain: str                     # "torus" | "interval"
-    lo: float
-    hi: float
-    lip: float
-    srb_kind: str                   # "lebesgue" | "empirical-orbit"
-    params: tuple = ()
-    matrix: tuple | None = None
-    _step: Callable = field(repr=False, compare=False, default=None)
-
-    @property
-    def L(self) -> float:
-        return max(self.lip, 2.0)
-
-    def describe(self) -> str:
-        extra = "".join(f", {k}={v}" for k, v in self.params)
-        return f"{self.sid}({self.domain} d={self.d}{extra})"
-
-
 def _step_doubling(pts):
     return _wrap_in_place(2.0 * pts)
 
@@ -132,31 +103,6 @@ def _step_cat(pts):
 
 _DOUBLING = ((2,),)
 _CAT = ((2, 1), (1, 1))
-
-
-def _doubling(sid):
-    return System(sid, 1, "torus", 0.0, 1.0, 2.0, "lebesgue",
-                  matrix=_DOUBLING, _step=_step_doubling)
-
-
-def _tent(sid):
-    return System(sid, 1, "interval", 0.0, 1.0, 2.0, "lebesgue", _step=_step_tent)
-
-
-def _cat(sid):
-    return System(sid, 2, "torus", 0.0, 1.0, _CAT_EXPANSION, "lebesgue",
-                  matrix=_CAT, _step=_step_cat)
-
-
-def _logistic(sid, c):
-    beta = (1.0 + math.sqrt(1.0 - 4.0 * c)) / 2.0
-
-    def step(pts, _c=c, _b=beta):
-        # one step can exit [-b, b] only by float rounding; clamp the dust
-        return np.clip(pts * pts + _c, -_b, _b)
-
-    return System(sid, 1, "interval", -beta, beta, 2.0 * beta,
-                  "empirical-orbit", params=(("c", c),), _step=step)
 
 
 # ---------------------------------------------------------------------------
@@ -559,6 +505,69 @@ class _DyadicCat(_FixedPointOrbits):
 # ---------------------------------------------------------------------------
 # the catalog
 
+@dataclass(frozen=True)
+class System:
+    """A system: identity, domain, regularity data, step map and ensembles.
+
+    `lip` is the (best known global) Lipschitz constant of one step; the
+    expansion base used by dimension bounds is `L = max(lip, 2)`.  `matrix`
+    is the integer matrix A of a linear torus map, whose step is
+    wrap_unit(A x) (rows of A, as nested tuples), and None for the others.
+    `ensemble(sys, blocks)` is the orbit representation of its sampled
+    ensembles, float64 orbits of the step map unless the builder picks
+    another: its `horizon` is the deepest horizon it is faithful for (None
+    where no budget is derived), and its `doubles_phase` says whether one
+    step doubles the phase of x_1 (mod 2 pi, up to sign), so that the
+    cosine of the next point's phase is a closed form of this one's.
+    """
+
+    sid: str
+    d: int
+    domain: str                     # "torus" | "interval"
+    lo: float
+    hi: float
+    lip: float
+    srb_kind: str                   # "lebesgue" | "empirical-orbit"
+    params: tuple = ()
+    matrix: tuple | None = None
+    _step: Callable = field(repr=False, compare=False, default=None)
+    ensemble: type = field(repr=False, compare=False, default=_FloatEnsemble)
+
+    @property
+    def L(self) -> float:
+        return max(self.lip, 2.0)
+
+    def describe(self) -> str:
+        extra = "".join(f", {k}={v}" for k, v in self.params)
+        return f"{self.sid}({self.domain} d={self.d}{extra})"
+
+
+def _doubling(sid):
+    return System(sid, 1, "torus", 0.0, 1.0, 2.0, "lebesgue",
+                  matrix=_DOUBLING, _step=_step_doubling, ensemble=_DyadicDoubling)
+
+
+def _tent(sid):
+    return System(sid, 1, "interval", 0.0, 1.0, 2.0, "lebesgue", _step=_step_tent,
+                  ensemble=_DyadicTent)
+
+
+def _cat(sid):
+    return System(sid, 2, "torus", 0.0, 1.0, _CAT_EXPANSION, "lebesgue",
+                  matrix=_CAT, _step=_step_cat, ensemble=_DyadicCat)
+
+
+def _logistic(sid, c):
+    beta = (1.0 + math.sqrt(1.0 - 4.0 * c)) / 2.0
+
+    def step(pts, _c=c, _b=beta):
+        # one step can exit [-b, b] only by float rounding; clamp the dust
+        return np.clip(pts * pts + _c, -_b, _b)
+
+    return System(sid, 1, "interval", -beta, beta, 2.0 * beta,
+                  "empirical-orbit", params=(("c", c),), _step=step)
+
+
 class Param(NamedTuple):
     """A required real parameter of a catalog entry and its interval rule.
 
@@ -584,25 +593,19 @@ class Param(NamedTuple):
         return v
 
 
-class SystemEntry(NamedTuple):
-    """A catalog system: `build(sid, **params)` constructs it, `params` are
-    its parameter rules, and `ensemble(sys, blocks)` is the orbit
-    representation of its sampled ensembles, whose `horizon` is the deepest
-    horizon it is faithful for (None where no budget is derived), and whose
-    `doubles_phase` says whether one step doubles the phase of x_1 (mod
-    2 pi, up to sign), so that the cosine of the next point's phase is a
-    closed form of this one's (the doubling and tent ensembles)."""
+class CatalogEntry(NamedTuple):
+    """A catalog system or observable: `build(sid, **params)` or
+    `build(oid, sys, **params)` constructs it, and `params` are its rules."""
 
     build: Callable
-    ensemble: type
     params: tuple = ()
 
 
 SYSTEMS = {
-    "doubling": SystemEntry(_doubling, _DyadicDoubling),
-    "tent": SystemEntry(_tent, _DyadicTent),
-    "cat": SystemEntry(_cat, _DyadicCat),
-    "logistic": SystemEntry(_logistic, _FloatEnsemble, (Param("c", -2.0, 0.25, "[)"),)),
+    "doubling": CatalogEntry(_doubling),
+    "tent": CatalogEntry(_tent),
+    "cat": CatalogEntry(_cat),
+    "logistic": CatalogEntry(_logistic, (Param("c", -2.0, 0.25, "[)"),)),
 }
 
 # Float64 orbits of every system: each step multiplies a point's rounding
@@ -629,7 +632,7 @@ def get_system(sid: str, **params) -> System:
 
 def check_ensemble_horizon(sys: System, n: int):
     """ValueError when horizon n is past the budget of the system's ensembles."""
-    budget = SYSTEMS[sys.sid].ensemble.horizon
+    budget = sys.ensemble.horizon
     if budget is not None and n > budget:
         raise ValueError(f"horizon {n} is past n={budget}, the deepest "
                          f"a {sys.sid} ensemble is exact for")
@@ -644,7 +647,7 @@ def check_float64_horizon(sys: System, n: int):
 
 
 def sample_orbit_ensemble(sys: System, seed: int, start, count: int):
-    """Draw samples [start, start+count) of a system's orbit ensemble.
+    """Draw samples [start, start+count) of a system's orbit ensemble (System.ensemble).
 
     `start` may instead be a non-empty increasing array of `count` sample
     indices, which draws just those samples, reading just their counter
@@ -655,7 +658,7 @@ def sample_orbit_ensemble(sys: System, seed: int, start, count: int):
     ensembles are only used where a uniform seed is the documented
     behavior).
     """
-    return SYSTEMS[sys.sid].ensemble(sys, raw_blocks(seed, STREAM_ORBITS, start, count))
+    return sys.ensemble(sys, raw_blocks(seed, STREAM_ORBITS, start, count))
 
 
 def domain_points(sys: System, blocks: np.ndarray) -> np.ndarray:

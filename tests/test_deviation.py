@@ -14,7 +14,7 @@ from ergolab import deviation, observables
 from ergolab.deviation import (DIGIT, DIGIT_MEAN, METHOD_BINOMIAL, METHOD_MC,
                                default_fit_window)
 from ergolab.observables import deviations, float32_band, screen
-from ergolab.systems import SYSTEMS, sample_points
+from ergolab.systems import sample_points
 
 CATALOG_SYSTEMS = [("doubling", {}), ("tent", {}), ("cat", {}),
                    ("logistic", {"c": -2.0}), ("logistic", {"c": -1.0}),
@@ -132,8 +132,9 @@ def test_ladder_single_pass_equals_per_horizon():
 
 
 def test_dead_thresholds_check_their_horizons():
-    # thresholds that short-circuit (alpha <= 0 and alpha > 2 sup|phi|) walk
-    # no orbit, yet their horizons are checked as a live threshold's are
+    # thresholds no deviation can miss (alpha <= 0) or reach (alpha past
+    # observables.max_deviation) are walked like any other, reading 1 and 0,
+    # and their horizons are checked as any threshold's are
     sysd = E.get_system("doubling")
     cos1 = E.get_observable("cos1", sysd)
     lads = E.build_deviation_ladders(sysd, cos1, 0.0, [3.0, 0.0], [3, 5], 1000, 1)
@@ -152,13 +153,32 @@ def test_dead_thresholds_check_their_horizons():
         E.build_deviation_ladders(sysd, cos1, 0.0, [0.0], [3, 3], 1000, 1)
 
 
+def test_systems_outside_the_catalog_walk_their_own_ensembles():
+    # a System carries its orbit representation: a catalog system renamed
+    # keeps it and reads the catalog system's measures, and one built
+    # directly gets float64 orbits with no horizon budget
+    sysl = E.get_system("logistic", c=-1.7)
+    mine = dataclasses.replace(sysl, sid="my-logistic")
+    cos1 = E.get_observable("cos1", sysl)
+    args = (cos1, 0.1, [0.3, 0.6], [4, 8, 12], 5000, 3)
+    want, got = E.build_deviation_ladders(sysl, *args), E.build_deviation_ladders(mine, *args)
+    for a in (0.3, 0.6):
+        assert got[a].system_id == "my-logistic"
+        assert got[a].entries == want[a].entries
+    sysd = E.get_system("doubling")
+    plain = E.System("my-doubling", 1, "torus", 0.0, 1.0, 2.0, "lebesgue", _step=sysd._step)
+    assert plain.ensemble.horizon is None and not plain.ensemble.doubles_phase
+    lad = E.build_deviation_ladders(plain, cos1, 0.0, [0.3], [4, 8], 5000, 3)[0.3]
+    assert 0.0 < lad.entries[0].measure < 1.0
+
+
 def test_dyadic_ladders_stop_at_their_precision_budget():
     # past the budget the projected points read zero bits: unchecked, this
     # doubling ladder reads 0.939 at n=200, where the true measure is about 0
     for sid in ("doubling", "tent"):
-        budget = SYSTEMS[sid].ensemble.horizon
-        assert budget == 76
         sysm = E.get_system(sid)
+        budget = sysm.ensemble.horizon
+        assert budget == 76
         params = E.DeviationParams(E.get_observable("cos1", sysm), 0.0, 0.3)
         with pytest.raises(ValueError, match="n=76"):
             E.build_deviation_ladder(sysm, params, [8, 200], 20000, seed=1)
@@ -173,7 +193,7 @@ def test_cat_ladders_stop_at_their_precision_budget():
     # 128-bit cat orbits are faithful for 54 steps (systems._fixed_point_horizon)
     sysc = E.get_system("cat")
     cos1 = E.get_observable("cos1", sysc)
-    assert SYSTEMS["cat"].ensemble.horizon == 54
+    assert sysc.ensemble.horizon == 54
     lads = E.build_deviation_ladders(sysc, cos1, 0.0, [0.4], [53, 54], 1000, seed=1)
     assert [e.n for e in lads[0.4].entries] == [53, 54]
     with pytest.raises(ValueError, match="horizon 55 is past n=54"):
@@ -259,7 +279,7 @@ def test_hit_grid_equals_the_float64_grid_through_the_budget(monkeypatch, sid):
     # budget; the float64 grid screens nothing (bands of 0)
     sysm = E.get_system(sid)
     cos1 = E.get_observable("cos1", sysm)
-    budget = SYSTEMS[sid].ensemble.horizon
+    budget = sysm.ensemble.horizon
     n_values = list(range(4, budget, 6)) + [budget]
     for seed, phibar in [(1, 0.0), (2, 0.013), (3, -0.2)]:
         tied = E.sample_orbit_ensemble(sysm, seed, np.array([5, 12345]), 2)
@@ -292,15 +312,16 @@ class _Forwarding:
                                      ("logistic", {"c": -1.7})])
 def test_doubled_terms_are_read_from_the_catalog(monkeypatch, sid, skw):
     # whether the screen takes its odd-step cos1 terms as 2 c^2 - 1 is read
-    # from the catalog, so it holds through a wrapper that forwards only
-    # points() and advance(): the screened walk reads phases at even steps
-    # only on doubling and tent, at every step on cat and logistic, and its
-    # counts equal the float64 walk's.  Float batches (time averages, covers,
-    # the ball lemma) never ask for doubled terms.
+    # from the system (sys.ensemble), as the catalog builds it, so it holds
+    # through a wrapper that forwards only points() and advance(): the
+    # screened walk reads phases at even steps only on doubling and tent,
+    # at every step on cat and logistic, and its counts equal the float64
+    # walk's.  Float batches (time averages, covers, the ball lemma) never
+    # ask for doubled terms.
     sysm = E.get_system(sid, **skw)
     cos1 = E.get_observable("cos1", sysm)
     doubles = sid in ("doubling", "tent")
-    assert SYSTEMS[sid].ensemble.doubles_phase == doubles
+    assert sysm.ensemble.doubles_phase == doubles
     asked = []
     plain_terms = observables.terms
 

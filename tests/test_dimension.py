@@ -172,8 +172,9 @@ def test_ball_lemma_inconclusive_paths():
     rep = E.verify_ball_lemma(sysd, cos1, 0.0, 2.5, 0.01, n=5, pair_count=10, seed=0)
     assert rep.inconclusive and rep.pairs_checked == 0 and rep.candidates_drawn == 0
     assert math.isinf(rep.worst_margin)
-    # reachable but far too rare: rejection budget runs out
-    rep = E.verify_ball_lemma(sysd, cos1, 0.0, 1.9, 0.01, n=25, pair_count=5,
+    # reachable (deviations from -0.95 reach 1.95) but far too rare:
+    # rejection budget runs out
+    rep = E.verify_ball_lemma(sysd, cos1, -0.95, 1.9, 0.01, n=25, pair_count=5,
                               seed=0, candidate_factor=20)
     assert rep.inconclusive
     assert rep.pairs_checked == 0
@@ -218,9 +219,48 @@ def test_cover_full_space_at_alpha_zero():
 def test_cover_empty_beyond_observable_range():
     sysd = E.get_system("doubling")
     cos1 = E.get_observable("cos1", sysd)
-    lad = E.build_cover_ladder(sysd, cos1, 0.0, 2.5, 0.01, 3, 6)
-    assert [e.card for e in lad.entries] == [0, 0, 0, 0]
-    assert lad.examined_cells == 0
+    for phibar, alpha in ((0.0, 2.5), (0.0, 1.5), (-0.5, 1.6)):   # past sup|phi| + |phibar|
+        lad = E.build_cover_ladder(sysd, cos1, phibar, alpha, 0.01, 3, 6)
+        assert [e.card for e in lad.entries] == [0, 0, 0, 0]
+        assert lad.examined_cells == 0
+
+
+def test_deviation_sets_reach_sup_phi_plus_abs_phibar():
+    # from phibar = 5 every point of doubling x cos1 deviates by at least 4,
+    # past 2 sup|phi| = 2: the ladders read 1, the cover's cards are full
+    # grids, and the ball lemma accepts every candidate
+    sysd = E.get_system("doubling")
+    cos1 = E.get_observable("cos1", sysd)
+    lads = E.build_deviation_ladders(sysd, cos1, 5.0, [3.0], [4, 8], 1000, 1)
+    assert [(e.measure, e.std_error) for e in lads[3.0].entries] == [(1.0, 0.0)] * 2
+    delta = E.modulus_delta_for(sysd, cos1, 3.0)
+    lad = E.build_cover_ladder(sysd, cos1, 5.0, 3.0, delta, 1, 4)
+    assert [e.card for e in lad.entries] == [_grid_cells(sysd, delta * 2.0**-n / 2.0)
+                                            for n in range(1, 5)]
+    assert lad.examined_cells == sum(e.card for e in lad.entries)
+    rep = E.verify_ball_lemma(sysd, cos1, 5.0, 3.0, delta, n=8, pair_count=50, seed=2)
+    assert rep.candidates_drawn > 0 and rep.pairs_checked == 50
+    assert rep.violations == 0 and not rep.inconclusive
+
+
+def test_cover_ladder_builds_one_coefficient_table(monkeypatch):
+    # a closed-form ladder builds its character coefficients once, in 1-d
+    # and in 2-d; each level and its band read rows of that table
+    calls = []
+    build = dimension._character_coefficients
+
+    def counted(sys, obs, n):
+        calls.append(n)
+        return build(sys, obs, n)
+
+    monkeypatch.setattr(dimension, "_character_coefficients", counted)
+    for sid, alpha, n_lo, n_hi in (("doubling", 0.6, 10, 13), ("cat", 0.4, 1, 3)):
+        sysm = E.get_system(sid)
+        cos1 = E.get_observable("cos1", sysm)
+        calls.clear()
+        E.build_cover_ladder(sysm, cos1, 0.0, alpha, E.modulus_delta_for(sysm, cos1, alpha),
+                             n_lo, n_hi)
+        assert calls == [n_hi], sid
 
 
 def test_cover_validation():
@@ -378,7 +418,7 @@ def test_closed_form_masks_equal_walked_masks():
     walked = np.logical_or.reduce([_walk_hits(sysd, cos1, phibar, p, n, thresholds)
                                    for p in stencil])
     shift, got = _cellhits_closed_form(sysd, cos1, phibar, thresholds, s, n, *_runs(cand),
-                                       _character_coefficients(sysd, cos1, n)[:, 0])
+                                       _character_coefficients(sysd, cos1, n))
     assert got.shape == (len(thresholds), shift.size, dimension._BLOCK)
     for hit, want in zip(got, walked):
         slot = np.flatnonzero(hit)
@@ -391,7 +431,7 @@ def test_closed_form_masks_equal_walked_masks():
     coef = _character_coefficients(sysc, cos1, 5)
     ties = deviation(sysc, cos1, phibar, pts, 5)[[10, 1000, 3000]]
     thresholds = (0.4, *ties)
-    got = _closed_form_hits(sysc, cos1, phibar, 5, closed_form_band(sysc, cos1, 5), thresholds,
+    got = _closed_form_hits(sysc, cos1, phibar, 5, closed_form_band(sysc, coef), thresholds,
                             _row_factor(cos1, axis, coef[:, 0]), _col_factor(cos1, axis, coef[:, 1]),
                             lambda rows: pts[rows])
     walked = _walk_hits(sysc, cos1, phibar, pts, 5, thresholds)
@@ -564,9 +604,9 @@ def test_closed_form_band_bounds_the_1d_split(monkeypatch):
         cand = np.unique(np.concatenate([np.arange(200), rng.choice(m, 2000),
                                          np.arange(m - 200, m)]))
         seen.clear()
-        _cellhits_closed_form(sysd, cos1, 0.01, (), s, n, *_runs(cand),
-                              _character_coefficients(sysd, cos1, n)[:, 0])
-        assert 0.0 < max(seen) <= closed_form_band(sysd, cos1, n) / 8.0
+        coef = _character_coefficients(sysd, cos1, n)
+        _cellhits_closed_form(sysd, cos1, 0.01, (), s, n, *_runs(cand), coef)
+        assert 0.0 < max(seen) <= closed_form_band(sysd, coef) / 8.0
 
 
 def test_product_bands_equal_one_matmul(monkeypatch):
@@ -599,6 +639,7 @@ def test_cover_level_2d_screen_equals_float64(monkeypatch):
     recounts = _recording_walk(monkeypatch, "deviation")
     monkeypatch.setattr(dimension, "_POINT_CHUNK", 700)   # closed-form bands of 7 rows
     for n in (3, 5):
+        coef = _character_coefficients(sysc, cos1, n)
         idx = np.arange(m + 1, dtype=np.float64) * s % 1.0
         corners = np.stack(np.broadcast_arrays(idx[:, None], idx[None, :]), axis=-1)
         dev_c = _ref_dev(sysc, cos1, phibar, corners.reshape(-1, 2), n).reshape(m + 1, m + 1)
@@ -618,7 +659,7 @@ def test_cover_level_2d_screen_equals_float64(monkeypatch):
 
                 obs = dataclasses.replace(cos1, fn=fn)
                 recounts.clear()
-                card = _cover_level_2d(sysc, obs, phibar, alpha, s, m, n, threads)
+                card = _cover_level_2d(sysc, obs, phibar, alpha, s, m, n, coef, threads)
                 assert card == np.count_nonzero(cellmax >= alpha)
                 # fn takes the tables' phases (corner and centre rows and
                 # columns, n per point) and walks the recounted points, n
@@ -627,7 +668,7 @@ def test_cover_level_2d_screen_equals_float64(monkeypatch):
                 assert sorted(evaluated) == sorted([r.shape[0] for r in recounts] * n + tables)
                 for pts in recounts:
                     near = np.abs(_ref_dev(sysc, cos1, phibar, pts, n) - alpha)
-                    assert np.all(near <= 2.0 * closed_form_band(sysc, cos1, n))
+                    assert np.all(near <= 2.0 * closed_form_band(sysc, coef))
                 if alpha != 0.4:
                     assert recounts                # a tie is decided by the walk
 
@@ -652,7 +693,7 @@ def test_closed_form_band_bounds_the_float_walk():
         closed = np.abs(row_f @ col_f - 0.01).ravel()
         walked = deviation(sysc, cos1, 0.01, pts, n)
         gap = float(np.max(np.abs(closed - walked)))
-        assert 0.0 < gap <= closed_form_band(sysc, cos1, n) / 8.0
+        assert 0.0 < gap <= closed_form_band(sysc, coef) / 8.0
 
 
 # (system, params, observable, phibar, alpha, delta factor, n, pairs, seed)

@@ -20,6 +20,15 @@ def test_readme_library_sketch_runs():
     assert scope["box"] is not None
 
 
+def test_readme_layout_has_a_row_per_module():
+    text = README.read_text()
+    layout = text[text.index("## Layout"):]
+    layout = layout[:layout.index("\n## ")]
+    rows = set(re.findall(r"^\| `ergolab\.(\w+)`", layout, re.M))
+    modules = {p.stem for p in (ROOT / "src" / "ergolab").glob("*.py")} - {"__init__"}
+    assert rows == modules
+
+
 def test_import_needs_no_scipy():
     # the runtime dependencies are numpy alone; scipy serves the tests' oracles
     env = dict(os.environ)

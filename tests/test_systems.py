@@ -11,7 +11,7 @@ import ergolab as E
 from ergolab.errors import DomainError
 from ergolab.observables import deviations, float32_band, terms
 from ergolab.rng import STREAM_ORBIT_SEED, STREAM_ORBITS, raw_blocks
-from ergolab.systems import (SYSTEMS, _FloatOrbits, birkhoff_sums, domain_points, into_domain,
+from ergolab.systems import (_FloatOrbits, birkhoff_sums, domain_points, into_domain,
                              sample_points, wrap_unit)
 
 
@@ -351,7 +351,7 @@ def test_cat_ensemble_follows_256_bit_orbits_through_its_budget():
     # ints), its projected points stay within one unit 2^-53 for every
     # horizon up to the budget of 54, and drift further right after.
     sysc = E.get_system("cat")
-    budget = SYSTEMS["cat"].ensemble.horizon
+    budget = sysc.ensemble.horizon
     assert budget == 54
     count = 2000
     ens = E.sample_orbit_ensemble(sysc, seed=3, start=0, count=count)
@@ -390,7 +390,7 @@ def test_doubling_ensemble_reads_a_128_bit_shift_at_every_offset():
     edges = np.array([[ones, ones, 0, 0], [0, 1, 0, 0], [1 << 63, 0, 0, 0],
                       [0, 1 << 63, 0, 0]], dtype=np.uint64)
     blocks = np.vstack([edges, raw_blocks(6, STREAM_ORBITS, 0, 500)])
-    ens = SYSTEMS["doubling"].ensemble(sysd, blocks)
+    ens = sysd.ensemble(sysd, blocks)
     assert ens.horizon == 76
     x = [(int(hi) << 64) | int(lo) for hi, lo in blocks[:, :2].tolist()]
     for _ in range(131):                            # j = 0 .. 130
@@ -414,7 +414,7 @@ def test_tent_ensemble_follows_the_interior_point_orbit_through_its_budget():
     edges = np.array([[1 << 63, 0, 0, 0], [ones, 0, 0, 0], [ones, ones, 0, 0],
                       [(1 << 63) | 5, 0, 0, 0], [0, 1, 0, 0]], dtype=np.uint64)
     blocks = np.vstack([edges, raw_blocks(7, STREAM_ORBITS, 0, 500)])
-    ens = SYSTEMS["tent"].ensemble(syst, blocks)
+    ens = syst.ensemble(syst, blocks)
     assert ens.horizon == 76
     x = [(int(hi) << 65) | (int(lo) << 1) | 1 for hi, lo in blocks[:, :2].tolist()]
     for _ in range(76):                             # j = 0 .. 75
@@ -470,7 +470,7 @@ def test_birkhoff_sums_equal_a_reference_loop(sid, kw):
 
     walks = [(dtype, False, make) for dtype in (np.float64, np.float32)
              for make in (lambda: _FloatOrbits(sysm, pts), ensemble)]
-    if SYSTEMS[sid].ensemble.doubles_phase:
+    if sysm.ensemble.doubles_phase:
         walks.append((np.float32, True, ensemble))
     assert len(walks) == (5 if sid in ("doubling", "tent") else 4)
     for dtype, dbl, make in walks:
@@ -532,7 +532,7 @@ _EDGE_DRAWS = np.array([[_ONES, _ONES, _ONES, _ONES], [0, 0, 0, 0], [1 << 63, 0,
 
 def _edge_ensemble(sysm):
     blocks = np.vstack([_EDGE_DRAWS, raw_blocks(9, STREAM_ORBITS, 0, 20000)])
-    return SYSTEMS[sysm.sid].ensemble(sysm, blocks)
+    return sysm.ensemble(sysm, blocks)
 
 
 def test_phases_equal_2pi_times_the_points():
