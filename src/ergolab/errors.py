@@ -8,8 +8,8 @@ import numbers
 
 def check_integer(name: str, value, least=None):
     """ValueError naming `name` unless value is an integer (a numpy integer
-    too), and at least `least` where that is given."""
-    if not isinstance(value, numbers.Integral):
+    too, a bool not), and at least `least` where that is given."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if least is not None and value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")

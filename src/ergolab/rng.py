@@ -36,7 +36,7 @@ _U11 = np.uint64(11)
 
 def check_seed(seed: int):
     """ValueError unless seed is an integer in [0, 2^64): Philox keys on one
-    64-bit word, so any other seed, a float too, would alias one inside."""
+    64-bit word, so any other seed, a float or a bool too, would alias one inside."""
     check_integer("seed", seed)
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed {seed} is outside [0, 2^64), the Philox key word")

@@ -20,12 +20,12 @@ import configparser
 import io
 import json
 import math
+import numbers
 import time
+from collections import namedtuple
 from dataclasses import asdict, dataclass, field, fields
 
-import numpy as np
-
-from .deviation import (build_deviation_ladders, fit_rate_function, ladder_rows,
+from .deviation import (_MIN_SAMPLES, build_deviation_ladders, fit_rate_function, ladder_rows,
                         ladder_table, write_csv)
 from .dimension import (build_cover_ladder, cover_section, cover_table,
                         dimension_upper_bound, dprime_volume_series,
@@ -35,7 +35,7 @@ from .flows import (ROOFS, SuspensionFlow, estimate_time1_lipschitz, fiber_const
                     flow_nontypical_inclusion_check, integer_part_reduction_check,
                     sample_flow_batch,
                     sample_flow_states)  # noqa: F401  a runner attribute perfbench/spans.py patches
-from .observables import (OBSERVABLES, get_observable, max_deviation, modulus_delta_for,
+from .observables import (_ORBITS, OBSERVABLES, get_observable, max_deviation, modulus_delta_for,
                           srb_space_average)
 from .rng import check_seed
 from .systems import SYSTEMS, check_ensemble_horizon, check_float64_horizon, get_system
@@ -48,49 +48,101 @@ STAGES = ("resolve", "space_average", "ladders", "fits", "cover", "dimension",
           "lemma", "flow")
 
 
+def _field(section, default, least=None):
+    return field(default=default, metadata={"section": section, "least": least})
+
+
 @dataclass
 class ExperimentConfig:
     """Flat experiment description; see configs/ for the INI shape.
 
+    Each field is declared once, here: its INI section, its type and, where
+    it has one, its least value.  The INI reader and writer, validate_config
+    and the pipeline read that declaration.  An int field takes integers but
+    no bool, a float field any real number but a bool, and the pipeline runs
+    on each value as its declared type, so equal configs give equal reports.
     A catalog parameter p is read from the field system_p of a system and
     bump_p of an observable; the ids default to the first catalog entries.
     """
 
-    system_id: str = next(iter(SYSTEMS))
-    system_c: float | None = None
-    observable_id: str = next(iter(OBSERVABLES))
-    bump_a: float | None = None
-    bump_w: float | None = None
+    system_id: str = _field("system", next(iter(SYSTEMS)))
+    system_c: float | None = _field("system", None)
+    observable_id: str = _field("observable", next(iter(OBSERVABLES)))
+    bump_a: float | None = _field("observable", None)
+    bump_w: float | None = _field("observable", None)
 
-    alphas: tuple = (0.6,)
-    n_min: int = 20
-    n_max: int = 60                          # past cat's ensemble budget (54): cat configs set it
-    n_stride: int = 4
-    sample_count: int = 200_000
-    seed: int = 42
+    alphas: tuple[float, ...] = _field("deviation", (0.6,))
+    n_min: int = _field("deviation", 20, least=1)
+    n_max: int = _field("deviation", 60)     # past cat's ensemble budget (54): cat configs set it
+    n_stride: int = _field("deviation", 4, least=1)
+    sample_count: int = _field("deviation", 200_000, least=_MIN_SAMPLES)
+    seed: int = _field("deviation", 42)
 
-    space_samples: int = 1_000_000
-    orbit_length: int = 10_000_000
-    transient: int = 10_000
+    space_samples: int = _field("space_average", 1_000_000, least=2)
+    orbit_length: int = _field("space_average", 10_000_000, least=_ORBITS)
+    transient: int = _field("space_average", 10_000, least=0)
 
-    cover_n_min: int = 0                     # cover runs when cover_n_max >= cover_n_min >= 1
-    cover_n_max: int = 0
-    grid_budget: int = 10**8
-    dprime_offsets: tuple = (0.05, 0.1, 0.2)
-    verdict_slack: float = 0.05
-    delta_override: float = 0.0              # 0 -> from the observable's modulus
+    cover_n_min: int = _field("dimension", 0)  # cover runs when cover_n_max >= cover_n_min >= 1
+    cover_n_max: int = _field("dimension", 0)
+    grid_budget: int = _field("dimension", 10**8, least=1)
+    dprime_offsets: tuple[float, ...] = _field("dimension", (0.05, 0.1, 0.2))
+    verdict_slack: float = _field("dimension", 0.05, least=0.0)
+    delta_override: float = _field("dimension", 0.0, least=0.0)  # 0 -> from the observable's modulus
 
-    lemma_n: int = 10
-    lemma_pairs: int = 0                     # 0 -> skip the lemma suite
+    lemma_n: int = _field("lemma", 10, least=1)
+    lemma_pairs: int = _field("lemma", 0, least=0)  # 0 -> skip the lemma suite
 
-    flow_enabled: bool = False
-    roof_kind: str = "constant"
-    roof_param: float = 1.0
-    flow_T: float = 50.0
-    flow_samples: int = 1000
-    quadrature_step: float = 0.0             # 0 -> rho_min / 8
+    flow_enabled: bool = _field("flow", False)
+    roof_kind: str = _field("flow", "constant")
+    roof_param: float = _field("flow", 1.0)
+    flow_T: float = _field("flow", 50.0)
+    flow_samples: int = _field("flow", 1000, least=1)
+    quadrature_step: float = _field("flow", 0.0, least=0.0)  # 0 -> rho_min / 8
 
-    out_dir: str = ""
+    out_dir: str = _field("output", "")
+
+
+def _scalar(t, cast):
+    """value -> cast(value); TypeError unless the value is a t (a bool is only a bool)."""
+    def plain(v):
+        if not isinstance(v, t) or (isinstance(v, bool) and t is not bool):
+            raise TypeError
+        return cast(v)
+    return plain
+
+
+_real = _scalar(numbers.Real, float)
+# each declared type: what its INI value must spell, the INI parser, and its `plain`
+_KINDS = {
+    "str": ("a string", str, _scalar(str, str)),
+    "bool": ("a boolean", lambda raw: configparser.ConfigParser.BOOLEAN_STATES[raw.lower()],
+             _scalar(bool, bool)),
+    "int": ("an integer", int, _scalar(numbers.Integral, int)),
+    "float": ("a number", float, _real),
+    "float | None": ("a number or none",
+                     lambda raw: None if raw.lower() in ("", "none") else float(raw),
+                     lambda v: None if v is None else _real(v)),
+    "tuple[float, ...]": ("a comma-separated list of numbers",
+                          lambda raw: tuple(float(tok) for tok in raw.split(",")) if raw else (),
+                          _scalar(tuple, lambda v: tuple(map(_real, v)))),
+}
+# a field's declaration; plain: value -> the value as `type`, its annotation (TypeError if
+# it is not one)
+_Declared = namedtuple("_Declared", "section least type noun parse plain")
+_DECLARED = {f.name: _Declared(f.metadata["section"], f.metadata["least"], f.type, *_KINDS[f.type])
+             for f in fields(ExperimentConfig)}
+
+
+def _as_declared(cfg: ExperimentConfig) -> dict:
+    """Each field's value as its declared type; ValidationError names a field of another."""
+    out = {}
+    for name, decl in _DECLARED.items():
+        v = getattr(cfg, name)
+        try:
+            out[name] = decl.plain(v)
+        except TypeError:
+            raise ValidationError(f"{name}: must be {decl.type}, got {v!r}") from None
+    return out
 
 
 def validate_config(cfg: ExperimentConfig):
@@ -98,40 +150,31 @@ def validate_config(cfg: ExperimentConfig):
     def fail(name, msg):
         raise ValidationError(f"{name}: {msg}")
 
-    def at_least(*bounds):
-        for name, least in bounds:
-            if getattr(cfg, name) < least:
-                fail(name, f"must be >= {least:g}")
-
     def within(name, check, *args):
         try:
             check(*args)
         except ValueError as e:
             fail(name, e)
 
-    for f in fields(ExperimentConfig):
-        v = getattr(cfg, f.name)
-        for x in (v if isinstance(v, (tuple, list)) else (v,)):
+    for name, v in _as_declared(cfg).items():
+        for x in (v if isinstance(v, tuple) else (v,)):
             if isinstance(x, float) and not math.isfinite(x):
-                fail(f.name, f"{x} is not finite")
+                fail(name, f"{x} is not finite")
+        least = _DECLARED[name].least
+        if least is not None and v < least:
+            fail(name, f"must be >= {least:g}")
     sys, _ = _resolve(cfg)
     if not cfg.alphas:
         fail("alphas", "need at least one threshold")
     if min(cfg.alphas) <= 0.0:
         fail("alphas", f"every threshold must be > 0, got {min(cfg.alphas):g}")
-    at_least(("n_min", 1))
     if cfg.n_max < cfg.n_min:
         fail("n_max", f"must be >= n_min={cfg.n_min}")
     within("n_max", check_ensemble_horizon, sys, cfg.n_max)
-    at_least(("n_stride", 1), ("sample_count", 1000), ("space_samples", 2),
-             ("orbit_length", 100), ("transient", 0))
     within("seed", check_seed, cfg.seed)
     if cfg.cover_n_max >= cfg.cover_n_min and cfg.cover_n_min >= 1:
-        at_least(("grid_budget", 1))
         within("cover_n_max", check_float64_horizon, sys, cfg.cover_n_max)
-    at_least(("verdict_slack", 0.0), ("delta_override", 0.0), ("lemma_pairs", 0))
     if cfg.lemma_pairs > 0:
-        at_least(("lemma_n", 1))
         within("lemma_n", check_float64_horizon, sys, cfg.lemma_n)
     if cfg.flow_enabled:
         if cfg.roof_kind not in ROOFS:
@@ -139,79 +182,28 @@ def validate_config(cfg: ExperimentConfig):
         within("roof_param", ROOFS[cfg.roof_kind], cfg.roof_param)
         if cfg.flow_T <= 0.0:
             fail("flow_T", "must be > 0")
-        at_least(("flow_samples", 1), ("quadrature_step", 0.0))
 
 
 # ---------------------------------------------------------------------------
 # INI round-trip
 
-_SECTIONS = {
-    "system": ("system_id", "system_c"),
-    "observable": ("observable_id", "bump_a", "bump_w"),
-    "deviation": ("alphas", "n_min", "n_max", "n_stride", "sample_count", "seed"),
-    "space_average": ("space_samples", "orbit_length", "transient"),
-    "dimension": ("cover_n_min", "cover_n_max", "grid_budget", "dprime_offsets",
-                  "verdict_slack", "delta_override"),
-    "lemma": ("lemma_n", "lemma_pairs"),
-    "flow": ("flow_enabled", "roof_kind", "roof_param", "flow_T", "flow_samples",
-             "quadrature_step"),
-    "output": ("out_dir",),
-}
-
 def _format_value(v):
     if isinstance(v, tuple):
-        return ", ".join(repr(float(x)) for x in v)
+        return ", ".join(map(repr, v))
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)
     return str(v)
 
 
-def _float_list(raw):
-    return tuple(float(tok) for tok in raw.split(",")) if raw else ()
-
-
-def _optional_float(raw):
-    return None if raw.lower() in ("", "none") else float(raw)
-
-
-def _boolean(raw):
-    return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
-
-
-def _parse_value(name, raw):
-    """Convert one INI value to its field's type; ValidationError names the field."""
-    raw = raw.strip()
-    default = getattr(ExperimentConfig(), name)
-    if name in ("alphas", "dprime_offsets"):
-        kind, convert = "a comma-separated list of numbers", _float_list
-    elif default is None:
-        kind, convert = "a number or none", _optional_float
-    elif name == "flow_enabled":
-        kind, convert = "a boolean", _boolean
-    elif isinstance(default, int):
-        kind, convert = "an integer", int
-    elif isinstance(default, float):
-        kind, convert = "a number", float
-    else:
-        return raw
-    try:
-        return convert(raw)
-    except (KeyError, ValueError):
-        raise ValidationError(f"{name}: cannot parse {raw!r} as {kind}") from None
-
-
 def config_to_ini(cfg: ExperimentConfig) -> str:
+    sections = {}
+    for name, v in _as_declared(cfg).items():
+        section = sections.setdefault(_DECLARED[name].section, {})
+        if v is not None:
+            section[name] = _format_value(v)
     cp = configparser.ConfigParser()
     cp.optionxform = str
-    for section, names in _SECTIONS.items():
-        cp[section] = {}
-        for name in names:
-            v = getattr(cfg, name)
-            if v is None:
-                continue
-            cp[section][name] = _format_value(v)
+    cp.read_dict(sections)
     buf = io.StringIO()
     cp.write(buf)
     return buf.getvalue()
@@ -224,15 +216,19 @@ def config_from_ini(text: str) -> ExperimentConfig:
         cp.read_string(text)
     except configparser.Error as e:
         raise ValidationError(f"config: INI parse error: {e}") from None
-    known = {name: section for section, names in _SECTIONS.items() for name in names}
     kwargs = {}
     for section in cp.sections():
         for name, raw in cp[section].items():
-            if name not in known:
+            if name not in _DECLARED:
                 raise ValidationError(f"{name}: unknown config field (section [{section}])")
-            if known[name] != section:
-                raise ValidationError(f"{name}: belongs in section [{known[name]}], found in [{section}]")
-            kwargs[name] = _parse_value(name, raw)
+            decl = _DECLARED[name]
+            if decl.section != section:
+                raise ValidationError(f"{name}: belongs in section [{decl.section}], found in [{section}]")
+            raw = raw.strip()
+            try:
+                kwargs[name] = decl.parse(raw)
+            except (KeyError, ValueError):
+                raise ValidationError(f"{name}: cannot parse {raw!r} as {decl.noun}") from None
     cfg = ExperimentConfig(**kwargs)
     validate_config(cfg)
     return cfg
@@ -284,10 +280,6 @@ def _resolve(cfg: ExperimentConfig):
     return sys, build(get_observable, "observable_id", "bump_", sys)
 
 
-def _n_values(cfg: ExperimentConfig):
-    return list(range(cfg.n_min, cfg.n_max + 1, cfg.n_stride))
-
-
 def run_pipeline(cfg: ExperimentConfig, threads: int = 1, stages=None) -> Report:
     """Run the requested stages and assemble a report.
 
@@ -299,6 +291,7 @@ def run_pipeline(cfg: ExperimentConfig, threads: int = 1, stages=None) -> Report
     `.partial_report` (its data records the failed stage), so callers can
     flush what was computed.
     """
+    cfg = ExperimentConfig(**_as_declared(cfg))  # equal configs run alike
     validate_config(cfg)
     wanted = set(STAGES if stages is None else stages)
     report = Report()
@@ -347,8 +340,9 @@ def run_pipeline(cfg: ExperimentConfig, threads: int = 1, stages=None) -> Report
         for a in list(cfg.alphas) + [a / 2.0 for a in cfg.alphas]:
             if a not in alpha_set:
                 alpha_set.append(a)
-        ladders = build_deviation_ladders(sys, obs, ctx["phibar"], alpha_set,
-                                          _n_values(cfg), cfg.sample_count, cfg.seed)
+        n_values = list(range(cfg.n_min, cfg.n_max + 1, cfg.n_stride))
+        ladders = build_deviation_ladders(sys, obs, ctx["phibar"], alpha_set, n_values,
+                                          cfg.sample_count, cfg.seed)
         ctx["ladders"] = ladders
         report.data["ladders"] = {repr(a): {"entries": ladder_rows(lad)}
                                   for a, lad in ladders.items()}

@@ -88,6 +88,12 @@ from ergolab.errors import GridBudgetError, RateNotEstablishedError
     ("start", ValueError, lambda s, o: E.sample_orbit_ensemble(s, 1, 2.7, 3)),
     ("count", ValueError, lambda s, o: E.sample_orbit_ensemble(s, 1, 0, 14.0)),
     ("seed", ValueError, lambda s, o: E.verify_ball_lemma(s, o, 0.0, 0.4, 0.01, 4, 10, 1.5)),
+    ("seed", ValueError, lambda s, o: raw_blocks(True, 1, 0, 3)),
+    ("n_values", ValueError,
+     lambda s, o: E.build_deviation_ladders(s, o, 0.0, [0.3], [True, 4], 1000, 1)),
+    ("n", ValueError, lambda s, o: E.verify_ball_lemma(s, o, 0.0, 0.3, 0.01, True, 10, 1)),
+    ("k", ValueError, lambda s, o: E.iterate(s, 0.3, True)),
+    ("n", ValueError, lambda s, o: E.time_average(s, o, 0.1, True)),
 ], ids=["ladders-phibar", "ladders-alphas", "cover-alpha", "cover-phibar", "lemma-delta",
         "lemma-alpha", "lemma-phibar", "cover-dprimes", "digit-alpha", "digit-ladder-alpha",
         "bound-h", "bound-L", "modulus-alpha", "box-counts", "bernoulli-alpha",
@@ -99,7 +105,8 @@ from ergolab.errors import GridBudgetError, RateNotEstablishedError
         "lemma-candidate_factor-negative", "digit-ladder-n_values", "digit-ladder-n_values-0",
         "digit-ladder-n_values-decreasing", "digit-ladder-n_values-repeated", "digit-n",
         "be-depths-0", "be-depths-float", "be-depths-empty", "raw_blocks-start", "raw_blocks-count",
-        "ensemble-start", "ensemble-count", "lemma-seed"])
+        "ensemble-start", "ensemble-count", "lemma-seed", "raw_blocks-seed-bool",
+        "ladders-n_values-bool", "lemma-n-bool", "iterate-k-bool", "time-average-n-bool"])
 def test_nan_inputs_are_refused_by_name(arg, error, call):
     # each of these read a NaN as a number: measures and cards of 0, a lemma
     # with no violation or with no candidate accepted, NaN cover volumes, a
@@ -116,7 +123,8 @@ def test_nan_inputs_are_refused_by_name(arg, error, call):
     # candidate and read as inconclusive, and a horizon or depth of 2.5 or 0
     # was truncated to an entry at n = 2 or divided by zero.  An exact
     # ladder's horizons out of order came back out of order, and no depth
-    # at all raised an IndexError
+    # at all raised an IndexError.  A bool counted as an integer: seed True
+    # read seed 1's stream, and True ran as a rung, horizon or step count 1
     sysd = E.get_system("doubling")
     with pytest.raises(error, match=rf"\b{arg}\b"):
         call(sysd, E.get_observable("cos1", sysd))

@@ -5,7 +5,10 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
+
+from ergolab import ExperimentConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -27,6 +30,20 @@ def test_readme_layout_has_a_row_per_module():
     rows = set(re.findall(r"^\| `ergolab\.(\w+)`", layout, re.M))
     modules = {p.stem for p in (ROOT / "src" / "ergolab").glob("*.py")} - {"__init__"}
     assert rows == modules
+
+
+def test_readme_configuration_lists_the_declared_fields():
+    # the ini block names each section, then its fields, in declaration order
+    text = README.read_text()
+    section = text[text.index("## Configuration"):]
+    block = re.search(r"```ini\n(.*?)```", section, re.S).group(1)
+    listed = re.findall(r"\[\w+\]|\w+", re.sub(r"\([^)]*\)", "", block))
+    declared = []
+    for f in fields(ExperimentConfig):
+        if f"[{f.metadata['section']}]" not in declared:
+            declared.append(f"[{f.metadata['section']}]")
+        declared.append(f.name)
+    assert listed == declared
 
 
 def test_import_needs_no_scipy():

@@ -88,11 +88,43 @@ def test_shipped_configs_parse():
     ("alphas", dict(alphas=(0.0,))),
     ("alphas", dict(alphas=(0.6, -0.1))),
     ("alphas", dict(alphas=(-0.0,))),
+    # a config built in Python has its fields' declared types: an int field
+    # takes no float or bool, a float field no bool, a tuple field no scalar
+    ("n_max", dict(n_max=32.5)),
+    ("sample_count", dict(sample_count=20000.0)),
+    ("space_samples", dict(space_samples=20000.0)),
+    ("seed", dict(seed=True)),
+    ("alphas", dict(alphas=0.6)),
+    ("alphas", dict(alphas=[0.6])),
+    ("alphas", dict(alphas=(0.6, True))),
+    ("flow_enabled", dict(flow_enabled=1)),
+    ("lemma_pairs", dict(lemma_pairs=10.0)),
+    ("cover_n_max", dict(cover_n_min=1, cover_n_max=3.0)),
+    ("system_c", dict(system_id="logistic", system_c="-2")),
+    ("roof_kind", dict(roof_kind=None)),
+    # least values hold whether or not their suite runs
+    ("grid_budget", dict(grid_budget=0)),
+    ("lemma_n", dict(lemma_n=0)),
+    ("flow_samples", dict(flow_samples=0)),
+    ("quadrature_step", dict(quadrature_step=-0.5)),
 ])
 def test_validation_names_the_offending_field(field, over):
     with pytest.raises(ValidationError) as err:
         E.validate_config(mini_cfg(**over))
     assert str(err.value).split(":")[0] == field
+
+
+@pytest.mark.parametrize("field,a,b", [("delta_override", 0, 0.0), ("alphas", (1,), (1.0,))])
+def test_equal_configs_give_equal_reports(field, a, b):
+    # the pipeline and the report's config section read each value as its
+    # declared type, so an int given for a float field reads as that float
+    stages = ("resolve", "space_average", "ladders")
+    cfg_a, cfg_b = mini_cfg(**{field: a}), mini_cfg(**{field: b})
+    assert cfg_a == cfg_b
+    reports = [E.report_json(E.run_pipeline(c, stages=stages), include_timings=False)
+               for c in (cfg_a, cfg_b)]
+    assert reports[0] == reports[1]
+    assert E.config_to_ini(cfg_a) == E.config_to_ini(cfg_b)
 
 
 @pytest.mark.parametrize("word,value", [
