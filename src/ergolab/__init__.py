@@ -5,17 +5,18 @@ from .errors import (DomainError, ErgolabError, GridBudgetError, ParameterError,
                      RateNotEstablishedError, StageError, ValidationError)
 from .systems import (System, distance, domain_diameter, get_system, iterate,
                       sample_orbit_ensemble, wrap_unit)
-from .observables import (DeviationParams, Observable, SpaceAverage, get_observable,
-                          modulus_delta, modulus_delta_for, srb_space_average, time_average)
-from .deviation import (DIGIT, DIGIT_MEAN, DeviationLadder, LadderEntry,
-                        RateFunctionFit, build_deviation_ladder,
+from .observables import (Observable, SpaceAverage, get_observable, modulus_delta,
+                          modulus_delta_for, srb_space_average, time_average)
+from .deviation import (DIGIT, DIGIT_MEAN, DeviationLadder, LadderEntry, RateFunctionFit,
                         build_deviation_ladders, cramer_bernoulli,
-                        estimate_deviation_measure, exact_deviation_measure_digit,
-                        exact_digit_ladder, fit_rate_function, ladder_to_csv)
-from .dimension import (BallLemmaReport, BeDimension, BoxDimension, CoverEntry,
-                        CoverLadder, VolumeSeries, besicovitch_eggleston_dimension,
+                        exact_deviation_measure_digit, exact_digit_ladder,
+                        fit_rate_function, ladder_to_csv)
+from .dimension import (VERDICT_HOLDS, VERDICT_INCONCLUSIVE, VERDICT_VIOLATED,
+                        BallLemmaReport, BeDimension, BoxDimension, CoverEntry,
+                        CoverLadder, RateBound, VolumeSeries,
+                        besicovitch_eggleston_dimension, bound_verdict,
                         box_counting_dimension, build_cover_ladder, cover_to_csv,
-                        dimension_upper_bound, dprime_volume_series,
+                        dimension_upper_bound, dprime_volume_series, rate_bound,
                         try_box_dimension, verify_ball_lemma)
 from .flows import (FlowObservable, FlowState, Roof, SuspensionFlow,
                     constant_roof, cosine_roof, estimate_time1_lipschitz,

@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import check_integer
-from .observables import (DIGIT, DIGIT_MEAN, DIGIT_SYSTEM, DeviationParams, Observable,
+from .observables import (DIGIT, DIGIT_MEAN, DIGIT_SYSTEM, Observable,
                           deviations, screen, undecided)
 from .systems import _POINT_CHUNK, System, check_ensemble_horizon, sample_orbit_ensemble
 
@@ -61,12 +61,6 @@ class DeviationLadder(NamedTuple):
     phibar: float
     alpha: float
     entries: tuple
-
-    def n_values(self):
-        return [e.n for e in self.entries]
-
-    def measures(self):
-        return [e.measure for e in self.entries]
 
 
 # ---------------------------------------------------------------------------
@@ -134,30 +128,6 @@ def _hit_grid(sys, obs, phibar, alphas, n_values, sample_count, seed):
                     rows = np.searchsorted(idx, np.concatenate(near[i, j]))
                     hits[i, j] += np.count_nonzero(dev[rows] >= t)
     return hits
-
-
-def estimate_deviation_measure(sys: System, params: DeviationParams, n: int,
-                               sample_count: int, seed: int) -> LadderEntry:
-    """Monte-Carlo estimate of the deviation-set measure at one horizon.
-
-    The one-rung ladder of build_deviation_ladders: alpha <= 0 reads 1 and
-    alpha past observables.max_deviation 0, with standard error 0.
-    """
-    return build_deviation_ladder(sys, params, [n], sample_count, seed).entries[0]
-
-
-def build_deviation_ladder(sys: System, params: DeviationParams, n_values,
-                           sample_count: int, seed: int) -> DeviationLadder:
-    """Estimate the deviation measure at every horizon of a ladder.
-
-    All horizons are filled in a single orbit pass (a snapshot of the
-    running average at each requested n), which is bit-identical to
-    independent per-horizon estimation because each sample's orbit is a
-    pure function of its counter block.
-    """
-    ladders = build_deviation_ladders(sys, params.observable, params.phibar,
-                                      [params.alpha], n_values, sample_count, seed)
-    return ladders[params.alpha]
 
 
 def build_deviation_ladders(sys: System, obs: Observable, phibar: float,

@@ -75,6 +75,59 @@ def dimension_upper_bound(d: int, L: float, h: float) -> float:
     return d - h / math.log(L)
 
 
+VERDICT_HOLDS = "bound-holds"
+VERDICT_VIOLATED = "bound-violated"
+VERDICT_INCONCLUSIVE = "inconclusive"
+
+
+class RateBound(NamedTuple):
+    """The bound d0 = d - h(alpha/2) / ln L at a threshold alpha, or why there is none."""
+
+    alpha: float
+    h_half: float | None     # the fitted rates at alpha/2 and at alpha; None where no fit
+    h_alpha: float | None
+    d0: float | None
+    reason: str | None       # why d0 is None
+
+
+def rate_bound(sys: System, fits: dict, alpha: float) -> RateBound:
+    """d0 from the rate fit at alpha/2 in fits (threshold -> RateFunctionFit,
+    or None where the fit failed; a threshold missing from fits has no fit)."""
+    half, full = fits.get(alpha / 2.0), fits.get(alpha)
+    d0 = reason = None
+    if half is None:
+        reason = "no usable rate fit at alpha/2"
+    else:
+        try:
+            d0 = dimension_upper_bound(sys.d, sys.L, half.h)
+        except RateNotEstablishedError as e:
+            reason = str(e)
+    return RateBound(alpha, half.h if half else None, full.h if full else None, d0, reason)
+
+
+def bound_verdict(obs: Observable, phibar: float, bound: RateBound,
+                  box: BoxDimension | None, slack: float):
+    """(verdict, reason) of a rate bound against a cover's box dimension.
+
+    The bound holds when the box band's upper end is at most d0 + slack and
+    is violated when its lower end is past it.  The verdict is inconclusive,
+    with its reason, when the band straddles d0 + slack, the deviation set
+    is empty (alpha past observables.max_deviation), there is no d0, or
+    there is no box dimension (None); reason is None otherwise.
+    """
+    if bound.alpha > max_deviation(obs, phibar):
+        return VERDICT_INCONCLUSIVE, "deviation set is empty at this threshold"
+    if bound.d0 is None:
+        return VERDICT_INCONCLUSIVE, bound.reason
+    if box is None:
+        return VERDICT_INCONCLUSIVE, "cover ladder cannot support a box-dimension fit"
+    if box.upper <= bound.d0 + slack:
+        return VERDICT_HOLDS, None
+    if box.lower > bound.d0 + slack:
+        return VERDICT_VIOLATED, None
+    return VERDICT_INCONCLUSIVE, "box-dimension band straddles the bound"
+
+
 # ---------------------------------------------------------------------------
 # ball lemma
 
@@ -798,13 +851,9 @@ def box_counting_dimension(scales, counts) -> BoxDimension:
 
 def try_box_dimension(ladder: CoverLadder) -> BoxDimension | None:
     """Box dimension of a cover ladder, or None when the ladder can't support one."""
-    pos = [(e.r_n, e.card) for e in ladder.entries if e.card > 0]
-    if len(pos) < 4:
-        return None
-    scales = [r for r, _ in pos]
-    counts = [c for _, c in pos]
+    pos = [e for e in ladder.entries if e.card > 0]
     try:
-        return box_counting_dimension(scales, counts)
+        return box_counting_dimension([e.r_n for e in pos], [e.card for e in pos])
     except ValueError:
         return None
 

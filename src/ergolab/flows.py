@@ -40,6 +40,7 @@ from .systems import (_POINT_CHUNK, System, _as_batch, _check_domain, distance, 
                       into_domain)
 
 _OFFSET_SCALE = 1e-6              # largest base offset of a Lipschitz pair
+INTEGER_PART_MIN_T = 2.0          # least horizon of the integer-part reduction
 
 
 class Roof(NamedTuple):
@@ -313,7 +314,7 @@ def integer_part_reduction_check(flow: SuspensionFlow, fobs: FlowObservable,
     states (T scalar or per state) gives array fields.
     """
     T = _times(T)
-    if np.any(T < 2.0):
+    if np.any(T < INTEGER_PART_MIN_T):
         raise ValueError("need T >= 2 so that floor(T) >= 2 stays meaningful")
     pts, s = _checked_states(flow, state)
     T = np.broadcast_to(T, s.shape)
@@ -340,6 +341,11 @@ class InclusionCheck(NamedTuple):
     ok: bool | np.ndarray
 
 
+def inclusion_min_T(fobs: FlowObservable, alpha: float) -> float:
+    """4 sup|Phi| / alpha, the least horizon of the nontypical inclusion."""
+    return 4.0 * fobs.sup_abs / alpha
+
+
 def flow_nontypical_inclusion_check(flow: SuspensionFlow, fobs: FlowObservable,
                                     phibar: float, alpha: float,
                                     state: FlowState, T,
@@ -359,8 +365,8 @@ def flow_nontypical_inclusion_check(flow: SuspensionFlow, fobs: FlowObservable,
     if not math.isfinite(phibar):
         raise ValueError(f"phibar must be finite, got {phibar}")
     T = _times(T)
-    if np.any(T < 4.0 * fobs.sup_abs / alpha):
-        raise ValueError(f"need T >= 4 sup|Phi| / alpha = {4.0 * fobs.sup_abs / alpha}")
+    if np.any(T < inclusion_min_T(fobs, alpha)):
+        raise ValueError(f"need T >= 4 sup|Phi| / alpha = {inclusion_min_T(fobs, alpha)}")
     pts, s = _checked_states(flow, state)
     T = np.broadcast_to(T, s.shape).copy()
     dev_flow = np.abs(flow_time_average(flow, fobs, FlowState(pts, s), T,

@@ -374,14 +374,6 @@ def max_deviation(obs: Observable, phibar: float) -> float:
     return obs.sup_abs + abs(phibar)
 
 
-class DeviationParams(NamedTuple):
-    """The (observable, phibar, alpha) triple defining a deviation set."""
-
-    observable: Observable
-    phibar: float
-    alpha: float
-
-
 def modulus_delta(obs: Observable, alpha: float, diameter: float) -> float:
     """Ball radius below which the observable moves by strictly less than alpha/2.
 

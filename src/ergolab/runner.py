@@ -27,22 +27,16 @@ from dataclasses import asdict, dataclass, field, fields
 
 from .deviation import (_MIN_SAMPLES, build_deviation_ladders, fit_rate_function, ladder_rows,
                         ladder_table, write_csv)
-from .dimension import (build_cover_ladder, cover_section, cover_table,
-                        dimension_upper_bound, dprime_volume_series,
-                        try_box_dimension, verify_ball_lemma)
-from .errors import ParameterError, RateNotEstablishedError, StageError, ValidationError
-from .flows import (ROOFS, SuspensionFlow, estimate_time1_lipschitz, fiber_constant,
-                    flow_nontypical_inclusion_check, integer_part_reduction_check,
-                    sample_flow_batch,
+from .dimension import (bound_verdict, build_cover_ladder, cover_section, cover_table,
+                        dprime_volume_series, rate_bound, try_box_dimension, verify_ball_lemma)
+from .errors import ParameterError, StageError, ValidationError
+from .flows import (INTEGER_PART_MIN_T, ROOFS, SuspensionFlow, estimate_time1_lipschitz,
+                    fiber_constant, flow_nontypical_inclusion_check, inclusion_min_T,
+                    integer_part_reduction_check, sample_flow_batch,
                     sample_flow_states)  # noqa: F401  a runner attribute perfbench/spans.py patches
-from .observables import (_ORBITS, OBSERVABLES, get_observable, max_deviation, modulus_delta_for,
-                          srb_space_average)
+from .observables import _ORBITS, OBSERVABLES, get_observable, modulus_delta_for, srb_space_average
 from .rng import check_seed
 from .systems import SYSTEMS, check_ensemble_horizon, check_float64_horizon, get_system
-
-VERDICT_HOLDS = "bound-holds"
-VERDICT_VIOLATED = "bound-violated"
-VERDICT_INCONCLUSIVE = "inconclusive"
 
 STAGES = ("resolve", "space_average", "ladders", "fits", "cover", "dimension",
           "lemma", "flow")
@@ -201,7 +195,7 @@ def config_to_ini(cfg: ExperimentConfig) -> str:
         section = sections.setdefault(_DECLARED[name].section, {})
         if v is not None:
             section[name] = _format_value(v)
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)  # '%' is a plain character
     cp.optionxform = str
     cp.read_dict(sections)
     buf = io.StringIO()
@@ -210,14 +204,14 @@ def config_to_ini(cfg: ExperimentConfig) -> str:
 
 
 def config_from_ini(text: str) -> ExperimentConfig:
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)  # '%' is a plain character
     cp.optionxform = str
     try:
         cp.read_string(text)
     except configparser.Error as e:
         raise ValidationError(f"config: INI parse error: {e}") from None
     kwargs = {}
-    for section in cp.sections():
+    for section in (cp.default_section, *cp.sections()):    # a [DEFAULT] key is misplaced
         for name, raw in cp[section].items():
             if name not in _DECLARED:
                 raise ValidationError(f"{name}: unknown config field (section [{section}])")
@@ -315,7 +309,8 @@ def run_pipeline(cfg: ExperimentConfig, threads: int = 1, stages=None) -> Report
     def st_resolve():
         sys, obs = _resolve(cfg)
         ctx["sys"], ctx["obs"] = sys, obs
-        ctx["delta"] = cfg.delta_override or modulus_delta_for(sys, obs, max(alpha, 1e-12))
+        ctx["delta"] = cfg.delta_override or modulus_delta_for(sys, obs, alpha)
+        ctx["bound"] = rate_bound(sys, {}, alpha)    # no d0 until the fits stage runs
         report.data["config"] = {k: list(v) if isinstance(v, tuple) else v
                                  for k, v in asdict(cfg).items()}
         report.data["system"] = {"id": sys.sid, "d": sys.d, "domain": sys.domain,
@@ -354,25 +349,9 @@ def run_pipeline(cfg: ExperimentConfig, threads: int = 1, stages=None) -> Report
                 fits[a] = fit_rate_function(lad)
                 report.data["ladders"][repr(a)]["fit"] = fits[a]._asdict()
             except ValueError as e:
-                fits[a] = None
                 report.data["ladders"][repr(a)]["fit"] = {"error": str(e)}
-        # d0 from the fitted rate at alpha/2; needed before the cover stage
-        # so the d'-volume columns can be pinned to d0 + offsets
-        fit_half = fits.get(alpha / 2.0)
-        fit_full = fits.get(alpha)
-        d0 = None
-        reason = None
-        if fit_half is None:
-            reason = "no usable rate fit at alpha/2"
-        else:
-            try:
-                d0 = dimension_upper_bound(ctx["sys"].d, ctx["sys"].L, fit_half.h)
-            except RateNotEstablishedError as e:
-                reason = str(e)
-        ctx["d0"] = d0
-        ctx["d0_reason"] = reason
-        ctx["h_half"] = fit_half.h if fit_half is not None else None
-        ctx["h_alpha"] = fit_full.h if fit_full is not None else None
+        # here, not in the dimension stage: the cover pins its d'-volumes to d0 + offsets
+        ctx["bound"] = rate_bound(ctx["sys"], fits, alpha)
 
     def st_cover():
         sys, obs = ctx["sys"], ctx["obs"]
@@ -380,7 +359,7 @@ def run_pipeline(cfg: ExperimentConfig, threads: int = 1, stages=None) -> Report
             ctx["cover"] = None
             report.data["cover"] = None
             return
-        d0 = ctx.get("d0")
+        d0 = ctx["bound"].d0
         dprimes = tuple(d0 + off for off in cfg.dprime_offsets) if d0 is not None else ()
         ladder = build_cover_ladder(sys, obs, ctx["phibar"], alpha, ctx["delta"],
                                     cfg.cover_n_min, cfg.cover_n_max,
@@ -391,32 +370,14 @@ def run_pipeline(cfg: ExperimentConfig, threads: int = 1, stages=None) -> Report
 
     def st_dimension():
         sys, obs = ctx["sys"], ctx["obs"]
-        d0 = ctx.get("d0")
+        bound = ctx["bound"]
         cover = ctx.get("cover")
         box = try_box_dimension(cover) if cover is not None else None
-        series = []
-        if cover is not None and cover.dprimes:
-            series = [dprime_volume_series(cover, dp) for dp in cover.dprimes]
-        if alpha > max_deviation(obs, ctx["phibar"]):
-            verdict = VERDICT_INCONCLUSIVE
-            reason = "deviation set is empty at this threshold"
-        elif d0 is None:
-            verdict = VERDICT_INCONCLUSIVE
-            reason = ctx.get("d0_reason") or "no dimension bound available"
-        elif box is None:
-            verdict = VERDICT_INCONCLUSIVE
-            reason = "cover ladder cannot support a box-dimension fit"
-        elif box.upper <= d0 + cfg.verdict_slack:
-            verdict, reason = VERDICT_HOLDS, None
-        elif box.lower > d0 + cfg.verdict_slack:
-            verdict, reason = VERDICT_VIOLATED, None
-        else:
-            verdict = VERDICT_INCONCLUSIVE
-            reason = "box-dimension band straddles the bound"
+        series = [] if cover is None else [dprime_volume_series(cover, dp) for dp in cover.dprimes]
+        verdict, reason = bound_verdict(obs, ctx["phibar"], bound, box, cfg.verdict_slack)
         report.data["dimension"] = {
             "d": sys.d, "L": sys.L, "alpha": alpha,
-            "h_half": ctx.get("h_half"), "h_alpha": ctx.get("h_alpha"),
-            "d0": d0,
+            "h_half": bound.h_half, "h_alpha": bound.h_alpha, "d0": bound.d0,
             "box": None if box is None else {"value": box.value, "lower": box.lower,
                                              "upper": box.upper},
             "dprime_series": [{"dprime": s.dprime, "partial_sum": s.partial_sum,
@@ -447,12 +408,12 @@ def run_pipeline(cfg: ExperimentConfig, threads: int = 1, stages=None) -> Report
         qstep = cfg.quadrature_step or None
         phibar = ctx["phibar"]
         states, extra = sample_flow_batch(flow, cfg.seed, 0, cfg.flow_samples)
-        # per-state fractional horizons in [2, flow_T] for the integer check
-        Ti = 2.0 + (cfg.flow_T - 2.0) * extra if cfg.flow_T > 2.0 else 2.0
+        # per-state fractional horizons in [INTEGER_PART_MIN_T, flow_T] for the integer check
+        t_min = INTEGER_PART_MIN_T
+        Ti = t_min + (cfg.flow_T - t_min) * extra if cfg.flow_T > t_min else t_min
         chk = integer_part_reduction_check(flow, fobs, states, Ti, qstep)
-        t_min_incl = 4.0 * fobs.sup_abs / alpha
         inclusion = None
-        if cfg.flow_T >= t_min_incl:
+        if cfg.flow_T >= inclusion_min_T(fobs, alpha):
             inc = flow_nontypical_inclusion_check(flow, fobs, phibar, alpha,
                                                   states, cfg.flow_T, qstep)
             inclusion = {"ok": int(inc.ok.sum()), "count": cfg.flow_samples,

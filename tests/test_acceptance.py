@@ -54,8 +54,8 @@ def test_acceptance_1_estimator_matches_exact_oracle():
     ns = list(range(2, 21))
     zs = []
     for alpha in (0.1, 0.3, 0.5):
-        lad = E.build_deviation_ladder(sysd, E.DeviationParams(DIGIT, 0.5, alpha),
-                                       ns, MC_SAMPLES, seed=MC_SEED)
+        lad = E.build_deviation_ladders(sysd, DIGIT, 0.5, [alpha], ns, MC_SAMPLES,
+                                        seed=MC_SEED)[alpha]
         for e in lad.entries:
             p = E.exact_deviation_measure_digit(alpha, e.n)
             sig = math.sqrt(p * (1.0 - p) / MC_SAMPLES)
@@ -170,8 +170,8 @@ def test_acceptance_5_cover_cardinality_scaling():
     """Cover cardinalities grow no faster than the dimension bound predicts."""
     sysd = E.get_system("doubling")
     obs = E.get_observable("cos1", sysd)
-    lad = E.build_deviation_ladder(sysd, E.DeviationParams(obs, 0.0, 0.3),
-                                   list(range(20, 61, 4)), MC_SAMPLES, MC_SEED)
+    lad = E.build_deviation_ladders(sysd, obs, 0.0, [0.3], list(range(20, 61, 4)),
+                                    MC_SAMPLES, MC_SEED)[0.3]
     d0 = E.dimension_upper_bound(1, sysd.L, E.fit_rate_function(lad).h)
     delta = E.modulus_delta_for(sysd, obs, 0.6)
     cov = E.build_cover_ladder(sysd, obs, 0.0, 0.6, delta, 10, 24,

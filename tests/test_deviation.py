@@ -95,8 +95,8 @@ def test_cramer_matches_finite_n_extrapolation(alpha):
 def test_estimator_agrees_with_exact_oracle():
     sysd = E.get_system("doubling")
     for alpha, n in ((0.5, 4), (0.3, 10)):
-        entry = E.estimate_deviation_measure(sysd, E.DeviationParams(DIGIT, 0.5, alpha),
-                                             n, sample_count=100000, seed=3)
+        [entry] = E.build_deviation_ladders(sysd, DIGIT, 0.5, [alpha], [n],
+                                            sample_count=100000, seed=3)[alpha].entries
         exact = E.exact_deviation_measure_digit(alpha, n)
         assert entry.method == METHOD_MC
         assert abs(entry.measure - exact) <= 4.0 * entry.std_error
@@ -105,30 +105,27 @@ def test_estimator_agrees_with_exact_oracle():
 def test_estimator_degenerate_thresholds():
     sysd = E.get_system("doubling")
     cos1 = E.get_observable("cos1", sysd)
-    full = E.estimate_deviation_measure(sysd, E.DeviationParams(cos1, 0.0, 0.0),
-                                        12, 1000, seed=0)
+    lads = E.build_deviation_ladders(sysd, cos1, 0.0, [0.0, 2.5], [12], 1000, seed=0)
+    [full], [empty] = lads[0.0].entries, lads[2.5].entries
     assert (full.measure, full.std_error) == (1.0, 0.0)
-    empty = E.estimate_deviation_measure(sysd, E.DeviationParams(cos1, 0.0, 2.5),
-                                         12, 1000, seed=0)
     assert (empty.measure, empty.std_error) == (0.0, 0.0)
     with pytest.raises(ValueError):
-        E.estimate_deviation_measure(sysd, E.DeviationParams(cos1, 0.0, 0.3),
-                                     12, 999, seed=0)
+        E.build_deviation_ladders(sysd, cos1, 0.0, [0.3], [12], 999, seed=0)
 
 
 def test_ladder_single_pass_equals_per_horizon():
     sysd = E.get_system("doubling")
     cos1 = E.get_observable("cos1", sysd)
-    params = E.DeviationParams(cos1, 0.0, 0.4)
-    lad = E.build_deviation_ladder(sysd, params, [5, 10, 15], 50000, seed=6)
+    args = (sysd, cos1, 0.0, [0.4])
+    lad = E.build_deviation_ladders(*args, [5, 10, 15], 50000, seed=6)[0.4]
     for e in lad.entries:
-        single = E.estimate_deviation_measure(sysd, params, e.n, 50000, seed=6)
+        [single] = E.build_deviation_ladders(*args, [e.n], 50000, seed=6)[0.4].entries
         assert single.measure == e.measure
         assert single.std_error == e.std_error
     with pytest.raises(ValueError):
-        E.build_deviation_ladder(sysd, params, [10, 5], 50000, seed=6)
+        E.build_deviation_ladders(*args, [10, 5], 50000, seed=6)
     with pytest.raises(ValueError):
-        E.build_deviation_ladder(sysd, params, [5, 5, 10], 50000, seed=6)
+        E.build_deviation_ladders(*args, [5, 5, 10], 50000, seed=6)
 
 
 def test_dead_thresholds_check_their_horizons():
@@ -179,13 +176,12 @@ def test_dyadic_ladders_stop_at_their_precision_budget():
         sysm = E.get_system(sid)
         budget = sysm.ensemble.horizon
         assert budget == 76
-        params = E.DeviationParams(E.get_observable("cos1", sysm), 0.0, 0.3)
+        cos1 = E.get_observable("cos1", sysm)
         with pytest.raises(ValueError, match="n=76"):
-            E.build_deviation_ladder(sysm, params, [8, 200], 20000, seed=1)
+            E.build_deviation_ladders(sysm, cos1, 0.0, [0.3], [8, 200], 20000, seed=1)
         with pytest.raises(ValueError):
-            E.build_deviation_ladders(sysm, params.observable, 0.0, [0.0],
-                                      [budget + 1], 20000, seed=1)
-        lad = E.build_deviation_ladder(sysm, params, [budget], 20000, seed=1)
+            E.build_deviation_ladders(sysm, cos1, 0.0, [0.0], [budget + 1], 20000, seed=1)
+        lad = E.build_deviation_ladders(sysm, cos1, 0.0, [0.3], [budget], 20000, seed=1)[0.3]
         assert lad.entries[0].measure < 0.01
 
 

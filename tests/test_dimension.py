@@ -148,6 +148,40 @@ def test_dimension_upper_bound_values():
         E.dimension_upper_bound(1, 1.0, 0.1)
 
 
+def test_bound_verdict_reaches_every_outcome():
+    # d0 comes from the fit at alpha/2; the verdict compares the box band with d0 + slack
+    sysd = E.get_system("doubling")
+    cos1 = E.get_observable("cos1", sysd)
+
+    def fit(h):
+        return E.RateFunctionFit(1.0, h, (20, 60), 1.0, 0.0, 0)
+
+    bound = E.rate_bound(sysd, {0.3: fit(0.25 * math.log(2.0)), 0.6: fit(0.5)}, 0.6)
+    assert bound == E.RateBound(0.6, 0.25 * math.log(2.0), 0.5, 0.75, None)
+
+    def verdict(bound, box):
+        return E.bound_verdict(cos1, 0.0, bound, box, slack=0.25)
+
+    B = E.BoxDimension
+    assert verdict(bound, B(0.9, 0.8, 1.0)) == (E.VERDICT_HOLDS, None)       # upper <= 1.0
+    assert verdict(bound, B(1.1, 1.01, 1.2)) == (E.VERDICT_VIOLATED, None)  # lower > 1.0
+    assert verdict(bound, B(1.1, 1.0, 1.2)) == (E.VERDICT_INCONCLUSIVE,
+                                                "box-dimension band straddles the bound")
+    assert verdict(bound, None) == (E.VERDICT_INCONCLUSIVE,
+                                    "cover ladder cannot support a box-dimension fit")
+    # past max_deviation = sup|cos1| + |phibar| = 1 no point deviates
+    assert verdict(bound._replace(alpha=1.01), B(0.9, 0.8, 1.0)) == (
+        E.VERDICT_INCONCLUSIVE, "deviation set is empty at this threshold")
+    for fits in ({0.6: fit(0.5)}, {0.3: None, 0.6: fit(0.5)}):
+        none = E.rate_bound(sysd, fits, 0.6)
+        assert none == E.RateBound(0.6, None, 0.5, None, "no usable rate fit at alpha/2")
+        assert verdict(none, B(0.9, 0.8, 1.0)) == (E.VERDICT_INCONCLUSIVE, none.reason)
+    flat = E.rate_bound(sysd, {0.3: fit(-0.01)}, 0.6)
+    assert (flat.h_half, flat.d0, flat.reason) == (-0.01, None,
+                                                   "decay rate h=-0.01 is not positive")
+    assert verdict(flat, B(0.9, 0.8, 1.0)) == (E.VERDICT_INCONCLUSIVE, flat.reason)
+
+
 def test_bound_identity_with_binary_entropy():
     # 1 - (ln2 - H(1/2 + a))/ln2 == H(1/2 + a)/ln2, the exact benchmark value
     for a in (0.05, 0.15, 0.25, 0.35, 0.45):
@@ -919,8 +953,8 @@ def test_cover_cardinality_bounded_by_rate_dimension():
     # pinned at the first level and d0 from a Monte-Carlo rate at alpha/2
     sysd = E.get_system("doubling")
     cos1 = E.get_observable("cos1", sysd)
-    lad = E.build_deviation_ladder(sysd, E.DeviationParams(cos1, 0.0, 0.3),
-                                   list(range(20, 41, 4)), 50000, seed=42)
+    lad = E.build_deviation_ladders(sysd, cos1, 0.0, [0.3], list(range(20, 41, 4)), 50000,
+                                    seed=42)[0.3]
     d0 = E.dimension_upper_bound(1, 2.0, E.fit_rate_function(lad).h)
     cover = E.build_cover_ladder(sysd, cos1, 0.0, 0.6,
                                  E.modulus_delta_for(sysd, cos1, 0.6), 10, 14)

@@ -8,6 +8,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import ergolab as E
 from ergolab import ExperimentConfig
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -21,6 +22,7 @@ def test_readme_library_sketch_runs():
     scope = {}
     exec(compile(code, "README.md (Library sketch)", "exec"), scope)
     assert scope["box"] is not None
+    assert scope["verdict"] in (E.VERDICT_HOLDS, E.VERDICT_VIOLATED, E.VERDICT_INCONCLUSIVE)
 
 
 def test_readme_layout_has_a_row_per_module():

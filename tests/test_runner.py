@@ -159,6 +159,25 @@ def test_ini_rejects_unknown_and_misplaced_fields():
         E.config_from_ini("no section header")
 
 
+@pytest.mark.parametrize("text", [
+    "[DEFAULT]\nseed = 3\n",
+    "[DEFAULT]\nseed = 3\n[deviation]\nn_min = 20\n",
+    "[DEFAULT]\nseed = 3\n[deviation]\nn_min = 20\n[system]\nsystem_id = doubling\n",
+])
+def test_ini_refuses_default_section_keys(text):
+    # a [DEFAULT] key would reach every section; it is refused by its name and section
+    with pytest.raises(ValidationError,
+                       match=r"^seed: belongs in section \[deviation\], found in \[DEFAULT\]"):
+        E.config_from_ini(text)
+
+
+def test_ini_round_trips_percent_signs():
+    # '%' is a plain character, not an interpolation
+    cfg = mini_cfg(out_dir="runs/100%")
+    assert "out_dir = runs/100%\n" in E.config_to_ini(cfg)
+    assert E.config_from_ini(E.config_to_ini(cfg)) == cfg
+
+
 def test_pipeline_stage_gating():
     rep = E.run_pipeline(mini_cfg(), stages=("resolve", "space_average", "ladders"))
     assert rep.data["failed_stage"] is None
@@ -212,6 +231,18 @@ def test_pipeline_alpha_beyond_observable_range():
         assert "error" in rep.data["ladders"][key]["fit"]
     assert rep.data["verdict"] == "inconclusive"
     assert "empty" in rep.data["dimension"]["verdict_reason"]
+
+
+def test_lemma_with_no_pair_checked_writes_strict_json():
+    # past max_deviation no pair is checked: the infinite worst margin is written as null
+    rep = E.run_pipeline(mini_cfg(alphas=(3.0,), lemma_pairs=10),
+                         stages=("resolve", "space_average", "lemma"))
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    data = json.loads(E.report_json(rep), parse_constant=refuse)
+    assert data["lemma"]["pairs_checked"] == 0 and data["lemma"]["worst_margin"] is None
 
 
 def test_stage_failure_flushes_partial_report():
@@ -363,6 +394,15 @@ def test_cli_out_dir_precedence(tmp_path, monkeypatch, capsys):
     ini2 = write_cfg(tmp_path, mini_cfg(out_dir=str(cfg_dir)), name="exp2.ini")
     assert main(["simulate", "--config", ini2]) == 0
     assert (cfg_dir / "report.json").exists()
+    capsys.readouterr()
+
+
+def test_cli_reads_percent_signs(tmp_path, capsys):
+    out = tmp_path / "runs" / "100%"
+    ini = tmp_path / "exp.ini"
+    ini.write_text(E.config_to_ini(mini_cfg()).replace("out_dir = \n", f"out_dir = {out}\n"))
+    assert main(["simulate", "--config", str(ini)]) == 0
+    assert (out / "report.json").exists()
     capsys.readouterr()
 
 
