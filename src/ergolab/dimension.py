@@ -54,8 +54,8 @@ from .errors import GridBudgetError, RateNotEstablishedError, check_integer
 from .observables import (_TWO_PI, Observable, deviation, deviations, max_deviation, screen,
                           undecided)
 from .rng import STREAM_LEMMA_BALLS, STREAM_LEMMA_POINTS, raw_blocks, uniform01
-from .systems import (_POINT_CHUNK, System, _FloatOrbits, check_float64_horizon, domain_points,
-                      into_domain)
+from .systems import (_POINT_CHUNK, System, _FloatOrbits, check_float64_horizon, chunk_map,
+                      domain_points, into_domain)
 
 _BAND_POINTS = 1 << 22  # points per row band of a walked 2-d level
 
@@ -167,9 +167,9 @@ def _walk_hits(sys, obs, phibar, pts, n, thresholds, threads=1):
 
     The batch is walked on the screen of observables.screen.  A batch
     larger than _POINT_CHUNK is walked in equal chunks of at most
-    _POINT_CHUNK points, which bound the working set, on a pool of
-    `threads` threads (the one place the thread count acts); hits are
-    elementwise, so neither the chunking nor the thread count changes any.
+    _POINT_CHUNK points, which bound the working set, on `threads` threads
+    of systems.chunk_map; hits are elementwise, so neither the chunking nor
+    the thread count changes any.
     """
     total = pts.shape[0]
     if total > _POINT_CHUNK:
@@ -180,16 +180,7 @@ def _walk_hits(sys, obs, phibar, pts, n, thresholds, threads=1):
         def fill(i):
             out[:, i:i + chunk] = _walk_hits(sys, obs, phibar, pts[i:i + chunk], n, thresholds)
 
-        starts = range(0, total, chunk)
-        if threads > 1:
-            # imported here: concurrent.futures loads logging, which a
-            # single-threaded run never needs
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                list(pool.map(fill, starts))
-        else:
-            for i in starts:
-                fill(i)
+        chunk_map(fill, range(0, total, chunk), threads)
         return out
     dtype, (band,) = screen(sys, obs, phibar, [n])
     dev = next(deviations(_FloatOrbits(sys, pts), obs, phibar, dtype, [n]))
@@ -673,10 +664,13 @@ def build_cover_ladder(sys: System, obs: Observable, phibar: float, alpha: float
     character observable takes its Birkhoff sums in closed form (see
     _cellhits_closed_form and _cover_level_2d), other pairs by the float64
     walk.  Either way cards are those of the float64 walk, at any thread
-    count.  The budget caps the total number of cells examined (the runs'
-    lengths in 1-d); a level that would exceed it raises GridBudgetError
-    before any of its cells are evaluated.  A level past the float64 orbit
-    budget (systems.check_float64_horizon) raises ValueError, whatever alpha.
+    count: `threads` (an integer >= 1, ValueError naming it) runs the point
+    chunks of walked levels on systems.chunk_map, and the closed forms on
+    the calling thread.  The budget caps the total number of cells examined
+    (the runs' lengths in 1-d); a level that would exceed it raises
+    GridBudgetError before any of its cells are evaluated.  A level past the
+    float64 orbit budget (systems.check_float64_horizon) raises ValueError,
+    whatever alpha.
 
     alpha <= 0 short-circuits analytically: every cell meets the set, cards
     are full grid sizes, and nothing is evaluated or charged against the
@@ -685,6 +679,7 @@ def build_cover_ladder(sys: System, obs: Observable, phibar: float, alpha: float
     """
     check_integer("n_lo", n_lo)
     check_integer("n_hi", n_hi)
+    check_integer("threads", threads, 1)
     if n_hi < n_lo:
         raise ValueError("need n_hi >= n_lo")
     if math.isnan(alpha):

@@ -49,7 +49,7 @@ import numpy as np
 from .errors import check_integer
 from .rng import STREAM_ORBIT_SEED, raw_blocks
 from .systems import (_TWO_PI, CatalogEntry, Param, System, _as_batch, _check_domain,
-                      _FloatOrbits, birkhoff_sums, catalog_entry, domain_diameter,
+                      _FloatOrbits, birkhoff_sums, catalog_entry, chunk_map, domain_diameter,
                       domain_points, iterate, sample_points)
 
 
@@ -408,6 +408,8 @@ class SpaceAverage(NamedTuple):
 
 
 _CHUNK = 1 << 16  # samples per Lebesgue space-average chunk: the chunks fix the summation order
+_PIECE = 1 << 13  # samples per Lebesgue space-average piece: one draw and evaluation on one thread
+_WINDOW = 4 * _CHUNK  # samples whose values are held at once: bounds the value array (2 MB)
 _ORBITS = 100     # orbits of an empirical-orbit space average, one time average each
 
 
@@ -422,28 +424,52 @@ def _mean_and_error(chunks, count: int):
     return mean, math.sqrt(var / count)
 
 
+def _lebesgue_chunks(sys, observable, seed, samples, threads):
+    """Yield the observable at samples [s, s + _CHUNK) of the space-average
+    stream, for s = 0, _CHUNK, ... in order, as views of one array of at
+    most _WINDOW values: read each before asking for the next.  A window's
+    values are filled in pieces of _PIECE samples, each one sample_points
+    and one observable.fn call, on `threads` threads (systems.chunk_map)."""
+    vals = np.empty(min(samples, _WINDOW))
+    for w in range(0, samples, _WINDOW):
+        held = vals[:min(_WINDOW, samples - w)]
+
+        def fill(s):
+            held[s - w:s - w + _PIECE] = observable.fn(
+                sample_points(sys, seed, s, min(_PIECE, samples - s)))
+
+        chunk_map(fill, range(w, w + held.size, _PIECE), threads)
+        for s in range(0, held.size, _CHUNK):
+            yield held[s:s + _CHUNK]
+
+
 def srb_space_average(sys: System, observable: Observable, seed: int,
                       samples: int = 1_000_000,
                       orbit_length: int = 10_000_000,
-                      transient: int = 10_000) -> SpaceAverage:
+                      transient: int = 10_000, threads: int = 1) -> SpaceAverage:
     """Average an observable against the system's natural measure.
 
     Lebesgue systems: Monte Carlo over `samples` uniform points of the
-    space-average stream, summed in chunks of _CHUNK.  Empirical-orbit
-    systems (logistic): the mean of the time averages over orbit_length //
-    _ORBITS steps of _ORBITS orbits, orbit i started at block i of the
-    orbit-seed stream and stepped `transient` times first (iterate), with
-    the standard error of those means.  Each count must be an integer >= 0
-    on every system, the ones it does not use too (ValueError naming it).
+    space-average stream.  Their values are filled into one array in pieces
+    of _PIECE samples on `threads` threads, then summed in chunks of
+    _CHUNK, in order (_lebesgue_chunks): sample i is block i of the stream
+    and fn is elementwise, so the pieces and the thread count change no bit
+    of the value or its standard error.  Empirical-orbit systems (logistic): the
+    mean of the time averages over orbit_length // _ORBITS steps of _ORBITS
+    orbits, orbit i started at block i of the orbit-seed stream and stepped
+    `transient` times first (iterate), with the standard error of those
+    means, on the calling thread.  Each count must be an integer >= 0 on
+    every system, the ones it does not use too, and threads an integer
+    >= 1 (ValueError naming it).
     """
     for name, count in (("samples", samples), ("orbit_length", orbit_length),
                         ("transient", transient)):
         check_integer(name, count, 0)
+    check_integer("threads", threads, 1)
     if sys.srb_kind == "lebesgue":
         if samples < 2:
             raise ValueError("need at least 2 samples")
-        chunks = (observable.fn(sample_points(sys, seed, s, min(_CHUNK, samples - s)))
-                  for s in range(0, samples, _CHUNK))
+        chunks = _lebesgue_chunks(sys, observable, seed, samples, threads)
         return SpaceAverage(*_mean_and_error(chunks, samples), "lebesgue-mc", samples, seed)
 
     if orbit_length < _ORBITS:

@@ -81,9 +81,13 @@ def raw_blocks(seed: int, stream: int, start, count: int) -> np.ndarray:
 
 
 def uniform01(words: np.ndarray) -> np.ndarray:
-    """Map raw 64-bit words to uniform doubles in [0, 1).
+    """Map raw 64-bit words to uniform doubles in [0, 1), in a new array.
 
     Uses the top 53 bits, identical to numpy's own double generation, so a
-    word stream and a ``Generator.random`` stream agree bit for bit.
+    word stream and a ``Generator.random`` stream agree bit for bit.  The
+    shifted word has its top bit clear, so it is read as a signed word
+    (which converts to float faster than an unsigned one, and exactly:
+    it is below 2^53) and multiplied by 2^-53.  systems._fraction is the
+    same rule, in place.
     """
-    return (words >> _U11) * _INV_2_53
+    return (words >> _U11).view(np.int64) * _INV_2_53

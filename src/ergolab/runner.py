@@ -29,7 +29,7 @@ from .deviation import (_MIN_SAMPLES, build_deviation_ladders, fit_rate_function
                         ladder_table, write_csv)
 from .dimension import (bound_verdict, build_cover_ladder, cover_section, cover_table,
                         dprime_volume_series, rate_bound, try_box_dimension, verify_ball_lemma)
-from .errors import ParameterError, StageError, ValidationError
+from .errors import ParameterError, StageError, ValidationError, check_integer
 from .flows import (INTEGER_PART_MIN_T, ROOFS, SuspensionFlow, estimate_time1_lipschitz,
                     fiber_constant, flow_nontypical_inclusion_check, inclusion_min_T,
                     integer_part_reduction_check, sample_flow_batch,
@@ -277,9 +277,12 @@ def _resolve(cfg: ExperimentConfig):
 def run_pipeline(cfg: ExperimentConfig, threads: int = 1, stages=None) -> Report:
     """Run the requested stages and assemble a report.
 
-    `threads` runs the walked cover levels' point chunks on a pool of that
-    many threads (the ladders, closed-form covers, lemma and flows run on
-    the calling thread); it never changes the report.
+    `threads` (an integer >= 1, ValueError naming it) runs the pieces of a
+    Lebesgue space average and the point chunks of walked cover levels on
+    that many threads of the package's one pool (systems.chunk_map); the
+    empirical-orbit space average, the ladders, the closed-form covers, the
+    lemma and the flows run on the calling thread.  It never changes the
+    report.
 
     A stage failure raises StageError with the partial report attached as
     `.partial_report` (its data records the failed stage), so callers can
@@ -287,6 +290,7 @@ def run_pipeline(cfg: ExperimentConfig, threads: int = 1, stages=None) -> Report
     """
     cfg = ExperimentConfig(**_as_declared(cfg))  # equal configs run alike
     validate_config(cfg)
+    check_integer("threads", threads, 1)
     wanted = set(STAGES if stages is None else stages)
     report = Report()
     report.data["failed_stage"] = None
@@ -322,7 +326,8 @@ def run_pipeline(cfg: ExperimentConfig, threads: int = 1, stages=None) -> Report
     def st_space_average():
         sys, obs = ctx["sys"], ctx["obs"]
         sa = srb_space_average(sys, obs, cfg.seed, samples=cfg.space_samples,
-                               orbit_length=cfg.orbit_length, transient=cfg.transient)
+                               orbit_length=cfg.orbit_length, transient=cfg.transient,
+                               threads=threads)
         ctx["phibar"] = sa.value
         report.data["space_average"] = {
             "value": sa.value, "std_error": sa.std_error, "method": sa.method,

@@ -43,11 +43,16 @@ its horizon budget (76 for the dyadic doubling and tent ensembles, 54 for
 cat; deeper ladders are refused; float64 orbits, the default, have none).
 Float64 orbits have one budget for every system, n log2 L <= 45
 (FLOAT64_BITS), which covers and the ball lemma enforce.
+
+`chunk_map` is the package's one thread pool: the Lebesgue space average's
+pieces and the walked cover levels' point chunks run on it.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -59,6 +64,91 @@ from .rng import STREAM_ORBITS, STREAM_SPACE_AVG, raw_blocks, uniform01
 _TWO_PI = 2.0 * math.pi
 _CAT_EXPANSION = (3.0 + math.sqrt(5.0)) / 2.0  # largest singular value of [[2,1],[1,1]]
 _POINT_CHUNK = 1 << 16  # points per ladder, cover, ball-lemma or flow walk batch: bounds its working set
+
+
+# ---------------------------------------------------------------------------
+# the chunk pool
+
+_pool = None                       # (executor, workers), made on first use
+_pool_lock = threading.Lock()
+
+
+def _forget_pool():
+    # a forked child holds a copy of the pool whose workers did not come along
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):             # not on Windows, which does not fork
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _submit(work, count: int) -> list:
+    """Submit `count` calls of work to the process's one thread pool; returns their futures.
+
+    The pool is made on first use with `count` workers and kept; a call
+    asking for more workers than it has replaces it by a larger one, and
+    the old one finishes what it holds."""
+    global _pool
+    with _pool_lock:
+        if _pool is None or _pool[1] < count:
+            # imported here: concurrent.futures loads logging, which a
+            # single-threaded run never needs
+            from concurrent.futures import ThreadPoolExecutor
+            if _pool is not None:
+                _pool[0].shutdown(wait=False)
+            _pool = ThreadPoolExecutor(count, thread_name_prefix="ergolab-chunk"), count
+        return [_pool[0].submit(work) for _ in range(count)]
+
+
+def chunk_map(fn, starts, threads: int) -> list:
+    """[fn(s) for s in starts], on `threads` threads: the one chunk pool.
+
+    At threads=1, or with fewer than two starts, it is that loop.
+    Otherwise the calling thread and threads - 1 workers of the process's
+    one pool (`_submit`) claim the starts in order, one at a time, until
+    none is left or a call has raised; results come back in the order of
+    `starts`.  A worker that has not started when the calling thread is
+    done is cancelled, so a chunk_map inside fn never waits on a worker
+    that is busy with its caller.  An error is raised once every claimed
+    call has returned: the one of the first start whose call raised, which
+    is the one the loop raises (every start before it was claimed before
+    it).  fn runs on several threads at once, so it writes only what no
+    other call reads or writes, such as its own slice of an output array.
+    threads must be an integer >= 1 (ValueError naming it).
+    """
+    check_integer("threads", threads, 1)
+    starts = list(starts)
+    if threads == 1 or len(starts) < 2:
+        return [fn(s) for s in starts]
+    results, errors = [None] * len(starts), {}
+    lock = threading.Lock()
+    claimed, stopped = 0, False
+
+    def work():
+        nonlocal claimed
+        while True:
+            with lock:
+                if stopped or errors or claimed == len(starts):
+                    return
+                i, claimed = claimed, claimed + 1
+            try:
+                results[i] = fn(starts[i])
+            except Exception as e:
+                with lock:
+                    errors[i] = e
+
+    helpers = _submit(work, threads - 1)
+    try:
+        work()
+    finally:
+        stopped = True                  # should the calling thread have raised: claim no more
+        for h in helpers:
+            if not h.cancel():
+                h.result()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def wrap_unit(x):
@@ -276,13 +366,12 @@ def _fixed_point_horizon(matrix) -> int:
 
 
 def _fraction(word, into, out):
-    """out = the top 53 bits of the uint64 array `word`, truncated, times
-    2^-53: a fixed-point coordinate as a float64 point in [0, 1), rng.uniform01
-    of the word.  `into`, uint64 scratch (word itself if word is), receives
-    the shifted word.  Returns out."""
+    """out = rng.uniform01 of the uint64 array `word`, by its rule, in place:
+    the top 53 bits, truncated, read as a signed word and times 2^-53, a
+    fixed-point coordinate as a float64 point in [0, 1).  `into`, uint64
+    scratch (word itself if word is), receives the shifted word.  Returns
+    out."""
     np.right_shift(word, 11, out=into)
-    # the shifted word has its top bit clear, and a signed integer converts
-    # to float faster than an unsigned one
     return np.multiply(into.view(np.int64), 2.0**-53, out=out)
 
 

@@ -94,6 +94,11 @@ from ergolab.errors import GridBudgetError, RateNotEstablishedError
     ("n", ValueError, lambda s, o: E.verify_ball_lemma(s, o, 0.0, 0.3, 0.01, True, 10, 1)),
     ("k", ValueError, lambda s, o: E.iterate(s, 0.3, True)),
     ("n", ValueError, lambda s, o: E.time_average(s, o, 0.1, True)),
+    ("threads", ValueError,
+     lambda s, o: E.build_cover_ladder(s, o, 0.0, 0.3, 0.01, 2, 4, threads=2.5)),
+    ("threads", ValueError,
+     lambda s, o: E.build_cover_ladder(s, o, 0.0, 0.3, 0.01, 2, 4, threads="2")),
+    ("threads", ValueError, lambda s, o: E.srb_space_average(s, o, 1, samples=1000, threads=0)),
 ], ids=["ladders-phibar", "ladders-alphas", "cover-alpha", "cover-phibar", "lemma-delta",
         "lemma-alpha", "lemma-phibar", "cover-dprimes", "digit-alpha", "digit-ladder-alpha",
         "bound-h", "bound-L", "modulus-alpha", "box-counts", "bernoulli-alpha",
@@ -106,7 +111,8 @@ from ergolab.errors import GridBudgetError, RateNotEstablishedError
         "digit-ladder-n_values-decreasing", "digit-ladder-n_values-repeated", "digit-n",
         "be-depths-0", "be-depths-float", "be-depths-empty", "raw_blocks-start", "raw_blocks-count",
         "ensemble-start", "ensemble-count", "lemma-seed", "raw_blocks-seed-bool",
-        "ladders-n_values-bool", "lemma-n-bool", "iterate-k-bool", "time-average-n-bool"])
+        "ladders-n_values-bool", "lemma-n-bool", "iterate-k-bool", "time-average-n-bool",
+        "cover-threads-float", "cover-threads-str", "space-average-threads-0"])
 def test_nan_inputs_are_refused_by_name(arg, error, call):
     # each of these read a NaN as a number: measures and cards of 0, a lemma
     # with no violation or with no candidate accepted, NaN cover volumes, a
@@ -124,7 +130,8 @@ def test_nan_inputs_are_refused_by_name(arg, error, call):
     # was truncated to an entry at n = 2 or divided by zero.  An exact
     # ladder's horizons out of order came back out of order, and no depth
     # at all raised an IndexError.  A bool counted as an integer: seed True
-    # read seed 1's stream, and True ran as a rung, horizon or step count 1
+    # read seed 1's stream, and True ran as a rung, horizon or step count 1.
+    # A thread count of 2.5 or "2" ran a closed-form cover silently
     sysd = E.get_system("doubling")
     with pytest.raises(error, match=rf"\b{arg}\b"):
         call(sysd, E.get_observable("cos1", sysd))

@@ -63,9 +63,10 @@ def test_import_needs_no_scipy():
 
 def test_set_up_loads_no_thread_pool():
     # import and config validation, the set-up every run pays, leave out
-    # concurrent.futures and the logging it loads: only a threaded cover
-    # walk imports them; and csv, which only --format csv writes with, and
-    # fractions and decimal, which no part of ergolab needs
+    # concurrent.futures and the logging it loads: only a call of
+    # systems.chunk_map at threads > 1 imports them; and csv, which only
+    # --format csv writes with, and fractions and decimal, which no part of
+    # ergolab needs
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                       env.get("PYTHONPATH")]))

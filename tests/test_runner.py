@@ -222,6 +222,13 @@ def test_pipeline_is_thread_invariant(monkeypatch):
         E.report_json(b, include_timings=False)
 
 
+@pytest.mark.parametrize("threads", [0, -3, True, 2.0])
+def test_pipeline_refuses_a_bad_thread_count_by_name(threads):
+    # each ran silently: the thread count reached only walked cover levels
+    with pytest.raises(ValueError, match=r"^threads must be"):
+        E.run_pipeline(mini_cfg(), threads=threads, stages=("resolve",))
+
+
 def test_pipeline_alpha_beyond_observable_range():
     rep = E.run_pipeline(mini_cfg(alphas=(3.0,)),
                          stages=("resolve", "space_average", "ladders", "fits",

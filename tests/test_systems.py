@@ -1,18 +1,28 @@
 """Catalog systems: orbits, metrics, ensembles, and space averages."""
 
 import math
+import os
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import special, stats
 
 import ergolab as E
+from ergolab import systems
 from ergolab.errors import DomainError
-from ergolab.observables import deviations, float32_band, terms
-from ergolab.rng import STREAM_ORBIT_SEED, STREAM_ORBITS, raw_blocks
-from ergolab.systems import (_FloatOrbits, birkhoff_sums, domain_points, into_domain,
-                             sample_points, wrap_unit)
+from ergolab.observables import (_CHUNK, _WINDOW, _mean_and_error, deviations, float32_band,
+                                 terms)
+from ergolab.rng import STREAM_ORBIT_SEED, STREAM_ORBITS, raw_blocks, uniform01
+from ergolab.systems import (_FloatOrbits, _fraction, birkhoff_sums, chunk_map, domain_points,
+                             into_domain, sample_points, wrap_unit)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_doubling_iterate_worked_values():
@@ -733,3 +743,155 @@ def test_space_average_is_seed_deterministic():
     c = E.srb_space_average(sysd, cos1, seed=11, samples=50000)
     assert a.value == b.value
     assert a.value != c.value
+
+
+@pytest.mark.parametrize("sid", ["doubling", "cat"])
+@pytest.mark.parametrize("oid,kw", [("cos1", {}), ("coord", {}), ("bump", {"a": 0.2, "w": 0.1})])
+def test_space_average_pieces_and_threads_keep_every_bit(sid, oid, kw):
+    # the reference is one observable call per summation chunk of _CHUNK
+    # samples, summed in order; the pieces of 2^13 samples, the windows of
+    # 2^18 values held at once and the thread count may change no bit of
+    # the value or its standard error, with pieces cut short, one sample
+    # past a piece or chunk, several chunks, and a second window
+    sysm = E.get_system(sid)
+    obs = E.get_observable(oid, sysm, **kw)
+    for samples in (2, 8191, 8193, 65536, 65537, 100000, _WINDOW + 8193):
+        chunks = (obs.fn(sample_points(sysm, 5, s, min(_CHUNK, samples - s)))
+                  for s in range(0, samples, _CHUNK))
+        want = tuple(x.hex() for x in _mean_and_error(chunks, samples))
+        for threads in (1, 2, 3):
+            sa = E.srb_space_average(sysm, obs, seed=5, samples=samples, threads=threads)
+            assert (sa.value.hex(), sa.std_error.hex()) == want, (samples, threads)
+
+
+def test_uniform01_and_fraction_convert_words_bit_for_bit():
+    # the top 53 bits, truncated, times 2^-53: 2^11 - 1 is below the first
+    # unit, 2^11 is one unit, 2^63 is 1/2 and 2^64 - 1 the largest double below 1
+    words = np.array([0, 2**11 - 1, 2**11, 2**63, 2**64 - 1], dtype=np.uint64)
+    want = np.array([0.0, 0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53])
+    assert uniform01(words).tobytes() == want.tobytes()
+    out = np.empty(5)
+    assert _fraction(words, np.empty(5, np.uint64), out).tobytes() == want.tobytes()
+    assert uniform01(words.reshape(5, 1)[:, 0]).tobytes() == want.tobytes()
+
+
+def test_chunk_map_returns_results_in_order():
+    def square(s):
+        time.sleep(0.001 * (s % 3))             # calls finish out of order
+        return s * s
+    for threads in (1, 2, 3, 8):
+        assert chunk_map(square, range(20), threads) == [s * s for s in range(20)]
+        assert chunk_map(square, [4], threads) == [16]
+        assert chunk_map(square, [], threads) == []
+
+
+def test_chunk_map_calls_each_start_once_under_contention():
+    # more threads than cores, switching as often as the interpreter allows:
+    # a start claimed twice, or never, would show in the calls
+    calls = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            calls.clear()
+            assert chunk_map(lambda s: calls.append(s) or -s, range(500), 8) == \
+                [-s for s in range(500)]
+            assert sorted(calls) == list(range(500))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_chunk_map_raises_the_first_error_in_order():
+    # start 7 fails last in time, start 12 first; the loop raises 7's, and
+    # so does the pool, once every claimed call has returned
+    calls = []
+
+    def fn(s):
+        calls.append(s)
+        if s == 7:
+            time.sleep(0.05)
+            raise ValueError("start 7")
+        if s == 12:
+            raise KeyError("start 12")
+        time.sleep(0.002)
+        return s
+
+    for threads in (1, 2, 4):
+        calls.clear()
+        with pytest.raises(ValueError, match="start 7"):
+            chunk_map(fn, range(40), threads)
+        assert set(range(8)) <= set(calls) and 39 not in calls, threads
+
+
+@pytest.mark.parametrize("threads", [0, -3, True, 2.0, 2.5, "2"])
+def test_chunk_map_refuses_a_bad_thread_count_by_name(threads):
+    with pytest.raises(ValueError, match=r"^threads must be"):
+        chunk_map(abs, range(3), threads)
+
+
+def test_chunk_map_keeps_one_pool():
+    # the helpers of every call are threads of one kept pool, alive after
+    # the calls return, and the pool object stays the same
+    helpers = set()
+
+    def fn(s):
+        time.sleep(0.002)
+        helpers.add(threading.current_thread())
+        return s
+
+    for _ in range(3):
+        chunk_map(fn, range(8), 2)
+    pool = systems._pool
+    chunk_map(fn, range(8), 2)
+    assert systems._pool is pool
+    helpers.discard(threading.current_thread())
+    assert helpers and all(t.is_alive() for t in helpers)
+
+
+def _run_python(code):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+def test_a_one_thread_run_loads_no_thread_pool():
+    # concurrent.futures loads logging; only a call at threads > 1 needs it
+    proc = _run_python(
+        "import sys, ergolab as E\n"
+        "cfg = E.ExperimentConfig(system_id='cat', alphas=(0.4,), n_min=8, n_max=16,\n"
+        "                         n_stride=4, sample_count=2000, space_samples=100000,\n"
+        "                         cover_n_min=1, cover_n_max=3, lemma_pairs=0)\n"
+        "E.run_pipeline(cfg, threads=1)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'logging')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_chunk_map_calls_nest():
+    # a worker running an outer call's fn makes an inner call: the inner
+    # helper, queued behind that worker, must not be waited on
+    proc = _run_python(
+        "from ergolab.systems import chunk_map\n"
+        "inner = lambda s: chunk_map(abs, range(-s, s), 2)\n"
+        "print(chunk_map(inner, range(1, 9), 2) == [inner(s) for s in range(1, 9)])")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "True"
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the platform does not fork")
+def test_a_forked_child_makes_its_own_pool():
+    # a child forked after a threads=2 call holds a copy of the pool without
+    # its worker; its own threads=2 call must not wait on that worker
+    proc = _run_python(
+        "import os, signal\n"
+        "from ergolab.systems import chunk_map\n"
+        "want = [abs(s) for s in range(-50, 50)]\n"
+        "assert chunk_map(abs, range(-50, 50), 2) == want\n"
+        "pid = os.fork()\n"
+        "if pid == 0:\n"
+        "    signal.alarm(20)\n"
+        "    os._exit(0 if chunk_map(abs, range(-50, 50), 2) == want else 3)\n"
+        "print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"
