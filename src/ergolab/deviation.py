@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import check_integer
+from .errors import check_integer, check_real
 from .observables import (DIGIT, DIGIT_MEAN, DIGIT_SYSTEM, Observable,
                           deviations, screen, undecided)
 from .systems import _POINT_CHUNK, System, check_ensemble_horizon, sample_orbit_ensemble
@@ -140,11 +140,8 @@ def build_deviation_ladders(sys: System, obs: Observable, phibar: float,
     rather than returning a wrong measure.
     """
     check_integer("sample_count", sample_count, _MIN_SAMPLES)
-    alphas = [float(a) for a in alphas]
-    if any(math.isnan(a) for a in alphas):
-        raise ValueError(f"alphas must be numbers, got {alphas}")
-    if not math.isfinite(phibar):
-        raise ValueError(f"phibar must be finite, got {phibar}")
+    alphas = [check_real("alphas entry", a) for a in alphas]
+    check_real("phibar", phibar, ends="()")
     n_values = list(n_values)
     for n in n_values:
         check_integer("n_values entry", n)
@@ -187,12 +184,10 @@ def digit_deviation_count(alpha: float, n: int) -> int:
     The sum of C(n, k) over the admissible k.  alpha is the exact binary
     value p/q of the float, p and q = 2^e > 0 its integer ratio, and
     |k/n - 1/2| >= p/q is |2k - n| q >= 2n p after multiplying by 2nq > 0,
-    a test in integers.  A NaN alpha raises ValueError, an infinite one
-    OverflowError (it has no integer ratio).
+    a test in integers.  alpha must be finite (ValueError naming it): an
+    infinite one has no integer ratio.
     """
-    if math.isnan(alpha):
-        raise ValueError("alpha must be a number, got nan")
-    p, q = float(alpha).as_integer_ratio()
+    p, q = check_real("alpha", alpha, ends="()").as_integer_ratio()
     return sum(math.comb(n, k) for k in range(n + 1) if abs(2 * k - n) * q >= 2 * n * p)
 
 
@@ -218,10 +213,7 @@ def cramer_bernoulli(alpha: float) -> float:
     Beyond alpha = 1/2 the deviation is impossible and the rate saturates at
     ln 2.
     """
-    if math.isnan(alpha):
-        raise ValueError("alpha must be a number, got nan")
-    if alpha < 0.0:
-        raise ValueError("alpha must be >= 0")
+    check_real("alpha", alpha, 0.0)
     if alpha >= 0.5:
         return LN2
     p = 0.5 + alpha

@@ -50,7 +50,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .deviation import LN2, digit_deviation_count, write_csv
-from .errors import GridBudgetError, RateNotEstablishedError, check_integer
+from .errors import GridBudgetError, RateNotEstablishedError, check_integer, check_real
 from .observables import (_TWO_PI, Observable, deviation, deviations, max_deviation, screen,
                           undecided)
 from .rng import STREAM_LEMMA_BALLS, STREAM_LEMMA_POINTS, raw_blocks, uniform01
@@ -66,10 +66,8 @@ def dimension_upper_bound(d: int, L: float, h: float) -> float:
     A non-positive rate means exponential decay was never established and
     no bound follows (RateNotEstablishedError).
     """
-    if d < 1:
-        raise ValueError("need dimension d >= 1")
-    if not L > 1.0:
-        raise ValueError("need expansion base L > 1")
+    check_integer("d", d, 1)
+    check_real("L", L, 1.0, ends="(]")
     if not h > 0.0:
         raise RateNotEstablishedError(f"decay rate h={h} is not positive")
     return d - h / math.log(L)
@@ -93,6 +91,7 @@ class RateBound(NamedTuple):
 def rate_bound(sys: System, fits: dict, alpha: float) -> RateBound:
     """d0 from the rate fit at alpha/2 in fits (threshold -> RateFunctionFit,
     or None where the fit failed; a threshold missing from fits has no fit)."""
+    check_real("alpha", alpha)
     half, full = fits.get(alpha / 2.0), fits.get(alpha)
     d0 = reason = None
     if half is None:
@@ -113,8 +112,11 @@ def bound_verdict(obs: Observable, phibar: float, bound: RateBound,
     is violated when its lower end is past it.  The verdict is inconclusive,
     with its reason, when the band straddles d0 + slack, the deviation set
     is empty (alpha past observables.max_deviation), there is no d0, or
-    there is no box dimension (None); reason is None otherwise.
+    there is no box dimension (None); reason is None otherwise.  phibar
+    must be finite and slack in [0, inf) (ValueError naming them).
     """
+    check_real("phibar", phibar, ends="()")
+    check_real("slack", slack, 0.0, ends="[)")
     if bound.alpha > max_deviation(obs, phibar):
         return VERDICT_INCONCLUSIVE, "deviation set is empty at this threshold"
     if bound.d0 is None:
@@ -206,12 +208,9 @@ def verify_ball_lemma(sys: System, obs: Observable, phibar: float, alpha: float,
     check_integer("n", n, 1)
     check_integer("pair_count", pair_count, 1)
     check_integer("candidate_factor", candidate_factor, 1)
-    if not 0.0 < delta < math.inf:
-        raise ValueError(f"need a finite delta > 0, got {delta}")
-    if math.isnan(alpha):
-        raise ValueError("alpha must be a number, got nan")
-    if not math.isfinite(phibar):
-        raise ValueError(f"phibar must be finite, got {phibar}")
+    check_real("delta", delta, 0.0, ends="()")
+    check_real("alpha", alpha)
+    check_real("phibar", phibar, ends="()")
     check_float64_horizon(sys, n)
     radius = delta * sys.L ** (-n)
     if alpha > max_deviation(obs, phibar):
@@ -666,8 +665,8 @@ def build_cover_ladder(sys: System, obs: Observable, phibar: float, alpha: float
     walk.  Either way cards are those of the float64 walk, at any thread
     count: `threads` (an integer >= 1, ValueError naming it) runs the point
     chunks of walked levels on systems.chunk_map, and the closed forms on
-    the calling thread.  The budget caps the total number of cells examined
-    (the runs' lengths in 1-d); a level that would exceed it raises
+    the calling thread.  The budget, an integer >= 1, caps the total number
+    of cells examined (the runs' lengths in 1-d); a level that would exceed it raises
     GridBudgetError before any of its cells are evaluated.  A level past the
     float64 orbit budget (systems.check_float64_horizon) raises ValueError,
     whatever alpha.
@@ -680,19 +679,15 @@ def build_cover_ladder(sys: System, obs: Observable, phibar: float, alpha: float
     check_integer("n_lo", n_lo)
     check_integer("n_hi", n_hi)
     check_integer("threads", threads, 1)
+    check_integer("budget", budget, 1)
     if n_hi < n_lo:
         raise ValueError("need n_hi >= n_lo")
-    if math.isnan(alpha):
-        raise ValueError("alpha must be a number, got nan")
-    if not math.isfinite(phibar):
-        raise ValueError(f"phibar must be finite, got {phibar}")
-    if not 0.0 < delta < math.inf:
-        raise ValueError(f"need a finite delta > 0, got {delta}")
+    check_real("alpha", alpha)
+    check_real("phibar", phibar, ends="()")
+    check_real("delta", delta, 0.0, ends="()")
     check_float64_horizon(sys, n_hi)
     L = sys.L
-    dprimes = tuple(float(dp) for dp in dprimes)
-    if any(math.isnan(dp) for dp in dprimes):
-        raise ValueError(f"dprimes must be numbers, got {dprimes}")
+    dprimes = tuple(check_real("dprimes entry", dp) for dp in dprimes)
 
     def entry(n, card):
         r = delta * L ** (-n)
@@ -708,8 +703,7 @@ def build_cover_ladder(sys: System, obs: Observable, phibar: float, alpha: float
 
     if obs.lip is None:
         raise ValueError(f"observable {obs.oid!r} has no Lipschitz bound; covers need one")
-    if n_lo < 1:
-        raise ValueError("cover levels need n >= 1 when alpha > 0")
+    check_integer("n_lo", n_lo, 1)    # walked levels need n >= 1
     if sys.d > 2:
         raise ValueError("covers support d <= 2")
 
@@ -791,9 +785,7 @@ def dprime_volume_series(ladder: CoverLadder, dprime: float) -> VolumeSeries:
     0.95; with no ratio evidence it is True only for an identically zero
     tail.
     """
-    dprime = float(dprime)
-    if math.isnan(dprime):
-        raise ValueError("dprime must be a number, got nan")
+    dprime = check_real("dprime", dprime)
     terms = [e.card * e.r_n**dprime for e in ladder.entries]
     positive = [t for t in terms if t > 0.0]
     total = float(sum(terms))
@@ -875,8 +867,7 @@ def besicovitch_eggleston_dimension(alpha: float,
     0.01 of the closed form.  depths must hold at least one depth, each an
     integer >= 1 (ValueError naming depths).
     """
-    if not (0.0 < alpha < 0.5):
-        raise ValueError("need 0 < alpha < 1/2")
+    check_real("alpha", alpha, 0.0, 0.5, "()")
     depths = list(depths)
     if not depths:
         raise ValueError("depths must hold at least one depth")

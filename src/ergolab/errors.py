@@ -1,8 +1,9 @@
-"""Exception types shared across the package, and check_integer.  A plain
-argument out of its range, NaN included, raises ValueError naming it
-instead (ParameterError, for catalog parameters, is both a ValueError and
-an ErgolabError)."""
+"""Exception types shared across the package, and the argument checks
+check_integer and check_real.  A plain argument out of its range, NaN
+included, raises ValueError naming it instead (ParameterError, for catalog
+parameters, is both a ValueError and an ErgolabError)."""
 
+import math
 import numbers
 
 
@@ -13,6 +14,22 @@ def check_integer(name: str, value, least=None):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if least is not None and value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
+def check_real(name: str, value, lo=-math.inf, hi=math.inf, ends="[]") -> float:
+    """value as a float; ValueError naming `name` unless it is a real number
+    (a numpy one too, a bool not) inside the interval from lo to hi.  `ends`
+    gives its brackets: "[" or "(" for lo, "]" or ")" for hi.  NaN lies
+    inside no interval, so the default refuses NaN alone and open infinite
+    ends, "()", refuse every value that is not finite."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    v = float(value)
+    above = v > lo if ends[0] == "(" else v >= lo
+    below = v < hi if ends[1] == ")" else v <= hi
+    if not (above and below):
+        raise ValueError(f"{name} must lie in {ends[0]}{lo:g}, {hi:g}{ends[1]}, got {v!r}")
+    return v
 
 
 class ErgolabError(Exception):

@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, check_integer
+from .errors import DomainError, check_integer, check_real
 from .observables import _TWO_PI, Observable
 from .rng import STREAM_FLOW, raw_blocks, uniform01
 from .systems import (_POINT_CHUNK, System, _as_batch, _check_domain, distance, domain_points,
@@ -60,8 +60,7 @@ def constant_roof(value: float = 1.0) -> Roof:
 
 def cosine_roof(a: float) -> Roof:
     """1 + a cos(2 pi x1); needs |a| < 1 to stay positive."""
-    if not abs(a) < 1.0:
-        raise ValueError("cosine roof needs |a| < 1 to stay positive")
+    check_real("cosine roof a", a, -1.0, 1.0, "()")
     return Roof("cosine", lambda p, _a=a: 1.0 + _a * np.cos(_TWO_PI * p[:, 0]),
                 1.0 - abs(a), 1.0 + abs(a), (("a", float(a)),))
 
@@ -360,10 +359,8 @@ def flow_nontypical_inclusion_check(flow: SuspensionFlow, fobs: FlowObservable,
     two horizons are one: dev_map is dev_flow, without a second walk (a
     state's average does not depend on the batch it is walked in).
     """
-    if not alpha > 0.0:
-        raise ValueError(f"need alpha > 0, got {alpha}")
-    if not math.isfinite(phibar):
-        raise ValueError(f"phibar must be finite, got {phibar}")
+    check_real("alpha", alpha, 0.0, ends="(]")
+    check_real("phibar", phibar, ends="()")
     T = _times(T)
     if np.any(T < inclusion_min_T(fobs, alpha)):
         raise ValueError(f"need T >= 4 sup|Phi| / alpha = {inclusion_min_T(fobs, alpha)}")

@@ -46,7 +46,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import check_integer
+from .errors import check_integer, check_real
 from .rng import STREAM_ORBIT_SEED, raw_blocks
 from .systems import (_TWO_PI, CatalogEntry, Param, System, _as_batch, _check_domain,
                       _FloatOrbits, birkhoff_sums, catalog_entry, chunk_map, domain_diameter,
@@ -362,7 +362,9 @@ def deviations(orbits, obs: Observable, phibar: float, dtype, horizons, doubles=
 
 
 def deviation(sys: System, obs: Observable, phibar: float, x, n: int):
-    """|time average - phibar|: distance of x from typical behavior at horizon n."""
+    """|time average - phibar|: distance of x from typical behavior at horizon n.
+    phibar must be finite (ValueError naming it)."""
+    check_real("phibar", phibar, ends="()")
     avg = time_average(sys, obs, x, n)
     return abs(avg - phibar) if np.isscalar(avg) else np.abs(avg - phibar)
 
@@ -384,8 +386,7 @@ def modulus_delta(obs: Observable, alpha: float, diameter: float) -> float:
     """
     if obs.lip is None:
         raise ValueError(f"observable {obs.oid!r} has no Lipschitz bound; supply delta explicitly")
-    if not alpha > 0.0:
-        raise ValueError("modulus_delta needs alpha > 0")
+    check_real("alpha", alpha, 0.0, ends="(]")
     lip = obs.lip if obs.lip > 0.0 else 1e-300
     return min(alpha / (2.0 * lip) * (1.0 - 1e-6), diameter)
 
@@ -459,21 +460,20 @@ def srb_space_average(sys: System, observable: Observable, seed: int,
     orbits, orbit i started at block i of the orbit-seed stream and stepped
     `transient` times first (iterate), with the standard error of those
     means, on the calling thread.  Each count must be an integer >= 0 on
-    every system, the ones it does not use too, and threads an integer
-    >= 1 (ValueError naming it).
+    every system, the ones it does not use too, the samples used >= 2,
+    the orbit_length used >= _ORBITS, and threads an integer >= 1
+    (ValueError naming it).
     """
     for name, count in (("samples", samples), ("orbit_length", orbit_length),
                         ("transient", transient)):
         check_integer(name, count, 0)
     check_integer("threads", threads, 1)
     if sys.srb_kind == "lebesgue":
-        if samples < 2:
-            raise ValueError("need at least 2 samples")
+        check_integer("samples", samples, 2)
         chunks = _lebesgue_chunks(sys, observable, seed, samples, threads)
         return SpaceAverage(*_mean_and_error(chunks, samples), "lebesgue-mc", samples, seed)
 
-    if orbit_length < _ORBITS:
-        raise ValueError(f"orbit_length must be at least {_ORBITS}")
+    check_integer("orbit_length", orbit_length, _ORBITS)
     starts = domain_points(sys, raw_blocks(seed, STREAM_ORBIT_SEED, 0, _ORBITS))
     steps = orbit_length // _ORBITS
     means = time_average(sys, observable, iterate(sys, starts, transient), steps)

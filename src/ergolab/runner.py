@@ -29,7 +29,7 @@ from .deviation import (_MIN_SAMPLES, build_deviation_ladders, fit_rate_function
                         ladder_table, write_csv)
 from .dimension import (bound_verdict, build_cover_ladder, cover_section, cover_table,
                         dprime_volume_series, rate_bound, try_box_dimension, verify_ball_lemma)
-from .errors import ParameterError, StageError, ValidationError, check_integer
+from .errors import ParameterError, StageError, ValidationError, check_integer, check_real
 from .flows import (INTEGER_PART_MIN_T, ROOFS, SuspensionFlow, estimate_time1_lipschitz,
                     fiber_constant, flow_nontypical_inclusion_check, inclusion_min_T,
                     integer_part_reduction_check, sample_flow_batch,
@@ -42,19 +42,22 @@ STAGES = ("resolve", "space_average", "ladders", "fits", "cover", "dimension",
           "lemma", "flow")
 
 
-def _field(section, default, least=None):
-    return field(default=default, metadata={"section": section, "least": least})
+def _field(section, default, lo=-math.inf, ends="()"):
+    return field(default=default, metadata={"section": section, "lo": lo, "ends": ends})
 
 
 @dataclass
 class ExperimentConfig:
     """Flat experiment description; see configs/ for the INI shape.
 
-    Each field is declared once, here: its INI section, its type and, where
-    it has one, its least value.  The INI reader and writer, validate_config
-    and the pipeline read that declaration.  An int field takes integers but
-    no bool, a float field any real number but a bool, and the pipeline runs
-    on each value as its declared type, so equal configs give equal reports.
+    Each field is declared once, here: its INI section, its type and the
+    interval from lo to +inf, with brackets `ends` as in errors.check_real,
+    that its value (each entry of a tuple) must lie in.  The open infinite
+    ends of the default make a float finite; an int field's interval is
+    [lo, inf).  The INI reader and writer, validate_config and the pipeline
+    read that declaration.  An int field takes integers but no bool, a float
+    field any real number but a bool, and the pipeline runs on each value as
+    its declared type, so equal configs give equal reports.
     A catalog parameter p is read from the field system_p of a system and
     bump_p of an observable; the ids default to the first catalog entries.
     """
@@ -65,33 +68,33 @@ class ExperimentConfig:
     bump_a: float | None = _field("observable", None)
     bump_w: float | None = _field("observable", None)
 
-    alphas: tuple[float, ...] = _field("deviation", (0.6,))
-    n_min: int = _field("deviation", 20, least=1)
+    alphas: tuple[float, ...] = _field("deviation", (0.6,), 0.0)
+    n_min: int = _field("deviation", 20, 1, "[)")
     n_max: int = _field("deviation", 60)     # past cat's ensemble budget (54): cat configs set it
-    n_stride: int = _field("deviation", 4, least=1)
-    sample_count: int = _field("deviation", 200_000, least=_MIN_SAMPLES)
-    seed: int = _field("deviation", 42)
+    n_stride: int = _field("deviation", 4, 1, "[)")
+    sample_count: int = _field("deviation", 200_000, _MIN_SAMPLES, "[)")
+    seed: int = _field("deviation", 42, 0, "[)")
 
-    space_samples: int = _field("space_average", 1_000_000, least=2)
-    orbit_length: int = _field("space_average", 10_000_000, least=_ORBITS)
-    transient: int = _field("space_average", 10_000, least=0)
+    space_samples: int = _field("space_average", 1_000_000, 2, "[)")
+    orbit_length: int = _field("space_average", 10_000_000, _ORBITS, "[)")
+    transient: int = _field("space_average", 10_000, 0, "[)")
 
     cover_n_min: int = _field("dimension", 0)  # cover runs when cover_n_max >= cover_n_min >= 1
     cover_n_max: int = _field("dimension", 0)
-    grid_budget: int = _field("dimension", 10**8, least=1)
+    grid_budget: int = _field("dimension", 10**8, 1, "[)")
     dprime_offsets: tuple[float, ...] = _field("dimension", (0.05, 0.1, 0.2))
-    verdict_slack: float = _field("dimension", 0.05, least=0.0)
-    delta_override: float = _field("dimension", 0.0, least=0.0)  # 0 -> from the observable's modulus
+    verdict_slack: float = _field("dimension", 0.05, 0.0, "[)")
+    delta_override: float = _field("dimension", 0.0, 0.0, "[)")  # 0 -> from the observable's modulus
 
-    lemma_n: int = _field("lemma", 10, least=1)
-    lemma_pairs: int = _field("lemma", 0, least=0)  # 0 -> skip the lemma suite
+    lemma_n: int = _field("lemma", 10, 1, "[)")
+    lemma_pairs: int = _field("lemma", 0, 0, "[)")  # 0 -> skip the lemma suite
 
     flow_enabled: bool = _field("flow", False)
     roof_kind: str = _field("flow", "constant")
     roof_param: float = _field("flow", 1.0)
-    flow_T: float = _field("flow", 50.0)
-    flow_samples: int = _field("flow", 1000, least=1)
-    quadrature_step: float = _field("flow", 0.0, least=0.0)  # 0 -> rho_min / 8
+    flow_T: float = _field("flow", 50.0, 0.0)
+    flow_samples: int = _field("flow", 1000, 1, "[)")
+    quadrature_step: float = _field("flow", 0.0, 0.0, "[)")  # 0 -> rho_min / 8
 
     out_dir: str = _field("output", "")
 
@@ -122,8 +125,9 @@ _KINDS = {
 }
 # a field's declaration; plain: value -> the value as `type`, its annotation (TypeError if
 # it is not one)
-_Declared = namedtuple("_Declared", "section least type noun parse plain")
-_DECLARED = {f.name: _Declared(f.metadata["section"], f.metadata["least"], f.type, *_KINDS[f.type])
+_Declared = namedtuple("_Declared", "section lo ends type noun parse plain")
+_DECLARED = {f.name: _Declared(f.metadata["section"], f.metadata["lo"], f.metadata["ends"], f.type,
+                               *_KINDS[f.type])
              for f in fields(ExperimentConfig)}
 
 
@@ -151,17 +155,15 @@ def validate_config(cfg: ExperimentConfig):
             fail(name, e)
 
     for name, v in _as_declared(cfg).items():
+        decl = _DECLARED[name]
         for x in (v if isinstance(v, tuple) else (v,)):
-            if isinstance(x, float) and not math.isfinite(x):
-                fail(name, f"{x} is not finite")
-        least = _DECLARED[name].least
-        if least is not None and v < least:
-            fail(name, f"must be >= {least:g}")
+            if decl.type == "int":
+                within(name, check_integer, name, x, decl.lo)
+            elif isinstance(x, float):
+                within(name, check_real, name, x, decl.lo, math.inf, decl.ends)
     sys, _ = _resolve(cfg)
     if not cfg.alphas:
         fail("alphas", "need at least one threshold")
-    if min(cfg.alphas) <= 0.0:
-        fail("alphas", f"every threshold must be > 0, got {min(cfg.alphas):g}")
     if cfg.n_max < cfg.n_min:
         fail("n_max", f"must be >= n_min={cfg.n_min}")
     within("n_max", check_ensemble_horizon, sys, cfg.n_max)
@@ -174,8 +176,6 @@ def validate_config(cfg: ExperimentConfig):
         if cfg.roof_kind not in ROOFS:
             fail("roof_kind", f"unknown roof {cfg.roof_kind!r}")
         within("roof_param", ROOFS[cfg.roof_kind], cfg.roof_param)
-        if cfg.flow_T <= 0.0:
-            fail("flow_T", "must be > 0")
 
 
 # ---------------------------------------------------------------------------

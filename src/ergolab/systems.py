@@ -58,7 +58,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, ParameterError, check_integer
+from .errors import DomainError, ParameterError, check_integer, check_real
 from .rng import STREAM_ORBITS, STREAM_SPACE_AVG, raw_blocks, uniform01
 
 _TWO_PI = 2.0 * math.pi
@@ -660,8 +660,8 @@ def _logistic(sid, c):
 class Param(NamedTuple):
     """A required real parameter of a catalog entry and its interval rule.
 
-    `ends` gives the interval's brackets: "[" or "(" for lo, "]" or ")" for
-    hi.  check() returns the value as a float, or raises ParameterError.
+    `ends` gives the interval's brackets, as in errors.check_real.  check()
+    returns the value as a float, or raises ParameterError.
     """
 
     name: str
@@ -672,14 +672,10 @@ class Param(NamedTuple):
     def check(self, owner: str, value) -> float:
         if value is None:
             raise ParameterError(f"{owner} requires parameter {self.name}", self.name)
-        v = float(value)
-        above = v > self.lo if self.ends[0] == "(" else v >= self.lo
-        below = v < self.hi if self.ends[1] == ")" else v <= self.hi
-        if not (above and below):
-            raise ParameterError(f"{owner} parameter {self.name}={v} outside "
-                                 f"{self.ends[0]}{self.lo:g}, {self.hi:g}{self.ends[1]}",
-                                 self.name)
-        return v
+        try:
+            return check_real(f"{owner} parameter {self.name}", value, self.lo, self.hi, self.ends)
+        except ValueError as e:
+            raise ParameterError(str(e), self.name) from None
 
 
 class CatalogEntry(NamedTuple):

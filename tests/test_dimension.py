@@ -21,6 +21,10 @@ from ergolab.systems import _FloatOrbits, domain_points
 from ergolab.errors import GridBudgetError, RateNotEstablishedError
 
 
+BOUND = E.RateBound(0.6, 0.25 * math.log(2.0), 0.5, 0.75, None)
+BOX = E.BoxDimension(0.9, 0.8, 1.0)
+
+
 @pytest.mark.parametrize("arg,error,call", [
     ("phibar", ValueError,
      lambda s, o: E.build_deviation_ladders(s, o, math.nan, [0.3], [4, 8], 1000, 1)),
@@ -99,6 +103,19 @@ from ergolab.errors import GridBudgetError, RateNotEstablishedError
     ("threads", ValueError,
      lambda s, o: E.build_cover_ladder(s, o, 0.0, 0.3, 0.01, 2, 4, threads="2")),
     ("threads", ValueError, lambda s, o: E.srb_space_average(s, o, 1, samples=1000, threads=0)),
+    ("phibar", ValueError, lambda s, o: E.bound_verdict(o, math.nan, BOUND, BOX, 0.05)),
+    ("slack", ValueError, lambda s, o: E.bound_verdict(o, 0.0, BOUND, BOX, math.nan)),
+    ("slack", ValueError, lambda s, o: E.bound_verdict(o, 0.0, BOUND, BOX, -0.05)),
+    ("alpha", ValueError, lambda s, o: E.rate_bound(s, {}, math.nan)),
+    ("phibar", ValueError, lambda s, o: deviation(s, o, math.nan, 0.3, 4)),
+    ("phibar", ValueError, lambda s, o: deviation(s, o, math.inf, 0.3, 4)),
+    ("budget", ValueError,
+     lambda s, o: E.build_cover_ladder(s, o, 0.0, 0.3, 0.01, 2, 4, budget=math.nan)),
+    ("budget", ValueError,
+     lambda s, o: E.build_cover_ladder(s, o, 0.0, 0.3, 0.01, 2, 4, budget=True)),
+    ("c", E.ParameterError, lambda s, o: E.get_system("logistic", c=False)),
+    ("a", E.ParameterError, lambda s, o: E.get_observable("bump", s, a=True, w=0.1)),
+    ("d", ValueError, lambda s, o: E.dimension_upper_bound(1.5, 2.0, 0.1)),
 ], ids=["ladders-phibar", "ladders-alphas", "cover-alpha", "cover-phibar", "lemma-delta",
         "lemma-alpha", "lemma-phibar", "cover-dprimes", "digit-alpha", "digit-ladder-alpha",
         "bound-h", "bound-L", "modulus-alpha", "box-counts", "bernoulli-alpha",
@@ -112,7 +129,10 @@ from ergolab.errors import GridBudgetError, RateNotEstablishedError
         "be-depths-0", "be-depths-float", "be-depths-empty", "raw_blocks-start", "raw_blocks-count",
         "ensemble-start", "ensemble-count", "lemma-seed", "raw_blocks-seed-bool",
         "ladders-n_values-bool", "lemma-n-bool", "iterate-k-bool", "time-average-n-bool",
-        "cover-threads-float", "cover-threads-str", "space-average-threads-0"])
+        "cover-threads-float", "cover-threads-str", "space-average-threads-0",
+        "verdict-phibar", "verdict-slack-nan", "verdict-slack-negative", "rate-bound-alpha",
+        "deviation-phibar-nan", "deviation-phibar-inf", "cover-budget-nan", "cover-budget-bool",
+        "logistic-c-bool", "bump-a-bool", "bound-d-float"])
 def test_nan_inputs_are_refused_by_name(arg, error, call):
     # each of these read a NaN as a number: measures and cards of 0, a lemma
     # with no violation or with no candidate accepted, NaN cover volumes, a
@@ -131,7 +151,11 @@ def test_nan_inputs_are_refused_by_name(arg, error, call):
     # ladder's horizons out of order came back out of order, and no depth
     # at all raised an IndexError.  A bool counted as an integer: seed True
     # read seed 1's stream, and True ran as a rung, horizon or step count 1.
-    # A thread count of 2.5 or "2" ran a closed-form cover silently
+    # A thread count of 2.5 or "2" ran a closed-form cover silently.  A NaN
+    # phibar or slack gave a verdict (bound-holds, or a band straddling the
+    # bound), a NaN budget let a cover examine every cell and a budget True
+    # read as 1, a catalog parameter False or True built the system or
+    # observable at 0 or 1, and a dimension d of 1.5 gave a bound
     sysd = E.get_system("doubling")
     with pytest.raises(error, match=rf"\b{arg}\b"):
         call(sysd, E.get_observable("cos1", sysd))

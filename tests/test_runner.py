@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
 
 import pytest
@@ -112,6 +113,38 @@ def test_validation_names_the_offending_field(field, over):
     with pytest.raises(ValidationError) as err:
         E.validate_config(mini_cfg(**over))
     assert str(err.value).split(":")[0] == field
+
+
+def outside_values(f):
+    """NaN, +-inf for a float field, and the first value outside a finite lower end."""
+    lo, ends = f.metadata["lo"], f.metadata["ends"]
+    out = [math.nan] + ([] if f.type == "int" else [math.inf, -math.inf])
+    if math.isfinite(lo):
+        if ends[0] == "(":
+            out.append(lo)
+        else:
+            out.append(lo - 1 if f.type == "int" else math.nextafter(lo, -math.inf))
+    return out
+
+
+OUTSIDE = [(f.name, (v,) if f.type.startswith("tuple") else v)
+           for f in dataclasses.fields(E.ExperimentConfig)
+           if f.type in ("int", "float", "float | None", "tuple[float, ...]")
+           for v in outside_values(f)]
+
+
+@pytest.mark.parametrize("name,value", OUTSIDE, ids=[f"{n}={v}" for n, v in OUTSIDE])
+def test_each_field_refuses_the_values_outside_its_interval(name, value):
+    # the flow suite is off in mini_cfg: alphas and flow_T are checked whatever runs
+    with pytest.raises(ValidationError) as err:
+        E.validate_config(mini_cfg(**{name: value}))
+    assert str(err.value).startswith(f"{name}: ")
+
+
+def test_outside_values_cover_the_declared_ends():
+    assert ("alphas", (0.0,)) in OUTSIDE and ("flow_T", 0.0) in OUTSIDE
+    assert ("verdict_slack", -5e-324) in OUTSIDE and ("grid_budget", 0) in OUTSIDE
+    assert ("roof_param", math.inf) in OUTSIDE and ("seed", -1) in OUTSIDE
 
 
 @pytest.mark.parametrize("field,a,b", [("delta_override", 0, 0.0), ("alphas", (1,), (1.0,))])
