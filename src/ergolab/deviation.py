@@ -130,6 +130,16 @@ def _hit_grid(sys, obs, phibar, alphas, n_values, sample_count, seed):
     return hits
 
 
+def _check_horizons(n_values) -> list:
+    """n_values as a list of strictly increasing integers >= 1 (ValueError naming it)."""
+    n_values = list(n_values)
+    for n in n_values:
+        check_integer("n_values entry", n, 1)
+    if any(a >= b for a, b in zip(n_values, n_values[1:])):
+        raise ValueError("n_values must be strictly increasing")
+    return n_values
+
+
 def build_deviation_ladders(sys: System, obs: Observable, phibar: float,
                             alphas, n_values, sample_count: int, seed: int) -> dict:
     """Ladders for several thresholds from one shared orbit pass.
@@ -142,13 +152,7 @@ def build_deviation_ladders(sys: System, obs: Observable, phibar: float,
     check_integer("sample_count", sample_count, _MIN_SAMPLES)
     alphas = [check_real("alphas entry", a) for a in alphas]
     check_real("phibar", phibar, ends="()")
-    n_values = list(n_values)
-    for n in n_values:
-        check_integer("n_values entry", n)
-    if any(n < 1 for n in n_values):
-        raise ValueError("deviation horizons must be >= 1")
-    if any(a >= b for a, b in zip(n_values, n_values[1:])):
-        raise ValueError("n_values must be strictly increasing")
+    n_values = _check_horizons(n_values)
     check_ensemble_horizon(sys, max(n_values, default=0))
     hits = _hit_grid(sys, obs, phibar, alphas, n_values, sample_count, seed)
     out = {}
@@ -193,17 +197,15 @@ def digit_deviation_count(alpha: float, n: int) -> int:
 
 def exact_digit_ladder(alpha: float, n_values) -> DeviationLadder:
     """Exact ladder for the digit observable; no sampling, zero error bars.
-    Horizons must be strictly increasing integers >= 1 (ValueError naming n_values)."""
-    n_values = list(n_values)
-    for n in n_values:
-        check_integer("n_values entry", n, 1)
-    if any(a >= b for a, b in zip(n_values, n_values[1:])):
-        raise ValueError("n_values must be strictly increasing")
+    alpha must be finite and horizons strictly increasing integers >= 1
+    (ValueError naming them)."""
+    alpha = check_real("alpha", alpha, ends="()")
+    n_values = _check_horizons(n_values)
     entries = tuple(
         LadderEntry(int(n), exact_deviation_measure_digit(alpha, n), 0.0, 0, METHOD_BINOMIAL)
         for n in n_values
     )
-    return DeviationLadder(DIGIT_SYSTEM, DIGIT.oid, DIGIT_MEAN, float(alpha), entries)
+    return DeviationLadder(DIGIT_SYSTEM, DIGIT.oid, DIGIT_MEAN, alpha, entries)
 
 
 def cramer_bernoulli(alpha: float) -> float:

@@ -25,8 +25,8 @@ n+1 is only examined underneath cells that pass a *relaxed* threshold at
 level n, chosen (one-step telescope of averages plus the Lipschitz bound of
 the n-step average over a cell) so that no cell detectable at the report
 threshold is ever lost.  Pruning is what keeps deep ladders inside the
-cell-evaluation budget.  A 1-d level's candidates are kept as runs [lo, hi)
-of cells.  In 2-d every level is swept densely, in row bands.
+cell-evaluation budget.  A 1-d level's candidates and relaxed cells are runs
+[lo, hi) of cells.  In 2-d every level is swept densely, in row bands.
 
 Every cell and candidate test is a threshold test, deviation >= t (alpha
 and tau_n in 1-d, alpha in 2-d and in the ball lemma's candidate screen),
@@ -303,31 +303,6 @@ def _grid_points(sys, idx, s):
     return into_domain(sys, pts)
 
 
-def _cover_level_1d(sys, obs, phibar, alpha, tau, s, n, lo, hi, coef, threads):
-    """Detect the cells of the sorted, disjoint, non-touching runs [lo, hi)
-    at one 1-d level.  Returns (card, the sorted relaxed-detected cells).
-
-    A cell's stencil is its two corners and its centre; it hits alpha (tau)
-    where one of them does.  Given coef, the ladder's (n_hi, 1) character
-    coefficients (see _closed_form), the hits come in blocks from
-    _cellhits_closed_form.  Otherwise _walk_hits walks every run's corners
-    lo..hi, then every run's centres lo + 1/2..hi - 1/2.
-    """
-    if coef is not None:
-        shift, (hit_alpha, hit_tau) = _cellhits_closed_form(sys, obs, phibar, (alpha, tau), s,
-                                                            n, lo, hi, coef[:n])
-        slot = np.flatnonzero(hit_tau)
-        return int(np.count_nonzero(hit_alpha)), shift[slot // _BLOCK] + slot
-    lens = hi - lo + 1
-    ends = np.cumsum(lens) - 1                # each run's last corner, hi: not a left corner
-    corners = np.arange(lens.sum()) + np.repeat(hi - ends, lens)
-    cells, nc = np.delete(corners, ends), corners.size
-    pts = _grid_points(sys, np.concatenate([corners, cells + 0.5]), s)
-    hit_alpha, hit_tau = (np.delete(hit[:nc - 1] | hit[1:nc], ends[:-1]) | hit[nc:]
-                          for hit in _walk_hits(sys, obs, phibar, pts, n, (alpha, tau), threads))
-    return int(np.count_nonzero(hit_alpha)), cells[hit_tau]
-
-
 def _union_runs(lo, hi):
     """Disjoint, sorted, non-touching runs covering the union of [lo, hi), lo sorted."""
     reach = np.maximum.accumulate(hi)
@@ -337,19 +312,18 @@ def _union_runs(lo, hi):
     return lo[first], reach[last]
 
 
-def _children_1d(sys, relaxed, ratio, m_next):
+def _children_1d(sys, lo, hi, ratio, m_next):
     """Child runs (lo, hi) one level down, padded a full parent cell each side.
 
-    Sorted parent i has the window [b_i, b_i + width) of child indices,
+    Parent i has the window [b_i, b_i + width) of child indices,
     b_i = floor((i - 1) ratio), and b_i steps by at most ceil(ratio) < width:
-    a run of consecutive parents a..b has the window [b_a, b_b + width), the
-    union of theirs.  These are clipped to [0, m_next) (interval) or wrapped
-    onto it (torus: a window crossing the end becomes two) and merged.
+    a sorted parent run [lo, hi) has the window [b_lo, b_{hi - 1} + width),
+    the union of theirs.  These are clipped to [0, m_next) (interval) or
+    wrapped onto it (torus: a window crossing the end becomes two) and merged.
     """
     width = int(math.ceil(3.0 * ratio)) + 2
-    cut = np.flatnonzero(np.diff(relaxed) != 1)   # the last parent of each run but the last
-    lo, hi = (np.floor((np.concatenate(ends).astype(np.float64) - 1.0) * ratio).astype(np.int64)
-              for ends in ((relaxed[:1], relaxed[cut + 1]), (relaxed[cut], relaxed[-1:])))
+    lo, hi = (np.floor((ends.astype(np.float64) - back) * ratio).astype(np.int64)
+              for ends, back in ((lo, 1.0), (hi, 2.0)))
     hi += width
     if sys.domain == "torus":
         size = np.minimum(hi - lo, m_next)    # a window the size of the circle covers it
@@ -535,7 +509,7 @@ def _closed_form(sys, obs):
     return sys.matrix is not None and obs.character is not None and obs.character[0] == 1
 
 
-# Cells per block of a 1-d closed-form level.  Medians of 45 covers of
+# Cells per block of a 1-d level.  Medians of 45 covers of
 # perfbench's doubling-report (3 alternating rounds, 2 vCPU Xeon): 16.2,
 # 13.0, 11.7, 12.3 and 15.2 ms at 16, 32, 64, 128 and 256 cells; of 6 of
 # shipped doubling.ini: 0.33, 0.24, 0.21, 0.21 and 0.28 s.  Short blocks
@@ -544,46 +518,69 @@ def _closed_form(sys, obs):
 _BLOCK = 64
 
 
-def _cellhits_closed_form(sys, obs, phibar, thresholds, s, n, lo, hi, coef):
-    """(shift, hits): the 1-d cells of the runs [lo, hi) whose stencil hits
-    each threshold, in closed form with coef = c_j, j < n, an (n, 1) table (see _closed_form).
+def _cover_level_1d(sys, obs, phibar, alpha, tau, s, n, lo, hi, coef, threads):
+    """Detect the cells of the sorted, disjoint, non-touching runs [lo, hi)
+    at one 1-d level.  Returns (card, the runs (lo, hi) of relaxed-detected
+    cells), sorted, disjoint and non-touching.
 
-    Each run is cut into blocks of _BLOCK cells from lo on; hits[t] is a
-    (blocks, _BLOCK) mask whose flat slot f is cell shift[f // _BLOCK] + f,
-    cleared past its run.  A block starting at cell p has the row phases of
-    fl(p s); all share the column phases of fl(q s) for corners
-    q = 0.._BLOCK and of fl((q + 1/2) s) for centres, so one product
-    (blocks x 2n) @ (2n x (2 _BLOCK + 1)) gives every corner and centre sum
-    of the level (closed_form_band bounds the split).  Blocks go in bands of
-    at most _POINT_CHUNK sums, the size of one walked chunk, on the calling
-    thread (see _cover_level_2d); a cell hits where a corner or its centre does.
+    A cell's stencil is its two corners and its centre; it hits alpha (tau)
+    where one of them does.  Each run is cut into blocks of _BLOCK cells
+    from lo on, and slot f of the (blocks, _BLOCK) cell table is cell
+    shift[f // _BLOCK] + f.  A block starting at cell p has the stencil
+    points p + q, q = 0.._BLOCK (corners), then p + q + 1/2 (centres), and
+    one band loop ORs their hit masks per cell, as _cover_level_2d does.
+    Given coef, the ladder's (n_hi, 1) character coefficients (see
+    _closed_form), a band's masks come from _closed_form_hits: its blocks'
+    rows have the phases of fl(p s) and share the columns of fl(q s) and
+    fl((q + 1/2) s) (closed_form_band bounds the split), at most
+    _POINT_CHUNK sums a band on the calling thread.  Otherwise _walk_hits
+    walks the band's points inside their runs, at most _BAND_POINTS, in
+    chunks on `threads` threads.  The relaxed runs are the rising and
+    falling edges of the tau table, split at each run's first slot.
     """
-    width = 2 * _BLOCK + 1
+    offsets = np.concatenate([np.arange(_BLOCK + 1.0), np.arange(_BLOCK) + 0.5])
     blocks = -(-(hi - lo) // _BLOCK)   # blocks per run
-    shift = np.repeat(lo - _BLOCK * (np.cumsum(blocks) - blocks), blocks)
+    first = np.cumsum(blocks) - blocks   # each run's first block
+    shift = np.repeat(lo - _BLOCK * first, blocks)
     p = shift + _BLOCK * np.arange(shift.size)   # the first cell of each block
-    valid = np.arange(_BLOCK) < (np.repeat(hi, blocks) - p)[:, None]
-    band = closed_form_band(sys, coef)
-    coef = coef[:, 0]
-    q = np.arange(_BLOCK + 1, dtype=np.float64)
-    col_f = _col_factor(obs, np.concatenate([q * s, (q[:-1] + 0.5) * s]), coef)
-    rows = _grid_points(sys, p.astype(np.float64), s).ravel()
-    hits = np.empty((len(thresholds), p.size, _BLOCK), dtype=bool)
-    per_band = max(1, _POINT_CHUNK // width)
+    size = np.minimum(np.repeat(hi, blocks) - p, _BLOCK)   # its cells
+    per_band = max(1, (_BAND_POINTS if coef is None else _POINT_CHUNK) // offsets.size)
+    if coef is None:
+        def hits(k0, k1):
+            inside = offsets <= size[k0:k1, None]   # the stencil points of the blocks' cells
+            out = np.zeros((2, k1 - k0, offsets.size), dtype=bool)
+            out[0][inside], out[1][inside] = _walk_hits(
+                sys, obs, phibar, _grid_points(sys, (p[k0:k1, None] + offsets)[inside], s), n,
+                (alpha, tau), threads)
+            return out
+    else:
+        band = closed_form_band(sys, coef[:n])
+        coef = coef[:n, 0]
+        col_f = _col_factor(obs, offsets * s, coef)
+        rows = _grid_points(sys, p.astype(np.float64), s).ravel()
+
+        def hits(k0, k1):
+            def points(near):
+                k, c = np.divmod(near, offsets.size)
+                return _grid_points(sys, p[k0 + k] + offsets[c], s)
+
+            return _closed_form_hits(sys, obs, phibar, n, band, (alpha, tau),
+                                     _row_factor(obs, rows[k0:k1], coef), col_f, points)
+
+    card = 0
+    relaxed = np.empty((p.size, _BLOCK), dtype=bool)
     for k0 in range(0, p.size, per_band):
         k1 = min(k0 + per_band, p.size)
-
-        def points(near):
-            k, c = np.divmod(near, width)
-            return _grid_points(sys, p[k0 + k] + np.where(c <= _BLOCK, c, c - _BLOCK - 0.5), s)
-
-        for hit, cells in zip(_closed_form_hits(sys, obs, phibar, n, band, thresholds,
-                                                _row_factor(obs, rows[k0:k1], coef), col_f,
-                                                points), hits[:, k0:k1]):
-            np.logical_or(hit[:, :_BLOCK], hit[:, 1:_BLOCK + 1], out=cells)   # left, right corner
-            cells |= hit[:, _BLOCK + 1:]                                     # centre
-    hits &= valid
-    return shift, hits
+        valid = np.arange(_BLOCK) < size[k0:k1, None]
+        hit_alpha, relaxed[k0:k1] = (   # a left or right corner or the centre, in the run
+            (hit[:, :_BLOCK] | hit[:, 1:_BLOCK + 1] | hit[:, _BLOCK + 1:]) & valid
+            for hit in hits(k0, k1))
+        card += int(np.count_nonzero(hit_alpha))
+    left, right = np.append(False, relaxed), np.append(relaxed, False)   # either side of edge e
+    inner = np.ones(left.shape, dtype=bool)
+    inner[first * _BLOCK] = False   # no relaxed run crosses the edge before a run
+    rise, fall = np.flatnonzero(right & ~(left & inner)), np.flatnonzero(left & ~(right & inner))
+    return card, (shift[rise // _BLOCK] + rise, shift[(fall - 1) // _BLOCK] + fall)
 
 
 def _cover_level_2d(sys, obs, phibar, alpha, s, m, n, coef, threads):
@@ -657,15 +654,15 @@ def build_cover_ladder(sys: System, obs: Observable, phibar: float, alpha: float
     Cells have side r_n / 2; a cell is counted when the deviation at one of
     its stencil points (corners + center) reaches alpha.  Levels run from
     n_lo to n_hi.  In 1-d the first level is the run [0, m) of all cells and
-    each later one the runs of the children of cells passing the relaxed
+    each later one the children of the runs of cells passing the relaxed
     thresholds (see _prune_thresholds, _children_1d); in 2-d every level is
     swept densely.  A linear map (the system declares a matrix) with a
-    character observable takes its Birkhoff sums in closed form (see
-    _cellhits_closed_form and _cover_level_2d), other pairs by the float64
-    walk.  Either way cards are those of the float64 walk, at any thread
-    count: `threads` (an integer >= 1, ValueError naming it) runs the point
-    chunks of walked levels on systems.chunk_map, and the closed forms on
-    the calling thread.  The budget, an integer >= 1, caps the total number
+    character observable takes its Birkhoff sums in closed form, other
+    pairs by the float64 walk, in one band loop a level (_cover_level_1d,
+    _cover_level_2d).  Either way cards are those of the float64 walk, at
+    any thread count: `threads` (an integer >= 1, ValueError naming it)
+    runs the point chunks of walked levels on systems.chunk_map, and the
+    closed forms on the calling thread.  The budget, an integer >= 1, caps the total number
     of cells examined (the runs' lengths in 1-d); a level that would exceed it raises
     GridBudgetError before any of its cells are evaluated.  A level past the
     float64 orbit budget (systems.check_float64_horizon) raises ValueError,
@@ -734,7 +731,7 @@ def build_cover_ladder(sys: System, obs: Observable, phibar: float, alpha: float
                 runs = None  # relaxed threshold is vacuous: next level is dense
             else:
                 m_next = _grid_cells(sys, delta * L ** (-(n + 1)) / 2.0)
-                runs = _children_1d(sys, relaxed, L, m_next)
+                runs = _children_1d(sys, *relaxed, L, m_next)
     return CoverLadder(sys.sid, obs.oid, phibar, alpha, delta, L, dprimes,
                        tuple(entries), examined)
 

@@ -24,7 +24,10 @@ def check_real(name: str, value, lo=-math.inf, hi=math.inf, ends="[]") -> float:
     ends, "()", refuse every value that is not finite."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must lie inside the float range") from None
     above = v > lo if ends[0] == "(" else v >= lo
     below = v < hi if ends[1] == ")" else v <= hi
     if not (above and below):

@@ -52,10 +52,10 @@ class Roof(NamedTuple):
 
 
 def constant_roof(value: float = 1.0) -> Roof:
-    if not 0.0 < value < math.inf:
-        raise ValueError("roof must be positive and finite")
+    """The roof `value`, positive and finite (ValueError naming it)."""
+    value = check_real("constant roof value", value, 0.0, ends="()")
     return Roof("constant", lambda p, _v=value: np.full(p.shape[0], _v),
-                value, value, (("value", float(value)),))
+                value, value, (("value", value),))
 
 
 def cosine_roof(a: float) -> Roof:
@@ -114,10 +114,15 @@ def _checked_states(flow: SuspensionFlow, state: FlowState):
     return pts, s
 
 
-def _times(t) -> np.ndarray:
+def _times(name, t, ends="[)") -> np.ndarray:
+    """t, a flow time (checked by check_real) or an array of them, as float64
+    times in [0, inf) or, ends "()", (0, inf) (ValueError naming `name`)."""
+    if np.ndim(t) == 0:
+        return np.asarray(check_real(name, np.asarray(t).item(), 0.0, ends=ends))
     a = np.asarray(t, dtype=np.float64)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("flow times must be finite")
+    bad = ~(np.isfinite(a) & ((a > 0.0) if ends[0] == "(" else (a >= 0.0)))
+    if np.any(bad):
+        raise ValueError(f"{name} must lie in {ends[0]}0, inf), got {a[bad].flat[0]!r}")
     return a
 
 
@@ -253,9 +258,7 @@ def _time_averages(flow, fobs, pts, s, T, step):
 
 def flow_step(flow: SuspensionFlow, state: FlowState, t) -> FlowState:
     """Advance a state, or a batch, by time t >= 0.  Hitting the roof exactly crosses."""
-    t = _times(t)
-    if np.any(t < 0.0):
-        raise ValueError("flow time must be >= 0")
+    t = _times("t", t)
     pts, s = _checked_states(flow, state)
     _walk(flow, pts, s, t)
     if _is_batch(state):
@@ -272,12 +275,9 @@ def flow_time_average(flow: SuspensionFlow, fobs: FlowObservable,
     boundaries are hit exactly, so fiber-constant observables integrate
     exactly regardless of the step.  A batch returns an (N,) array.
     """
-    T = _times(T)
-    if np.any(T <= 0.0):
-        raise ValueError("need T > 0")
-    step = flow.roof.rho_min / 8.0 if quadrature_step is None else float(quadrature_step)
-    if not step > 0.0:
-        raise ValueError("need quadrature_step > 0")
+    T = _times("T", T, "()")
+    step = (flow.roof.rho_min / 8.0 if quadrature_step is None
+            else check_real("quadrature_step", quadrature_step, 0.0, ends="(]"))
     pts, s = _checked_states(flow, state)
     avg = _time_averages(flow, fobs, pts, s, T, step)
     return avg if _is_batch(state) else float(avg[0])
@@ -312,7 +312,7 @@ def integer_part_reduction_check(flow: SuspensionFlow, fobs: FlowObservable,
     sup|Phi|/floor(T) is reported alongside for reference.  A batch of
     states (T scalar or per state) gives array fields.
     """
-    T = _times(T)
+    T = _times("T", T)
     if np.any(T < INTEGER_PART_MIN_T):
         raise ValueError("need T >= 2 so that floor(T) >= 2 stays meaningful")
     pts, s = _checked_states(flow, state)
@@ -361,7 +361,7 @@ def flow_nontypical_inclusion_check(flow: SuspensionFlow, fobs: FlowObservable,
     """
     check_real("alpha", alpha, 0.0, ends="(]")
     check_real("phibar", phibar, ends="()")
-    T = _times(T)
+    T = _times("T", T)
     if np.any(T < inclusion_min_T(fobs, alpha)):
         raise ValueError(f"need T >= 4 sup|Phi| / alpha = {inclusion_min_T(fobs, alpha)}")
     pts, s = _checked_states(flow, state)

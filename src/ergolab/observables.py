@@ -334,9 +334,7 @@ def time_average(sys: System, obs: Observable, x, n: int):
     array.  The domain is checked before stepping; an n that is not an
     integer >= 1 raises ValueError.
     """
-    check_integer("n", n)
-    if n < 1:
-        raise ValueError(f"time average needs n >= 1, got {n}")
+    check_integer("n", n, 1)
     pts, tag = _as_batch(sys, x)
     _check_domain(sys, pts)
     avg = next(birkhoff_sums(_FloatOrbits(sys, pts), terms(obs, np.float64), [n])) / n

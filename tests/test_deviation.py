@@ -137,7 +137,7 @@ def test_dead_thresholds_check_their_horizons():
     lads = E.build_deviation_ladders(sysd, cos1, 0.0, [3.0, 0.0], [3, 5], 1000, 1)
     assert [e.measure for e in lads[0.0].entries] == [1.0, 1.0]
     assert [e.measure for e in lads[3.0].entries] == [0.0, 0.0]
-    with pytest.raises(ValueError, match="horizons must be >= 1"):
+    with pytest.raises(ValueError, match="n_values entry must be >= 1"):
         E.build_deviation_ladders(sysd, cos1, 0.0, [3.0, 0.0], [0, 3, 5], 1000, 1)
     with pytest.raises(ValueError, match="n_values"):
         E.build_deviation_ladders(sysd, cos1, 0.0, [3.0, 0.0], [3, 5.5], 1000, 1)

@@ -11,10 +11,10 @@ import pytest
 import ergolab as E
 from ergolab import dimension
 from ergolab.deviation import DIGIT
-from ergolab.dimension import (_POINT_CHUNK, _cellhits_closed_form, _character_coefficients,
-                               _children_1d, _closed_form_hits, _col_factor, _cover_level_1d,
-                               _cover_level_2d, _grid_2d, _grid_cells, _grid_points, _row_factor,
-                               _walk_hits, closed_form_band)
+from ergolab.dimension import (_POINT_CHUNK, _character_coefficients, _children_1d,
+                               _closed_form_hits, _col_factor, _cover_level_1d, _cover_level_2d,
+                               _grid_2d, _grid_cells, _grid_points, _row_factor, _walk_hits,
+                               closed_form_band)
 from ergolab.observables import deviation, deviations, float32_band
 from ergolab.rng import STREAM_LEMMA_POINTS, raw_blocks
 from ergolab.systems import _FloatOrbits, domain_points
@@ -116,6 +116,10 @@ BOX = E.BoxDimension(0.9, 0.8, 1.0)
     ("c", E.ParameterError, lambda s, o: E.get_system("logistic", c=False)),
     ("a", E.ParameterError, lambda s, o: E.get_observable("bump", s, a=True, w=0.1)),
     ("d", ValueError, lambda s, o: E.dimension_upper_bound(1.5, 2.0, 0.1)),
+    ("n_values", ValueError,
+     lambda s, o: E.build_deviation_ladders(s, o, 0.0, [0.3], [0, 4], 1000, 1)),
+    ("alpha", ValueError, lambda s, o: E.exact_digit_ladder(math.nan, [])),
+    ("alpha", ValueError, lambda s, o: E.cramer_bernoulli(10**400)),
 ], ids=["ladders-phibar", "ladders-alphas", "cover-alpha", "cover-phibar", "lemma-delta",
         "lemma-alpha", "lemma-phibar", "cover-dprimes", "digit-alpha", "digit-ladder-alpha",
         "bound-h", "bound-L", "modulus-alpha", "box-counts", "bernoulli-alpha",
@@ -132,7 +136,8 @@ BOX = E.BoxDimension(0.9, 0.8, 1.0)
         "cover-threads-float", "cover-threads-str", "space-average-threads-0",
         "verdict-phibar", "verdict-slack-nan", "verdict-slack-negative", "rate-bound-alpha",
         "deviation-phibar-nan", "deviation-phibar-inf", "cover-budget-nan", "cover-budget-bool",
-        "logistic-c-bool", "bump-a-bool", "bound-d-float"])
+        "logistic-c-bool", "bump-a-bool", "bound-d-float", "ladders-n_values-0",
+        "digit-ladder-alpha-empty", "bernoulli-alpha-huge"])
 def test_nan_inputs_are_refused_by_name(arg, error, call):
     # each of these read a NaN as a number: measures and cards of 0, a lemma
     # with no violation or with no candidate accepted, NaN cover volumes, a
@@ -414,16 +419,16 @@ def test_cover_dedup_equals_np_unique():
             *(["at 0"] if base[0] < 0 else []), *(["at end"] if base[-1] + width > m_next else []),
             *(["circle"] if width > m_next else [])}
         for sysm, cells in ((sysd, windows % m_next), (syst, np.clip(windows, 0, m_next - 1))):
-            lo, hi = _children_1d(sysm, relaxed, ratio, m_next)
+            lo, hi = _children_1d(sysm, *_runs(relaxed), ratio, m_next)
             _assert_runs(lo, hi)
             assert np.array_equal(_cells(lo, hi), np.unique(cells))
     assert seen == {"empty", "at 0", "at end", "circle"}
     relaxed = np.unique(np.concatenate([[0, 1, 2], rng.integers(0, 400, 80), [398, 399]]))
     for sid in ("doubling", "tent"):
-        lo, hi = _children_1d(E.get_system(sid), relaxed, 2.0, 800)
+        lo, hi = _children_1d(E.get_system(sid), *_runs(relaxed), 2.0, 800)
         _assert_runs(lo, hi)
         assert lo[0] == 0 and hi[-1] == 800
-        lo, hi = _children_1d(E.get_system(sid), np.empty(0, np.int64), 2.5, 800)
+        lo, hi = _children_1d(E.get_system(sid), *_runs(np.empty(0, np.int64)), 2.5, 800)
         _assert_runs(lo, hi)
         assert lo.size == 0
 
@@ -475,11 +480,12 @@ def test_walk_hits_decide_ties_and_band_rows_in_float64():
         assert (screened[row] >= np.float32(t)) != hit[row]
 
 
-def test_closed_form_masks_equal_walked_masks():
+def test_closed_form_masks_equal_walked_masks(monkeypatch):
     # the closed form's masks equal those the float64-walk screen gives on
-    # the same points: 1-d cells of doubling (corners and centre ORed), and
-    # the corner grid of a 2-d cat level, with thresholds on their own
-    # float64 deviations
+    # the same points: the stencil points of a closed-form 1-d doubling
+    # level, whose cells (corners and centre ORed) give the walked cards at
+    # alpha and relaxed cells at tau, and the corner grid of a 2-d cat
+    # level, with thresholds on their own float64 deviations
     sysd = E.get_system("doubling")
     cos1 = E.get_observable("cos1", sysd)
     phibar, n, s = 0.02, 9, 1.0 / 3001.5
@@ -488,14 +494,26 @@ def test_closed_form_masks_equal_walked_masks():
                (cand.astype(np.float64), cand + 1.0, cand + 0.5)]
     ties = deviation(sysd, cos1, phibar, stencil[2], n)[[3, 600, 1100]]
     thresholds = (0.4, 0.1, *ties)
-    walked = np.logical_or.reduce([_walk_hits(sysd, cos1, phibar, p, n, thresholds)
-                                   for p in stencil])
-    shift, got = _cellhits_closed_form(sysd, cos1, phibar, thresholds, s, n, *_runs(cand),
-                                       _character_coefficients(sysd, cos1, n))
-    assert got.shape == (len(thresholds), shift.size, dimension._BLOCK)
-    for hit, want in zip(got, walked):
-        slot = np.flatnonzero(hit)
-        assert np.array_equal(shift[slot // dimension._BLOCK] + slot, cand[want])
+    walked = dict(zip(thresholds, np.logical_or.reduce(
+        [_walk_hits(sysd, cos1, phibar, p, n, thresholds) for p in stencil])))
+    seen = []
+    hits = dimension._hits
+
+    def recording(dev, band, thresholds, exact):
+        masks = hits(dev, band, thresholds, exact)
+        exact_dev = exact(np.arange(dev.size)).reshape(dev.shape)
+        seen.extend(np.array_equal(hit, exact_dev >= t) for t, hit in zip(thresholds, masks))
+        return masks
+
+    monkeypatch.setattr(dimension, "_hits", recording)
+    batches = _recording_walk(monkeypatch)
+    coef = _character_coefficients(sysd, cos1, n)
+    for alpha, tau in [(0.4, 0.1), (ties[0], ties[1]), (ties[2], 0.4)]:
+        card, relaxed = _cover_level_1d(sysd, cos1, phibar, alpha, tau, s, n, *_runs(cand),
+                                        coef, 1)
+        assert card == np.count_nonzero(walked[alpha])
+        assert np.array_equal(_cells(*relaxed), cand[walked[tau]])
+    assert seen and all(seen) and not batches
 
     sysc = E.get_system("cat")
     cos1 = E.get_observable("cos1", sysc)
@@ -596,7 +614,7 @@ def test_cover_level_1d_screen_equals_float64(monkeypatch, sid, skw):
             card, relaxed = _cover_level_1d(sysm, obs, phibar, alpha, tau, s, n, *_runs(cand),
                                             coef, threads)
             assert card == np.count_nonzero(cellmax >= alpha)
-            assert np.array_equal(relaxed, cand[cellmax >= tau])
+            assert np.array_equal(_cells(*relaxed), cand[cellmax >= tau])
             # obs.fn sees float64 points only: the float32 screen takes
             # its cosines from the phases
             assert dtypes <= {np.dtype(np.float64)}
@@ -643,12 +661,37 @@ def test_cover_level_1d_closed_form_layout(monkeypatch):
                 card, relaxed = _cover_level_1d(sysd, cos1, phibar, alpha, tau, s, n,
                                                 *_runs(cand), table, threads)
                 assert card == np.count_nonzero(cellmax >= alpha)
-                assert np.array_equal(relaxed, cand[cellmax >= tau])
+                _assert_runs(*relaxed)
+                assert np.array_equal(_cells(*relaxed), cand[cellmax >= tau])
     none = np.empty(0, np.int64)
     for table in (coef, None):
         card, relaxed = _cover_level_1d(sysd, cos1, phibar, 0.4, 0.1, s, n, none, none,
                                         table, 1)
-        assert card == 0 and relaxed.size == 0
+        assert card == 0 and relaxed[0].size == relaxed[1].size == 0
+
+
+@pytest.mark.parametrize("sid,oid,phibar,alpha", [("tent", "cos1", 0.0, 0.5),
+                                                   ("doubling", "coord", 0.25, 0.15)])
+def test_walked_1d_levels_walk_bands_of_band_points(monkeypatch, sid, oid, phibar, alpha):
+    # a walked 1-d level walks the stencil points of its runs in bands of at
+    # most _BAND_POINTS points, whose chunks run on the thread pool, and the
+    # pruned ladder's cards are those of every cell's float64 stencil maxima
+    monkeypatch.setattr(dimension, "_BAND_POINTS", 3 * (2 * dimension._BLOCK + 1) + 13)
+    monkeypatch.setattr(dimension, "_POINT_CHUNK", 150)
+    batches = _recording_walk(monkeypatch)
+    sysm = E.get_system(sid)
+    obs = E.get_observable(oid, sysm)
+    delta = E.modulus_delta_for(sysm, obs, alpha)
+    lad = E.build_cover_ladder(sysm, obs, phibar, alpha, delta, 4, 8, threads=2)
+    assert len(batches) > 5 * len(lad.entries)
+    assert max(b.shape[0] for b in batches) <= dimension._BAND_POINTS
+    dense = 0
+    for e in lad.entries:
+        s = delta * sysm.L ** -e.n / 2.0
+        cells = np.arange(_grid_cells(sysm, s))
+        dense += cells.size
+        assert e.card == np.count_nonzero(_cellmax_1d(sysm, obs, phibar, cells, s, e.n) >= alpha)
+    assert 0 < lad.examined_cells < dense
 
 
 def test_closed_form_band_bounds_the_1d_split(monkeypatch):
@@ -678,7 +721,7 @@ def test_closed_form_band_bounds_the_1d_split(monkeypatch):
                                          np.arange(m - 200, m)]))
         seen.clear()
         coef = _character_coefficients(sysd, cos1, n)
-        _cellhits_closed_form(sysd, cos1, 0.01, (), s, n, *_runs(cand), coef)
+        _cover_level_1d(sysd, cos1, 0.01, 0.6, 0.3, s, n, *_runs(cand), coef, 1)
         assert 0.0 < max(seen) <= closed_form_band(sysd, coef) / 8.0
 
 

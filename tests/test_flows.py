@@ -32,7 +32,7 @@ def test_roof_validation():
     with pytest.raises(ValueError):
         E.constant_roof(-1.0)
     for value in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="positive and finite"):
+        with pytest.raises(ValueError, match="constant roof value"):
             E.constant_roof(value)
     with pytest.raises(ValueError):
         E.cosine_roof(1.0)
@@ -116,7 +116,7 @@ def test_flow_average_at_fixed_point():
     with pytest.raises(ValueError):
         E.flow_time_average(flow, fobs, E.FlowState(np.array([0.0]), 0.0), 0.0)
     for step in (0.0, math.nan):
-        with pytest.raises(ValueError, match="need quadrature_step > 0"):
+        with pytest.raises(ValueError, match="quadrature_step"):
             E.flow_time_average(flow, fobs, E.FlowState(np.array([0.0]), 0.0), 1.0,
                                 quadrature_step=step)
 
@@ -186,8 +186,13 @@ def test_nontypical_inclusion_check():
     ("pair_count", lambda f, o, st: E.estimate_time1_lipschitz(f, 10.5, 1)),
     ("start", lambda f, o, st: E.sample_flow_batch(f, 1, 1.5, 3)),
     ("count", lambda f, o, st: E.sample_flow_batch(f, 1, 0, 3.0)),
+    ("value", lambda f, o, st: E.constant_roof(True)),
+    ("quadrature_step", lambda f, o, st: E.flow_time_average(f, o, st, 3.0, quadrature_step=True)),
+    ("t", lambda f, o, st: E.flow_step(f, st, True)),
+    ("T", lambda f, o, st: E.flow_time_average(f, o, st, True)),
 ], ids=["inclusion-alpha", "inclusion-phibar-nan", "inclusion-phibar-inf",
-        "lipschitz-pair_count", "batch-start", "batch-count"])
+        "lipschitz-pair_count", "batch-start", "batch-count", "roof-value-bool",
+        "quadrature_step-bool", "step-t-bool", "average-T-bool"])
 def test_flow_inputs_are_refused_by_name(arg, call):
     # a NaN alpha or phibar read as a violation (vacuous=False, ok=False),
     # a float pair count failed inside numpy, and a float start was

@@ -85,7 +85,7 @@ def test_time_average_worked_values():
     assert E.time_average(syst, obs_x, 2.0 / 3.0, 10) == pytest.approx(2.0 / 3.0, abs=1e-13)
     # an empty orbit, which averaged to -inf, is refused
     for n in (0, -1):
-        with pytest.raises(ValueError, match="n >= 1"):
+        with pytest.raises(ValueError, match="n must be >= 1"):
             E.time_average(sysd, obs_x, 0.3, n)
     # a horizon is a step count: 2.5 is refused, a numpy integer taken
     with pytest.raises(ValueError, match="n must be an integer"):
