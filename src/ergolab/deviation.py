@@ -265,6 +265,12 @@ def default_fit_window(ladder: DeviationLadder):
     return ladder.entries[first].n, ladder.entries[last].n
 
 
+def least_squares_line(x, y):
+    """(slope, intercept, residuals) of the least-squares line y ~ slope x + intercept."""
+    slope, intercept = np.polyfit(x, y, 1)
+    return slope, intercept, y - (slope * x + intercept)
+
+
 def fit_rate_function(ladder: DeviationLadder, window=None) -> RateFunctionFit:
     """Least-squares fit of log(measure) = log C - h n over a window of horizons.
 
@@ -282,9 +288,7 @@ def fit_rate_function(ladder: DeviationLadder, window=None) -> RateFunctionFit:
         raise ValueError(f"need at least 4 positive entries in window {window}, got {len(usable)}")
     x = np.array([e.n for e in usable], dtype=float)
     y = np.log(np.array([e.measure for e in usable]))
-    slope, intercept = np.polyfit(x, y, 1)
-    pred = slope * x + intercept
-    resid = y - pred
+    slope, intercept, resid = least_squares_line(x, y)
     ss_res = float(np.sum(resid * resid))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot

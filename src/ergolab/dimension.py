@@ -26,7 +26,9 @@ level n, chosen (one-step telescope of averages plus the Lipschitz bound of
 the n-step average over a cell) so that no cell detectable at the report
 threshold is ever lost.  Pruning is what keeps deep ladders inside the
 cell-evaluation budget.  A 1-d level's candidates and relaxed cells are runs
-[lo, hi) of cells.  In 2-d every level is swept densely, in row bands.
+[lo, hi) of cells, and the level holds per-block arrays, runs and one band
+of _POINT_CHUNK stencil points per thread at a time, nothing sized by its
+cells.  In 2-d every level is swept densely, in row bands.
 
 Every cell and candidate test is a threshold test, deviation >= t (alpha
 and tau_n in 1-d, alpha in 2-d and in the ball lemma's candidate screen),
@@ -49,7 +51,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .deviation import LN2, digit_deviation_count, write_csv
+from .deviation import LN2, digit_deviation_count, least_squares_line, write_csv
 from .errors import GridBudgetError, RateNotEstablishedError, check_integer, check_real
 from .observables import (_TWO_PI, Observable, deviation, deviations, max_deviation, screen,
                           undecided)
@@ -525,26 +527,26 @@ def _cover_level_1d(sys, obs, phibar, alpha, tau, s, n, lo, hi, coef, threads):
 
     A cell's stencil is its two corners and its centre; it hits alpha (tau)
     where one of them does.  Each run is cut into blocks of _BLOCK cells
-    from lo on, and slot f of the (blocks, _BLOCK) cell table is cell
-    shift[f // _BLOCK] + f.  A block starting at cell p has the stencil
-    points p + q, q = 0.._BLOCK (corners), then p + q + 1/2 (centres), and
-    one band loop ORs their hit masks per cell, as _cover_level_2d does.
-    Given coef, the ladder's (n_hi, 1) character coefficients (see
-    _closed_form), a band's masks come from _closed_form_hits: its blocks'
-    rows have the phases of fl(p s) and share the columns of fl(q s) and
-    fl((q + 1/2) s) (closed_form_band bounds the split), at most
-    _POINT_CHUNK sums a band on the calling thread.  Otherwise _walk_hits
-    walks the band's points inside their runs, at most _BAND_POINTS, in
-    chunks on `threads` threads.  The relaxed runs are the rising and
-    falling edges of the tau table, split at each run's first slot.
+    from lo on; a block starting at cell p has the stencil points p + q,
+    q = 0.._BLOCK (corners), then p + q + 1/2 (centres), and one band loop
+    ORs their hit masks per cell, as _cover_level_2d does.  A band holds
+    _POINT_CHUNK stencil points per thread that works on it.  Given coef,
+    the ladder's (n_hi, 1) character coefficients (see _closed_form), a
+    band's masks come from _closed_form_hits on the calling thread: its
+    blocks' rows have the phases of fl(p s) and share the columns of
+    fl(q s) and fl((q + 1/2) s) (closed_form_band bounds the split).
+    Otherwise _walk_hits walks the band's points inside their runs, one
+    chunk on each of `threads` threads.  Each band's relaxed runs are read
+    from the edges of its blocks' relaxed slots, and a run that goes on
+    across a block or band edge is joined, so the level keeps per-block
+    arrays and runs, nothing sized by its cells.
     """
     offsets = np.concatenate([np.arange(_BLOCK + 1.0), np.arange(_BLOCK) + 0.5])
     blocks = -(-(hi - lo) // _BLOCK)   # blocks per run
-    first = np.cumsum(blocks) - blocks   # each run's first block
-    shift = np.repeat(lo - _BLOCK * first, blocks)
-    p = shift + _BLOCK * np.arange(shift.size)   # the first cell of each block
+    p = np.repeat(lo - _BLOCK * (np.cumsum(blocks) - blocks), blocks)
+    p += _BLOCK * np.arange(p.size)   # the first cell of each block
     size = np.minimum(np.repeat(hi, blocks) - p, _BLOCK)   # its cells
-    per_band = max(1, (_BAND_POINTS if coef is None else _POINT_CHUNK) // offsets.size)
+    per_band = max(1, _POINT_CHUNK * (threads if coef is None else 1) // offsets.size)
     if coef is None:
         def hits(k0, k1):
             inside = offsets <= size[k0:k1, None]   # the stencil points of the blocks' cells
@@ -568,19 +570,20 @@ def _cover_level_1d(sys, obs, phibar, alpha, tau, s, n, lo, hi, coef, threads):
                                      _row_factor(obs, rows[k0:k1], coef), col_f, points)
 
     card = 0
-    relaxed = np.empty((p.size, _BLOCK), dtype=bool)
+    relaxed = np.zeros((min(per_band, p.size), _BLOCK + 2), dtype=bool)   # False either side
+    edges = [np.empty(0, dtype=np.int64)]   # each band's relaxed runs, starts and ends interleaved
     for k0 in range(0, p.size, per_band):
         k1 = min(k0 + per_band, p.size)
         valid = np.arange(_BLOCK) < size[k0:k1, None]
-        hit_alpha, relaxed[k0:k1] = (   # a left or right corner or the centre, in the run
+        rel = relaxed[:k1 - k0]
+        hit_alpha, rel[:, 1:-1] = (   # a left or right corner or the centre, in the run
             (hit[:, :_BLOCK] | hit[:, 1:_BLOCK + 1] | hit[:, _BLOCK + 1:]) & valid
             for hit in hits(k0, k1))
         card += int(np.count_nonzero(hit_alpha))
-    left, right = np.append(False, relaxed), np.append(relaxed, False)   # either side of edge e
-    inner = np.ones(left.shape, dtype=bool)
-    inner[first * _BLOCK] = False   # no relaxed run crosses the edge before a run
-    rise, fall = np.flatnonzero(right & ~(left & inner)), np.flatnonzero(left & ~(right & inner))
-    return card, (shift[rise // _BLOCK] + rise, shift[(fall - 1) // _BLOCK] + fall)
+        k, q = np.divmod(np.flatnonzero(rel[:, 1:] != rel[:, :-1]), _BLOCK + 1)
+        edges.append(p[k0 + k] + q)
+    edges = np.concatenate(edges)
+    return card, _union_runs(edges[::2], edges[1::2])
 
 
 def _cover_level_2d(sys, obs, phibar, alpha, s, m, n, coef, threads):
@@ -825,8 +828,7 @@ def box_counting_dimension(scales, counts) -> BoxDimension:
         return BoxDimension(0.0, 0.0, 0.0)
     x = np.log(1.0 / s)
     y = np.log(c)
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
+    slope, _, resid = least_squares_line(x, y)
     dof = max(s.shape[0] - 2, 1)
     sxx = float(np.sum((x - x.mean()) ** 2))
     se = math.sqrt(float(np.sum(resid * resid)) / dof / sxx)

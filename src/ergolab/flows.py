@@ -21,9 +21,9 @@ Every entry point takes one state or a batch of N states (x of shape
 is walked as (segment, state) arrays, one block of segment indices of the
 states still live at a time, each block holding at most _POINT_CHUNK
 pairs: the roof is evaluated once per block, and remaining times and
-liveness are accumulations down the segment axis.  Each state still gets
-exactly the arithmetic of the one-state walk, so batched results equal
-the one-state results bit for bit.
+liveness are accumulations down the segment axis, one for every block
+whatever its shape.  Each state still gets exactly the arithmetic of the
+one-state walk, so batched results equal the one-state results bit for bit.
 """
 
 from __future__ import annotations
@@ -164,13 +164,13 @@ def _walk_block(flow, pts, s, remaining, rows, cap, visit):
 
     cap[b, i] says segment b is within state rows[i]'s guard.  Base points
     are stepped B times and the roof is evaluated once; rem_b = rem_{b-1} -
-    room_{b-1} is one subtract.accumulate down the segment axis, or on a
-    wide block one subtract per segment.  A pair is
-    live while every earlier segment of its state crossed (room <= rem) and
-    cap holds.  Calls visit(rows, live, x, s0, seg) with the (B, n) live
-    mask and, for the live pairs in row-major order, base points, starting
-    heights and the length of fiber each travels.  Moves each state to the
-    end of its last live segment and returns whether it crossed the roof there.
+    room_{b-1} is one subtract.accumulate down the segment axis, whatever
+    the block's shape.  A pair is live while every earlier segment of its
+    state crossed (room <= rem) and cap holds.  Calls visit(rows, live, x,
+    s0, seg) with the (B, n) live mask and, for the live pairs in row-major
+    order, base points, starting heights and the length of fiber each
+    travels.  Moves each state to the end of its last live segment and
+    returns whether it crossed the roof there.
     """
     B, n = cap.shape
     d = pts.shape[1]
@@ -184,16 +184,8 @@ def _walk_block(flow, pts, s, remaining, rows, cap, visit):
     room[0] -= s[rows]
     rem = np.empty((B, n))
     rem[0] = remaining[rows]
-    if n * n >= _POINT_CHUNK:
-        # a wide block (n >= 256, so B <= n): a subtract per segment costs
-        # about 1.5 us plus 1.4 ns a pair, accumulate down the segment axis
-        # 4.5-9 ns a pair, so rows win from a few hundred states on; both
-        # subtract in the same order, so they give the same bits
-        for b in range(1, B):
-            np.subtract(rem[b - 1], room[b - 1], out=rem[b])
-    else:
-        rem[1:] = room[:-1]
-        rem = np.subtract.accumulate(rem, axis=0)
+    rem[1:] = room[:-1]
+    rem = np.subtract.accumulate(rem, axis=0)
     crossing = room <= rem
     # a state's crossings run True..True False..False: after a miss rem < 0,
     # and rem only falls, below every (positive) room; so each crossing is

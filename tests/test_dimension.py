@@ -3,6 +3,7 @@ and the exact digit-frequency benchmark."""
 
 import dataclasses
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -672,11 +673,10 @@ def test_cover_level_1d_closed_form_layout(monkeypatch):
 
 @pytest.mark.parametrize("sid,oid,phibar,alpha", [("tent", "cos1", 0.0, 0.5),
                                                    ("doubling", "coord", 0.25, 0.15)])
-def test_walked_1d_levels_walk_bands_of_band_points(monkeypatch, sid, oid, phibar, alpha):
+def test_walked_1d_levels_walk_bands_of_point_chunks(monkeypatch, sid, oid, phibar, alpha):
     # a walked 1-d level walks the stencil points of its runs in bands of at
-    # most _BAND_POINTS points, whose chunks run on the thread pool, and the
-    # pruned ladder's cards are those of every cell's float64 stencil maxima
-    monkeypatch.setattr(dimension, "_BAND_POINTS", 3 * (2 * dimension._BLOCK + 1) + 13)
+    # most _POINT_CHUNK points a thread, one chunk on each thread of the pool,
+    # and the pruned ladder's cards are those of every cell's float64 stencil maxima
     monkeypatch.setattr(dimension, "_POINT_CHUNK", 150)
     batches = _recording_walk(monkeypatch)
     sysm = E.get_system(sid)
@@ -684,7 +684,7 @@ def test_walked_1d_levels_walk_bands_of_band_points(monkeypatch, sid, oid, phiba
     delta = E.modulus_delta_for(sysm, obs, alpha)
     lad = E.build_cover_ladder(sysm, obs, phibar, alpha, delta, 4, 8, threads=2)
     assert len(batches) > 5 * len(lad.entries)
-    assert max(b.shape[0] for b in batches) <= dimension._BAND_POINTS
+    assert max(b.shape[0] for b in batches) <= 2 * 150
     dense = 0
     for e in lad.entries:
         s = delta * sysm.L ** -e.n / 2.0
@@ -692,6 +692,81 @@ def test_walked_1d_levels_walk_bands_of_band_points(monkeypatch, sid, oid, phiba
         dense += cells.size
         assert e.card == np.count_nonzero(_cellmax_1d(sysm, obs, phibar, cells, s, e.n) >= alpha)
     assert 0 < lad.examined_cells < dense
+
+
+@pytest.mark.parametrize("oid,phibar,alpha", [("cos1", 0.02, 0.5), ("coord", 0.5, 0.2)])
+def test_1d_levels_across_bands(monkeypatch, oid, phibar, alpha):
+    # Bands of two blocks a thread put a level in many bands.  Relaxed runs
+    # that go on across block and band edges, and candidate runs that start
+    # a band, give the runs and cards of brute force and of one band, in
+    # closed form (cos1 on doubling) and walked (coord), at 1, 2 and 3
+    # threads; a pruned ladder gives the cards of brute force and the cards
+    # and examined cells of one band.
+    sysd = E.get_system("doubling")
+    obs = E.get_observable(oid, sysd)
+    n, B = 9, dimension._BLOCK
+    s = 1.0 / 3001.5
+    m = _grid_cells(sysd, s)
+    cand = np.concatenate([np.arange(12 * B), np.arange(12 * B + 1, 24 * B + 1),
+                           np.arange(24 * B + 3, 25 * B + 10), [26 * B], np.arange(27 * B, m)])
+    lo, hi = _runs(cand)
+    p = np.concatenate([np.arange(a, b, B) for a, b in zip(lo, hi)])   # the blocks' first cells
+    cellmax = _cellmax_1d(sysd, obs, phibar, cand, s, n)
+    q = np.sort(cellmax)[(np.array([0.9, 0.1, 0.6, 0.3]) * cand.size).astype(int)]
+    thresholds = [(q[0], q[1]), (q[2], q[3])]
+    coef = _character_coefficients(sysd, obs, n) if oid == "cos1" else None
+    delta = E.modulus_delta_for(sysd, obs, alpha)
+
+    def level(alpha, tau, threads):
+        card, runs = _cover_level_1d(sysd, obs, phibar, alpha, tau, s, n, lo, hi, coef, threads)
+        assert card == np.count_nonzero(cellmax >= alpha)
+        _assert_runs(*runs)
+        assert np.array_equal(_cells(*runs), cand[cellmax >= tau])
+        return runs
+
+    monkeypatch.setattr(dimension, "_POINT_CHUNK", 1 << 30)   # one band a level
+    one_band = [level(a, t, 1) for a, t in thresholds]
+    ladder = E.build_cover_ladder(sysd, obs, phibar, alpha, delta, 4, 9)
+    for e in ladder.entries:
+        s_n = delta * sysd.L ** -e.n / 2.0
+        cells = np.arange(_grid_cells(sysd, s_n))
+        assert e.card == np.count_nonzero(_cellmax_1d(sysd, obs, phibar, cells, s_n, e.n) >= alpha)
+    monkeypatch.setattr(dimension, "_POINT_CHUNK", 2 * (2 * B + 1))
+    starts = np.flatnonzero(np.isin(p, lo))   # the blocks that start a candidate run
+    for threads in (1, 2, 3):
+        per_band = 2 * (threads if coef is None else 1)   # blocks a band
+        assert np.any((starts > 0) & (starts % per_band == 0))
+        edges = [p[~np.isin(p, lo)], np.setdiff1d(p[::per_band], lo)]   # block and band edges
+        crossed = [False, False]
+        for (a, t), want in zip(thresholds, one_band):
+            runs = level(a, t, threads)
+            assert all(np.array_equal(got, w) for got, w in zip(runs, want))
+            for i, c in enumerate(edges):   # cells c - 1 and c in one relaxed run
+                crossed[i] |= bool(np.any((runs[0][:, None] < c) & (c < runs[1][:, None])))
+        assert all(crossed)
+        lad = E.build_cover_ladder(sysd, obs, phibar, alpha, delta, 4, 9, threads=threads)
+        assert lad.entries == ladder.entries and lad.examined_cells == ladder.examined_cells
+
+
+def test_walked_1d_level_memory_is_bounded_by_its_band():
+    # a walked 1-d level of 2M candidate cells holds its per-block arrays
+    # and one band of _POINT_CHUNK stencil points a thread at a time: its
+    # peak is a few bands' points, not a multiple of the level's cells
+    sysd = E.get_system("doubling")
+    coord = E.get_observable("coord", sysd)
+    s = 1.0 / 2_000_000
+    m = _grid_cells(sysd, s)
+    assert m >= 2_000_000
+    for threads in (1, 2):
+        tracemalloc.start()
+        try:
+            card, runs = _cover_level_1d(sysd, coord, 0.5, 0.2, 0.1, s, 4, np.array([0]),
+                                         np.array([m]), None, threads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0 < card < m and runs[0].size
+        assert peak < 16 * 8 * _POINT_CHUNK * threads   # 16 bands of float64 points
 
 
 def test_closed_form_band_bounds_the_1d_split(monkeypatch):

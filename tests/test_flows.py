@@ -349,6 +349,26 @@ def test_batched_kernels_equal_the_one_state_loop(base, roof):
             assert out.x[i].tolist() == x_ref.tolist() and out.s[i] == s_ref
 
 
+@pytest.mark.parametrize("roof", [E.constant_roof(1.0), E.cosine_roof(0.4)],
+                         ids=lambda r: r.kind)
+def test_wide_blocks_equal_the_one_state_loop(roof):
+    # 300 states make blocks of 300 columns, n * n past _POINT_CHUNK: their
+    # remaining times take the one accumulation of every block, and each
+    # state's flow average and flow step keep the one-state loop's bits
+    flow = E.SuspensionFlow(E.get_system("doubling"), roof)
+    fobs = E.fiber_constant(E.get_observable("cos1", flow.base))
+    batch, extra = edge_batch(flow, seed=13, count=292)
+    assert len(batch.s) ** 2 >= flows_mod._POINT_CHUNK
+    T = 3.0 + 5.0 * extra
+    got = E.flow_time_average(flow, fobs, batch, T)
+    out = E.flow_step(flow, batch, T)
+    for i in range(len(batch.s)):
+        x, s, t = batch.x[i], float(batch.s[i]), float(T[i])
+        assert got[i] == ref_time_average(flow, fobs, x, s, t)
+        x_ref, s_ref = ref_flow_step(flow, x, s, t)
+        assert out.x[i].tolist() == x_ref.tolist() and out.s[i] == s_ref
+
+
 def test_fine_quadrature_is_chunked_and_exact(monkeypatch):
     # a constant roof puts every full crossing in one node-count group
     flow = E.SuspensionFlow(E.get_system("doubling"), E.constant_roof(1.0))

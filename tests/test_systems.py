@@ -344,10 +344,21 @@ def test_raw_blocks_reads_just_the_indexed_blocks():
         assert got.dtype == np.uint64 and np.array_equal(got, want)
     assert np.array_equal(raw_blocks(11, STREAM_ORBITS, np.arange(10, 20), 10),
                           raw_blocks(11, STREAM_ORBITS, 10, 10))
+    # a range read is one generator built at its start: it equals the
+    # indexed read up to the last block of the 64-bit counter word
+    for start in (0, 2**32, 2**64 - 4):
+        idx = np.arange(start, start + 4, dtype=np.uint64)
+        assert np.array_equal(raw_blocks(11, STREAM_ORBITS, start, 4),
+                              raw_blocks(11, STREAM_ORBITS, idx, 4))
+    for start, count in ((2**64, 3), (2**64, 0), (2**64 - 2, 3)):
+        with pytest.raises(ValueError, match=r"\bstart\b"):
+            raw_blocks(11, STREAM_ORBITS, start, count)
     for bad, count in (([], 0), ([], 1), ([5, 5], 2), ([7, 3], 2), ([1, 2], 3),
                        ([1, 2], 1), ([-1, 2], 2), ([[1, 2]], 2)):
         with pytest.raises(ValueError):
             raw_blocks(11, STREAM_ORBITS, np.array(bad, dtype=np.int64), count)
+    with pytest.raises(ValueError):
+        raw_blocks(11, STREAM_ORBITS, np.array([1.0, 2.0]), 2)   # not cast to integers
     # a seed outside Philox's 64-bit key word is refused, not masked onto one inside
     for seed in (-1, 2**64, 2**64 + 11):
         with pytest.raises(ValueError, match=r"\bseed\b"):
