@@ -54,8 +54,8 @@ def _build_parser():
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--threads", type=int, default=1,
-                       help="threads for the Lebesgue space average and the walked "
-                            "cover levels (never changes results)")
+                       help="threads for the Lebesgue space average and the bands of "
+                            "walked cover levels (never changes results)")
         p.add_argument("--format", choices=("csv", "json"), default="json",
                        help="artifact format (report.json is always written)")
     return parser

@@ -26,9 +26,11 @@ level n, chosen (one-step telescope of averages plus the Lipschitz bound of
 the n-step average over a cell) so that no cell detectable at the report
 threshold is ever lost.  Pruning is what keeps deep ladders inside the
 cell-evaluation budget.  A 1-d level's candidates and relaxed cells are runs
-[lo, hi) of cells, and the level holds per-block arrays, runs and one band
-of _POINT_CHUNK stencil points per thread at a time, nothing sized by its
-cells.  In 2-d every level is swept densely, in row bands.
+[lo, hi) of cells.  In 2-d every level is swept densely, in row bands.
+Every level, 1-d or 2-d, walked or in closed form, is cut into bands of at
+most _POINT_CHUNK stencil points, the starts of one systems.chunk_map
+call, and holds one band a thread at a time: a 1-d level keeps per-block
+arrays and runs besides, nothing sized by its cells.
 
 Every cell and candidate test is a threshold test, deviation >= t (alpha
 and tau_n in 1-d, alpha in 2-d and in the ball lemma's candidate screen),
@@ -56,10 +58,8 @@ from .errors import GridBudgetError, RateNotEstablishedError, check_integer, che
 from .observables import (_TWO_PI, Observable, deviation, deviations, max_deviation, screen,
                           undecided)
 from .rng import STREAM_LEMMA_BALLS, STREAM_LEMMA_POINTS, raw_blocks, uniform01
-from .systems import (_POINT_CHUNK, System, _FloatOrbits, check_float64_horizon, chunk_map,
-                      domain_points, into_domain)
-
-_BAND_POINTS = 1 << 22  # points per row band of a walked 2-d level
+from .systems import (_POINT_CHUNK, System, _FloatOrbits, _kept_array, _new_array,
+                      check_float64_horizon, chunk_map, domain_points, into_domain)
 
 
 def dimension_upper_bound(d: int, L: float, h: float) -> float:
@@ -166,28 +166,15 @@ def _hits(dev, band, thresholds, exact):
     return [masks[t] for t in thresholds]
 
 
-def _walk_hits(sys, obs, phibar, pts, n, thresholds, threads=1):
+def _walk_hits(sys, obs, phibar, pts, n, thresholds):
     """_hits of an (N, d) float64 batch at horizon n (no domain check).
 
-    The batch is walked on the screen of observables.screen.  A batch
-    larger than _POINT_CHUNK is walked in equal chunks of at most
-    _POINT_CHUNK points, which bound the working set, on `threads` threads
-    of systems.chunk_map; hits are elementwise, so neither the chunking nor
-    the thread count changes any.
+    The batch is walked whole on the screen of observables.screen, in the
+    orbit buffers the calling thread keeps (systems._kept_array).
     """
-    total = pts.shape[0]
-    if total > _POINT_CHUNK:
-        out = np.empty((len(thresholds), total), dtype=bool)
-        chunks = -(-total // _POINT_CHUNK)
-        chunk = -(-total // chunks)
-
-        def fill(i):
-            out[:, i:i + chunk] = _walk_hits(sys, obs, phibar, pts[i:i + chunk], n, thresholds)
-
-        chunk_map(fill, range(0, total, chunk), threads)
-        return out
     dtype, (band,) = screen(sys, obs, phibar, [n])
-    dev = next(deviations(_FloatOrbits(sys, pts), obs, phibar, dtype, [n]))
+    orbits = _FloatOrbits(sys, pts, _kept_array)
+    dev = next(deviations(orbits, obs, phibar, dtype, [n], buffer=_kept_array))
     return _hits(dev, band, thresholds, lambda rows: deviation(sys, obs, phibar, pts[rows], n))
 
 
@@ -341,9 +328,10 @@ def _children_1d(sys, lo, hi, ratio, m_next):
     return _union_runs(lo, hi)
 
 
-def _grid_2d(rows, cols):
-    """The (len(rows) * len(cols), 2) points (row, col), row-major."""
-    pts = np.empty((rows.size, cols.size, 2))
+def _grid_2d(rows, cols, buffer=_new_array):
+    """The (len(rows) * len(cols), 2) points (row, col), row-major, in
+    buffer("grid", ...) (see systems._FloatOrbits)."""
+    pts = buffer("grid", (rows.size, cols.size, 2))
     pts[:, :, 0] = rows[:, None]
     pts[:, :, 1] = cols[None, :]
     return pts.reshape(-1, 2)
@@ -530,30 +518,32 @@ def _cover_level_1d(sys, obs, phibar, alpha, tau, s, n, lo, hi, coef, threads):
     from lo on; a block starting at cell p has the stencil points p + q,
     q = 0.._BLOCK (corners), then p + q + 1/2 (centres), and one band loop
     ORs their hit masks per cell, as _cover_level_2d does.  A band holds
-    _POINT_CHUNK stencil points per thread that works on it.  Given coef,
-    the ladder's (n_hi, 1) character coefficients (see _closed_form), a
-    band's masks come from _closed_form_hits on the calling thread: its
-    blocks' rows have the phases of fl(p s) and share the columns of
-    fl(q s) and fl((q + 1/2) s) (closed_form_band bounds the split).
-    Otherwise _walk_hits walks the band's points inside their runs, one
-    chunk on each of `threads` threads.  Each band's relaxed runs are read
-    from the edges of its blocks' relaxed slots, and a run that goes on
-    across a block or band edge is joined, so the level keeps per-block
-    arrays and runs, nothing sized by its cells.
+    the _POINT_CHUNK // (2 _BLOCK + 1) blocks whose stencil points fill at
+    most _POINT_CHUNK, and the bands are the starts of systems.chunk_map,
+    on the calling thread in closed form (see _cover_level_2d) and on
+    `threads` threads walked.  Given coef, the ladder's (n_hi, 1) character
+    coefficients (see _closed_form), a band's masks come from
+    _closed_form_hits: its blocks' rows have the phases of fl(p s) and
+    share the columns of fl(q s) and fl((q + 1/2) s) (closed_form_band
+    bounds the split).  Otherwise _walk_hits walks the band's points inside
+    their runs.  Each band returns its card and its relaxed runs, read from
+    the edges of its blocks' relaxed slots; the level sums the cards and
+    joins, in band order, a run that goes on across a block or band edge,
+    so it keeps per-block arrays and runs, nothing sized by its cells.
     """
     offsets = np.concatenate([np.arange(_BLOCK + 1.0), np.arange(_BLOCK) + 0.5])
     blocks = -(-(hi - lo) // _BLOCK)   # blocks per run
     p = np.repeat(lo - _BLOCK * (np.cumsum(blocks) - blocks), blocks)
     p += _BLOCK * np.arange(p.size)   # the first cell of each block
     size = np.minimum(np.repeat(hi, blocks) - p, _BLOCK)   # its cells
-    per_band = max(1, _POINT_CHUNK * (threads if coef is None else 1) // offsets.size)
+    per_band = max(1, _POINT_CHUNK // offsets.size)
     if coef is None:
         def hits(k0, k1):
             inside = offsets <= size[k0:k1, None]   # the stencil points of the blocks' cells
             out = np.zeros((2, k1 - k0, offsets.size), dtype=bool)
             out[0][inside], out[1][inside] = _walk_hits(
                 sys, obs, phibar, _grid_points(sys, (p[k0:k1, None] + offsets)[inside], s), n,
-                (alpha, tau), threads)
+                (alpha, tau))
             return out
     else:
         band = closed_form_band(sys, coef[:n])
@@ -569,21 +559,20 @@ def _cover_level_1d(sys, obs, phibar, alpha, tau, s, n, lo, hi, coef, threads):
             return _closed_form_hits(sys, obs, phibar, n, band, (alpha, tau),
                                      _row_factor(obs, rows[k0:k1], coef), col_f, points)
 
-    card = 0
-    relaxed = np.zeros((min(per_band, p.size), _BLOCK + 2), dtype=bool)   # False either side
-    edges = [np.empty(0, dtype=np.int64)]   # each band's relaxed runs, starts and ends interleaved
-    for k0 in range(0, p.size, per_band):
+    def card_and_edges(k0):
+        # the band's card and its relaxed runs, starts and ends interleaved
         k1 = min(k0 + per_band, p.size)
         valid = np.arange(_BLOCK) < size[k0:k1, None]
-        rel = relaxed[:k1 - k0]
-        hit_alpha, rel[:, 1:-1] = (   # a left or right corner or the centre, in the run
+        relaxed = np.zeros((k1 - k0, _BLOCK + 2), dtype=bool)   # False either side
+        hit_alpha, relaxed[:, 1:-1] = (   # a left or right corner or the centre, in the run
             (hit[:, :_BLOCK] | hit[:, 1:_BLOCK + 1] | hit[:, _BLOCK + 1:]) & valid
             for hit in hits(k0, k1))
-        card += int(np.count_nonzero(hit_alpha))
-        k, q = np.divmod(np.flatnonzero(rel[:, 1:] != rel[:, :-1]), _BLOCK + 1)
-        edges.append(p[k0 + k] + q)
-    edges = np.concatenate(edges)
-    return card, _union_runs(edges[::2], edges[1::2])
+        k, q = np.divmod(np.flatnonzero(relaxed[:, 1:] != relaxed[:, :-1]), _BLOCK + 1)
+        return int(np.count_nonzero(hit_alpha)), p[k0 + k] + q
+
+    bands = chunk_map(card_and_edges, range(0, p.size, per_band), threads if coef is None else 1)
+    edges = np.concatenate([np.empty(0, dtype=np.int64)] + [e for _, e in bands])
+    return sum(c for c, _ in bands), _union_runs(edges[::2], edges[1::2])
 
 
 def _cover_level_2d(sys, obs, phibar, alpha, s, m, n, coef, threads):
@@ -600,28 +589,23 @@ def _cover_level_2d(sys, obs, phibar, alpha, s, m, n, coef, threads):
     _closed_form), S_n(row, col) = sum_j cos(a_j + b_j), a_j = 2 pi c_j0 row,
     b_j = 2 pi c_j1 col, j < n (see _character_coefficients): a band's hits
     are those of _closed_form_hits from cos/sin tables built once per
-    level, O(m n) cosines for the level instead of O(m^2 n).
-    The closed form runs on the calling thread in bands of P = _POINT_CHUNK
-    points: OpenBLAS products issued from two threads at once ran 6-17x
-    slower than from one, and a level of cat.ini took 0.39-0.47 s on two
-    threads against 0.28-0.35 s on one.
-    Other pairs walk every point under the screen of observables.screen,
-    in bands of P = _BAND_POINTS whose chunks run on the thread pool; bands
-    of one _POINT_CHUNK took a cat x bump cover (levels 1..4, 2-vCPU Xeon)
-    from 0.37 to 0.51 s on one thread, faulting its temporaries in anew.
+    level, O(m n) cosines for the level instead of O(m^2 n).  Other pairs
+    walk every point under the screen of observables.screen (_walk_hits).
+
+    Bands hold P = _POINT_CHUNK points and are the starts of
+    systems.chunk_map: walked bands on `threads` threads, closed-form ones
+    on the calling thread, since OpenBLAS products issued from two threads
+    at once ran 6-17x slower than from one, and a level of cat.ini took
+    0.39-0.47 s on two threads against 0.28-0.35 s on one.
     """
     corners = _grid_points(sys, np.arange(m + 1, dtype=np.float64), s).ravel()
     centres = _grid_points(sys, np.arange(m) + 0.5, s).ravel()
 
     if coef is None:
-        band_points = _BAND_POINTS
-
         def hits(axis, r0, r1):
-            pts = _grid_2d(axis[r0:r1], axis)
-            hit = _walk_hits(sys, obs, phibar, pts, n, (alpha,), threads)[0]
-            return hit.reshape(r1 - r0, axis.size)
+            pts = _grid_2d(axis[r0:r1], axis, _kept_array)
+            return _walk_hits(sys, obs, phibar, pts, n, (alpha,))[0].reshape(r1 - r0, axis.size)
     else:
-        band_points = _POINT_CHUNK
         coef = coef[:n]
         band = closed_form_band(sys, coef)
         factors = [(_row_factor(obs, axis, coef[:, 0]), _col_factor(obs, axis, coef[:, 1]))
@@ -637,16 +621,16 @@ def _cover_level_2d(sys, obs, phibar, alpha, s, m, n, coef, threads):
             return _closed_form_hits(sys, obs, phibar, n, band, (alpha,),
                                      row_f[r0:r1], col_f, points)[0]
 
-    card = 0
-    rows_per_band = max(1, band_points // (m + 1) - 1)
-    for r0 in range(0, m, rows_per_band):
+    def card(r0):
         r1 = min(r0 + rows_per_band, m)
         corner = hits(corners, r0, r1 + 1)
         edge = corner[:-1] | corner[1:]
         cell = edge[:, :-1] | edge[:, 1:]
         cell |= hits(centres, r0, r1)
-        card += int(np.count_nonzero(cell))
-    return card
+        return int(np.count_nonzero(cell))
+
+    rows_per_band = max(1, _POINT_CHUNK // (m + 1) - 1)
+    return sum(chunk_map(card, range(0, m, rows_per_band), threads if coef is None else 1))
 
 
 def build_cover_ladder(sys: System, obs: Observable, phibar: float, alpha: float,
@@ -661,11 +645,12 @@ def build_cover_ladder(sys: System, obs: Observable, phibar: float, alpha: float
     thresholds (see _prune_thresholds, _children_1d); in 2-d every level is
     swept densely.  A linear map (the system declares a matrix) with a
     character observable takes its Birkhoff sums in closed form, other
-    pairs by the float64 walk, in one band loop a level (_cover_level_1d,
-    _cover_level_2d).  Either way cards are those of the float64 walk, at
-    any thread count: `threads` (an integer >= 1, ValueError naming it)
-    runs the point chunks of walked levels on systems.chunk_map, and the
-    closed forms on the calling thread.  The budget, an integer >= 1, caps the total number
+    pairs by the float64 walk, in bands of at most _POINT_CHUNK stencil
+    points (_cover_level_1d, _cover_level_2d).  Either way cards are those
+    of the float64 walk, at any thread count: `threads` (an integer >= 1,
+    ValueError naming it) runs the bands of walked levels on
+    systems.chunk_map, and those of the closed forms on the calling
+    thread.  The budget, an integer >= 1, caps the total number
     of cells examined (the runs' lengths in 1-d); a level that would exceed it raises
     GridBudgetError before any of its cells are evaluated.  A level past the
     float64 orbit budget (systems.check_float64_horizon) raises ValueError,

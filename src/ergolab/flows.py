@@ -179,7 +179,7 @@ def _walk_block(flow, pts, s, remaining, rows, cap, visit):
     xs = np.zeros((B, n, d))
     xs[0] = pts[rows]
     for b, m in enumerate(cap[1:].sum(axis=1).tolist(), 1):
-        xs[b, :m] = flow.base._step(xs[b - 1, :m])
+        flow.base._step(xs[b - 1, :m], xs[b, :m])
     room = flow.roof.fn(xs.reshape(-1, d)).reshape(B, n)
     room[0] -= s[rows]
     rem = np.empty((B, n))
@@ -197,7 +197,8 @@ def _walk_block(flow, pts, s, remaining, rows, cap, visit):
     end = (live.sum(axis=0) - 1) * n + np.arange(n)
     cont = crossing.ravel()[end]
     x = xs.reshape(-1, d)[end]
-    x[cont] = flow.base._step(x[cont])
+    moved = x[cont]
+    x[cont] = flow.base._step(moved, np.empty_like(moved))
     s_first, rem_end = s[rows], rem.ravel()[end]
     pts[rows] = x
     s[rows] = np.where(cont, 0.0, np.where(end < n, s_first, 0.0) + rem_end)

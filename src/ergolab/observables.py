@@ -49,8 +49,8 @@ import numpy as np
 from .errors import check_integer, check_real
 from .rng import STREAM_ORBIT_SEED, raw_blocks
 from .systems import (_TWO_PI, CatalogEntry, Param, System, _as_batch, _check_domain,
-                      _FloatOrbits, birkhoff_sums, catalog_entry, chunk_map, domain_diameter,
-                      domain_points, iterate, sample_points)
+                      _FloatOrbits, _new_array, birkhoff_sums, catalog_entry, chunk_map,
+                      domain_diameter, domain_points, iterate, sample_points)
 
 
 @dataclass(frozen=True)
@@ -77,22 +77,31 @@ def _cos1(oid, sys):
                       lip=_TWO_PI, sup_abs=1.0, character=(1,) + (0,) * (sys.d - 1))
 
 
+def _circle_distance(p):
+    # distance to 0 on the circle, min(x, 1 - x): the 1-Lipschitz sawtooth.
+    # Walked covers call it once a step, so it allocates its result only
+    d = np.subtract(1.0, p[:, 0])
+    return np.minimum(p[:, 0], d, out=d)
+
+
 def _coord(oid, sys):
     if sys.domain == "torus":
-        # distance to 0 on the circle: the 1-Lipschitz sawtooth
-        return Observable(oid, lambda p: np.minimum(p[:, 0], 1.0 - p[:, 0]), lip=1.0, sup_abs=0.5)
+        return Observable(oid, _circle_distance, lip=1.0, sup_abs=0.5)
     return Observable(oid, lambda p: p[:, 0], lip=1.0, sup_abs=max(abs(sys.lo), abs(sys.hi)))
 
 
 def _bump(oid, sys, a, w):
+    # on the torus the centre is 1/2 and |x - 1/2| <= 1/2 is the circle distance;
+    # fn, like _circle_distance, allocates its result only
     center = (sys.lo + sys.hi) / 2.0
-    torus = sys.domain == "torus"
 
     def fn(p):
-        d = np.abs(p[:, 0] - center)
-        if torus:
-            d = np.minimum(d, 1.0 - d)
-        return np.clip(1.0 - (d - w / 2.0) / a, 0.0, 1.0)
+        d = np.subtract(p[:, 0], center)
+        np.abs(d, out=d)
+        d -= w / 2.0
+        d /= a
+        np.subtract(1.0, d, out=d)
+        return np.clip(d, 0.0, 1.0, out=d)
 
     return Observable(oid, fn, lip=1.0 / a, sup_abs=1.0, params=(("a", a), ("w", w)))
 
@@ -341,19 +350,23 @@ def time_average(sys: System, obs: Observable, x, n: int):
     return float(avg[0]) if tag in ("scalar", "point") else avg
 
 
-def deviations(orbits, obs: Observable, phibar: float, dtype, horizons, doubles=False):
+def deviations(orbits, obs: Observable, phibar: float, dtype, horizons, doubles=False,
+               buffer=_new_array):
     """Yield |S_n / n - phibar| of obs along the orbits at each horizon n, in dtype.
 
     S_n sums terms(obs, dtype, doubles) by systems.birkhoff_sums, whose rules on
     horizons hold, and the quotient, difference and absolute value are
     taken in dtype too, phibar and n cast to it (float32_band bounds the
-    float32 ones).  One array is updated in place: read each before the
-    next.
+    float32 ones).  One array, from buffer (as birkhoff_sums takes it), is
+    updated in place: read each before the next.
     """
     cast = np.dtype(dtype).type
     phibar = cast(phibar)
     dev = None
-    for n, sums in zip(horizons, birkhoff_sums(orbits, terms(obs, dtype, doubles), horizons)):
+    walk = birkhoff_sums(orbits, terms(obs, dtype, doubles), horizons, buffer)
+    for n, sums in zip(horizons, walk):
+        if dev is None:
+            dev = buffer("deviations", sums.shape, sums.dtype.type)
         dev = np.divide(sums, cast(n), out=dev)
         dev -= phibar
         yield np.abs(dev, out=dev)

@@ -278,8 +278,8 @@ def run_pipeline(cfg: ExperimentConfig, threads: int = 1, stages=None) -> Report
     """Run the requested stages and assemble a report.
 
     `threads` (an integer >= 1, ValueError naming it) runs the pieces of a
-    Lebesgue space average and the point chunks of walked cover levels on
-    that many threads of the package's one pool (systems.chunk_map); the
+    Lebesgue space average and the bands of walked cover levels on that
+    many threads of the package's one pool (systems.chunk_map); the
     empirical-orbit space average, the ladders, the closed-form covers, the
     lemma and the flows run on the calling thread.  It never changes the
     report.

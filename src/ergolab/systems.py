@@ -30,9 +30,10 @@ multiplied by 2 pi 2^-32, a phase in [-pi, pi) with the cosine of
 2 pi x_1, in one multiply and no shift: `_phase`).  The doubling and
 tent ensembles never step their state: they read the point after j steps
 at bit offset j of the draw, the tent's folded (_DyadicDoubling).  The
-cat ensemble steps its 128-bit state in place.  Once made, none of them
-allocates per step; the logistic ensemble, a float64 batch, allocates its
-new points at every step.  Every representation is summed by one kernel,
+cat ensemble steps its 128-bit state in place, and float64 orbits
+(`_FloatOrbits`, the logistic ensemble's too) step in buffers of their
+own: once made, no representation allocates points per step.  Every
+representation is summed by one kernel,
 `birkhoff_sums`, in the terms' dtype (float32 for the screen, float64
 otherwise), which observables drives (`time_average`, `deviations`).
 
@@ -45,7 +46,7 @@ Float64 orbits have one budget for every system, n log2 L <= 45
 (FLOAT64_BITS), which covers and the ball lemma enforce.
 
 `chunk_map` is the package's one thread pool: the Lebesgue space average's
-pieces and the walked cover levels' point chunks run on it.
+pieces and the cover levels' bands run on it.
 """
 
 from __future__ import annotations
@@ -105,17 +106,17 @@ def chunk_map(fn, starts, threads: int) -> list:
     """[fn(s) for s in starts], on `threads` threads: the one chunk pool.
 
     At threads=1, or with fewer than two starts, it is that loop.
-    Otherwise the calling thread and threads - 1 workers of the process's
-    one pool (`_submit`) claim the starts in order, one at a time, until
-    none is left or a call has raised; results come back in the order of
-    `starts`.  A worker that has not started when the calling thread is
-    done is cancelled, so a chunk_map inside fn never waits on a worker
-    that is busy with its caller.  An error is raised once every claimed
-    call has returned: the one of the first start whose call raised, which
-    is the one the loop raises (every start before it was claimed before
-    it).  fn runs on several threads at once, so it writes only what no
-    other call reads or writes, such as its own slice of an output array.
-    threads must be an integer >= 1 (ValueError naming it).
+    Otherwise the calling thread and min(threads, len(starts)) - 1 workers
+    of the process's one pool (`_submit`) claim the starts in order, one at
+    a time, until none is left or a call has raised; results come back in
+    the order of `starts`.  A worker that has not started when the calling
+    thread is done is cancelled, so a chunk_map inside fn never waits on a
+    worker that is busy with its caller.  An error is raised once every
+    claimed call has returned: the one of the first start whose call
+    raised, which is the one the loop raises (every start before it was
+    claimed before it).  fn runs on several threads at once, so it writes
+    only what no other call reads or writes, such as its own slice of an
+    output array.  threads must be an integer >= 1 (ValueError naming it).
     """
     check_integer("threads", threads, 1)
     starts = list(starts)
@@ -138,7 +139,7 @@ def chunk_map(fn, starts, threads: int) -> list:
                 with lock:
                     errors[i] = e
 
-    helpers = _submit(work, threads - 1)
+    helpers = _submit(work, min(threads, len(starts)) - 1)
     try:
         work()
     finally:
@@ -149,6 +150,29 @@ def chunk_map(fn, starts, threads: int) -> list:
     if errors:
         raise errors[min(errors)]
     return results
+
+
+# ---------------------------------------------------------------------------
+# kept arrays
+
+_kept = threading.local()          # each thread's kept arrays, by (name, dtype)
+
+
+def _new_array(name, shape, dtype=np.float64):
+    return np.empty(shape, dtype)
+
+
+def _kept_array(name, shape, dtype=np.float64):
+    """_new_array from the calling thread's kept array of this name and
+    dtype (a numpy scalar type), made again only when a larger one is asked
+    for: a thread that walks band after band allocates once, not once a
+    band, whose fresh pages cost more than its arithmetic.  It holds until
+    the thread's next call of that name, so hand no caller one."""
+    kept, size = vars(_kept), math.prod(shape)
+    a = kept.get((name, dtype))
+    if a is None or a.size < size:
+        a = kept[name, dtype] = np.empty(size, dtype)
+    return a[:size].reshape(shape)
 
 
 def wrap_unit(x):
@@ -172,19 +196,20 @@ def _wrap_in_place(a):
     return a
 
 
-def _step_doubling(pts):
-    return _wrap_in_place(2.0 * pts)
+def _step_doubling(pts, out):
+    return _wrap_in_place(np.multiply(pts, 2.0, out=out))
 
 
-def _step_tent(pts):
-    return 1.0 - np.abs(1.0 - 2.0 * pts)
+def _step_tent(pts, out):
+    # the operations of 1 - |1 - 2x| in the same order, in out
+    np.subtract(1.0, np.multiply(pts, 2.0, out=out), out=out)
+    return np.subtract(1.0, np.abs(out, out=out), out=out)
 
 
-def _step_cat(pts):
-    # the operations of wrap_unit([2x + y, x + y]) in the same order, done in
-    # place in one new array (floor and the >= 1 mask are the only temporaries)
+def _step_cat(pts, out):
+    # the operations of wrap_unit([2x + y, x + y]) in the same order, in out
+    # (floor and the >= 1 mask are the only temporaries)
     x, y = pts[:, 0], pts[:, 1]
-    out = np.empty_like(pts)
     np.multiply(x, 2.0, out=out[:, 0])
     out[:, 0] += y
     np.add(x, y, out=out[:, 1])
@@ -254,9 +279,10 @@ def iterate(sys: System, x, k: int):
     check_integer("k", k, 0)
     pts, tag = _as_batch(sys, x)
     _check_domain(sys, pts)
+    orbits = _FloatOrbits(sys, pts)
     for _ in range(k):
-        pts = sys._step(pts)
-    return _restore(pts, tag)
+        orbits.advance()
+    return _restore(orbits.x, tag)
 
 
 def distance(sys: System, a, b):
@@ -284,25 +310,35 @@ def domain_diameter(sys: System) -> float:
 
 class _FloatOrbits:
     """Float64 orbits of an (N, d) batch: every float batch whose Birkhoff
-    sums are taken, the logistic ensemble (_FloatEnsemble) included.  Each
-    step allocates its new points."""
+    sums are taken, the logistic ensemble (_FloatEnsemble) included.
 
-    def __init__(self, sys, pts):
-        self.sys = sys
-        self.x = pts
+    The orbits start from a copy of pts and step in buffers from
+    buffer(name, shape, dtype) (_new_array or _kept_array): a 1-d step
+    writes over x (its spare is x), and a 2-d one, which reads the old x,
+    into its spare, and the two swap.
+    """
+
+    def __init__(self, sys, pts, buffer=_new_array):
+        self.sys, self._buffer, self._phases = sys, buffer, None
+        self.x = buffer("x", pts.shape, np.float64)
+        self.x[...] = pts
+        self.spare = self.x if sys.d == 1 else buffer("spare", pts.shape, np.float64)
 
     def points(self, phase=False) -> np.ndarray:
         """The current (count, d) float64 points, or with phase the (count,)
-        float32 phases fl(fl(x_1) fl(2 pi)) of x_1, in a new array."""
+        float32 phases fl(fl(x_1) fl(2 pi)) of x_1; the orbits write either
+        again, so read it before the next step or phases."""
         if phase:
-            return np.multiply(self.x[:, 0], _TWO_PI, dtype=np.float32)
+            if self._phases is None:
+                self._phases = self._buffer("phases", self.x.shape[:1], np.float32)
+            return np.multiply(self.x[:, 0], _TWO_PI, out=self._phases, dtype=np.float32)
         return self.x
 
     def advance(self):
-        self.x = self.sys._step(self.x)
+        self.x, self.spare = self.sys._step(self.x, self.spare), self.x
 
 
-def birkhoff_sums(orbits, term, n_values):
+def birkhoff_sums(orbits, term, n_values, buffer=_new_array):
     """Yield the Birkhoff sum S_n = sum_{j<n} of the terms at f^j x, at each horizon of n_values.
 
     `orbits` is any orbit representation (a float batch in `_FloatOrbits`, or
@@ -313,9 +349,9 @@ def birkhoff_sums(orbits, term, n_values):
     rounding observables.float32_band bounds, any others (an observable's fn
     on float64 points) into a float64 sum.  n_values must be increasing and
     >= 1, and the orbits advance n_max - 1 times.  A term may be an array
-    the orbits write again at the next step, so the sum starts from a copy;
-    it is then updated in place, so read each yielded array before asking
-    for the next.
+    the orbits write again at the next step, so the sum starts from a copy,
+    in buffer("sums", shape, dtype) (see _FloatOrbits); it is then updated
+    in place, so read each yielded array before asking for the next.
     """
     acc = None
     k = 0                                         # steps walked
@@ -326,7 +362,8 @@ def birkhoff_sums(orbits, term, n_values):
             t = term(orbits)
             k += 1
             if acc is None:
-                acc = t.astype(np.float32 if t.dtype == np.float32 else np.float64)
+                acc = buffer("sums", t.shape, np.float32 if t.dtype == np.float32 else np.float64)
+                acc[...] = t
             else:
                 acc += t
         yield acc
@@ -602,7 +639,9 @@ class System:
     expansion base used by dimension bounds is `L = max(lip, 2)`.  `matrix`
     is the integer matrix A of a linear torus map, whose step is
     wrap_unit(A x) (rows of A, as nested tuples), and None for the others.
-    `ensemble(sys, blocks)` is the orbit representation of its sampled
+    `_step(pts, out)` writes the step of an (N, d) batch into out and
+    returns it; in 1-d out may be pts.  `ensemble(sys, blocks)` is the
+    orbit representation of its sampled
     ensembles, float64 orbits of the step map unless the builder picks
     another: its `horizon` is the deepest horizon it is faithful for (None
     where no budget is derived), and its `doubles_phase` says whether one
@@ -649,9 +688,11 @@ def _cat(sid):
 def _logistic(sid, c):
     beta = (1.0 + math.sqrt(1.0 - 4.0 * c)) / 2.0
 
-    def step(pts, _c=c, _b=beta):
+    def step(pts, out, _c=c, _b=beta):
         # one step can exit [-b, b] only by float rounding; clamp the dust
-        return np.clip(pts * pts + _c, -_b, _b)
+        np.multiply(pts, pts, out=out)
+        out += _c
+        return np.clip(out, -_b, _b, out=out)
 
     return System(sid, 1, "interval", -beta, beta, 2.0 * beta,
                   "empirical-orbit", params=(("c", c),), _step=step)

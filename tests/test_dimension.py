@@ -435,11 +435,10 @@ def test_cover_dedup_equals_np_unique():
 
 
 def test_walk_hits_chunking_is_invisible():
-    # a batch of three chunks, walked whole at 1 and 2 threads, gives the
-    # masks of reference batches smaller than a chunk whose edges fall off
-    # the chunk seams, and those of the float64 deviations; thresholds at
-    # points' own float64 deviations, spread over the batch, are decided by
-    # the recount
+    # a batch of two _POINT_CHUNKs and more, walked whole, gives the masks
+    # of pieces walked one after another in the same thread's kept buffers,
+    # and those of the float64 deviations; thresholds at points' own
+    # float64 deviations, spread over the batch, are decided by the recount
     sysd = E.get_system("doubling")
     cos1 = E.get_observable("cos1", sysd)
     pts = np.random.default_rng(2).random((2 * _POINT_CHUNK + 5, 1))
@@ -450,9 +449,7 @@ def test_walk_hits_chunking_is_invisible():
         want = np.concatenate([_walk_hits(sysd, cos1, 0.1, pts[i:i + step], 3, thresholds)
                                for i in range(0, pts.shape[0], step)], axis=1)
         assert np.array_equal(want, [exact >= t for t in thresholds])
-        for threads in (1, 2):
-            got = _walk_hits(sysd, cos1, 0.1, pts, 3, thresholds, threads)
-            assert np.array_equal(got, want)
+        assert np.array_equal(_walk_hits(sysd, cos1, 0.1, pts, 3, thresholds), want)
 
 
 def test_walk_hits_decide_ties_and_band_rows_in_float64():
@@ -675,7 +672,7 @@ def test_cover_level_1d_closed_form_layout(monkeypatch):
                                                    ("doubling", "coord", 0.25, 0.15)])
 def test_walked_1d_levels_walk_bands_of_point_chunks(monkeypatch, sid, oid, phibar, alpha):
     # a walked 1-d level walks the stencil points of its runs in bands of at
-    # most _POINT_CHUNK points a thread, one chunk on each thread of the pool,
+    # most _POINT_CHUNK points, one band a call on the threads of the pool,
     # and the pruned ladder's cards are those of every cell's float64 stencil maxima
     monkeypatch.setattr(dimension, "_POINT_CHUNK", 150)
     batches = _recording_walk(monkeypatch)
@@ -684,7 +681,7 @@ def test_walked_1d_levels_walk_bands_of_point_chunks(monkeypatch, sid, oid, phib
     delta = E.modulus_delta_for(sysm, obs, alpha)
     lad = E.build_cover_ladder(sysm, obs, phibar, alpha, delta, 4, 8, threads=2)
     assert len(batches) > 5 * len(lad.entries)
-    assert max(b.shape[0] for b in batches) <= 2 * 150
+    assert max(b.shape[0] for b in batches) <= 150
     dense = 0
     for e in lad.entries:
         s = delta * sysm.L ** -e.n / 2.0
@@ -696,7 +693,7 @@ def test_walked_1d_levels_walk_bands_of_point_chunks(monkeypatch, sid, oid, phib
 
 @pytest.mark.parametrize("oid,phibar,alpha", [("cos1", 0.02, 0.5), ("coord", 0.5, 0.2)])
 def test_1d_levels_across_bands(monkeypatch, oid, phibar, alpha):
-    # Bands of two blocks a thread put a level in many bands.  Relaxed runs
+    # Bands of two blocks put a level in many bands.  Relaxed runs
     # that go on across block and band edges, and candidate runs that start
     # a band, give the runs and cards of brute force and of one band, in
     # closed form (cos1 on doubling) and walked (coord), at 1, 2 and 3
@@ -731,12 +728,11 @@ def test_1d_levels_across_bands(monkeypatch, oid, phibar, alpha):
         s_n = delta * sysd.L ** -e.n / 2.0
         cells = np.arange(_grid_cells(sysd, s_n))
         assert e.card == np.count_nonzero(_cellmax_1d(sysd, obs, phibar, cells, s_n, e.n) >= alpha)
-    monkeypatch.setattr(dimension, "_POINT_CHUNK", 2 * (2 * B + 1))
+    monkeypatch.setattr(dimension, "_POINT_CHUNK", 2 * (2 * B + 1))   # two blocks a band
     starts = np.flatnonzero(np.isin(p, lo))   # the blocks that start a candidate run
+    assert np.any((starts > 0) & (starts % 2 == 0))
+    edges = [p[~np.isin(p, lo)], np.setdiff1d(p[::2], lo)]   # block and band edges
     for threads in (1, 2, 3):
-        per_band = 2 * (threads if coef is None else 1)   # blocks a band
-        assert np.any((starts > 0) & (starts % per_band == 0))
-        edges = [p[~np.isin(p, lo)], np.setdiff1d(p[::per_band], lo)]   # block and band edges
         crossed = [False, False]
         for (a, t), want in zip(thresholds, one_band):
             runs = level(a, t, threads)
@@ -751,12 +747,15 @@ def test_1d_levels_across_bands(monkeypatch, oid, phibar, alpha):
 def test_walked_1d_level_memory_is_bounded_by_its_band():
     # a walked 1-d level of 2M candidate cells holds its per-block arrays
     # and one band of _POINT_CHUNK stencil points a thread at a time: its
-    # peak is a few bands' points, not a multiple of the level's cells
+    # peak is a few bands' points, not a multiple of the level's cells.
+    # Its threads walk in buffers of their own: the level is the same at
+    # 1 and 2 threads
     sysd = E.get_system("doubling")
     coord = E.get_observable("coord", sysd)
     s = 1.0 / 2_000_000
     m = _grid_cells(sysd, s)
     assert m >= 2_000_000
+    levels = []
     for threads in (1, 2):
         tracemalloc.start()
         try:
@@ -767,6 +766,9 @@ def test_walked_1d_level_memory_is_bounded_by_its_band():
             tracemalloc.stop()
         assert 0 < card < m and runs[0].size
         assert peak < 16 * 8 * _POINT_CHUNK * threads   # 16 bands of float64 points
+        levels.append((card, *runs))
+    assert levels[0][0] == levels[1][0]
+    assert all(np.array_equal(a, b) for a, b in zip(levels[0][1:], levels[1][1:]))
 
 
 def test_closed_form_band_bounds_the_1d_split(monkeypatch):
@@ -959,26 +961,19 @@ def test_cover_refines_under_smaller_delta():
 
 
 def test_cover_2d_matches_brute_force(monkeypatch):
-    # cos1 takes the closed form, coord and bump the float walk; small bands
-    # and chunks put seams inside every level.  A walked band's corner rows
-    # fit in _BAND_POINTS, or are two rows where one row holds more than
-    # half a band (m = 46 in bands of 60)
-    monkeypatch.setattr(dimension, "_POINT_CHUNK", 200)
+    # cos1 takes the closed form, coord and bump the float walk; small
+    # bands put seams inside every level, at 1, 2 and 3 threads.  A band
+    # holds at most _POINT_CHUNK points, or two corner rows where those
+    # hold more (bands of 30 at m = 18, of 60 at m = 46)
     batches = _recording_walk(monkeypatch)
     sysc = E.get_system("cat")
     alpha, delta = 0.4, 0.3
     for oid, kw in [("cos1", {}), ("coord", {}), ("bump", {"a": 0.1, "w": 0.1})]:
         obs = E.get_observable(oid, sysc, **kw)
-        for n, band in [(1, 500), (2, 500), (2, 60)]:
-            monkeypatch.setattr(dimension, "_BAND_POINTS", band)
-            batches.clear()
-            lad = E.build_cover_ladder(sysc, obs, 0.0, alpha, delta, n, n, threads=2)
+        for n, chunk in [(1, 200), (1, 30), (2, 200), (2, 60)]:
+            monkeypatch.setattr(dimension, "_POINT_CHUNK", chunk)
             s = delta * sysc.L ** (-n) / 2.0
             m = math.ceil(1.0 / s)
-            assert lad.examined_cells == m * m
-            if oid != "cos1":
-                assert batches
-                assert max(b.shape[0] for b in batches) <= max(band, 2 * (m + 1))
             # brute force: evaluate the full corner grid and the centers directly
             idx = np.arange(m + 1, dtype=float) * s % 1.0
             cx, cy = np.meshgrid(idx, idx, indexing="ij")
@@ -990,8 +985,16 @@ def test_cover_2d_matches_brute_force(monkeypatch):
             dev_m = np.abs(E.time_average(sysc, obs, centers, n)).reshape(m, m)
             cellmax = np.maximum.reduce([dev_c[:-1, :-1], dev_c[1:, :-1],
                                          dev_c[:-1, 1:], dev_c[1:, 1:], dev_m])
-            assert lad.entries[0].card == int(np.count_nonzero(cellmax >= alpha))
-            assert 0 < lad.entries[0].card < m * m
+            want = int(np.count_nonzero(cellmax >= alpha))
+            assert 0 < want < m * m
+            for threads in (1, 2, 3):
+                batches.clear()
+                lad = E.build_cover_ladder(sysc, obs, 0.0, alpha, delta, n, n, threads=threads)
+                assert lad.examined_cells == m * m
+                assert lad.entries[0].card == want
+                if oid != "cos1":
+                    assert len(batches) >= 4                  # two bands or more
+                    assert max(b.shape[0] for b in batches) <= max(chunk, 2 * (m + 1))
             # analytic full-space count in 2-d
             full = E.build_cover_ladder(sysc, obs, 0.0, 0.0, delta, n, n)
             assert full.entries[0].card == m * m

@@ -274,7 +274,7 @@ def ref_time_average(flow, fobs, x, s, T, quadrature_step=None):
         remaining -= seg
         if not crossing:
             break
-        pts = flow.base._step(pts)
+        pts = flow.base._step(pts, np.empty_like(pts))
         s = 0.0
     return total / T
 
@@ -289,7 +289,7 @@ def ref_flow_step(flow, x, s, t):
             s += remaining
             break
         remaining -= room
-        pts = flow.base._step(pts)
+        pts = flow.base._step(pts, np.empty_like(pts))
         s = 0.0
     return pts[0], s
 

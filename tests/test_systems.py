@@ -19,8 +19,8 @@ from ergolab.errors import DomainError
 from ergolab.observables import (_CHUNK, _WINDOW, _mean_and_error, deviations, float32_band,
                                  terms)
 from ergolab.rng import STREAM_ORBIT_SEED, STREAM_ORBITS, raw_blocks, uniform01
-from ergolab.systems import (_FloatOrbits, _fraction, birkhoff_sums, chunk_map, domain_points,
-                             into_domain, sample_points, wrap_unit)
+from ergolab.systems import (_FloatOrbits, _fraction, _kept_array, birkhoff_sums, chunk_map,
+                             domain_points, into_domain, sample_points, wrap_unit)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -159,9 +159,10 @@ def _old_wrap_unit(x):
 
 
 def test_in_place_step_maps_equal_their_out_of_place_forms():
-    # doubling and cat step in place inside one new array; over 60 steps
-    # they and wrap_unit stay bit-equal to wrap_unit(2x) and
-    # wrap_unit([2x + y, x + y]) on random points and on edge points
+    # doubling steps in place and cat into a second array, which leaves its
+    # input as it is; over 60 steps they and wrap_unit stay bit-equal to
+    # wrap_unit(2x) and wrap_unit([2x + y, x + y]) on random points and on
+    # edge points
     edges = [0.0, 0.5, np.nextafter(1.0, 0.0), -5e-324, -(2.0 ** -54), 1.0, 2.5,
              np.nan, np.inf, -np.inf]
     rng = np.random.default_rng(12)
@@ -176,10 +177,10 @@ def test_in_place_step_maps_equal_their_out_of_place_forms():
         a, b = x1.copy(), x1.copy()
         p, q = x2.copy(), x2.copy()
         for _ in range(60):
-            a_in, p_in = a.copy(), p.copy()
-            a_next, p_next = step_doubling(a), step_cat(p)
-            assert a.tobytes() == a_in.tobytes() and p.tobytes() == p_in.tobytes()
-            a, p = a_next, p_next
+            p_in = p.copy()
+            a, p_next = step_doubling(a, a), step_cat(p, np.empty_like(p))
+            assert p.tobytes() == p_in.tobytes()
+            p = p_next
             b = _old_wrap_unit(2.0 * b)
             q = _old_wrap_unit(np.stack([2.0 * q[:, 0] + q[:, 1], q[:, 0] + q[:, 1]], axis=1))
             assert a.tobytes() == b.tobytes()
@@ -191,6 +192,65 @@ def test_in_place_step_maps_equal_their_out_of_place_forms():
             zero_d = np.array(e)
             assert isinstance(E.wrap_unit(zero_d), float)
             assert zero_d.tobytes() == np.array(e).tobytes()     # argument unchanged
+
+
+def _out_of_place_step(sysm, x):
+    """The step maps as out-of-place expressions, as they were written before
+    they stepped into buffers."""
+    if sysm.sid == "doubling":
+        return _old_wrap_unit(2.0 * x)
+    if sysm.sid == "tent":
+        return 1.0 - np.abs(1.0 - 2.0 * x)
+    if sysm.sid == "cat":
+        return _old_wrap_unit(np.stack([2.0 * x[:, 0] + x[:, 1], x[:, 0] + x[:, 1]], axis=1))
+    return np.clip(x * x + sysm.params[0][1], sysm.lo, sysm.hi)
+
+
+@pytest.mark.parametrize("sid,kw", [("doubling", {}), ("tent", {}), ("cat", {}),
+                                    ("logistic", {"c": -1.7}), ("logistic", {"c": -2.0})])
+def test_kept_buffer_steps_equal_iterate(sid, kw):
+    # a walk stepping in the calling thread's kept buffers (in place in 1-d,
+    # between two buffers on cat) reads, at each of 60 steps, the bits of
+    # iterate and of the step map's out-of-place form; its start points and
+    # what iterate handed out stay as they were
+    sysm = E.get_system(sid, **kw)
+    pts = sample_points(sysm, seed=8, start=0, count=4096)
+    start = pts.copy()
+    orbits = _FloatOrbits(sysm, pts, _kept_array)
+    want = pts
+    for k in range(1, 61):
+        orbits.advance()
+        want = _out_of_place_step(sysm, want)
+        got = E.iterate(sysm, pts, k)
+        assert got.tobytes() == want.tobytes(), k
+        assert orbits.points().tobytes() == want.tobytes(), k
+        assert not np.shares_memory(got, orbits.points())
+    assert pts.tobytes() == start.tobytes()
+
+
+def test_float_ensembles_alive_at_once_stay_independent():
+    # two logistic ensembles (float64 orbits in buffers of their own) and a
+    # walk in the thread's kept buffers, stepped in turn on one thread, each
+    # follow their own orbits: the points of iterate from their starts
+    sysl = E.get_system("logistic", c=-1.7)
+    cos1 = E.get_observable("cos1", sysl)
+    ens = [E.sample_orbit_ensemble(sysl, seed, 0, 1000) for seed in (1, 2)]
+    starts = [e.points().copy() for e in ens] + [sample_points(sysl, 3, 0, 700)]
+    walk = _FloatOrbits(sysl, starts[2], _kept_array)
+    orbits = ens + [walk]
+    for k in range(1, 30):
+        for o in orbits:
+            o.advance()
+        for o, x in zip(orbits, starts):
+            assert o.points().tobytes() == E.iterate(sysl, x, k).tobytes(), k
+    assert not np.shares_memory(ens[0].points(), ens[1].points())
+    # and so do their phases and sums, taken by one kernel in turn
+    sums = [birkhoff_sums(o, terms(cos1, np.float32), [5, 9]) for o in orbits]
+    for n in (5, 9):
+        got = [next(s).copy() for s in sums]
+        for g, x in zip(got, starts):
+            ref = _FloatOrbits(sysl, E.iterate(sysl, x, 29))
+            assert g.tobytes() == next(birkhoff_sums(ref, terms(cos1, np.float32), [n])).tobytes()
 
 
 def test_declared_matrices_and_characters_match_the_maps():
@@ -205,7 +265,7 @@ def test_declared_matrices_and_characters_match_the_maps():
         pts = sysm.lo + (sysm.hi - sysm.lo) * rng.random((10_000, sysm.d))
         if sysm.matrix is not None:
             a = np.array(sysm.matrix, dtype=np.float64)
-            assert np.array_equal(sysm._step(pts), E.wrap_unit(pts @ a.T))
+            assert np.array_equal(sysm._step(pts, np.empty_like(pts)), E.wrap_unit(pts @ a.T))
         for oid, okw in [("cos1", {}), ("coord", {}), ("bump", {"a": 0.1, "w": 0.1})]:
             obs = E.get_observable(oid, sysm, **okw)
             if oid != "cos1":
@@ -721,7 +781,7 @@ def test_space_average_of_a_2d_empirical_orbit_system():
     # measure, declared empirical-orbit: its orbits are 2-d points
     shift = np.array([(math.sqrt(5.0) - 1.0) / 2.0, math.sqrt(3.0) - 1.0])
     rot = E.System("rotation", 2, "torus", 0.0, 1.0, 1.0, "empirical-orbit",
-                   _step=lambda p: wrap_unit(p + shift))
+                   _step=lambda p, out: wrap_unit(p + shift))
     sa = E.srb_space_average(rot, E.get_observable("cos1", rot), seed=3, samples=0,
                              orbit_length=10**5, transient=100)
     assert sa.method == "empirical-orbit"
@@ -857,6 +917,17 @@ def test_chunk_map_keeps_one_pool():
     assert systems._pool is pool
     helpers.discard(threading.current_thread())
     assert helpers and all(t.is_alive() for t in helpers)
+
+
+def test_chunk_map_starts_no_idle_workers():
+    # two starts at threads=8 take the calling thread and one worker, so the
+    # process's pool is made with one worker, not seven
+    proc = _run_python(
+        "from ergolab import systems\n"
+        "assert systems.chunk_map(abs, range(-1, 1), 8) == [1, 0]\n"
+        "print(systems._pool[1])")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1"
 
 
 def _run_python(code):
