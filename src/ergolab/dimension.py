@@ -526,10 +526,12 @@ def _cover_level_1d(sys, obs, phibar, alpha, tau, s, n, lo, hi, coef, threads):
     _closed_form_hits: its blocks' rows have the phases of fl(p s) and
     share the columns of fl(q s) and fl((q + 1/2) s) (closed_form_band
     bounds the split).  Otherwise _walk_hits walks the band's points inside
-    their runs.  Each band returns its card and its relaxed runs, read from
-    the edges of its blocks' relaxed slots; the level sums the cards and
-    joins, in band order, a run that goes on across a block or band edge,
-    so it keeps per-block arrays and runs, nothing sized by its cells.
+    their runs, picked from its blocks' stencil indices, which the band
+    writes into an array its thread keeps (systems._kept_array).  Each band
+    returns its card and its relaxed runs, read from the edges of its
+    blocks' relaxed slots; the level sums the cards and joins, in band
+    order, a run that goes on across a block or band edge, so it keeps
+    per-block arrays and runs, nothing sized by its cells.
     """
     offsets = np.concatenate([np.arange(_BLOCK + 1.0), np.arange(_BLOCK) + 0.5])
     blocks = -(-(hi - lo) // _BLOCK)   # blocks per run
@@ -540,10 +542,10 @@ def _cover_level_1d(sys, obs, phibar, alpha, tau, s, n, lo, hi, coef, threads):
     if coef is None:
         def hits(k0, k1):
             inside = offsets <= size[k0:k1, None]   # the stencil points of the blocks' cells
+            idx = np.add(p[k0:k1, None], offsets, out=_kept_array("stencil", inside.shape))
             out = np.zeros((2, k1 - k0, offsets.size), dtype=bool)
             out[0][inside], out[1][inside] = _walk_hits(
-                sys, obs, phibar, _grid_points(sys, (p[k0:k1, None] + offsets)[inside], s), n,
-                (alpha, tau))
+                sys, obs, phibar, _grid_points(sys, idx[inside], s), n, (alpha, tau))
             return out
     else:
         band = closed_form_band(sys, coef[:n])
@@ -799,14 +801,10 @@ def box_counting_dimension(scales, counts) -> BoxDimension:
     """
     s = np.asarray(scales, dtype=np.float64)
     c = np.asarray(counts, dtype=np.float64)
-    if s.shape != c.shape or s.ndim != 1:
-        raise ValueError("scales and counts must be 1-d arrays of equal length")
-    if s.shape[0] < 4:
-        raise ValueError("need at least 4 scales")
-    if not np.all((s > 0.0) & np.isfinite(s)):
-        raise ValueError("scales must be positive and finite")
-    if not np.all((c > 0.0) & np.isfinite(c)):
-        raise ValueError("counts must be positive and finite")
+    if s.shape != c.shape or s.ndim != 1 or s.size < 4:
+        raise ValueError("scales and counts must be 1-d arrays of one length, at least 4")
+    check_real("scales", s, 0.0, ends="()")
+    check_real("counts", c, 0.0, ends="()")
     if math.log10(float(np.max(s)) / float(np.min(s))) < 2.0:
         raise ValueError("scales must span at least two decades")
     if np.all(c == c[0]):

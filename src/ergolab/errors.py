@@ -6,6 +6,8 @@ parameters, is both a ValueError and an ErgolabError)."""
 import math
 import numbers
 
+import numpy as np
+
 
 def check_integer(name: str, value, least=None):
     """ValueError naming `name` unless value is an integer (a numpy integer
@@ -16,22 +18,31 @@ def check_integer(name: str, value, least=None):
         raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
-def check_real(name: str, value, lo=-math.inf, hi=math.inf, ends="[]") -> float:
+def check_real(name: str, value, lo=-math.inf, hi=math.inf, ends="[]"):
     """value as a float; ValueError naming `name` unless it is a real number
     (a numpy one too, a bool not) inside the interval from lo to hi.  `ends`
     gives its brackets: "[" or "(" for lo, "]" or ")" for hi.  NaN lies
     inside no interval, so the default refuses NaN alone and open infinite
-    ends, "()", refuse every value that is not finite."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    ends, "()", refuse every value that is not finite.  A numpy array (ndim
+    >= 1) of integers or floats comes back as float64, each entry held to
+    the interval: the error quotes the first that is not."""
+    if isinstance(value, np.ndarray) and value.ndim:
+        if value.dtype.kind not in "iuf":
+            raise ValueError(f"{name} must hold real numbers, got dtype {value.dtype}")
+        v = value.astype(np.float64, copy=False)
+    elif isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    try:
-        v = float(value)
-    except OverflowError:
-        raise ValueError(f"{name} must lie inside the float range") from None
+    else:
+        try:
+            v = float(value)
+        except OverflowError:
+            raise ValueError(f"{name} must lie inside the float range") from None
     above = v > lo if ends[0] == "(" else v >= lo
     below = v < hi if ends[1] == ")" else v <= hi
-    if not (above and below):
-        raise ValueError(f"{name} must lie in {ends[0]}{lo:g}, {hi:g}{ends[1]}, got {v!r}")
+    inside = above & below
+    if not np.all(inside):
+        got = v if np.ndim(v) == 0 else float(v[~inside][0])
+        raise ValueError(f"{name} must lie in {ends[0]}{lo:g}, {hi:g}{ends[1]}, got {got!r}")
     return v
 
 

@@ -115,15 +115,11 @@ def _checked_states(flow: SuspensionFlow, state: FlowState):
 
 
 def _times(name, t, ends="[)") -> np.ndarray:
-    """t, a flow time (checked by check_real) or an array of them, as float64
-    times in [0, inf) or, ends "()", (0, inf) (ValueError naming `name`)."""
+    """t, a flow time or an array of them, as float64 times in [0, inf) or,
+    ends "()", (0, inf) (check_real: ValueError naming `name`)."""
     if np.ndim(t) == 0:
         return np.asarray(check_real(name, np.asarray(t).item(), 0.0, ends=ends))
-    a = np.asarray(t, dtype=np.float64)
-    bad = ~(np.isfinite(a) & ((a > 0.0) if ends[0] == "(" else (a >= 0.0)))
-    if np.any(bad):
-        raise ValueError(f"{name} must lie in {ends[0]}0, inf), got {a[bad].flat[0]!r}")
-    return a
+    return check_real(name, np.asarray(t, dtype=np.float64), 0.0, ends=ends)
 
 
 def _walk(flow: SuspensionFlow, pts: np.ndarray, s: np.ndarray, horizon, visit=None):

@@ -19,9 +19,9 @@ orbit points (j = 0..n-1).  `deviation` measures |time average - phibar|,
 the quantity whose level sets the deviation ladders and covers estimate;
 `deviations` is the one walk that yields it, at every horizon, along any
 orbit representation, and `max_deviation` bounds it, the one rule of
-whether a deviation set can be non-empty.  The space average phibar of a
-system whose natural measure is not Lebesgue is a mean of time averages
-(`srb_space_average`).
+whether a deviation set can be non-empty.  The space average phibar
+(`srb_space_average`) is a Monte Carlo mean, each chunk one start of the
+chunk pool, or off Lebesgue measure a mean of time averages.
 
 Every threshold test of the lab, dev >= t, is screened by one rule,
 `undecided`: a cheaper deviation within a proven band of the float64
@@ -49,8 +49,8 @@ import numpy as np
 from .errors import check_integer, check_real
 from .rng import STREAM_ORBIT_SEED, raw_blocks
 from .systems import (_TWO_PI, CatalogEntry, Param, System, _as_batch, _check_domain,
-                      _FloatOrbits, _new_array, birkhoff_sums, catalog_entry, chunk_map,
-                      domain_diameter, domain_points, iterate, sample_points)
+                      _FloatOrbits, _kept_array, _new_array, birkhoff_sums, catalog_entry,
+                      chunk_map, domain_diameter, domain_points, iterate, sample_points)
 
 
 @dataclass(frozen=True)
@@ -420,39 +420,23 @@ class SpaceAverage(NamedTuple):
 
 
 _CHUNK = 1 << 16  # samples per Lebesgue space-average chunk: the chunks fix the summation order
-_PIECE = 1 << 13  # samples per Lebesgue space-average piece: one draw and evaluation on one thread
-_WINDOW = 4 * _CHUNK  # samples whose values are held at once: bounds the value array (2 MB)
+_PIECE = 1 << 13  # samples per Lebesgue space-average piece: one draw and evaluation, cache-sized
 _ORBITS = 100     # orbits of an empirical-orbit space average, one time average each
 
 
-def _mean_and_error(chunks, count: int):
-    """Mean and standard error of `count` values, summed in float64 chunk by chunk."""
+def _sums(vals):
+    return float(np.sum(vals)), float(np.sum(vals * vals))   # what _mean_and_error folds
+
+
+def _mean_and_error(sums, count: int):
+    """Mean and standard error of `count` values from their chunks' _sums, folded in order."""
     total = total_sq = 0.0
-    for vals in chunks:
-        total += float(np.sum(vals))
-        total_sq += float(np.sum(vals * vals))
+    for s, sq in sums:
+        total += s
+        total_sq += sq
     mean = total / count
     var = max(total_sq / count - mean * mean, 0.0) * count / (count - 1)
     return mean, math.sqrt(var / count)
-
-
-def _lebesgue_chunks(sys, observable, seed, samples, threads):
-    """Yield the observable at samples [s, s + _CHUNK) of the space-average
-    stream, for s = 0, _CHUNK, ... in order, as views of one array of at
-    most _WINDOW values: read each before asking for the next.  A window's
-    values are filled in pieces of _PIECE samples, each one sample_points
-    and one observable.fn call, on `threads` threads (systems.chunk_map)."""
-    vals = np.empty(min(samples, _WINDOW))
-    for w in range(0, samples, _WINDOW):
-        held = vals[:min(_WINDOW, samples - w)]
-
-        def fill(s):
-            held[s - w:s - w + _PIECE] = observable.fn(
-                sample_points(sys, seed, s, min(_PIECE, samples - s)))
-
-        chunk_map(fill, range(w, w + held.size, _PIECE), threads)
-        for s in range(0, held.size, _CHUNK):
-            yield held[s:s + _CHUNK]
 
 
 def srb_space_average(sys: System, observable: Observable, seed: int,
@@ -462,18 +446,20 @@ def srb_space_average(sys: System, observable: Observable, seed: int,
     """Average an observable against the system's natural measure.
 
     Lebesgue systems: Monte Carlo over `samples` uniform points of the
-    space-average stream.  Their values are filled into one array in pieces
-    of _PIECE samples on `threads` threads, then summed in chunks of
-    _CHUNK, in order (_lebesgue_chunks): sample i is block i of the stream
-    and fn is elementwise, so the pieces and the thread count change no bit
-    of the value or its standard error.  Empirical-orbit systems (logistic): the
-    mean of the time averages over orbit_length // _ORBITS steps of _ORBITS
-    orbits, orbit i started at block i of the orbit-seed stream and stepped
-    `transient` times first (iterate), with the standard error of those
-    means, on the calling thread.  Each count must be an integer >= 0 on
-    every system, the ones it does not use too, the samples used >= 2,
-    the orbit_length used >= _ORBITS, and threads an integer >= 1
-    (ValueError naming it).
+    space-average stream.  Each chunk of _CHUNK samples is one start of
+    systems.chunk_map on `threads` threads, which draws and evaluates it in
+    pieces of _PIECE into an array its thread keeps (systems._kept_array; a
+    new one a chunk faulted its pages in anew) and returns its _sums,
+    folded in chunk order (_mean_and_error): sample i is block i of the
+    stream and fn is elementwise, so neither the pieces nor the thread
+    count changes a bit of the value or its standard error.
+    Empirical-orbit systems (logistic): the mean of the time averages over
+    orbit_length // _ORBITS steps of _ORBITS orbits, orbit i started at
+    block i of the orbit-seed stream and stepped `transient` times first
+    (iterate), with the standard error of those means, on the calling
+    thread.  Each count must be an integer >= 0 on every system, the ones
+    it does not use too, the samples used >= 2, the orbit_length used >=
+    _ORBITS, and threads an integer >= 1 (ValueError naming it).
     """
     for name, count in (("samples", samples), ("orbit_length", orbit_length),
                         ("transient", transient)):
@@ -481,13 +467,21 @@ def srb_space_average(sys: System, observable: Observable, seed: int,
     check_integer("threads", threads, 1)
     if sys.srb_kind == "lebesgue":
         check_integer("samples", samples, 2)
-        chunks = _lebesgue_chunks(sys, observable, seed, samples, threads)
-        return SpaceAverage(*_mean_and_error(chunks, samples), "lebesgue-mc", samples, seed)
+
+        def chunk_sums(c):
+            vals = _kept_array("space average", (min(_CHUNK, samples - c),))
+            for p in range(0, vals.size, _PIECE):
+                vals[p:p + _PIECE] = observable.fn(
+                    sample_points(sys, seed, c + p, min(_PIECE, vals.size - p)))
+            return _sums(vals)
+
+        sums = chunk_map(chunk_sums, range(0, samples, _CHUNK), threads)
+        return SpaceAverage(*_mean_and_error(sums, samples), "lebesgue-mc", samples, seed)
 
     check_integer("orbit_length", orbit_length, _ORBITS)
     starts = domain_points(sys, raw_blocks(seed, STREAM_ORBIT_SEED, 0, _ORBITS))
     steps = orbit_length // _ORBITS
     means = time_average(sys, observable, iterate(sys, starts, transient), steps)
-    x0 = tuple(map(float, starts[0]))
-    return SpaceAverage(*_mean_and_error([means], _ORBITS), "empirical-orbit", steps * _ORBITS,
-                        seed, steps * _ORBITS, transient, x0[0] if sys.d == 1 else x0)
+    x0 = float(starts[0, 0]) if sys.d == 1 else tuple(map(float, starts[0]))
+    return SpaceAverage(*_mean_and_error([_sums(means)], _ORBITS), "empirical-orbit",
+                        steps * _ORBITS, seed, steps * _ORBITS, transient, x0)

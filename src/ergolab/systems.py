@@ -114,9 +114,9 @@ def chunk_map(fn, starts, threads: int) -> list:
     worker that is busy with its caller.  An error is raised once every
     claimed call has returned: the one of the first start whose call
     raised, which is the one the loop raises (every start before it was
-    claimed before it).  fn runs on several threads at once, so it writes
-    only what no other call reads or writes, such as its own slice of an
-    output array.  threads must be an integer >= 1 (ValueError naming it).
+    claimed before it).  fn runs on several threads at once, so it returns
+    its result and writes nothing that another call reads or writes.
+    threads must be an integer >= 1 (ValueError naming it).
     """
     check_integer("threads", threads, 1)
     starts = list(starts)

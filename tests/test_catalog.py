@@ -6,11 +6,12 @@ rule is covered without editing this file.
 
 import math
 
+import numpy as np
 import pytest
 
 import ergolab as E
 from ergolab import runner
-from ergolab.errors import ValidationError
+from ergolab.errors import ValidationError, check_real
 from ergolab.observables import OBSERVABLES
 from ergolab.systems import FLOAT64_BITS, SYSTEMS, check_float64_horizon
 
@@ -122,3 +123,21 @@ def test_float64_budget_is_n_log2_L_at_most_45(sid):
     check_float64_horizon(sysm, deepest)
     with pytest.raises(ValueError, match=f"n={deepest}"):
         check_float64_horizon(sysm, deepest + 1)
+
+
+def test_check_real_holds_every_entry_of_an_array_to_the_interval():
+    # the one interval rule of scalars also takes arrays: each entry must
+    # lie inside, the error names the argument and quotes the first entry
+    # (in C order) that does not, and the array comes back as float64
+    got = check_real("x", np.array([[0, 1], [1, 0]]), 0.0, 1.0)
+    assert got.dtype == np.float64 and got.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+    assert check_real("x", np.empty(0), 0.0, 1.0, "()").size == 0
+    for value, ends, first in (([0.5, 1.5, -1.0], "[]", "1.5"), ([0.5, 0.0], "(]", "0.0"),
+                               ([[0.5, math.nan], [2.0, 0.5]], "[]", "nan")):
+        with pytest.raises(ValueError, match=rf"^x must lie in \{ends[0]}0, 1\{ends[1]}, "
+                                             rf"got {first}$"):
+            check_real("x", np.array(value), 0.0, 1.0, ends)
+    for value in (np.array([True, False]), np.array(["0.5"]), np.array([0.5j])):
+        with pytest.raises(ValueError, match=r"^x must hold real numbers"):
+            check_real("x", value)
+    assert check_real("x", np.float32(0.5), 0.0, 1.0) == 0.5   # a 0-d value stays a float

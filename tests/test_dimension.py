@@ -1071,6 +1071,16 @@ def test_box_counting_degenerate_and_errors():
         E.box_counting_dimension([-0.1, 0.01, 0.001, 1e-4, 1e-5], [1, 2, 3, 4, 5])
 
 
+def test_box_counting_refuses_scales_and_counts_by_name_with_the_first_bad_entry():
+    scales = [10.0 ** -k for k in range(1, 6)]
+    with pytest.raises(ValueError, match=r"^scales must lie in \(0, inf\), got -0\.1$"):
+        E.box_counting_dimension([-0.1, 0.01, 0.0, 1e-4, 1e-5], [1, 2, 3, 4, 5])
+    with pytest.raises(ValueError, match=r"^counts must lie in \(0, inf\), got 0\.0$"):
+        E.box_counting_dimension(scales, [1, 2, 0, 4, -5])
+    with pytest.raises(ValueError, match=r"^counts must lie in \(0, inf\), got nan$"):
+        E.box_counting_dimension(scales, [1, math.nan, 3, 4, 5])
+
+
 def test_try_box_dimension_feasibility():
     mk = lambda ent: E.CoverLadder("doubling", "cos1", 0.0, 0.5, 0.1, 2.0, (), ent, 0)
     wide = tuple(E.CoverEntry(n, 2.0 ** -n, 2 ** n, ()) for n in range(1, 9))

@@ -71,6 +71,21 @@ def test_flow_step_validation():
         E.flow_step(flow, E.FlowState(np.array([math.nan]), 0.0), 0.1)
 
 
+def test_array_times_are_refused_by_name_with_their_first_bad_entry():
+    # an array of flow times is held to the interval entry by entry, by
+    # the same check as a single time, and the error quotes the first bad one
+    flow = unit_flow()
+    fobs = E.fiber_constant(E.get_observable("cos1", flow.base))
+    batch = E.FlowState(np.array([[0.3], [0.6], [0.1]]), np.zeros(3))
+    with pytest.raises(ValueError, match=r"^t must lie in \[0, inf\), got -0\.5$"):
+        E.flow_step(flow, batch, np.array([0.2, -0.5, math.nan]))
+    with pytest.raises(ValueError, match=r"^T must lie in \(0, inf\), got 0\.0$"):
+        E.flow_time_average(flow, fobs, batch, np.array([1.0, 0.0, 2.0]))
+    with pytest.raises(ValueError, match=r"^T must lie in \[0, inf\), got inf$"):
+        E.flow_nontypical_inclusion_check(flow, fobs, 0.0, 0.6, batch,
+                                          np.array([3.0, math.inf, 3.0]))
+
+
 def test_flow_step_semigroup_under_cosine_roof():
     flow = E.SuspensionFlow(E.get_system("doubling"), E.cosine_roof(0.4))
     st = E.FlowState(np.array([0.137]), 0.2)

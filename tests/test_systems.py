@@ -14,10 +14,9 @@ import pytest
 from scipy import special, stats
 
 import ergolab as E
-from ergolab import systems
+from ergolab import observables, systems
 from ergolab.errors import DomainError
-from ergolab.observables import (_CHUNK, _WINDOW, _mean_and_error, deviations, float32_band,
-                                 terms)
+from ergolab.observables import _CHUNK, _mean_and_error, deviations, float32_band, terms
 from ergolab.rng import STREAM_ORBIT_SEED, STREAM_ORBITS, raw_blocks, uniform01
 from ergolab.systems import (_FloatOrbits, _fraction, _kept_array, birkhoff_sums, chunk_map,
                              domain_points, into_domain, sample_points, wrap_unit)
@@ -820,19 +819,40 @@ def test_space_average_is_seed_deterministic():
 @pytest.mark.parametrize("oid,kw", [("cos1", {}), ("coord", {}), ("bump", {"a": 0.2, "w": 0.1})])
 def test_space_average_pieces_and_threads_keep_every_bit(sid, oid, kw):
     # the reference is one observable call per summation chunk of _CHUNK
-    # samples, summed in order; the pieces of 2^13 samples, the windows of
-    # 2^18 values held at once and the thread count may change no bit of
-    # the value or its standard error, with pieces cut short, one sample
-    # past a piece or chunk, several chunks, and a second window
+    # samples, its sum and sum of squares folded in order; the pieces of
+    # 2^13 samples and the thread count may change no bit of the value or
+    # its standard error, with pieces cut short, one sample past a piece or
+    # chunk, and several chunks claimed unevenly by the threads
     sysm = E.get_system(sid)
     obs = E.get_observable(oid, sysm, **kw)
-    for samples in (2, 8191, 8193, 65536, 65537, 100000, _WINDOW + 8193):
-        chunks = (obs.fn(sample_points(sysm, 5, s, min(_CHUNK, samples - s)))
-                  for s in range(0, samples, _CHUNK))
-        want = tuple(x.hex() for x in _mean_and_error(chunks, samples))
-        for threads in (1, 2, 3):
+    for samples in (2, 8191, 8193, 65536, 65537, 100000, 4 * _CHUNK + 8193):
+        sums = []
+        for s in range(0, samples, _CHUNK):
+            v = obs.fn(sample_points(sysm, 5, s, min(_CHUNK, samples - s)))
+            sums.append((float(np.sum(v)), float(np.sum(v * v))))
+        want = tuple(x.hex() for x in _mean_and_error(sums, samples))
+        for threads in (1, 2, 3, 4):
             sa = E.srb_space_average(sysm, obs, seed=5, samples=samples, threads=threads)
             assert (sa.value.hex(), sa.std_error.hex()) == want, (samples, threads)
+
+
+def test_space_average_chunks_in_any_order_keep_every_bit(monkeypatch):
+    # each chunk returns its own sums, and they are folded in chunk order:
+    # running the starts last to first changes no bit
+    sysd = E.get_system("doubling")
+    cos1 = E.get_observable("cos1", sysd)
+    want = E.srb_space_average(sysd, cos1, seed=3, samples=3 * _CHUNK + 5)
+
+    ran = []
+
+    def reversed_map(fn, starts, threads):
+        ran.extend(reversed(list(starts)))
+        return [fn(s) for s in ran][::-1]
+
+    monkeypatch.setattr(observables, "chunk_map", reversed_map)
+    got = E.srb_space_average(sysd, cos1, seed=3, samples=3 * _CHUNK + 5)
+    assert ran == [3 * _CHUNK, 2 * _CHUNK, _CHUNK, 0]
+    assert (got.value.hex(), got.std_error.hex()) == (want.value.hex(), want.std_error.hex())
 
 
 def test_uniform01_and_fraction_convert_words_bit_for_bit():
