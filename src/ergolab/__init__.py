@@ -18,7 +18,7 @@ from .dimension import (VERDICT_HOLDS, VERDICT_INCONCLUSIVE, VERDICT_VIOLATED,
                         box_counting_dimension, build_cover_ladder, cover_to_csv,
                         dimension_upper_bound, dprime_volume_series, rate_bound,
                         try_box_dimension, verify_ball_lemma)
-from .flows import (FlowObservable, FlowState, Roof, SuspensionFlow,
+from .flows import (FlowObservable, FlowState, Roof, SuspensionFlow, bridge_checks,
                     constant_roof, cosine_roof, estimate_time1_lipschitz,
                     fiber_constant, flow_nontypical_inclusion_check, flow_step,
                     flow_time_average, integer_part_reduction_check,

@@ -5,7 +5,10 @@ unit speed under a positive roof function rho; reaching the roof applies
 the base map and resets s to 0.  Flow averages are time integrals along
 trajectories, evaluated segment by segment with composite-midpoint
 quadrature inside each fiber crossing (exact for observables constant
-along the fiber, since the integrand is then piecewise constant).
+along the fiber, since the integrand is then piecewise constant).  An
+observable that declares itself constant along fibers (`fiber_constant`)
+is evaluated once per segment, its value repeated over the segment's
+nodes, so its averages keep the bits of the node-by-node sum.
 
 The module also provides the two bridge checks between flow averages and
 base-map averages:
@@ -15,6 +18,9 @@ base-map averages:
   * nontypical inclusion: a state whose flow average deviates by alpha at
     horizon T (with T >= 4 sup|Phi| / alpha) has time-1-map deviation at
     least alpha/2 at horizon floor(T).
+
+`bridge_checks` computes both from one walk, whose rows are every horizon
+either check needs; the two public checks are its one-check calls.
 
 Every entry point takes one state or a batch of N states (x of shape
 (N, d), s of shape (N,)), with horizons scalar or one per state.  A batch
@@ -85,14 +91,22 @@ class FlowState(NamedTuple):
 
 
 class FlowObservable(NamedTuple):
+    """An observable on the suspension space, fn(x, s) on (N, d) base points
+    and (N,) heights.  `base`, if set, is a function of the base point alone
+    with fn(x, s) == base(x): the observable is then constant along fibers,
+    and flow averages evaluate base once per fiber segment instead of once
+    per quadrature node."""
+
     oid: str
     fn: Callable                  # (x: (N,d), s: (N,)) -> (N,)
     sup_abs: float
+    base: Callable | None = None  # (x: (N,d)) -> (N,), for a fiber-constant fn
 
 
 def fiber_constant(obs: Observable) -> FlowObservable:
-    """Lift a base observable to the flow, constant along each fiber."""
-    return FlowObservable(obs.oid, lambda x, s, _f=obs.fn: _f(x), obs.sup_abs)
+    """Lift a base observable to the flow, constant along each fiber: its
+    `base` is obs.fn, evaluated once per fiber segment."""
+    return FlowObservable(obs.oid, lambda x, s, _f=obs.fn: _f(x), obs.sup_abs, obs.fn)
 
 
 def _is_batch(state: FlowState) -> bool:
@@ -216,13 +230,17 @@ def _time_averages(flow, fobs, pts, s, T, step):
     A segment of length seg gets k = max(1, ceil(seg / step)) nodes; the
     live pairs of a block sharing k are summed as (pairs, k) blocks of about
     _POINT_CHUNK nodes, whose row sums equal the one-pair sums bit for bit.
-    Each state then adds its segment areas in segment order.
+    A fiber-constant observable (fobs.base set) is evaluated once for all
+    live pairs of a block, each value repeated over its segment's k nodes
+    before the same sum, so its areas keep the node-by-node bits (k * value
+    would not).  Each state then adds its segment areas in segment order.
     """
     total = np.zeros(s.shape[0])
 
     def add_block(rows, live, x, s0, seg):
         k = np.maximum(np.ceil(seg / step), 1.0).astype(np.int64)
         h = seg / k
+        v = None if fobs.base is None else fobs.base(x)
         area = np.empty(seg.shape[0])
         for kk in set(k.tolist()):
             nodes = np.arange(kk, dtype=np.float64) + 0.5
@@ -230,10 +248,13 @@ def _time_averages(flow, fobs, pts, s, T, step):
             per_chunk = max(1, _POINT_CHUNK // kk)
             for c in range(0, group.size, per_chunk):
                 g = group[c:c + per_chunk]
-                # offsets built node-major, so numpy's inner loops run over pairs, not nodes
-                offs = nodes[:, None] * h[g]
-                offs += s0[g]
-                vals = fobs.fn(np.repeat(x[g], kk, axis=0), offs.T.ravel())
+                if v is not None:
+                    vals = np.repeat(v[g], kk)
+                else:
+                    # offsets built node-major, so numpy's inner loops run over pairs, not nodes
+                    offs = nodes[:, None] * h[g]
+                    offs += s0[g]
+                    vals = fobs.fn(np.repeat(x[g], kk, axis=0), offs.T.ravel())
                 area[g] = h[g] * np.sum(np.reshape(vals, (-1, kk)), axis=1)
         # accumulate adds down the segment axis in order; dead pairs add +0.0
         areas = np.zeros((live.shape[0] + 1, rows.size))
@@ -262,7 +283,9 @@ def flow_time_average(flow: SuspensionFlow, fobs: FlowObservable,
 
     Composite midpoint quadrature inside each fiber segment; segment
     boundaries are hit exactly, so fiber-constant observables integrate
-    exactly regardless of the step.  A batch returns an (N,) array.
+    exactly regardless of the step.  One declared fiber-constant (fobs.base
+    set, as `fiber_constant` does) is evaluated once per fiber segment, with
+    the bits of the node-by-node sum.  A batch returns an (N,) array.
     """
     T = _times("T", T, "()")
     step = (flow.roof.rho_min / 8.0 if quadrature_step is None
@@ -291,35 +314,6 @@ class IntegerPartCheck(NamedTuple):
     headline_ok: bool | np.ndarray
 
 
-def integer_part_reduction_check(flow: SuspensionFlow, fobs: FlowObservable,
-                                 state: FlowState, T,
-                                 quadrature_step: float | None = None) -> IntegerPartCheck:
-    """Compare the flow average at T against the one at floor(T).
-
-    The asserted control is |avg_T - avg_floor(T)| <= 2 sup|Phi| (T-floor(T))/T
-    (plus a 1e-12 rounding allowance).  The tighter summary constant
-    sup|Phi|/floor(T) is reported alongside for reference.  A batch of
-    states (T scalar or per state) gives array fields.
-    """
-    T = _times("T", T)
-    if np.any(T < INTEGER_PART_MIN_T):
-        raise ValueError("need T >= 2 so that floor(T) >= 2 stays meaningful")
-    pts, s = _checked_states(flow, state)
-    T = np.broadcast_to(T, s.shape)
-    nT = np.floor(T)
-    # both horizons in one walk: rows [0, N) run to T, rows [N, 2N) to floor(T)
-    n = s.shape[0]
-    both = flow_time_average(flow, fobs, FlowState(np.concatenate([pts, pts]),
-                                                   np.concatenate([s, s])),
-                             np.concatenate([T, nT]), quadrature_step)
-    lhs = np.abs(both[:n] - both[n:])
-    bound = 2.0 * fobs.sup_abs * (T - nT) / T + 1e-12
-    headline = fobs.sup_abs / nT
-    return _check_result(IntegerPartCheck, state, T=T.copy(), lhs=lhs, bound=bound,
-                         ok=lhs <= bound, headline_constant=headline,
-                         headline_ok=lhs <= headline + 1e-12)
-
-
 class InclusionCheck(NamedTuple):
     T: float | np.ndarray
     alpha: float
@@ -334,6 +328,90 @@ def inclusion_min_T(fobs: FlowObservable, alpha: float) -> float:
     return 4.0 * fobs.sup_abs / alpha
 
 
+def bridge_checks(flow: SuspensionFlow, fobs: FlowObservable, state: FlowState, *,
+                  integer_T=None, phibar: float | None = None, alpha: float | None = None,
+                  inclusion_T=None, quadrature_step: float | None = None):
+    """Both bridge checks of the same states from one walk.
+
+    Returns (integer_part_reduction_check(flow, fobs, state, integer_T,
+    quadrature_step), flow_nontypical_inclusion_check(flow, fobs, phibar,
+    alpha, state, inclusion_T, quadrature_step)), either None where its
+    horizon is None.  The horizons integer_T, floor(integer_T), inclusion_T
+    and, where inclusion_T is fractional, floor(inclusion_T) are rows of one
+    flow_time_average call; a state's average does not depend on the batch
+    it is walked in, so each check equals its one-check call bit for bit.
+    """
+    if integer_T is not None:
+        integer_T = _times("T", integer_T)
+        if np.any(integer_T < INTEGER_PART_MIN_T):
+            raise ValueError("need T >= 2 so that floor(T) >= 2 stays meaningful")
+    if inclusion_T is not None:
+        check_real("alpha", alpha, 0.0, ends="(]")
+        check_real("phibar", phibar, ends="()")
+        inclusion_T = _times("T", inclusion_T)
+        if np.any(inclusion_T < inclusion_min_T(fobs, alpha)):
+            raise ValueError(f"need T >= 4 sup|Phi| / alpha = {inclusion_min_T(fobs, alpha)}")
+    pts, s = _checked_states(flow, state)
+    every = np.arange(s.shape[0])
+    walks = []                        # (states, horizons), the rows of the one walk
+    if integer_T is not None:
+        Ti = np.broadcast_to(integer_T, s.shape).copy()
+        nTi = np.floor(Ti)
+        walks += [(every, Ti), (every, nTi)]
+    if inclusion_T is not None:
+        T = np.broadcast_to(inclusion_T, s.shape).copy()
+        nT = np.floor(T)
+        # at an integer T the map horizon floor(T) is T; floor(T) = 0 has no map side
+        frac = np.flatnonzero((nT != T) & (nT > 0))
+        walks += [(every, T), (frac, nT[frac])]
+    if not walks:
+        return None, None
+    rows = np.concatenate([w[0] for w in walks])
+    avgs = flow_time_average(flow, fobs, FlowState(pts[rows], s[rows]),
+                             np.concatenate([w[1] for w in walks]), quadrature_step)
+    avgs = np.split(avgs, np.cumsum([w[0].size for w in walks])[:-1])
+    chk = inc = None
+    if integer_T is not None:
+        avg_T, avg_nT = avgs[:2]
+        lhs = np.abs(avg_T - avg_nT)
+        bound = 2.0 * fobs.sup_abs * (Ti - nTi) / Ti + 1e-12
+        headline = fobs.sup_abs / nTi
+        chk = _check_result(IntegerPartCheck, state, T=Ti, lhs=lhs, bound=bound,
+                            ok=lhs <= bound, headline_constant=headline,
+                            headline_ok=lhs <= headline + 1e-12)
+    if inclusion_T is not None:
+        avg_T, avg_nT = avgs[-2:]
+        dev_flow = np.abs(avg_T - phibar)
+        vacuous = dev_flow < alpha
+        # a deviating state at T < 1 has no map horizon: refused as a walk to 0 would be
+        _times("T", nT[~vacuous & (nT != T)], "()")
+        dev_map = dev_flow.copy()
+        dev_map[frac] = np.abs(avg_nT - phibar)
+        dev_map[vacuous] = np.nan
+        ok = vacuous | (dev_map >= alpha / 2.0 - 1e-9)
+        if not _is_batch(state) and vacuous[0]:
+            inc = InclusionCheck(float(T[0]), alpha, float(dev_flow[0]), None, True, True)
+        else:
+            inc = _check_result(InclusionCheck, state, T=T, alpha=alpha, dev_flow=dev_flow,
+                                dev_map=dev_map, vacuous=vacuous, ok=ok)
+    return chk, inc
+
+
+def integer_part_reduction_check(flow: SuspensionFlow, fobs: FlowObservable,
+                                 state: FlowState, T,
+                                 quadrature_step: float | None = None) -> IntegerPartCheck:
+    """Compare the flow average at T against the one at floor(T).
+
+    The asserted control is |avg_T - avg_floor(T)| <= 2 sup|Phi| (T-floor(T))/T
+    (plus a 1e-12 rounding allowance).  The tighter summary constant
+    sup|Phi|/floor(T) is reported alongside for reference.  A batch of
+    states (T scalar or per state) gives array fields.  Both horizons are
+    rows of one walk (bridge_checks).
+    """
+    return bridge_checks(flow, fobs, state, integer_T=T,
+                         quadrature_step=quadrature_step)[0]
+
+
 def flow_nontypical_inclusion_check(flow: SuspensionFlow, fobs: FlowObservable,
                                     phibar: float, alpha: float,
                                     state: FlowState, T,
@@ -344,33 +422,12 @@ def flow_nontypical_inclusion_check(flow: SuspensionFlow, fobs: FlowObservable,
     over floor(T) steps equals the flow average at horizon floor(T), which
     is how the map-side deviation is evaluated.  States whose flow average
     does not deviate make the implication vacuous (ok by default); their
-    dev_map is None for one state and NaN in a batch.  At an integer T the
-    two horizons are one: dev_map is dev_flow, without a second walk (a
-    state's average does not depend on the batch it is walked in).
+    dev_map is None for one state and NaN in a batch.  Both horizons are
+    rows of one walk (bridge_checks); at an integer T they are one, and
+    dev_map is dev_flow.
     """
-    check_real("alpha", alpha, 0.0, ends="(]")
-    check_real("phibar", phibar, ends="()")
-    T = _times("T", T)
-    if np.any(T < inclusion_min_T(fobs, alpha)):
-        raise ValueError(f"need T >= 4 sup|Phi| / alpha = {inclusion_min_T(fobs, alpha)}")
-    pts, s = _checked_states(flow, state)
-    T = np.broadcast_to(T, s.shape).copy()
-    dev_flow = np.abs(flow_time_average(flow, fobs, FlowState(pts, s), T,
-                                        quadrature_step) - phibar)
-    vacuous = dev_flow < alpha
-    dev_map = np.full(s.shape, np.nan)
-    nT = np.floor(T)
-    whole = ~vacuous & (nT == T)
-    dev_map[whole] = dev_flow[whole]
-    walk = ~vacuous & (nT != T)
-    if np.any(walk):
-        dev_map[walk] = np.abs(flow_time_average(flow, fobs, FlowState(pts[walk], s[walk]),
-                                                 nT[walk], quadrature_step) - phibar)
-    ok = vacuous | (dev_map >= alpha / 2.0 - 1e-9)
-    if not _is_batch(state) and vacuous[0]:
-        return InclusionCheck(float(T[0]), alpha, float(dev_flow[0]), None, True, True)
-    return _check_result(InclusionCheck, state, T=T, alpha=alpha, dev_flow=dev_flow,
-                         dev_map=dev_map, vacuous=vacuous, ok=ok)
+    return bridge_checks(flow, fobs, state, phibar=phibar, alpha=alpha, inclusion_T=T,
+                         quadrature_step=quadrature_step)[1]
 
 
 # ---------------------------------------------------------------------------

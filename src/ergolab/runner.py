@@ -30,10 +30,11 @@ from .deviation import (_MIN_SAMPLES, build_deviation_ladders, fit_rate_function
 from .dimension import (bound_verdict, build_cover_ladder, cover_section, cover_table,
                         dprime_volume_series, rate_bound, try_box_dimension, verify_ball_lemma)
 from .errors import ParameterError, StageError, ValidationError, check_integer, check_real
-from .flows import (INTEGER_PART_MIN_T, ROOFS, SuspensionFlow, estimate_time1_lipschitz,
-                    fiber_constant, flow_nontypical_inclusion_check, inclusion_min_T,
-                    integer_part_reduction_check, sample_flow_batch,
-                    sample_flow_states)  # noqa: F401  a runner attribute perfbench/spans.py patches
+from .flows import (INTEGER_PART_MIN_T, ROOFS, SuspensionFlow, bridge_checks,
+                    estimate_time1_lipschitz, fiber_constant, inclusion_min_T,
+                    sample_flow_batch)
+from .flows import (flow_nontypical_inclusion_check, integer_part_reduction_check,  # noqa: F401
+                    sample_flow_states)  # runner attributes perfbench/spans.py patches
 from .observables import _ORBITS, OBSERVABLES, get_observable, modulus_delta_for, srb_space_average
 from .rng import check_seed
 from .systems import SYSTEMS, check_ensemble_horizon, check_float64_horizon, get_system
@@ -416,11 +417,12 @@ def run_pipeline(cfg: ExperimentConfig, threads: int = 1, stages=None) -> Report
         # per-state fractional horizons in [INTEGER_PART_MIN_T, flow_T] for the integer check
         t_min = INTEGER_PART_MIN_T
         Ti = t_min + (cfg.flow_T - t_min) * extra if cfg.flow_T > t_min else t_min
-        chk = integer_part_reduction_check(flow, fobs, states, Ti, qstep)
+        # both checks from one walk; no inclusion below its least horizon
+        T = cfg.flow_T if cfg.flow_T >= inclusion_min_T(fobs, alpha) else None
+        chk, inc = bridge_checks(flow, fobs, states, integer_T=Ti, phibar=phibar,
+                                 alpha=alpha, inclusion_T=T, quadrature_step=qstep)
         inclusion = None
-        if cfg.flow_T >= inclusion_min_T(fobs, alpha):
-            inc = flow_nontypical_inclusion_check(flow, fobs, phibar, alpha,
-                                                  states, cfg.flow_T, qstep)
+        if inc is not None:
             inclusion = {"ok": int(inc.ok.sum()), "count": cfg.flow_samples,
                          "vacuous": int(inc.vacuous.sum())}
         lip1 = estimate_time1_lipschitz(flow, min(2000, 2 * cfg.flow_samples), cfg.seed)

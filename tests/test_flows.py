@@ -558,3 +558,49 @@ def test_flow_block_golden_under_cosine_roof():
     assert rep.data["flow"]["inclusion"]["vacuous"] == 42
     assert hashlib.sha256(block.encode()).hexdigest() == \
         "8dbdb9aa3294f27d1060aa355920a3a60ac6cfc2793d60e02d777c0373e3bbfa"
+
+
+@pytest.mark.parametrize("sid", ["doubling", "cat"])
+@pytest.mark.parametrize("roof", [E.constant_roof(1.0), E.cosine_roof(0.4)],
+                         ids=lambda r: r.kind)
+def test_fiber_constant_marker_keeps_the_node_by_node_bits(sid, roof):
+    # the marked observable evaluates its base once per segment; the same fn
+    # declared without the marker evaluates it at every node: same bits
+    base = E.get_system(sid)
+    flow = E.SuspensionFlow(base, roof)
+    batch, extra = edge_batch(flow, seed=17, count=16)
+    ties = roof.fn(batch.x) - batch.s              # horizons ending on a roof crossing
+    for oid, kw in (("cos1", {}), ("coord", {}), ("bump", {"a": 0.2, "w": 0.1})):
+        obs = E.get_observable(oid, base, **kw)
+        marked = E.fiber_constant(obs)
+        plain = E.FlowObservable(obs.oid, lambda x, s, _f=obs.fn: _f(x), obs.sup_abs)
+        assert marked.base is obs.fn and plain.base is None
+        for qstep in (None, 0.07, 1e-3):           # 1e-3 splits node groups into chunks
+            for T in (3.5, 2.0 + 7.0 * extra, ties):
+                got = E.flow_time_average(flow, marked, batch, T, qstep)
+                assert got.tolist() == E.flow_time_average(flow, plain, batch, T,
+                                                           qstep).tolist()
+
+
+def test_fiber_constant_base_runs_once_per_walk_block():
+    roof_calls, base_calls, node_calls = [], [], []
+    unit = E.constant_roof(1.0)
+    roof = E.Roof("constant", lambda p: roof_calls.append(p.shape[0]) or unit.fn(p), 1.0, 1.0)
+    flow = E.SuspensionFlow(E.get_system("doubling"), roof)
+    obs = E.get_observable("cos1", flow.base)
+
+    def never(x, s):
+        raise AssertionError("a fiber-constant observable ran node by node")
+
+    marked = E.FlowObservable("cos1", never, 1.0,
+                              lambda x: base_calls.append(x.shape[0]) or obs.fn(x))
+    plain = E.FlowObservable("cos1", lambda x, s: node_calls.append(1) or obs.fn(x), 1.0)
+    states, _ = E.sample_flow_batch(flow, 6, 0, 2000)
+    roof_calls.clear()
+    got = E.flow_time_average(flow, marked, states, 50.0, quadrature_step=0.01)
+    # one roof call checks the states, then one per block: 51 segments as 32 + 19
+    assert roof_calls == [2000, 32 * 2000, 19 * 2000]
+    assert len(base_calls) == 2 and base_calls[0] == 32 * 2000
+    want = E.flow_time_average(flow, plain, states, 50.0, quadrature_step=0.01)
+    assert got.tolist() == want.tolist()
+    assert len(node_calls) > 100                   # a call per chunk of each node group

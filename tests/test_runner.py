@@ -6,6 +6,7 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 import ergolab as E
@@ -253,6 +254,45 @@ def test_pipeline_is_thread_invariant(monkeypatch):
     assert all(e["card"] > 0 for e in a.data["cover"]["entries"])
     assert E.report_json(a, include_timings=False) == \
         E.report_json(b, include_timings=False)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("flow_T", [50.0, 12.5, 3.0])   # integer, fractional, no inclusion
+def test_flow_block_equals_the_separate_checks(flow_T, threads, monkeypatch):
+    # the flow stage walks both bridge checks as rows of one walk: its block
+    # equals what the public checks give called one by one on the same states
+    from ergolab import flows
+    walks = []
+    walk = flows._walk
+    monkeypatch.setattr(flows, "_walk", lambda *a, **k: walks.append(a[3]) or walk(*a, **k))
+    # alpha 0.32 puts the inclusion's least horizon 4 sup|Phi| / alpha at 12.5
+    cfg = mini_cfg(alphas=(0.32,), flow_enabled=True, roof_kind="cosine", roof_param=0.25,
+                   flow_T=flow_T, flow_samples=24)
+    rep = E.run_pipeline(cfg, threads=threads, stages=("resolve", "space_average", "flow"))
+    # the checks, then the time-1 Lipschitz pairs; the checks' rows are the
+    # horizons Ti, floor(Ti), flow_T and, where it is fractional, floor(flow_T)
+    assert len(walks) == 2 and np.all(walks[1] == 1.0)
+    assert walks[0].size == 24 * {50.0: 3, 12.5: 4, 3.0: 2}[flow_T]
+    monkeypatch.undo()
+    flow = E.SuspensionFlow(E.get_system("doubling"), E.cosine_roof(0.25))
+    fobs = E.fiber_constant(E.get_observable("cos1", flow.base))
+    states, extra = E.sample_flow_batch(flow, cfg.seed, 0, cfg.flow_samples)
+    Ti = 2.0 + (flow_T - 2.0) * extra
+    chk = E.integer_part_reduction_check(flow, fobs, states, Ti)
+    inclusion = None
+    if flow_T >= 12.5:
+        inc = E.flow_nontypical_inclusion_check(flow, fobs, rep.data["space_average"]["value"],
+                                                0.32, states, flow_T)
+        inclusion = {"ok": int(inc.ok.sum()), "count": 24, "vacuous": int(inc.vacuous.sum())}
+        # at 12.5 some states deviate, so their floor(T) rows are read
+        assert flow_T == 50.0 or 0 < inclusion["vacuous"] < 24
+    assert rep.data["flow"] == {
+        "roof": {"kind": "cosine", "params": {"a": 0.25}, "rho_min": 0.75, "rho_max": 1.25},
+        "T": flow_T, "samples": 24,
+        "integer_part": {"ok": int(chk.ok.sum()), "count": 24,
+                         "worst_excess": float((chk.lhs - chk.bound).max())},
+        "inclusion": inclusion,
+        "time1_lipschitz": E.estimate_time1_lipschitz(flow, 48, cfg.seed)}
 
 
 @pytest.mark.parametrize("threads", [0, -3, True, 2.0])
