@@ -27,14 +27,11 @@ import sys as _sys
 from .errors import StageError, ValidationError
 from .runner import STAGES, load_config, run_pipeline, validate_config, write_artifacts
 
-_STAGES_FOR = {
-    "simulate": ("resolve", "space_average", "ladders"),
-    "ldp-fit": ("resolve", "space_average", "ladders", "fits"),
-    "cover": ("resolve", "space_average", "ladders", "fits", "cover"),
-    "dimension": ("resolve", "space_average", "ladders", "fits", "cover", "dimension"),
-    "verify": ("resolve", "space_average", "lemma", "flow"),
-    "report": STAGES,
-}
+# each subcommand but verify runs runner.STAGES up to its last stage
+_STAGES_FOR = {cmd: STAGES[:STAGES.index(last) + 1]
+               for cmd, last in (("simulate", "ladders"), ("ldp-fit", "fits"), ("cover", "cover"),
+                                 ("dimension", "dimension"), ("report", STAGES[-1]))}
+_STAGES_FOR["verify"] = ("resolve", "space_average", "lemma", "flow")
 
 
 def _build_parser():

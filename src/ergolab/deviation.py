@@ -1,21 +1,14 @@
-"""Deviation-set measures: sampled ladders, exact oracles, and rate fits.
+"""Deviation-set measures: sampled ladders and rate fits.
 
 The central object is the measure of the deviation set
 
     K(alpha, n) = { x : |(1/n) sum_{j<n} phi(f^j x) - phibar| >= alpha }
 
 as a function of the horizon n.  Ladders of these measures are estimated by
-Monte Carlo over orbit ensembles, or computed exactly for the digit
-observable (binary digit frequencies are Bernoulli(1/2), so the measure is
-a binomial tail).  An exponential-decay fit  measure ~ C * exp(-n h)
-extracts the empirical rate h, to be compared against the closed-form
-Bernoulli rate.
-
-Thresholds are closed (>=).  The exact oracle compares |k/n - 1/2| with
-alpha = p/q, the integer ratio of the float argument (its exact binary
-value), in integers: |2k - n| q >= 2n p.  That is the same test the float
-estimator applies to exact dyadic frequencies, so the two routes agree even
-when k/n lands exactly on the threshold.
+Monte Carlo over orbit ensembles; the digit observable's exact ladder and
+its closed-form Cramér rate live with the other exact answers in
+ergolab.oracle.  An exponential-decay fit  measure ~ C * exp(-n h)
+extracts the empirical rate h.  Thresholds are closed (>=).
 
 Monte Carlo counts are exact float64 counts, found cheaply by the one
 screen rule of observables (`screen`, `deviations`, `undecided`, where the
@@ -35,11 +28,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import check_integer, check_real
-from .observables import (DIGIT, DIGIT_MEAN, DIGIT_SYSTEM, Observable,
-                          deviations, screen, undecided)
+from .observables import Observable, deviations, screen, undecided
 from .systems import _POINT_CHUNK, System, check_ensemble_horizon, sample_orbit_ensemble
-
-LN2 = math.log(2.0)
 
 METHOD_MC = "monte-carlo"
 METHOD_BINOMIAL = "exact-binomial"
@@ -164,63 +154,6 @@ def build_deviation_ladders(sys: System, obs: Observable, phibar: float,
             entries.append(LadderEntry(n, float(p), se, sample_count, METHOD_MC))
         out[a] = DeviationLadder(sys.sid, obs.oid, phibar, a, tuple(entries))
     return out
-
-
-# ---------------------------------------------------------------------------
-# exact binomial oracle (digit observable on the doubling map)
-
-def exact_deviation_measure_digit(alpha: float, n: int) -> float:
-    """Exact measure of {|digit frequency - 1/2| >= alpha} at horizon n.
-
-    Digit frequencies of the doubling map are Bernoulli(1/2), so the
-    measure is digit_deviation_count(alpha, n) / 2^n, an integer quotient
-    that Python rounds correctly.  The count compares in integers with the
-    exact value of the float alpha, so a class with k/n exactly on the
-    boundary is classified the same way the float comparison classifies it.
-    """
-    check_integer("n", n, 1)
-    return digit_deviation_count(alpha, n) / 2**n
-
-
-def digit_deviation_count(alpha: float, n: int) -> int:
-    """Number of length-n binary words whose digit frequency k/n has |k/n - 1/2| >= alpha.
-
-    The sum of C(n, k) over the admissible k.  alpha is the exact binary
-    value p/q of the float, p and q = 2^e > 0 its integer ratio, and
-    |k/n - 1/2| >= p/q is |2k - n| q >= 2n p after multiplying by 2nq > 0,
-    a test in integers.  alpha must be finite (ValueError naming it): an
-    infinite one has no integer ratio.
-    """
-    p, q = check_real("alpha", alpha, ends="()").as_integer_ratio()
-    return sum(math.comb(n, k) for k in range(n + 1) if abs(2 * k - n) * q >= 2 * n * p)
-
-
-def exact_digit_ladder(alpha: float, n_values) -> DeviationLadder:
-    """Exact ladder for the digit observable; no sampling, zero error bars.
-    alpha must be finite and horizons strictly increasing integers >= 1
-    (ValueError naming them)."""
-    alpha = check_real("alpha", alpha, ends="()")
-    n_values = _check_horizons(n_values)
-    entries = tuple(
-        LadderEntry(int(n), exact_deviation_measure_digit(alpha, n), 0.0, 0, METHOD_BINOMIAL)
-        for n in n_values
-    )
-    return DeviationLadder(DIGIT_SYSTEM, DIGIT.oid, DIGIT_MEAN, alpha, entries)
-
-
-def cramer_bernoulli(alpha: float) -> float:
-    """Closed-form large-deviation rate for Bernoulli(1/2) digit frequencies.
-
-    rate(alpha) = ln 2 - H(1/2 + alpha), with H the natural-log entropy.
-    Beyond alpha = 1/2 the deviation is impossible and the rate saturates at
-    ln 2.
-    """
-    check_real("alpha", alpha, 0.0)
-    if alpha >= 0.5:
-        return LN2
-    p = 0.5 + alpha
-    q = 0.5 - alpha
-    return LN2 + p * math.log(p) + (q * math.log(q) if q > 0.0 else 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,12 @@ The chain this module implements:
                    |    from the observable's modulus of continuity)
                    |
                    +--- cover ladders: cells of size ~ delta * L^-n that
-                   |    meet the deviation set, counted per level; their
-                   |    log-cardinality growth and d'-volume sums give an
-                   |    empirical box dimension to compare against d0
-                   |
-                   +--- exact benchmark: Besicovitch-Eggleston dimension of
-                        binary digit-frequency deviation sets
+                        meet the deviation set, counted per level; their
+                        log-cardinality growth and d'-volume sums give an
+                        empirical box dimension to compare against d0
+
+The exact benchmark, the Besicovitch-Eggleston dimension of binary
+digit-frequency deviation sets, lives in ergolab.oracle.
 
 Cover sweeps detect a cell when the deviation at any stencil point (the
 cell's corners and center) reaches the threshold; this is an empirical,
@@ -53,7 +53,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .deviation import LN2, digit_deviation_count, least_squares_line, write_csv
+from .deviation import least_squares_line, write_csv
 from .errors import GridBudgetError, RateNotEstablishedError, check_integer, check_real
 from .observables import (_TWO_PI, Observable, deviation, deviations, max_deviation, screen,
                           undecided)
@@ -135,6 +135,13 @@ def bound_verdict(obs: Observable, phibar: float, bound: RateBound,
 # ---------------------------------------------------------------------------
 # ball lemma
 
+# Candidates per ball-lemma batch.  candidates_drawn counts the candidates of
+# every batch drawn, up to the draw budget, so this size is part of the
+# report bytes (83 batches, 679936 candidates, in the lemma of
+# configs/doubling.ini).
+_LEMMA_BATCH = 8192
+
+
 class BallLemmaReport(NamedTuple):
     alpha: float
     n: int
@@ -208,16 +215,15 @@ def verify_ball_lemma(sys: System, obs: Observable, phibar: float, alpha: float,
                                math.inf, True)
 
     max_draws = candidate_factor * pair_count
-    batch = 8192
     drawn = 0
     accepted = []
+    # max_draws >= 1, so at least one batch is drawn
     while drawn < max_draws and sum(len(a) for a in accepted) < pair_count:
-        m = min(batch, max_draws - drawn)
+        m = min(_LEMMA_BATCH, max_draws - drawn)
         pts = domain_points(sys, raw_blocks(seed, STREAM_LEMMA_POINTS, drawn, m))
         accepted.append(pts[_walk_hits(sys, obs, phibar, pts, n, (alpha,))[0]])
         drawn += m
-    xs = np.concatenate(accepted) if accepted else np.empty((0, sys.d))
-    xs = xs[:pair_count]
+    xs = np.concatenate(accepted)[:pair_count]
     if xs.shape[0] == 0:
         return BallLemmaReport(alpha, n, delta, radius, pair_count, 0, drawn, 0,
                                math.inf, True)
@@ -825,45 +831,3 @@ def try_box_dimension(ladder: CoverLadder) -> BoxDimension | None:
         return box_counting_dimension([e.r_n for e in pos], [e.card for e in pos])
     except ValueError:
         return None
-
-
-# ---------------------------------------------------------------------------
-# exact benchmark: digit-frequency deviation sets
-
-class BeDimension(NamedTuple):
-    alpha: float
-    value: float
-    cylinder_estimates: tuple  # ((depth, estimate), ...)
-    confirmed: bool
-
-
-def besicovitch_eggleston_dimension(alpha: float,
-                                    depths=(200, 400, 800)) -> BeDimension:
-    """Dimension of {binary digit frequency deviates from 1/2 by >= alpha}.
-
-    Closed form: H(1/2 + alpha) / ln 2 with H the natural-log entropy.
-    Cross-checked by exact cylinder counts: at depth n the set meets
-    sum_{|k/n - 1/2| >= alpha} C(n, k) cylinders, and log2(count)/n
-    approaches the dimension from below.  `confirmed` requires the
-    estimates to be nondecreasing in depth with the deepest one within
-    0.01 of the closed form.  depths must hold at least one depth, each an
-    integer >= 1 (ValueError naming depths).
-    """
-    check_real("alpha", alpha, 0.0, 0.5, "()")
-    depths = list(depths)
-    if not depths:
-        raise ValueError("depths must hold at least one depth")
-    for n in depths:
-        check_integer("depths entry", n, 1)
-    p = 0.5 + alpha
-    q = 0.5 - alpha
-    value = -(p * math.log(p) + q * math.log(q)) / LN2
-
-    estimates = []
-    for n in depths:
-        count = digit_deviation_count(alpha, n)
-        estimates.append((int(n), math.log2(count) / n if count else 0.0))
-    vals = [v for _, v in estimates]
-    monotone = all(b >= a2 for a2, b in zip(vals[:-1], vals[1:]))
-    confirmed = monotone and abs(vals[-1] - value) <= 0.01
-    return BeDimension(float(alpha), value, tuple(estimates), confirmed)

@@ -12,7 +12,9 @@ system's metric) and a sup-norm bound.  The catalog:
                   of length a > 0 down to 0
 
 OBSERVABLES is the one place an observable id is decided on: each entry
-declares its constructor and its parameter rules.
+declares its constructor and its parameter rules.  The digit observable,
+discontinuous and so no catalog entry, lives with its exact law in
+ergolab.oracle.
 
 Time averages are arithmetic means of the observable along the first n
 orbit points (j = 0..n-1).  `deviation` measures |time average - phibar|,
@@ -118,16 +120,6 @@ def get_observable(oid: str, sys: System, **params) -> Observable:
     """Build a catalog observable adapted to a system's domain (see OBSERVABLES)."""
     entry, kw = catalog_entry(OBSERVABLES, "observable", oid, params)
     return entry.build(oid, sys, **kw)
-
-
-# The digit observable, the leading binary digit (half-interval indicator).
-# Its frequencies along doubling orbits are Bernoulli(1/2), so its deviation
-# measure has the exact binomial oracle of `deviation`.  It is discontinuous
-# (lip None), so it is no catalog entry: moduli and covers refuse it.
-DIGIT = Observable("digit", lambda p: (p[:, 0] >= 0.5).astype(np.float64),
-                   lip=None, sup_abs=1.0)
-DIGIT_MEAN = 0.5
-DIGIT_SYSTEM = "doubling"
 
 
 _F32_UNIT = 2.0**-24  # unit roundoff of float32

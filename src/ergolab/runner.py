@@ -285,6 +285,10 @@ def run_pipeline(cfg: ExperimentConfig, threads: int = 1, stages=None) -> Report
     lemma and the flows run on the calling thread.  It never changes the
     report.
 
+    `stages` is a collection of names from STAGES, run in STAGES order (None
+    runs them all); a string or an unknown name raises ValueError naming
+    stages before any stage runs.
+
     A stage failure raises StageError with the partial report attached as
     `.partial_report` (its data records the failed stage), so callers can
     flush what was computed.
@@ -292,7 +296,12 @@ def run_pipeline(cfg: ExperimentConfig, threads: int = 1, stages=None) -> Report
     cfg = ExperimentConfig(**_as_declared(cfg))  # equal configs run alike
     validate_config(cfg)
     check_integer("threads", threads, 1)
+    if isinstance(stages, str):
+        raise ValueError(f"stages must be a collection of stage names, not the string {stages!r}")
     wanted = set(STAGES if stages is None else stages)
+    unknown = sorted(map(repr, wanted - set(STAGES)))
+    if unknown:
+        raise ValueError(f"stages must be names from {STAGES}, got {', '.join(unknown)}")
     report = Report()
     report.data["failed_stage"] = None
     ctx = {}

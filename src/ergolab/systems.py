@@ -64,7 +64,7 @@ from .rng import STREAM_ORBITS, STREAM_SPACE_AVG, raw_blocks, uniform01
 
 _TWO_PI = 2.0 * math.pi
 _CAT_EXPANSION = (3.0 + math.sqrt(5.0)) / 2.0  # largest singular value of [[2,1],[1,1]]
-_POINT_CHUNK = 1 << 16  # points per ladder, cover, ball-lemma or flow walk batch: bounds its working set
+_POINT_CHUNK = 1 << 16  # points per ladder, cover or flow walk batch: bounds its working set
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import pytest
 
 import ergolab as E
 from ergolab.cli import main
-from ergolab.deviation import DIGIT
+from ergolab.oracle import DIGIT
 
 MC_SAMPLES = 10**6
 MC_SEED = 42

@@ -11,9 +11,9 @@ from scipy import stats
 
 import ergolab as E
 from ergolab import deviation, observables
-from ergolab.deviation import (DIGIT, DIGIT_MEAN, METHOD_BINOMIAL, METHOD_MC,
-                               default_fit_window)
+from ergolab.deviation import METHOD_BINOMIAL, METHOD_MC, default_fit_window
 from ergolab.observables import deviations, float32_band, screen
+from ergolab.oracle import DIGIT, DIGIT_MEAN
 from ergolab.systems import sample_points
 
 CATALOG_SYSTEMS = [("doubling", {}), ("tent", {}), ("cat", {}),

@@ -11,12 +11,12 @@ import pytest
 
 import ergolab as E
 from ergolab import dimension
-from ergolab.deviation import DIGIT
 from ergolab.dimension import (_POINT_CHUNK, _character_coefficients, _children_1d,
                                _closed_form_hits, _col_factor, _cover_level_1d, _cover_level_2d,
                                _grid_2d, _grid_cells, _grid_points, _row_factor, _walk_hits,
                                closed_form_band)
 from ergolab.observables import deviation, deviations, float32_band
+from ergolab.oracle import DIGIT
 from ergolab.rng import STREAM_LEMMA_POINTS, raw_blocks
 from ergolab.systems import _FloatOrbits, domain_points
 from ergolab.errors import GridBudgetError, RateNotEstablishedError
@@ -84,10 +84,6 @@ BOX = E.BoxDimension(0.9, 0.8, 1.0)
     ("n_values", ValueError, lambda s, o: E.exact_digit_ladder(0.1, [8, 4])),
     ("n_values", ValueError, lambda s, o: E.exact_digit_ladder(0.1, [4, 8, 8])),
     ("n", ValueError, lambda s, o: E.exact_deviation_measure_digit(0.1, 2.5)),
-    ("depths", ValueError, lambda s, o: E.besicovitch_eggleston_dimension(0.1, (0, 400, 800))),
-    ("depths", ValueError,
-     lambda s, o: E.besicovitch_eggleston_dimension(0.1, (200.5, 400, 800))),
-    ("depths", ValueError, lambda s, o: E.besicovitch_eggleston_dimension(0.1, ())),
     ("start", ValueError, lambda s, o: raw_blocks(1, 1, 1.999, 3)),
     ("count", ValueError, lambda s, o: raw_blocks(1, 1, 1, 3.0)),
     ("start", ValueError, lambda s, o: E.sample_orbit_ensemble(s, 1, 2.7, 3)),
@@ -131,7 +127,7 @@ BOX = E.BoxDimension(0.9, 0.8, 1.0)
         "lemma-pair_count", "lemma-candidate_factor", "lemma-candidate_factor-0",
         "lemma-candidate_factor-negative", "digit-ladder-n_values", "digit-ladder-n_values-0",
         "digit-ladder-n_values-decreasing", "digit-ladder-n_values-repeated", "digit-n",
-        "be-depths-0", "be-depths-float", "be-depths-empty", "raw_blocks-start", "raw_blocks-count",
+        "raw_blocks-start", "raw_blocks-count",
         "ensemble-start", "ensemble-count", "lemma-seed", "raw_blocks-seed-bool",
         "ladders-n_values-bool", "lemma-n-bool", "iterate-k-bool", "time-average-n-bool",
         "cover-threads-float", "cover-threads-str", "space-average-threads-0",

@@ -7,7 +7,8 @@ import pytest
 
 import ergolab as E
 from ergolab.dimension import _hits
-from ergolab.observables import DIGIT, DIGIT_MEAN, deviation, deviations, float32_band, undecided
+from ergolab.observables import deviation, deviations, float32_band, undecided
+from ergolab.oracle import DIGIT, DIGIT_MEAN
 from ergolab.systems import _FloatOrbits, sample_points
 
 
@@ -162,7 +163,6 @@ def test_modulus_delta_values_and_guards():
     assert E.modulus_delta_for(sysd, const, 0.1) == E.domain_diameter(sysd)
     with pytest.raises(ValueError):
         E.modulus_delta(cos1, 0.0, 1.0)
-    from ergolab.deviation import DIGIT
     with pytest.raises(ValueError):
         E.modulus_delta(DIGIT, 0.3, 1.0)         # no Lipschitz bound
 

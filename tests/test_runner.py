@@ -302,6 +302,20 @@ def test_pipeline_refuses_a_bad_thread_count_by_name(threads):
         E.run_pipeline(mini_cfg(), threads=threads, stages=("resolve",))
 
 
+@pytest.mark.parametrize("stages", [
+    ("resolve", "space_average", "ladder"),       # a misspelt stage ran nothing, unreported
+    "cover",                                      # a bare string was read as its letters
+    ("resolve", None),
+], ids=["misspelt", "bare-string", "not-a-name"])
+def test_pipeline_refuses_unknown_stages_by_name(stages, monkeypatch):
+    def no_stage_runs(*args, **kwargs):
+        raise AssertionError("a stage ran")
+
+    monkeypatch.setattr(runner, "modulus_delta_for", no_stage_runs)   # the resolve stage
+    with pytest.raises(ValueError, match=r"^stages must be"):
+        E.run_pipeline(mini_cfg(), stages=stages)
+
+
 def test_pipeline_alpha_beyond_observable_range():
     rep = E.run_pipeline(mini_cfg(alphas=(3.0,)),
                          stages=("resolve", "space_average", "ladders", "fits",
@@ -386,6 +400,9 @@ def test_cli_stage_sets():
     assert _STAGES_FOR["simulate"] == ("resolve", "space_average", "ladders")
     assert "dimension" in _STAGES_FOR["dimension"]
     assert "lemma" in _STAGES_FOR["verify"] and "flow" in _STAGES_FOR["verify"]
+    for stages in _STAGES_FOR.values():
+        # each subcommand's stages are distinct names from STAGES, in its order
+        assert list(stages) == sorted(set(stages), key=STAGES.index)
 
 
 def test_cli_success_and_artifacts(tmp_path, capsys):
