@@ -29,7 +29,8 @@ import numpy as np
 
 from .errors import check_integer, check_real
 from .observables import Observable, deviations, screen, undecided
-from .systems import _POINT_CHUNK, System, check_ensemble_horizon, sample_orbit_ensemble
+from .systems import (_POINT_CHUNK, System, check_ensemble_horizon, chunk_map,
+                      sample_orbit_ensemble)
 
 METHOD_MC = "monte-carlo"
 METHOD_BINOMIAL = "exact-binomial"
@@ -56,12 +57,22 @@ class DeviationLadder(NamedTuple):
 # ---------------------------------------------------------------------------
 # Monte-Carlo estimation
 
-def _hit_grid(sys, obs, phibar, alphas, n_values, sample_count, seed):
+def _hit_grid(sys, obs, phibar, alphas, n_values, sample_count, seed, threads=1):
     """Hit counts for every (alpha, n) cell, one orbit pass per sample.
 
-    Samples are walked on the calling thread in chunks of _POINT_CHUNK,
-    which bound the working set.  Each chunk draws its own counter blocks
-    and the counts are integer sums, so the chunk size changes no count.
+    Samples are walked in chunks of _POINT_CHUNK (2^16), each one start of
+    systems.chunk_map on `threads` threads (at threads 1, or with one
+    chunk, a loop on the calling thread).  Each chunk draws its own counter
+    blocks and the counts are integer sums, so neither the chunk size nor
+    the thread count changes a count.  A chunk holds 2^16 samples per
+    thread, as a walked cover band holds 2^16 points, because shorter numpy
+    calls spend their time handing the GIL back and forth: on perfbench's
+    ladders-deep (2 vCPU, medians of 36) this function took 49 ms at one
+    thread and 38 ms at two, but 50 ms at two threads with chunks of 2^15
+    samples and 74 ms with 2^14 (BENCH_pooled_ladders.json).  A ladder of
+    one chunk, such as perfbench cat-report's 10,000 samples, stays on the
+    calling thread: split in two chunks on two threads its ladder stage ran
+    74% slower (5.3 against 9.2 ms).
 
     Each chunk is walked with the screen of observables.screen, whose
     deviation dev, at a horizon with band b, decides every sample outside
@@ -71,42 +82,46 @@ def _hit_grid(sys, obs, phibar, alphas, n_values, sample_count, seed):
     take every other cos1 term from the one before it, is read from the
     system's representation (sys.ensemble), not from the ensemble drawn,
     which may be wrapped by anything that forwards points() and advance().
-    After the last chunk the marked samples, from every chunk, are redrawn
-    from their own counter blocks in one draw and walked once in float64,
-    down to the deepest horizon any of them is marked at, and each cell
-    counts its marked samples on that walk.  A sample's orbit is a pure
-    function of its block, so the counts are those of the float64 walk
-    alone.  Band 0 (the float64 walk) marks nothing.
+    A chunk returns its hit counts, its marked samples per cell and the
+    union of those, and the chunks are folded in chunk order.  The marked
+    samples, from every chunk, are then redrawn from their own counter
+    blocks in one draw and walked once in float64, down to the deepest
+    horizon any of them is marked at, and each cell counts its marked
+    samples on that walk.  A sample's orbit is a pure function of its
+    block, so the counts are those of the float64 walk alone.  Band 0 (the
+    float64 walk) marks nothing.
     """
     n_values = list(n_values)
     alphas = [float(a) for a in alphas]
     dtype, bands = screen(sys, obs, phibar, n_values)
     doubles = sys.ensemble.doubles_phase
-    hits = np.zeros((len(alphas), len(n_values)), dtype=np.int64)
-    near = {}    # (i, j) -> indices of the samples in alpha_i's band at n_j, an array a chunk
-    drawn = []   # each chunk's samples in some band, sorted
 
-    def screened_chunk(start, stop):
-        # the chunk's ensemble and deviations die on return, before the
-        # next chunk's draw
+    def screened_chunk(start):
+        # the chunk's ensemble and deviations die on return
+        stop = min(start + _POINT_CHUNK, sample_count)
+        hits = np.zeros((len(alphas), len(n_values)), dtype=np.int64)
+        near = {}    # (i, j) -> indices of the samples in alpha_i's band at n_j
         flag = None
         ens = sample_orbit_ensemble(sys, seed, start, stop - start)
         for j, dev in enumerate(deviations(ens, obs, phibar, dtype, n_values, doubles)):
             for i, t in enumerate(alphas):
-                _, above, rows = undecided(dev, bands[j], t)
-                hits[i, j] += above
+                _, hits[i, j], rows = undecided(dev, bands[j], t)
                 if not rows.size:
                     continue
-                near.setdefault((i, j), []).append(start + rows)
+                near[i, j] = start + rows
                 if flag is None:
                     # the union is a mask, not np.unique, which imports numpy.ma on first use
                     flag = np.zeros(stop - start, dtype=bool)
                 flag[rows] = True
-        if flag is not None:
-            drawn.append(start + np.flatnonzero(flag))
+        return hits, near, None if flag is None else start + np.flatnonzero(flag)
 
-    for start in range(0, sample_count, _POINT_CHUNK):
-        screened_chunk(start, min(start + _POINT_CHUNK, sample_count))
+    chunks = chunk_map(screened_chunk, range(0, sample_count, _POINT_CHUNK), threads)
+    hits = sum(h for h, _, _ in chunks)
+    near = {}    # (i, j) -> each chunk's marked samples, in chunk order
+    for _, rows, _ in chunks:
+        for cell, r in rows.items():
+            near.setdefault(cell, []).append(r)
+    drawn = [d for _, _, d in chunks if d is not None]
     if drawn:
         # chunks are disjoint and in order, so the concatenation is sorted
         idx = np.concatenate(drawn)
@@ -131,20 +146,25 @@ def _check_horizons(n_values) -> list:
 
 
 def build_deviation_ladders(sys: System, obs: Observable, phibar: float,
-                            alphas, n_values, sample_count: int, seed: int) -> dict:
+                            alphas, n_values, sample_count: int, seed: int,
+                            threads: int = 1) -> dict:
     """Ladders for several thresholds from one shared orbit pass.
 
     Horizons must be integers >= 1 and strictly increasing; one past the
     budget of the system's ensemble representation (76 for the 128-bit
     dyadic doubling and tent ensembles, 54 for cat) raises ValueError
-    rather than returning a wrong measure.
+    rather than returning a wrong measure.  The samples are walked in
+    chunks of 2^16, the starts of systems.chunk_map on `threads` threads
+    (an integer >= 1, ValueError naming it; see _hit_grid for the chunk
+    size); the ladders are the same at any thread count.
     """
     check_integer("sample_count", sample_count, _MIN_SAMPLES)
+    check_integer("threads", threads, 1)
     alphas = [check_real("alphas entry", a) for a in alphas]
     check_real("phibar", phibar, ends="()")
     n_values = _check_horizons(n_values)
     check_ensemble_horizon(sys, max(n_values, default=0))
-    hits = _hit_grid(sys, obs, phibar, alphas, n_values, sample_count, seed)
+    hits = _hit_grid(sys, obs, phibar, alphas, n_values, sample_count, seed, threads)
     out = {}
     for i, a in enumerate(alphas):
         entries = []

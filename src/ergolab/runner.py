@@ -279,11 +279,11 @@ def run_pipeline(cfg: ExperimentConfig, threads: int = 1, stages=None) -> Report
     """Run the requested stages and assemble a report.
 
     `threads` (an integer >= 1, ValueError naming it) runs the pieces of a
-    Lebesgue space average and the bands of walked cover levels on that
-    many threads of the package's one pool (systems.chunk_map); the
-    empirical-orbit space average, the ladders, the closed-form covers, the
-    lemma and the flows run on the calling thread.  It never changes the
-    report.
+    Lebesgue space average, the sample chunks of the ladders and the bands
+    of walked cover levels on that many threads of the package's one pool
+    (systems.chunk_map); the empirical-orbit space average, the
+    closed-form covers, the lemma and the flows run on the calling thread.
+    It never changes the report.
 
     `stages` is a collection of names from STAGES, run in STAGES order (None
     runs them all); a string or an unknown name raises ValueError naming
@@ -352,7 +352,7 @@ def run_pipeline(cfg: ExperimentConfig, threads: int = 1, stages=None) -> Report
                 alpha_set.append(a)
         n_values = list(range(cfg.n_min, cfg.n_max + 1, cfg.n_stride))
         ladders = build_deviation_ladders(sys, obs, ctx["phibar"], alpha_set, n_values,
-                                          cfg.sample_count, cfg.seed)
+                                          cfg.sample_count, cfg.seed, threads=threads)
         ctx["ladders"] = ladders
         report.data["ladders"] = {repr(a): {"entries": ladder_rows(lad)}
                                   for a, lad in ladders.items()}

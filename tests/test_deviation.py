@@ -290,6 +290,54 @@ def test_hit_grid_equals_the_float64_grid_through_the_budget(monkeypatch, sid):
         assert np.array_equal(got, want), (seed, phibar)
 
 
+LADDER_SAMPLES = 3 * 2**16 + 1234     # four chunks, the last ragged
+
+
+@pytest.mark.parametrize("sid,oid", [("doubling", "cos1"), ("tent", "cos1"), ("cat", "cos1"),
+                                     ("doubling", "coord")])
+def test_ladders_are_equal_at_any_thread_count(monkeypatch, sid, oid):
+    # each chunk of 2^16 samples is one start of systems.chunk_map at the
+    # caller's threads, and returns its hits, its band rows per cell and
+    # their union, folded in chunk order before the one float64 recount: 1,
+    # 2 and 3 threads (3 claim the four chunks unevenly) give the ladders of
+    # the float64 walk alone.  At seed 5 most of cos1's cells hold band rows
+    # from two to four chunks on every one of these systems; coord walks in
+    # float64 and marks nothing.
+    sysm = E.get_system(sid)
+    obs = E.get_observable(oid, sysm)
+    args = (sysm, obs, 0.25 if oid == "coord" else 0.0, [0.3, 0.2, 0.1, 0.05],
+            [4, 12, 24, 40], LADDER_SAMPLES, 5)
+    with monkeypatch.context() as m:
+        m.setattr(deviation, "screen", lambda s, o, p, h: (np.float64, [0.0] * len(h)))
+        want = E.build_deviation_ladders(*args)
+    pools = []
+    pool = deviation.chunk_map
+
+    def spy(fn, starts, threads):
+        pools.append(threads)
+        return pool(fn, starts, threads)
+
+    monkeypatch.setattr(deviation, "chunk_map", spy)
+    draws = _recording_draws(monkeypatch)
+    for threads in (1, 2, 3):
+        draws.clear()
+        assert E.build_deviation_ladders(*args, threads=threads) == want
+        assert pools[-1] == threads
+        assert sorted(s for s in draws if not np.ndim(s)) == [0, 2**16, 2 * 2**16, 3 * 2**16]
+        recounts = [s for s in draws if np.ndim(s)]
+        assert len(recounts) == (oid == "cos1")
+        if recounts:
+            assert set((recounts[0] // 2**16).tolist()) == {0, 1, 2, 3}
+
+
+@pytest.mark.parametrize("threads", [0, True, 1.5])
+def test_ladders_refuse_a_bad_thread_count_by_name(threads):
+    sysd = E.get_system("doubling")
+    cos1 = E.get_observable("cos1", sysd)
+    with pytest.raises(ValueError, match=r"^threads must be"):
+        E.build_deviation_ladders(sysd, cos1, 0.0, [0.3], [4, 8], 1000, 1, threads=threads)
+
+
 class _Forwarding:
     """An ensemble wrapper that forwards only points() and advance(), as
     perfbench's traced ensembles do, counting its phase reads."""

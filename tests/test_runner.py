@@ -11,7 +11,7 @@ import pytest
 
 import ergolab as E
 from ergolab.cli import _STAGES_FOR, main
-from ergolab import dimension, runner
+from ergolab import deviation, dimension, runner
 from ergolab.errors import StageError, ValidationError
 from ergolab.runner import STAGES
 
@@ -238,6 +238,8 @@ def test_pipeline_full_verdict_on_mini_experiment():
 
 
 def test_pipeline_is_thread_invariant(monkeypatch):
+    # in chunks of 4096 samples the ladders' 20000 span five starts of the pool
+    monkeypatch.setattr(deviation, "_POINT_CHUNK", 4096)
     cfg = mini_cfg(cover_n_min=4, cover_n_max=9, lemma_pairs=500,
                    flow_enabled=True, flow_T=8.0, flow_samples=20)
     a = E.run_pipeline(cfg, threads=1)
