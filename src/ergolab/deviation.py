@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import check_integer, check_real
 from .observables import Observable, deviations, screen, undecided
-from .systems import (_POINT_CHUNK, System, check_ensemble_horizon, chunk_map,
+from .systems import (_POINT_CHUNK, System, _kept_array, check_ensemble_horizon, chunk_map,
                       sample_orbit_ensemble)
 
 METHOD_MC = "monte-carlo"
@@ -72,7 +72,12 @@ def _hit_grid(sys, obs, phibar, alphas, n_values, sample_count, seed, threads=1)
     samples and 74 ms with 2^14 (BENCH_pooled_ladders.json).  A ladder of
     one chunk, such as perfbench cat-report's 10,000 samples, stays on the
     calling thread: split in two chunks on two threads its ladder stage ran
-    74% slower (5.3 against 9.2 ms).
+    74% slower (5.3 against 9.2 ms).  A chunk's ensemble is drawn in pieces
+    into its state (systems.sample_orbit_ensemble), and its walk sums into
+    arrays its thread keeps (systems._kept_array): made anew at every chunk
+    they faulted 960 pages a ladders-deep run at threads 2 and 1,920 at
+    threads 1, which ran 4% and 8% longer (in-process pairs,
+    BENCH_piece_draws.json).
 
     Each chunk is walked with the screen of observables.screen, whose
     deviation dev, at a horizon with band b, decides every sample outside
@@ -97,13 +102,15 @@ def _hit_grid(sys, obs, phibar, alphas, n_values, sample_count, seed, threads=1)
     doubles = sys.ensemble.doubles_phase
 
     def screened_chunk(start):
-        # the chunk's ensemble and deviations die on return
+        # the chunk's ensemble dies on return; its sums and deviations are in
+        # arrays its thread keeps, read only here
         stop = min(start + _POINT_CHUNK, sample_count)
         hits = np.zeros((len(alphas), len(n_values)), dtype=np.int64)
         near = {}    # (i, j) -> indices of the samples in alpha_i's band at n_j
         flag = None
         ens = sample_orbit_ensemble(sys, seed, start, stop - start)
-        for j, dev in enumerate(deviations(ens, obs, phibar, dtype, n_values, doubles)):
+        for j, dev in enumerate(deviations(ens, obs, phibar, dtype, n_values, doubles,
+                                            _kept_array)):
             for i, t in enumerate(alphas):
                 _, hits[i, j], rows = undecided(dev, bands[j], t)
                 if not rows.size:

@@ -49,10 +49,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import check_integer, check_real
-from .rng import STREAM_ORBIT_SEED, raw_blocks
+from .rng import STREAM_ORBIT_SEED, STREAM_SPACE_AVG, pieces, raw_blocks
 from .systems import (_TWO_PI, CatalogEntry, Param, System, _as_batch, _check_domain,
                       _FloatOrbits, _kept_array, _new_array, birkhoff_sums, catalog_entry,
-                      chunk_map, domain_diameter, domain_points, iterate, sample_points)
+                      chunk_map, domain_diameter, domain_points, iterate)
 
 
 @dataclass(frozen=True)
@@ -412,7 +412,6 @@ class SpaceAverage(NamedTuple):
 
 
 _CHUNK = 1 << 16  # samples per Lebesgue space-average chunk: the chunks fix the summation order
-_PIECE = 1 << 13  # samples per Lebesgue space-average piece: one draw and evaluation, cache-sized
 _ORBITS = 100     # orbits of an empirical-orbit space average, one time average each
 
 
@@ -439,12 +438,13 @@ def srb_space_average(sys: System, observable: Observable, seed: int,
 
     Lebesgue systems: Monte Carlo over `samples` uniform points of the
     space-average stream.  Each chunk of _CHUNK samples is one start of
-    systems.chunk_map on `threads` threads, which draws and evaluates it in
-    pieces of _PIECE into an array its thread keeps (systems._kept_array; a
-    new one a chunk faulted its pages in anew) and returns its _sums,
-    folded in chunk order (_mean_and_error): sample i is block i of the
-    stream and fn is elementwise, so neither the pieces nor the thread
-    count changes a bit of the value or its standard error.
+    systems.chunk_map on `threads` threads, which reads it from one
+    generator in pieces (rng.pieces) and evaluates each into an array its
+    thread keeps (systems._kept_array; a new one a chunk faulted its pages
+    in anew) and returns its _sums, folded in chunk order
+    (_mean_and_error): sample i is block i of the stream and fn is
+    elementwise, so neither the pieces nor the thread count changes a bit
+    of the value or its standard error.
     Empirical-orbit systems (logistic): the mean of the time averages over
     orbit_length // _ORBITS steps of _ORBITS orbits, orbit i started at
     block i of the orbit-seed stream and stepped `transient` times first
@@ -462,9 +462,9 @@ def srb_space_average(sys: System, observable: Observable, seed: int,
 
         def chunk_sums(c):
             vals = _kept_array("space average", (min(_CHUNK, samples - c),))
-            for p in range(0, vals.size, _PIECE):
-                vals[p:p + _PIECE] = observable.fn(
-                    sample_points(sys, seed, c + p, min(_PIECE, vals.size - p)))
+            for p, blocks in pieces(seed, STREAM_SPACE_AVG, c, vals.size):
+                vals[p:p + len(blocks)] = observable.fn(domain_points(sys, blocks))
+                del blocks      # before the next piece is read: one alive a thread
             return _sums(vals)
 
         sums = chunk_map(chunk_sums, range(0, samples, _CHUNK), threads)

@@ -8,6 +8,9 @@ which ranges are requested.  That makes every estimate a pure function of
 ``(seed, stream, sample index)`` and is what the reproducibility guarantees
 of the sampling estimators rest on.
 
+A range is read whole (`raw_blocks`) or in pieces of at most _PIECE
+blocks from one generator (`pieces`), the same words either way.
+
 Streams are small integers, one per independent purpose (orbit ensembles,
 space averages, lemma candidates, ...) so that enlarging one stage's budget
 never shifts another stage's draws.
@@ -29,6 +32,7 @@ STREAM_FLOW = 5           # flow-suite initial states
 STREAM_ORBIT_SEED = 6     # start points of an empirical-orbit space average's orbits
 
 WORDS_PER_BLOCK = 4  # one Philox round emits four 64-bit words
+_PIECE = 1 << 13     # blocks per piece of a range read (pieces): 256 KiB, cache-sized
 
 _INV_2_53 = float(2.0**-53)
 _U11 = np.uint64(11)
@@ -40,6 +44,24 @@ def check_seed(seed: int):
     check_integer("seed", seed)
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed {seed} is outside [0, 2^64), the Philox key word")
+
+
+def _philox(seed, stream, start, count):
+    """The Philox generator of a stream whose counter is at block `start`,
+    once seed, count and start pass raw_blocks' checks."""
+    check_seed(seed)
+    check_integer("count", count, 0)
+    check_integer("start", start, 0)
+    if int(start) + max(count, 1) > 2**64:   # int: a uint64 start would wrap
+        raise ValueError(f"start must leave blocks [start, start + count) below 2^64, "
+                         f"the Philox counter word, got start={start}, count={count}")
+    return np.random.Philox(counter=np.array([start, 0, 0, 0], dtype=np.uint64),
+                            key=np.array([seed, stream], dtype=np.uint64))
+
+
+def _read(bg, count):
+    # random_raw hands out whole blocks, in counter order, call after call
+    return bg.random_raw(WORDS_PER_BLOCK * count).reshape(count, WORDS_PER_BLOCK)
 
 
 def raw_blocks(seed: int, stream: int, start, count: int) -> np.ndarray:
@@ -55,16 +77,11 @@ def raw_blocks(seed: int, stream: int, start, count: int) -> np.ndarray:
     `count` must be an integer >= 0, and a scalar `start` an integer >= 0
     whose blocks lie below 2^64, the counter word (ValueError naming them).
     """
+    if np.ndim(start) == 0:
+        return _read(_philox(seed, stream, start, count), count)
     check_seed(seed)
     check_integer("count", count, 0)
     key = np.array([seed, stream], dtype=np.uint64)
-    if np.ndim(start) == 0:
-        check_integer("start", start, 0)
-        if int(start) + max(count, 1) > 2**64:   # int: a uint64 start would wrap
-            raise ValueError(f"start must leave blocks [start, start + count) below 2^64, "
-                             f"the Philox counter word, got start={start}, count={count}")
-        bg = np.random.Philox(counter=np.array([start, 0, 0, 0], dtype=np.uint64), key=key)
-        return bg.random_raw(WORDS_PER_BLOCK * count).reshape(count, WORDS_PER_BLOCK)
     idx = np.asarray(start)
     if (idx.dtype.kind not in "iu" or count < 1 or idx.shape != (count,) or idx[0] < 0
             or not np.all(idx[1:] > idx[:-1])):
@@ -81,6 +98,21 @@ def raw_blocks(seed: int, stream: int, start, count: int) -> np.ndarray:
         bg.state = state
         row[:] = bg.random_raw(WORDS_PER_BLOCK)
     return blocks
+
+
+def pieces(seed: int, stream: int, start: int, count: int):
+    """Blocks [start, start+count) of a stream as an iterator of (offset, blocks) pieces.
+
+    `blocks` holds rows offset, offset + 1, ... of the range, at most _PIECE
+    of them, and equals raw_blocks(seed, stream, start + offset,
+    len(blocks)).  The pieces come in order from successive random_raw
+    calls of one generator built at counter start, so a caller can put
+    each where it keeps it and the whole (count, 4) range never exists.
+    The arguments are raw_blocks' with a scalar start, checked on the call,
+    before the first piece; count 0 gives no piece.
+    """
+    bg = _philox(seed, stream, start, count)
+    return ((p, _read(bg, min(_PIECE, count - p))) for p in range(0, count, _PIECE))
 
 
 def uniform01(words: np.ndarray) -> np.ndarray:

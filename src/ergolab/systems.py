@@ -60,9 +60,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import DomainError, ParameterError, check_integer, check_real
-from .rng import STREAM_ORBITS, STREAM_SPACE_AVG, raw_blocks, uniform01
+from .rng import STREAM_ORBITS, pieces, raw_blocks, uniform01
 
 _TWO_PI = 2.0 * math.pi
+_TWO_PI32 = np.float32(_TWO_PI)
 _CAT_EXPANSION = (3.0 + math.sqrt(5.0)) / 2.0  # largest singular value of [[2,1],[1,1]]
 _POINT_CHUNK = 1 << 16  # points per ladder, cover or flow walk batch: bounds its working set
 
@@ -196,8 +197,16 @@ def _wrap_in_place(a):
     return a
 
 
+def _fractional_part(a):
+    """a - floor(a), in place, for the step of domain points: the floor goes to
+    the calling thread's kept scratch, and wrap_unit's snap of 1.0 has
+    nothing to catch, as a >= 0 makes a - floor(a) exact and below 1."""
+    a -= np.floor(a, out=_kept_array("floor", a.shape))
+    return a
+
+
 def _step_doubling(pts, out):
-    return _wrap_in_place(np.multiply(pts, 2.0, out=out))
+    return _fractional_part(np.multiply(pts, 2.0, out=out))
 
 
 def _step_tent(pts, out):
@@ -208,12 +217,11 @@ def _step_tent(pts, out):
 
 def _step_cat(pts, out):
     # the operations of wrap_unit([2x + y, x + y]) in the same order, in out
-    # (floor and the >= 1 mask are the only temporaries)
     x, y = pts[:, 0], pts[:, 1]
     np.multiply(x, 2.0, out=out[:, 0])
     out[:, 0] += y
     np.add(x, y, out=out[:, 1])
-    return _wrap_in_place(out)
+    return _fractional_part(out)
 
 
 _DOUBLING = ((2,),)
@@ -319,10 +327,13 @@ class _FloatOrbits:
     """
 
     def __init__(self, sys, pts, buffer=_new_array):
-        self.sys, self._buffer, self._phases = sys, buffer, None
-        self.x = buffer("x", pts.shape, np.float64)
+        self._own(sys, buffer("x", pts.shape, np.float64), buffer)
         self.x[...] = pts
-        self.spare = self.x if sys.d == 1 else buffer("spare", pts.shape, np.float64)
+
+    def _own(self, sys, x, buffer):
+        # the orbits step x, which they own from here on
+        self.sys, self._buffer, self._phases, self.x = sys, buffer, None, x
+        self.spare = x if sys.d == 1 else buffer("spare", x.shape, np.float64)
 
     def points(self, phase=False) -> np.ndarray:
         """The current (count, d) float64 points, or with phase the (count,)
@@ -331,7 +342,11 @@ class _FloatOrbits:
         if phase:
             if self._phases is None:
                 self._phases = self._buffer("phases", self.x.shape[:1], np.float32)
-            return np.multiply(self.x[:, 0], _TWO_PI, out=self._phases, dtype=np.float32)
+            # fl(x_1) by the copy, then one float32 multiply in place: the
+            # bits of a float32 multiply of float64 x_1, without its casts
+            self._phases[...] = self.x[:, 0]
+            self._phases *= _TWO_PI32
+            return self._phases
         return self.x
 
     def advance(self):
@@ -370,14 +385,17 @@ def birkhoff_sums(orbits, term, n_values, buffer=_new_array):
 
 
 class _FloatEnsemble(_FloatOrbits):
-    """Float64 orbits of uniform points drawn from counter blocks: the
-    logistic ensemble.  No horizon budget is derived for it."""
+    """Float64 orbits of uniform points drawn from counter blocks, each
+    piece's points written into the array the orbits step: the logistic
+    ensemble.  No horizon budget is derived for it."""
 
     horizon = None
     doubles_phase = False
 
-    def __init__(self, sys, blocks):
-        super().__init__(sys, domain_points(sys, blocks))
+    def __init__(self, sys, count, drawn):
+        self._own(sys, np.empty((count, sys.d)), _new_array)
+        for p, blocks in drawn:
+            self.x[p:p + len(blocks)] = domain_points(sys, blocks)
 
 
 def _fixed_point_horizon(matrix) -> int:
@@ -466,8 +484,12 @@ class _FixedPointOrbits:
     points() writes the float64 points (by `_fraction`) into the same array
     at every call, so read it before the next call, and points(phase=True)
     writes the (count,) float32 phases of x_1 (by `_phase`) into an array of
-    its own, which the caller may overwrite.  Scratch is made on first use,
-    after the counter blocks the ensemble was built from are freed.
+    its own, which the caller may overwrite.  Scratch is made on first use.
+    Each representation is built as `(sys, count, drawn)`: it allocates
+    its (count,)-sample state once and fills it from `drawn`, an iterable
+    of (offset, blocks) pieces whose rows are its samples offset, offset +
+    1, ... (rng.pieces, or one piece of a whole draw), so no (count, 4)
+    block array need exist beside it.
     """
 
     def __init__(self, count):
@@ -523,10 +545,14 @@ class _DyadicDoubling(_FixedPointOrbits):
     doubles_phase = True
     fold = False
 
-    def __init__(self, sys, blocks):
-        super().__init__(blocks.shape[0])
-        # the "<u4" view holds each 64-bit word's low half first
-        self.limbs = blocks[:, :2].astype("<u8", copy=False).view("<u4").T[[1, 0, 3, 2]]
+    def __init__(self, sys, count, drawn):
+        super().__init__(count)
+        self.limbs = np.empty((4, count), "<u4")
+        for p, blocks in drawn:
+            # the "<u4" view holds each 64-bit word's low half first
+            halves = blocks[:, :2].astype("<u8", copy=False).view("<u4")
+            for limb, half in zip(self.limbs, (1, 0, 3, 2)):
+                limb[p:p + len(halves)] = halves[:, half]
         self.j = 0
         self._group_at = {}                       # "phase" | "point" -> offset its group word holds
 
@@ -607,10 +633,12 @@ class _DyadicCat(_FixedPointOrbits):
     horizon = _fixed_point_horizon(_CAT)
     doubles_phase = False
 
-    def __init__(self, sys, blocks):
-        super().__init__(blocks.shape[0])
-        self.x = blocks[:, 0].astype("<u8"), blocks[:, 1].astype("<u8")
-        self.y = blocks[:, 2].astype("<u8"), blocks[:, 3].astype("<u8")
+    def __init__(self, sys, count, drawn):
+        super().__init__(count)
+        state = np.empty((4, count), "<u8")          # rows: x hi, x lo, y hi, y lo
+        for p, blocks in drawn:
+            state[:, p:p + len(blocks)] = blocks.T
+        self.x, self.y = (state[0], state[1]), (state[2], state[3])
 
     def points(self, phase=False) -> np.ndarray:
         """(count, 2) float64 points from the top words, or with phase the (count,) phases of x."""
@@ -640,10 +668,11 @@ class System:
     is the integer matrix A of a linear torus map, whose step is
     wrap_unit(A x) (rows of A, as nested tuples), and None for the others.
     `_step(pts, out)` writes the step of an (N, d) batch into out and
-    returns it; in 1-d out may be pts.  `ensemble(sys, blocks)` is the
-    orbit representation of its sampled
-    ensembles, float64 orbits of the step map unless the builder picks
-    another: its `horizon` is the deepest horizon it is faithful for (None
+    returns it; in 1-d out may be pts, and pts must lie on the domain
+    (the torus steps take a - floor(a) with no wrap_unit snap).
+    `ensemble(sys, count, drawn)` (see _FixedPointOrbits) is the orbit
+    representation of its sampled ensembles, float64 orbits of the step
+    map unless the catalog entry's constructor picks another: its `horizon` is the deepest horizon it is faithful for (None
     where no budget is derived), and its `doubles_phase` says whether one
     step doubles the phase of x_1 (mod 2 pi, up to sign), so that the
     cosine of the next point's phase is a closed form of this one's.
@@ -775,16 +804,21 @@ def check_float64_horizon(sys: System, n: int):
 def sample_orbit_ensemble(sys: System, seed: int, start, count: int):
     """Draw samples [start, start+count) of a system's orbit ensemble (System.ensemble).
 
-    `start` may instead be a non-empty increasing array of `count` sample
-    indices, which draws just those samples, reading just their counter
-    blocks (rng.raw_blocks).  Sample i always consumes counter block i of
-    the orbit stream, so any chunking or selection of [0, N) yields
-    bit-identical orbits.  Initial conditions are uniform over the domain
-    (the natural measure for every catalog system except logistic, whose
-    ensembles are only used where a uniform seed is the documented
-    behavior).
+    A range is read in pieces (rng.pieces), each put into the ensemble's
+    state as it comes.  `start` may instead be a non-empty increasing array
+    of `count` sample indices, which draws just those samples, reading just
+    their counter blocks (rng.raw_blocks) as one piece.  Sample i always
+    consumes counter block i of the orbit stream, so any chunking or
+    selection of [0, N) yields bit-identical orbits.  Initial conditions
+    are uniform over the domain (the natural measure for every catalog
+    system except logistic, whose ensembles are only used where a uniform
+    seed is the documented behavior).
     """
-    return sys.ensemble(sys, raw_blocks(seed, STREAM_ORBITS, start, count))
+    if np.ndim(start) == 0:
+        drawn = pieces(seed, STREAM_ORBITS, start, count)
+    else:
+        drawn = [(0, raw_blocks(seed, STREAM_ORBITS, start, count))]
+    return sys.ensemble(sys, count, drawn)
 
 
 def domain_points(sys: System, blocks: np.ndarray) -> np.ndarray:
@@ -794,8 +828,3 @@ def domain_points(sys: System, blocks: np.ndarray) -> np.ndarray:
     that need more uniforms per sample take them from the remaining words.
     """
     return sys.lo + (sys.hi - sys.lo) * uniform01(blocks[:, :sys.d])
-
-
-def sample_points(sys: System, seed: int, start: int, count: int) -> np.ndarray:
-    """Uniform float64 points on the domain, one block of the space-average stream each."""
-    return domain_points(sys, raw_blocks(seed, STREAM_SPACE_AVG, start, count))

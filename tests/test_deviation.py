@@ -14,12 +14,19 @@ from ergolab import deviation, observables
 from ergolab.deviation import METHOD_BINOMIAL, METHOD_MC, default_fit_window
 from ergolab.observables import deviations, float32_band, screen
 from ergolab.oracle import DIGIT, DIGIT_MEAN
-from ergolab.systems import sample_points
+from ergolab.rng import STREAM_SPACE_AVG, raw_blocks
+from ergolab.systems import domain_points
 
 CATALOG_SYSTEMS = [("doubling", {}), ("tent", {}), ("cat", {}),
                    ("logistic", {"c": -2.0}), ("logistic", {"c": -1.0}),
                    ("logistic", {"c": 0.2})]
 CATALOG_OBSERVABLES = [("cos1", {}), ("coord", {}), ("bump", {"a": 0.05, "w": 0.1})]
+
+
+def space_points(sys, seed, start, count):
+    """Uniform points on the domain from blocks [start, start + count) of
+    the space-average stream, as srb_space_average draws them."""
+    return domain_points(sys, raw_blocks(seed, STREAM_SPACE_AVG, start, count))
 
 
 def test_exact_digit_worked_values():
@@ -247,7 +254,7 @@ def test_hit_grid_counts_equal_float64_reference(monkeypatch, sid, skw, oid, okw
     sysm = E.get_system(sid, **skw)
     obs = E.get_observable(oid, sysm, **okw)
     count, seed, n_values = 10_000, 17, [1, 3, 8, 15]
-    phibar = float(np.mean(obs.fn(sample_points(sysm, seed, 0, 4096))))
+    phibar = float(np.mean(obs.fn(space_points(sysm, seed, 0, 4096))))
     devs = _reference_deviations(sysm, obs, phibar, n_values, count, seed)
     ties = [float(devs[n][i]) for n, i in ((1, 11), (3, 222), (8, 3333), (15, 4444),
                                            (15, 9999))]
@@ -395,7 +402,7 @@ def test_doubled_terms_are_read_from_the_catalog(monkeypatch, sid, skw):
         m.setattr(deviation, "screen", lambda s, o, p, h: (np.float64, [0.0] * len(h)))
         assert np.array_equal(got, deviation._hit_grid(*args))
     asked.clear()
-    x = sample_points(sysm, 4, 0, 100)
+    x = space_points(sysm, 4, 0, 100)
     E.time_average(sysm, cos1, x, 6)
     delta = E.modulus_delta_for(sysm, cos1, 0.3)
     E.build_cover_ladder(sysm, cos1, 0.0, 0.3, delta, 1, 2)

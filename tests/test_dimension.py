@@ -17,7 +17,7 @@ from ergolab.dimension import (_POINT_CHUNK, _character_coefficients, _children_
                                closed_form_band)
 from ergolab.observables import deviation, deviations, float32_band
 from ergolab.oracle import DIGIT
-from ergolab.rng import STREAM_LEMMA_POINTS, raw_blocks
+from ergolab.rng import _PIECE, STREAM_LEMMA_POINTS, WORDS_PER_BLOCK, raw_blocks
 from ergolab.systems import _FloatOrbits, domain_points
 from ergolab.errors import GridBudgetError, RateNotEstablishedError
 
@@ -765,6 +765,36 @@ def test_walked_1d_level_memory_is_bounded_by_its_band():
         levels.append((card, *runs))
     assert levels[0][0] == levels[1][0]
     assert all(np.array_equal(a, b) for a, b in zip(levels[0][1:], levels[1][1:]))
+
+
+def test_one_chunk_ladder_memory_is_its_state_a_piece_and_its_walk():
+    # a one-chunk ladder (_POINT_CHUNK samples, threads 1) of doubling, tent
+    # and cat x cos1 puts its counter blocks into the ensemble's state piece
+    # by piece.  Once a first ladder has made the thread's kept walk arrays
+    # (sums and deviations), the next one's traced peak stays under that
+    # state (four 32-bit limbs a sample on doubling and tent, four 64-bit
+    # words on cat), one piece of blocks, and four 4-byte and three bool
+    # (count,) arrays: the ensemble's scratch (phases, group words, the
+    # fold's or the carry's) and the threshold masks.  A whole (count, 4)
+    # block array of 32 bytes a sample beside the state would exceed it
+    count = _POINT_CHUNK
+    for sid, state in (("doubling", 16), ("tent", 16), ("cat", 32)):
+        sysm = E.get_system(sid)
+        cos1 = E.get_observable("cos1", sysm)
+
+        def ladder():
+            return E.build_deviation_ladders(sysm, cos1, 0.0, [0.3, 0.1], range(4, 41, 4),
+                                             count, 5, threads=1)
+
+        ladder()                     # one-time allocations and the kept arrays come first
+        tracemalloc.start()
+        try:
+            ladder()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = state * count + 8 * WORDS_PER_BLOCK * _PIECE + (4 * 4 + 3) * count
+        assert peak < bound, (sid, peak, bound)
 
 
 def test_closed_form_band_bounds_the_1d_split(monkeypatch):

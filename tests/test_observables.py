@@ -9,7 +9,14 @@ import ergolab as E
 from ergolab.dimension import _hits
 from ergolab.observables import deviation, deviations, float32_band, undecided
 from ergolab.oracle import DIGIT, DIGIT_MEAN
-from ergolab.systems import _FloatOrbits, sample_points
+from ergolab.rng import STREAM_SPACE_AVG, raw_blocks
+from ergolab.systems import _FloatOrbits, domain_points
+
+
+def space_points(sys, seed, start, count):
+    """Uniform points on the domain from blocks [start, start + count) of
+    the space-average stream, as srb_space_average draws them."""
+    return domain_points(sys, raw_blocks(seed, STREAM_SPACE_AVG, start, count))
 
 
 def batch(*xs):
@@ -139,7 +146,7 @@ def test_deviations_walk_equals_deviation(sid, oid):
     # float32_band of those values
     sysm = E.get_system(sid)
     obs = E.get_observable(oid, sysm)
-    pts = sample_points(sysm, seed=4, start=0, count=4096)
+    pts = space_points(sysm, seed=4, start=0, count=4096)
     horizons = (1, 4, 9)
     want = [deviation(sysm, obs, 0.1, pts, n) for n in horizons]
     walk = deviations(_FloatOrbits(sysm, pts), obs, 0.1, np.float64, horizons)

@@ -17,11 +17,18 @@ import ergolab as E
 from ergolab import observables, systems
 from ergolab.errors import DomainError
 from ergolab.observables import _CHUNK, _mean_and_error, deviations, float32_band, terms
-from ergolab.rng import STREAM_ORBIT_SEED, STREAM_ORBITS, raw_blocks, uniform01
+from ergolab.rng import (_PIECE, STREAM_ORBIT_SEED, STREAM_ORBITS, STREAM_SPACE_AVG, pieces,
+                         raw_blocks, uniform01)
 from ergolab.systems import (_FloatOrbits, _fraction, _kept_array, birkhoff_sums, chunk_map,
-                             domain_points, into_domain, sample_points, wrap_unit)
+                             domain_points, into_domain, wrap_unit)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def space_points(sys, seed, start, count):
+    """Uniform points on the domain from blocks [start, start + count) of
+    the space-average stream, as srb_space_average draws them."""
+    return domain_points(sys, raw_blocks(seed, STREAM_SPACE_AVG, start, count))
 
 
 def test_doubling_iterate_worked_values():
@@ -159,19 +166,22 @@ def _old_wrap_unit(x):
 
 def test_in_place_step_maps_equal_their_out_of_place_forms():
     # doubling steps in place and cat into a second array, which leaves its
-    # input as it is; over 60 steps they and wrap_unit stay bit-equal to
-    # wrap_unit(2x) and wrap_unit([2x + y, x + y]) on random points and on
-    # edge points
-    edges = [0.0, 0.5, np.nextafter(1.0, 0.0), -5e-324, -(2.0 ** -54), 1.0, 2.5,
-             np.nan, np.inf, -np.inf]
+    # input as it is; over 60 steps from random points and the domain's edge
+    # points they stay bit-equal to wrap_unit(2x) and wrap_unit([2x + y,
+    # x + y]), though they skip wrap_unit's snap of 1.0: a step map is fed
+    # domain points only (System._step), where x - floor(x) is exact and
+    # below 1.  wrap_unit, whose inputs may lie anywhere, keeps the bits of
+    # its out-of-place form on edge points off the domain too
+    inside = [0.0, 0.5, np.nextafter(1.0, 0.0), 2.0**-1074]
+    edges = inside + [-5e-324, -(2.0 ** -54), 1.0, 2.5, np.nan, np.inf, -np.inf]
     rng = np.random.default_rng(12)
-    x1 = np.concatenate([rng.random(100_000), edges])[:, None]
-    grid = np.array(np.meshgrid(edges, edges)).reshape(2, -1).T
+    x1 = np.concatenate([rng.random(100_000), inside])[:, None]
+    grid = np.array(np.meshgrid(inside, inside)).reshape(2, -1).T
     x2 = np.vstack([rng.random((100_000, 2)), grid])
     step_doubling = E.get_system("doubling")._step
     step_cat = E.get_system("cat")._step
     with np.errstate(invalid="ignore"):
-        spread = x2 * 3.0 - 1.5
+        spread = np.vstack([x2 * 3.0 - 1.5, np.array(np.meshgrid(edges, edges)).reshape(2, -1).T])
         assert E.wrap_unit(spread).tobytes() == _old_wrap_unit(spread).tobytes()
         a, b = x1.copy(), x1.copy()
         p, q = x2.copy(), x2.copy()
@@ -213,7 +223,7 @@ def test_kept_buffer_steps_equal_iterate(sid, kw):
     # iterate and of the step map's out-of-place form; its start points and
     # what iterate handed out stay as they were
     sysm = E.get_system(sid, **kw)
-    pts = sample_points(sysm, seed=8, start=0, count=4096)
+    pts = space_points(sysm, seed=8, start=0, count=4096)
     start = pts.copy()
     orbits = _FloatOrbits(sysm, pts, _kept_array)
     want = pts
@@ -234,7 +244,7 @@ def test_float_ensembles_alive_at_once_stay_independent():
     sysl = E.get_system("logistic", c=-1.7)
     cos1 = E.get_observable("cos1", sysl)
     ens = [E.sample_orbit_ensemble(sysl, seed, 0, 1000) for seed in (1, 2)]
-    starts = [e.points().copy() for e in ens] + [sample_points(sysl, 3, 0, 700)]
+    starts = [e.points().copy() for e in ens] + [space_points(sysl, 3, 0, 700)]
     walk = _FloatOrbits(sysl, starts[2], _kept_array)
     orbits = ens + [walk]
     for k in range(1, 30):
@@ -393,6 +403,32 @@ def test_orbit_ensemble_selected_samples_match_their_chunk():
                                     count=count)
 
 
+@pytest.mark.parametrize("sid,kw", [("doubling", {}), ("tent", {}), ("cat", {}),
+                                    ("logistic", {"c": -1.7})])
+def test_ensembles_drawn_in_pieces_equal_one_whole_read(sid, kw):
+    # an ensemble filled piece by piece (rng.pieces) holds the samples of one
+    # whole raw_blocks read of its range, handed over as one piece: points
+    # and phases equal at every step up to the budget (the float64 one on
+    # logistic), at counts within, at and past one piece, from a ragged
+    # start; and an index draw's equal the rows it draws
+    sysm = E.get_system(sid, **kw)
+    budget = sysm.ensemble.horizon or int(systems.FLOAT64_BITS / math.log2(sysm.L))
+    start = 5
+    for count in (1, _PIECE - 1, _PIECE, 3 * _PIECE + 77):
+        whole = sysm.ensemble(sysm, count, [(0, raw_blocks(2, STREAM_ORBITS, start, count))])
+        drawn = E.sample_orbit_ensemble(sysm, 2, start, count)
+        rows = np.unique(np.linspace(0, count - 1, 9).astype(np.int64))
+        picked = E.sample_orbit_ensemble(sysm, 2, start + rows, rows.size)
+        for j in range(budget):
+            want, phases = whole.points().copy(), whole.points(phase=True).copy()
+            assert drawn.points().tobytes() == want.tobytes(), (count, j)
+            assert drawn.points(phase=True).tobytes() == phases.tobytes(), (count, j)
+            assert picked.points().tobytes() == want[rows].tobytes(), (count, j)
+            assert picked.points(phase=True).tobytes() == phases[rows].tobytes(), (count, j)
+            for ens in (whole, drawn, picked):
+                ens.advance()
+
+
 def test_raw_blocks_reads_just_the_indexed_blocks():
     # an index array reads exactly those blocks, each equal to its one-block
     # read: from block 0, consecutive, across gaps past 1024, alone, far out
@@ -423,6 +459,30 @@ def test_raw_blocks_reads_just_the_indexed_blocks():
         with pytest.raises(ValueError, match=r"\bseed\b"):
             raw_blocks(seed, STREAM_ORBITS, 0, 1)
     assert raw_blocks(2**64 - 1, STREAM_ORBITS, 0, 1).shape == (1, 4)
+
+
+def test_pieces_are_the_rows_of_one_range_read():
+    # a range read in pieces hands out its rows in order, at most _PIECE at
+    # a time, each piece equal to raw_blocks of the same rows: from ragged
+    # starts, up to the last block of the counter word, at counts short of,
+    # at and past a piece; its arguments are refused on the call, before
+    # any piece is asked for
+    for start in (0, 1, _PIECE - 1, _PIECE + 3, 2**40 + 5, 2**64 - 3 * _PIECE - 77):
+        for count in (0, 1, _PIECE - 1, _PIECE, _PIECE + 1, 3 * _PIECE + 77):
+            got = list(pieces(11, STREAM_ORBITS, start, count))
+            assert [p for p, _ in got] == list(range(0, count, _PIECE))
+            for p, blocks in got:
+                assert blocks.dtype == np.uint64 and 1 <= len(blocks) <= _PIECE
+                assert np.array_equal(blocks, raw_blocks(11, STREAM_ORBITS, start + p,
+                                                         len(blocks)))
+            whole = raw_blocks(11, STREAM_ORBITS, start, count)
+            assert np.array_equal(np.vstack([b for _, b in got]) if got else whole, whole)
+    for seed, start, count, name in ((2**64, 0, 1, "seed"), (-1, 0, 1, "seed"),
+                                     (11, 2**64 - 2, 3, "start"), (11, -1, 1, "start"),
+                                     (11, 1.5, 1, "start"), (11, 0, -1, "count"),
+                                     (11, 0, 2.0, "count")):
+        with pytest.raises(ValueError, match=rf"\b{name}\b"):
+            pieces(seed, STREAM_ORBITS, start, count)
 
 
 def test_cat_ensemble_follows_256_bit_orbits_through_its_budget():
@@ -470,7 +530,7 @@ def test_doubling_ensemble_reads_a_128_bit_shift_at_every_offset():
     edges = np.array([[ones, ones, 0, 0], [0, 1, 0, 0], [1 << 63, 0, 0, 0],
                       [0, 1 << 63, 0, 0]], dtype=np.uint64)
     blocks = np.vstack([edges, raw_blocks(6, STREAM_ORBITS, 0, 500)])
-    ens = sysd.ensemble(sysd, blocks)
+    ens = sysd.ensemble(sysd, len(blocks), [(0, blocks)])
     assert ens.horizon == 76
     x = [(int(hi) << 64) | int(lo) for hi, lo in blocks[:, :2].tolist()]
     for _ in range(131):                            # j = 0 .. 130
@@ -494,7 +554,7 @@ def test_tent_ensemble_follows_the_interior_point_orbit_through_its_budget():
     edges = np.array([[1 << 63, 0, 0, 0], [ones, 0, 0, 0], [ones, ones, 0, 0],
                       [(1 << 63) | 5, 0, 0, 0], [0, 1, 0, 0]], dtype=np.uint64)
     blocks = np.vstack([edges, raw_blocks(7, STREAM_ORBITS, 0, 500)])
-    ens = syst.ensemble(syst, blocks)
+    ens = syst.ensemble(syst, len(blocks), [(0, blocks)])
     assert ens.horizon == 76
     x = [(int(hi) << 65) | (int(lo) << 1) | 1 for hi, lo in blocks[:, :2].tolist()]
     for _ in range(76):                             # j = 0 .. 75
@@ -542,7 +602,7 @@ def test_birkhoff_sums_equal_a_reference_loop(sid, kw):
     # the phase (doubling and tent) with the doubled odd-step terms
     sysm = E.get_system(sid, **kw)
     cos1 = E.get_observable("cos1", sysm)
-    pts = sample_points(sysm, seed=5, start=0, count=64)
+    pts = space_points(sysm, seed=5, start=0, count=64)
     n_values = [1, 3, 7, 20, 29]
 
     def ensemble():
@@ -612,7 +672,7 @@ _EDGE_DRAWS = np.array([[_ONES, _ONES, _ONES, _ONES], [0, 0, 0, 0], [1 << 63, 0,
 
 def _edge_ensemble(sysm):
     blocks = np.vstack([_EDGE_DRAWS, raw_blocks(9, STREAM_ORBITS, 0, 20000)])
-    return sysm.ensemble(sysm, blocks)
+    return sysm.ensemble(sysm, len(blocks), [(0, blocks)])
 
 
 def test_phases_equal_2pi_times_the_points():
@@ -654,6 +714,28 @@ def test_phases_equal_2pi_times_the_points():
             ens.advance()
         if fixed:
             assert {-1.0, 1.0} <= signs
+
+
+def test_float_phases_are_a_float32_multiply_bit_for_bit():
+    # a float batch's phases, x_1 copied into float32 and multiplied in place
+    # by fl(2 pi), are the bits of the float32 multiply of the float64 points,
+    # fl(fl(x_1) fl(2 pi)), on 8192 random points of the circle, the torus
+    # (x_1 a strided column) and the interval, and on edge points: those
+    # whose float32 rounding rounds up to 1, subnormals, signed zeros
+    rng = np.random.default_rng(31)
+    edges = [0.0, -0.0, 2.0**-1074, 2.0**-150, np.nextafter(1.0, 0.0), 1.0 - 2.0**-25,
+             0.5 + 2.0**-26, -np.nextafter(1.0, 0.0)]
+    for sysm in (E.get_system("doubling"), E.get_system("cat"),
+                 E.get_system("logistic", c=-2.0)):
+        pts = sysm.lo + (sysm.hi - sysm.lo) * rng.random((8192, sysm.d))
+        pts[:len(edges), 0] = edges
+        for buffer in (systems._new_array, _kept_array):
+            phases = _FloatOrbits(sysm, pts, buffer).points(phase=True)
+            want = np.multiply(pts[:, 0], 2.0 * math.pi, dtype=np.float32)
+            assert phases.dtype == np.float32
+            assert phases.tobytes() == want.tobytes(), sysm.sid
+            assert phases.tobytes() == (pts[:, 0].astype(np.float32)
+                                        * np.float32(2.0 * math.pi)).tobytes()
 
 
 def test_doubled_terms_stay_within_their_budget():
@@ -828,7 +910,7 @@ def test_space_average_pieces_and_threads_keep_every_bit(sid, oid, kw):
     for samples in (2, 8191, 8193, 65536, 65537, 100000, 4 * _CHUNK + 8193):
         sums = []
         for s in range(0, samples, _CHUNK):
-            v = obs.fn(sample_points(sysm, 5, s, min(_CHUNK, samples - s)))
+            v = obs.fn(space_points(sysm, 5, s, min(_CHUNK, samples - s)))
             sums.append((float(np.sum(v)), float(np.sum(v * v))))
         want = tuple(x.hex() for x in _mean_and_error(sums, samples))
         for threads in (1, 2, 3, 4):
