@@ -87,13 +87,14 @@ def _hit_grid(sys, obs, phibar, alphas, n_values, sample_count, seed, threads=1)
     take every other cos1 term from the one before it, is read from the
     system's representation (sys.ensemble), not from the ensemble drawn,
     which may be wrapped by anything that forwards points() and advance().
-    A chunk returns its hit counts, its marked samples per cell and the
-    union of those, and the chunks are folded in chunk order.  The marked
-    samples, from every chunk, are then redrawn from their own counter
-    blocks in one draw and walked once in float64, down to the deepest
-    horizon any of them is marked at, and each cell counts its marked
-    samples on that walk.  A sample's orbit is a pure function of its
-    block, so the counts are those of the float64 walk alone.  Band 0 (the
+    A chunk returns its hit counts and a flat list of (threshold,
+    horizon, marked samples), and the chunks' lists are joined in chunk
+    order.  The union of the marked samples, one sort of them all, is then
+    redrawn from its counter blocks in one draw, each sample once, and
+    walked once in float64, down to the deepest horizon any of them is
+    marked at; each entry counts its samples in that walk's list of
+    float64 deviations.  A sample's orbit is a pure function of its block,
+    so the counts are those of the float64 walk alone.  Band 0 (the
     float64 walk) marks nothing.
     """
     n_values = list(n_values)
@@ -106,39 +107,29 @@ def _hit_grid(sys, obs, phibar, alphas, n_values, sample_count, seed, threads=1)
         # arrays its thread keeps, read only here
         stop = min(start + _POINT_CHUNK, sample_count)
         hits = np.zeros((len(alphas), len(n_values)), dtype=np.int64)
-        near = {}    # (i, j) -> indices of the samples in alpha_i's band at n_j
-        flag = None
+        near = []    # (i, j, the samples in alpha_i's band at n_j)
         ens = sample_orbit_ensemble(sys, seed, start, stop - start)
         for j, dev in enumerate(deviations(ens, obs, phibar, dtype, n_values, doubles,
                                             _kept_array)):
             for i, t in enumerate(alphas):
                 _, hits[i, j], rows = undecided(dev, bands[j], t)
-                if not rows.size:
-                    continue
-                near[i, j] = start + rows
-                if flag is None:
-                    # the union is a mask, not np.unique, which imports numpy.ma on first use
-                    flag = np.zeros(stop - start, dtype=bool)
-                flag[rows] = True
-        return hits, near, None if flag is None else start + np.flatnonzero(flag)
+                if rows.size:
+                    near.append((i, j, start + rows))
+        return hits, near
 
     chunks = chunk_map(screened_chunk, range(0, sample_count, _POINT_CHUNK), threads)
-    hits = sum(h for h, _, _ in chunks)
-    near = {}    # (i, j) -> each chunk's marked samples, in chunk order
-    for _, rows, _ in chunks:
-        for cell, r in rows.items():
-            near.setdefault(cell, []).append(r)
-    drawn = [d for _, _, d in chunks if d is not None]
-    if drawn:
-        # chunks are disjoint and in order, so the concatenation is sorted
-        idx = np.concatenate(drawn)
-        deepest = max(j for _, j in near)
+    hits = sum(h for h, _ in chunks)
+    near = [cell for _, c in chunks for cell in c]
+    if near:
+        # a sort, not np.unique, which imports numpy.ma on first use
+        idx = np.sort(np.concatenate([rows for _, _, rows in near]))
+        idx = idx[np.append(True, idx[1:] != idx[:-1])]
+        deepest = max(j for _, j, _ in near)
         ens = sample_orbit_ensemble(sys, seed, idx, idx.size)
-        for j, dev in enumerate(deviations(ens, obs, phibar, np.float64, n_values[:deepest + 1])):
-            for i, t in enumerate(alphas):
-                if (i, j) in near:
-                    rows = np.searchsorted(idx, np.concatenate(near[i, j]))
-                    hits[i, j] += np.count_nonzero(dev[rows] >= t)
+        devs = [d.copy() for d in deviations(ens, obs, phibar, np.float64,
+                                             n_values[:deepest + 1])]
+        for i, j, rows in near:
+            hits[i, j] += np.count_nonzero(devs[j][np.searchsorted(idx, rows)] >= alphas[i])
     return hits
 
 

@@ -39,9 +39,10 @@ screened by the one rule of observables (`screen`, `undecided`): _hits
 hands back, for each threshold, the mask of the float64 walk's
 deviation >= t, decided by a cheaper deviation within a proven band and,
 in the band, by observables.deviation.  The cheaper deviation is the
-closed form of a linear torus map with a character observable (cos1 on
-doubling and on the cat map, within closed_form_band), or else the walk
-of observables.screen.  Cards, relaxed sets and lemma reports are those
+closed form of a linear torus map with cos1, the character e_1 that
+observables._is_e1 picks for both cheaper evaluations (cos1 on doubling
+and on the cat map, within closed_form_band), or else the walk of
+observables.screen.  Cards, relaxed sets and lemma reports are those
 of the float64 walk; the lemma's ball points, whose deviations are
 reported, are evaluated in float64 only.
 """
@@ -55,11 +56,11 @@ import numpy as np
 
 from .deviation import least_squares_line, write_csv
 from .errors import GridBudgetError, RateNotEstablishedError, check_integer, check_real
-from .observables import (_TWO_PI, Observable, deviation, deviations, max_deviation, screen,
-                          undecided)
+from .observables import (_TWO_PI, Observable, _is_e1, deviation, deviations, max_deviation,
+                          screen, undecided)
 from .rng import STREAM_LEMMA_BALLS, STREAM_LEMMA_POINTS, raw_blocks, uniform01
-from .systems import (_POINT_CHUNK, System, _FloatOrbits, _kept_array, _new_array,
-                      check_float64_horizon, chunk_map, domain_points, into_domain)
+from .systems import (_POINT_CHUNK, System, _FloatOrbits, _kept_array, check_float64_horizon,
+                      chunk_map, domain_points, into_domain)
 
 
 def dimension_upper_bound(d: int, L: float, h: float) -> float:
@@ -334,10 +335,11 @@ def _children_1d(sys, lo, hi, ratio, m_next):
     return _union_runs(lo, hi)
 
 
-def _grid_2d(rows, cols, buffer=_new_array):
-    """The (len(rows) * len(cols), 2) points (row, col), row-major, in
-    buffer("grid", ...) (see systems._FloatOrbits)."""
-    pts = buffer("grid", (rows.size, cols.size, 2))
+def _grid_2d(rows, cols):
+    """The (len(rows) * len(cols), 2) points (row, col), row-major, in the
+    calling thread's kept "grid" array (systems._kept_array): read them
+    before its next grid."""
+    pts = _kept_array("grid", (rows.size, cols.size, 2))
     pts[:, :, 0] = rows[:, None]
     pts[:, :, 1] = cols[None, :]
     return pts.reshape(-1, 2)
@@ -464,9 +466,10 @@ def _product(a, b):
 def _row_factor(obs, y, coef):
     """[cos t | sin t] with t = 2 pi (y c_j mod 1): a (len(y), 2 len(coef)) array.
 
-    The cosines are obs.fn at the points (y c_j mod 1) e_1: cos t for a
-    character with k_1 = 1 (see _closed_form), by the multiply by 2 pi the
-    sines take, so the tables' evaluations count as the observable's.
+    The cosines are obs.fn at the points (y c_j mod 1) e_1: cos t for cos1,
+    the character e_1 that covers take in closed form (see
+    build_cover_ladder), by the multiply by 2 pi the sines take, so the
+    tables' evaluations count as the observable's.
     """
     t = np.multiply.outer(y, coef.astype(np.float64))
     t -= np.floor(t)
@@ -498,13 +501,6 @@ def _closed_form_hits(sys, obs, phibar, n, band, thresholds, row_f, col_f, point
     return _hits(dev, band, thresholds, lambda rows: deviation(sys, obs, phibar, points(rows), n))
 
 
-def _closed_form(sys, obs):
-    """Whether covers take Birkhoff sums in closed form: a linear torus map
-    (sys.matrix) with a character observable (obs.character) whose k_1 is 1,
-    so that its fn gives the cosines of the tables (see _row_factor)."""
-    return sys.matrix is not None and obs.character is not None and obs.character[0] == 1
-
-
 # Cells per block of a 1-d level.  Medians of 45 covers of
 # perfbench's doubling-report (3 alternating rounds, 2 vCPU Xeon): 16.2,
 # 13.0, 11.7, 12.3 and 15.2 ms at 16, 32, 64, 128 and 256 cells; of 6 of
@@ -525,10 +521,9 @@ def _cover_level_1d(sys, obs, phibar, alpha, tau, s, n, lo, hi, coef, threads):
     q = 0.._BLOCK (corners), then p + q + 1/2 (centres), and one band loop
     ORs their hit masks per cell, as _cover_level_2d does.  A band holds
     the _POINT_CHUNK // (2 _BLOCK + 1) blocks whose stencil points fill at
-    most _POINT_CHUNK, and the bands are the starts of systems.chunk_map,
-    on the calling thread in closed form (see _cover_level_2d) and on
-    `threads` threads walked.  Given coef, the ladder's (n_hi, 1) character
-    coefficients (see _closed_form), a band's masks come from
+    most _POINT_CHUNK, and the bands are the starts of systems.chunk_map
+    on `threads` threads.  Given coef, the ladder's (n_hi, 1) character
+    coefficients (see _character_coefficients), a band's masks come from
     _closed_form_hits: its blocks' rows have the phases of fl(p s) and
     share the columns of fl(q s) and fl((q + 1/2) s) (closed_form_band
     bounds the split).  Otherwise _walk_hits walks the band's points inside
@@ -578,7 +573,7 @@ def _cover_level_1d(sys, obs, phibar, alpha, tau, s, n, lo, hi, coef, threads):
         k, q = np.divmod(np.flatnonzero(relaxed[:, 1:] != relaxed[:, :-1]), _BLOCK + 1)
         return int(np.count_nonzero(hit_alpha)), p[k0 + k] + q
 
-    bands = chunk_map(card_and_edges, range(0, p.size, per_band), threads if coef is None else 1)
+    bands = chunk_map(card_and_edges, range(0, p.size, per_band), threads)
     edges = np.concatenate([np.empty(0, dtype=np.int64)] + [e for _, e in bands])
     return sum(c for c, _ in bands), _union_runs(edges[::2], edges[1::2])
 
@@ -593,25 +588,22 @@ def _cover_level_2d(sys, obs, phibar, alpha, s, m, n, coef, threads):
     rows of cells, so its corner rows fit in P points whenever two rows do.
     Hits are elementwise, so neither bands nor threads change them.
 
-    Given coef, the ladder's (n_hi, 2) character coefficients (see
-    _closed_form), S_n(row, col) = sum_j cos(a_j + b_j), a_j = 2 pi c_j0 row,
+    Given coef, the ladder's (n_hi, 2) character coefficients,
+    S_n(row, col) = sum_j cos(a_j + b_j), a_j = 2 pi c_j0 row,
     b_j = 2 pi c_j1 col, j < n (see _character_coefficients): a band's hits
     are those of _closed_form_hits from cos/sin tables built once per
     level, O(m n) cosines for the level instead of O(m^2 n).  Other pairs
     walk every point under the screen of observables.screen (_walk_hits).
 
     Bands hold P = _POINT_CHUNK points and are the starts of
-    systems.chunk_map: walked bands on `threads` threads, closed-form ones
-    on the calling thread, since OpenBLAS products issued from two threads
-    at once ran 6-17x slower than from one, and a level of cat.ini took
-    0.39-0.47 s on two threads against 0.28-0.35 s on one.
+    systems.chunk_map on `threads` threads.
     """
     corners = _grid_points(sys, np.arange(m + 1, dtype=np.float64), s).ravel()
     centres = _grid_points(sys, np.arange(m) + 0.5, s).ravel()
 
     if coef is None:
         def hits(axis, r0, r1):
-            pts = _grid_2d(axis[r0:r1], axis, _kept_array)
+            pts = _grid_2d(axis[r0:r1], axis)
             return _walk_hits(sys, obs, phibar, pts, n, (alpha,))[0].reshape(r1 - r0, axis.size)
     else:
         coef = coef[:n]
@@ -638,7 +630,7 @@ def _cover_level_2d(sys, obs, phibar, alpha, s, m, n, coef, threads):
         return int(np.count_nonzero(cell))
 
     rows_per_band = max(1, _POINT_CHUNK // (m + 1) - 1)
-    return sum(chunk_map(card, range(0, m, rows_per_band), threads if coef is None else 1))
+    return sum(chunk_map(card, range(0, m, rows_per_band), threads))
 
 
 def build_cover_ladder(sys: System, obs: Observable, phibar: float, alpha: float,
@@ -651,18 +643,21 @@ def build_cover_ladder(sys: System, obs: Observable, phibar: float, alpha: float
     n_lo to n_hi.  In 1-d the first level is the run [0, m) of all cells and
     each later one the children of the runs of cells passing the relaxed
     thresholds (see _prune_thresholds, _children_1d); in 2-d every level is
-    swept densely.  A linear map (the system declares a matrix) with a
-    character observable takes its Birkhoff sums in closed form, other
-    pairs by the float64 walk, in bands of at most _POINT_CHUNK stencil
-    points (_cover_level_1d, _cover_level_2d).  Either way cards are those
-    of the float64 walk, at any thread count: `threads` (an integer >= 1,
-    ValueError naming it) runs the bands of walked levels on
-    systems.chunk_map, and those of the closed forms on the calling
-    thread.  The budget, an integer >= 1, caps the total number
-    of cells examined (the runs' lengths in 1-d); a level that would exceed it raises
-    GridBudgetError before any of its cells are evaluated.  A level past the
-    float64 orbit budget (systems.check_float64_horizon) raises ValueError,
-    whatever alpha.
+    swept densely.  Every level is set up here, in bands of at most
+    _POINT_CHUNK stencil points (_cover_level_1d, _cover_level_2d): a
+    linear map (the system declares a matrix) with cos1, the character e_1
+    (observables._is_e1, which picks the float32 screen too), takes its
+    Birkhoff sums in closed form, its bands on the calling thread, since
+    OpenBLAS products issued from two threads at once ran 6-17x slower
+    than from one (a level of cat.ini took 0.39-0.47 s on two threads
+    against 0.28-0.35 s on one); other pairs take the walk of
+    observables.screen, their bands on `threads` threads (an integer >= 1,
+    ValueError naming it) of systems.chunk_map.  Either way cards are those
+    of the float64 walk, at any thread count.  The budget, an integer >= 1,
+    caps the total number of cells examined (the runs' lengths in 1-d); a
+    level that would exceed it raises GridBudgetError before any of its
+    cells are evaluated.  A level past the float64 orbit budget
+    (systems.check_float64_horizon) raises ValueError, whatever alpha.
 
     alpha <= 0 short-circuits analytically: every cell meets the set, cards
     are full grid sizes, and nothing is evaluated or charged against the
@@ -682,14 +677,17 @@ def build_cover_ladder(sys: System, obs: Observable, phibar: float, alpha: float
     L = sys.L
     dprimes = tuple(check_real("dprimes entry", dp) for dp in dprimes)
 
+    def radius(n):   # r_n; cells have side r_n / 2
+        return delta * L ** (-n)
+
     def entry(n, card):
-        r = delta * L ** (-n)
+        r = radius(n)
         return CoverEntry(n, r, card, tuple((dp, card * r**dp) for dp in dprimes))
 
     W = max_deviation(obs, phibar)
     if alpha <= 0.0 or alpha > W:
         full = alpha <= 0.0
-        entries = [entry(n, _grid_cells(sys, delta * L ** (-n) / 2.0) ** sys.d if full else 0)
+        entries = [entry(n, _grid_cells(sys, radius(n) / 2.0) ** sys.d if full else 0)
                    for n in range(n_lo, n_hi + 1)]
         return CoverLadder(sys.sid, obs.oid, phibar, alpha, delta, L, dprimes,
                            tuple(entries), 0)
@@ -701,12 +699,14 @@ def build_cover_ladder(sys: System, obs: Observable, phibar: float, alpha: float
         raise ValueError("covers support d <= 2")
 
     taus = _prune_thresholds(alpha, n_lo, n_hi, obs.lip, W, L, delta, sys.d)
-    coef = _character_coefficients(sys, obs, n_hi) if _closed_form(sys, obs) else None
+    coef = None
+    if sys.matrix is not None and _is_e1(obs):
+        coef, threads = _character_coefficients(sys, obs, n_hi), 1
     examined = 0
     entries = []
     runs = None  # None means: sweep this level densely
     for n in range(n_lo, n_hi + 1):
-        s = delta * L ** (-n) / 2.0
+        s = radius(n) / 2.0
         m = _grid_cells(sys, s)
         if sys.d == 1 and runs is None:
             runs = np.array([0]), np.array([m])
@@ -726,8 +726,7 @@ def build_cover_ladder(sys: System, obs: Observable, phibar: float, alpha: float
             if taus[n] <= 0.0:
                 runs = None  # relaxed threshold is vacuous: next level is dense
             else:
-                m_next = _grid_cells(sys, delta * L ** (-(n + 1)) / 2.0)
-                runs = _children_1d(sys, *relaxed, L, m_next)
+                runs = _children_1d(sys, *relaxed, L, _grid_cells(sys, radius(n + 1) / 2.0))
     return CoverLadder(sys.sid, obs.oid, phibar, alpha, delta, L, dprimes,
                        tuple(entries), examined)
 

@@ -224,7 +224,9 @@ def float32_band(sys: System, obs: Observable, n: int) -> float | None:
 
 
 def _is_e1(obs: Observable) -> bool:
-    """Whether obs is the character k = e_1, cos(2 pi x_1): cos1."""
+    """Whether obs is the character k = e_1, cos(2 pi x_1): cos1.  The one
+    test of both cheaper evaluations: the float32 screen (`screen`) and a
+    cover's closed form (dimension.build_cover_ladder)."""
     k = obs.character
     return k is not None and k[0] == 1 and not any(k[1:])
 

@@ -34,9 +34,6 @@ STREAM_ORBIT_SEED = 6     # start points of an empirical-orbit space average's o
 WORDS_PER_BLOCK = 4  # one Philox round emits four 64-bit words
 _PIECE = 1 << 13     # blocks per piece of a range read (pieces): 256 KiB, cache-sized
 
-_INV_2_53 = float(2.0**-53)
-_U11 = np.uint64(11)
-
 
 def check_seed(seed: int):
     """ValueError unless seed is an integer in [0, 2^64): Philox keys on one
@@ -115,14 +112,19 @@ def pieces(seed: int, stream: int, start: int, count: int):
     return ((p, _read(bg, min(_PIECE, count - p))) for p in range(0, count, _PIECE))
 
 
-def uniform01(words: np.ndarray) -> np.ndarray:
-    """Map raw 64-bit words to uniform doubles in [0, 1), in a new array.
+def _fraction(word, into, out):
+    """out = the uniform doubles in [0, 1) of the uint64 array `word`, in
+    place: the top 53 bits, identical to numpy's own double generation, so
+    a word stream and a ``Generator.random`` stream agree bit for bit.
+    `into`, uint64 scratch shaped like word (word itself if word is
+    scratch), receives the word shifted right by 11; its top bit is clear,
+    so it is read as a signed word (which converts to float faster than an
+    unsigned one, and exactly: it is below 2^53) and multiplied by 2^-53.
+    Returns out."""
+    np.right_shift(word, 11, out=into)
+    return np.multiply(into.view(np.int64), 2.0**-53, out=out)
 
-    Uses the top 53 bits, identical to numpy's own double generation, so a
-    word stream and a ``Generator.random`` stream agree bit for bit.  The
-    shifted word has its top bit clear, so it is read as a signed word
-    (which converts to float faster than an unsigned one, and exactly:
-    it is below 2^53) and multiplied by 2^-53.  systems._fraction is the
-    same rule, in place.
-    """
-    return (words >> _U11).view(np.int64) * _INV_2_53
+
+def uniform01(words: np.ndarray) -> np.ndarray:
+    """`_fraction` of raw 64-bit words (any shape or strides), in a new array."""
+    return _fraction(words, np.empty(words.shape, np.uint64), np.empty(words.shape))

@@ -456,7 +456,12 @@ def run_pipeline(cfg: ExperimentConfig, threads: int = 1, stages=None) -> Report
 
 
 def write_artifacts(report: Report, out_dir, fmt: str = "json"):
-    """Write report.json (always) and, for fmt='csv', the tabular artifacts."""
+    """Write report.json (always) and, for fmt='csv', the tabular artifacts.
+
+    fmt must be "json" or "csv" (ValueError naming it, before anything is
+    written)."""
+    if fmt not in ("json", "csv"):
+        raise ValueError(f"fmt must be 'json' or 'csv', got {fmt!r}")
     import os
     os.makedirs(out_dir, exist_ok=True)
     paths = []

@@ -60,7 +60,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import DomainError, ParameterError, check_integer, check_real
-from .rng import STREAM_ORBITS, pieces, raw_blocks, uniform01
+from .rng import STREAM_ORBITS, _fraction, pieces, raw_blocks, uniform01
 
 _TWO_PI = 2.0 * math.pi
 _TWO_PI32 = np.float32(_TWO_PI)
@@ -420,16 +420,6 @@ def _fixed_point_horizon(matrix) -> int:
     return n
 
 
-def _fraction(word, into, out):
-    """out = rng.uniform01 of the uint64 array `word`, by its rule, in place:
-    the top 53 bits, truncated, read as a signed word and times 2^-53, a
-    fixed-point coordinate as a float64 point in [0, 1).  `into`, uint64
-    scratch (word itself if word is), receives the shifted word.  Returns
-    out."""
-    np.right_shift(word, 11, out=into)
-    return np.multiply(into.view(np.int64), 2.0**-53, out=out)
-
-
 def _phase(top, out):
     """out = the float32 phases of the coordinates whose top 32 bits are the
     uint32 array `top` (a strided view is fine), in one multiply: top read
@@ -481,7 +471,7 @@ class _FixedPointOrbits:
     """Base of the fixed-point ensembles: scratch arrays kept across steps.
 
     Neither advance() nor points() allocates once its scratch exists:
-    points() writes the float64 points (by `_fraction`) into the same array
+    points() writes the float64 points (by `rng._fraction`) into the same array
     at every call, so read it before the next call, and points(phase=True)
     writes the (count,) float32 phases of x_1 (by `_phase`) into an array of
     its own, which the caller may overwrite.  Scratch is made on first use.
@@ -516,7 +506,7 @@ class _DyadicDoubling(_FixedPointOrbits):
     r = j mod 8 to bring bit j to the top.  A float64 point's group word is
     64 bits wide, from two 64-bit words made from the draw on the first
     point read: after the shift it holds 64 - r >= 57 drawn bits, so the
-    point's 53 bits (see _fraction) are exact.  A phase's group word is 32
+    point's 53 bits (see rng._fraction) are exact.  A phase's group word is 32
     bits wide, from the draw kept as four 32-bit limbs: after the shift it
     holds 32 - r drawn bits followed by r zeros, which `_phase` shows cost
     the phase nothing its bound does not allow.  Exact binary arithmetic

@@ -304,8 +304,8 @@ LADDER_SAMPLES = 3 * 2**16 + 1234     # four chunks, the last ragged
                                      ("doubling", "coord")])
 def test_ladders_are_equal_at_any_thread_count(monkeypatch, sid, oid):
     # each chunk of 2^16 samples is one start of systems.chunk_map at the
-    # caller's threads, and returns its hits, its band rows per cell and
-    # their union, folded in chunk order before the one float64 recount: 1,
+    # caller's threads, and returns its hits and a flat list of its band
+    # rows per cell, joined in chunk order before the one float64 recount: 1,
     # 2 and 3 threads (3 claim the four chunks unevenly) give the ladders of
     # the float64 walk alone.  At seed 5 most of cos1's cells hold band rows
     # from two to four chunks on every one of these systems; coord walks in
@@ -335,6 +335,51 @@ def test_ladders_are_equal_at_any_thread_count(monkeypatch, sid, oid):
         assert len(recounts) == (oid == "cos1")
         if recounts:
             assert set((recounts[0] // 2**16).tolist()) == {0, 1, 2, 3}
+
+
+def test_hit_grid_recount_draws_each_marked_sample_once(monkeypatch):
+    # Thresholds on samples' float64 deviations at two horizons mark those
+    # samples at two cells or more, in chunks of 4096 (five chunks).  The
+    # recount draws the union of the marked samples once, sorted and each
+    # sample once, and the counts equal the float64 walk's at 1 and 2 threads
+    sysd = E.get_system("doubling")
+    cos1 = E.get_observable("cos1", sysd)
+    count, seed, n_values = 5 * 4096 - 100, 23, [4, 9, 16, 30]
+    devs = _reference_deviations(sysd, cos1, 0.0, n_values, count, seed)
+    tied = (7, 4096 + 11, 3 * 4096 + 5)
+    alphas = [0.3] + [float(devs[n][k]) for k in tied for n in (9, 30)]
+    want = np.array([[np.count_nonzero(devs[n] >= a) for n in n_values] for a in alphas])
+    monkeypatch.setattr(deviation, "_POINT_CHUNK", 4096)
+    marked = []      # each cell's marked samples, at threads 1
+    draw, undecided = deviation.sample_orbit_ensemble, deviation.undecided
+    chunk = [0]
+
+    def drawing(sysm, seed, start, count):
+        if not np.ndim(start):
+            chunk[0] = start
+        return draw(sysm, seed, start, count)
+
+    def recording(dev, band, t):
+        hit, above, rows = undecided(dev, band, t)
+        marked.append(chunk[0] + rows)
+        return hit, above, rows
+
+    monkeypatch.setattr(deviation, "sample_orbit_ensemble", drawing)
+    monkeypatch.setattr(deviation, "undecided", recording)
+    starts = _recording_draws(monkeypatch)
+    for threads in (1, 2):
+        marked.clear()
+        starts.clear()
+        got = deviation._hit_grid(sysd, cos1, 0.0, alphas, n_values, count, seed, threads)
+        assert np.array_equal(got, want)
+        (idx,) = [s for s in starts if np.ndim(s)]        # one index draw
+        if threads == 1:
+            rows = np.concatenate(marked)
+            assert rows.size > np.unique(rows).size       # a sample marked at two cells
+            assert np.array_equal(idx, np.unique(rows))   # their union, each sample once
+            union = idx
+        assert np.array_equal(idx, union)
+    assert set(tied) <= set(union.tolist())
 
 
 @pytest.mark.parametrize("threads", [0, True, 1.5])

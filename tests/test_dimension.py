@@ -512,7 +512,7 @@ def test_closed_form_masks_equal_walked_masks(monkeypatch):
     sysc = E.get_system("cat")
     cos1 = E.get_observable("cos1", sysc)
     axis = _grid_points(sysc, np.arange(61, dtype=np.float64), 1.0 / 60).ravel()
-    pts = _grid_2d(axis, axis)
+    pts = _grid_2d(axis, axis).copy()   # the thread's kept grid: the walks below build theirs
     coef = _character_coefficients(sysc, cos1, 5)
     ties = deviation(sysc, cos1, phibar, pts, 5)[[10, 1000, 3000]]
     thresholds = (0.4, *ties)
@@ -986,6 +986,21 @@ def test_cover_refines_under_smaller_delta():
     assert fine.entries[0].card >= coarse.entries[0].card
 
 
+def _cellmax_2d(sysc, obs, phibar, s, m, n):
+    """Float64 stencil maxima (four corners, centre) of the m x m cells of
+    side s by the public time average."""
+    idx = np.arange(m + 1, dtype=float) * s % 1.0
+    cx, cy = np.meshgrid(idx, idx, indexing="ij")
+    corners = np.stack([cx.ravel(), cy.ravel()], axis=1)
+    dev_c = _ref_dev(sysc, obs, phibar, corners, n).reshape(m + 1, m + 1)
+    cidx = (np.arange(m, dtype=float) + 0.5) * s % 1.0
+    mx, my = np.meshgrid(cidx, cidx, indexing="ij")
+    centers = np.stack([mx.ravel(), my.ravel()], axis=1)
+    dev_m = _ref_dev(sysc, obs, phibar, centers, n).reshape(m, m)
+    return np.maximum.reduce([dev_c[:-1, :-1], dev_c[1:, :-1], dev_c[:-1, 1:], dev_c[1:, 1:],
+                              dev_m])
+
+
 def test_cover_2d_matches_brute_force(monkeypatch):
     # cos1 takes the closed form, coord and bump the float walk; small
     # bands put seams inside every level, at 1, 2 and 3 threads.  A band
@@ -1000,18 +1015,7 @@ def test_cover_2d_matches_brute_force(monkeypatch):
             monkeypatch.setattr(dimension, "_POINT_CHUNK", chunk)
             s = delta * sysc.L ** (-n) / 2.0
             m = math.ceil(1.0 / s)
-            # brute force: evaluate the full corner grid and the centers directly
-            idx = np.arange(m + 1, dtype=float) * s % 1.0
-            cx, cy = np.meshgrid(idx, idx, indexing="ij")
-            corners = np.stack([cx.ravel(), cy.ravel()], axis=1)
-            dev_c = np.abs(E.time_average(sysc, obs, corners, n)).reshape(m + 1, m + 1)
-            cidx = (np.arange(m, dtype=float) + 0.5) * s % 1.0
-            mx, my = np.meshgrid(cidx, cidx, indexing="ij")
-            centers = np.stack([mx.ravel(), my.ravel()], axis=1)
-            dev_m = np.abs(E.time_average(sysc, obs, centers, n)).reshape(m, m)
-            cellmax = np.maximum.reduce([dev_c[:-1, :-1], dev_c[1:, :-1],
-                                         dev_c[:-1, 1:], dev_c[1:, 1:], dev_m])
-            want = int(np.count_nonzero(cellmax >= alpha))
+            want = int(np.count_nonzero(_cellmax_2d(sysc, obs, 0.0, s, m, n) >= alpha))
             assert 0 < want < m * m
             for threads in (1, 2, 3):
                 batches.clear()
@@ -1024,6 +1028,69 @@ def test_cover_2d_matches_brute_force(monkeypatch):
             # analytic full-space count in 2-d
             full = E.build_cover_ladder(sysc, obs, 0.0, 0.0, delta, n, n)
             assert full.entries[0].card == m * m
+
+
+def test_only_cos1_takes_the_closed_form(monkeypatch):
+    # observables._is_e1 picks a cover's closed form: cos1 on doubling and
+    # on cat builds row tables; a cat character (1, 5), cos 2 pi (x + 5 y),
+    # is walked, and its cards and examined cells are those of every
+    # stencil point's float64 deviation
+    tables = []
+    row_factor = dimension._row_factor
+
+    def counted(obs, y, coef):
+        tables.append(obs.oid)
+        return row_factor(obs, y, coef)
+
+    monkeypatch.setattr(dimension, "_row_factor", counted)
+    batches = _recording_walk(monkeypatch)
+    for sid, alpha, n_lo, n_hi in (("doubling", 0.6, 10, 12), ("cat", 0.4, 1, 3)):
+        sysm = E.get_system(sid)
+        cos1 = E.get_observable("cos1", sysm)
+        tables.clear()
+        E.build_cover_ladder(sysm, cos1, 0.0, alpha, E.modulus_delta_for(sysm, cos1, alpha),
+                             n_lo, n_hi)
+        assert tables and set(tables) == {"cos1"}
+    assert not batches
+    sysc = E.get_system("cat")
+    k15 = E.Observable("k15", lambda p: np.cos(2.0 * math.pi * (p[:, 0] + 5.0 * p[:, 1])),
+                       lip=2.0 * math.pi * math.sqrt(26.0), character=(1, 5))
+    phibar, alpha, delta = 0.0, 0.8, 0.3
+    tables.clear()
+    lad = E.build_cover_ladder(sysc, k15, phibar, alpha, delta, 1, 3)
+    assert not tables and batches
+    examined = 0
+    for e in lad.entries:
+        s = delta * sysc.L ** (-e.n) / 2.0
+        m = math.ceil(1.0 / s)
+        examined += m * m
+        assert e.card == np.count_nonzero(_cellmax_2d(sysc, k15, phibar, s, m, e.n) >= alpha)
+        assert 0 < e.card <= m * m
+    assert lad.entries[-1].card < m * m and lad.examined_cells == examined
+
+
+def test_cover_bands_take_the_thread_count_of_their_set_up(monkeypatch):
+    # at threads 2, closed-form levels run their bands on the calling
+    # thread and walked levels on the two threads asked for
+    pools = []
+    pool = dimension.chunk_map
+
+    def spy(fn, starts, threads):
+        pools.append(threads)
+        return pool(fn, starts, threads)
+
+    monkeypatch.setattr(dimension, "chunk_map", spy)
+    for sid, oid, kw, phibar, alpha, n_lo, n_hi, want in (
+            ("cat", "cos1", {}, 0.0, 0.4, 1, 3, 1),
+            ("doubling", "cos1", {}, 0.0, 0.6, 10, 12, 1),
+            ("cat", "bump", {"a": 0.2, "w": 0.1}, 0.3, 0.4, 1, 3, 2),
+            ("doubling", "coord", {}, 0.5, 0.2, 8, 12, 2)):
+        sysm = E.get_system(sid)
+        obs = E.get_observable(oid, sysm, **kw)
+        pools.clear()
+        E.build_cover_ladder(sysm, obs, phibar, alpha, E.modulus_delta_for(sysm, obs, alpha),
+                             n_lo, n_hi, threads=2)
+        assert pools == [want] * (n_hi - n_lo + 1), (sid, oid)
 
 
 def test_cover_csv(tmp_path):

@@ -34,6 +34,19 @@ def test_readme_layout_has_a_row_per_module():
     assert rows == modules
 
 
+def test_readme_layout_rows_stay_short():
+    # a row says what its module holds now, in at most 150 words; history
+    # and bench numbers belong in CHANGES.md and the BENCH_*.json files
+    text = README.read_text()
+    layout = text[text.index("## Layout"):]
+    layout = layout[:layout.index("\n## ")]
+    rows = re.findall(r"^\| `ergolab\.(\w+)` *\|(.*)\|\s*$", layout, re.M)
+    assert len(rows) > 1
+    long = {module: len(contents.split()) for module, contents in rows
+            if len(contents.split()) > 150}
+    assert not long
+
+
 def test_readme_configuration_lists_the_declared_fields():
     # the ini block names each section, then its fields, in declaration order
     text = README.read_text()

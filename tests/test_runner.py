@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -363,6 +364,17 @@ def test_write_artifacts(tmp_path):
     assert header == "n,measure,std_error,samples,method"
     json_only = E.write_artifacts(rep, tmp_path / "j", fmt="json")
     assert [os.path.basename(p) for p in json_only] == ["report.json"]
+
+
+@pytest.mark.parametrize("fmt", ["CSV", "Json", "csv ", "", "xml", None])
+def test_write_artifacts_refuses_an_unknown_format(tmp_path, fmt):
+    # any fmt but "json" or "csv" is refused by name before a directory or
+    # file is written: "CSV" once wrote report.json alone, dropping every table
+    rep = E.run_pipeline(mini_cfg(), stages=("resolve",))
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=r"\bfmt\b.*" + re.escape(repr(fmt))):
+        E.write_artifacts(rep, out, fmt=fmt)
+    assert not out.exists()
 
 
 # sha256 of the CSV artifacts of mini_cfg(cover_n_min=4, cover_n_max=7),

@@ -17,10 +17,10 @@ import ergolab as E
 from ergolab import observables, systems
 from ergolab.errors import DomainError
 from ergolab.observables import _CHUNK, _mean_and_error, deviations, float32_band, terms
-from ergolab.rng import (_PIECE, STREAM_ORBIT_SEED, STREAM_ORBITS, STREAM_SPACE_AVG, pieces,
-                         raw_blocks, uniform01)
-from ergolab.systems import (_FloatOrbits, _fraction, _kept_array, birkhoff_sums, chunk_map,
-                             domain_points, into_domain, wrap_unit)
+from ergolab.rng import (_PIECE, STREAM_ORBIT_SEED, STREAM_ORBITS, STREAM_SPACE_AVG, _fraction,
+                         pieces, raw_blocks, uniform01)
+from ergolab.systems import (_FloatOrbits, _kept_array, birkhoff_sums, chunk_map, domain_points,
+                             into_domain, wrap_unit)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -946,6 +946,20 @@ def test_uniform01_and_fraction_convert_words_bit_for_bit():
     out = np.empty(5)
     assert _fraction(words, np.empty(5, np.uint64), out).tobytes() == want.tobytes()
     assert uniform01(words.reshape(5, 1)[:, 0]).tobytes() == want.tobytes()
+
+
+def test_uniform01_converts_strided_words():
+    # a strided column and an (N, d) slice of a block array, as
+    # domain_points and the flow and lemma draws read them, give the
+    # conversion of a contiguous copy, shaped like the view
+    blocks = raw_blocks(7, STREAM_ORBITS, 0, 1000)
+    for view in (blocks[:, 2], blocks[:, :2], blocks[::3, 1:], blocks[:, 0:1]):
+        assert not view.flags.c_contiguous
+        got = uniform01(view)
+        want = uniform01(np.ascontiguousarray(view))
+        assert got.shape == view.shape and got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(got, (view >> np.uint64(11)).astype(np.float64) * 2.0**-53)
 
 
 def test_chunk_map_returns_results_in_order():
